@@ -28,6 +28,7 @@
 //!   frame per direction per step, mirroring `SessionPump`.
 
 use bytes::Bytes;
+use icd_wire::buffered::buffered_session;
 use icd_wire::framing::{read_frame_bytes, write_frame_buf, FrameError, FrameLimit};
 use icd_wire::message::FRAME_PREFIX_BYTES;
 use icd_wire::{Message, WireError};
@@ -665,6 +666,10 @@ fn execute<S: std::io::Write>(
             stream.write_all(frame).map_err(FrameError::from)?;
         }
     }
+    // One batch of replies, one write: the stream is buffered (see
+    // `buffered_session`), and flushing here rather than at the next
+    // read keeps a write failure classified as one.
+    stream.flush().map_err(FrameError::from)?;
     Ok(())
 }
 
@@ -709,25 +714,27 @@ where
     S: std::io::Read + std::io::Write,
     F: FnMut(&SessionAction, &ReceiverMachine),
 {
-    let mut stats = WireStats::default();
-    let actions = machine.handle(SessionEvent::PeerConnected)?;
-    execute(&actions, stream, &mut stats)?;
-    for action in &actions {
-        observe(action, machine);
-    }
-    while !machine.is_finished() {
-        let frame = match read_frame_bytes(stream, limit) {
-            Ok(frame) => frame,
-            Err(e) => return Err(read_failure(e, stats)),
-        };
-        stats.count(&frame);
-        let actions = machine.handle(SessionEvent::FrameReceived(frame))?;
+    buffered_session(stream, |stream| {
+        let mut stats = WireStats::default();
+        let actions = machine.handle(SessionEvent::PeerConnected)?;
         execute(&actions, stream, &mut stats)?;
         for action in &actions {
             observe(action, machine);
         }
-    }
-    Ok(stats)
+        while !machine.is_finished() {
+            let frame = match read_frame_bytes(stream, limit) {
+                Ok(frame) => frame,
+                Err(e) => return Err(read_failure(e, stats)),
+            };
+            stats.count(&frame);
+            let actions = machine.handle(SessionEvent::FrameReceived(frame))?;
+            execute(&actions, stream, &mut stats)?;
+            for action in &actions {
+                observe(action, machine);
+            }
+        }
+        Ok(stats)
+    })
 }
 
 /// Runs a [`SenderMachine`] over a blocking stream: feed inbound frames,
@@ -739,25 +746,27 @@ pub fn drive_sender<S: std::io::Read + std::io::Write>(
     stream: &mut S,
     limit: FrameLimit,
 ) -> Result<WireStats, DriveError> {
-    let mut stats = WireStats::default();
-    execute(
-        &machine.handle(SessionEvent::PeerConnected)?,
-        stream,
-        &mut stats,
-    )?;
-    while !machine.is_finished() {
-        let frame = match read_frame_bytes(stream, limit) {
-            Ok(frame) => frame,
-            Err(e) => return Err(read_failure(e, stats)),
-        };
-        stats.count(&frame);
+    buffered_session(stream, |stream| {
+        let mut stats = WireStats::default();
         execute(
-            &machine.handle(SessionEvent::FrameReceived(frame))?,
+            &machine.handle(SessionEvent::PeerConnected)?,
             stream,
             &mut stats,
         )?;
-    }
-    Ok(stats)
+        while !machine.is_finished() {
+            let frame = match read_frame_bytes(stream, limit) {
+                Ok(frame) => frame,
+                Err(e) => return Err(read_failure(e, stats)),
+            };
+            stats.count(&frame);
+            execute(
+                &machine.handle(SessionEvent::FrameReceived(frame))?,
+                stream,
+                &mut stats,
+            )?;
+        }
+        Ok(stats)
+    })
 }
 
 #[cfg(test)]

@@ -56,30 +56,6 @@ impl SourceBlocks {
         }
     }
 
-    /// Wraps pre-made blocks (decoder output) with the original length so
-    /// [`SourceBlocks::reassemble`] can strip the padding.
-    ///
-    /// Panics if blocks are missing, unequal in size, or too short to
-    /// cover `content_len`.
-    #[must_use]
-    pub fn from_blocks(blocks: Vec<Bytes>, block_size: usize, content_len: usize) -> Self {
-        assert!(!blocks.is_empty(), "at least one block required");
-        assert!(
-            blocks.iter().all(|b| b.len() == block_size),
-            "all blocks must have length {block_size}"
-        );
-        assert!(
-            blocks.len() * block_size >= content_len,
-            "blocks cover {} bytes, need {content_len}",
-            blocks.len() * block_size
-        );
-        Self {
-            blocks,
-            block_size,
-            content_len,
-        }
-    }
-
     /// Number of source blocks, `l` in the paper's notation.
     #[must_use]
     pub fn num_blocks(&self) -> usize {
@@ -202,27 +178,6 @@ mod tests {
     #[should_panic(expected = "block size must be positive")]
     fn zero_block_size_rejected() {
         let _ = SourceBlocks::split(&[1, 2, 3], 0);
-    }
-
-    #[test]
-    fn from_blocks_validates() {
-        let blocks = vec![Bytes::from(vec![1u8; 10]), Bytes::from(vec![2u8; 10])];
-        let sb = SourceBlocks::from_blocks(blocks, 10, 15);
-        assert_eq!(sb.reassemble().len(), 15);
-    }
-
-    #[test]
-    #[should_panic(expected = "all blocks must have length")]
-    fn from_blocks_rejects_ragged() {
-        let blocks = vec![Bytes::from(vec![1u8; 10]), Bytes::from(vec![2u8; 9])];
-        let _ = SourceBlocks::from_blocks(blocks, 10, 15);
-    }
-
-    #[test]
-    #[should_panic(expected = "need 100")]
-    fn from_blocks_rejects_short_coverage() {
-        let blocks = vec![Bytes::from(vec![1u8; 10])];
-        let _ = SourceBlocks::from_blocks(blocks, 10, 100);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The peeling decoder ("substitution rule" of §5.4.1).
 //!
-//! Every received symbol has the payloads of already-recovered neighbor
-//! blocks XORed out. A symbol reduced to a single unknown neighbor
-//! recovers that block, which may in turn reduce other buffered symbols —
-//! the ripple. Decoding succeeds when all `l` blocks are recovered, which
+//! A symbol with exactly one unrecovered neighbor block recovers it: the
+//! block is the symbol's payload with every other neighbor XORed out.
+//! That may leave other buffered symbols with a single unknown — the
+//! ripple. Decoding succeeds when all `l` blocks are recovered, which
 //! for a well-shaped degree distribution happens after receiving
 //! `(1+ε)·l` distinct symbols for small ε ("3-5%" in the paper's
 //! implementations; §6.1 measured 6.8 % for theirs — ours lands in the
@@ -14,19 +14,24 @@
 //! peer transfer wastes), and symbols that arrived already-covered
 //! (every neighbor known — what recoding tries to avoid).
 //!
-//! Payloads live in word-aligned pooled buffers ([`SymbolBuf`]): every
-//! substitution XOR runs whole-word, and once the pool has warmed up a
-//! steady-state decode performs zero per-symbol heap allocations —
-//! retired buffers (redundant arrivals, resolved pending symbols) cycle
-//! back through the [`SymbolPool`], which [`Decoder::pool_stats`]
-//! exposes so tests can assert the property.
+//! Release is lazy. A buffered symbol keeps the payload it arrived with
+//! (a refcount clone), its neighbor list, a count of still-unknown
+//! neighbors and the XOR of their indices; recovering a block updates
+//! only those two integers in the symbols watching it. Payload bytes are
+//! touched once per recovered block, when a symbol is down to one
+//! unknown: its recovered neighbors are XORed in with the multi-stream
+//! kernels of [`SymbolBuf`]. Symbols that turn out redundant never touch
+//! a payload. Recovered blocks live in word-aligned buffers drawn from a
+//! [`SymbolPool`] — exactly `l` per decode, none when the pool comes
+//! warm from a previous transfer ([`Decoder::pool_stats`] lets tests
+//! assert it).
 
 use bytes::Bytes;
 use icd_util::hash::FastHashSet;
 use icd_util::rng::DistinctSampler;
 use icd_util::symbol::{PoolStats, SymbolBuf, SymbolPool};
 
-use crate::block::{SourceBlocks, SymbolId};
+use crate::block::SymbolId;
 use crate::encoder::{CodeSpec, EncodedSymbol};
 
 /// Outcome of feeding one symbol to the decoder.
@@ -49,9 +54,14 @@ pub enum DecodeStatus {
 
 #[derive(Debug, Clone)]
 struct PendingSymbol {
-    /// Neighbors not yet recovered, sorted.
-    remaining: Vec<u32>,
-    payload: SymbolBuf,
+    /// The payload as received — shared with the caller, never copied.
+    payload: Bytes,
+    /// Every neighbor, recovered or not, sorted.
+    neighbors: Vec<u32>,
+    /// How many neighbors are still unknown …
+    remaining: u32,
+    /// … and the XOR of their indices: with one left, it *is* that block.
+    unknown_xor: u32,
 }
 
 /// Counters for the evaluation metrics.
@@ -71,19 +81,22 @@ pub struct Decoder {
     spec: CodeSpec,
     recovered: Vec<Option<SymbolBuf>>,
     recovered_count: usize,
+    /// Slots are never reused; a symbol leaves its slot when the ripple
+    /// pops it.
     pending: Vec<Option<PendingSymbol>>,
-    /// block index → pending-symbol slots that reference it (may contain
-    /// stale entries, revalidated on use).
+    /// Symbols in `pending` with more than one unknown neighbor.
+    buffered: usize,
+    /// block index → slots of the pending symbols that still lack it.
     watchers: Vec<Vec<u32>>,
     seen: FastHashSet<SymbolId>,
     stats: DecodeStats,
-    /// Payload buffer recycler; also the source of truth for the
-    /// zero-allocation claim ([`Decoder::pool_stats`]).
+    /// Recycler for recovered-block buffers; also the source of truth
+    /// for the zero-allocation claim ([`Decoder::pool_stats`]).
     pool: SymbolPool,
-    /// Retired `remaining` vectors, reused for later buffered symbols.
+    /// Retired `neighbors` vectors, reused for later buffered symbols.
     index_pool: Vec<Vec<u32>>,
-    /// Reusable ripple queue (empty between calls).
-    ripple: Vec<(usize, SymbolBuf)>,
+    /// Slots that reached one unknown neighbor (empty between calls).
+    ripple: Vec<u32>,
     /// Reusable O(degree) neighbor sampler.
     sampler: DistinctSampler,
     /// Reusable neighbor-derivation scratch.
@@ -97,7 +110,7 @@ impl Decoder {
         Self::with_pool(spec, SymbolPool::new())
     }
 
-    /// Creates a decoder that draws payload buffers from `pool` — pass
+    /// Creates a decoder that draws block buffers from `pool` — pass
     /// the pool recovered from a previous transfer
     /// ([`Decoder::into_pool`]) and the new decode allocates nothing.
     #[must_use]
@@ -108,6 +121,7 @@ impl Decoder {
             recovered: vec![None; n],
             recovered_count: 0,
             pending: Vec::new(),
+            buffered: 0,
             watchers: vec![Vec::new(); n],
             seen: FastHashSet::default(),
             stats: DecodeStats::default(),
@@ -125,22 +139,19 @@ impl Decoder {
         &self.spec
     }
 
-    /// Allocation counters of the payload pool.
+    /// Allocation counters of the block-buffer pool.
     #[must_use]
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
 
-    /// Tears the decoder down into its pool, releasing every held buffer
-    /// (recovered blocks and pending symbols) for the next transfer.
+    /// Tears the decoder down into its pool, releasing every recovered
+    /// block's buffer for the next transfer.
     #[must_use]
     pub fn into_pool(self) -> SymbolPool {
         let mut pool = self.pool;
         for buf in self.recovered.into_iter().flatten() {
             pool.release(buf);
-        }
-        for p in self.pending.into_iter().flatten() {
-            pool.release(p.payload);
         }
         pool
     }
@@ -173,32 +184,19 @@ impl Decoder {
         let mut neighbors = std::mem::take(&mut self.neighbor_scratch);
         self.spec
             .neighbors_sampled(symbol.id, &mut self.sampler, &mut neighbors);
-        let mut payload = self.pool.acquire_for_overwrite(self.spec.block_size());
-        payload.copy_from_bytes(&symbol.payload);
-        let mut remaining = self
-            .index_pool
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(neighbors.len()));
-        remaining.clear();
-        remaining.reserve(neighbors.len());
-        for &b in &neighbors {
-            match &self.recovered[b] {
-                Some(block) => payload.xor_buf(block),
-                None => remaining.push(b as u32),
-            }
-        }
-        self.neighbor_scratch = neighbors;
-        match remaining.len() {
+        let unknown = |b: &&usize| self.recovered[**b].is_none();
+        let (remaining, unknown_xor) = neighbors
+            .iter()
+            .filter(unknown)
+            .fold((0u32, 0usize), |(n, x), &b| (n + 1, x ^ b));
+        let status = match remaining {
             0 => {
                 self.stats.redundant += 1;
-                self.pool.release(payload);
-                self.index_pool.push(remaining);
                 DecodeStatus::Redundant
             }
             1 => {
-                let block = remaining[0] as usize;
-                self.index_pool.push(remaining);
-                let newly = self.recover_and_ripple(block, payload);
+                let block = self.release(&symbol.payload, neighbors.iter().copied(), unknown_xor);
+                let newly = self.recover_and_ripple(unknown_xor, block);
                 if self.is_complete() {
                     DecodeStatus::Complete
                 } else {
@@ -209,57 +207,87 @@ impl Decoder {
             }
             _ => {
                 let slot = u32::try_from(self.pending.len()).expect("pending overflow");
-                for &b in &remaining {
-                    self.watchers[b as usize].push(slot);
+                for &b in neighbors.iter().filter(unknown) {
+                    self.watchers[b].push(slot);
                 }
-                self.pending.push(Some(PendingSymbol { remaining, payload }));
+                let mut list = self.index_pool.pop().unwrap_or_default();
+                list.clear();
+                list.extend(neighbors.iter().map(|&b| b as u32));
+                self.pending.push(Some(PendingSymbol {
+                    payload: symbol.payload.clone(),
+                    neighbors: list,
+                    remaining,
+                    unknown_xor: unknown_xor as u32,
+                }));
+                self.buffered += 1;
                 DecodeStatus::Buffered
             }
-        }
+        };
+        self.neighbor_scratch = neighbors;
+        status
     }
 
-    /// Recovers `block` with `payload` and processes the ripple. Returns
-    /// the number of blocks recovered (≥ 1).
-    fn recover_and_ripple(&mut self, block: usize, payload: SymbolBuf) -> usize {
-        let mut newly = 0usize;
-        let mut queue = std::mem::take(&mut self.ripple);
-        queue.push((block, payload));
-        while let Some((b, data)) = queue.pop() {
-            if self.recovered[b].is_some() {
-                self.pool.release(data); // raced with another ripple entry
-                continue;
+    /// The block a symbol with one `unknown` neighbor recovers: its
+    /// payload with every other (recovered) neighbor XORed out. The only
+    /// place payload bytes are read.
+    fn release(
+        &mut self,
+        payload: &[u8],
+        neighbors: impl Iterator<Item = usize>,
+        unknown: usize,
+    ) -> SymbolBuf {
+        let mut block = self.pool.acquire_for_overwrite(self.spec.block_size());
+        block.copy_from_bytes(payload);
+        let recovered = &self.recovered;
+        block.xor_word_slices(neighbors.filter(|&b| b != unknown).map(|b| {
+            let known = recovered[b].as_ref().expect("one unknown neighbor");
+            known.words()
+        }));
+        block
+    }
+
+    /// Pops ripple entries until one still has its unknown neighbor, and
+    /// releases that block. An entry whose last unknown was recovered by
+    /// an earlier entry retires without its payload being read.
+    fn pop_released(&mut self) -> Option<(usize, SymbolBuf)> {
+        while let Some(slot) = self.ripple.pop() {
+            let p = self.pending[slot as usize]
+                .take()
+                .expect("ripple entries are pending");
+            let released = (p.remaining == 1).then(|| {
+                let unknown = p.unknown_xor as usize;
+                let neighbors = p.neighbors.iter().map(|&b| b as usize);
+                (unknown, self.release(&p.payload, neighbors, unknown))
+            });
+            self.index_pool.push(p.neighbors);
+            if released.is_some() {
+                return released;
             }
+        }
+        None
+    }
+
+    /// Recovers `block` with `data` and processes the ripple. Returns
+    /// the number of blocks recovered (≥ 1).
+    fn recover_and_ripple(&mut self, block: usize, data: SymbolBuf) -> usize {
+        let mut newly = 0usize;
+        let mut next = Some((block, data));
+        while let Some((b, data)) = next.take().or_else(|| self.pop_released()) {
+            self.recovered[b] = Some(data);
             self.recovered_count += 1;
             newly += 1;
-            // Wake the symbols watching this block; `data` is held out of
-            // `recovered` until the walk ends, so no aliasing dance.
-            let watchers = std::mem::take(&mut self.watchers[b]);
-            for slot in watchers {
+            for slot in std::mem::take(&mut self.watchers[b]) {
                 let Some(p) = self.pending[slot as usize].as_mut() else {
-                    continue; // already resolved
+                    continue; // the symbol that just released `b`
                 };
-                let Ok(pos) = p.remaining.binary_search(&(b as u32)) else {
-                    continue; // stale watcher
-                };
-                p.remaining.remove(pos);
-                p.payload.xor_buf(&data);
-                match p.remaining.len() {
-                    0 => {
-                        let p = self.pending[slot as usize].take().expect("checked above");
-                        self.pool.release(p.payload);
-                        self.index_pool.push(p.remaining);
-                    }
-                    1 => {
-                        let p = self.pending[slot as usize].take().expect("checked above");
-                        queue.push((p.remaining[0] as usize, p.payload));
-                        self.index_pool.push(p.remaining);
-                    }
-                    _ => {}
+                p.remaining -= 1;
+                p.unknown_xor ^= b as u32;
+                if p.remaining == 1 {
+                    self.buffered -= 1;
+                    self.ripple.push(slot);
                 }
             }
-            self.recovered[b] = Some(data);
         }
-        self.ripple = queue;
         newly
     }
 
@@ -278,7 +306,7 @@ impl Decoder {
     /// Symbols buffered awaiting more information.
     #[must_use]
     pub fn buffered_symbols(&self) -> usize {
-        self.pending.iter().filter(|p| p.is_some()).count()
+        self.buffered
     }
 
     /// Decode statistics.
@@ -296,19 +324,29 @@ impl Decoder {
 
     /// Extracts the content once complete. `content_len` strips padding.
     ///
-    /// Returns `None` while incomplete.
+    /// Returns `None` while incomplete. Panics if the blocks are too
+    /// short to cover `content_len`.
     #[must_use]
     pub fn into_content(self, content_len: usize) -> Option<Vec<u8>> {
         if !self.is_complete() {
             return None;
         }
-        let blocks: Vec<Bytes> = self
-            .recovered
-            .into_iter()
-            .map(|b| Bytes::from(b.expect("complete decoder has all blocks").to_vec()))
-            .collect();
-        let sb = SourceBlocks::from_blocks(blocks, self.spec.block_size(), content_len);
-        Some(sb.reassemble())
+        let block_size = self.spec.block_size();
+        assert!(
+            self.recovered.len() * block_size >= content_len,
+            "blocks cover {} bytes, need {content_len}",
+            self.recovered.len() * block_size
+        );
+        let mut out = vec![0u8; content_len];
+        for (chunk, block) in out.chunks_mut(block_size).zip(&self.recovered) {
+            let block = block.as_ref().expect("complete decoder has all blocks");
+            if chunk.len() == block_size {
+                block.write_to(chunk);
+            } else {
+                chunk.copy_from_slice(&block.to_vec()[..chunk.len()]); // padded tail
+            }
+        }
+        Some(out)
     }
 }
 
@@ -484,6 +522,16 @@ mod tests {
         let status = dec.receive(&enc.symbol(0));
         assert_eq!(status, DecodeStatus::Complete);
         assert_eq!(dec.into_content(30).expect("complete"), data);
+    }
+
+    #[test]
+    #[should_panic(expected = "blocks cover 64 bytes, need 65")]
+    fn content_len_beyond_the_blocks_is_rejected() {
+        let data = content(30, 16);
+        let enc = Encoder::for_content(&data, 64, 17);
+        let mut dec = Decoder::new(enc.spec().clone());
+        assert_eq!(dec.receive(&enc.symbol(0)), DecodeStatus::Complete);
+        let _ = dec.into_content(65);
     }
 
     #[test]

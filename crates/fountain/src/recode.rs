@@ -269,28 +269,10 @@ impl Recoder {
         if self.payload_len > 0 {
             let stride = self.word_stride;
             let arena = |i: usize| &self.payload_words[i * stride..(i + 1) * stride];
-            // Four source streams per pass: overlapping cache misses,
+            // Several source streams per pass: overlapping cache misses,
             // not sequential ones, decide throughput at high degree.
-            let mut octets = scratch.picks.chunks_exact(8);
-            for o in octets.by_ref() {
-                scratch.payload.xor_word_slices8(
-                    arena(o[0]), arena(o[1]), arena(o[2]), arena(o[3]),
-                    arena(o[4]), arena(o[5]), arena(o[6]), arena(o[7]),
-                );
-            }
-            let rem = octets.remainder();
-            let mut quads = rem.chunks_exact(4);
-            for quad in quads.by_ref() {
-                scratch.payload.xor_word_slices4(
-                    arena(quad[0]),
-                    arena(quad[1]),
-                    arena(quad[2]),
-                    arena(quad[3]),
-                );
-            }
-            for &i in quads.remainder() {
-                scratch.payload.xor_word_slice(arena(i));
-            }
+            let picks = scratch.picks.iter();
+            scratch.payload.xor_word_slices(picks.map(|&i| arena(i)));
         }
         scratch.components.sort_unstable();
     }

@@ -2,12 +2,103 @@
 //! arbitrary geometry, encoder determinism, and recode-buffer soundness.
 
 use bytes::Bytes;
+use icd_fountain::decoder::DecodeStats;
 use icd_fountain::{
     block, CodeSpec, DecodeStatus, Decoder, EncodedSymbol, Encoder, IdRecodeBuffer, RecodeBuffer,
     RecodePolicy, RecodedSymbol, Recoder,
 };
 use icd_util::rng::Xoshiro256StarStar;
 use proptest::prelude::*;
+
+/// Id-only reference peeler for the differential tests below: sets of
+/// unknown neighbors, no payloads, peeled naively to a fixpoint. What it
+/// reports per call is what [`Decoder`] must report.
+struct ReferencePeeler {
+    spec: CodeSpec,
+    known: Vec<bool>,
+    pending: Vec<Vec<usize>>,
+    seen: std::collections::HashSet<u64>,
+    stats: DecodeStats,
+}
+
+impl ReferencePeeler {
+    fn new(spec: CodeSpec) -> Self {
+        let known = vec![false; spec.num_blocks()];
+        Self { spec, known, pending: Vec::new(), seen: Default::default(), stats: DecodeStats::default() }
+    }
+
+    fn recovered(&self) -> usize {
+        self.known.iter().filter(|&&k| k).count()
+    }
+
+    fn receive(&mut self, id: u64) -> DecodeStatus {
+        self.stats.received += 1;
+        if !self.seen.insert(id) {
+            self.stats.duplicates += 1;
+            return DecodeStatus::Duplicate;
+        }
+        let mut unknown = self.spec.neighbors(id);
+        unknown.retain(|&b| !self.known[b]);
+        if unknown.is_empty() {
+            self.stats.redundant += 1;
+            return DecodeStatus::Redundant;
+        }
+        let before = self.recovered();
+        self.pending.push(unknown);
+        while let Some(b) = self.pending.iter().find(|u| u.len() == 1).map(|u| u[0]) {
+            self.known[b] = true;
+            for u in &mut self.pending {
+                u.retain(|&x| x != b);
+            }
+            self.pending.retain(|u| !u.is_empty());
+        }
+        match self.recovered() - before {
+            0 => DecodeStatus::Buffered,
+            _ if self.recovered() == self.known.len() => DecodeStatus::Complete,
+            newly_recovered => DecodeStatus::Progress { newly_recovered },
+        }
+    }
+}
+
+/// Feeds `arrivals` to a [`Decoder`] and the reference side by side and
+/// holds every observable equal after every call.
+fn assert_decoder_matches_reference(encoder: &Encoder, arrivals: &[EncodedSymbol]) -> Decoder {
+    let mut decoder = Decoder::new(encoder.spec().clone());
+    let mut reference = ReferencePeeler::new(encoder.spec().clone());
+    for (step, symbol) in arrivals.iter().enumerate() {
+        assert_eq!(decoder.receive(symbol), reference.receive(symbol.id), "status at arrival {step}");
+        assert_eq!(decoder.stats(), reference.stats, "stats at arrival {step}");
+        assert_eq!(decoder.recovered_blocks(), reference.recovered(), "recovered at arrival {step}");
+        assert_eq!(decoder.buffered_symbols(), reference.pending.len(), "buffered at arrival {step}");
+    }
+    decoder
+}
+
+#[test]
+fn two_ripple_entries_racing_for_one_block() {
+    // Two buffered symbols over the same pair {x, y}, then x alone: both
+    // reach one unknown (y) in the same ripple, the first popped recovers
+    // it, the second must retire without recovering anything.
+    let content: Vec<u8> = (0..64u8).collect();
+    let encoder = Encoder::for_content(&content, 16, 3);
+    let spec = encoder.spec();
+    assert_eq!(spec.num_blocks(), 4);
+    let pairs: Vec<u64> = (0..10_000).filter(|&id| spec.neighbors(id) == [0, 1]).take(2).collect();
+    let single = (0..10_000).find(|&id| spec.neighbors(id) == [0]).expect("a degree-1 id");
+    let arrivals: Vec<EncodedSymbol> =
+        [pairs[0], pairs[1], single].iter().map(|&id| encoder.symbol(id)).collect();
+    let decoder = assert_decoder_matches_reference(&encoder, &arrivals);
+    assert_eq!(decoder.recovered_blocks(), 2);
+    assert_eq!(decoder.buffered_symbols(), 0);
+    // Finish the decode: the racing entry must not have corrupted block 1.
+    let mut decoder = decoder;
+    for symbol in encoder.stream(9) {
+        if decoder.receive(&symbol) == DecodeStatus::Complete {
+            break;
+        }
+    }
+    assert_eq!(decoder.into_content(content.len()).expect("complete"), content);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -56,6 +147,26 @@ proptest! {
         }
         prop_assert!(done, "3l + 30 symbols should decode");
         prop_assert_eq!(dec.into_content(content.len()).unwrap(), content);
+    }
+
+    #[test]
+    fn decoder_matches_id_only_reference(
+        content in proptest::collection::vec(any::<u8>(), 1..1500),
+        block_size in 8usize..100,
+        seed in any::<u64>(),
+    ) {
+        // Random geometry, code seed and arrival order, with repeated
+        // ids mixed in and the feed running on past completion.
+        let encoder = Encoder::for_content(&content, block_size, seed);
+        let l = encoder.spec().num_blocks();
+        let mut arrivals: Vec<EncodedSymbol> = encoder.stream(seed ^ 1).take(3 * l + 30).collect();
+        let repeats = arrivals[..l.min(20)].to_vec();
+        arrivals.extend(repeats);
+        let mut rng = Xoshiro256StarStar::new(seed ^ 2);
+        icd_util::rng::Rng64::shuffle(&mut rng, &mut arrivals);
+        let decoder = assert_decoder_matches_reference(&encoder, &arrivals);
+        prop_assert!(decoder.is_complete(), "3l + 30 symbols should decode");
+        prop_assert_eq!(decoder.into_content(content.len()).unwrap(), content);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use icd_core::{
 };
 use icd_fountain::EncodedSymbol;
 use icd_wire::message::FRAME_PREFIX_BYTES;
-use icd_wire::{read_frame_bytes, FrameError, FrameLimit, Message};
+use icd_wire::{buffered_session, read_frame_bytes, FrameError, FrameLimit, Message};
 
 use crate::shared::SharedWorkingSet;
 
@@ -316,57 +316,15 @@ pub fn serve_session_budgeted<S: Read + Write>(
     sender_seed: u64,
     sever_after: Option<u64>,
 ) -> Result<ServeOutcome, DriveError> {
-    let limit = FrameLimit::default();
-    let budget = sever_after.unwrap_or(u64::MAX);
-    let mut machine = SenderMachine::new(snapshot, sender_seed);
-    let mut stats = WireStats::default();
-    let mut data_written = 0u64;
+    buffered_session(stream, |stream| {
+        let limit = FrameLimit::default();
+        let budget = sever_after.unwrap_or(u64::MAX);
+        let mut machine = SenderMachine::new(snapshot, sender_seed);
+        let mut stats = WireStats::default();
+        let mut data_written = 0u64;
 
-    let actions = machine
-        .handle(SessionEvent::PeerConnected)
-        .map_err(DriveError::Machine)?;
-    if let Some(outcome) = write_actions(
-        stream,
-        &actions,
-        &mut stats,
-        &mut data_written,
-        budget,
-    )? {
-        return Ok(outcome);
-    }
-
-    loop {
-        if machine.is_finished() {
-            return Ok(ServeOutcome {
-                stats,
-                status: ServeStatus::Complete,
-            });
-        }
-        let frame = match read_frame_bytes(stream, limit) {
-            Ok(frame) => frame,
-            Err(FrameError::Closed) => {
-                return Ok(ServeOutcome {
-                    stats,
-                    status: ServeStatus::PeerClosed,
-                })
-            }
-            Err(FrameError::TimedOut) => {
-                return Ok(ServeOutcome {
-                    stats,
-                    status: ServeStatus::TimedOut,
-                })
-            }
-            Err(FrameError::Truncated { .. }) => {
-                return Ok(ServeOutcome {
-                    stats,
-                    status: ServeStatus::Truncated,
-                })
-            }
-            Err(e) => return Err(DriveError::Transport(e)),
-        };
-        stats.count(&frame);
         let actions = machine
-            .handle(SessionEvent::FrameReceived(frame))
+            .handle(SessionEvent::PeerConnected)
             .map_err(DriveError::Machine)?;
         if let Some(outcome) = write_actions(
             stream,
@@ -377,7 +335,51 @@ pub fn serve_session_budgeted<S: Read + Write>(
         )? {
             return Ok(outcome);
         }
-    }
+
+        loop {
+            if machine.is_finished() {
+                return Ok(ServeOutcome {
+                    stats,
+                    status: ServeStatus::Complete,
+                });
+            }
+            let frame = match read_frame_bytes(stream, limit) {
+                Ok(frame) => frame,
+                Err(FrameError::Closed) => {
+                    return Ok(ServeOutcome {
+                        stats,
+                        status: ServeStatus::PeerClosed,
+                    })
+                }
+                Err(FrameError::TimedOut) => {
+                    return Ok(ServeOutcome {
+                        stats,
+                        status: ServeStatus::TimedOut,
+                    })
+                }
+                Err(FrameError::Truncated { .. }) => {
+                    return Ok(ServeOutcome {
+                        stats,
+                        status: ServeStatus::Truncated,
+                    })
+                }
+                Err(e) => return Err(DriveError::Transport(e)),
+            };
+            stats.count(&frame);
+            let actions = machine
+                .handle(SessionEvent::FrameReceived(frame))
+                .map_err(DriveError::Machine)?;
+            if let Some(outcome) = write_actions(
+                stream,
+                &actions,
+                &mut stats,
+                &mut data_written,
+                budget,
+            )? {
+                return Ok(outcome);
+            }
+        }
+    })
 }
 
 /// Writes every `SendFrame` action, booking stats; returns the severed
@@ -414,12 +416,50 @@ fn write_actions<S: Write>(
             }
         }
     }
+    // One batch, one write — see `icd_core::machine`'s `execute`.
+    stream
+        .flush()
+        .map_err(|e| DriveError::Transport(FrameError::from(e)))?;
     Ok(None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icd_overlay::session_payload;
+
+    fn working(ids: std::ops::Range<u64>) -> WorkingSet {
+        WorkingSet::from_symbols(ids.map(|id| EncodedSymbol {
+            id,
+            payload: session_payload(id, 32),
+        }))
+    }
+
+    #[test]
+    fn severed_serve_surfaces_as_truncated_at_the_dialer() {
+        // Everything the severed serve wrote — the frames before the cut
+        // and the dangling half-prefix — must leave its write buffer, so
+        // the dialer sees a mid-frame cut and keeps what it decoded.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            serve_session_budgeted(&mut stream, working(0..60), 9, Some(3))
+        });
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+        let shared = SharedWorkingSet::new(working(0..20), 60);
+        let config = SessionConfig::new().with_request(30).with_seed(5);
+        let result = fetch_session(&mut stream, working(0..20), config, &shared);
+        let served = server.join().expect("join").expect("serve");
+        assert_eq!(served.status, ServeStatus::Severed);
+        match result {
+            Err(FetchError {
+                error: DriveError::Transport(FrameError::Truncated { needed: 2, got: 2 }),
+                gained,
+            }) => assert!((1..=3).contains(&gained), "gained {gained} of 3 data frames"),
+            other => panic!("expected a mid-prefix truncation, got {other:?}"),
+        }
+    }
 
     #[test]
     fn hello_round_trips() {

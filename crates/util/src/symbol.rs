@@ -167,6 +167,35 @@ impl SymbolBuf {
         }
     }
 
+    /// XORs every word slice of `sources` in, eight (then four, then one)
+    /// streams per pass — the batching every high-degree XOR over a
+    /// working set bigger than cache wants.
+    pub fn xor_word_slices<'a>(&mut self, mut sources: impl Iterator<Item = &'a [u64]>) {
+        loop {
+            let mut batch: [&[u64]; 8] = [&[]; 8];
+            let mut n = 0;
+            for (slot, s) in batch.iter_mut().zip(sources.by_ref()) {
+                *slot = s;
+                n += 1;
+            }
+            let [s0, s1, s2, s3, s4, s5, s6, s7] = batch;
+            if n == 8 {
+                self.xor_word_slices8(s0, s1, s2, s3, s4, s5, s6, s7);
+                continue;
+            }
+            let rest = if n >= 4 {
+                self.xor_word_slices4(s0, s1, s2, s3);
+                &batch[4..n]
+            } else {
+                &batch[..n]
+            };
+            for s in rest {
+                self.xor_word_slice(s);
+            }
+            return;
+        }
+    }
+
     /// XORs a byte slice in, widening it to words on the fly. Panics on
     /// length mismatch.
     pub fn xor_bytes(&mut self, bytes: &[u8]) {
@@ -180,6 +209,31 @@ impl SymbolBuf {
             let mut last = [0u8; WORD_BYTES];
             last[..tail.len()].copy_from_slice(tail);
             self.words[self.len / WORD_BYTES] ^= u64::from_le_bytes(last);
+        }
+    }
+
+    /// XORs four byte slices in at once: [`SymbolBuf::xor_word_slices4`]
+    /// for sources that are kept as bytes (the encoder's source blocks).
+    /// Panics on length mismatch.
+    pub fn xor_bytes4(&mut self, sources: [&[u8]; 4]) {
+        assert!(
+            sources.iter().all(|s| s.len() == self.len),
+            "XOR of unequal-length buffers"
+        );
+        let word = |chunk: &[u8]| u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        let [a, b, c, d] = sources.map(|s| s.chunks_exact(WORD_BYTES));
+        for ((((w, a), b), c), d) in self.words.iter_mut().zip(a).zip(b).zip(c).zip(d) {
+            *w ^= word(a) ^ word(b) ^ word(c) ^ word(d);
+        }
+        let full = self.len / WORD_BYTES;
+        if full < self.word_len() {
+            let mut last = [0u8; WORD_BYTES];
+            for s in sources {
+                for (l, byte) in last.iter_mut().zip(&s[full * WORD_BYTES..]) {
+                    *l ^= byte;
+                }
+            }
+            self.words[full] ^= u64::from_le_bytes(last);
         }
     }
 
@@ -341,6 +395,29 @@ mod tests {
             let mut buf2 = SymbolBuf::from_bytes(&a);
             buf2.xor_bytes(&b);
             assert_eq!(buf2, buf, "len {len}");
+        }
+    }
+
+    #[test]
+    fn multi_stream_kernels_match_one_at_a_time() {
+        // Every batch shape of xor_word_slices (8s, a 4, singles) and
+        // xor_bytes4, at lengths with and without a partial tail word.
+        for len in [0usize, 5, 8, 13, 64, 1400] {
+            let source = |k: usize| -> Vec<u8> { (0..len).map(|i| (i * 31 + k * 7) as u8).collect() };
+            for count in 0..=21 {
+                let bufs: Vec<SymbolBuf> = (0..count).map(|k| SymbolBuf::from_bytes(&source(k))).collect();
+                let mut expect = SymbolBuf::from_bytes(&source(99));
+                bufs.iter().for_each(|b| expect.xor_buf(b));
+                let mut got = SymbolBuf::from_bytes(&source(99));
+                got.xor_word_slices(bufs.iter().map(SymbolBuf::words));
+                assert_eq!(got, expect, "len {len}, {count} sources");
+            }
+            let quad = [source(1), source(2), source(3), source(4)];
+            let mut expect = SymbolBuf::from_bytes(&source(99));
+            quad.iter().for_each(|s| expect.xor_bytes(s));
+            let mut got = SymbolBuf::from_bytes(&source(99));
+            got.xor_bytes4([&quad[0], &quad[1], &quad[2], &quad[3]]);
+            assert_eq!(got, expect, "xor_bytes4 at len {len}");
         }
     }
 

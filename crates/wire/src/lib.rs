@@ -17,6 +17,8 @@
 //! * [`framing`] — length-prefixed frames over any `Read`/`Write` pair
 //!   (used by the `tcp_reconcile` example; blocking `std::net` is all the
 //!   workload needs — the transfers are CPU-bound, not connection-bound).
+//! * [`buffered`] — the fixed-size buffering the blocking session
+//!   drivers put between the framing layer and a socket.
 //! * [`budget`] — the packet-budget ledger.
 //!
 //! Layout conventions: all integers little-endian; every message starts
@@ -28,9 +30,11 @@
 #![warn(missing_docs)]
 
 pub mod budget;
+pub mod buffered;
 pub mod framing;
 pub mod message;
 
+pub use buffered::buffered_session;
 pub use framing::{read_frame, read_frame_bytes, write_frame, write_frame_buf, FrameError, FrameLimit};
 pub use message::{
     encoded_symbol_frame_len, recoded_symbol_frame_len, Message, WireError, FRAME_PREFIX_BYTES,

@@ -5,8 +5,54 @@
 //! surface as typed errors, never panics or unbounded allocation.
 
 use icd_wire::framing::{read_frame, write_frame, FrameError, FrameLimit};
-use icd_wire::{Message, WireError};
+use icd_wire::{buffered_session, Message, WireError};
 use proptest::prelude::*;
+
+/// An in-memory stream that hands out at most `step` bytes per `read`
+/// (1 = the slowest socket imaginable, `usize::MAX` = every frame in
+/// one call) and swallows writes.
+struct Chunked {
+    data: Vec<u8>,
+    pos: usize,
+    step: usize,
+}
+
+impl std::io::Read for Chunked {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.step).min(self.data.len() - self.pos);
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+impl std::io::Write for Chunked {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Reads frames until the stream errors; returns them with the error.
+fn drain<R: std::io::Read>(reader: &mut R) -> (Vec<Message>, FrameError) {
+    let mut frames = Vec::new();
+    loop {
+        match read_frame(reader, FrameLimit::default()) {
+            Ok(msg) => frames.push(msg),
+            Err(e) => return (frames, e),
+        }
+    }
+}
+
+/// [`drain`] through the buffering the blocking session drivers put
+/// under the framing layer, over a stream that reads `step` bytes a call.
+fn drain_buffered(data: &[u8], step: usize) -> (Vec<Message>, FrameError) {
+    let mut stream = Chunked { data: data.to_vec(), pos: 0, step };
+    buffered_session(&mut stream, |io| Ok::<_, FrameError>(drain(io))).expect("flush to a sink")
+}
 
 proptest! {
     #[test]
@@ -95,17 +141,19 @@ proptest! {
             boundaries.push(buf.len());
         }
         let cut = ((buf.len() as f64) * cut_fraction) as usize;
-        let mut cursor = std::io::Cursor::new(&buf[..cut]);
-        let mut decoded = 0usize;
-        let end = loop {
-            match read_frame(&mut cursor, FrameLimit::default()) {
-                Ok(msg) => {
-                    prop_assert_eq!(msg, Message::SymbolRequest { count: counts[decoded] });
-                    decoded += 1;
-                }
-                Err(e) => break e,
-            }
-        };
+        let (frames, end) = drain(&mut std::io::Cursor::new(&buf[..cut]));
+        let decoded = frames.len();
+        for (msg, &count) in frames.iter().zip(&counts) {
+            prop_assert_eq!(msg, &Message::SymbolRequest { count });
+        }
+        // The session drivers' buffering changes nothing: same frames,
+        // same typed error with the same counters, whether the stream
+        // trickles a byte per read or delivers everything at once.
+        for step in [1, 5, usize::MAX] {
+            let (buffered_frames, buffered_end) = drain_buffered(&buf[..cut], step);
+            prop_assert_eq!(&buffered_frames, &frames);
+            prop_assert_eq!(format!("{buffered_end:?}"), format!("{end:?}"));
+        }
         match end {
             FrameError::Closed => prop_assert_eq!(cut, boundaries[decoded]),
             FrameError::Truncated { needed, got } => {
@@ -192,10 +240,10 @@ fn malformed_frame_corpus_is_rejected_with_typed_errors() {
     ];
 
     for (name, bytes, check) in corpus {
-        let mut cursor = std::io::Cursor::new(bytes);
-        match read_frame(&mut cursor, FrameLimit::default()) {
-            Ok(msg) => panic!("{name}: accepted as {msg:?}"),
-            Err(e) => assert!(check(&e), "{name}: wrong error {e:?}"),
+        let direct = drain(&mut std::io::Cursor::new(&bytes));
+        for (frames, e) in [direct, drain_buffered(&bytes, usize::MAX)] {
+            assert!(frames.is_empty(), "{name}: accepted as {frames:?}");
+            assert!(check(&e), "{name}: wrong error {e:?}");
         }
     }
 }

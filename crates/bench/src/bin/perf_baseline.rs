@@ -37,16 +37,13 @@
 //!   enabled-mode cost of the observability plane. Disabled-mode cost
 //!   is covered by the delta table below (no recorder is installed in
 //!   any other probe).
-//! * **shard phases** — wall-clock share of the sharded executor's
-//!   generate/merge/commit scopes and the barrier-wait residue, from a
-//!   profiler installed on the 8-shard run.
 //!
 //! If an output file already exists, its metrics are read *before*
 //! overwriting and a per-probe `DELTA <name> <old> -> <new> (±x.x%)`
 //! table is printed — the before/after diff every PR is accountable to,
 //! without needing a stashed copy of the old JSON. The written JSON
-//! gains a `meta` block recording shards, worker threads, and the scale
-//! knobs the run used.
+//! gains a `meta` block recording worker threads and the scale knobs
+//! the run used.
 //!
 //! `--quick` (or `ICD_QUICK=1`) shrinks the geometry for CI smoke runs;
 //! `--out PATH` overrides the output path (default
@@ -55,7 +52,7 @@
 
 use std::time::Instant;
 
-use icd_obs::{PhaseProfile, TraceBuf};
+use icd_obs::TraceBuf;
 
 use icd_fountain::{
     DecodeStatus, Decoder, EncodedSymbol, RecodeBuffer, RecodePolicy, RecodeScratch, Recoder,
@@ -105,16 +102,9 @@ fn main() {
     let (traced, overhead) = swarm_traced_events_probe(quick, untraced);
     probes.push(traced);
     probes.push(overhead);
-    let (sharded, phases) = swarm_sharded_events_probe(quick);
-    probes.push(sharded);
-    probes.extend(phases);
     probes.push(swarm_peak_rss_probe());
 
     let (_cfg, peers, blocks) = churned_swarm_config(quick);
-    let shards = std::env::var("ICD_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1);
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"symbols\",\n");
@@ -122,7 +112,6 @@ fn main() {
     json.push_str(&format!("  \"seed\": {SEED},\n"));
     json.push_str("  \"meta\": {\n");
     json.push_str(&format!("    \"quick\": {quick},\n"));
-    json.push_str(&format!("    \"env_shards\": {shards},\n"));
     json.push_str(&format!(
         "    \"worker_threads\": {},\n",
         icd_bench::engine::thread_count()
@@ -426,8 +415,8 @@ fn faulty_swarm_events_probe(quick: bool) -> Probe {
     }
 }
 
-/// The churned-swarm geometry shared by `swarm_events_per_s` and its
-/// 8-shard twin, so the two numbers differ only in executor.
+/// The churned-swarm geometry of `swarm_events_per_s`, for its traced
+/// twin, so the two numbers differ only in the recorder.
 fn churned_swarm_config(quick: bool) -> (icd_swarm::SwarmConfig, usize, usize) {
     let peers = if quick { 250 } else { 1000 };
     let blocks = if quick { 48 } else { 64 };
@@ -488,82 +477,6 @@ fn swarm_traced_events_probe(quick: bool, untraced: f64) -> (Probe, Probe) {
         detail: "enabled-mode slowdown vs the recorder-free swarm probe".to_string(),
     };
     (probe, overhead)
-}
-
-/// `swarm_events_per_s` with the engine pinned to 8 worker shards —
-/// byte-identical outcome (asserted against the serial run), different
-/// executor. Diffing this against the single-shard number is the
-/// sharding speedup on this host; on single-core builders it can dip
-/// below 1× (windowed generate/commit passes without parallel hardware
-/// are pure overhead), which is itself worth tracking. A phase profiler
-/// rides the timed runs and reports where the executor's wall time
-/// goes: the parallel generate/commit scopes, the serial cross-shard
-/// merge, and the barrier-wait residue (scope wall minus the slowest
-/// shard's busy time).
-fn swarm_sharded_events_probe(quick: bool) -> (Probe, Vec<Probe>) {
-    let (cfg, _, blocks) = churned_swarm_config(quick);
-    let serial = {
-        let mut swarm = icd_swarm::Swarm::new(cfg.clone(), SEED ^ 13);
-        swarm.set_shards(1);
-        swarm.run()
-    };
-    let profile = PhaseProfile::shared();
-    let mut events = 0u64;
-    let mut roster = 0usize;
-    let secs = best_of(if quick { 2 } else { 3 }, || {
-        let mut swarm = icd_swarm::Swarm::new(cfg.clone(), SEED ^ 13);
-        swarm.set_shards(8);
-        swarm.set_profiler(profile.clone());
-        let out = swarm.run();
-        assert_eq!(out, serial, "sharded probe diverged from serial outcome");
-        events = out.events;
-        roster = out.peers;
-    });
-    let probe = Probe {
-        name: "swarm_events_per_s_sharded",
-        value: events as f64 / secs,
-        unit: "events/s",
-        detail: format!(
-            "{roster}-peer power-law(m=2) swarm, n={blocks}, 10% churn, 8 shards, \
-             outcome equal to serial"
-        ),
-    };
-    let prof = profile.borrow();
-    let generate = prof.total_ns("shard_generate");
-    let merge = prof.total_ns("shard_merge");
-    let commit = prof.total_ns("shard_commit");
-    let barrier = prof.total_ns("shard_generate_barrier") + prof.total_ns("shard_commit_barrier");
-    let total = (generate + merge + commit).max(1);
-    let share = |ns: u64, name: &'static str, detail: String| Probe {
-        name,
-        value: ns as f64 / total as f64 * 100.0,
-        unit: "%",
-        detail,
-    };
-    let windows = prof.get("shard_generate").map_or(0, |s| s.calls);
-    let phases = vec![
-        share(
-            generate,
-            "shard_generate_pct",
-            format!("parallel generate+probe scopes, {windows} windows"),
-        ),
-        share(
-            merge,
-            "shard_merge_pct",
-            "serial cross-shard cut + seq merge".to_string(),
-        ),
-        share(
-            commit,
-            "shard_commit_pct",
-            "parallel commit/rollback scopes".to_string(),
-        ),
-        share(
-            barrier,
-            "shard_barrier_pct",
-            "barrier-wait residue inside the parallel scopes".to_string(),
-        ),
-    ];
-    (probe, phases)
 }
 
 /// Peak resident set after every swarm probe has run — the "does the

@@ -1,6 +1,6 @@
 //! Process-memory probes for the scale experiments.
 //!
-//! The sharded-engine acceptance story is "a 100k+-peer swarm fits and
+//! The scale acceptance story is "a 100k+-peer swarm fits and
 //! completes" — that claim needs a number, and the number the kernel
 //! already keeps is `VmHWM` (peak resident set) in
 //! `/proc/self/status`. Reading it costs one small file read, works

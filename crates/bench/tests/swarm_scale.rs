@@ -1,12 +1,12 @@
 //! The scale acceptance pin: a seeded power-law swarm with ≥10%
 //! membership churn runs to all-nodes-complete through `Swarm::run`,
 //! byte-identical whether the grid ran its cells on one worker or
-//! eight. This is the geometry the engine's indexed send calendar and
-//! sharded event core exist for; the `swarm_events_per_s` probes in
-//! `perf_baseline` track its throughput.
+//! eight. This is the geometry the engine's indexed send calendar
+//! exists for; the `swarm_events_per_s` probes in `perf_baseline`
+//! track its throughput.
 //!
 //! Node count is `ICD_SCALE` (default 1000, so CI stays fast). The 10k
-//! and 100k geometries the sharded engine targets run locally:
+//! and 100k geometries run locally:
 //!
 //! ```text
 //! ICD_SCALE=100000 cargo test --release -p icd-bench --test swarm_scale
@@ -64,7 +64,7 @@ fn power_law_swarm_completes_under_churn() {
     if peers > 20_000 {
         // The huge geometries run one cell, once — the point is the
         // completion + footprint report, not the thread-parity smoke
-        // (pinned below and in shard_parity at CI scale).
+        // (pinned below at CI scale).
         let out = Swarm::new(power_law_config(peers), 0xA11).run();
         report(peers, &out);
         assert_scaled(peers, &out);

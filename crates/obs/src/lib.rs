@@ -7,8 +7,8 @@
 //! * [`trace`] — the **deterministic structured trace plane**. Events
 //!   are stamped only with engine time and a push-assigned sequence
 //!   number, never with wall clock, so a trace is itself a parity
-//!   artifact: a serial run and an `ICD_SHARDS=8` run of the same
-//!   scenario must emit **byte-identical** JSONL
+//!   artifact: two runs of the same `(scenario, seed)` must emit
+//!   **byte-identical** JSONL at any thread count
 //!   (`crates/swarm/tests/trace_parity.rs` pins exactly that).
 //! * [`metrics`] — a dependency-free **metrics registry**: atomic
 //!   counters, gauges, and log2-bucket histograms behind shared
@@ -16,10 +16,9 @@
 //!   Registries are `Sync` so the same type serves the single-threaded
 //!   engine and the multi-threaded `icd-node` daemon.
 //! * [`profile`] — **wall-clock phase accumulators**, kept strictly
-//!   *outside* the parity domain: scope timers around the sharded
-//!   executor's generate/merge/commit/barrier phases feed
-//!   `perf_baseline` probes, and nothing they measure may ever flow
-//!   back into an outcome or a trace.
+//!   *outside* the parity domain: nothing they measure may ever flow
+//!   back into an outcome or a trace. The engine records no scopes
+//!   today; the benchmark driver reads the (empty) totals.
 //!
 //! Every recorder is optional everywhere it can be installed: the hot
 //! paths pay one `Option` discriminant check when nothing is installed

@@ -1,11 +1,10 @@
 //! Wall-clock phase profiling — strictly outside the parity domain.
 //!
 //! A [`PhaseProfile`] accumulates `(calls, total ns)` per named phase.
-//! The sharded engine records its generate/merge/commit scopes and the
-//! barrier-wait residue here when a profiler is installed; nothing it
-//! measures may ever influence an outcome, a trace, or any other
-//! deterministic artifact. `perf_baseline` reads the totals to report
-//! where the sharded executor's time actually goes.
+//! Nothing it measures may ever influence an outcome, a trace, or any
+//! other deterministic artifact. The engine records no scopes today
+//! (`Swarm::set_profiler` is a no-op); the benchmark driver installs a
+//! handle and reads its totals.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

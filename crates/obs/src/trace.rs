@@ -5,7 +5,7 @@
 //! reconciliation rounds for the daemon) and a sequence number assigned
 //! at push time; wall-clock time never appears. That makes a trace a
 //! parity artifact: two executions of the same scenario that claim to
-//! be equivalent (serial vs. sharded, 1 thread vs. 8) must produce
+//! be equivalent (a rerun, 1 thread vs. 8) must produce
 //! byte-identical [`TraceBuf::to_jsonl`] output.
 //!
 //! The JSONL codec is hand-rolled (the workspace has no registry

@@ -38,7 +38,7 @@ use bytes::Bytes;
 use icd_core::machine::{ReceiverMachine, SenderMachine, SessionAction, SessionEvent};
 use icd_core::{SessionConfig, TransferPlan, WorkingSet};
 use icd_fountain::EncodedSymbol;
-use icd_obs::{ProfileHandle, TraceEvent, TraceHandle};
+use icd_obs::{TraceEvent, TraceHandle};
 use icd_sketch::{MinwiseSketch, PermutationFamily};
 use icd_summary::{DiffEstimate, SummaryId, SummaryRegistry, SummarySizing};
 use icd_util::hash::mix64;
@@ -55,12 +55,6 @@ use crate::strategy::{
 };
 use crate::transfer::{default_max_ticks, TransferOutcome};
 use crate::SymbolId;
-
-/// The sharded window executor. A child of this module (not of the
-/// crate) so it can reach the engine's private state without widening
-/// any visibility; everything it touches stays module-private.
-#[path = "shard.rs"]
-mod shard;
 
 /// Simulated time in ticks.
 pub type Time = u64;
@@ -567,33 +561,12 @@ pub struct OverlayNet<'s> {
     /// exact bytes `write_frame_buf` produces — the frame-parity seam.
     frame_tap: Option<FrameTap<'s>>,
     /// Deterministic structured trace recorder ([`OverlayNet::set_tracer`]).
-    /// Unlike the frame tap it does NOT disqualify sharding: the shard
-    /// executor replays committed sends through a deterministic merge,
-    /// so traces are byte-identical at any shard count.
     tracer: Option<TraceHandle>,
-    /// Wall-clock phase profiler for the sharded executor — strictly
-    /// outside the parity domain ([`OverlayNet::set_profiler`]).
-    profiler: Option<ProfileHandle>,
     /// Reusable encode buffer for tapped packet-link frames.
     tap_frame: Vec<u8>,
     /// Shared zeroed payload for tapped packet-link frames (lengths are
     /// budget-true; packet links do not track payload content).
     tap_payload: Bytes,
-    /// Worker shards for [`OverlayNet::run`]: 1 (the default) runs the
-    /// classic serial loop; > 1 routes eligible runs through the
-    /// conservative-PDES window executor in [`shard`], whose output is
-    /// byte-identical at any shard count. Seeded from `ICD_SHARDS`.
-    shards: usize,
-}
-
-/// Shard count from the `ICD_SHARDS` environment variable (default 1 —
-/// the exact legacy serial engine).
-fn shards_from_env() -> usize {
-    std::env::var("ICD_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
 }
 
 /// The boxed observer callback behind [`OverlayNet::set_frame_tap`].
@@ -633,26 +606,9 @@ impl<'s> OverlayNet<'s> {
             payload_bytes: PACKET_BYTES,
             frame_tap: None,
             tracer: None,
-            profiler: None,
             tap_frame: Vec::new(),
             tap_payload: Bytes::new(),
-            shards: shards_from_env(),
         }
-    }
-
-    /// Sets the number of worker shards [`OverlayNet::run`] may use.
-    /// `1` is the exact legacy serial engine; higher counts shard the
-    /// run across threads with byte-identical output (see the module
-    /// docs of the shard executor and the README "Sharded engine"
-    /// section). Values are clamped to at least 1.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
-
-    /// The configured worker-shard count (see [`OverlayNet::set_shards`]).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Replaces the digest sizing used for engine-built handshakes.
@@ -702,12 +658,10 @@ impl<'s> OverlayNet<'s> {
 
     /// Installs a deterministic trace recorder. Every record is stamped
     /// with the engine clock and a push-assigned sequence number only —
-    /// never wall time — so the exported JSONL is a parity artifact: a
-    /// serial run and an `ICD_SHARDS=N` run of the same scenario emit
-    /// **byte-identical** traces (the sharded executor replays its
-    /// committed send log through the same deterministic `(tick, link)`
-    /// merge that assigns packet sequence numbers). The send path pays
-    /// one `Option` check while no tracer is installed.
+    /// never wall time — so the exported JSONL is a parity artifact:
+    /// two runs of the same `(scenario, seed)` emit **byte-identical**
+    /// traces at any thread count. The send path pays one `Option`
+    /// check while no tracer is installed.
     pub fn set_tracer(&mut self, tracer: TraceHandle) {
         self.tracer = Some(tracer);
     }
@@ -715,20 +669,6 @@ impl<'s> OverlayNet<'s> {
     /// Removes the recorder installed by [`OverlayNet::set_tracer`].
     pub fn clear_tracer(&mut self) {
         self.tracer = None;
-    }
-
-    /// Installs a wall-clock phase profiler. Only the sharded executor
-    /// records into it (generate/merge/commit scope times and the
-    /// barrier-wait residue); measurements never feed back into
-    /// outcomes or traces — profiling lives strictly outside the
-    /// parity domain.
-    pub fn set_profiler(&mut self, profiler: ProfileHandle) {
-        self.profiler = Some(profiler);
-    }
-
-    /// Removes the profiler installed by [`OverlayNet::set_profiler`].
-    pub fn clear_profiler(&mut self) {
-        self.profiler = None;
     }
 
     // ------------------------------------------------------------------
@@ -1267,9 +1207,6 @@ impl<'s> OverlayNet<'s> {
     /// the calendar pops due links by `(time, link index)`, which is
     /// exactly the order the legacy per-tick link scan visited them.
     pub fn run(&mut self, limit: RunLimit) -> StopReason {
-        if self.shards > 1 && self.sharded_eligible() {
-            return shard::run_sharded(self, limit);
-        }
         if self.observers_complete() {
             return StopReason::Completed;
         }
@@ -1332,24 +1269,6 @@ impl<'s> OverlayNet<'s> {
                 }
             }
         }
-    }
-
-    /// Whether this net can run on the sharded executor: every link —
-    /// dead ones included, since their in-flight events survive in the
-    /// queue — must be a plain packet link (`Strategy`/`Fountain`
-    /// pumps are self-contained and `Send`; session machines and boxed
-    /// custom sources are neither), and no frame tap may be installed
-    /// (taps observe sends in global order on the caller's thread).
-    /// Ineligible nets silently take the serial path, which is always
-    /// byte-identical anyway.
-    fn sharded_eligible(&self) -> bool {
-        self.frame_tap.is_none()
-            && self.links.iter().all(|l| {
-                matches!(
-                    l.source,
-                    LinkSource::Strategy(_) | LinkSource::Fountain(_)
-                )
-            })
     }
 
     fn process_send(&mut self, l: LinkId) -> Option<StopReason> {
@@ -1944,8 +1863,8 @@ pub fn run_mesh_download(
 }
 
 /// [`run_mesh_download`] with an observability hook: `setup` runs on the
-/// freshly built engine before any links are connected, so a tracer or
-/// profiler installed there sees the connect-time control-plane events
+/// freshly built engine before any links are connected, so a tracer
+/// installed there sees the connect-time control-plane events
 /// (`summary_exchanged`, `link_up`) as well as the data plane.
 #[must_use]
 pub fn run_mesh_download_with(

@@ -101,9 +101,8 @@ impl Receiver {
     }
 
     /// The shared ingest path behind [`Receiver::receive`] and
-    /// [`Receiver::receive_scratch`] — exposed crate-wide so the sharded
-    /// executor's staged deliveries take the byte-identical code path.
-    pub(crate) fn receive_ids(&mut self, recoded: bool, ids: &[SymbolId]) -> usize {
+    /// [`Receiver::receive_scratch`].
+    fn receive_ids(&mut self, recoded: bool, ids: &[SymbolId]) -> usize {
         self.packets_received += 1;
         let gained = if !recoded && self.buffer.knows(ids[0]) {
             0

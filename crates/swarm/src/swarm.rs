@@ -457,19 +457,10 @@ impl Swarm {
         self.peers.len()
     }
 
-    /// Pins the engine's worker-shard count for this swarm's runs,
-    /// overriding the `ICD_SHARDS` environment default the underlying
-    /// [`OverlayNet`] was constructed with. Outcomes are byte-identical
-    /// at every shard count; the knob only changes how the event loop
-    /// is executed.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.net.set_shards(shards);
-    }
-
     /// Installs a structured trace recorder on the swarm and its
     /// engine. Records are stamped with sim time and a deterministic
     /// sequence number only, so the trace of a `(config, seed)` run is
-    /// byte-identical at every shard and thread count.
+    /// byte-identical at every thread count.
     pub fn set_tracer(&mut self, tracer: TraceHandle) {
         self.net.set_tracer(tracer.clone());
         self.tracer = Some(tracer);
@@ -481,13 +472,11 @@ impl Swarm {
         self.tracer = None;
     }
 
-    /// Installs a wall-clock phase profiler on the engine: the sharded
-    /// executor records its generate/merge/commit scope walls and the
-    /// barrier-wait residue. Strictly outside the parity domain —
-    /// nothing it measures feeds back into outcomes or traces.
-    pub fn set_profiler(&mut self, profiler: ProfileHandle) {
-        self.net.set_profiler(profiler);
-    }
+    /// A no-op: the serial engine has no scopes to record, so the
+    /// handle stays empty. Kept for the benchmark driver, which installs
+    /// one on every traced run (the removed sharded executor was its only
+    /// writer); ROADMAP item 3(a) gives it a body.
+    pub fn set_profiler(&mut self, _profiler: ProfileHandle) {}
 
     /// Installs a metrics sink. Swarm-level counters (rounds, stall
     /// escalations, applied faults) accrue as the run progresses;

@@ -98,25 +98,6 @@ impl Topology {
         visited == self.nodes
     }
 
-    /// Degree-balanced contiguous shard ranges: node `i` is weighted by
-    /// `1 + degree(i)` — a peer's event-loop cost scales with the links
-    /// terminating at it — and the table is cut into `shards` contiguous
-    /// ranges of near-equal total weight via
-    /// [`icd_util::partition::balanced_ranges`]. This is the partition
-    /// the sharded engine runs a swarm's `OverlayNet` under (its runtime
-    /// weights refine degree with per-link send rates); deterministic
-    /// for a given topology, so shard assignment is as reproducible as
-    /// the run itself.
-    #[must_use]
-    pub fn degree_balanced_shards(&self, shards: usize) -> Vec<std::ops::Range<usize>> {
-        let mut weights = vec![1u64; self.nodes];
-        for &(a, b) in &self.edges {
-            weights[a] += 1;
-            weights[b] += 1;
-        }
-        icd_util::partition::balanced_ranges(&weights, shards.max(1))
-    }
-
     fn normalize(nodes: usize, mut edges: Vec<(usize, usize)>) -> Self {
         for e in &mut edges {
             if e.0 > e.1 {
@@ -226,37 +207,6 @@ fn ring_chords(nodes: usize, chords: usize, rng: &mut Xoshiro256StarStar) -> Top
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn degree_balanced_shards_cover_and_balance() {
-        let t = build_topology(TopologyKind::PowerLaw { m: 2 }, 1000, 7);
-        let ranges = t.degree_balanced_shards(8);
-        assert_eq!(ranges.len(), 8);
-        assert_eq!(ranges[0].start, 0);
-        assert_eq!(ranges.last().unwrap().end, t.nodes);
-        for w in ranges.windows(2) {
-            assert_eq!(w[0].end, w[1].start, "ranges must tile the node table");
-        }
-        // Power-law degrees are heavily skewed toward the early nodes;
-        // weight balancing must still keep every shard within a small
-        // factor of the ideal share.
-        let mut weights = vec![1u64; t.nodes];
-        for &(a, b) in &t.edges {
-            weights[a] += 1;
-            weights[b] += 1;
-        }
-        let total: u64 = weights.iter().sum();
-        let ideal = total as f64 / 8.0;
-        for r in &ranges {
-            let w: u64 = weights[r.clone()].iter().sum();
-            assert!(
-                (w as f64) < ideal * 2.0,
-                "shard {r:?} holds {w} of ideal {ideal:.0}"
-            );
-        }
-        // Determinism: same topology, same cut.
-        assert_eq!(ranges, t.degree_balanced_shards(8));
-    }
 
     #[test]
     fn power_law_edge_count_is_exact() {

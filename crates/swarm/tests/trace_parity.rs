@@ -1,10 +1,7 @@
 //! Trace parity: a structured trace is a deterministic artifact of
-//! `(config, seed)`, not of the execution strategy. The sharded
-//! executor replays each window's committed sends through the same
-//! global `(tick, link)` merge order the serial engine emits them in,
-//! so the exported JSONL must be *byte-identical* at every shard count
-//! — one worker thread per shard, so `shards = 8` is also the
-//! eight-thread execution of the same scenario. This suite pins that
+//! `(config, seed)` — records carry the engine clock and a push-assigned
+//! sequence number, never wall time — so a second run of the same
+//! scenario must export *byte-identical* JSONL. This suite pins that
 //! for the churning swarm, the fault-injected swarm, and the mesh
 //! preset, and checks the export round-trips through the parser.
 
@@ -14,13 +11,12 @@ use icd_overlay::scenario::ScenarioParams;
 use icd_swarm::{ChurnConfig, FaultConfig, Swarm, SwarmConfig, TopologyKind};
 
 const SEED: u64 = 0x1CD_BA5E;
-const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 /// Large enough that no scenario here ever evicts — the comparisons
 /// below cover the *whole* trace, not a ring tail.
 const CAP: usize = 1 << 22;
 
-/// The shard-parity swarm geometry: power-law topology, heterogeneous
-/// link rates, ≥10% churn.
+/// The parity swarm geometry: power-law topology, heterogeneous link
+/// rates, ≥10% churn.
 fn churny_config(peers: usize) -> SwarmConfig {
     let profiles: Vec<Link> = [1u64, 2, 4, 8, 16].iter().map(|&f| Link::slower(f)).collect();
     let mut cfg = SwarmConfig::new(peers, 48, TopologyKind::PowerLaw { m: 2 })
@@ -36,11 +32,10 @@ fn churny_config(peers: usize) -> SwarmConfig {
     cfg
 }
 
-/// Runs the swarm at `shards` with a recorder installed and returns the
-/// exported JSONL.
-fn swarm_trace_at(shards: usize, cfg: &SwarmConfig, seed: u64) -> String {
+/// Runs the swarm with a recorder installed and returns the exported
+/// JSONL.
+fn swarm_trace(cfg: &SwarmConfig, seed: u64) -> String {
     let mut swarm = Swarm::new(cfg.clone(), seed);
-    swarm.set_shards(shards);
     let tracer = TraceBuf::shared(CAP);
     swarm.set_tracer(tracer.clone());
     let out = swarm.run();
@@ -57,49 +52,43 @@ fn count_tag(jsonl: &str, tag: &str) -> usize {
 }
 
 #[test]
-fn swarm_trace_byte_identical_at_any_shard_count() {
+fn swarm_trace_byte_identical_on_rerun() {
     let cfg = churny_config(200);
-    let base = swarm_trace_at(1, &cfg, SEED ^ 13);
+    let base = swarm_trace(&cfg, SEED ^ 13);
     assert!(count_tag(&base, "link_send") > 0, "no data plane traced");
     assert!(count_tag(&base, "round_start") > 0, "no rounds traced");
     assert!(count_tag(&base, "link_up") > 0, "no control plane traced");
-    for shards in SHARD_COUNTS {
-        let got = swarm_trace_at(shards, &cfg, SEED ^ 13);
-        assert!(
-            base == got,
-            "trace diverged at {shards} shards (serial {} lines, sharded {} lines)",
-            base.lines().count(),
-            got.lines().count()
-        );
-    }
+    let got = swarm_trace(&cfg, SEED ^ 13);
+    assert!(
+        base == got,
+        "trace diverged on rerun ({} lines, then {} lines)",
+        base.lines().count(),
+        got.lines().count()
+    );
 }
 
 #[test]
-fn faulty_swarm_trace_byte_identical_at_any_shard_count() {
+fn faulty_swarm_trace_byte_identical_on_rerun() {
     let cfg = churny_config(200).with_faults(FaultConfig::link_cuts(10, (5, 160)));
-    let base = swarm_trace_at(1, &cfg, SEED ^ 14);
+    let base = swarm_trace(&cfg, SEED ^ 14);
     assert!(
         count_tag(&base, "fault_applied") > 0,
         "fault plane must fire for the parity to mean anything"
     );
-    for shards in SHARD_COUNTS {
-        let got = swarm_trace_at(shards, &cfg, SEED ^ 14);
-        assert!(base == got, "faulty trace diverged at {shards} shards");
-    }
+    let got = swarm_trace(&cfg, SEED ^ 14);
+    assert!(base == got, "faulty trace diverged on rerun");
 }
 
 /// The mesh preset builds its net internally; the recorder rides in via
-/// `run_mesh_download_with`'s setup hook and the shard count via
-/// `ICD_SHARDS` (removed again before returning, as in `shard_parity`).
+/// `run_mesh_download_with`'s setup hook.
 #[test]
-fn mesh_trace_byte_identical_at_any_shard_count() {
+fn mesh_trace_byte_identical_on_rerun() {
     let params = ScenarioParams::compact(1_500, 0xBEAD);
     let lossy = Link {
         loss: 0.05,
         ..Link::default()
     };
-    let at = |shards: usize| -> String {
-        std::env::set_var("ICD_SHARDS", shards.to_string());
+    let run = || -> String {
         let tracer = TraceBuf::shared(CAP);
         let handle = tracer.clone();
         let out = run_mesh_download_with(
@@ -111,21 +100,17 @@ fn mesh_trace_byte_identical_at_any_shard_count() {
             0x31337,
             move |net| net.set_tracer(handle),
         );
-        std::env::remove_var("ICD_SHARDS");
         assert!(out.transfer.completed, "mesh must complete");
         let jsonl = tracer.borrow().to_jsonl();
         jsonl
     };
-    let base = at(1);
+    let base = run();
     assert!(count_tag(&base, "link_send") > 0);
     assert!(
         count_tag(&base, "summary_exchanged") > 0,
         "connect-time control plane must be captured by the setup hook"
     );
-    for shards in SHARD_COUNTS {
-        let got = at(shards);
-        assert!(base == got, "mesh trace diverged at {shards} shards");
-    }
+    assert!(base == run(), "mesh trace diverged on rerun");
 }
 
 /// A real engine trace survives the JSONL round trip — not just the

@@ -18,9 +18,6 @@
 //!   experiment harness.
 //! * [`search`] — interpolation search over sorted keys (the lookup
 //!   structure the paper suggests for random-sample membership probes).
-//! * [`partition`] — deterministic weight-balanced contiguous
-//!   partitioning, used by the sharded discrete-event engine to split a
-//!   node table across worker shards.
 //! * [`idset`] — compressed working-set membership: a rank bitmap over a
 //!   shared sorted symbol universe, so per-peer inventory sets cost bits
 //!   instead of hash-table entries at swarm scale.
@@ -39,7 +36,6 @@ pub mod bitvec;
 pub mod hash;
 pub mod idset;
 pub mod modp;
-pub mod partition;
 pub mod rng;
 pub mod search;
 pub mod stats;
@@ -48,6 +44,5 @@ pub mod symbol;
 pub use bitvec::BitVec;
 pub use hash::{FastBuildHasher, FastHashMap, FastHashSet};
 pub use idset::{IdSet, IdUniverse};
-pub use partition::{balanced_ranges, owner_of};
 pub use rng::{Rng64, SplitMix64, Xoshiro256StarStar};
 pub use symbol::{PoolStats, SymbolBuf, SymbolPool};

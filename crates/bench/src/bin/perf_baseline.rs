@@ -37,6 +37,10 @@
 //!   enabled-mode cost of the observability plane. Disabled-mode cost
 //!   is covered by the delta table below (no recorder is installed in
 //!   any other probe).
+//! * **swarm split** — the churned-swarm probe with a `PhaseProfile`
+//!   installed: the share of `Swarm::run` wall time spent in each of
+//!   `icd_swarm::PROFILE_SCOPES` (`split_*_pct`), plus how much of the
+//!   run the three tiling scopes cover (`split_covered_pct`).
 //!
 //! If an output file already exists, its metrics are read *before*
 //! overwriting and a per-probe `DELTA <name> <old> -> <new> (±x.x%)`
@@ -52,7 +56,7 @@
 
 use std::time::Instant;
 
-use icd_obs::TraceBuf;
+use icd_obs::{PhaseProfile, TraceBuf};
 
 use icd_fountain::{
     DecodeStatus, Decoder, EncodedSymbol, RecodeBuffer, RecodePolicy, RecodeScratch, Recoder,
@@ -102,6 +106,7 @@ fn main() {
     let (traced, overhead) = swarm_traced_events_probe(quick, untraced);
     probes.push(traced);
     probes.push(overhead);
+    probes.extend(swarm_split_probes(quick));
     probes.push(swarm_peak_rss_probe());
 
     let (_cfg, peers, blocks) = churned_swarm_config(quick);
@@ -477,6 +482,51 @@ fn swarm_traced_events_probe(quick: bool, untraced: f64) -> (Probe, Probe) {
         detail: "enabled-mode slowdown vs the recorder-free swarm probe".to_string(),
     };
     (probe, overhead)
+}
+
+/// Where a churned-swarm run spends its wall time: one profiled run of
+/// the `swarm_events_per_s` geometry, each `PROFILE_SCOPES` entry as a
+/// percentage of `Swarm::run`. `swarm.connect` is nested inside
+/// `swarm.refresh` and `swarm.membership`; the other three tile the run,
+/// and `split_covered_pct` says how completely.
+fn swarm_split_probes(quick: bool) -> Vec<Probe> {
+    let (cfg, _, blocks) = churned_swarm_config(quick);
+    let mut swarm = icd_swarm::Swarm::new(cfg, SEED ^ 13);
+    let profile = PhaseProfile::shared();
+    swarm.set_profiler(profile.clone());
+    let start = Instant::now();
+    let out = swarm.run();
+    let wall_ns = start.elapsed().as_nanos() as f64;
+    assert!(out.all_complete(), "profiled swarm probe failed to complete");
+    let profile = profile.borrow();
+    let pct = |scope: &str| profile.total_ns(scope) as f64 / wall_ns * 100.0;
+    let mut probes: Vec<Probe> = icd_swarm::PROFILE_SCOPES
+        .iter()
+        .map(|&scope| Probe {
+            name: match scope {
+                "overlay.run" => "split_overlay_run_pct",
+                "swarm.refresh" => "split_swarm_refresh_pct",
+                "swarm.membership" => "split_swarm_membership_pct",
+                "swarm.connect" => "split_swarm_connect_pct",
+                other => panic!("no probe name for scope {other}"),
+            },
+            value: pct(scope),
+            unit: "%",
+            detail: format!(
+                "{scope}: {} calls over a {}-peer churned swarm run, n={blocks}",
+                profile.get(scope).map_or(0, |s| s.calls),
+                out.peers
+            ),
+        })
+        .collect();
+    probes.push(Probe {
+        name: "split_covered_pct",
+        value: icd_swarm::PROFILE_SCOPES[..3].iter().map(|s| pct(s)).sum(),
+        unit: "%",
+        detail: "share of Swarm::run wall inside overlay.run + swarm.refresh + swarm.membership"
+            .to_string(),
+    });
+    probes
 }
 
 /// Peak resident set after every swarm probe has run — the "does the

@@ -356,6 +356,11 @@ impl WatcherArena {
     /// Detaches `id`'s chain and returns its head ([`WATCH_NONE`] if
     /// nothing watches `id`). Walk it with [`WatcherArena::take_next`].
     fn start(&mut self, id: SymbolId) -> u32 {
+        // Most resolutions happen with nothing pending at all; skip the
+        // probe (and its cache miss) then.
+        if self.lists.is_empty() {
+            return WATCH_NONE;
+        }
         match self.lists.remove(&id) {
             Some((head, _)) => head,
             None => WATCH_NONE,
@@ -588,6 +593,8 @@ impl RecodeBuffer {
 #[derive(Debug, Clone, Default)]
 pub struct IdRecodeBuffer {
     known: FastHashSet<SymbolId>,
+    /// The ids of `known` in the order they became known.
+    arrivals: Vec<SymbolId>,
     /// Unresolved component lists, slot-addressed by watchers.
     pending: Vec<Option<Vec<SymbolId>>>,
     watchers: WatcherArena,
@@ -611,6 +618,7 @@ impl IdRecodeBuffer {
     pub fn with_capacity(expected_known: usize) -> Self {
         Self {
             known: FastHashSet::with_capacity_and_hasher(expected_known, Default::default()),
+            arrivals: Vec::with_capacity(expected_known),
             watchers: WatcherArena::with_capacity(expected_known / 2),
             pending: Vec::with_capacity(expected_known / 2),
             ..Self::default()
@@ -637,9 +645,16 @@ impl IdRecodeBuffer {
         self.known.len()
     }
 
-    /// Iterates over all known ids (arbitrary order).
+    /// Iterates over all known ids, in the order they became known.
     pub fn known_ids(&self) -> impl Iterator<Item = SymbolId> + '_ {
-        self.known.iter().copied()
+        self.arrivals.iter().copied()
+    }
+
+    /// The ids that became known after the first `count`, in the order
+    /// they became known — what a holder gained since it last looked.
+    #[must_use]
+    pub fn known_since(&self, count: usize) -> &[SymbolId] {
+        &self.arrivals[count.min(self.arrivals.len())..]
     }
 
     /// Unresolved recoded symbols currently buffered.
@@ -710,6 +725,7 @@ impl IdRecodeBuffer {
             if !self.known.insert(id) {
                 continue;
             }
+            self.arrivals.push(id);
             if report {
                 gained += 1;
             }

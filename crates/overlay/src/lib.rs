@@ -12,10 +12,12 @@
 //! * [`net`] — **the overlay engine**: a discrete-event multi-peer
 //!   runtime (`OverlayNet`) in which every peer owns a working set and a
 //!   cached calling card, every directed link owns a rate/latency/loss
-//!   profile and an independent sender pump, and a binary-heap event
-//!   queue keyed by `(time, seq)` makes every run byte-identical to
-//!   replay. All transfer shapes — the classic figures, churn, meshes,
+//!   profile and an independent sender pump, and a `(time, seq)`
+//!   in-flight queue plus a timing-wheel send calendar make every run
+//!   byte-identical to replay. All transfer shapes — the classic figures, churn, meshes,
 //!   lossy heterogeneous topologies — run on this one engine.
+//! * [`calendar`] — the timing-wheel send calendar behind the engine's
+//!   per-tick link scan.
 //! * [`receiver`] — receiver state: known-symbol set, pending recoded
 //!   symbols (substitution cascade), completion target.
 //! * [`strategy`] — the five §6.2 sender strategies: Random, Random/BF,
@@ -34,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod calendar;
 pub mod churn;
 pub mod handshake;
 pub mod net;

@@ -15,11 +15,14 @@
 //!   sender pump (a [`crate::strategy::Sender`], a
 //!   [`crate::strategy::FullSender`], or any [`PacketSource`]) plus the
 //!   link's rate, latency, and loss parameters;
-//! * a **binary-heap event queue keyed by `(time, seq)`** — `seq` is a
-//!   global monotone counter assigned at scheduling time, so two events
-//!   at the same tick replay in exactly the order they were scheduled.
-//!   Runs are a pure function of their inputs at any thread count,
-//!   which is what lets `ExperimentGrid` sweeps stay byte-identical.
+//! * a **binary-heap queue of in-flight packets keyed by `(time, seq)`**
+//!   — `seq` is a global monotone counter assigned at scheduling time, so
+//!   two arrivals at the same tick replay in exactly the order they were
+//!   scheduled — and a **timing-wheel send calendar**
+//!   ([`crate::calendar`]) that yields each tick's due links in creation
+//!   order. Runs are a pure function of their inputs at any thread
+//!   count, which is what lets `ExperimentGrid` sweeps stay
+//!   byte-identical.
 //!
 //! Time is discrete (the paper's tick model): a link with `interval = 1`
 //! emits one packet per tick, latency-0 packets are delivered within the
@@ -47,6 +50,7 @@ use icd_wire::budget::PACKET_BYTES;
 use icd_wire::framing::write_frame_buf;
 use icd_wire::{encoded_symbol_frame_len, recoded_symbol_frame_len, Message, FRAME_PREFIX_BYTES};
 
+use crate::calendar::SendCalendar;
 use crate::handshake::{handshake_estimate, standard_family, standard_sizing};
 use crate::receiver::Receiver;
 use crate::scenario::{MultiSenderScenario, ScenarioParams, TwoPeerScenario};
@@ -272,6 +276,14 @@ struct NodeState {
     /// Cached §4 calling card of the *current* working set; invalidated
     /// whenever a delivery gains symbols.
     card: Option<MinwiseSketch>,
+    /// Cached sorted working set, invalidated with `card`. A stagnant
+    /// peer re-handshakes every inbound link in one maintenance pass,
+    /// and every one of those handshakes reads this same set.
+    keys: Option<Vec<SymbolId>>,
+    /// Cached encoded digest bodies of the current working set, for the
+    /// mechanisms whose build reads only the set and the sizing
+    /// ([`estimate_free`]); invalidated with `card`.
+    digests: Vec<(SummaryId, Vec<u8>)>,
     observer: bool,
     /// Upload-only node: `receiver` is an empty stub and the working
     /// set *is* `inventory` (skipping the known-set hash build, which
@@ -286,16 +298,48 @@ struct NodeState {
 }
 
 impl NodeState {
-    /// The node's current working set, sorted — seeders read their
-    /// static inventory, full peers their live receiver state.
-    fn working_keys(&self) -> Vec<SymbolId> {
-        if self.seeder {
-            let mut keys = self.inventory.clone();
-            keys.sort_unstable();
-            keys
+    fn new(receiver: Receiver, inventory: Vec<SymbolId>, seeder: bool) -> Self {
+        let (start_distinct, start_remaining) = if seeder {
+            (inventory.len(), 0)
         } else {
-            self.receiver.working_set()
+            (receiver.distinct_symbols(), receiver.remaining())
+        };
+        Self {
+            receiver,
+            advertised: start_distinct,
+            inventory,
+            card: None,
+            keys: None,
+            digests: Vec::new(),
+            observer: false,
+            seeder,
+            start_distinct,
+            start_remaining,
+            out_links: Vec::new(),
+            in_links: Vec::new(),
         }
+    }
+
+    /// The node's current working set, sorted — seeders read their
+    /// static inventory, full peers their live receiver state. Built on
+    /// first use after a change.
+    fn working_keys(&mut self) -> &[SymbolId] {
+        self.keys.get_or_insert_with(|| {
+            if self.seeder {
+                let mut keys = self.inventory.clone();
+                keys.sort_unstable();
+                keys
+            } else {
+                self.receiver.working_set()
+            }
+        })
+    }
+
+    /// Drops everything derived from the working set after it grew.
+    fn working_set_changed(&mut self) {
+        self.card = None;
+        self.keys = None;
+        self.digests.clear();
     }
 
     fn working_len(&self) -> usize {
@@ -323,6 +367,8 @@ enum LinkSource<'s> {
     /// crosses the link — sketches, summaries, requests, symbols, End —
     /// is the actual `icd-wire` frame the machines produced.
     Session(Box<SessionLink>),
+    /// A torn-down packet link: its pump was dropped at disconnect.
+    Closed,
 }
 
 impl LinkSource<'_> {
@@ -338,6 +384,7 @@ impl LinkSource<'_> {
             LinkSource::Session(_) => {
                 unreachable!("session links pump frames, not packets")
             }
+            LinkSource::Closed => unreachable!("a torn-down link never sends"),
         }
     }
 }
@@ -389,6 +436,22 @@ struct LinkState<'s> {
     control_bytes: u64,
     summary: Option<SummaryId>,
     handshake_bytes: usize,
+}
+
+/// Whether the `id` mechanism's digest build reads only the key set and
+/// the sizing, never the per-peer [`DiffEstimate`] — so one encoded body
+/// is the handshake of every sender a node reconciles with until its
+/// set changes. The characteristic polynomial sizes its bound from the
+/// estimate and is rebuilt per connection, as is any mechanism not
+/// listed here.
+fn estimate_free(id: SummaryId) -> bool {
+    [
+        SummaryId::WHOLE_SET,
+        SummaryId::HASH_SET,
+        SummaryId::BLOOM,
+        SummaryId::ART,
+    ]
+    .contains(&id)
 }
 
 /// Salt folded into per-link loss-RNG seeds so they never collide with
@@ -533,12 +596,12 @@ pub struct OverlayNet<'s> {
     nodes: Vec<NodeState>,
     links: Vec<LinkState<'s>>,
     queue: BinaryHeap<Reverse<Event>>,
-    /// The send calendar: one `(next_send, link index)` entry per live,
-    /// non-exhausted link. Popping in `(time, index)` order reproduces
-    /// the legacy "scan links in creation order" tick semantics without
-    /// touching idle, exhausted, or dead links — the thousand-node fast
-    /// path. Entries for torn-down links are purged lazily.
-    send_queue: BinaryHeap<Reverse<(Time, u32)>>,
+    /// The send calendar: exactly one entry, due at `next_send`, per
+    /// live, non-exhausted link. Draining it in `(time, index)` order
+    /// reproduces the legacy "scan links in creation order" tick
+    /// semantics without touching idle, exhausted, or dead links — the
+    /// thousand-node fast path.
+    send_queue: SendCalendar,
     seq: u64,
     now: Time,
     events_processed: u64,
@@ -592,7 +655,7 @@ impl<'s> OverlayNet<'s> {
             nodes: Vec::new(),
             links: Vec::new(),
             queue: BinaryHeap::new(),
-            send_queue: BinaryHeap::new(),
+            send_queue: SendCalendar::new(),
             seq: 0,
             now: 0,
             events_processed: 0,
@@ -615,6 +678,9 @@ impl<'s> OverlayNet<'s> {
     #[must_use]
     pub fn with_sizing(mut self, sizing: SummarySizing) -> Self {
         self.sizing = sizing;
+        for node in &mut self.nodes {
+            node.digests.clear();
+        }
         self
     }
 
@@ -681,18 +747,8 @@ impl<'s> OverlayNet<'s> {
     pub fn add_node(&mut self, inventory: &[SymbolId], target: usize) -> NodeId {
         let receiver = Receiver::new(inventory, target);
         let id = NodeId(self.nodes.len());
-        self.nodes.push(NodeState {
-            start_distinct: receiver.distinct_symbols(),
-            start_remaining: receiver.remaining(),
-            inventory: inventory.to_vec(),
-            advertised: receiver.distinct_symbols(),
-            card: None,
-            observer: false,
-            seeder: false,
-            receiver,
-            out_links: Vec::new(),
-            in_links: Vec::new(),
-        });
+        self.nodes
+            .push(NodeState::new(receiver, inventory.to_vec(), false));
         id
     }
 
@@ -703,18 +759,8 @@ impl<'s> OverlayNet<'s> {
     /// short-lived nets.
     pub fn add_seeder(&mut self, inventory: &[SymbolId]) -> NodeId {
         let id = NodeId(self.nodes.len());
-        self.nodes.push(NodeState {
-            start_distinct: inventory.len(),
-            start_remaining: 0,
-            inventory: inventory.to_vec(),
-            advertised: inventory.len(),
-            card: None,
-            observer: false,
-            seeder: true,
-            receiver: Receiver::new(&[], 0),
-            out_links: Vec::new(),
-            in_links: Vec::new(),
-        });
+        self.nodes
+            .push(NodeState::new(Receiver::new(&[], 0), inventory.to_vec(), true));
         id
     }
 
@@ -724,18 +770,8 @@ impl<'s> OverlayNet<'s> {
     /// [`OverlayNet::take_node_receiver`]).
     pub fn add_node_receiver(&mut self, receiver: Receiver) -> NodeId {
         let id = NodeId(self.nodes.len());
-        self.nodes.push(NodeState {
-            start_distinct: receiver.distinct_symbols(),
-            start_remaining: receiver.remaining(),
-            inventory: receiver.working_set(),
-            advertised: receiver.distinct_symbols(),
-            card: None,
-            observer: false,
-            seeder: false,
-            receiver,
-            out_links: Vec::new(),
-            in_links: Vec::new(),
-        });
+        let inventory = receiver.working_set();
+        self.nodes.push(NodeState::new(receiver, inventory, false));
         id
     }
 
@@ -833,7 +869,7 @@ impl<'s> OverlayNet<'s> {
         };
         let sender = Sender::with_calling_card(
             strategy,
-            self.nodes[from.0].inventory.clone(),
+            &self.nodes[from.0].inventory,
             &handshake,
             &self.family,
             self.registry,
@@ -901,8 +937,8 @@ impl<'s> OverlayNet<'s> {
         let receiver_ws = WorkingSet::from_symbols(
             self.nodes[to.0]
                 .working_keys()
-                .into_iter()
-                .map(|id| session_symbol(id, payload)),
+                .iter()
+                .map(|&id| session_symbol(id, payload)),
         );
         let sender_ws = WorkingSet::from_symbols(
             self.nodes[from.0]
@@ -954,17 +990,15 @@ impl<'s> OverlayNet<'s> {
         if distinct <= state.advertised {
             return 0; // nothing gained since the last refresh
         }
-        let have: icd_util::hash::FastHashSet<SymbolId> =
-            state.inventory.iter().copied().collect();
-        let mut added = 0;
-        for id in state.receiver.working_set() {
-            if !have.contains(&id) {
-                state.inventory.push(id);
-                added += 1;
-            }
-        }
+        // `inventory` holds exactly the first `advertised` symbols the
+        // receiver learned, so the gain is the arrival-order tail.
+        let start = state.inventory.len();
+        state
+            .inventory
+            .extend_from_slice(state.receiver.symbols_since(state.advertised));
+        state.inventory[start..].sort_unstable();
         state.advertised = distinct;
-        added
+        state.inventory.len() - start
     }
 
     /// Connects a digital-fountain full sender `from → to` (counts in
@@ -995,10 +1029,18 @@ impl<'s> OverlayNet<'s> {
             return;
         }
         state.alive = false;
+        if !state.exhausted {
+            self.send_queue.remove(state.next_send, link.0 as u32);
+        }
+        // A dead packet link never sends again: release its pump (the
+        // sender's inventory copy, candidates and recoder). Session
+        // links keep their machines for the post-run accessors.
+        if !matches!(state.source, LinkSource::Session(_)) {
+            state.source = LinkSource::Closed;
+        }
         let (from, to) = (state.from, state.to);
         self.nodes[from.0].out_links.retain(|&l| l != link);
         self.nodes[to.0].in_links.retain(|&l| l != link);
-        // The link's send-calendar entry is purged lazily.
         if let Some(tracer) = &self.tracer {
             tracer
                 .borrow_mut()
@@ -1065,7 +1107,7 @@ impl<'s> OverlayNet<'s> {
         });
         self.nodes[from.0].out_links.push(id);
         self.nodes[to.0].in_links.push(id);
-        self.send_queue.push(Reverse((next_send, id.0 as u32)));
+        self.send_queue.push(next_send, id.0 as u32);
         if let Some(tracer) = &self.tracer {
             tracer.borrow_mut().push(
                 self.now,
@@ -1100,8 +1142,8 @@ impl<'s> OverlayNet<'s> {
         let family = &self.family;
         let state = &mut self.nodes[node.0];
         if state.card.is_none() {
-            let keys = state.working_keys();
-            state.card = Some(MinwiseSketch::from_keys(family, keys.iter().copied()));
+            let card = MinwiseSketch::from_keys(family, state.working_keys().iter().copied());
+            state.card = Some(card);
         }
         state.card.as_ref().expect("just populated")
     }
@@ -1121,19 +1163,34 @@ impl<'s> OverlayNet<'s> {
             self.nodes[from.0].inventory.len(),
             self.nodes[to.0].receiver.remaining(),
         );
-        let card = strategy
+        let summary = strategy
+            .summary_id()
+            .map(|id| (id, self.digest_body(to, id, &estimate)));
+        let sketch = strategy
             .needs_sketch()
             .then(|| self.calling_card(to).clone());
-        let working = self.nodes[to.0].working_keys();
-        ReceiverHandshake::for_strategy_with(
-            strategy,
-            &working,
-            &self.sizing,
-            &self.family,
-            self.registry,
-            &estimate,
-            card.as_ref(),
-        )
+        ReceiverHandshake { summary, sketch }
+    }
+
+    /// The encoded `id` digest of `node`'s current working set, sized by
+    /// the engine's sizing and `estimate`. Bodies of [`estimate_free`]
+    /// mechanisms are cached until the set changes: one body serves
+    /// every sender the node handshakes with meanwhile.
+    fn digest_body(&mut self, node: NodeId, id: SummaryId, estimate: &DiffEstimate) -> Vec<u8> {
+        let cacheable = estimate_free(id);
+        let state = &mut self.nodes[node.0];
+        if let Some((_, body)) = state.digests.iter().find(|(cached, _)| *cached == id) {
+            return body.clone();
+        }
+        let body = self
+            .registry
+            .build(id, &self.sizing, estimate, state.working_keys())
+            .expect("strategy mechanism must be registered")
+            .encode_body();
+        if cacheable {
+            state.digests.push((id, body.clone()));
+        }
+        body
     }
 
     /// Scores every registered summary mechanism for the `from → to`
@@ -1173,24 +1230,10 @@ impl<'s> OverlayNet<'s> {
     // ------------------------------------------------------------------
 
     /// The earliest tick at which anything can happen: the minimum over
-    /// the send calendar's live entries and the head of the in-flight
-    /// packet queue. `None` means the net is permanently quiescent.
-    /// Stale calendar entries (torn-down or exhausted links) are purged
-    /// from the head here, so the answer is exact — O(1) amortized
-    /// against the linear link scan this replaced.
-    fn next_tick(&mut self) -> Option<Time> {
-        let send = loop {
-            match self.send_queue.peek() {
-                None => break None,
-                Some(&Reverse((t, i))) => {
-                    let link = &self.links[i as usize];
-                    if link.alive && !link.exhausted {
-                        break Some(t);
-                    }
-                    self.send_queue.pop();
-                }
-            }
-        };
+    /// the send calendar and the head of the in-flight packet queue.
+    /// `None` means the net is permanently quiescent.
+    fn next_tick(&self) -> Option<Time> {
+        let send = self.send_queue.next_due();
         let arrival = self.queue.peek().map(|Reverse(event)| event.time);
         match (send, arrival) {
             (Some(s), Some(a)) => Some(s.min(a)),
@@ -1206,6 +1249,11 @@ impl<'s> OverlayNet<'s> {
     /// order), then links take their send opportunities in link order —
     /// the calendar pops due links by `(time, link index)`, which is
     /// exactly the order the legacy per-tick link scan visited them.
+    ///
+    /// A [`StopReason::Completed`] return can come in the middle of a
+    /// tick, with links still due at [`OverlayNet::now`]. A later call
+    /// (say, after another observer is registered) first finishes that
+    /// interrupted tick, then moves on.
     pub fn run(&mut self, limit: RunLimit) -> StopReason {
         if self.observers_complete() {
             return StopReason::Completed;
@@ -1221,7 +1269,9 @@ impl<'s> OverlayNet<'s> {
                 }
                 return StopReason::Stalled;
             };
-            debug_assert!(t > self.now, "cadence/queue must move forward");
+            // `t == now` only when resuming a tick a Completed return
+            // interrupted.
+            debug_assert!(t >= self.now, "cadence/queue must not run backwards");
             if let Some(stop) = limit.stop_before {
                 if t >= stop {
                     return StopReason::Paused;
@@ -1252,17 +1302,9 @@ impl<'s> OverlayNet<'s> {
                 }
             }
             // Send opportunities in link-creation order: the calendar
-            // yields due links by (time, index); entries for dead or
-            // exhausted links are skipped as they surface.
-            while let Some(&Reverse((due, i))) = self.send_queue.peek() {
-                if due > t {
-                    break;
-                }
-                self.send_queue.pop();
-                let link = &self.links[i as usize];
-                if !link.alive || link.exhausted {
-                    continue;
-                }
+            // yields the links due at t by index.
+            while let Some(i) = self.send_queue.pop_due(t) {
+                debug_assert!(self.links[i as usize].alive && !self.links[i as usize].exhausted);
                 self.events_processed += 1;
                 if let Some(reason) = self.process_send(LinkId(i as usize)) {
                     return reason;
@@ -1302,7 +1344,7 @@ impl<'s> OverlayNet<'s> {
         }
         // Re-book the send cadence before delivery so an early Completed
         // return leaves the calendar consistent for resumed runs.
-        self.send_queue.push(Reverse((next_send, l.0 as u32)));
+        self.send_queue.push(next_send, l.0 as u32);
         if let Some(tracer) = &self.tracer {
             tracer.borrow_mut().push(
                 self.now,
@@ -1366,7 +1408,7 @@ impl<'s> OverlayNet<'s> {
         let was_complete = node.receiver.is_complete();
         let gained = node.receiver.receive_scratch(&self.scratch);
         if gained > 0 {
-            node.card = None;
+            node.working_set_changed();
         }
         self.completion_after_delivery(to, was_complete)
     }
@@ -1393,7 +1435,7 @@ impl<'s> OverlayNet<'s> {
             node.receiver.receive(&Packet::Encoded(ids[0]))
         };
         if gained > 0 {
-            node.card = None;
+            node.working_set_changed();
         }
         self.completion_after_delivery(to, was_complete)
     }
@@ -1432,8 +1474,7 @@ impl<'s> OverlayNet<'s> {
             // Frames still in flight will wake the machines; idle until
             // the next opportunity.
             *next_send = now + interval;
-            let due = *next_send;
-            self.send_queue.push(Reverse((due, l.0 as u32)));
+            self.send_queue.push(*next_send, l.0 as u32);
             return None;
         }
         *next_send = now + interval;
@@ -1487,7 +1528,7 @@ impl<'s> OverlayNet<'s> {
         }
         // Calendar first (as in the packet path) so an early Completed
         // return leaves resumable state.
-        self.send_queue.push(Reverse((due, l.0 as u32)));
+        self.send_queue.push(due, l.0 as u32);
         for (frame, to_receiver) in inline.into_iter().flatten() {
             if let Some(reason) = self.process_session_arrival(l, frame, to_receiver, false) {
                 return Some(reason);
@@ -1561,7 +1602,7 @@ impl<'s> OverlayNet<'s> {
             gained += node.receiver.receive(&Packet::Encoded(id));
         }
         if gained > 0 {
-            node.card = None;
+            node.working_set_changed();
         }
         self.completion_after_delivery(to, was_complete)
     }
@@ -2197,6 +2238,47 @@ mod tests {
     }
 
     #[test]
+    fn run_resumed_after_a_mid_tick_completion_finishes_that_tick() {
+        // Observer `a` completes on link 0's first send, so the run
+        // returns at tick 1 with link 1 (to `b`) still due at tick 1.
+        let mut net = OverlayNet::new(6);
+        let s = net.add_seeder(&[10]);
+        let a = net.add_node(&[], 1);
+        let b = net.add_node(&[], 3);
+        net.set_observer(a, true);
+        net.connect_full(s, a, 0, Link::default());
+        let to_b = net.connect_full(s, b, 1, Link::default());
+        assert_eq!(net.run(RunLimit::ticks(100)), StopReason::Completed);
+        assert_eq!(net.now(), 1);
+        assert_eq!(net.link_packets(to_b).0, 0, "b's tick-1 send is still due");
+        // Resuming sends b's tick-1 packet first: b completes at tick 3.
+        net.set_observer(b, true);
+        assert_eq!(net.run(RunLimit::ticks(100)), StopReason::Completed);
+        assert_eq!(net.now(), 3);
+        assert_eq!(net.link_packets(to_b).0, 3);
+    }
+
+    #[test]
+    fn disconnect_cancels_the_booked_send_and_drops_the_pump() {
+        let mut net = OverlayNet::new(7);
+        let r = net.add_node(&[], 50);
+        net.set_observer(r, true);
+        let inventory: Vec<SymbolId> = (1..=40).collect();
+        let (s1, s2) = (net.add_seeder(&inventory), net.add_seeder(&inventory));
+        let slow = net.connect(s1, r, StrategyKind::Random, Link::slower(200), ConnectSpec::seeded(1));
+        let fast = net.connect(s2, r, StrategyKind::Recode, Link::default(), ConnectSpec::seeded(2));
+        assert_eq!(net.run(RunLimit::ticks(5)), StopReason::MaxTicks);
+        // The slow link's next send sits in the calendar's overflow.
+        net.disconnect(slow);
+        net.disconnect(fast);
+        assert!(matches!(net.links[slow.0].source, LinkSource::Closed));
+        assert!(matches!(net.links[fast.0].source, LinkSource::Closed));
+        assert_eq!(net.run(RunLimit::ticks(1_000)), StopReason::Stalled);
+        assert_eq!(net.link_packets(slow).0, 1, "counters survive teardown");
+        assert_eq!(net.link_packets(fast).0, 5);
+    }
+
+    #[test]
     fn max_ticks_is_honoured() {
         let mut net = OverlayNet::new(5);
         let r = net.add_node(&[], 1000); // far beyond the tick budget
@@ -2313,6 +2395,23 @@ mod tests {
         let exact = advise_summary(registry, &sizing, &estimate, 1.0, 0.0).expect("exact exists");
         let spec = registry.get(exact).expect("registered");
         assert!(((spec.expected_recall)(&sizing, &estimate) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cached_digest_bodies_ignore_the_estimate() {
+        // A node caches one body per `estimate_free` mechanism for every
+        // sender it handshakes with; that is only sound while the build
+        // reads nothing peer-specific.
+        let registry = icd_recon::shared_registry();
+        let sizing = standard_sizing();
+        let keys: Vec<SymbolId> = (0..500u64).map(|i| i * 7 + 3).collect();
+        let body = |id, estimate: &DiffEstimate| {
+            registry.build(id, &sizing, estimate, &keys).expect("registered").encode_body()
+        };
+        let (near, far) = (handshake_estimate(500, 500, 10), handshake_estimate(500, 4000, 3900));
+        for spec in registry.iter().filter(|spec| estimate_free(spec.id)) {
+            assert_eq!(body(spec.id, &near), body(spec.id, &far), "{}", spec.label);
+        }
     }
 
     #[test]

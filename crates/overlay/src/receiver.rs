@@ -30,10 +30,11 @@ impl Receiver {
     /// distinct symbols (already-held symbols count toward it).
     #[must_use]
     pub fn new(initial: &[SymbolId], target: usize) -> Self {
-        // Size for the full run: the known set ends at ~target ids (plus
-        // a small cascade overshoot), and pre-sizing keeps the hash
-        // tables from rehashing mid-transfer.
-        let mut buffer = IdRecodeBuffer::with_capacity(target.max(initial.len()) + 64);
+        // Size for the full run: the known set ends at ~target ids, and
+        // pre-sizing keeps the hash tables from rehashing mid-transfer
+        // (the set's 7/8 load factor leaves room for a cascade's small
+        // overshoot).
+        let mut buffer = IdRecodeBuffer::with_capacity(target.max(initial.len()));
         for &id in initial {
             let _ = buffer.add_known(id);
         }
@@ -82,6 +83,13 @@ impl Receiver {
         let mut ids: Vec<SymbolId> = self.buffer.known_ids().collect();
         ids.sort_unstable();
         ids
+    }
+
+    /// Symbols gained after the receiver held its first `distinct`, in
+    /// arrival order.
+    #[must_use]
+    pub fn symbols_since(&self, distinct: usize) -> &[SymbolId] {
+        self.buffer.known_since(distinct)
     }
 
     /// Ingests one packet; returns the number of *new* distinct symbols

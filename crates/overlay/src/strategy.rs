@@ -281,7 +281,10 @@ impl ReceiverHandshake {
 #[derive(Debug)]
 pub struct Sender {
     kind: StrategyKind,
+    /// The working set Random draws from (empty for the other
+    /// strategies, which keep only candidates or a recoder).
     working: Vec<SymbolId>,
+    working_len: usize,
     /// Random-order candidate queue (summary strategies);
     /// `next_candidate` indexes into it.
     candidates: Vec<SymbolId>,
@@ -313,18 +316,19 @@ impl Sender {
         seed: u64,
         request_hint: usize,
     ) -> Self {
-        Self::with_calling_card(kind, working, handshake, family, registry, seed, request_hint, None)
+        Self::with_calling_card(kind, &working, handshake, family, registry, seed, request_hint, None)
     }
 
     /// [`Sender::new`] with the sender's own standing min-wise sketch
     /// supplied (its §4 calling card — a function of `working`, cached
     /// by the caller across connections) instead of rebuilt here. Pass
-    /// `None` to compute it; only Recode/MW consults it.
+    /// `None` to compute it; only Recode/MW consults it. `working` is
+    /// borrowed: only the strategies that draw from it keep a copy.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn with_calling_card(
         kind: StrategyKind,
-        working: Vec<SymbolId>,
+        working: &[SymbolId],
         handshake: &ReceiverHandshake,
         family: &PermutationFamily,
         registry: &SummaryRegistry,
@@ -337,22 +341,23 @@ impl Sender {
         let mut candidates = Vec::new();
         let mut next_candidate = 0;
         let mut recoder = None;
+        let mut drawn = Vec::new();
         match kind {
-            StrategyKind::Random => {}
+            StrategyKind::Random => drawn = working.to_vec(),
             StrategyKind::RandomSummary(_) => {
-                candidates = cleared_candidates(kind, &working, handshake, registry);
+                candidates = cleared_candidates(kind, working, handshake, registry);
                 rng.shuffle(&mut candidates);
                 next_candidate = 0;
             }
             StrategyKind::Recode => {
                 recoder = Some(Recoder::from_ids(
-                    working.clone(),
+                    working.to_vec(),
                     icd_fountain::recode::PAPER_DEGREE_LIMIT,
                     RecodePolicy::Oblivious,
                 ));
             }
             StrategyKind::RecodeSummary(_) => {
-                candidates = cleared_candidates(kind, &working, handshake, registry);
+                candidates = cleared_candidates(kind, working, handshake, registry);
                 if !candidates.is_empty() {
                     // Restrict the recoding domain to what the receiver
                     // asked for (plus recode-layer decoding headroom);
@@ -380,7 +385,7 @@ impl Sender {
                 // self as A = receiver side; call from receiver sketch).
                 let c = receiver_sketch.estimate(&own).containment_of_b();
                 recoder = Some(Recoder::from_ids(
-                    working.clone(),
+                    working.to_vec(),
                     icd_fountain::recode::PAPER_DEGREE_LIMIT,
                     RecodePolicy::MinwiseScaled { containment: c },
                 ));
@@ -388,7 +393,8 @@ impl Sender {
         }
         Self {
             kind,
-            working,
+            working: drawn,
+            working_len: working.len(),
             candidates,
             next_candidate,
             recoder,
@@ -413,7 +419,7 @@ impl Sender {
     /// Size of the sender's working set.
     #[must_use]
     pub fn working_set_size(&self) -> usize {
-        self.working.len()
+        self.working_len
     }
 
     /// Number of symbols the receiver's digest cleared for sending
@@ -475,7 +481,9 @@ impl Sender {
 }
 
 /// Decodes the handshake digest and returns the sorted candidate ids the
-/// digest clears — one registry dispatch for every mechanism.
+/// digest clears — one registry dispatch for every mechanism. Every
+/// reconciler returns its answer sorted and de-duplicated whatever the
+/// order of `working`, so the sender's set is passed as it stands.
 fn cleared_candidates(
     kind: StrategyKind,
     working: &[SymbolId],
@@ -490,9 +498,7 @@ fn cleared_candidates(
     let reconciler = registry
         .decode(*id, body)
         .expect("handshake digest must decode");
-    let mut keys = working.to_vec();
-    keys.sort_unstable();
-    reconciler.missing_at_peer(&keys)
+    reconciler.missing_at_peer(working)
 }
 
 /// A *full* sender: holds the whole file and streams fresh encoded

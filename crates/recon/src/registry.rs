@@ -61,6 +61,30 @@ mod tests {
     }
 
     #[test]
+    fn every_mechanism_ignores_the_order_of_the_searched_set() {
+        use icd_summary::{DiffEstimate, SummarySizing};
+        let reg = standard_registry();
+        let ours: Vec<u64> = (0..60u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        // Half shared, half new, in a scrambled order with a repeat.
+        let mut theirs: Vec<u64> = ours[30..].to_vec();
+        theirs.extend((1000..1030u64).map(|i| i.wrapping_mul(0xD6E8_FEB8_6659_FD93)));
+        theirs.reverse();
+        theirs.swap(7, 41);
+        theirs.push(theirs[3]);
+        let mut sorted = theirs.clone();
+        sorted.sort_unstable();
+        let sizing = SummarySizing::default();
+        let estimate = DiffEstimate::new(ours.len(), theirs.len(), 30);
+        for spec in reg.iter() {
+            let body = (spec.build)(&sizing, &estimate, &ours).encode_body();
+            let reconciler = reg.decode(spec.id, &body).expect("decodes");
+            let answer = reconciler.missing_at_peer(&theirs);
+            assert_eq!(answer, reconciler.missing_at_peer(&sorted), "{}", spec.label);
+            assert!(answer.windows(2).all(|w| w[0] < w[1]), "{} sorted, no repeats", spec.label);
+        }
+    }
+
+    #[test]
     fn shared_registry_is_stable() {
         let a = shared_registry();
         let b = shared_registry();

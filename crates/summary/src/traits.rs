@@ -130,9 +130,9 @@ pub trait Reconciler: std::fmt::Debug + Send + Sync {
     fn id(&self) -> SummaryId;
 
     /// Ids from `local` (the caller's working set) that the summarizing
-    /// peer lacks, per this digest. Always sorted ascending, so callers
-    /// observe a deterministic order regardless of how `local` was
-    /// iterated.
+    /// peer lacks, per this digest. Always sorted ascending and free of
+    /// duplicates, so callers get the same answer however `local` is
+    /// ordered.
     fn missing_at_peer(&self, local: &[u64]) -> Vec<u64>;
 
     /// Whether the mechanism recovers the difference exactly (whole-set

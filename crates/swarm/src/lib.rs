@@ -31,5 +31,6 @@ pub use icd_overlay::net::Link;
 pub use membership::{churn_plan, ChurnConfig, PeerId, SwarmEvent};
 pub use swarm::{
     run_swarm, try_run_swarm, Swarm, SwarmConfig, SwarmConfigError, SwarmOutcome, SwarmStrategy,
+    PROFILE_SCOPES,
 };
 pub use topology::{build_topology, Topology, TopologyKind};

@@ -26,6 +26,7 @@
 //!   survive churn at all).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use icd_obs::{MetricsRegistry, ProfileHandle, TraceEvent, TraceHandle};
 use icd_overlay::net::{ConnectSpec, Link, NodeId, OverlayNet, RunLimit, StopReason, Time};
@@ -287,7 +288,6 @@ impl SwarmOutcome {
 #[derive(Debug)]
 struct Peer {
     node: NodeId,
-    present: bool,
     /// Distinct count at the last maintenance pass — the stagnation
     /// detector that triggers re-reconciliation.
     last_distinct: usize,
@@ -297,6 +297,88 @@ struct Peer {
     starved: u32,
 }
 
+/// Which roster peers are present, plus a Fenwick tree over those flags:
+/// the `k`-th present peer in roster order costs O(log roster), so
+/// [`Swarm::sample_present`] maps its draws without scanning the roster.
+#[derive(Debug, Default)]
+struct Presence {
+    flags: Vec<bool>,
+    /// 1-based Fenwick tree: `tree[i - 1]` counts the present peers with
+    /// roster index in `[i - lowbit(i), i)`.
+    tree: Vec<u32>,
+    count: usize,
+}
+
+fn lowbit(i: usize) -> usize {
+    i & i.wrapping_neg()
+}
+
+impl Presence {
+    /// Appends a present peer to the roster.
+    fn push(&mut self) {
+        let i = self.tree.len() + 1;
+        let mut sum = 1;
+        let mut j = i - 1;
+        while j > i - lowbit(i) {
+            sum += self.tree[j - 1];
+            j -= lowbit(j);
+        }
+        self.tree.push(sum);
+        self.flags.push(true);
+        self.count += 1;
+    }
+
+    fn contains(&self, p: PeerId) -> bool {
+        self.flags[p]
+    }
+
+    fn set(&mut self, p: PeerId, on: bool) {
+        if self.flags[p] == on {
+            return;
+        }
+        self.flags[p] = on;
+        let mut i = p + 1;
+        while i <= self.tree.len() {
+            if on {
+                self.tree[i - 1] += 1;
+            } else {
+                self.tree[i - 1] -= 1;
+            }
+            i += lowbit(i);
+        }
+        if on {
+            self.count += 1;
+        } else {
+            self.count -= 1;
+        }
+    }
+
+    /// Present peers with roster index below `p`.
+    fn rank(&self, p: PeerId) -> usize {
+        let (mut i, mut sum) = (p, 0);
+        while i > 0 {
+            sum += self.tree[i - 1] as usize;
+            i -= lowbit(i);
+        }
+        sum
+    }
+
+    /// The `k`-th (0-based) present peer in roster order.
+    fn nth(&self, mut k: usize) -> PeerId {
+        debug_assert!(k < self.count, "only {} peers present", self.count);
+        let mut pos = 0;
+        let mut step = self.tree.len().next_power_of_two();
+        while step > 0 {
+            if pos + step <= self.tree.len() && (self.tree[pos + step - 1] as usize) <= k {
+                pos += step;
+                k -= self.tree[pos - 1] as usize;
+            }
+            step >>= 1;
+        }
+        pos
+    }
+}
+
 /// A live swarm: an [`OverlayNet`] plus the roster, schedule, and
 /// seeded streams that drive it. See the module docs for the model.
 #[derive(Debug)]
@@ -304,6 +386,7 @@ pub struct Swarm {
     cfg: SwarmConfig,
     net: OverlayNet<'static>,
     peers: Vec<Peer>,
+    present: Presence,
     pool: Vec<SymbolId>,
     /// Reusable inventory-sampling bitmap over the pool as a shared
     /// sorted universe: dedup costs `pool.len()` *bits* of scratch,
@@ -341,7 +424,22 @@ pub struct Swarm {
     metrics: Option<Arc<MetricsRegistry>>,
     /// Maintenance rounds run so far (traced as `round_start`).
     rounds: u64,
+    /// Wall-clock phase recorder ([`Swarm::set_profiler`]). Nothing the
+    /// run computes ever reads it.
+    profiler: Option<ProfileHandle>,
 }
+
+/// The wall-clock scopes [`Swarm::set_profiler`] records. The first
+/// three tile [`Swarm::run`]: engine execution (one scope per
+/// `OverlayNet::run` call), maintenance passes, and membership plus
+/// fault events. `swarm.connect` covers every connection (re)build and
+/// is nested inside the other two.
+pub const PROFILE_SCOPES: [&str; 4] = [
+    "overlay.run",
+    "swarm.refresh",
+    "swarm.membership",
+    "swarm.connect",
+];
 
 /// Consecutive stagnant maintenance passes after which rebuilt links
 /// escalate to oblivious recoding and the seed peers are adopted
@@ -409,6 +507,7 @@ impl Swarm {
         let mut swarm = Self {
             net: OverlayNet::new(seed),
             peers: Vec::with_capacity(cfg.peers),
+            present: Presence::default(),
             schedule: churn_plan(&cfg.churn, cfg.peers, cfg.seed_peers, seed),
             next_event: 0,
             fault_schedule: FaultPlan::generate(&cfg.faults, cfg.peers, cfg.seed_peers, seed)
@@ -429,6 +528,7 @@ impl Swarm {
             tracer: None,
             metrics: None,
             rounds: 0,
+            profiler: None,
             pool,
             inventory_scratch,
             target,
@@ -472,11 +572,27 @@ impl Swarm {
         self.tracer = None;
     }
 
-    /// A no-op: the serial engine has no scopes to record, so the
-    /// handle stays empty. Kept for the benchmark driver, which installs
-    /// one on every traced run (the removed sharded executor was its only
-    /// writer); ROADMAP item 3(a) gives it a body.
-    pub fn set_profiler(&mut self, _profiler: ProfileHandle) {}
+    /// Installs a wall-clock phase recorder: [`Swarm::run`] then times
+    /// the coarse [`PROFILE_SCOPES`] — never a single engine event — so
+    /// the split costs a few clock reads per pause and per connection.
+    /// Wall time stays outside the parity domain: it is written to the
+    /// handle and read by nothing the run computes. Without a profiler
+    /// the scopes cost one `Option` check each.
+    pub fn set_profiler(&mut self, profiler: ProfileHandle) {
+        self.profiler = Some(profiler);
+    }
+
+    /// Runs `f` inside the wall-clock scope `phase` when a profiler is
+    /// installed.
+    fn scoped<R>(&mut self, phase: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
+        let Some(profiler) = self.profiler.clone() else {
+            return f(self);
+        };
+        let start = Instant::now();
+        let out = f(self);
+        profiler.borrow_mut().record_since(phase, start);
+        out
+    }
 
     /// Installs a metrics sink. Swarm-level counters (rounds, stall
     /// escalations, applied faults) accrue as the run progresses;
@@ -525,9 +641,9 @@ impl Swarm {
         let node = self.net.add_node(&inventory, self.target);
         self.net.set_observer(node, true);
         self.total_needed += self.net.node_remaining(node) as u64;
+        self.present.push();
         self.peers.push(Peer {
             node,
-            present: true,
             last_distinct: self.net.node_distinct(node),
             starved: 0,
         });
@@ -619,25 +735,32 @@ impl Swarm {
         if self.net.node_remaining(to) == 0 {
             return false; // nothing to reconcile toward a complete peer
         }
-        let strategy = self.link_strategy(from, to, starved);
-        let spec = ConnectSpec::seeded(self.link_seeds.next_u64());
-        let cycled = self.cfg.link_profiles[self.links_created % self.cfg.link_profiles.len()];
-        self.links_created += 1;
-        self.net
-            .try_connect(from, to, strategy, profile.unwrap_or(cycled), spec)
-            .is_ok()
+        self.scoped("swarm.connect", |s| {
+            let strategy = s.link_strategy(from, to, starved);
+            let spec = ConnectSpec::seeded(s.link_seeds.next_u64());
+            let cycled = s.cfg.link_profiles[s.links_created % s.cfg.link_profiles.len()];
+            s.links_created += 1;
+            s.net
+                .try_connect(from, to, strategy, profile.unwrap_or(cycled), spec)
+                .is_ok()
+        })
     }
 
-    /// Samples `count` distinct present peers other than `except`.
+    /// Samples `count` distinct present peers other than `except`: the
+    /// draws index the present peers in roster order with `except`
+    /// left out.
     fn sample_present(&mut self, count: usize, except: PeerId) -> Vec<PeerId> {
-        let candidates: Vec<PeerId> = (0..self.peers.len())
-            .filter(|&p| p != except && self.peers[p].present)
-            .collect();
-        let take = count.min(candidates.len());
+        let skip = if self.present.contains(except) {
+            self.present.rank(except)
+        } else {
+            usize::MAX
+        };
+        let candidates = self.present.count - usize::from(skip != usize::MAX);
+        let take = count.min(candidates);
         self.rng
-            .sample_distinct(candidates.len(), take)
+            .sample_distinct(candidates, take)
             .into_iter()
-            .map(|i| candidates[i])
+            .map(|i| self.present.nth(if i < skip { i } else { i + 1 }))
             .collect()
     }
 
@@ -679,22 +802,22 @@ impl Swarm {
             // booked on the fault counters, and the working set survives
             // in the node — the restart advertises it wholesale.
             FaultEvent::Crash(p) => {
-                if self.peers[p].present {
+                if self.present.contains(p) {
                     self.net.disconnect_node(self.peers[p].node);
-                    self.peers[p].present = false;
+                    self.present.set(p, false);
                     self.faults_applied += 1;
                 }
             }
             FaultEvent::Restart(p) => {
-                if !self.peers[p].present {
-                    self.peers[p].present = true;
+                if !self.present.contains(p) {
+                    self.present.set(p, true);
                     self.faults_applied += 1;
                     let rebuilt = self.attach(p);
                     self.retries += rebuilt;
                 }
             }
             FaultEvent::CutLink(p) => {
-                if !self.peers[p].present {
+                if !self.present.contains(p) {
                     return;
                 }
                 let ins = self.net.node_in_links(self.peers[p].node);
@@ -708,7 +831,7 @@ impl Swarm {
                 // the refresh cadence (counted in `reconnects`).
             }
             FaultEvent::StallStart(p) => {
-                if !self.peers[p].present {
+                if !self.present.contains(p) {
                     return;
                 }
                 let ins = self.net.node_in_links(self.peers[p].node).to_vec();
@@ -721,7 +844,7 @@ impl Swarm {
                 self.faults_applied += 1;
             }
             FaultEvent::StallEnd(p) => {
-                if !self.peers[p].present {
+                if !self.present.contains(p) {
                     return;
                 }
                 self.faults_applied += 1;
@@ -733,7 +856,7 @@ impl Swarm {
             // sets. The handshake and any in-flight frames are the waste
             // the retry costs.
             FaultEvent::TruncateFrame(p) => {
-                if !self.peers[p].present {
+                if !self.present.contains(p) {
                     return;
                 }
                 let node = self.peers[p].node;
@@ -751,7 +874,7 @@ impl Swarm {
             // rebuilt on a profile `slow_factor` times slower. Later
             // maintenance rebuilds return to the configured cycle.
             FaultEvent::RateCollapse(p) => {
-                if !self.peers[p].present {
+                if !self.present.contains(p) {
                     return;
                 }
                 let node = self.peers[p].node;
@@ -780,21 +903,21 @@ impl Swarm {
                 self.attach(p);
             }
             SwarmEvent::Leave(p) => {
-                if self.peers[p].present {
+                if self.present.contains(p) {
                     self.net.disconnect_node(self.peers[p].node);
-                    self.peers[p].present = false;
+                    self.present.set(p, false);
                     self.leaves += 1;
                 }
             }
             SwarmEvent::Rejoin(p) => {
-                if !self.peers[p].present {
-                    self.peers[p].present = true;
+                if !self.present.contains(p) {
+                    self.present.set(p, true);
                     self.rejoins += 1;
                     self.attach(p);
                 }
             }
             SwarmEvent::Rewire(p) => {
-                if !self.peers[p].present {
+                if !self.present.contains(p) {
                     return;
                 }
                 let node = self.peers[p].node;
@@ -818,7 +941,7 @@ impl Swarm {
                 let candidates: Vec<PeerId> = (0..self.peers.len())
                     .filter(|&q| {
                         q != p
-                            && self.peers[q].present
+                            && self.present.contains(q)
                             && !existing.contains(&self.peers[q].node)
                     })
                     .collect();
@@ -843,7 +966,7 @@ impl Swarm {
         self.count("swarm_rounds");
         let mut rebuilt = 0u64;
         for p in 0..self.peers.len() {
-            if !self.peers[p].present {
+            if !self.present.contains(p) {
                 continue;
             }
             let node = self.peers[p].node;
@@ -884,7 +1007,7 @@ impl Swarm {
                     // Origin fallback: the seed peers hold the full
                     // pool, and their last-resort links recode over it.
                     for s in 0..self.cfg.seed_peers {
-                        if self.peers[s].present && !sources.contains(&s) && s != p {
+                        if self.present.contains(s) && !sources.contains(&s) && s != p {
                             sources.push(s);
                         }
                     }
@@ -918,32 +1041,17 @@ impl Swarm {
                 .flatten()
                 .min()
                 .expect("next_refresh is always present");
-            let reason = self.net.run(RunLimit {
+            let limit = RunLimit {
                 max_ticks: self.cfg.max_ticks,
                 stop_before: Some(pause),
-            });
+            };
+            let reason = self.scoped("overlay.run", |s| s.net.run(limit));
             match reason {
                 StopReason::Completed | StopReason::MaxTicks => break reason,
                 StopReason::Paused => {
-                    while let Some(&(t, event)) = self.schedule.get(self.next_event) {
-                        if t > pause {
-                            break;
-                        }
-                        self.apply_event(event);
-                        self.next_event += 1;
-                    }
-                    // Faults due at the same pause fire after membership
-                    // events — a peer that left at tick t cannot also
-                    // crash at tick t.
-                    while let Some(&(t, fault)) = self.fault_schedule.get(self.next_fault) {
-                        if t > pause {
-                            break;
-                        }
-                        self.apply_fault(fault);
-                        self.next_fault += 1;
-                    }
+                    self.scoped("swarm.membership", |s| s.apply_due(pause));
                     if pause >= next_refresh {
-                        self.refresh_pass();
+                        self.scoped("swarm.refresh", Self::refresh_pass);
                         next_refresh = pause + self.cfg.refresh_interval.max(1);
                     }
                 }
@@ -955,7 +1063,7 @@ impl Swarm {
                     let sent = self.net.packets_from_partial() + self.net.packets_from_full();
                     dry_stalls = if sent == packets_at_stall { dry_stalls + 1 } else { 0 };
                     packets_at_stall = sent;
-                    let rebuilt = self.refresh_pass();
+                    let rebuilt = self.scoped("swarm.refresh", Self::refresh_pass);
                     // The tolerance covers the starvation escalation:
                     // by the 8th dry pass a starved peer has swept
                     // essentially the whole roster (degree << 7).
@@ -966,12 +1074,12 @@ impl Swarm {
                         // (a crashed peer's restart may be what revives
                         // the swarm), or concede the stall.
                         if let Some(&(_, event)) = self.schedule.get(self.next_event) {
-                            self.apply_event(event);
+                            self.scoped("swarm.membership", |s| s.apply_event(event));
                             self.next_event += 1;
                         } else if let Some(&(_, fault)) =
                             self.fault_schedule.get(self.next_fault)
                         {
-                            self.apply_fault(fault);
+                            self.scoped("swarm.membership", |s| s.apply_fault(fault));
                             self.next_fault += 1;
                         } else {
                             break StopReason::Stalled;
@@ -981,6 +1089,27 @@ impl Swarm {
             }
         };
         self.outcome(stop)
+    }
+
+    /// Fires every membership event and then every fault due at or
+    /// before `pause`.
+    fn apply_due(&mut self, pause: Time) {
+        while let Some(&(t, event)) = self.schedule.get(self.next_event) {
+            if t > pause {
+                break;
+            }
+            self.apply_event(event);
+            self.next_event += 1;
+        }
+        // Faults due at the same pause fire after membership events — a
+        // peer that left at tick t cannot also crash at tick t.
+        while let Some(&(t, fault)) = self.fault_schedule.get(self.next_fault) {
+            if t > pause {
+                break;
+            }
+            self.apply_fault(fault);
+            self.next_fault += 1;
+        }
     }
 
     fn outcome(&self, stop: StopReason) -> SwarmOutcome {
@@ -1060,6 +1189,71 @@ pub fn try_run_swarm(cfg: SwarmConfig, seed: u64) -> Result<SwarmOutcome, SwarmC
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icd_obs::PhaseProfile;
+
+    #[test]
+    fn presence_index_matches_a_roster_scan() {
+        let mut rng = Xoshiro256StarStar::new(9);
+        let mut presence = Presence::default();
+        let mut flags: Vec<bool> = Vec::new();
+        for _ in 0..2000 {
+            if flags.is_empty() || rng.index(4) == 0 {
+                presence.push();
+                flags.push(true);
+            } else {
+                let p = rng.index(flags.len());
+                let on = rng.index(2) == 0;
+                presence.set(p, on);
+                flags[p] = on;
+            }
+            let listed: Vec<PeerId> = (0..flags.len()).filter(|&p| flags[p]).collect();
+            assert_eq!(presence.count, listed.len());
+            for (k, &p) in listed.iter().enumerate() {
+                assert_eq!(presence.nth(k), p);
+                assert_eq!(presence.rank(p), k);
+                assert!(presence.contains(p));
+            }
+        }
+    }
+
+    #[test]
+    fn profiler_scopes_tile_the_run_without_perturbing_it() {
+        let peers = 1000;
+        let mut cfg = SwarmConfig::new(peers, 64, TopologyKind::PowerLaw { m: 2 })
+            .with_link_profiles([1, 2, 4, 8, 16].map(Link::slower).to_vec())
+            .with_churn(ChurnConfig {
+                leave_fraction: 0.10,
+                downtime: 60,
+                window: (5, 160),
+                joins: peers / 100,
+                rewires: peers / 50,
+            });
+        cfg.refresh_interval = 40;
+        let plain = run_swarm(cfg.clone(), 5);
+        let mut swarm = Swarm::new(cfg, 5);
+        let profile = PhaseProfile::shared();
+        swarm.set_profiler(profile.clone());
+        let start = Instant::now();
+        let out = swarm.run();
+        let wall = start.elapsed().as_nanos() as f64;
+        assert!(out.all_complete());
+        assert_eq!(out, plain, "profiling must not perturb the run");
+        let profile = profile.borrow();
+        for scope in PROFILE_SCOPES {
+            assert!(profile.get(scope).is_some(), "{scope} never ran");
+        }
+        let tiled: u64 = PROFILE_SCOPES[..3].iter().map(|s| profile.total_ns(s)).sum();
+        assert!(
+            tiled as f64 >= 0.9 * wall,
+            "scopes cover {tiled} of {wall} ns:\n{}",
+            profile.report()
+        );
+        assert!(
+            profile.total_ns("swarm.connect")
+                <= profile.total_ns("swarm.refresh") + profile.total_ns("swarm.membership"),
+            "connects nest inside maintenance and membership"
+        );
+    }
 
     fn quiet(peers: usize, blocks: usize) -> SwarmConfig {
         SwarmConfig::new(peers, blocks, TopologyKind::RingChords { chords: peers / 2 })

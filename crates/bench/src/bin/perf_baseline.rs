@@ -65,6 +65,7 @@ use icd_overlay::scenario::{ScenarioParams, TwoPeerScenario};
 use icd_overlay::strategy::StrategyKind;
 use icd_overlay::transfer::run_transfer;
 use icd_util::rng::{Rng64, SplitMix64, Xoshiro256StarStar};
+use icd_util::symbol::SymbolBuf;
 
 const SEED: u64 = 0x1CD_BA5E;
 
@@ -258,16 +259,19 @@ fn recode_probes(quick: bool) -> (Probe, Probe) {
     let mut rng = Xoshiro256StarStar::new(SEED ^ 4);
     let stream: Vec<_> = (0..count).map(|_| recoder.generate(&mut rng)).collect();
     let absorbed: usize = stream.iter().map(|r| r.payload.len()).sum();
-    let mut warm = RecodeBuffer::new();
+    let mut warm = RecodeBuffer::<SymbolBuf>::new();
     for s in &symbols[..n / 2] {
-        warm.add_known(s);
+        warm.add_known(s.id, &s.payload, |_, _| {});
     }
     let sub_secs = best_of(if quick { 2 } else { 4 }, || {
         let mut buf = warm.clone();
-        let mut out = Vec::new();
         let mut recovered = 0usize;
         for rec in &stream {
-            recovered += buf.receive_parts(&rec.components, &rec.payload, &mut out);
+            // Each recovery is materialized as `Bytes`, as the receiver
+            // machine does before it enters the working set.
+            recovered += buf.receive(&rec.components, &rec.payload, |_, p| {
+                std::hint::black_box(bytes::Bytes::from(p.to_vec()));
+            });
         }
         recovered
     });

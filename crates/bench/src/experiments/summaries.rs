@@ -5,8 +5,8 @@
 //! [`ExperimentGrid`] is the list of [`SummaryId`]s from the standard
 //! registry, and every cell drives the real machinery:
 //!
-//! * [`session_matrix`] — one full `ReceiverSession`/`SenderSession`
-//!   pump per cell, the mechanism pinned via the session config's
+//! * [`session_matrix`] — one full `ReceiverMachine`/`SenderMachine`
+//!   session per cell, the mechanism pinned via the session config's
 //!   summary override, the digest crossing the (in-memory) wire in the
 //!   generic tagged frame. Columns report recovered fraction of the true
 //!   difference and summary bytes shipped.
@@ -18,7 +18,7 @@
 //! touching this file — the whole point of the trait API.
 
 use bytes::Bytes;
-use icd_core::{pump_observed, ReceiverSession, SenderSession, SessionConfig, WorkingSet};
+use icd_core::{FramePump, ReceiverMachine, SenderMachine, SessionConfig, WorkingSet};
 use icd_fountain::EncodedSymbol;
 use icd_overlay::scenario::ScenarioParams;
 use icd_overlay::strategy::StrategyKind;
@@ -26,7 +26,7 @@ use icd_overlay::transfer::run_transfer;
 use icd_recon::standard_registry;
 use icd_summary::SummaryId;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
-use icd_wire::Message;
+use icd_wire::{Message, FRAME_PREFIX_BYTES};
 
 use crate::config::ExpConfig;
 use crate::engine::ExperimentGrid;
@@ -104,7 +104,7 @@ pub fn session_cell(
     let shared: Vec<u64> = (0..geometry.shared).map(|_| rng.next_u64()).collect();
     let r_extra: Vec<u64> = (0..geometry.receiver_extra).map(|_| rng.next_u64()).collect();
     let s_extra: Vec<u64> = (0..geometry.sender_extra).map(|_| rng.next_u64()).collect();
-    let mut receiver_ws =
+    let receiver_ws =
         WorkingSet::from_symbols(shared.iter().chain(r_extra.iter()).map(|&id| sym(id)));
     let sender_ws =
         WorkingSet::from_symbols(shared.iter().chain(s_extra.iter()).map(|&id| sym(id)));
@@ -113,27 +113,27 @@ pub fn session_cell(
         .with_request(geometry.sender_extra as u64 * 2)
         .with_summary(mechanism)
         .with_seed(seed ^ 0x5E55);
-    let (mut session, opening) = ReceiverSession::start(&receiver_ws, config);
-    let mut sender = SenderSession::new(sender_ws, seed ^ 0xF00D);
+    let mut session = ReceiverMachine::new(receiver_ws, config);
+    let mut sender = SenderMachine::new(sender_ws, seed ^ 0xF00D);
 
     // Observe the pump to count the control-plane bytes that actually
-    // cross the wire. (A char-poly frame's size depends on the
-    // sketch-noisy estimate the *session* made, so only measuring the
-    // real messages is honest.)
+    // cross the wire, as message bodies (frame minus length prefix).
+    // (A char-poly frame's size depends on the sketch-noisy estimate the
+    // *session* made, so only measuring the real frames is honest.)
     let mut summary_bytes = 0usize;
     let mut control_bytes = 0usize;
-    pump_observed(&mut session, &mut receiver_ws, &mut sender, opening, |msg| {
-        match msg {
-            Message::EncodedSymbol { .. } | Message::RecodedSymbol { .. } => {}
-            Message::Summary { .. } => {
-                let size = msg.encoded_size();
-                summary_bytes += size;
-                control_bytes += size;
+    FramePump::new()
+        .run_observed(&mut session, &mut sender, |frame| {
+            let body = &frame[FRAME_PREFIX_BYTES..];
+            if Message::is_data_tag(body[0]) {
+                return;
             }
-            _ => control_bytes += msg.encoded_size(),
-        }
-    })
-    .expect("session");
+            control_bytes += body.len();
+            if matches!(Message::decode(body), Ok(Message::Summary { .. })) {
+                summary_bytes += body.len();
+            }
+        })
+        .expect("session");
 
     SessionCellOutcome {
         recovered: session.gained() as f64 / geometry.sender_extra.max(1) as f64,

@@ -19,11 +19,12 @@
 //!    wire/compute/accuracy numbers, following §3's tradeoff discussion.
 //! 3. **Informed transfer** — the sender streams encoded symbols the
 //!    receiver provably lacks, or recoded symbols tuned to the estimated
-//!    correlation. [`session`] packages the whole exchange as a pair of
-//!    transport-agnostic state machines speaking `icd-wire` messages;
-//!    summaries travel in the generic tagged frame, so the machines
-//!    dispatch purely on `SummaryId` (the `tcp_reconcile` example runs
-//!    them over real sockets; tests run them over in-memory pipes).
+//!    correlation. [`machine`] packages the whole exchange as a pair of
+//!    sans-I/O state machines — frames in, actions out — that any driver
+//!    can pump; summaries travel in the generic tagged frame, so the
+//!    machines dispatch purely on `SummaryId` (the `icd-node` daemon runs
+//!    them over real sockets, the overlay engine over simulated links,
+//!    tests over [`FramePump`]'s in-memory queues).
 //!
 //! The simulation-facing strategy code lives in `icd-overlay`; this
 //! crate is the payload-carrying, protocol-speaking layer.
@@ -33,20 +34,14 @@
 
 pub mod machine;
 pub mod policy;
-pub mod session;
 pub mod summary;
 pub mod working_set;
 
 pub use machine::{
     drive_receiver, drive_receiver_with, drive_sender, DriveError, FramePump, MachineError,
-    ReceiverMachine, SenderMachine, SessionAction, SessionEvent, WireStats,
+    PumpStep, ReceiverMachine, SenderMachine, SessionAction, SessionConfig, SessionError,
+    SessionEvent, WireStats,
 };
 pub use policy::{plan_transfer, select_summary, PolicyKnobs, TransferPlan};
-#[allow(deprecated)]
-pub use policy::SummaryChoice;
-pub use session::{
-    pump, pump_observed, PumpStep, ReceiverSession, SenderSession, SessionConfig, SessionError,
-    SessionPump,
-};
 pub use summary::{SummaryId, SummaryRegistry, SummarySizing};
 pub use working_set::WorkingSet;

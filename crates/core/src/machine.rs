@@ -1,47 +1,223 @@
-//! Sans-I/O session machines: events in, actions out, zero I/O, zero
-//! internal time.
+//! Sans-I/O session machines: the §3 exchange as events in, actions
+//! out, with zero I/O and zero internal time.
 //!
-//! [`ReceiverSession`]/[`SenderSession`] already keep protocol logic
-//! free of transport concerns, but they still traffic in decoded
-//! [`Message`] values — every driver re-implements framing, byte
-//! accounting, and completion detection around them. This module closes
-//! that gap with the classic sans-I/O shape: a machine consumes
-//! [`SessionEvent`]s (`PeerConnected`, `FrameReceived`, `TickElapsed`)
-//! and emits [`SessionAction`]s (`SendFrame`, `SymbolDecoded`,
-//! `Completed`, ...). Every `SendFrame` carries the *exact* bytes
-//! `icd-wire`'s `write_frame_buf` produces — length prefix included —
-//! so whatever the driver sums is by construction the true wire cost.
+//! The receiver drives:
 //!
-//! Time never originates inside a machine: the driver's clock arrives
-//! via [`SessionEvent::TickElapsed`], and the optional idle timeout is
-//! judged purely against those driver-provided ticks. The same machine
-//! therefore runs unchanged under the discrete-event overlay engine
-//! (simulated ticks), the blocking TCP drivers below (wall-clock ticks,
-//! or none), and the in-memory [`FramePump`] used by tests.
+//! 1. **R → S**: min-wise sketch (the calling card).
+//! 2. **S → R**: the sender's sketch in return.
+//! 3. Receiver applies [`crate::policy::plan_transfer`]:
+//!    * *Reject* — session ends (admission control; no bandwidth spent
+//!      beyond two 1 KB packets).
+//!    * *Reconciled* — receiver builds the chosen summary through its
+//!      [`SummaryRegistry`] and sends it in the generic tagged frame,
+//!      plus a `SymbolRequest{count}`. Any registered mechanism —
+//!      whole-set, hash-set, char-poly, bloom, art, or an out-of-tree
+//!      one — takes this path; the machines never name a mechanism.
+//!    * *Speculative* — receiver sends only `SymbolRequest{count}`.
+//! 4. **S → R**: up to `count` data messages — encoded symbols the
+//!    decoded summary's [`Reconciler`](crate::summary::Reconciler)
+//!    cleared (reconciled), or recoded symbols with min-wise-scaled
+//!    degrees (speculative) — then `End`.
+//!
+//! A machine consumes [`SessionEvent`]s (`PeerConnected`,
+//! `FrameReceived`) and emits [`SessionAction`]s (`SendFrame`,
+//! `SymbolDecoded`, `Completed`, `Rejected`). Every `SendFrame` carries
+//! the *exact* bytes `icd-wire`'s `write_frame_buf` produces — length
+//! prefix included — so whatever the driver sums is by construction the
+//! true wire cost.
+//!
+//! Time never enters a machine. Deadlines belong to the driver: the
+//! blocking drivers below surface socket timeouts as
+//! [`DriveError::ReadTimeout`], and the overlay engine detects stalled
+//! links itself. The same machine therefore runs unchanged under the
+//! discrete-event overlay engine (simulated ticks), real sockets, and
+//! in-memory queues.
 //!
 //! Drivers in this workspace:
 //! * `icd-overlay`'s session links pump one frame per link send slot,
 //!   applying rate/latency/loss to real framed byte lengths;
 //! * [`drive_receiver`]/[`drive_sender`] run the machines over any
-//!   blocking `Read + Write` stream (the `tcp_reconcile` example);
+//!   blocking `Read + Write` stream (the `icd-node` daemon and the
+//!   `tcp_reconcile` example);
 //! * [`FramePump`] interleaves two machines over in-memory queues, one
-//!   frame per direction per step, mirroring `SessionPump`.
+//!   frame per direction per step.
+
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 use bytes::Bytes;
+use icd_fountain::recode::PAPER_DEGREE_LIMIT;
+use icd_fountain::{EncodedSymbol, RecodeBuffer, RecodePolicy, Recoder};
+use icd_sketch::MinwiseSketch;
+use icd_util::rng::{Rng64 as _, Xoshiro256StarStar};
+use icd_util::symbol::SymbolBuf;
 use icd_wire::buffered::buffered_session;
 use icd_wire::framing::{read_frame_bytes, write_frame_buf, FrameError, FrameLimit};
 use icd_wire::message::FRAME_PREFIX_BYTES;
 use icd_wire::{Message, WireError};
 
-use crate::policy::TransferPlan;
-use crate::session::{
-    PumpStep, ReceiverSession, SenderSession, SessionConfig, SessionError,
+use crate::policy::{plan_transfer, PolicyKnobs, TransferPlan};
+use crate::summary::{
+    diff_estimate, standard_registry_arc, SummaryError, SummaryId, SummaryRegistry, SummarySizing,
 };
-use crate::summary::SummaryRegistry;
 use crate::working_set::WorkingSet;
 
+/// Session-level configuration (receiver side), built with the
+/// `with_*` methods:
+///
+/// ```
+/// use icd_core::{SessionConfig, summary::SummaryId};
+/// let config = SessionConfig::new()
+///     .with_request(256)
+///     .with_summary(SummaryId::CHAR_POLY);
+/// ```
+#[derive(Debug, Clone)]
+pub struct SessionConfig {
+    /// Symbols to request (§6.1: chosen "with appropriate allowances for
+    /// decoding overhead").
+    pub request: u64,
+    /// Policy knobs for plan selection.
+    pub knobs: PolicyKnobs,
+    /// Summary sizing shared by every registered mechanism.
+    pub sizing: SummarySizing,
+    /// When set, skip policy scoring and ship exactly this summary —
+    /// how experiment sweeps pin each mechanism in turn.
+    pub summary_override: Option<SummaryId>,
+    /// RNG seed (recoding draws on the sender side use the peer's seed).
+    pub seed: u64,
+    /// The mechanism registry both construction and scoring consult.
+    pub registry: Arc<SummaryRegistry>,
+}
+
+impl Default for SessionConfig {
+    fn default() -> Self {
+        Self {
+            request: 128,
+            knobs: PolicyKnobs::default(),
+            sizing: SummarySizing::default(),
+            summary_override: None,
+            seed: 0x5E55_1014,
+            registry: standard_registry_arc(),
+        }
+    }
+}
+
+impl SessionConfig {
+    /// Starts a builder chain from the defaults.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sets the number of symbols to request.
+    #[must_use]
+    pub fn with_request(mut self, request: u64) -> Self {
+        self.request = request;
+        self
+    }
+
+    /// Sets the policy knobs.
+    #[must_use]
+    pub fn with_knobs(mut self, knobs: PolicyKnobs) -> Self {
+        self.knobs = knobs;
+        self
+    }
+
+    /// Sets the summary sizing.
+    #[must_use]
+    pub fn with_sizing(mut self, sizing: SummarySizing) -> Self {
+        self.sizing = sizing;
+        self
+    }
+
+    /// Forces a specific summary mechanism instead of policy scoring.
+    /// §4 admission control still applies: a peer with nothing useful is
+    /// rejected before the pinned digest is built.
+    #[must_use]
+    pub fn with_summary(mut self, id: SummaryId) -> Self {
+        self.summary_override = Some(id);
+        self
+    }
+
+    /// Sets the session seed.
+    #[must_use]
+    pub fn with_seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// Replaces the summary registry (e.g. one with a private mechanism
+    /// registered).
+    #[must_use]
+    pub fn with_registry(mut self, registry: Arc<SummaryRegistry>) -> Self {
+        self.registry = registry;
+        self
+    }
+}
+
+/// Protocol violations: a well-formed message the session cannot
+/// accept. Transport failures are the driver's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SessionError {
+    /// A message arrived that the current state cannot accept.
+    UnexpectedMessage {
+        /// The state the machine was in.
+        state: &'static str,
+        /// A short description of the offending message.
+        got: &'static str,
+    },
+    /// The peer's sketch uses a different permutation family.
+    FamilyMismatch,
+    /// A summary frame named a mechanism absent from this side's
+    /// registry.
+    UnknownSummary {
+        /// The raw id the frame carried.
+        id: u16,
+    },
+    /// A summary body failed its mechanism's decoder.
+    MalformedSummary(&'static str),
+}
+
+impl From<SummaryError> for SessionError {
+    fn from(err: SummaryError) -> Self {
+        match err {
+            SummaryError::Unknown(id) => Self::UnknownSummary { id: id.0 },
+            SummaryError::Malformed(why) => Self::MalformedSummary(why),
+            SummaryError::DuplicateId(_) => Self::MalformedSummary("duplicate summary id"),
+        }
+    }
+}
+
+impl std::fmt::Display for SessionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::UnexpectedMessage { state, got } => {
+                write!(f, "unexpected {got} in state {state}")
+            }
+            Self::FamilyMismatch => write!(f, "peer sketch from a different permutation family"),
+            Self::UnknownSummary { id } => write!(f, "summary id {id} not in registry"),
+            Self::MalformedSummary(why) => write!(f, "summary body rejected: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for SessionError {}
+
+fn describe(msg: &Message) -> &'static str {
+    match msg {
+        Message::Minwise(_) => "minwise sketch",
+        Message::RandomSample(_) => "random sample",
+        Message::ModK(_) => "mod-k sample",
+        Message::Summary { .. } => "summary frame",
+        Message::SymbolRequest { .. } => "symbol request",
+        Message::EncodedSymbol { .. } => "encoded symbol",
+        Message::RecodedSymbol { .. } => "recoded symbol",
+        Message::End { .. } => "end",
+    }
+}
+
 /// An input to a session machine. Drivers translate their world —
-/// sockets, simulated links, test queues — into these three events.
+/// sockets, simulated links, test queues — into these two events.
 #[derive(Debug, Clone)]
 pub enum SessionEvent {
     /// The transport to the peer is up; the machine may start talking.
@@ -49,9 +225,6 @@ pub enum SessionEvent {
     /// One complete frame arrived: u32 length prefix plus encoded body,
     /// exactly as read off the wire.
     FrameReceived(Bytes),
-    /// The driver's clock advanced to `now` (any monotonic unit — the
-    /// machine only compares differences against its idle timeout).
-    TickElapsed(u64),
 }
 
 /// An output from a session machine. The driver executes these; the
@@ -72,12 +245,10 @@ pub enum SessionAction {
     },
     /// Admission control ended the session before any transfer.
     Rejected,
-    /// The idle timeout elapsed with the session unfinished.
-    TimedOut,
 }
 
 /// Failures surfaced by a machine: malformed frames, wire decode
-/// errors, or protocol violations from the underlying session.
+/// errors, or protocol violations.
 #[derive(Debug)]
 pub enum MachineError {
     /// The driver handed over bytes that are not one whole well-formed
@@ -86,7 +257,7 @@ pub enum MachineError {
     Frame(&'static str),
     /// The frame body failed to decode.
     Wire(WireError),
-    /// The session state machine rejected the message.
+    /// The session protocol rejected the message.
     Session(SessionError),
 }
 
@@ -108,6 +279,12 @@ impl From<SessionError> for MachineError {
     }
 }
 
+impl From<SummaryError> for MachineError {
+    fn from(e: SummaryError) -> Self {
+        Self::Session(e.into())
+    }
+}
+
 /// Splits a raw frame into its message, validating that the buffer is
 /// exactly one frame whose prefix agrees with its length. The body
 /// decodes as a view of the buffer (no copy for data-plane payloads).
@@ -126,69 +303,85 @@ fn decode_frame(frame: &Bytes) -> Result<Message, MachineError> {
     Message::decode_from(&frame.slice(FRAME_PREFIX_BYTES..)).map_err(MachineError::Wire)
 }
 
-/// Shared non-protocol state: connection flag, driver clock, idle
-/// timeout, terminal reporting.
-#[derive(Debug)]
-struct MachineClock {
+/// Transport-facing state both machines share: the connection flag,
+/// whether the terminal action went out, and the frame encoder.
+#[derive(Debug, Default)]
+struct Framer {
     connected: bool,
-    now: u64,
-    last_activity: u64,
-    idle_timeout: Option<u64>,
-    timed_out: bool,
     reported: bool,
     scratch: Vec<u8>,
 }
 
-impl MachineClock {
-    fn new(idle_timeout: Option<u64>) -> Self {
-        Self {
-            connected: false,
-            now: 0,
-            last_activity: 0,
-            idle_timeout,
-            timed_out: false,
-            reported: false,
-            scratch: Vec::new(),
+impl Framer {
+    /// Accepts `PeerConnected`, once.
+    fn connect(&mut self) -> Result<(), MachineError> {
+        if self.connected {
+            return Err(MachineError::Frame("duplicate PeerConnected"));
         }
+        self.connected = true;
+        Ok(())
     }
 
-    fn touch(&mut self) {
-        self.last_activity = self.now;
-    }
-
-    /// Advances the driver clock; returns true when the idle timeout
-    /// fires (at most once).
-    fn tick(&mut self, now: u64, finished: bool) -> bool {
-        self.now = self.now.max(now);
-        match self.idle_timeout {
-            Some(timeout)
-                if !finished
-                    && !self.timed_out
-                    && self.now.saturating_sub(self.last_activity) >= timeout =>
-            {
-                self.timed_out = true;
-                true
-            }
-            _ => false,
+    /// Decodes an inbound frame; none may arrive before `PeerConnected`.
+    fn receive(&self, frame: &Bytes) -> Result<Message, MachineError> {
+        if !self.connected {
+            return Err(MachineError::Frame("frame before PeerConnected"));
         }
+        decode_frame(frame)
     }
 
-    fn encode(&mut self, msg: &Message) -> Result<Bytes, MachineError> {
+    /// Encodes `msg` as one whole frame and queues it for sending.
+    fn send(
+        &mut self,
+        msg: &Message,
+        actions: &mut Vec<SessionAction>,
+    ) -> Result<(), MachineError> {
         let mut out = Vec::with_capacity(msg.frame_len());
         write_frame_buf(&mut out, msg, &mut self.scratch)
             .map_err(|_| MachineError::Frame("message exceeds frame size bounds"))?;
-        Ok(Bytes::from(out))
+        actions.push(SessionAction::SendFrame(Bytes::from(out)));
+        Ok(())
+    }
+
+    /// Emits the terminal action; a machine reports at most one.
+    fn finish(&mut self, action: SessionAction, actions: &mut Vec<SessionAction>) {
+        if !self.reported {
+            self.reported = true;
+            actions.push(action);
+        }
     }
 }
 
-/// Receiver-side sans-I/O machine: owns its [`WorkingSet`] and a
-/// [`ReceiverSession`], exposing only the event/action surface.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReceiverState {
+    AwaitPeerSketch,
+    Streaming,
+    Done,
+    Rejected,
+}
+
+impl ReceiverState {
+    fn name(self) -> &'static str {
+        match self {
+            Self::AwaitPeerSketch => "await-peer-sketch",
+            Self::Streaming => "streaming",
+            Self::Done => "done",
+            Self::Rejected => "rejected",
+        }
+    }
+}
+
+/// Receiver-side sans-I/O machine: owns its [`WorkingSet`], the
+/// substitution buffer over it, and the plan it negotiates.
 #[derive(Debug)]
 pub struct ReceiverMachine {
-    session: ReceiverSession,
+    config: SessionConfig,
+    state: ReceiverState,
     working: WorkingSet,
-    opening: Vec<Message>,
-    clock: MachineClock,
+    buffer: RecodeBuffer<SymbolBuf>,
+    gained: u64,
+    plan: Option<TransferPlan>,
+    framer: Framer,
 }
 
 impl ReceiverMachine {
@@ -196,23 +389,19 @@ impl ReceiverMachine {
     /// until the driver delivers [`SessionEvent::PeerConnected`].
     #[must_use]
     pub fn new(working: WorkingSet, config: SessionConfig) -> Self {
-        let (session, opening) = ReceiverSession::start(&working, config);
-        Self {
-            session,
-            working,
-            opening,
-            clock: MachineClock::new(None),
+        let mut buffer = RecodeBuffer::new();
+        for sym in working.symbols() {
+            buffer.add_known(sym.id, &sym.payload, |_, _| {});
         }
-    }
-
-    /// Sets an idle timeout in driver-clock units: if that much time
-    /// passes (per `TickElapsed`) with no connection or frame activity
-    /// while the session is unfinished, the machine emits
-    /// [`SessionAction::TimedOut`] once and goes terminal.
-    #[must_use]
-    pub fn with_idle_timeout(mut self, ticks: u64) -> Self {
-        self.clock.idle_timeout = Some(ticks);
-        self
+        Self {
+            config,
+            state: ReceiverState::AwaitPeerSketch,
+            working,
+            buffer,
+            gained: 0,
+            plan: None,
+            framer: Framer::default(),
+        }
     }
 
     /// Feeds one event; returns the actions for the driver to execute,
@@ -221,86 +410,153 @@ impl ReceiverMachine {
         let mut actions = Vec::new();
         match event {
             SessionEvent::PeerConnected => {
-                if self.clock.connected {
-                    return Err(MachineError::Frame("duplicate PeerConnected"));
-                }
-                self.clock.connected = true;
-                self.clock.touch();
-                for msg in std::mem::take(&mut self.opening) {
-                    let frame = self.clock.encode(&msg)?;
-                    actions.push(SessionAction::SendFrame(frame));
-                }
+                self.framer.connect()?;
+                let card = Message::Minwise(self.working.sketch().clone());
+                self.framer.send(&card, &mut actions)?;
             }
             SessionEvent::FrameReceived(frame) => {
-                if !self.clock.connected {
-                    return Err(MachineError::Frame("frame before PeerConnected"));
-                }
-                self.clock.touch();
-                let msg = decode_frame(&frame)?;
-                let replies = self.session.on_message(&mut self.working, &msg)?;
-                for reply in &replies {
-                    let frame = self.clock.encode(reply)?;
-                    actions.push(SessionAction::SendFrame(frame));
-                }
-                for id in self.session.take_recovered() {
-                    actions.push(SessionAction::SymbolDecoded(id));
-                }
-                if !self.clock.reported {
-                    if self.session.is_done() {
-                        self.clock.reported = true;
-                        actions.push(SessionAction::Completed {
-                            gained: self.session.gained(),
-                        });
-                    } else if self.session.was_rejected() {
-                        self.clock.reported = true;
-                        actions.push(SessionAction::Rejected);
+                let msg = self.framer.receive(&frame)?;
+                self.on_message(&msg, &mut actions)?;
+                match self.state {
+                    ReceiverState::Done => {
+                        let done = SessionAction::Completed {
+                            gained: self.gained,
+                        };
+                        self.framer.finish(done, &mut actions);
                     }
-                }
-            }
-            SessionEvent::TickElapsed(now) => {
-                if self.clock.tick(now, self.is_finished()) {
-                    actions.push(SessionAction::TimedOut);
+                    ReceiverState::Rejected => {
+                        self.framer.finish(SessionAction::Rejected, &mut actions);
+                    }
+                    ReceiverState::AwaitPeerSketch | ReceiverState::Streaming => {}
                 }
             }
         }
         Ok(actions)
     }
 
-    /// The machine has reached a terminal state (done, rejected, or
-    /// timed out) and will take no further protocol steps.
+    /// One step of the receiver protocol: replies become `SendFrame`s,
+    /// newly held symbols `SymbolDecoded`s.
+    fn on_message(
+        &mut self,
+        msg: &Message,
+        actions: &mut Vec<SessionAction>,
+    ) -> Result<(), MachineError> {
+        match (self.state, msg) {
+            (ReceiverState::AwaitPeerSketch, Message::Minwise(peer_sketch)) => {
+                if peer_sketch.family_seed() != self.working.sketch().family_seed() {
+                    return Err(SessionError::FamilyMismatch.into());
+                }
+                let estimate = self.working.estimate_against(peer_sketch);
+                // An override pins the mechanism (sweeps comparing
+                // mechanisms must not have policy re-deciding per cell);
+                // otherwise policy scores the registry. §4 admission
+                // control applies either way — a provably useless peer
+                // is rejected before any digest is built.
+                let config = &self.config;
+                let scored =
+                    plan_transfer(&estimate, &config.knobs, &config.sizing, &config.registry);
+                let plan = match (config.summary_override, scored) {
+                    (_, TransferPlan::Reject) => TransferPlan::Reject,
+                    (Some(id), _) => TransferPlan::Reconciled { summary: id },
+                    (None, scored) => scored,
+                };
+                // Build the digest *before* committing plan and state: a
+                // registry failure (unknown override id, constructor
+                // error) must leave the machine awaiting the sketch, not
+                // half-streaming.
+                let summary = match plan {
+                    TransferPlan::Reconciled { summary } if summary != SummaryId::NONE => {
+                        let digest = config.registry.build(
+                            summary,
+                            &config.sizing,
+                            &diff_estimate(&estimate),
+                            &self.working.sorted_ids(),
+                        )?;
+                        Some(Message::Summary {
+                            summary_id: summary.0,
+                            body: digest.encode_body(),
+                        })
+                    }
+                    _ => None,
+                };
+                self.plan = Some(plan);
+                if plan == TransferPlan::Reject {
+                    self.state = ReceiverState::Rejected;
+                    return self.framer.send(&Message::End { sent: 0 }, actions);
+                }
+                self.state = ReceiverState::Streaming;
+                if let Some(summary) = summary {
+                    self.framer.send(&summary, actions)?;
+                }
+                let count = self.config.request;
+                self.framer.send(&Message::SymbolRequest { count }, actions)
+            }
+            (ReceiverState::Streaming, Message::EncodedSymbol { id, payload }) => {
+                self.ingest(std::slice::from_ref(id), payload, actions);
+                Ok(())
+            }
+            (ReceiverState::Streaming, Message::RecodedSymbol { components, payload }) => {
+                self.ingest(components, payload, actions);
+                Ok(())
+            }
+            (ReceiverState::Streaming, Message::End { .. }) => {
+                self.state = ReceiverState::Done;
+                Ok(())
+            }
+            (state, other) => Err(SessionError::UnexpectedMessage {
+                state: state.name(),
+                got: describe(other),
+            }
+            .into()),
+        }
+    }
+
+    /// Substitutes one data message into the buffer. Each symbol it
+    /// recovers that is new to the working set is a `SymbolDecoded`.
+    fn ingest(&mut self, components: &[u64], payload: &[u8], actions: &mut Vec<SessionAction>) {
+        let (working, gained) = (&mut self.working, &mut self.gained);
+        self.buffer.receive(components, payload, |id, data| {
+            let payload = if data.is_empty() {
+                Bytes::new()
+            } else {
+                Bytes::from(data.to_vec())
+            };
+            if working.insert(EncodedSymbol { id, payload }) {
+                *gained += 1;
+                actions.push(SessionAction::SymbolDecoded(id));
+            }
+        });
+    }
+
+    /// The machine has reached a terminal state (done or rejected) and
+    /// will take no further protocol steps.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.session.is_done() || self.session.was_rejected() || self.clock.timed_out
+        matches!(self.state, ReceiverState::Done | ReceiverState::Rejected)
     }
 
     /// True when the stream finished normally.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.session.is_done()
+        self.state == ReceiverState::Done
     }
 
     /// True when admission control rejected the peer.
     #[must_use]
     pub fn was_rejected(&self) -> bool {
-        self.session.was_rejected()
-    }
-
-    /// True when the idle timeout fired.
-    #[must_use]
-    pub fn timed_out(&self) -> bool {
-        self.clock.timed_out
+        self.state == ReceiverState::Rejected
     }
 
     /// New distinct symbols gained so far.
     #[must_use]
     pub fn gained(&self) -> u64 {
-        self.session.gained()
+        self.gained
     }
 
     /// The plan chosen after the sketch exchange (None before that).
     #[must_use]
     pub fn plan(&self) -> Option<TransferPlan> {
-        self.session.plan()
+        self.plan
     }
 
     /// The working set as it stands (symbols accrue during streaming).
@@ -321,20 +577,46 @@ impl ReceiverMachine {
     /// sketch summarizes everything decoded so far, so symbols that
     /// landed before the cut are advertised as held and never
     /// re-requested; the caller supplies a `config` whose request count
-    /// reflects what is still missing. All clock state (idle timeout,
-    /// terminal flags) is reset: resumption is a new connection.
+    /// reflects what is still missing. Connection and terminal state
+    /// start over: resumption is a new connection.
     #[must_use]
     pub fn into_resumed(self, config: SessionConfig) -> Self {
         Self::new(self.working, config)
     }
 }
 
-/// Sender-side sans-I/O machine over a [`SenderSession`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SenderState {
+    AwaitSketch,
+    AwaitPlan,
+    Done,
+}
+
+impl SenderState {
+    fn name(self) -> &'static str {
+        match self {
+            Self::AwaitSketch => "await-sketch",
+            Self::AwaitPlan => "await-plan",
+            Self::Done => "done",
+        }
+    }
+}
+
+/// Sender-side sans-I/O machine. Owns a snapshot of the sender's working
+/// set for the connection's duration (the §6.1 model: summaries and
+/// inventories are not updated mid-connection).
 #[derive(Debug)]
 pub struct SenderMachine {
-    session: SenderSession,
-    clock: MachineClock,
+    working: WorkingSet,
+    state: SenderState,
+    registry: Arc<SummaryRegistry>,
+    /// Receiver sketch, kept for speculative-degree estimation.
+    receiver_sketch: Option<MinwiseSketch>,
+    /// Candidate symbols cleared by a receiver summary.
+    candidates: Option<Vec<EncodedSymbol>>,
+    rng: Xoshiro256StarStar,
     streamed: u64,
+    framer: Framer,
 }
 
 impl SenderMachine {
@@ -342,32 +624,23 @@ impl SenderMachine {
     /// with the standard registry.
     #[must_use]
     pub fn new(working: WorkingSet, seed: u64) -> Self {
-        Self {
-            session: SenderSession::new(working, seed),
-            clock: MachineClock::new(None),
-            streamed: 0,
-        }
+        Self::with_registry(working, seed, standard_registry_arc())
     }
 
-    /// As [`SenderMachine::new`] with an explicit summary registry.
+    /// As [`SenderMachine::new`] with an explicit summary registry (it
+    /// must cover every mechanism the receiver may choose).
     #[must_use]
-    pub fn with_registry(
-        working: WorkingSet,
-        seed: u64,
-        registry: std::sync::Arc<SummaryRegistry>,
-    ) -> Self {
+    pub fn with_registry(working: WorkingSet, seed: u64, registry: Arc<SummaryRegistry>) -> Self {
         Self {
-            session: SenderSession::with_registry(working, seed, registry),
-            clock: MachineClock::new(None),
+            working,
+            state: SenderState::AwaitSketch,
+            registry,
+            receiver_sketch: None,
+            candidates: None,
+            rng: Xoshiro256StarStar::new(seed),
             streamed: 0,
+            framer: Framer::default(),
         }
-    }
-
-    /// Sets an idle timeout (see [`ReceiverMachine::with_idle_timeout`]).
-    #[must_use]
-    pub fn with_idle_timeout(mut self, ticks: u64) -> Self {
-        self.clock.idle_timeout = Some(ticks);
-        self
     }
 
     /// Feeds one event; returns the actions for the driver to execute.
@@ -376,59 +649,125 @@ impl SenderMachine {
     pub fn handle(&mut self, event: SessionEvent) -> Result<Vec<SessionAction>, MachineError> {
         let mut actions = Vec::new();
         match event {
-            SessionEvent::PeerConnected => {
-                if self.clock.connected {
-                    return Err(MachineError::Frame("duplicate PeerConnected"));
-                }
-                self.clock.connected = true;
-                self.clock.touch();
-            }
+            SessionEvent::PeerConnected => self.framer.connect()?,
             SessionEvent::FrameReceived(frame) => {
-                if !self.clock.connected {
-                    return Err(MachineError::Frame("frame before PeerConnected"));
-                }
-                self.clock.touch();
-                let msg = decode_frame(&frame)?;
-                let replies = self.session.on_message(&msg)?;
-                for reply in &replies {
-                    if let Message::End { sent } = reply {
-                        self.streamed = *sent;
-                    }
-                    let frame = self.clock.encode(reply)?;
-                    actions.push(SessionAction::SendFrame(frame));
-                }
-                if self.session.is_done() && !self.clock.reported {
-                    self.clock.reported = true;
-                    actions.push(SessionAction::Completed {
+                let msg = self.framer.receive(&frame)?;
+                self.on_message(&msg, &mut actions)?;
+                if self.state == SenderState::Done {
+                    let done = SessionAction::Completed {
                         gained: self.streamed,
-                    });
-                }
-            }
-            SessionEvent::TickElapsed(now) => {
-                if self.clock.tick(now, self.is_finished()) {
-                    actions.push(SessionAction::TimedOut);
+                    };
+                    self.framer.finish(done, &mut actions);
                 }
             }
         }
         Ok(actions)
     }
 
-    /// The machine has reached a terminal state.
+    /// One step of the sender protocol.
+    fn on_message(
+        &mut self,
+        msg: &Message,
+        actions: &mut Vec<SessionAction>,
+    ) -> Result<(), MachineError> {
+        match (self.state, msg) {
+            (SenderState::AwaitSketch, Message::Minwise(sketch)) => {
+                if sketch.family_seed() != self.working.sketch().family_seed() {
+                    return Err(SessionError::FamilyMismatch.into());
+                }
+                self.receiver_sketch = Some(sketch.clone());
+                self.state = SenderState::AwaitPlan;
+                let card = Message::Minwise(self.working.sketch().clone());
+                self.framer.send(&card, actions)
+            }
+            (SenderState::AwaitPlan, Message::Summary { summary_id, body }) => {
+                // One dispatch for every mechanism: registry decode, then
+                // the Reconciler trait produces the cleared candidates.
+                let reconciler = self.registry.decode(SummaryId(*summary_id), body)?;
+                let missing = reconciler.missing_at_peer(&self.working.sorted_ids());
+                let candidates: Vec<EncodedSymbol> = missing
+                    .into_iter()
+                    .filter_map(|id| {
+                        self.working.payload(id).map(|p| EncodedSymbol {
+                            id,
+                            payload: p.clone(),
+                        })
+                    })
+                    .collect();
+                self.candidates = Some(candidates);
+                Ok(())
+            }
+            (SenderState::AwaitPlan, Message::SymbolRequest { count }) => {
+                self.state = SenderState::Done;
+                self.stream(*count, actions)
+            }
+            (SenderState::AwaitPlan, Message::End { .. }) => {
+                // Admission control rejected us; nothing to do.
+                self.state = SenderState::Done;
+                Ok(())
+            }
+            (state, other) => Err(SessionError::UnexpectedMessage {
+                state: state.name(),
+                got: describe(other),
+            }
+            .into()),
+        }
+    }
+
+    /// Streams the answer to a request for `count` symbols, then `End`.
+    fn stream(&mut self, count: u64, actions: &mut Vec<SessionAction>) -> Result<(), MachineError> {
+        let mut sent = 0u64;
+        match self.candidates.take() {
+            Some(mut candidates) => {
+                // Reconciled transfer: ship cleared symbols, each at most
+                // once, stopping at the request or exhaustion.
+                self.rng.shuffle(&mut candidates);
+                for sym in candidates.into_iter().take(count as usize) {
+                    // `sym.payload` is shared with the working set, so
+                    // the message costs a reference count, not a copy.
+                    let msg = Message::EncodedSymbol {
+                        id: sym.id,
+                        payload: sym.payload,
+                    };
+                    self.framer.send(&msg, actions)?;
+                    sent += 1;
+                }
+            }
+            None => {
+                // Speculative transfer: recode over the whole set with
+                // min-wise-scaled degrees.
+                let containment = self
+                    .receiver_sketch
+                    .as_ref()
+                    .map(|rs| rs.estimate(self.working.sketch()).containment_of_b())
+                    .unwrap_or(0.0);
+                if !self.working.is_empty() {
+                    let recoder = Recoder::new(
+                        self.working.symbols().collect(),
+                        PAPER_DEGREE_LIMIT,
+                        RecodePolicy::MinwiseScaled { containment },
+                    );
+                    for _ in 0..count {
+                        let rec = recoder.generate(&mut self.rng);
+                        let msg = Message::RecodedSymbol {
+                            components: rec.components,
+                            payload: rec.payload,
+                        };
+                        self.framer.send(&msg, actions)?;
+                        sent += 1;
+                    }
+                }
+            }
+        }
+        self.streamed = sent;
+        self.framer.send(&Message::End { sent }, actions)
+    }
+
+    /// The sender has answered the request (or been rejected) and will
+    /// take no further protocol steps.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.session.is_done() || self.clock.timed_out
-    }
-
-    /// True when the sender has answered the request (or been rejected).
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.session.is_done()
-    }
-
-    /// True when the idle timeout fired.
-    #[must_use]
-    pub fn timed_out(&self) -> bool {
-        self.clock.timed_out
+        self.state == SenderState::Done
     }
 
     /// Symbols streamed in answer to the request (the `End` count).
@@ -438,15 +777,27 @@ impl SenderMachine {
     }
 }
 
-/// In-memory frame-level driver for one receiver/sender machine pair:
-/// the sans-I/O analogue of [`crate::SessionPump`]. Each
+/// What one [`FramePump::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PumpStep {
+    /// At least one frame was delivered.
+    Progressed,
+    /// Both queues were empty — the exchange is quiescent. Stepping
+    /// again stays `Idle`; the call never blocks.
+    Idle,
+}
+
+/// In-memory driver for one receiver/sender machine pair. Each
 /// [`FramePump::step`] moves at most one frame in each direction and
-/// never blocks, so schedulers can interleave many pumps. Byte counters
-/// sum the exact framed lengths crossing each direction.
+/// never blocks — the shape an event-driven scheduler needs: it can
+/// interleave steps of many pumps and detect quiescence without ever
+/// parking a thread. [`FramePump::run`] is a loop over `step`, so both
+/// drive byte-identical exchanges. Byte counters sum the exact framed
+/// lengths crossing each direction.
 #[derive(Debug, Default)]
 pub struct FramePump {
-    to_sender: std::collections::VecDeque<Bytes>,
-    to_receiver: std::collections::VecDeque<Bytes>,
+    to_sender: VecDeque<Bytes>,
+    to_receiver: VecDeque<Bytes>,
     bytes_to_sender: u64,
     bytes_to_receiver: u64,
 }
@@ -511,13 +862,25 @@ impl FramePump {
         sender: &mut SenderMachine,
         actions: &mut Vec<SessionAction>,
     ) -> Result<PumpStep, MachineError> {
+        self.step_observed(receiver, sender, actions, &mut |_| {})
+    }
+
+    fn step_observed(
+        &mut self,
+        receiver: &mut ReceiverMachine,
+        sender: &mut SenderMachine,
+        actions: &mut Vec<SessionAction>,
+        observe: &mut impl FnMut(&Bytes),
+    ) -> Result<PumpStep, MachineError> {
         let mut progressed = false;
         if let Some(frame) = self.to_sender.pop_front() {
+            observe(&frame);
             let out = sender.handle(SessionEvent::FrameReceived(frame))?;
             self.route(out, false, actions);
             progressed = true;
         }
         if let Some(frame) = self.to_receiver.pop_front() {
+            observe(&frame);
             let out = receiver.handle(SessionEvent::FrameReceived(frame))?;
             self.route(out, true, actions);
             progressed = true;
@@ -536,9 +899,23 @@ impl FramePump {
         receiver: &mut ReceiverMachine,
         sender: &mut SenderMachine,
     ) -> Result<Vec<SessionAction>, MachineError> {
+        self.run_observed(receiver, sender, |_| {})
+    }
+
+    /// [`FramePump::run`] with an observer shown every frame, either
+    /// direction, as it is delivered — for harnesses that classify the
+    /// bytes a session actually put on the wire.
+    pub fn run_observed(
+        &mut self,
+        receiver: &mut ReceiverMachine,
+        sender: &mut SenderMachine,
+        mut observe: impl FnMut(&Bytes),
+    ) -> Result<Vec<SessionAction>, MachineError> {
         let mut actions = Vec::new();
         self.start(receiver, sender, &mut actions)?;
-        while self.step(receiver, sender, &mut actions)? == PumpStep::Progressed {}
+        while self.step_observed(receiver, sender, &mut actions, &mut observe)?
+            == PumpStep::Progressed
+        {}
         Ok(actions)
     }
 }
@@ -772,8 +1149,6 @@ pub fn drive_sender<S: std::io::Read + std::io::Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use icd_fountain::EncodedSymbol;
     use icd_util::rng::{Rng64, Xoshiro256StarStar};
 
     fn sym(id: u64) -> EncodedSymbol {
@@ -792,6 +1167,13 @@ mod tests {
         (0..n).map(|_| rng.next_u64()).collect()
     }
 
+    /// `msg` as the whole frame a peer would deliver.
+    fn frame(msg: &Message) -> SessionEvent {
+        let mut out = Vec::new();
+        write_frame_buf(&mut out, msg, &mut Vec::new()).expect("frame");
+        SessionEvent::FrameReceived(Bytes::from(out))
+    }
+
     /// Build the canonical overlapping scenario: receiver has
     /// shared ∪ receiver-extra, sender shared ∪ sender-extra.
     fn machines(request: u64) -> (ReceiverMachine, SenderMachine, usize) {
@@ -807,13 +1189,30 @@ mod tests {
         (receiver, sender, fresh.len())
     }
 
+    /// Runs a receiver over `shared` against a sender over `shared ∪
+    /// fresh` to quiescence.
+    fn transfer(
+        shared: &[u64],
+        fresh: &[u64],
+        config: SessionConfig,
+        seed: u64,
+    ) -> ReceiverMachine {
+        let mut sender_ids = shared.to_vec();
+        sender_ids.extend(fresh.iter().copied());
+        let mut receiver = ReceiverMachine::new(working(shared), config);
+        let mut sender = SenderMachine::new(working(&sender_ids), seed);
+        FramePump::new().run(&mut receiver, &mut sender).expect("run");
+        assert!(sender.is_finished());
+        receiver
+    }
+
     #[test]
     fn machines_complete_a_transfer_with_wire_exact_bytes() {
         let (mut receiver, mut sender, fresh) = machines(1000);
         let mut pump = FramePump::new();
         let actions = pump.run(&mut receiver, &mut sender).expect("run");
         assert!(receiver.is_done());
-        assert!(sender.is_done());
+        assert!(sender.is_finished());
         let decoded: Vec<u64> = actions
             .iter()
             .filter_map(|a| match a {
@@ -840,78 +1239,176 @@ mod tests {
     }
 
     #[test]
-    fn machine_pump_agrees_with_session_pump_byte_for_byte() {
-        // The same scenario through the legacy message-level pump and
-        // the frame-level machine pump must exchange identical bytes.
-        let shared = ids(500, 11);
-        let fresh = ids(200, 12);
-        let mut sender_ids = shared.clone();
-        sender_ids.extend(fresh.iter().copied());
-        let config = SessionConfig::new().with_request(500);
-
-        // Legacy: count encoded frame lengths via the observer.
-        let mut recv_ws = working(&shared);
-        let send_ws = working(&sender_ids);
-        let (mut recv, opening) =
-            crate::session::ReceiverSession::start(&recv_ws, config.clone());
-        let mut send = crate::session::SenderSession::new(send_ws, 7);
-        let mut legacy_bytes = 0u64;
-        crate::session::pump_observed(
-            &mut recv,
-            &mut recv_ws,
-            &mut send,
-            opening,
-            |msg| legacy_bytes += msg.frame_len() as u64,
-        )
-        .expect("legacy pump");
-
-        // Machines: the pump counters sum actual frame buffers.
-        let (mut receiver, mut sender) = (
-            ReceiverMachine::new(working(&shared), config),
-            SenderMachine::new(working(&sender_ids), 7),
-        );
-        let mut pump = FramePump::new();
-        pump.run(&mut receiver, &mut sender).expect("machine pump");
-        let (to_sender, to_receiver) = pump.wire_bytes();
-        assert_eq!(legacy_bytes, to_sender + to_receiver);
-        assert_eq!(recv.gained(), receiver.gained());
-        assert_eq!(recv_ws.sorted_ids(), receiver.working().sorted_ids());
-    }
-
-    #[test]
-    fn rejection_surfaces_as_an_action() {
+    fn identical_peers_reject_after_three_frames() {
         let shared = ids(400, 21);
-        let mut receiver =
-            ReceiverMachine::new(working(&shared), SessionConfig::default());
-        let mut sender = SenderMachine::new(working(&shared), 3);
+        let (recv_ws, send_ws) = (working(&shared), working(&shared));
+        // Admission control costs exactly: sketch out, sketch back, End.
+        let card = |ws: &WorkingSet| Message::Minwise(ws.sketch().clone()).frame_len() as u64;
+        let expected = (
+            card(&recv_ws) + Message::End { sent: 0 }.frame_len() as u64,
+            card(&send_ws),
+        );
+        let mut receiver = ReceiverMachine::new(recv_ws, SessionConfig::default());
+        let mut sender = SenderMachine::new(send_ws, 3);
         let mut pump = FramePump::new();
         let actions = pump.run(&mut receiver, &mut sender).expect("run");
-        assert!(receiver.was_rejected());
-        assert!(actions.contains(&SessionAction::Rejected));
-        assert!(!actions
-            .iter()
-            .any(|a| matches!(a, SessionAction::SymbolDecoded(_))));
+        assert!(receiver.was_rejected() && receiver.is_finished());
+        assert!(sender.is_finished());
+        assert_eq!(receiver.plan(), Some(TransferPlan::Reject));
+        assert_eq!(receiver.gained(), 0);
+        assert_eq!(pump.wire_bytes(), expected);
+        assert_eq!(
+            actions,
+            vec![SessionAction::Rejected, SessionAction::Completed { gained: 0 }]
+        );
     }
 
     #[test]
-    fn idle_timeout_is_driver_clocked() {
-        let (receiver, _sender, _) = machines(10);
-        let mut receiver = receiver.with_idle_timeout(5);
-        let connect = receiver.handle(SessionEvent::PeerConnected).expect("connect");
-        assert!(matches!(connect[0], SessionAction::SendFrame(_)));
-        // Time only moves when the driver says so.
-        assert!(receiver
-            .handle(SessionEvent::TickElapsed(4))
-            .expect("tick")
-            .is_empty());
-        let fired = receiver.handle(SessionEvent::TickElapsed(5)).expect("tick");
-        assert_eq!(fired, vec![SessionAction::TimedOut]);
-        assert!(receiver.timed_out() && receiver.is_finished());
-        // The timeout reports once, not every tick.
-        assert!(receiver
-            .handle(SessionEvent::TickElapsed(100))
-            .expect("tick")
-            .is_empty());
+    fn bloom_reconciled_transfer_moves_only_useful_symbols() {
+        let (shared, fresh) = (ids(1000, 2), ids(300, 3));
+        let receiver = transfer(&shared, &fresh, SessionConfig::new().with_request(1000), 8);
+        assert!(receiver.is_done());
+        assert_eq!(
+            receiver.plan(),
+            Some(TransferPlan::Reconciled {
+                summary: SummaryId::BLOOM
+            })
+        );
+        // Gained symbols ⊆ fresh, and nearly all of fresh (Bloom FPs may
+        // withhold a few).
+        let gained = receiver.gained() as usize;
+        assert!(gained <= fresh.len());
+        assert!(gained > fresh.len() * 9 / 10, "gained {gained} of {}", fresh.len());
+        for id in fresh.iter().filter(|id| receiver.working().contains(**id)) {
+            let payload = receiver.working().payload(*id).expect("present");
+            assert_eq!(payload.as_ref(), &id.to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn art_plan_for_small_differences() {
+        // A 1 % difference is ART territory.
+        let (shared, fresh) = (ids(3000, 4), ids(30, 5));
+        let receiver = transfer(&shared, &fresh, SessionConfig::new().with_request(100), 9);
+        assert!(receiver.is_done());
+        assert_eq!(
+            receiver.plan(),
+            Some(TransferPlan::Reconciled {
+                summary: SummaryId::ART
+            })
+        );
+        assert!(receiver.gained() > 0, "ART transfer should deliver something");
+        assert_eq!(receiver.working().len(), shared.len() + receiver.gained() as usize);
+    }
+
+    #[test]
+    fn speculative_transfer_for_weak_clients() {
+        let (shared, fresh) = (ids(400, 6), ids(400, 7));
+        let config = SessionConfig::new()
+            .with_request(2000)
+            .with_knobs(PolicyKnobs {
+                fine_grained_capable: false,
+                ..PolicyKnobs::default()
+            });
+        let receiver = transfer(&shared, &fresh, config, 10);
+        assert!(receiver.is_done());
+        assert!(matches!(receiver.plan(), Some(TransferPlan::Speculative { .. })));
+        assert!(
+            receiver.gained() as usize > fresh.len() / 2,
+            "recoded stream should deliver a good share: {}",
+            receiver.gained()
+        );
+        // Payload integrity through recoded XOR paths.
+        for id in fresh.iter().filter(|id| receiver.working().contains(**id)) {
+            let payload = receiver.working().payload(*id).expect("present");
+            assert_eq!(payload.as_ref(), &id.to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn request_bounds_the_stream() {
+        // Disjoint sets: everything the sender holds is useful.
+        let config = SessionConfig::new().with_request(50);
+        let receiver = transfer(&ids(100, 13), &ids(500, 14), config, 15);
+        assert!(receiver.is_done());
+        assert!(receiver.gained() <= 50);
+        assert!(receiver.gained() >= 45, "gained {}", receiver.gained());
+    }
+
+    #[test]
+    fn summary_override_does_not_bypass_admission_control() {
+        // §4: an identical peer is rejected even when a sweep pins a
+        // mechanism — no digest is built for a provably useless sender.
+        let shared = ids(500, 40);
+        let config = SessionConfig::new().with_summary(SummaryId::WHOLE_SET);
+        let receiver = transfer(&shared, &[], config, 41);
+        assert!(receiver.was_rejected());
+        assert_eq!(receiver.plan(), Some(TransferPlan::Reject));
+        assert_eq!(receiver.gained(), 0);
+    }
+
+    #[test]
+    fn protocol_violations_are_errors() {
+        let ws = working(&ids(10, 11));
+        let mut receiver = ReceiverMachine::new(ws.clone(), SessionConfig::default());
+        receiver.handle(SessionEvent::PeerConnected).expect("connect");
+        assert!(matches!(
+            receiver.handle(frame(&Message::SymbolRequest { count: 1 })),
+            Err(MachineError::Session(SessionError::UnexpectedMessage { .. }))
+        ));
+        let mut sender = SenderMachine::new(ws, 12);
+        sender.handle(SessionEvent::PeerConnected).expect("connect");
+        assert!(matches!(
+            sender.handle(frame(&Message::End { sent: 0 })),
+            Err(MachineError::Session(SessionError::UnexpectedMessage { .. }))
+        ));
+    }
+
+    #[test]
+    fn receiver_build_failure_leaves_the_machine_intact() {
+        // An override naming an unregistered mechanism errors on the
+        // peer sketch — and the machine stays awaiting a sketch with no
+        // plan, so a corrected retry (or clean teardown) is possible.
+        let send_ws = working(&ids(200, 31));
+        let config = SessionConfig::new().with_summary(SummaryId(0x8001));
+        let mut receiver = ReceiverMachine::new(working(&ids(200, 30)), config);
+        receiver.handle(SessionEvent::PeerConnected).expect("connect");
+        let peer = Message::Minwise(send_ws.sketch().clone());
+        for _ in 0..2 {
+            // The second delivery is not "unexpected": still awaiting.
+            assert!(matches!(
+                receiver.handle(frame(&peer)),
+                Err(MachineError::Session(SessionError::UnknownSummary { id: 0x8001 }))
+            ));
+            assert!(receiver.plan().is_none(), "no plan may be committed");
+        }
+    }
+
+    #[test]
+    fn unknown_and_malformed_summaries_are_errors() {
+        let shared = ids(100, 20);
+        let mut sender = SenderMachine::new(working(&shared), 21);
+        sender.handle(SessionEvent::PeerConnected).expect("connect");
+        let card = Message::Minwise(working(&shared).sketch().clone());
+        sender.handle(frame(&card)).expect("sketch accepted");
+        // An id outside the registry.
+        let unknown = Message::Summary {
+            summary_id: 0x7777,
+            body: vec![],
+        };
+        assert!(matches!(
+            sender.handle(frame(&unknown)),
+            Err(MachineError::Session(SessionError::UnknownSummary { id: 0x7777 }))
+        ));
+        // A registered id with a garbage body.
+        let garbage = Message::Summary {
+            summary_id: SummaryId::BLOOM.0,
+            body: vec![1, 2, 3],
+        };
+        assert!(matches!(
+            sender.handle(frame(&garbage)),
+            Err(MachineError::Session(SessionError::MalformedSummary(_)))
+        ));
     }
 
     #[test]
@@ -1009,7 +1506,7 @@ mod tests {
         drop(receiver_half);
         let (sender, send_stats) = sender_thread.join().expect("join");
 
-        assert!(receiver.is_done() && sender.is_done());
+        assert!(receiver.is_done() && sender.is_finished());
         assert!(receiver.gained() as usize > fresh * 9 / 10);
         // Both endpoints saw the same frames, so the counters agree.
         assert_eq!(recv_stats, send_stats);

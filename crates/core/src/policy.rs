@@ -60,35 +60,6 @@ impl Default for PolicyKnobs {
     }
 }
 
-/// Which fine-grained summary the receiver should send, as a closed
-/// enum. Superseded by [`SummaryId`] + the registry: the enum can only
-/// name the mechanisms it was written for, which is exactly why three of
-/// the five shipped mechanisms could never run end-to-end through it.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `SummaryId` and a `SummaryRegistry`; convert with `SummaryId::from`"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SummaryChoice {
-    /// No summary: the sender works from the sketch alone (recoding).
-    None,
-    /// Bloom filter over the receiver's working set.
-    Bloom,
-    /// Approximate reconciliation tree summary.
-    Art,
-}
-
-#[allow(deprecated)]
-impl From<SummaryChoice> for SummaryId {
-    fn from(choice: SummaryChoice) -> Self {
-        match choice {
-            SummaryChoice::None => SummaryId::NONE,
-            SummaryChoice::Bloom => SummaryId::BLOOM,
-            SummaryChoice::Art => SummaryId::ART,
-        }
-    }
-}
-
 /// The agreed plan for one sender→receiver connection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TransferPlan {
@@ -310,13 +281,5 @@ mod tests {
     fn empty_estimate_is_rejected_not_crashed() {
         let plan = plan(&est(0.0, 0, 0), &PolicyKnobs::default());
         assert_eq!(plan, TransferPlan::Reject);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_choice_converts_to_ids() {
-        assert_eq!(SummaryId::from(SummaryChoice::None), SummaryId::NONE);
-        assert_eq!(SummaryId::from(SummaryChoice::Bloom), SummaryId::BLOOM);
-        assert_eq!(SummaryId::from(SummaryChoice::Art), SummaryId::ART);
     }
 }

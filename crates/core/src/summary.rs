@@ -28,7 +28,7 @@
 //!    that [`crate::policy::plan_transfer`] scores.
 //! 3. Register it: `let mut reg = standard_registry(); reg.register(spec())?;`
 //!    and hand the registry to [`crate::SessionConfig::with_registry`]
-//!    (receiver) and [`crate::SenderSession::with_registry`] (sender).
+//!    (receiver) and [`crate::SenderMachine::with_registry`] (sender).
 //!
 //! The mechanism then travels in the generic `Message::Summary` wire
 //! frame, is eligible for policy selection, and can be swept by the
@@ -45,7 +45,7 @@ pub use icd_summary::{
 };
 
 /// A process-wide `Arc` of the [`standard_registry`], the default for
-/// [`crate::SessionConfig`] and [`crate::SenderSession`].
+/// [`crate::SessionConfig`] and [`crate::SenderMachine`].
 #[must_use]
 pub fn standard_registry_arc() -> Arc<SummaryRegistry> {
     static SHARED: OnceLock<Arc<SummaryRegistry>> = OnceLock::new();

@@ -107,8 +107,8 @@ impl WorkingSet {
     }
 
     /// Builds the digest of the current ids under any registered
-    /// mechanism — the one summary-construction path ([`crate::session`]
-    /// uses the registry equivalently).
+    /// mechanism — the one summary-construction path (the
+    /// [`crate::ReceiverMachine`] uses the registry equivalently).
     pub fn build_summary(
         &self,
         id: crate::summary::SummaryId,

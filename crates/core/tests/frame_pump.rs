@@ -1,14 +1,14 @@
-//! Session round-trips over the in-memory pump: both transfer plans
-//! (reconciled and speculative) must carry the receiver to its request
-//! target, the plan chosen must match the policy configuration, and —
-//! the registry contract — every registered summary mechanism must
-//! carry a session end to end when pinned by id.
+//! Session round-trips over the in-memory `FramePump`: both transfer
+//! plans (reconciled and speculative) must carry the receiver to its
+//! request target, the plan chosen must match the policy configuration,
+//! and — the registry contract — every registered summary mechanism
+//! must carry a session end to end when pinned by id.
 
 use bytes::Bytes;
 use icd_core::summary::{standard_registry, SummaryId};
 use icd_core::{
-    pump, PolicyKnobs, PumpStep, ReceiverSession, SenderSession, SessionConfig, SessionPump,
-    TransferPlan, WorkingSet,
+    FramePump, PolicyKnobs, PumpStep, ReceiverMachine, SenderMachine, SessionAction,
+    SessionConfig, TransferPlan, WorkingSet,
 };
 use icd_fountain::EncodedSymbol;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
@@ -40,9 +40,24 @@ fn overlapping_sets(shared: usize, receiver_extra: usize, sender_extra: usize) -
     (receiver, sender)
 }
 
+/// Runs one session to quiescence and returns the receiver machine.
+fn run(
+    receiver_ws: WorkingSet,
+    sender_ws: WorkingSet,
+    config: SessionConfig,
+    seed: u64,
+) -> ReceiverMachine {
+    let mut receiver = ReceiverMachine::new(receiver_ws, config);
+    let mut sender = SenderMachine::new(sender_ws, seed);
+    FramePump::new()
+        .run(&mut receiver, &mut sender)
+        .expect("clean session");
+    receiver
+}
+
 #[test]
 fn reconciled_plan_reaches_the_request_target() {
-    let (mut receiver_ws, sender_ws) = overlapping_sets(1_500, 300, 600);
+    let (receiver_ws, sender_ws) = overlapping_sets(1_500, 300, 600);
     let before = receiver_ws.len();
     let request = 200u64; // comfortably below the true difference (600)
     let config = SessionConfig {
@@ -53,9 +68,7 @@ fn reconciled_plan_reaches_the_request_target() {
         },
         ..SessionConfig::default()
     };
-    let (mut session, opening) = ReceiverSession::start(&receiver_ws, config);
-    let mut sender = SenderSession::new(sender_ws, 0x5EED);
-    pump(&mut session, &mut receiver_ws, &mut sender, opening).expect("clean session");
+    let session = run(receiver_ws, sender_ws, config, 0x5EED);
 
     assert!(session.is_done());
     assert!(
@@ -68,7 +81,7 @@ fn reconciled_plan_reaches_the_request_target() {
         "reconciled transfer fell short: gained {} of {request}",
         session.gained()
     );
-    assert_eq!(receiver_ws.len() as u64, before as u64 + session.gained());
+    assert_eq!(session.working().len() as u64, before as u64 + session.gained());
 }
 
 #[test]
@@ -99,13 +112,13 @@ fn speculative_plan_reaches_the_target_over_repeated_sessions() {
             seed: 0x5E55_1014 + session_no,
             ..SessionConfig::default()
         };
-        let (mut session, opening) = ReceiverSession::start(&receiver_ws, config);
-        let mut sender = SenderSession::new(sender_ws.clone(), 0xF00D + session_no);
-        pump(&mut session, &mut receiver_ws, &mut sender, opening).expect("clean session");
+        let session = run(receiver_ws, sender_ws.clone(), config, 0xF00D + session_no);
         if first_plan.is_none() {
             first_plan = session.plan();
         }
-        if session.was_rejected() || receiver_ws.len() >= target {
+        let rejected = session.was_rejected();
+        receiver_ws = session.into_working();
+        if rejected || receiver_ws.len() >= target {
             break;
         }
     }
@@ -126,7 +139,7 @@ fn every_registered_summary_carries_a_session_end_to_end() {
     // char-poly, bloom, and art all drive the *same* session machines
     // over the *same* generic wire frame, selected purely by SummaryId.
     for mechanism in standard_registry().ids() {
-        let (mut receiver_ws, sender_ws) = overlapping_sets(400, 40, 80);
+        let (receiver_ws, sender_ws) = overlapping_sets(400, 40, 80);
         let sender_ids: std::collections::HashSet<u64> = sender_ws.ids().collect();
         let before: std::collections::HashSet<u64> = receiver_ws.ids().collect();
         let true_diff = sender_ids.difference(&before).count() as u64;
@@ -134,9 +147,10 @@ fn every_registered_summary_carries_a_session_end_to_end() {
             .with_request(200)
             .with_summary(mechanism)
             .with_seed(0x1D ^ u64::from(mechanism.0));
-        let (mut session, opening) = ReceiverSession::start(&receiver_ws, config);
-        let mut sender = SenderSession::new(sender_ws, 0xBEEF ^ u64::from(mechanism.0));
-        pump(&mut session, &mut receiver_ws, &mut sender, opening)
+        let mut session = ReceiverMachine::new(receiver_ws, config);
+        let mut sender = SenderMachine::new(sender_ws, 0xBEEF ^ u64::from(mechanism.0));
+        FramePump::new()
+            .run(&mut session, &mut sender)
             .unwrap_or_else(|e| panic!("{mechanism}: session failed: {e}"));
         assert!(session.is_done(), "{mechanism}: session did not finish");
         assert_eq!(
@@ -170,7 +184,7 @@ fn every_registered_summary_carries_a_session_end_to_end() {
             );
         }
         // One-sided error: everything gained came from the sender.
-        for id in receiver_ws.ids() {
+        for id in session.working().ids() {
             if !before.contains(&id) {
                 assert!(sender_ids.contains(&id), "{mechanism}: alien symbol {id}");
             }
@@ -179,42 +193,48 @@ fn every_registered_summary_carries_a_session_end_to_end() {
 }
 
 #[test]
-fn poll_style_stepping_matches_the_batch_pump_exactly() {
-    // Two identical session pairs: one driven by the blocking-style
-    // batch pump, one a message at a time through the poll API. Same
-    // delivery counts, same plan, same gained symbols.
+fn poll_style_stepping_matches_the_batch_run_exactly() {
+    // Twin session pairs: one driven by `run`, one a step at a time.
+    // Same actions in the same order, same wire bytes, same plan, same
+    // final working set.
     let make = || {
         let (receiver_ws, sender_ws) = overlapping_sets(900, 100, 300);
         let config = SessionConfig::new().with_request(250).with_seed(0xAA);
-        let (session, opening) = ReceiverSession::start(&receiver_ws, config);
-        let sender = SenderSession::new(sender_ws, 0xBB);
-        (receiver_ws, session, sender, opening)
+        (
+            ReceiverMachine::new(receiver_ws, config),
+            SenderMachine::new(sender_ws, 0xBB),
+        )
     };
-    let (mut ws_batch, mut recv_batch, mut send_batch, opening_batch) = make();
-    let counts_batch =
-        pump(&mut recv_batch, &mut ws_batch, &mut send_batch, opening_batch).expect("batch");
+    let (mut recv_batch, mut send_batch) = make();
+    let mut batch = FramePump::new();
+    let batch_actions = batch.run(&mut recv_batch, &mut send_batch).expect("batch");
 
-    let (mut ws_step, mut recv_step, mut send_step, opening_step) = make();
-    let mut queues = SessionPump::new(opening_step);
+    let (mut recv_step, mut send_step) = make();
+    let mut stepped = FramePump::new();
+    let mut step_actions = Vec::new();
+    stepped
+        .start(&mut recv_step, &mut send_step, &mut step_actions)
+        .expect("start");
     let mut steps = 0u64;
-    while queues
-        .step(&mut recv_step, &mut ws_step, &mut send_step)
+    while stepped
+        .step(&mut recv_step, &mut send_step, &mut step_actions)
         .expect("step")
         == PumpStep::Progressed
     {
         steps += 1;
         assert!(steps < 100_000, "step driver must terminate");
     }
-    assert!(queues.is_idle());
-    assert_eq!(queues.delivered(), counts_batch);
+    assert!(stepped.is_idle());
+    assert_eq!(step_actions, batch_actions);
+    assert_eq!(stepped.wire_bytes(), batch.wire_bytes());
     assert_eq!(recv_step.plan(), recv_batch.plan());
     assert_eq!(recv_step.gained(), recv_batch.gained());
-    assert_eq!(ws_step.len(), ws_batch.len());
+    assert_eq!(recv_step.working().sorted_ids(), recv_batch.working().sorted_ids());
     // Once idle, further steps stay idle without blocking or erroring.
     for _ in 0..3 {
         assert_eq!(
-            queues
-                .step(&mut recv_step, &mut ws_step, &mut send_step)
+            stepped
+                .step(&mut recv_step, &mut send_step, &mut step_actions)
                 .expect("idle step"),
             PumpStep::Idle
         );
@@ -222,45 +242,47 @@ fn poll_style_stepping_matches_the_batch_pump_exactly() {
 }
 
 #[test]
-fn independent_sessions_interleave_one_message_at_a_time() {
+fn independent_sessions_interleave_one_frame_at_a_time() {
     // The event-driven shape: a scheduler round-robins single steps of
     // two unrelated sessions. Each must finish exactly as it would have
     // run alone — no cross-talk through the poll API.
-    let solo = |seed: u64| {
-        let (mut ws, sender_ws) = overlapping_sets(600, 50, 200);
+    let start = |seed: u64| {
+        let (ws, sender_ws) = overlapping_sets(600, 50, 200);
         let config = SessionConfig::new().with_request(150).with_seed(seed);
-        let (mut session, opening) = ReceiverSession::start(&ws, config);
-        let mut sender = SenderSession::new(sender_ws, seed ^ 0xF0);
-        pump(&mut session, &mut ws, &mut sender, opening).expect("solo");
-        (session.gained(), ws.len())
+        (
+            ReceiverMachine::new(ws, config),
+            SenderMachine::new(sender_ws, seed ^ 0xF0),
+        )
+    };
+    let solo = |seed: u64| {
+        let (mut receiver, mut sender) = start(seed);
+        FramePump::new().run(&mut receiver, &mut sender).expect("solo");
+        (receiver.gained(), receiver.working().len())
     };
     let expect_a = solo(0x01);
     let expect_b = solo(0x02);
 
-    let start = |seed: u64| {
-        let (ws, sender_ws) = overlapping_sets(600, 50, 200);
-        let config = SessionConfig::new().with_request(150).with_seed(seed);
-        let (session, opening) = ReceiverSession::start(&ws, config);
-        let sender = SenderSession::new(sender_ws, seed ^ 0xF0);
-        (ws, session, sender, SessionPump::new(opening))
-    };
-    let (mut ws_a, mut recv_a, mut send_a, mut pump_a) = start(0x01);
-    let (mut ws_b, mut recv_b, mut send_b, mut pump_b) = start(0x02);
+    let (mut recv_a, mut send_a) = start(0x01);
+    let (mut recv_b, mut send_b) = start(0x02);
+    let (mut pump_a, mut pump_b) = (FramePump::new(), FramePump::new());
+    let mut actions: Vec<SessionAction> = Vec::new();
+    pump_a.start(&mut recv_a, &mut send_a, &mut actions).expect("a");
+    pump_b.start(&mut recv_b, &mut send_b, &mut actions).expect("b");
     loop {
-        let a = pump_a.step(&mut recv_a, &mut ws_a, &mut send_a).expect("a");
-        let b = pump_b.step(&mut recv_b, &mut ws_b, &mut send_b).expect("b");
+        let a = pump_a.step(&mut recv_a, &mut send_a, &mut actions).expect("a");
+        let b = pump_b.step(&mut recv_b, &mut send_b, &mut actions).expect("b");
         if a == PumpStep::Idle && b == PumpStep::Idle {
             break;
         }
     }
-    assert_eq!((recv_a.gained(), ws_a.len()), expect_a);
-    assert_eq!((recv_b.gained(), ws_b.len()), expect_b);
+    assert_eq!((recv_a.gained(), recv_a.working().len()), expect_a);
+    assert_eq!((recv_b.gained(), recv_b.working().len()), expect_b);
 }
 
 #[test]
 fn both_plans_deliver_only_authentic_novel_symbols() {
     for fine_grained in [true, false] {
-        let (mut receiver_ws, sender_ws) = overlapping_sets(800, 150, 400);
+        let (receiver_ws, sender_ws) = overlapping_sets(800, 150, 400);
         let before: std::collections::HashSet<u64> = receiver_ws.ids().collect();
         let sender_ids: std::collections::HashSet<u64> = sender_ws.ids().collect();
         let config = SessionConfig {
@@ -271,11 +293,9 @@ fn both_plans_deliver_only_authentic_novel_symbols() {
             },
             ..SessionConfig::default()
         };
-        let (mut session, opening) = ReceiverSession::start(&receiver_ws, config);
-        let mut sender = SenderSession::new(sender_ws, 7);
-        pump(&mut session, &mut receiver_ws, &mut sender, opening).expect("clean session");
+        let session = run(receiver_ws, sender_ws, config, 7);
         assert!(session.gained() > 0);
-        for s in receiver_ws.symbols() {
+        for s in session.working().symbols() {
             if !before.contains(&s.id) {
                 assert!(
                     sender_ids.contains(&s.id),

@@ -1,13 +1,13 @@
 //! Property test for the sans-I/O machine layer: any interleaving of
-//! frame-level `step` orderings across two independent session pairs
-//! must leave each pair exactly where the batch message-level [`pump`]
-//! leaves its twin — same plan, same gain, same final working set, same
-//! wire bytes. Extends the step-vs-batch equality pinned for
-//! `SessionPump` in `session_pump.rs` to the event-driven API.
+//! `step` orderings across two independent session pairs must leave
+//! each pair exactly where `FramePump::run` leaves an identical twin —
+//! same gain, same final working set, same wire bytes, same decode
+//! actions. Extends the step-vs-batch equality pinned in
+//! `frame_pump.rs` to concurrent sessions.
 
 use bytes::Bytes;
 use icd_core::machine::{FramePump, ReceiverMachine, SenderMachine, SessionAction};
-use icd_core::{pump_observed, ReceiverSession, SenderSession, SessionConfig, WorkingSet};
+use icd_core::{SessionConfig, WorkingSet};
 use icd_fountain::EncodedSymbol;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 use proptest::prelude::*;
@@ -40,7 +40,7 @@ fn overlapping_sets(
     (receiver, sender)
 }
 
-/// One scenario's reference run through the batch message pump.
+/// One scenario's reference: its twin pair run to quiescence alone.
 struct BatchOutcome {
     gained: u64,
     final_ids: Vec<u64>,
@@ -48,22 +48,14 @@ struct BatchOutcome {
 }
 
 fn batch_reference(scenario: &Scenario) -> BatchOutcome {
-    let (mut ws, sender_ws) =
-        overlapping_sets(scenario.shared, scenario.recv_extra, scenario.send_extra, scenario.salt);
-    let config = SessionConfig::new()
-        .with_request(scenario.request)
-        .with_seed(scenario.session_seed);
-    let (mut session, opening) = ReceiverSession::start(&ws, config);
-    let mut sender = SenderSession::new(sender_ws, scenario.sender_seed);
-    let mut wire_bytes = 0u64;
-    pump_observed(&mut session, &mut ws, &mut sender, opening, |msg| {
-        wire_bytes += msg.frame_len() as u64;
-    })
-    .expect("batch pump");
+    let (mut receiver, mut sender) = machines_for(scenario);
+    let mut pump = FramePump::new();
+    pump.run(&mut receiver, &mut sender).expect("batch run");
+    let (to_sender, to_receiver) = pump.wire_bytes();
     BatchOutcome {
-        gained: session.gained(),
-        final_ids: ws.sorted_ids(),
-        wire_bytes,
+        gained: receiver.gained(),
+        final_ids: receiver.working().sorted_ids(),
+        wire_bytes: to_sender + to_receiver,
     }
 }
 
@@ -94,7 +86,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn any_step_interleaving_matches_the_batch_pump(
+    fn any_step_interleaving_matches_the_batch_run(
         shared in 50usize..250,
         recv_extra in 5usize..60,
         send_extra in 20usize..120,
@@ -178,27 +170,4 @@ proptest! {
             prop_assert_eq!(decoded, expect.gained, "decode actions in pair {}", label);
         }
     }
-}
-
-#[test]
-fn machine_layer_and_legacy_pump_share_one_protocol() {
-    // Deterministic smoke of the same equivalence outside the proptest
-    // harness: the two APIs speak byte-identical protocol.
-    let scenario = Scenario {
-        shared: 400,
-        recv_extra: 50,
-        send_extra: 150,
-        request: 120,
-        session_seed: 0x1CD,
-        sender_seed: 0xB0B,
-        salt: 0,
-    };
-    let expect = batch_reference(&scenario);
-    let (mut recv, mut send) = machines_for(&scenario);
-    let mut pump = FramePump::new();
-    pump.run(&mut recv, &mut send).expect("machine run");
-    assert_eq!(recv.gained(), expect.gained);
-    assert_eq!(recv.working().sorted_ids(), expect.final_ids);
-    let (ts, tr) = pump.wire_bytes();
-    assert_eq!(ts + tr, expect.wire_bytes);
 }

@@ -43,4 +43,6 @@ pub use block::{SourceBlocks, SymbolId};
 pub use decoder::{DecodeStatus, Decoder};
 pub use degree::DegreeDistribution;
 pub use encoder::{CodeSpec, EncodeScratch, EncodedSymbol, Encoder};
-pub use recode::{IdRecodeBuffer, RecodeBuffer, RecodePolicy, RecodeScratch, RecodedSymbol, Recoder};
+pub use recode::{
+    RecodeBuffer, RecodePayload, RecodePolicy, RecodeScratch, RecodedSymbol, Recoder,
+};

@@ -22,9 +22,11 @@
 //! `1/(1−c)`. Both policies are implemented and compared in the Figure
 //! 5–8 experiments.
 
+use std::collections::hash_map::Entry;
+
 use bytes::Bytes;
 
-use icd_util::hash::{FastHashMap, FastHashSet};
+use icd_util::hash::FastHashMap;
 use icd_util::rng::{DistinctSampler, Rng64};
 use icd_util::symbol::{SymbolBuf, SymbolPool};
 
@@ -342,12 +344,12 @@ impl WatcherArena {
             }
         };
         match self.lists.entry(id) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
+            Entry::Occupied(mut e) => {
                 let (_, tail) = *e.get();
                 self.nodes[tail as usize].1 = node;
                 e.get_mut().1 = node;
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Vacant(e) => {
                 e.insert((node, node));
             }
         }
@@ -376,55 +378,145 @@ impl WatcherArena {
     }
 }
 
+/// What a [`RecodeBuffer`] stores for each known or pending symbol.
+///
+/// The §6.1 simulation "keeps payload bytes out of the simulation while
+/// the substitution *structure* stays exact": it runs the buffer over
+/// `()`, so every payload operation compiles away and the known map has
+/// the layout of an id set. The data plane runs the same buffer over
+/// word-aligned [`SymbolBuf`]s drawn from a [`SymbolPool`]. The cascade
+/// is written once, in [`RecodeBuffer`], and never branches on the
+/// payload type.
+pub trait RecodePayload: Sized {
+    /// Recycler for payloads the buffer releases.
+    type Pool: Clone + Default + std::fmt::Debug;
+
+    /// Builds a payload from the bytes a symbol arrived with.
+    fn load(pool: &mut Self::Pool, bytes: &[u8]) -> Self;
+
+    /// XORs `other` into `self`.
+    fn xor_in(&mut self, other: &Self);
+
+    /// Hands a payload the buffer no longer needs back to the pool.
+    fn release(pool: &mut Self::Pool, payload: Self);
+}
+
+impl RecodePayload for () {
+    type Pool = ();
+
+    #[inline]
+    fn load((): &mut (), _: &[u8]) {}
+
+    #[inline]
+    fn xor_in(&mut self, (): &()) {}
+
+    #[inline]
+    fn release((): &mut (), (): ()) {}
+}
+
+impl RecodePayload for SymbolBuf {
+    type Pool = SymbolPool;
+
+    fn load(pool: &mut SymbolPool, bytes: &[u8]) -> Self {
+        let mut buf = pool.acquire_for_overwrite(bytes.len());
+        buf.copy_from_bytes(bytes);
+        buf
+    }
+
+    fn xor_in(&mut self, other: &Self) {
+        self.xor_buf(other);
+    }
+
+    fn release(pool: &mut SymbolPool, payload: Self) {
+        pool.release(payload);
+    }
+}
+
 /// Receiver-side substitution buffer for recoded symbols.
 ///
-/// Tracks which encoded symbols the receiver knows (with payloads),
-/// buffers unresolved recoded symbols, and cascades: a recovered encoded
-/// symbol may unlock further recoded symbols, exactly like the base
-/// decoder's ripple but one level up.
+/// Tracks which encoded symbols the receiver knows, buffers unresolved
+/// recoded symbols, and cascades: a recovered encoded symbol may unlock
+/// further recoded symbols, exactly like the base decoder's ripple but
+/// one level up. Generic over the [`RecodePayload`] each entry carries:
+/// `RecodeBuffer<()>` in the simulator, `RecodeBuffer<SymbolBuf>` on
+/// the data plane — one cascade, so the simulated substitution
+/// structure is the real one.
 ///
-/// Payloads are held as word-aligned [`SymbolBuf`]s drawn from an
-/// internal [`SymbolPool`], and the id-keyed maps hash through
-/// `icd_util`'s fast hasher — this buffer sits on the per-packet path of
-/// every simulated transfer, where both choices are directly measurable
-/// (`sim_step`, `recode_throughput` benches).
-#[derive(Debug, Clone, Default)]
-pub struct RecodeBuffer {
-    known: FastHashMap<SymbolId, SymbolBuf>,
-    pending: Vec<Option<PendingRecoded>>,
+/// Recoveries go to a caller-supplied sink, in recovery order, so a
+/// caller that only counts them allocates nothing per packet. The
+/// id-keyed maps hash through `icd_util`'s fast hasher: this buffer sits
+/// on the per-packet path of every simulated transfer.
+#[derive(Debug, Clone)]
+pub struct RecodeBuffer<P: RecodePayload> {
+    known: FastHashMap<SymbolId, P>,
+    /// The ids of `known` in the order they became known.
+    arrivals: Vec<SymbolId>,
+    /// Unresolved recoded symbols, slot-addressed by watchers.
+    pending: Vec<Option<PendingRecoded<P>>>,
     watchers: WatcherArena,
     /// Recoded symbols that arrived fully known (pure redundancy).
     redundant: u64,
-    pool: SymbolPool,
+    pool: P::Pool,
     /// Retired `remaining` vectors, reused for later pending symbols.
     id_pool: Vec<Vec<SymbolId>>,
-    /// Reusable cascade queue (empty between calls).
-    queue: Vec<(SymbolId, SymbolBuf, bool)>,
+    /// Reusable cascade stack (empty between calls).
+    queue: Vec<(SymbolId, P)>,
 }
 
 #[derive(Debug, Clone)]
-struct PendingRecoded {
+struct PendingRecoded<P> {
     remaining: Vec<SymbolId>,
-    payload: SymbolBuf,
+    payload: P,
 }
 
-impl RecodeBuffer {
+impl<P: RecodePayload> Default for RecodeBuffer<P> {
+    fn default() -> Self {
+        Self {
+            known: FastHashMap::default(),
+            arrivals: Vec::new(),
+            pending: Vec::new(),
+            watchers: WatcherArena::default(),
+            redundant: 0,
+            pool: P::Pool::default(),
+            id_pool: Vec::new(),
+            queue: Vec::new(),
+        }
+    }
+}
+
+impl<P: RecodePayload> RecodeBuffer<P> {
     /// Creates an empty buffer.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Seeds the buffer with an encoded symbol the receiver already
-    /// holds, cascading through any pending recoded symbols. Returns
-    /// encoded symbols newly recovered by the cascade (excluding `sym`
-    /// itself, which the caller evidently has).
-    pub fn add_known(&mut self, sym: &EncodedSymbol) -> Vec<EncodedSymbol> {
-        let mut out = Vec::new();
-        let mut buf = self.pool.acquire_for_overwrite(sym.payload.len());
-        buf.copy_from_bytes(&sym.payload);
-        self.resolve(sym.id, buf, false, &mut out);
-        out
+    /// Creates a buffer pre-sized for roughly `expected_known` symbols, so
+    /// the known map and watcher index never pay a mid-transfer rehash
+    /// chain.
+    #[must_use]
+    pub fn with_capacity(expected_known: usize) -> Self {
+        Self {
+            known: FastHashMap::with_capacity_and_hasher(expected_known, Default::default()),
+            arrivals: Vec::with_capacity(expected_known),
+            watchers: WatcherArena::with_capacity(expected_known / 2),
+            pending: Vec::with_capacity(expected_known / 2),
+            ..Self::default()
+        }
+    }
+
+    /// Seeds the buffer with a symbol the receiver already holds,
+    /// cascading through pending recoded symbols. Symbols the cascade
+    /// recovers go to `recovered`; the seed itself does not (the caller
+    /// evidently has it). Returns the number recovered.
+    pub fn add_known(
+        &mut self,
+        id: SymbolId,
+        payload: &[u8],
+        recovered: impl FnMut(SymbolId, &P),
+    ) -> usize {
+        let payload = P::load(&mut self.pool, payload);
+        self.resolve(id, payload, false, recovered)
     }
 
     /// Whether an encoded symbol id is known.
@@ -434,212 +526,6 @@ impl RecodeBuffer {
     }
 
     /// Number of known encoded symbols.
-    #[must_use]
-    pub fn known_count(&self) -> usize {
-        self.known.len()
-    }
-
-    /// Iterates over the ids of all known encoded symbols (arbitrary
-    /// order). Used by receivers re-handshaking after a migration.
-    pub fn known_ids(&self) -> impl Iterator<Item = SymbolId> + '_ {
-        self.known.keys().copied()
-    }
-
-    /// Unresolved recoded symbols currently buffered.
-    #[must_use]
-    pub fn pending_count(&self) -> usize {
-        self.pending.iter().filter(|p| p.is_some()).count()
-    }
-
-    /// Recoded symbols that arrived with every component already known.
-    #[must_use]
-    pub fn redundant_count(&self) -> u64 {
-        self.redundant
-    }
-
-    /// Receives a recoded symbol; returns all encoded symbols recovered
-    /// as a consequence (possibly none — buffered — or several, via
-    /// cascade).
-    pub fn receive(&mut self, rec: &RecodedSymbol) -> Vec<EncodedSymbol> {
-        let mut out = Vec::new();
-        self.receive_parts(&rec.components, &rec.payload, &mut out);
-        out
-    }
-
-    /// [`RecodeBuffer::receive`] from borrowed parts into a caller-owned
-    /// output vector (cleared first; returns the number recovered). The
-    /// tick loop's form: no packet object, no per-call output allocation.
-    pub fn receive_parts(
-        &mut self,
-        components: &[SymbolId],
-        payload: &[u8],
-        out: &mut Vec<EncodedSymbol>,
-    ) -> usize {
-        assert!(!components.is_empty(), "recoded symbol with no components");
-        out.clear();
-        let mut buf = self.pool.acquire_for_overwrite(payload.len());
-        buf.copy_from_bytes(payload);
-        let mut remaining = self
-            .id_pool
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(components.len()));
-        remaining.clear();
-        remaining.reserve(components.len());
-        for id in components {
-            match self.known.get(id) {
-                Some(known_payload) => buf.xor_buf(known_payload),
-                None => remaining.push(*id),
-            }
-        }
-        match remaining.len() {
-            0 => {
-                self.redundant += 1;
-                self.pool.release(buf);
-                self.id_pool.push(remaining);
-            }
-            1 => {
-                let id = remaining[0];
-                self.id_pool.push(remaining);
-                self.resolve(id, buf, true, out);
-            }
-            _ => {
-                let slot = u32::try_from(self.pending.len()).expect("pending overflow");
-                for id in &remaining {
-                    self.watchers.watch(*id, slot);
-                }
-                self.pending.push(Some(PendingRecoded {
-                    remaining,
-                    payload: buf,
-                }));
-            }
-        }
-        out.len()
-    }
-
-    /// Marks `id` known with `payload` and cascades. `report_seed`
-    /// controls whether the seeded symbol itself counts as recovered
-    /// (true when it arrived inside a recoded symbol, false when the
-    /// caller already held it); cascade recoveries are always reported.
-    fn resolve(
-        &mut self,
-        id: SymbolId,
-        payload: SymbolBuf,
-        report_seed: bool,
-        out: &mut Vec<EncodedSymbol>,
-    ) {
-        let mut queue = std::mem::take(&mut self.queue);
-        queue.push((id, payload, report_seed));
-        while let Some((id, data, report)) = queue.pop() {
-            if self.known.contains_key(&id) {
-                self.pool.release(data);
-                continue;
-            }
-            if report {
-                out.push(EncodedSymbol {
-                    id,
-                    payload: if data.is_empty() {
-                        Bytes::new()
-                    } else {
-                        Bytes::from(data.to_vec())
-                    },
-                });
-            }
-            let mut cur = self.watchers.start(id);
-            while cur != WATCH_NONE {
-                let (slot, next) = self.watchers.take_next(cur);
-                cur = next;
-                let Some(p) = self.pending[slot as usize].as_mut() else {
-                    continue;
-                };
-                let Some(pos) = p.remaining.iter().position(|x| *x == id) else {
-                    continue;
-                };
-                p.remaining.swap_remove(pos);
-                p.payload.xor_buf(&data);
-                match p.remaining.len() {
-                    0 => {
-                        // Fully consumed without yielding — redundant
-                        // in hindsight.
-                        let p = self.pending[slot as usize].take().expect("checked above");
-                        self.pool.release(p.payload);
-                        self.id_pool.push(p.remaining);
-                        self.redundant += 1;
-                    }
-                    1 => {
-                        let p = self.pending[slot as usize].take().expect("checked above");
-                        queue.push((p.remaining[0], p.payload, true));
-                        self.id_pool.push(p.remaining);
-                    }
-                    _ => {}
-                }
-            }
-            self.known.insert(id, data);
-        }
-        self.queue = queue;
-    }
-}
-
-/// The id-projection of [`RecodeBuffer`]: identical substitution
-/// structure, no payload bytes.
-///
-/// The §6.1 simulation "keeps payload bytes out of the simulation while
-/// the substitution *structure* stays exact" — this buffer is that
-/// statement made literal. It runs the same cascade rule over bare
-/// [`SymbolId`]s: membership is one 8-byte set entry instead of a map
-/// entry carrying an empty buffer, recoveries are counted instead of
-/// materialized, and nothing is allocated per packet. A property test
-/// (`id_buffer_matches_payload_buffer`) pins it step-for-step to
-/// [`RecodeBuffer`].
-#[derive(Debug, Clone, Default)]
-pub struct IdRecodeBuffer {
-    known: FastHashSet<SymbolId>,
-    /// The ids of `known` in the order they became known.
-    arrivals: Vec<SymbolId>,
-    /// Unresolved component lists, slot-addressed by watchers.
-    pending: Vec<Option<Vec<SymbolId>>>,
-    watchers: WatcherArena,
-    redundant: u64,
-    /// Retired `remaining` vectors, reused for later pending symbols.
-    id_pool: Vec<Vec<SymbolId>>,
-    /// Reusable cascade queue (empty between calls).
-    queue: Vec<SymbolId>,
-}
-
-impl IdRecodeBuffer {
-    /// Creates an empty buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a buffer pre-sized for roughly `expected_known` ids, so
-    /// the id set and watcher map never pay a mid-transfer rehash chain.
-    #[must_use]
-    pub fn with_capacity(expected_known: usize) -> Self {
-        Self {
-            known: FastHashSet::with_capacity_and_hasher(expected_known, Default::default()),
-            arrivals: Vec::with_capacity(expected_known),
-            watchers: WatcherArena::with_capacity(expected_known / 2),
-            pending: Vec::with_capacity(expected_known / 2),
-            ..Self::default()
-        }
-    }
-
-    /// Seeds the buffer with an already-held symbol id, cascading
-    /// through pending recoded symbols. Returns the number of *other*
-    /// ids the cascade recovered (the seed itself is not counted,
-    /// matching [`RecodeBuffer::add_known`]).
-    pub fn add_known(&mut self, id: SymbolId) -> usize {
-        self.resolve(id, false)
-    }
-
-    /// Whether a symbol id is known.
-    #[must_use]
-    pub fn knows(&self, id: SymbolId) -> bool {
-        self.known.contains(&id)
-    }
-
-    /// Number of known symbol ids.
     #[must_use]
     pub fn known_count(&self) -> usize {
         self.known.len()
@@ -669,12 +555,18 @@ impl IdRecodeBuffer {
         self.redundant
     }
 
-    /// Receives a recoded symbol given by its component ids (a plain
-    /// encoded symbol is the degree-1 case); returns how many new ids
-    /// became known (0 — buffered or redundant — or several via
-    /// cascade).
-    pub fn receive(&mut self, components: &[SymbolId]) -> usize {
+    /// Receives a recoded symbol given by its component ids and payload
+    /// (a plain encoded symbol is the degree-1 case). Every symbol it
+    /// recovers — none when buffered or redundant, several via cascade —
+    /// goes to `recovered`. Returns the number recovered.
+    pub fn receive(
+        &mut self,
+        components: &[SymbolId],
+        payload: &[u8],
+        recovered: impl FnMut(SymbolId, &P),
+    ) -> usize {
         assert!(!components.is_empty(), "recoded symbol with no components");
+        let mut buf = P::load(&mut self.pool, payload);
         // Pooled vectors are allocated at full packet width up front:
         // growing a fresh Vec push-by-push costs a realloc chain per
         // buffered packet, which profiling showed dominating the loop.
@@ -685,71 +577,92 @@ impl IdRecodeBuffer {
         remaining.clear();
         remaining.reserve(components.len());
         for id in components {
-            if !self.known.contains(id) {
-                remaining.push(*id);
+            match self.known.get(id) {
+                Some(known) => buf.xor_in(known),
+                None => remaining.push(*id),
             }
         }
         match remaining.len() {
             0 => {
                 self.redundant += 1;
+                P::release(&mut self.pool, buf);
                 self.id_pool.push(remaining);
                 0
             }
             1 => {
                 let id = remaining[0];
                 self.id_pool.push(remaining);
-                self.resolve(id, true)
+                self.resolve(id, buf, true, recovered)
             }
             _ => {
                 let slot = u32::try_from(self.pending.len()).expect("pending overflow");
                 for id in &remaining {
                     self.watchers.watch(*id, slot);
                 }
-                self.pending.push(Some(remaining));
+                self.pending.push(Some(PendingRecoded {
+                    remaining,
+                    payload: buf,
+                }));
                 0
             }
         }
     }
 
-    /// Marks `id` known and cascades, returning the number of reported
-    /// recoveries (`report_seed` mirrors [`RecodeBuffer`]'s rule: seeds
-    /// the caller already held are not counted, cascades always are).
-    fn resolve(&mut self, id: SymbolId, report_seed: bool) -> usize {
-        let mut gained = 0usize;
+    /// Marks `id` known with `payload` and cascades, returning the number
+    /// of recoveries handed to `recovered`. `report_seed` says whether
+    /// the seed itself counts (true when it arrived inside a recoded
+    /// symbol, false when the caller already held it); cascade
+    /// recoveries always do.
+    fn resolve(
+        &mut self,
+        id: SymbolId,
+        payload: P,
+        report_seed: bool,
+        mut recovered: impl FnMut(SymbolId, &P),
+    ) -> usize {
+        let mut gained = 0;
         let mut queue = std::mem::take(&mut self.queue);
-        queue.push(id);
-        let mut seed = true;
-        while let Some(id) = queue.pop() {
-            let report = report_seed || !seed;
-            seed = false;
-            if !self.known.insert(id) {
-                continue;
-            }
+        queue.push((id, payload));
+        let mut report = report_seed;
+        while let Some((id, data)) = queue.pop() {
+            let reported = std::mem::replace(&mut report, true);
+            let data = match self.known.entry(id) {
+                Entry::Occupied(_) => {
+                    P::release(&mut self.pool, data);
+                    continue;
+                }
+                Entry::Vacant(slot) => &*slot.insert(data),
+            };
             self.arrivals.push(id);
-            if report {
+            if reported {
                 gained += 1;
+                recovered(id, data);
             }
             let mut cur = self.watchers.start(id);
             while cur != WATCH_NONE {
                 let (slot, next) = self.watchers.take_next(cur);
                 cur = next;
-                let Some(rem) = self.pending[slot as usize].as_mut() else {
+                let Some(p) = self.pending[slot as usize].as_mut() else {
                     continue;
                 };
-                let Some(pos) = rem.iter().position(|x| *x == id) else {
+                let Some(pos) = p.remaining.iter().position(|x| *x == id) else {
                     continue;
                 };
-                rem.swap_remove(pos);
-                match rem.len() {
+                p.remaining.swap_remove(pos);
+                p.payload.xor_in(data);
+                match p.remaining.len() {
                     0 => {
-                        let rem = self.pending[slot as usize].take().expect("checked above");
-                        self.id_pool.push(rem);
+                        // Fully consumed without yielding — redundant
+                        // in hindsight.
+                        let p = self.pending[slot as usize].take().expect("checked above");
+                        P::release(&mut self.pool, p.payload);
+                        self.id_pool.push(p.remaining);
                         self.redundant += 1;
                     }
                     1 => {
-                        let rem = self.pending[slot as usize].take().expect("checked above");
-                        queue.push(rem[0]);
-                        self.id_pool.push(rem);
+                        let p = self.pending[slot as usize].take().expect("checked above");
+                        queue.push((p.remaining[0], p.payload));
+                        self.id_pool.push(p.remaining);
                     }
                     _ => {}
                 }
@@ -774,6 +687,22 @@ mod tests {
             id,
             payload: Bytes::from(vec![byte; 4]),
         }
+    }
+
+    fn add_known(buf: &mut RecodeBuffer<SymbolBuf>, sym: &EncodedSymbol) {
+        buf.add_known(sym.id, &sym.payload, |_, _| {});
+    }
+
+    /// Receives `rec`, materializing what it recovers as encoded symbols.
+    fn receive(buf: &mut RecodeBuffer<SymbolBuf>, rec: &RecodedSymbol) -> Vec<EncodedSymbol> {
+        let mut out = Vec::new();
+        buf.receive(&rec.components, &rec.payload, |id, payload| {
+            out.push(EncodedSymbol {
+                id,
+                payload: Bytes::from(payload.to_vec()),
+            });
+        });
+        out
     }
 
     #[test]
@@ -804,10 +733,10 @@ mod tests {
         };
 
         let mut buf = RecodeBuffer::new();
-        assert!(buf.receive(&z2).is_empty(), "z2 buffered");
-        assert!(buf.receive(&z3).is_empty(), "z3 buffered");
+        assert!(receive(&mut buf, &z2).is_empty(), "z2 buffered");
+        assert!(receive(&mut buf, &z3).is_empty(), "z3 buffered");
         // z1 recovers y13 → z3 yields y5 → z2 yields y8.
-        let got = buf.receive(&z1);
+        let got = receive(&mut buf, &z1);
         let ids: std::collections::HashSet<SymbolId> = got.iter().map(|s| s.id).collect();
         assert_eq!(ids, [13u64, 5, 8].into_iter().collect());
         let by_id: HashMap<SymbolId, &EncodedSymbol> = got.iter().map(|s| (s.id, s)).collect();
@@ -821,15 +750,15 @@ mod tests {
         let mut buf = RecodeBuffer::new();
         let a = sym(1, 1);
         let b = sym(2, 2);
-        buf.add_known(&a);
-        buf.add_known(&b);
+        add_known(&mut buf, &a);
+        add_known(&mut buf, &b);
         let mut p = a.payload.to_vec();
         xor_into(&mut p, &b.payload);
         let rec = RecodedSymbol {
             components: vec![1, 2],
             payload: Bytes::from(p),
         };
-        assert!(buf.receive(&rec).is_empty());
+        assert!(receive(&mut buf, &rec).is_empty());
         assert_eq!(buf.redundant_count(), 1);
     }
 
@@ -847,12 +776,12 @@ mod tests {
         let mut buf = RecodeBuffer::new();
         // Receiver knows half the sender's set already.
         for s in &sender_set[..30] {
-            buf.add_known(s);
+            add_known(&mut buf, s);
         }
         let mut recovered = 0usize;
         for _ in 0..2000 {
             let rec = recoder.generate(&mut rng);
-            for got in buf.receive(&rec) {
+            for got in receive(&mut buf, &rec) {
                 assert_eq!(got.payload, originals[&got.id], "payload corrupted for {}", got.id);
                 recovered += 1;
             }
@@ -889,7 +818,7 @@ mod tests {
         let mut decoder = Decoder::new(enc.spec().clone());
         let mut buf = RecodeBuffer::new();
         for s in receiver_start {
-            buf.add_known(s);
+            add_known(&mut buf, s);
             let _ = decoder.receive(s);
         }
         let recoder = Recoder::new(universe.clone(), 25, RecodePolicy::Oblivious);
@@ -900,7 +829,7 @@ mod tests {
             iterations += 1;
             assert!(iterations < 100_000, "recode transfer failed to converge");
             let rec = recoder.generate(&mut rng);
-            for got in buf.receive(&rec) {
+            for got in receive(&mut buf, &rec) {
                 if matches!(decoder.receive(&got), DecodeStatus::Complete) {
                     done = true;
                 }
@@ -1018,10 +947,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no components")]
     fn empty_recoded_symbol_rejected() {
-        let mut buf = RecodeBuffer::new();
-        let _ = buf.receive(&RecodedSymbol {
-            components: vec![],
-            payload: Bytes::new(),
-        });
+        let mut buf = RecodeBuffer::<()>::new();
+        let _ = buf.receive(&[], &[], |_, _| {});
     }
 }

@@ -4,10 +4,11 @@
 use bytes::Bytes;
 use icd_fountain::decoder::DecodeStats;
 use icd_fountain::{
-    block, CodeSpec, DecodeStatus, Decoder, EncodedSymbol, Encoder, IdRecodeBuffer, RecodeBuffer,
-    RecodePolicy, RecodedSymbol, Recoder,
+    block, CodeSpec, DecodeStatus, Decoder, EncodedSymbol, Encoder, RecodeBuffer, RecodePolicy,
+    Recoder,
 };
 use icd_util::rng::Xoshiro256StarStar;
+use icd_util::symbol::SymbolBuf;
 use proptest::prelude::*;
 
 /// Id-only reference peeler for the differential tests below: sets of
@@ -186,15 +187,18 @@ proptest! {
         let truth: std::collections::HashMap<u64, Bytes> =
             symbols.iter().map(|s| (s.id, s.payload.clone())).collect();
         let recoder = Recoder::new(symbols.clone(), 10, RecodePolicy::Oblivious);
-        let mut buf = RecodeBuffer::new();
+        let mut buf = RecodeBuffer::<SymbolBuf>::new();
         let cut = ((n_symbols as f64) * known_frac) as usize;
         for s in &symbols[..cut] {
-            buf.add_known(s);
+            buf.add_known(s.id, &s.payload, |_, _| {});
         }
         let mut rng = Xoshiro256StarStar::new(seed);
         for _ in 0..200 {
-            for got in buf.receive(&recoder.generate(&mut rng)) {
-                prop_assert_eq!(&got.payload, truth.get(&got.id).expect("known id"));
+            let rec = recoder.generate(&mut rng);
+            let mut got = Vec::new();
+            buf.receive(&rec.components, &rec.payload, |id, p| got.push((id, p.to_vec())));
+            for (id, payload) in got {
+                prop_assert_eq!(&payload[..], &truth.get(&id).expect("known id")[..]);
             }
         }
     }
@@ -231,14 +235,16 @@ proptest! {
             1..120,
         ),
     ) {
-        // The simulator's IdRecodeBuffer must be the exact id-projection
-        // of the payload-carrying RecodeBuffer: same known set, same
-        // gained counts, same redundancy/pending accounting, packet by
-        // packet, across interleaved add_known and receive calls.
+        // The simulator's RecodeBuffer<()> must be the exact id-projection
+        // of the data plane's RecodeBuffer<SymbolBuf>: same recoveries in
+        // the same order, same known set in the same arrival order, same
+        // redundancy/pending accounting, packet by packet, across
+        // interleaved add_known and receive calls. Nothing in the cascade
+        // may branch on the payload type.
         let ids: Vec<u64> = (0..universe as u64).map(|i| i * 31 + 5).collect();
-        let mut full = RecodeBuffer::new();
-        let mut lean = IdRecodeBuffer::new();
-        let mut out = Vec::new();
+        let payload = [0xA5u8; 8];
+        let mut full = RecodeBuffer::<SymbolBuf>::new();
+        let mut lean = RecodeBuffer::<()>::new();
         for (picks, seed_known) in packets {
             let components: Vec<u64> = {
                 let mut c: Vec<u64> = picks.iter().map(|&p| ids[p % universe]).collect();
@@ -246,34 +252,35 @@ proptest! {
                 c.dedup();
                 c
             };
-            if seed_known {
-                let sym = EncodedSymbol { id: components[0], payload: Bytes::new() };
-                let cascade = full.add_known(&sym).len();
-                prop_assert_eq!(lean.add_known(components[0]), cascade);
+            let (mut full_got, mut lean_got) = (Vec::new(), Vec::new());
+            let (a, b) = if seed_known {
+                (
+                    full.add_known(components[0], &payload, |id, _| full_got.push(id)),
+                    lean.add_known(components[0], &[], |id, ()| lean_got.push(id)),
+                )
             } else {
-                let gained = full.receive_parts(&components, &[], &mut out);
-                prop_assert_eq!(lean.receive(&components), gained);
-            }
+                (
+                    full.receive(&components, &payload, |id, _| full_got.push(id)),
+                    lean.receive(&components, &[], |id, ()| lean_got.push(id)),
+                )
+            };
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(full_got.len(), a);
+            prop_assert_eq!(&lean_got, &full_got);
             prop_assert_eq!(lean.known_count(), full.known_count());
             prop_assert_eq!(lean.pending_count(), full.pending_count());
             prop_assert_eq!(lean.redundant_count(), full.redundant_count());
-            let mut a: Vec<u64> = lean.known_ids().collect();
-            let mut b: Vec<u64> = full.known_ids().collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b);
+            prop_assert_eq!(lean.known_since(0), full.known_since(0));
         }
     }
 
     #[test]
     fn degree_one_recoded_is_the_symbol(payload in proptest::collection::vec(any::<u8>(), 0..64), id in any::<u64>()) {
-        let mut buf = RecodeBuffer::new();
-        let got = buf.receive(&RecodedSymbol {
-            components: vec![id],
-            payload: Bytes::from(payload.clone()),
-        });
+        let mut buf = RecodeBuffer::<SymbolBuf>::new();
+        let mut got = Vec::new();
+        buf.receive(&[id], &payload, |id, p| got.push((id, p.to_vec())));
         prop_assert_eq!(got.len(), 1);
-        prop_assert_eq!(got[0].id, id);
-        prop_assert_eq!(got[0].payload.as_ref(), &payload[..]);
+        prop_assert_eq!(got[0].0, id);
+        prop_assert_eq!(&got[0].1[..], &payload[..]);
     }
 }

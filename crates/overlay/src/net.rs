@@ -13,8 +13,8 @@
 //!   target;
 //! * a set of directed **links**, each owning an independent per-link
 //!   sender pump (a [`crate::strategy::Sender`], a
-//!   [`crate::strategy::FullSender`], or any [`PacketSource`]) plus the
-//!   link's rate, latency, and loss parameters;
+//!   [`crate::strategy::FullSender`], or an `icd-core` session-machine
+//!   pair) plus the link's rate, latency, and loss parameters;
 //! * a **binary-heap queue of in-flight packets keyed by `(time, seq)`**
 //!   — `seq` is a global monotone counter assigned at scheduling time, so
 //!   two arrivals at the same tick replay in exactly the order they were
@@ -114,36 +114,6 @@ impl Link {
             loss,
             ..Self::default()
         }
-    }
-}
-
-/// Anything that can pump packets onto a link. Implemented by the §6.2
-/// strategy [`Sender`], the digital-fountain [`FullSender`], and by
-/// harness-private sources (the ablation sweeps plug in recoders with
-/// non-standard degree caps).
-pub trait PacketSource: std::fmt::Debug {
-    /// Writes the next packet into `scratch`; returns `false` when the
-    /// source is provably exhausted (the link then goes permanently
-    /// idle).
-    fn next_packet_into(&mut self, scratch: &mut PacketScratch) -> bool;
-}
-
-impl PacketSource for Sender {
-    fn next_packet_into(&mut self, scratch: &mut PacketScratch) -> bool {
-        Sender::next_packet_into(self, scratch)
-    }
-}
-
-impl PacketSource for FullSender {
-    fn next_packet_into(&mut self, scratch: &mut PacketScratch) -> bool {
-        FullSender::next_packet_into(self, scratch);
-        true
-    }
-}
-
-impl<T: PacketSource + ?Sized> PacketSource for &mut T {
-    fn next_packet_into(&mut self, scratch: &mut PacketScratch) -> bool {
-        (**self).next_packet_into(scratch)
     }
 }
 
@@ -351,17 +321,15 @@ impl NodeState {
     }
 }
 
-/// A link's pump, with the two first-class source types devirtualized:
-/// the send path is the engine's hottest instruction stream, and static
-/// dispatch lets the strategy senders inline into it. Harness-private
-/// sources take the boxed fallback. (The variant sizes are deliberately
-/// lopsided — a `Sender` is link state, one per link, not a message.)
+/// A link's pump, statically dispatched: the send path is the engine's
+/// hottest instruction stream, and static dispatch lets the strategy
+/// senders inline into it. (The variant sizes are deliberately lopsided
+/// — a `Sender` is link state, one per link, not a message.)
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-enum LinkSource<'s> {
+enum LinkSource {
     Strategy(Sender),
     Fountain(FullSender),
-    Custom(Box<dyn PacketSource + 's>),
     /// A payload-true link: a sans-I/O receiver/sender machine pair from
     /// `icd-core`, pumped frame-by-frame by the engine. Everything that
     /// crosses the link — sketches, summaries, requests, symbols, End —
@@ -371,7 +339,7 @@ enum LinkSource<'s> {
     Closed,
 }
 
-impl LinkSource<'_> {
+impl LinkSource {
     #[inline]
     fn next_packet_into(&mut self, scratch: &mut PacketScratch) -> bool {
         match self {
@@ -380,7 +348,6 @@ impl LinkSource<'_> {
                 fountain.next_packet_into(scratch);
                 true
             }
-            LinkSource::Custom(source) => source.next_packet_into(scratch),
             LinkSource::Session(_) => {
                 unreachable!("session links pump frames, not packets")
             }
@@ -391,7 +358,7 @@ impl LinkSource<'_> {
 
 /// State of one session link: the two machines and their frame outboxes.
 /// The engine is the driver — each send opportunity moves at most one
-/// frame per direction (mirroring `SessionPump::step`), applies
+/// frame per direction (mirroring `FramePump::step`), applies
 /// rate/latency/loss to the real framed byte length, and feeds arrivals
 /// back in as [`SessionEvent::FrameReceived`].
 #[derive(Debug)]
@@ -407,10 +374,10 @@ struct SessionLink {
 }
 
 #[derive(Debug)]
-struct LinkState<'s> {
+struct LinkState {
     from: NodeId,
     to: NodeId,
-    source: LinkSource<'s>,
+    source: LinkSource,
     params: Link,
     loss_rng: Xoshiro256StarStar,
     /// Tick of this link's next send opportunity.
@@ -587,14 +554,10 @@ impl std::error::Error for ConnectError {}
 /// [`crate::transfer`]/[`crate::churn`] for the four legacy presets and
 /// [`run_mesh_download`]/[`run_lossy_transfer`] for scenarios only this
 /// engine can run.
-///
-/// The lifetime parameter covers borrowed [`PacketSource`]s installed
-/// via [`OverlayNet::connect_source`]; nets built purely from
-/// [`OverlayNet::connect`]/[`OverlayNet::connect_full`] are `'static`.
 #[derive(Debug)]
-pub struct OverlayNet<'s> {
+pub struct OverlayNet {
     nodes: Vec<NodeState>,
-    links: Vec<LinkState<'s>>,
+    links: Vec<LinkState>,
     queue: BinaryHeap<Reverse<Event>>,
     /// The send calendar: exactly one entry, due at `next_send`, per
     /// live, non-exhausted link. Draining it in `(time, index)` order
@@ -622,7 +585,7 @@ pub struct OverlayNet<'s> {
     payload_bytes: usize,
     /// Observer invoked with every frame that takes a send slot, as the
     /// exact bytes `write_frame_buf` produces — the frame-parity seam.
-    frame_tap: Option<FrameTap<'s>>,
+    frame_tap: Option<FrameTap>,
     /// Deterministic structured trace recorder ([`OverlayNet::set_tracer`]).
     tracer: Option<TraceHandle>,
     /// Reusable encode buffer for tapped packet-link frames.
@@ -633,18 +596,18 @@ pub struct OverlayNet<'s> {
 }
 
 /// The boxed observer callback behind [`OverlayNet::set_frame_tap`].
-type TapFn<'s> = Box<dyn FnMut(LinkId, &[u8]) + 's>;
+type TapFn = Box<dyn FnMut(LinkId, &[u8])>;
 
 /// Newtype so `OverlayNet` keeps its `Debug` derive around a closure.
-struct FrameTap<'s>(TapFn<'s>);
+struct FrameTap(TapFn);
 
-impl std::fmt::Debug for FrameTap<'_> {
+impl std::fmt::Debug for FrameTap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("FrameTap")
     }
 }
 
-impl<'s> OverlayNet<'s> {
+impl OverlayNet {
     /// Creates an empty network with the standard protocol constants
     /// (the [`crate::handshake`] sizing/family and the shared registry).
     /// `seed` keys the engine's own streams (per-link loss RNGs); link
@@ -710,7 +673,7 @@ impl<'s> OverlayNet<'s> {
     /// packet-link symbols are materialized as the frame they occupy on
     /// the wire (zeroed payload, budget-true length). The packet fast
     /// path pays nothing while no tap is installed.
-    pub fn set_frame_tap<F: FnMut(LinkId, &[u8]) + 's>(&mut self, tap: F) {
+    pub fn set_frame_tap<F: FnMut(LinkId, &[u8]) + 'static>(&mut self, tap: F) {
         if self.tap_payload.len() != self.payload_bytes {
             self.tap_payload = Bytes::from(vec![0u8; self.payload_bytes]);
         }
@@ -762,29 +725,6 @@ impl<'s> OverlayNet<'s> {
         self.nodes
             .push(NodeState::new(Receiver::new(&[], 0), inventory.to_vec(), true));
         id
-    }
-
-    /// Adds a node around an existing [`Receiver`] (how the legacy
-    /// `run_loop` signature is kept alive: its caller-owned receiver is
-    /// moved in, run, and moved back out via
-    /// [`OverlayNet::take_node_receiver`]).
-    pub fn add_node_receiver(&mut self, receiver: Receiver) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        let inventory = receiver.working_set();
-        self.nodes.push(NodeState::new(receiver, inventory, false));
-        id
-    }
-
-    /// Moves a node's receiver back out (leaving an empty shell). The
-    /// node must not be used afterwards.
-    pub fn take_node_receiver(&mut self, node: NodeId) -> Receiver {
-        let state = &mut self.nodes[node.0];
-        if state.observer && !state.receiver.is_complete() {
-            // The empty shell is trivially complete; keep the counter
-            // honest in case the caller ignores "must not be used".
-            self.incomplete_observers -= 1;
-        }
-        std::mem::replace(&mut state.receiver, Receiver::new(&[], 0))
     }
 
     /// Marks `node` as an observer: [`OverlayNet::run`] returns
@@ -1008,19 +948,6 @@ impl<'s> OverlayNet<'s> {
         self.install_link(from, to, LinkSource::Fountain(FullSender::new(stream)), params, true, None, 0, 0)
     }
 
-    /// Connects an arbitrary packet source `from → to`. `counts_as_full`
-    /// selects which outcome column its packets land in.
-    pub fn connect_source(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        source: Box<dyn PacketSource + 's>,
-        params: Link,
-        counts_as_full: bool,
-    ) -> LinkId {
-        self.install_link(from, to, LinkSource::Custom(source), params, counts_as_full, None, 0, 0)
-    }
-
     /// Tears a link down. Packets already in flight on it are dropped;
     /// its transmit counters keep contributing to the net totals.
     pub fn disconnect(&mut self, link: LinkId) {
@@ -1064,7 +991,7 @@ impl<'s> OverlayNet<'s> {
         &mut self,
         from: NodeId,
         to: NodeId,
-        source: LinkSource<'s>,
+        source: LinkSource,
         params: Link,
         full: bool,
         summary: Option<SummaryId>,
@@ -1441,7 +1368,7 @@ impl<'s> OverlayNet<'s> {
     }
 
     /// One send opportunity on a session link: moves at most one queued
-    /// frame per direction (mirroring `SessionPump::step`), booking the
+    /// frame per direction (mirroring `FramePump::step`), booking the
     /// real framed byte length against the link and applying loss to
     /// data-plane frames only.
     fn process_session_send(&mut self, l: LinkId) -> Option<StopReason> {
@@ -1715,7 +1642,7 @@ impl<'s> OverlayNet<'s> {
     }
 
     /// Wire-exact framed bytes of link `l`'s connect-time control
-    /// exchange (zero for full/custom links, and for session links,
+    /// exchange (zero for full links, and for session links,
     /// whose handshake frames are counted in [`Self::link_wire_bytes`]).
     #[must_use]
     pub fn link_control_bytes(&self, l: LinkId) -> u64 {

@@ -1,15 +1,14 @@
 //! Receiver-side state for simulated transfers.
 //!
 //! The receiver tracks the set of distinct encoded symbols it holds and
-//! runs incoming recoded packets through the id-projection of the real
-//! substitution buffer (`icd_fountain::IdRecodeBuffer`, property-tested
-//! step-for-step against the payload-carrying `RecodeBuffer`) — the
-//! §6.1 simplification keeps payload bytes out of the simulation while
-//! the substitution *structure* stays exact. Completion is reaching
+//! runs incoming recoded packets through the data plane's substitution
+//! buffer instantiated without payloads (`icd_fountain::RecodeBuffer<()>`)
+//! — the §6.1 simplification keeps payload bytes out of the simulation
+//! while the substitution *structure* stays exact. Completion is reaching
 //! `target` distinct symbols, i.e. `(1 + decode_overhead) · l` per the
 //! paper's constant-overhead assumption.
 
-use icd_fountain::IdRecodeBuffer;
+use icd_fountain::RecodeBuffer;
 
 use crate::strategy::{Packet, PacketScratch};
 use crate::SymbolId;
@@ -17,7 +16,7 @@ use crate::SymbolId;
 /// A simulated receiver.
 #[derive(Debug, Clone)]
 pub struct Receiver {
-    buffer: IdRecodeBuffer,
+    buffer: RecodeBuffer<()>,
     target: usize,
     /// Packets whose entire content was already known on arrival.
     redundant_packets: u64,
@@ -34,9 +33,9 @@ impl Receiver {
         // pre-sizing keeps the hash tables from rehashing mid-transfer
         // (the set's 7/8 load factor leaves room for a cascade's small
         // overshoot).
-        let mut buffer = IdRecodeBuffer::with_capacity(target.max(initial.len()));
+        let mut buffer = RecodeBuffer::with_capacity(target.max(initial.len()));
         for &id in initial {
-            let _ = buffer.add_known(id);
+            buffer.add_known(id, &[], |_, ()| {});
         }
         Self {
             buffer,
@@ -115,7 +114,7 @@ impl Receiver {
         let gained = if !recoded && self.buffer.knows(ids[0]) {
             0
         } else {
-            self.buffer.receive(ids)
+            self.buffer.receive(ids, &[], |_, ()| {})
         };
         if gained == 0 {
             self.redundant_packets += 1;

@@ -27,12 +27,8 @@
 use icd_util::rng::{Rng64, SplitMix64};
 
 use crate::net::{ConnectSpec, Link, OverlayNet, RunLimit};
-use crate::receiver::Receiver;
-use crate::strategy::ReceiverHandshake;
 use crate::scenario::{MultiSenderScenario, TwoPeerScenario};
-#[cfg(test)]
-use crate::scenario::ScenarioParams;
-use crate::strategy::{FullSender, Sender, StrategyKind};
+use crate::strategy::{ReceiverHandshake, StrategyKind};
 
 // The handshake parameterization constants moved to `crate::handshake`
 // (one copy for presets, churn, the engine, and the bench harnesses);
@@ -92,34 +88,6 @@ impl TransferOutcome {
         }
         self.needed as f64 / self.ticks as f64
     }
-}
-
-/// Runs the tick loop until completion, exhaustion, or `max_ticks`,
-/// over caller-owned senders — the historical signature, now a borrowed
-/// 2-node line on the [`OverlayNet`] engine.
-///
-/// Full senders emit before partial senders within a tick, in slice
-/// order, exactly as the figures assume.
-pub fn run_loop(
-    receiver: &mut Receiver,
-    partial: &mut [Sender],
-    full: &mut [FullSender],
-    max_ticks: u64,
-) -> TransferOutcome {
-    let mut net = OverlayNet::new(0);
-    let hub = net.add_seeder(&[]);
-    let sink = net.add_node_receiver(std::mem::replace(receiver, Receiver::new(&[], 0)));
-    net.set_observer(sink, true);
-    for sender in full.iter_mut() {
-        net.connect_source(hub, sink, Box::new(sender), Link::default(), true);
-    }
-    for sender in partial.iter_mut() {
-        net.connect_source(hub, sink, Box::new(sender), Link::default(), false);
-    }
-    let _ = net.run(RunLimit::ticks(max_ticks));
-    let outcome = net.outcome_for(sink);
-    *receiver = net.take_node_receiver(sink);
-    outcome
 }
 
 /// Default safety cap: far above any strategy's worst case (Random's
@@ -286,6 +254,8 @@ pub fn random_strategy_analytic_overhead(b: usize, useful: usize, needed: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::{NodeId, StopReason};
+    use crate::scenario::ScenarioParams;
     use icd_summary::SummaryId;
 
     fn compact(n: usize) -> ScenarioParams {
@@ -351,16 +321,27 @@ mod tests {
         assert!(out.overhead() < 1.05, "overhead {}", out.overhead());
     }
 
+    /// A receiver holding `initial`, aiming for `target`, as the lone
+    /// observer of a fresh net; full senders attach from an empty hub.
+    fn lone_receiver(initial: &[u64], target: usize) -> (OverlayNet, NodeId, NodeId) {
+        let mut net = OverlayNet::new(0);
+        let hub = net.add_seeder(&[]);
+        let sink = net.add_node(initial, target);
+        net.set_observer(sink, true);
+        (net, hub, sink)
+    }
+
     #[test]
     fn full_sender_alone_takes_exactly_needed_ticks() {
         let scenario = TwoPeerScenario::build(&compact(1000), 0.1);
-        let mut receiver = Receiver::new(&scenario.receiver_set, scenario.target);
-        let mut full = vec![FullSender::new(0)];
-        let out = run_loop(&mut receiver, &mut [], &mut full, u64::MAX);
+        let (mut net, hub, sink) = lone_receiver(&scenario.receiver_set, scenario.target);
+        net.connect_full(hub, sink, 0, Link::default());
+        assert_eq!(net.run(RunLimit::ticks(u64::MAX)), StopReason::Completed);
+        let out = net.outcome_for(sink);
         assert!(out.completed);
         assert_eq!(out.ticks, out.needed as u64, "baseline normalization");
         assert!((out.speedup() - 1.0).abs() < 1e-9);
-        assert!(receiver.is_complete(), "receiver state must round-trip");
+        assert!(net.node_complete(sink));
     }
 
     #[test]
@@ -463,8 +444,9 @@ mod tests {
 
     #[test]
     fn pre_complete_receiver_runs_zero_ticks() {
-        let mut receiver = Receiver::new(&[1, 2, 3], 3);
-        let out = run_loop(&mut receiver, &mut [], &mut [], u64::MAX);
+        let (mut net, _, sink) = lone_receiver(&[1, 2, 3], 3);
+        assert_eq!(net.run(RunLimit::ticks(u64::MAX)), StopReason::Completed);
+        let out = net.outcome_for(sink);
         assert!(out.completed);
         assert_eq!(out.ticks, 0);
         assert_eq!(out.needed, 0);
@@ -474,8 +456,9 @@ mod tests {
 
     #[test]
     fn empty_sender_roster_stalls_after_one_tick() {
-        let mut receiver = Receiver::new(&[1], 10);
-        let out = run_loop(&mut receiver, &mut [], &mut [], u64::MAX);
+        let (mut net, _, sink) = lone_receiver(&[1], 10);
+        assert_eq!(net.run(RunLimit::ticks(u64::MAX)), StopReason::Stalled);
+        let out = net.outcome_for(sink);
         assert!(!out.completed);
         assert_eq!(out.ticks, 1, "the discovering tick still elapses");
         assert_eq!(out.gained, 0);

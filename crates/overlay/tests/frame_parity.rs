@@ -30,7 +30,7 @@ use icd_overlay::{session_payload, SymbolId};
 /// Per-link tap accumulator: (frames, bytes) keyed by link.
 type TapLog = Rc<RefCell<HashMap<LinkId, (u64, u64)>>>;
 
-fn install_tap(net: &mut OverlayNet<'_>) -> TapLog {
+fn install_tap(net: &mut OverlayNet) -> TapLog {
     let log: TapLog = Rc::new(RefCell::new(HashMap::new()));
     let sink = Rc::clone(&log);
     net.set_frame_tap(move |link, frame| {

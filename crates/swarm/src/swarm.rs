@@ -384,7 +384,7 @@ impl Presence {
 #[derive(Debug)]
 pub struct Swarm {
     cfg: SwarmConfig,
-    net: OverlayNet<'static>,
+    net: OverlayNet,
     peers: Vec<Peer>,
     present: Presence,
     pool: Vec<SymbolId>,

@@ -13,7 +13,7 @@
 use icd_overlay::receiver::Receiver;
 use icd_overlay::scenario::ScenarioParams;
 use icd_overlay::strategy::{FullSender, ReceiverHandshake, Sender, StrategyKind};
-use icd_overlay::transfer::{handshake_estimate, run_loop, standard_sizing};
+use icd_overlay::transfer::{handshake_estimate, standard_sizing};
 use icd_recon::shared_registry;
 use icd_sketch::PermutationFamily;
 use icd_summary::SummaryId;
@@ -95,7 +95,6 @@ fn main() {
             // Peers exhausted their useful symbols; only the parent
             // trickle remains.
         }
-        let _ = run_loop; // (see icd-overlay::transfer for the general loop)
     }
     let collaborative_ticks = ticks;
 

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use icd_core::{pump, ReceiverSession, SenderSession, SessionConfig, WorkingSet};
+use icd_core::{FramePump, ReceiverMachine, SenderMachine, SessionConfig, WorkingSet};
 use icd_fountain::{DecodeStatus, Decoder, EncodedSymbol, Encoder};
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     // a substantial but incomplete overlap, like two peers that joined
     // a multicast session at different times.
     let cut = universe.len() * 6 / 10;
-    let mut receiver_ws = WorkingSet::from_symbols(universe[..cut].iter().cloned());
+    let receiver_ws = WorkingSet::from_symbols(universe[..cut].iter().cloned());
     let sender_ws = WorkingSet::from_symbols(universe[universe.len() - cut..].iter().cloned());
     println!(
         "receiver: {} symbols, sender: {} symbols",
@@ -35,24 +35,26 @@ fn main() {
     // plan is scored over the summary registry from the estimated
     // overlap, the winning digest crosses the wire in the generic
     // tagged frame, and the sender streams only symbols the receiver
-    // lacks.
+    // lacks. The two sans-I/O machines exchange real wire frames over
+    // the in-memory pump; a socket driver would move the same bytes.
     let config = SessionConfig::new().with_request((l + l / 10) as u64); // ask for everything we might need
-    let (mut session, opening) = ReceiverSession::start(&receiver_ws, config);
-    let mut sender = SenderSession::new(sender_ws, 99);
-    let (msgs_to_sender, msgs_to_receiver) =
-        pump(&mut session, &mut receiver_ws, &mut sender, opening).expect("session");
+    let mut receiver = ReceiverMachine::new(receiver_ws, config);
+    let mut sender = SenderMachine::new(sender_ws, 99);
+    let mut pump = FramePump::new();
+    pump.run(&mut receiver, &mut sender).expect("session");
+    let (bytes_to_sender, bytes_to_receiver) = pump.wire_bytes();
     println!(
-        "session: plan {:?}, gained {} new symbols ({} msgs →sender, {} →receiver)",
-        session.plan().expect("plan chosen"),
-        session.gained(),
-        msgs_to_sender,
-        msgs_to_receiver
+        "session: plan {:?}, gained {} new symbols ({} B →sender, {} B →receiver)",
+        receiver.plan().expect("plan chosen"),
+        receiver.gained(),
+        bytes_to_sender,
+        bytes_to_receiver
     );
 
     // Decode the file from the receiver's (now larger) working set.
     let mut decoder = Decoder::new(encoder.spec().clone());
     let mut complete = false;
-    for symbol in receiver_ws.symbols() {
+    for symbol in receiver.working().symbols() {
         if matches!(decoder.receive(&symbol), DecodeStatus::Complete) {
             complete = true;
             break;

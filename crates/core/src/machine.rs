@@ -176,6 +176,14 @@ pub enum SessionError {
     },
     /// A summary body failed its mechanism's decoder.
     MalformedSummary(&'static str),
+    /// A data frame's payload length differs from the session's symbol
+    /// length (fixed by the first symbol held or received).
+    PayloadLength {
+        /// The session's symbol length in bytes.
+        expected: usize,
+        /// The length the frame carried.
+        got: usize,
+    },
 }
 
 impl From<SummaryError> for SessionError {
@@ -197,6 +205,9 @@ impl std::fmt::Display for SessionError {
             Self::FamilyMismatch => write!(f, "peer sketch from a different permutation family"),
             Self::UnknownSummary { id } => write!(f, "summary id {id} not in registry"),
             Self::MalformedSummary(why) => write!(f, "summary body rejected: {why}"),
+            Self::PayloadLength { expected, got } => {
+                write!(f, "data payload of {got} bytes, session symbols are {expected}")
+            }
         }
     }
 }
@@ -379,6 +390,10 @@ pub struct ReceiverMachine {
     state: ReceiverState,
     working: WorkingSet,
     buffer: RecodeBuffer<SymbolBuf>,
+    /// Symbol length every data frame must carry: set by the first
+    /// symbol held or received, so a peer's short payload is a protocol
+    /// error instead of an unequal-length XOR in the buffer.
+    payload_len: Option<usize>,
     gained: u64,
     plan: Option<TransferPlan>,
     framer: Framer,
@@ -390,7 +405,9 @@ impl ReceiverMachine {
     #[must_use]
     pub fn new(working: WorkingSet, config: SessionConfig) -> Self {
         let mut buffer = RecodeBuffer::new();
+        let mut payload_len = None;
         for sym in working.symbols() {
+            payload_len.get_or_insert(sym.payload.len());
             buffer.add_known(sym.id, &sym.payload, |_, _| {});
         }
         Self {
@@ -398,6 +415,7 @@ impl ReceiverMachine {
             state: ReceiverState::AwaitPeerSketch,
             working,
             buffer,
+            payload_len,
             gained: 0,
             plan: None,
             framer: Framer::default(),
@@ -492,12 +510,10 @@ impl ReceiverMachine {
                 self.framer.send(&Message::SymbolRequest { count }, actions)
             }
             (ReceiverState::Streaming, Message::EncodedSymbol { id, payload }) => {
-                self.ingest(std::slice::from_ref(id), payload, actions);
-                Ok(())
+                self.ingest(std::slice::from_ref(id), payload, actions)
             }
             (ReceiverState::Streaming, Message::RecodedSymbol { components, payload }) => {
-                self.ingest(components, payload, actions);
-                Ok(())
+                self.ingest(components, payload, actions)
             }
             (ReceiverState::Streaming, Message::End { .. }) => {
                 self.state = ReceiverState::Done;
@@ -512,8 +528,23 @@ impl ReceiverMachine {
     }
 
     /// Substitutes one data message into the buffer. Each symbol it
-    /// recovers that is new to the working set is a `SymbolDecoded`.
-    fn ingest(&mut self, components: &[u64], payload: &[u8], actions: &mut Vec<SessionAction>) {
+    /// recovers that is new to the working set is a `SymbolDecoded`. A
+    /// payload of the wrong length is rejected before it reaches the
+    /// buffer.
+    fn ingest(
+        &mut self,
+        components: &[u64],
+        payload: &[u8],
+        actions: &mut Vec<SessionAction>,
+    ) -> Result<(), MachineError> {
+        let expected = *self.payload_len.get_or_insert(payload.len());
+        if payload.len() != expected {
+            return Err(SessionError::PayloadLength {
+                expected,
+                got: payload.len(),
+            }
+            .into());
+        }
         let (working, gained) = (&mut self.working, &mut self.gained);
         self.buffer.receive(components, payload, |id, data| {
             let payload = if data.is_empty() {
@@ -526,6 +557,7 @@ impl ReceiverMachine {
                 actions.push(SessionAction::SymbolDecoded(id));
             }
         });
+        Ok(())
     }
 
     /// The machine has reached a terminal state (done or rejected) and

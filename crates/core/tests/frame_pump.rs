@@ -7,11 +7,13 @@
 use bytes::Bytes;
 use icd_core::summary::{standard_registry, SummaryId};
 use icd_core::{
-    FramePump, PolicyKnobs, PumpStep, ReceiverMachine, SenderMachine, SessionAction,
-    SessionConfig, TransferPlan, WorkingSet,
+    FramePump, MachineError, PolicyKnobs, PumpStep, ReceiverMachine, SenderMachine,
+    SessionAction, SessionConfig, SessionError, SessionEvent, TransferPlan, WorkingSet,
 };
 use icd_fountain::EncodedSymbol;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
+use icd_wire::framing::write_frame_buf;
+use icd_wire::Message;
 
 fn sym(id: u64) -> EncodedSymbol {
     EncodedSymbol {
@@ -277,6 +279,79 @@ fn independent_sessions_interleave_one_frame_at_a_time() {
     }
     assert_eq!((recv_a.gained(), recv_a.working().len()), expect_a);
     assert_eq!((recv_b.gained(), recv_b.working().len()), expect_b);
+}
+
+/// A speculative (recoded-stream) config, so the sender serves its own
+/// payloads through the `Recoder`.
+fn speculative(request: u64) -> SessionConfig {
+    SessionConfig::new()
+        .with_request(request)
+        .with_knobs(PolicyKnobs {
+            fine_grained_capable: false,
+            ..PolicyKnobs::default()
+        })
+}
+
+fn is_payload_length(err: &MachineError, expected: usize, got: usize) -> bool {
+    matches!(
+        err,
+        MachineError::Session(SessionError::PayloadLength { expected: e, got: g })
+            if (*e, *g) == (expected, got)
+    )
+}
+
+#[test]
+fn short_payload_from_the_peer_is_an_error_not_a_panic() {
+    // The receiver holds 8-byte symbols; the sender serves 4-byte ones.
+    // The first recoded frame must surface as a typed session error
+    // before it can reach the substitution buffer's XOR.
+    let (receiver_ws, _) = overlapping_sets(400, 50, 0);
+    let short = |id: u64| EncodedSymbol {
+        id,
+        payload: Bytes::from(id.to_le_bytes()[..4].to_vec()),
+    };
+    let sender_ws = WorkingSet::from_symbols(
+        ids(400, 0xAB).into_iter().chain(ids(300, 0x51)).map(short),
+    );
+    let mut receiver = ReceiverMachine::new(receiver_ws, speculative(100));
+    let mut sender = SenderMachine::new(sender_ws, 3);
+    let err = FramePump::new()
+        .run(&mut receiver, &mut sender)
+        .expect_err("mismatched payloads must fail the session");
+    assert!(is_payload_length(&err, 8, 4), "got {err:?}");
+    assert!(matches!(receiver.plan(), Some(TransferPlan::Speculative { .. })));
+    assert_eq!(receiver.gained(), 0);
+}
+
+#[test]
+fn first_received_symbol_fixes_the_length_of_an_empty_receiver() {
+    // With nothing held, the first data frame sets the symbol length and
+    // a later frame that differs is rejected.
+    let frame = |msg: &Message| {
+        let mut out = Vec::new();
+        write_frame_buf(&mut out, msg, &mut Vec::new()).expect("frame");
+        SessionEvent::FrameReceived(Bytes::from(out))
+    };
+    let peer = WorkingSet::from_symbols(ids(200, 0x77).into_iter().map(sym));
+    let mut receiver = ReceiverMachine::new(WorkingSet::new(), speculative(10));
+    receiver.handle(SessionEvent::PeerConnected).expect("connect");
+    receiver
+        .handle(frame(&Message::Minwise(peer.sketch().clone())))
+        .expect("peer sketch");
+    let first = Message::EncodedSymbol {
+        id: 5,
+        payload: Bytes::from(vec![0xAA; 8]),
+    };
+    let actions = receiver.handle(frame(&first)).expect("first symbol accepted");
+    assert_eq!(actions, vec![SessionAction::SymbolDecoded(5)]);
+    let second = Message::RecodedSymbol {
+        components: vec![5, 6],
+        payload: Bytes::from(vec![0x55; 4]),
+    };
+    let err = receiver.handle(frame(&second)).expect_err("short payload");
+    assert!(is_payload_length(&err, 8, 4), "got {err:?}");
+    assert_eq!(receiver.gained(), 1);
+    assert_eq!(receiver.working().len(), 1);
 }
 
 #[test]

@@ -150,14 +150,6 @@ pub struct EncodedSymbol {
     pub payload: Bytes,
 }
 
-impl EncodedSymbol {
-    /// Wire size: 8-byte id + payload.
-    #[must_use]
-    pub fn wire_size(&self) -> usize {
-        8 + self.payload.len()
-    }
-}
-
 /// A fountain encoder bound to content and a code spec.
 #[derive(Debug, Clone)]
 pub struct Encoder {
@@ -354,13 +346,6 @@ mod tests {
                 assert_eq!(sym, enc.symbol(sym.id));
             }
         }
-    }
-
-    #[test]
-    fn wire_size_accounts_header() {
-        let enc = Encoder::for_content(&content(100), 100, 1);
-        let s = enc.symbol(1);
-        assert_eq!(s.wire_size(), 108);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! as the base code, one level up: known encoded symbols are XORed out,
 //! and a recoded symbol reduced to one unknown component yields that
 //! encoded symbol (the paper's y₅/y₈/y₁₃ worked example is a unit test
-//! below).
+//! below). The receiver's [`RecodeBuffer`] tracks each buffered symbol
+//! the way the peeling decoder tracks an encoded one: a count of unknown
+//! components and the XOR of their ids, not a list of them.
 //!
 //! Degree selection: with estimated containment `c` (fraction of the
 //! sender's set the receiver already has), the probability that a
@@ -51,14 +53,6 @@ impl RecodedSymbol {
     #[must_use]
     pub fn degree(&self) -> usize {
         self.components.len()
-    }
-
-    /// Wire size: 2-byte count + 8 bytes per listed id + payload. "These
-    /// lists can be stored concisely in packet headers" (§5.4.2); with
-    /// the degree cap of 50 the header stays ≤ 402 bytes.
-    #[must_use]
-    pub fn wire_size(&self) -> usize {
-        2 + 8 * self.components.len() + self.payload.len()
     }
 }
 
@@ -442,6 +436,14 @@ impl RecodePayload for SymbolBuf {
 /// the data plane — one cascade, so the simulated substitution
 /// structure is the real one.
 ///
+/// A buffered recoded symbol is the lazy-release form the peeling
+/// decoder uses: a count of still-unknown components and the XOR of
+/// their ids, never a list. Each substitution is `count -= 1`,
+/// `xor ^= id` and one payload XOR; once the count reaches 1 the XOR
+/// *is* the remaining id. This holds for any multiset of components,
+/// duplicates included, so it recovers exactly what a list of remaining
+/// ids would, in the same order.
+///
 /// Recoveries go to a caller-supplied sink, in recovery order, so a
 /// caller that only counts them allocates nothing per packet. The
 /// id-keyed maps hash through `icd_util`'s fast hasher: this buffer sits
@@ -451,21 +453,31 @@ pub struct RecodeBuffer<P: RecodePayload> {
     known: FastHashMap<SymbolId, P>,
     /// The ids of `known` in the order they became known.
     arrivals: Vec<SymbolId>,
-    /// Unresolved recoded symbols, slot-addressed by watchers.
+    /// Unresolved recoded symbols, slot-addressed by watchers. Slots are
+    /// append-only and never reused: a resolved slot still has watcher
+    /// nodes on its other components, and those must read `None` when
+    /// their id resolves later rather than land in an unrelated symbol.
     pending: Vec<Option<PendingRecoded<P>>>,
+    /// Number of `Some` slots in `pending`.
+    pending_live: usize,
     watchers: WatcherArena,
     /// Recoded symbols that arrived fully known (pure redundancy).
     redundant: u64,
     pool: P::Pool,
-    /// Retired `remaining` vectors, reused for later pending symbols.
-    id_pool: Vec<Vec<SymbolId>>,
+    /// Unknown component ids of the symbol being received (empty
+    /// between calls).
+    unknown_ids: Vec<SymbolId>,
     /// Reusable cascade stack (empty between calls).
     queue: Vec<(SymbolId, P)>,
 }
 
 #[derive(Debug, Clone)]
 struct PendingRecoded<P> {
-    remaining: Vec<SymbolId>,
+    /// Components not yet known; at least 2 while the slot is pending.
+    unknown: u32,
+    /// XOR of the unknown component ids — the last one once `unknown`
+    /// is 1.
+    unknown_xor: SymbolId,
     payload: P,
 }
 
@@ -475,10 +487,11 @@ impl<P: RecodePayload> Default for RecodeBuffer<P> {
             known: FastHashMap::default(),
             arrivals: Vec::new(),
             pending: Vec::new(),
+            pending_live: 0,
             watchers: WatcherArena::default(),
             redundant: 0,
             pool: P::Pool::default(),
-            id_pool: Vec::new(),
+            unknown_ids: Vec::new(),
             queue: Vec::new(),
         }
     }
@@ -546,7 +559,7 @@ impl<P: RecodePayload> RecodeBuffer<P> {
     /// Unresolved recoded symbols currently buffered.
     #[must_use]
     pub fn pending_count(&self) -> usize {
-        self.pending.iter().filter(|p| p.is_some()).count()
+        self.pending_live
     }
 
     /// Recoded symbols that arrived with every component already known.
@@ -567,42 +580,36 @@ impl<P: RecodePayload> RecodeBuffer<P> {
     ) -> usize {
         assert!(!components.is_empty(), "recoded symbol with no components");
         let mut buf = P::load(&mut self.pool, payload);
-        // Pooled vectors are allocated at full packet width up front:
-        // growing a fresh Vec push-by-push costs a realloc chain per
-        // buffered packet, which profiling showed dominating the loop.
-        let mut remaining = self
-            .id_pool
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(components.len()));
-        remaining.clear();
-        remaining.reserve(components.len());
+        self.unknown_ids.clear();
         for id in components {
             match self.known.get(id) {
                 Some(known) => buf.xor_in(known),
-                None => remaining.push(*id),
+                None => self.unknown_ids.push(*id),
             }
         }
-        match remaining.len() {
+        match self.unknown_ids.len() {
             0 => {
                 self.redundant += 1;
                 P::release(&mut self.pool, buf);
-                self.id_pool.push(remaining);
                 0
             }
             1 => {
-                let id = remaining[0];
-                self.id_pool.push(remaining);
+                let id = self.unknown_ids[0];
                 self.resolve(id, buf, true, recovered)
             }
-            _ => {
+            unknown => {
                 let slot = u32::try_from(self.pending.len()).expect("pending overflow");
-                for id in &remaining {
-                    self.watchers.watch(*id, slot);
+                let mut unknown_xor = 0;
+                for &id in &self.unknown_ids {
+                    self.watchers.watch(id, slot);
+                    unknown_xor ^= id;
                 }
                 self.pending.push(Some(PendingRecoded {
-                    remaining,
+                    unknown: u32::try_from(unknown).expect("degree overflow"),
+                    unknown_xor,
                     payload: buf,
                 }));
+                self.pending_live += 1;
                 0
             }
         }
@@ -642,29 +649,19 @@ impl<P: RecodePayload> RecodeBuffer<P> {
             while cur != WATCH_NONE {
                 let (slot, next) = self.watchers.take_next(cur);
                 cur = next;
+                // A chain is detached when its id resolves, so each node
+                // fires once; a `None` slot was resolved through another
+                // of its components.
                 let Some(p) = self.pending[slot as usize].as_mut() else {
                     continue;
                 };
-                let Some(pos) = p.remaining.iter().position(|x| *x == id) else {
-                    continue;
-                };
-                p.remaining.swap_remove(pos);
+                p.unknown -= 1;
+                p.unknown_xor ^= id;
                 p.payload.xor_in(data);
-                match p.remaining.len() {
-                    0 => {
-                        // Fully consumed without yielding — redundant
-                        // in hindsight.
-                        let p = self.pending[slot as usize].take().expect("checked above");
-                        P::release(&mut self.pool, p.payload);
-                        self.id_pool.push(p.remaining);
-                        self.redundant += 1;
-                    }
-                    1 => {
-                        let p = self.pending[slot as usize].take().expect("checked above");
-                        queue.push((p.remaining[0], p.payload));
-                        self.id_pool.push(p.remaining);
-                    }
-                    _ => {}
+                if p.unknown == 1 {
+                    let p = self.pending[slot as usize].take().expect("checked above");
+                    self.pending_live -= 1;
+                    queue.push((p.unknown_xor, p.payload));
                 }
             }
         }
@@ -927,15 +924,6 @@ mod tests {
             assert!(rec.components.iter().all(|id| ids.contains(id)));
             assert!(rec.degree() >= 1 && rec.degree() <= 20);
         }
-    }
-
-    #[test]
-    fn wire_size_within_header_budget() {
-        let symbols: Vec<EncodedSymbol> = (0..100).map(|i| sym(i, 0)).collect();
-        let r = Recoder::new(symbols, PAPER_DEGREE_LIMIT, RecodePolicy::Oblivious);
-        let mut rng = Xoshiro256StarStar::new(9);
-        let rec = r.generate(&mut rng);
-        assert!(rec.wire_size() <= 2 + 8 * PAPER_DEGREE_LIMIT + 4);
     }
 
     #[test]

@@ -61,6 +61,132 @@ impl ReferencePeeler {
     }
 }
 
+/// Id-only reference for the recode cascade: every pending recoded
+/// symbol keeps the `Vec` of its still-unknown component ids, each
+/// substitution finds and removes one occurrence, and a list down to one
+/// id yields it. Watchers fire in FIFO order per id and the cascade is a
+/// LIFO stack, the order [`RecodeBuffer`] must reproduce with its
+/// count-and-XOR slots.
+#[derive(Default)]
+struct ReferenceCascade {
+    known: std::collections::HashSet<u64>,
+    arrivals: Vec<u64>,
+    pending: Vec<Option<Vec<u64>>>,
+    watchers: std::collections::HashMap<u64, Vec<usize>>,
+    redundant: u64,
+}
+
+impl ReferenceCascade {
+    fn pending_count(&self) -> usize {
+        self.pending.iter().filter(|p| p.is_some()).count()
+    }
+
+    fn add_known(&mut self, id: u64) -> Vec<u64> {
+        self.resolve(id, false)
+    }
+
+    fn receive(&mut self, components: &[u64]) -> Vec<u64> {
+        let remaining: Vec<u64> =
+            components.iter().copied().filter(|id| !self.known.contains(id)).collect();
+        match remaining.len() {
+            0 => {
+                self.redundant += 1;
+                Vec::new()
+            }
+            1 => self.resolve(remaining[0], true),
+            _ => {
+                let slot = self.pending.len();
+                for &id in &remaining {
+                    self.watchers.entry(id).or_default().push(slot);
+                }
+                self.pending.push(Some(remaining));
+                Vec::new()
+            }
+        }
+    }
+
+    fn resolve(&mut self, seed: u64, report_seed: bool) -> Vec<u64> {
+        let mut recovered = Vec::new();
+        let mut queue = vec![seed];
+        let mut report = report_seed;
+        while let Some(id) = queue.pop() {
+            let reported = std::mem::replace(&mut report, true);
+            if !self.known.insert(id) {
+                continue;
+            }
+            self.arrivals.push(id);
+            if reported {
+                recovered.push(id);
+            }
+            for slot in self.watchers.remove(&id).unwrap_or_default() {
+                let Some(remaining) = self.pending[slot].as_mut() else {
+                    continue;
+                };
+                let Some(pos) = remaining.iter().position(|&x| x == id) else {
+                    continue;
+                };
+                remaining.swap_remove(pos);
+                match remaining.len() {
+                    0 => {
+                        self.pending[slot] = None;
+                        self.redundant += 1;
+                    }
+                    1 => {
+                        queue.push(remaining[0]);
+                        self.pending[slot] = None;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        recovered
+    }
+}
+
+/// The payload of symbol `id` in the cascade tests: eight bytes of it.
+fn truth(id: u64) -> [u8; 8] {
+    id.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_le_bytes()
+}
+
+/// XOR of the component payloads, one term per listed occurrence.
+fn blend(components: &[u64]) -> Vec<u8> {
+    let mut out = [0u8; 8];
+    for &id in components {
+        block::xor_into(&mut out, &truth(id));
+    }
+    out.to_vec()
+}
+
+#[test]
+fn stale_watchers_do_not_disturb_later_pending_symbols() {
+    // z0 = {a, b, c} resolves through b and yields c. Its watcher node on
+    // c is stale by the time c's chain runs, and z1 = {c, d}, buffered
+    // after z0, sits behind it in that chain: z1 must still yield d.
+    let (a, b, c, d) = (11u64, 22, 33, 44);
+    let mut buf = RecodeBuffer::<SymbolBuf>::new();
+    let mut reference = ReferenceCascade::default();
+    let mut step = |buf: &mut RecodeBuffer<SymbolBuf>, components: &[u64]| {
+        let mut ids = Vec::new();
+        buf.receive(components, &blend(components), |id, p| {
+            assert_eq!(p.to_vec(), truth(id), "payload of {id}");
+            ids.push(id);
+        });
+        assert_eq!(ids, reference.receive(components), "recoveries of {components:?}");
+        ids
+    };
+    assert!(step(&mut buf, &[a, b, c]).is_empty());
+    assert_eq!(step(&mut buf, &[a]), [a]);
+    assert!(step(&mut buf, &[c, d]).is_empty());
+    assert_eq!(buf.pending_count(), 2);
+    assert_eq!(step(&mut buf, &[b]), [b, c, d]);
+    assert_eq!(buf.pending_count(), 0);
+    assert_eq!(buf.redundant_count(), 0);
+    // Every chain is spent: a later symbol over the same ids is redundant.
+    assert!(step(&mut buf, &[c, d, a]).is_empty());
+    assert_eq!(buf.redundant_count(), 1);
+    assert_eq!(buf.known_since(0), [a, b, c, d]);
+}
+
 /// Feeds `arrivals` to a [`Decoder`] and the reference side by side and
 /// holds every observable equal after every call.
 fn assert_decoder_matches_reference(encoder: &Encoder, arrivals: &[EncodedSymbol]) -> Decoder {
@@ -228,49 +354,60 @@ proptest! {
     }
 
     #[test]
-    fn id_buffer_matches_payload_buffer(
+    fn recode_buffer_matches_id_list_reference(
         universe in 4usize..48,
         packets in proptest::collection::vec(
-            (proptest::collection::vec(0usize..48, 1..6), any::<bool>()),
-            1..120,
+            (proptest::collection::vec(0usize..48, 1..7), any::<bool>()),
+            1..160,
         ),
     ) {
-        // The simulator's RecodeBuffer<()> must be the exact id-projection
-        // of the data plane's RecodeBuffer<SymbolBuf>: same recoveries in
-        // the same order, same known set in the same arrival order, same
-        // redundancy/pending accounting, packet by packet, across
-        // interleaved add_known and receive calls. Nothing in the cascade
-        // may branch on the payload type.
+        // The simulator's RecodeBuffer<()> and the data plane's
+        // RecodeBuffer<SymbolBuf> must both match the list-of-remaining-ids
+        // reference call by call: same recoveries in the same order, same
+        // known set in the same arrival order, same redundancy and pending
+        // accounting, across interleaved add_known and receive calls.
+        // Component lists come unsorted and may repeat an id, as the wire
+        // allows; every recovered payload must be the true one.
         let ids: Vec<u64> = (0..universe as u64).map(|i| i * 31 + 5).collect();
-        let payload = [0xA5u8; 8];
         let mut full = RecodeBuffer::<SymbolBuf>::new();
         let mut lean = RecodeBuffer::<()>::new();
-        for (picks, seed_known) in packets {
-            let components: Vec<u64> = {
-                let mut c: Vec<u64> = picks.iter().map(|&p| ids[p % universe]).collect();
-                c.sort_unstable();
-                c.dedup();
-                c
-            };
+        let mut reference = ReferenceCascade::default();
+        for (step, (picks, seed_known)) in packets.into_iter().enumerate() {
+            let components: Vec<u64> = picks.iter().map(|&p| ids[p % universe]).collect();
             let (mut full_got, mut lean_got) = (Vec::new(), Vec::new());
-            let (a, b) = if seed_known {
+            let mut payloads_ok = true;
+            let mut check = |id: u64, p: &SymbolBuf| {
+                payloads_ok &= p.to_vec() == truth(id);
+                full_got.push(id);
+            };
+            let (a, b, expect) = if seed_known {
+                let id = components[0];
                 (
-                    full.add_known(components[0], &payload, |id, _| full_got.push(id)),
-                    lean.add_known(components[0], &[], |id, ()| lean_got.push(id)),
+                    full.add_known(id, &truth(id), &mut check),
+                    lean.add_known(id, &[], |id, ()| lean_got.push(id)),
+                    reference.add_known(id),
                 )
             } else {
                 (
-                    full.receive(&components, &payload, |id, _| full_got.push(id)),
+                    full.receive(&components, &blend(&components), &mut check),
                     lean.receive(&components, &[], |id, ()| lean_got.push(id)),
+                    reference.receive(&components),
                 )
             };
-            prop_assert_eq!(a, b);
-            prop_assert_eq!(full_got.len(), a);
-            prop_assert_eq!(&lean_got, &full_got);
-            prop_assert_eq!(lean.known_count(), full.known_count());
-            prop_assert_eq!(lean.pending_count(), full.pending_count());
-            prop_assert_eq!(lean.redundant_count(), full.redundant_count());
-            prop_assert_eq!(lean.known_since(0), full.known_since(0));
+            prop_assert!(payloads_ok, "wrong payload recovered at step {}", step);
+            prop_assert_eq!(a, expect.len(), "count at step {}", step);
+            prop_assert_eq!(b, expect.len(), "count at step {}", step);
+            prop_assert_eq!(&full_got, &expect, "recoveries at step {}", step);
+            prop_assert_eq!(&lean_got, &expect, "recoveries at step {}", step);
+            for buf_known in [full.known_since(0), lean.known_since(0)] {
+                prop_assert_eq!(buf_known, &reference.arrivals[..]);
+            }
+            prop_assert_eq!(full.known_count(), reference.known.len());
+            prop_assert_eq!(lean.known_count(), reference.known.len());
+            prop_assert_eq!(full.pending_count(), reference.pending_count());
+            prop_assert_eq!(lean.pending_count(), reference.pending_count());
+            prop_assert_eq!(full.redundant_count(), reference.redundant);
+            prop_assert_eq!(lean.redundant_count(), reference.redundant);
         }
     }
 

@@ -86,7 +86,7 @@ fn run_trial(cfg: &AccuracyConfig, seed: u64) -> f64 {
 /// Sweeps the leaf/internal split for a fixed total budget and correction
 /// and returns `(leaf_bits, mean accuracy)` pairs — Figure 4(a)'s series.
 #[must_use]
-pub fn sweep_split(
+pub(crate) fn sweep_split(
     base: &AccuracyConfig,
     leaf_bits_grid: &[f64],
 ) -> Vec<(f64, f64)> {

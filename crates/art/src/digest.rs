@@ -9,8 +9,8 @@
 
 use icd_bloom::digest::{decode_filter, encode_filter};
 use icd_summary::{
-    FrameReader, FrameWriter, Reconciler, SetSummary, SummaryError, SummaryId, SummaryRegistry,
-    SummarySizing, SummarySpec,
+    FrameReader, FrameWriter, Reconciler, SetSummary, SummaryError, SummaryId, SummarySizing,
+    SummarySpec,
 };
 
 use crate::search::search_differences;
@@ -35,21 +35,15 @@ impl ArtDigest {
 
     /// Wraps an existing summary (protocol-default tree parameters).
     #[must_use]
-    pub fn from_summary(summary: ArtSummary) -> Self {
+    pub(crate) fn from_summary(summary: ArtSummary) -> Self {
         Self {
             summary,
             params: ArtParams::default(),
         }
     }
 
-    /// The wrapped summary.
-    #[must_use]
-    pub fn summary(&self) -> &ArtSummary {
-        &self.summary
-    }
-
     /// Decodes a digest from its wire body.
-    pub fn decode(body: &[u8]) -> Result<Self, SummaryError> {
+    pub(crate) fn decode(body: &[u8]) -> Result<Self, SummaryError> {
         let mut r = FrameReader::new(body);
         let correction = u32::from(r.u16()?);
         let elements = r.u64()?;
@@ -139,18 +133,13 @@ pub fn spec() -> SummarySpec {
 
 /// Maps the shared sizing knobs onto ART summary parameters.
 #[must_use]
-pub fn summary_params(sizing: &SummarySizing) -> SummaryParams {
+pub(crate) fn summary_params(sizing: &SummarySizing) -> SummaryParams {
     SummaryParams {
         leaf_bits_per_element: sizing.art_leaf_bits_per_element,
         internal_bits_per_element: sizing.art_internal_bits_per_element,
         correction: sizing.art_correction,
         ..SummaryParams::standard()
     }
-}
-
-/// Registers the ART mechanism into `registry`.
-pub fn register(registry: &mut SummaryRegistry) -> Result<(), SummaryError> {
-    registry.register(spec())
 }
 
 #[cfg(test)]

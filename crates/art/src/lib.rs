@@ -34,13 +34,14 @@
 //! differences are true differences" guarantee is exact in practice).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod accuracy;
 pub mod digest;
-pub mod search;
-pub mod summary;
-pub mod tree;
+mod search;
+mod summary;
+mod tree;
 
 pub use digest::ArtDigest;
 pub use search::{search_differences, SearchOutcome};

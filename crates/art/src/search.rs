@@ -65,7 +65,7 @@ pub fn search_differences(
 /// [`search_differences`] with an explicit correction level (used by the
 /// accuracy experiments to sweep corrections over one summary).
 #[must_use]
-pub fn search_differences_with_correction(
+pub(crate) fn search_differences_with_correction(
     own_tree: &ReconciliationTree,
     peer_summary: &ArtSummary,
     correction: u32,

@@ -60,12 +60,6 @@ impl SummaryParams {
             ..Self::standard()
         }
     }
-
-    /// Total bits per element.
-    #[must_use]
-    pub fn total_bits_per_element(&self) -> f64 {
-        self.leaf_bits_per_element + self.internal_bits_per_element
-    }
 }
 
 /// The transmissible summary of a peer's reconciliation tree.
@@ -107,27 +101,27 @@ impl ArtSummary {
     /// Probes the internal-node filter.
     #[inline]
     #[must_use]
-    pub fn matches_internal(&self, value: u64) -> bool {
+    pub(crate) fn matches_internal(&self, value: u64) -> bool {
         self.internal_filter.contains(value)
     }
 
     /// Probes the leaf filter.
     #[inline]
     #[must_use]
-    pub fn matches_leaf(&self, value: u64) -> bool {
+    pub(crate) fn matches_leaf(&self, value: u64) -> bool {
         self.leaf_filter.contains(value)
     }
 
     /// Correction level the sender advertises for searching against this
     /// summary.
     #[must_use]
-    pub fn correction(&self) -> u32 {
+    pub(crate) fn correction(&self) -> u32 {
         self.correction
     }
 
     /// Number of elements in the summarized set.
     #[must_use]
-    pub fn elements(&self) -> usize {
+    pub(crate) fn elements(&self) -> usize {
         self.elements
     }
 
@@ -140,19 +134,19 @@ impl ArtSummary {
 
     /// Access to the leaf filter (wire encoding).
     #[must_use]
-    pub fn leaf_filter(&self) -> &BloomFilter {
+    pub(crate) fn leaf_filter(&self) -> &BloomFilter {
         &self.leaf_filter
     }
 
     /// Access to the internal filter (wire encoding).
     #[must_use]
-    pub fn internal_filter(&self) -> &BloomFilter {
+    pub(crate) fn internal_filter(&self) -> &BloomFilter {
         &self.internal_filter
     }
 
     /// Reassembles a summary from its parts (wire decoding).
     #[must_use]
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         leaf_filter: BloomFilter,
         internal_filter: BloomFilter,
         correction: u32,
@@ -243,7 +237,6 @@ mod tests {
         let p = SummaryParams::with_split(8.0, 3.0, 2);
         assert_eq!(p.leaf_bits_per_element, 3.0);
         assert_eq!(p.internal_bits_per_element, 5.0);
-        assert_eq!(p.total_bits_per_element(), 8.0);
         assert_eq!(p.correction, 2);
     }
 

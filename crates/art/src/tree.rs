@@ -36,7 +36,7 @@ impl ArtParams {
     /// its bits, most-significant first.
     #[inline]
     #[must_use]
-    pub fn position(&self, key: u64) -> u64 {
+    pub(crate) fn position(&self, key: u64) -> u64 {
         hash64(key, self.position_seed)
     }
 
@@ -46,7 +46,7 @@ impl ArtParams {
     /// an even multiset, never from a single element).
     #[inline]
     #[must_use]
-    pub fn value(&self, key: u64) -> u64 {
+    pub(crate) fn value(&self, key: u64) -> u64 {
         let v = hash64(key, self.value_seed);
         if v == 0 {
             1
@@ -328,12 +328,6 @@ impl ReconciliationTree {
         self.len == 0
     }
 
-    /// The parameters this tree was built with.
-    #[must_use]
-    pub fn params(&self) -> ArtParams {
-        self.params
-    }
-
     /// Root value — equal for two trees iff they hold identical sets
     /// (up to the negligible XOR-collision probability). This is the O(1)
     /// "are we identical?" test.
@@ -348,14 +342,6 @@ impl ReconciliationTree {
 
     pub(crate) fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id as usize]
-    }
-
-    /// Total number of arena nodes (internal + leaves); includes nodes
-    /// orphaned by splices, so this is a capacity metric, not a tree
-    /// invariant.
-    #[must_use]
-    pub fn arena_size(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Visits every live node value, distinguishing internal from leaf —
@@ -374,42 +360,27 @@ impl ReconciliationTree {
             }
         }
     }
-
-    /// Maximum root-to-leaf depth (collapsed) — O(log n) w.h.p.; exposed
-    /// for tests and the speed analysis.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        fn depth_of(tree: &ReconciliationTree, id: NodeId) -> usize {
-            match tree.node(id) {
-                Node::Leaf { .. } => 1,
-                Node::Internal { left, right, .. } => {
-                    1 + depth_of(tree, *left).max(depth_of(tree, *right))
-                }
-            }
-        }
-        self.root.map_or(0, |r| depth_of(self, r))
-    }
-
-    /// Counts live (reachable) nodes: `(internal, leaves)`.
-    #[must_use]
-    pub fn live_nodes(&self) -> (usize, usize) {
-        let mut internal = 0;
-        let mut leaves = 0;
-        self.visit_values(|_, is_leaf| {
-            if is_leaf {
-                leaves += 1;
-            } else {
-                internal += 1;
-            }
-        });
-        (internal, leaves)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use icd_util::rng::{Rng64, Xoshiro256StarStar};
+
+    impl ReconciliationTree {
+        /// Maximum root-to-leaf depth (collapsed) — O(log n) w.h.p.
+        pub(crate) fn depth(&self) -> usize {
+            fn depth_of(tree: &ReconciliationTree, id: NodeId) -> usize {
+                match tree.node(id) {
+                    Node::Leaf { .. } => 1,
+                    Node::Internal { left, right, .. } => {
+                        1 + depth_of(tree, *left).max(depth_of(tree, *right))
+                    }
+                }
+            }
+            self.root.map_or(0, |r| depth_of(self, r))
+        }
+    }
 
     fn keys(n: usize, seed: u64) -> Vec<u64> {
         let mut rng = Xoshiro256StarStar::new(seed);
@@ -530,16 +501,6 @@ mod tests {
                 t.depth()
             );
         }
-    }
-
-    #[test]
-    fn live_node_counts() {
-        let params = ArtParams::default();
-        let n = 1000;
-        let t = ReconciliationTree::from_keys(params, keys(n, 8));
-        let (internal, leaves) = t.live_nodes();
-        assert_eq!(leaves, n, "one leaf per key (64-bit positions)");
-        assert_eq!(internal, n - 1, "binary tree with n leaves");
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Table 4(c)'s speed column: Bloom O(n) probing vs ART O(d log n)
-//! search, plus the interpolation-search claim from §4.
+//! search.
 use criterion::{criterion_group, criterion_main, Criterion};
 use icd_art::{search_differences, ArtParams, ArtSummary, ReconciliationTree, SummaryParams};
 use icd_bloom::BloomFilter;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
-use icd_util::search::interpolation_contains;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -31,16 +30,6 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("art_search_d100_of_50k", |b| {
         b.iter(|| black_box(search_differences(&tree_b, &summary).missing_at_peer.len()))
-    });
-    // §4: interpolation vs binary search on sorted random keys.
-    let mut sorted = shared.clone();
-    sorted.sort_unstable();
-    let probes: Vec<u64> = (0..10_000).map(|_| rng.next_u64()).collect();
-    group.bench_function("interpolation_search_10k", |b| {
-        b.iter(|| probes.iter().filter(|&&p| interpolation_contains(&sorted, p)).count())
-    });
-    group.bench_function("binary_search_10k", |b| {
-        b.iter(|| probes.iter().filter(|&&p| sorted.binary_search(&p).is_ok()).count())
     });
     group.finish();
 }

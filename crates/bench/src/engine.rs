@@ -63,7 +63,7 @@ pub struct Cell<'a, S, G> {
     pub scenario: &'a S,
     /// The strategy axis value (transfer strategy, correction level…).
     pub strategy: &'a G,
-    /// The trial seed for this cell (from [`ExperimentGrid::seeds`]).
+    /// The trial seed for this cell (from the grid's seed axis).
     pub seed: u64,
     /// Index on the scenario axis.
     pub scenario_idx: usize,
@@ -114,18 +114,6 @@ impl<S: Sync, G: Sync> ExperimentGrid<S, G> {
     #[must_use]
     pub fn scenarios(&self) -> &[S] {
         &self.scenarios
-    }
-
-    /// The strategy axis.
-    #[must_use]
-    pub fn strategies(&self) -> &[G] {
-        &self.strategies
-    }
-
-    /// The seed axis.
-    #[must_use]
-    pub fn seeds(&self) -> &[u64] {
-        &self.seeds
     }
 
     /// Total number of cells.
@@ -260,7 +248,7 @@ impl<R> GridResults<R> {
 
     /// Iterates `(scenario_idx, strategy_idx, trial_idx, &result)` in
     /// cell-index order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, usize, &R)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, usize, usize, &R)> {
         let strategies = self.strategies;
         let trials = self.trials;
         self.cells.iter().enumerate().map(move |(i, r)| {

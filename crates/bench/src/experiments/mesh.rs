@@ -21,7 +21,7 @@ use crate::output::{f3, Table};
 /// One mesh topology point: neighbor count plus the per-link profiles
 /// (cycled over the receiver-facing links).
 #[derive(Debug, Clone)]
-pub struct MeshPoint {
+pub(crate) struct MeshPoint {
     /// Row label.
     pub label: &'static str,
     /// Number of neighbors the receiver downloads from concurrently.
@@ -36,7 +36,7 @@ pub struct MeshPoint {
 /// heterogeneous point (a slow link and a laggy one) and a lossy point —
 /// the regimes the pairwise loops could not express.
 #[must_use]
-pub fn default_points() -> Vec<MeshPoint> {
+pub(crate) fn default_points() -> Vec<MeshPoint> {
     vec![
         MeshPoint {
             label: "k=2 uniform",
@@ -79,7 +79,7 @@ const FAMILIES: [(&str, bool); 2] = [("Random/summary", false), ("Recode/summary
 
 /// Runs one mesh cell. Deterministic in `(point, recode, seed)`.
 #[must_use]
-pub fn mesh_cell(point: &MeshPoint, recode: bool, blocks: usize, seed: u64) -> MeshOutcome {
+pub(crate) fn mesh_cell(point: &MeshPoint, recode: bool, blocks: usize, seed: u64) -> MeshOutcome {
     let params = ScenarioParams::compact(blocks, seed);
     run_mesh_download(
         &params,

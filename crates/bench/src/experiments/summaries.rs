@@ -51,7 +51,7 @@ pub struct SessionGeometry {
 /// Differences stay modest so the char-poly Θ(m̄³) solve remains a
 /// measurement, not a stall.
 #[must_use]
-pub fn default_geometries() -> Vec<SessionGeometry> {
+pub(crate) fn default_geometries() -> Vec<SessionGeometry> {
     vec![
         SessionGeometry {
             label: "d=40 (1.6k shared)",

@@ -21,7 +21,7 @@ use crate::output::{f3, Table};
 
 /// One swarm scenario point: roster size, topology, and churn schedule.
 #[derive(Debug, Clone)]
-pub struct SwarmPoint {
+pub(crate) struct SwarmPoint {
     /// Row label.
     pub label: &'static str,
     /// Initial roster size.
@@ -40,7 +40,7 @@ pub struct SwarmPoint {
 /// power-law swarms at increasing churn — the adaptive-overlay regimes
 /// the pairwise presets cannot express.
 #[must_use]
-pub fn default_points() -> Vec<SwarmPoint> {
+pub(crate) fn default_points() -> Vec<SwarmPoint> {
     vec![
         SwarmPoint {
             label: "ring+chords, no churn",
@@ -86,7 +86,11 @@ const FAMILIES: [(&str, StrategyKind); 2] = [
 /// Builds the [`SwarmConfig`] for one cell. Public so scale tests and
 /// the perf baseline pin the exact sweep geometry.
 #[must_use]
-pub fn swarm_config(point: &SwarmPoint, strategy: StrategyKind, blocks: usize) -> SwarmConfig {
+pub(crate) fn swarm_config(
+    point: &SwarmPoint,
+    strategy: StrategyKind,
+    blocks: usize,
+) -> SwarmConfig {
     SwarmConfig::new(point.peers, blocks, point.topology)
         .with_strategy(SwarmStrategy::Fixed(strategy))
         .with_churn(ChurnConfig {
@@ -103,7 +107,12 @@ pub fn swarm_config(point: &SwarmPoint, strategy: StrategyKind, blocks: usize) -
 /// mis-sized cell names itself instead of aborting the whole grid
 /// anonymously.
 #[must_use]
-pub fn swarm_cell(point: &SwarmPoint, strategy: StrategyKind, blocks: usize, seed: u64) -> SwarmOutcome {
+pub(crate) fn swarm_cell(
+    point: &SwarmPoint,
+    strategy: StrategyKind,
+    blocks: usize,
+    seed: u64,
+) -> SwarmOutcome {
     try_run_swarm(swarm_config(point, strategy, blocks), seed ^ 0x5A43)
         .unwrap_or_else(|e| panic!("swarm cell '{}' rejected: {e}", point.label))
 }
@@ -178,7 +187,7 @@ pub fn swarm_matrix(cfg: &ExpConfig) -> Table {
 /// thousand-node overhead curves; floors at 8 so the seed peers and
 /// topology preconditions hold).
 #[must_use]
-pub fn peers_override() -> Option<usize> {
+pub(crate) fn peers_override() -> Option<usize> {
     let n: usize = std::env::var("ICD_PEERS").ok()?.trim().parse().ok()?;
     Some(n.max(8))
 }

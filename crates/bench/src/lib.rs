@@ -13,11 +13,12 @@
 //! paper scale. Shapes are scale-stable — EXPERIMENTS.md records both.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod config;
+mod config;
 pub mod engine;
 pub mod experiments;
-pub mod mem;
+mod mem;
 pub mod output;
 
 pub use config::ExpConfig;

@@ -64,7 +64,7 @@ impl Table {
 
     /// Writes the table as CSV under `results/<name>.csv` (relative to
     /// the workspace root or cwd) and returns the path.
-    pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
+    pub(crate) fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
         let dir = results_dir();
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{name}.csv"));

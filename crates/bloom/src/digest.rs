@@ -8,14 +8,13 @@
 //! that composite mechanisms (the ART summary) embed.
 
 use icd_summary::{
-    FrameReader, FrameWriter, Reconciler, SetSummary, SummaryError, SummaryId, SummaryRegistry,
-    SummarySpec,
+    FrameReader, FrameWriter, Reconciler, SetSummary, SummaryError, SummaryId, SummarySpec,
 };
 
 use crate::{math, BloomFilter};
 
 /// Protocol-wide seed for working-set Bloom digests (all peers agree).
-pub const DIGEST_SEED: u64 = 0x00F1_17E5;
+pub(crate) const DIGEST_SEED: u64 = 0x00F1_17E5;
 
 /// A working-set Bloom filter speaking the summary traits.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +25,7 @@ pub struct BloomDigest {
 impl BloomDigest {
     /// Builds the digest of `keys` at `bits_per_element`.
     #[must_use]
-    pub fn build(keys: &[u64], bits_per_element: f64) -> Self {
+    pub(crate) fn build(keys: &[u64], bits_per_element: f64) -> Self {
         let mut filter = BloomFilter::with_bits_per_element(
             keys.len().max(1),
             bits_per_element,
@@ -142,11 +141,6 @@ pub fn spec() -> SummarySpec {
             1.0 - math::false_positive_rate(m, est.summarized as u64, k)
         },
     }
-}
-
-/// Registers the Bloom mechanism into `registry`.
-pub fn register(registry: &mut SummaryRegistry) -> Result<(), SummaryError> {
-    registry.register(spec())
 }
 
 #[cfg(test)]

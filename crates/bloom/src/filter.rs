@@ -119,7 +119,7 @@ impl BloomFilter {
 
     /// Fraction of bits set — the load; drives the *empirical* FP estimate.
     #[must_use]
-    pub fn load(&self) -> f64 {
+    pub(crate) fn load(&self) -> f64 {
         self.bits.count_ones() as f64 / self.bits.len() as f64
     }
 

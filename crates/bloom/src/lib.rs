@@ -12,34 +12,24 @@
 //!
 //! Modules:
 //!
-//! * [`filter`] — the classic m-bit, k-hash filter with double hashing and
-//!   byte-exact serialization.
+//! * [`BloomFilter`] — the classic m-bit, k-hash filter with double
+//!   hashing and byte-exact serialization.
 //! * [`math`] — the analytic machinery: false-positive probability
 //!   `f = (1 − e^{−kn/m})^k`, the optimal `k`, and sizing helpers. The
 //!   paper's §5.2 calibration points (4 bits/elem + 3 hashes → 14.7 %,
 //!   8 bits/elem + 5 hashes → 2.2 %) are regenerated by the
 //!   `bloom_fp_table` experiment binary.
-//! * [`counting`] — a counting variant supporting deletion, used for
-//!   incremental working-set maintenance under churn (an extension the
-//!   paper's "incrementally updated" remark implies but does not spell
-//!   out).
-//! * [`strided`] — the §5.2 scaling trick: a filter covering only
-//!   elements ≡ β (mod γ), so very large working sets can be summarized
-//!   and reconciled in pipelined slices.
 //! * [`digest`] — the mechanism's plug into the workspace-wide
 //!   `icd-summary` trait API ([`digest::BloomDigest`] and its registry
 //!   [`digest::spec`]).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod counting;
 pub mod digest;
-pub mod filter;
+mod filter;
 pub mod math;
-pub mod strided;
 
-pub use counting::CountingBloomFilter;
 pub use digest::BloomDigest;
 pub use filter::BloomFilter;
-pub use strided::StridedBloomFilter;

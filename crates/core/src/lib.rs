@@ -30,6 +30,7 @@
 //! crate is the payload-carrying, protocol-speaking layer.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod machine;
@@ -38,10 +39,10 @@ pub mod summary;
 pub mod working_set;
 
 pub use machine::{
-    drive_receiver, drive_receiver_with, drive_sender, DriveError, FramePump, MachineError,
+    drive_receiver_with, drive_sender, DriveError, FramePump, MachineError,
     PumpStep, ReceiverMachine, SenderMachine, SessionAction, SessionConfig, SessionError,
     SessionEvent, WireStats,
 };
-pub use policy::{plan_transfer, select_summary, PolicyKnobs, TransferPlan};
+pub use policy::{select_summary, PolicyKnobs, TransferPlan};
 pub use summary::{SummaryId, SummaryRegistry, SummarySizing};
 pub use working_set::WorkingSet;

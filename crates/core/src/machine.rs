@@ -5,7 +5,7 @@
 //!
 //! 1. **R → S**: min-wise sketch (the calling card).
 //! 2. **S → R**: the sender's sketch in return.
-//! 3. Receiver applies [`crate::policy::plan_transfer`]:
+//! 3. Receiver applies the transfer policy ([`crate::policy`]):
 //!    * *Reject* — session ends (admission control; no bandwidth spent
 //!      beyond two 1 KB packets).
 //!    * *Reconciled* — receiver builds the chosen summary through its
@@ -36,7 +36,7 @@
 //! Drivers in this workspace:
 //! * `icd-overlay`'s session links pump one frame per link send slot,
 //!   applying rate/latency/loss to real framed byte lengths;
-//! * [`drive_receiver`]/[`drive_sender`] run the machines over any
+//! * [`drive_receiver_with`]/[`drive_sender`] run the machines over any
 //!   blocking `Read + Write` stream (the `icd-node` daemon and the
 //!   `tcp_reconcile` example);
 //! * [`FramePump`] interleaves two machines over in-memory queues, one
@@ -123,13 +123,6 @@ impl SessionConfig {
         self
     }
 
-    /// Sets the summary sizing.
-    #[must_use]
-    pub fn with_sizing(mut self, sizing: SummarySizing) -> Self {
-        self.sizing = sizing;
-        self
-    }
-
     /// Forces a specific summary mechanism instead of policy scoring.
     /// §4 admission control still applies: a peer with nothing useful is
     /// rejected before the pinned digest is built.
@@ -143,14 +136,6 @@ impl SessionConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Replaces the summary registry (e.g. one with a private mechanism
-    /// registered).
-    #[must_use]
-    pub fn with_registry(mut self, registry: Arc<SummaryRegistry>) -> Self {
-        self.registry = registry;
         self
     }
 }
@@ -217,8 +202,6 @@ impl std::error::Error for SessionError {}
 fn describe(msg: &Message) -> &'static str {
     match msg {
         Message::Minwise(_) => "minwise sketch",
-        Message::RandomSample(_) => "random sample",
-        Message::ModK(_) => "mod-k sample",
         Message::Summary { .. } => "summary frame",
         Message::SymbolRequest { .. } => "symbol request",
         Message::EncodedSymbol { .. } => "encoded symbol",
@@ -602,19 +585,6 @@ impl ReceiverMachine {
     pub fn into_working(self) -> WorkingSet {
         self.working
     }
-
-    /// Consumes a (possibly mid-flight) machine and builds a fresh one
-    /// over its *current* working set — the §3 re-handshake a resuming
-    /// dialer performs after a cut connection. The new session's opening
-    /// sketch summarizes everything decoded so far, so symbols that
-    /// landed before the cut are advertised as held and never
-    /// re-requested; the caller supplies a `config` whose request count
-    /// reflects what is still missing. Connection and terminal state
-    /// start over: resumption is a new connection.
-    #[must_use]
-    pub fn into_resumed(self, config: SessionConfig) -> Self {
-        Self::new(self.working, config)
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -656,17 +626,10 @@ impl SenderMachine {
     /// with the standard registry.
     #[must_use]
     pub fn new(working: WorkingSet, seed: u64) -> Self {
-        Self::with_registry(working, seed, standard_registry_arc())
-    }
-
-    /// As [`SenderMachine::new`] with an explicit summary registry (it
-    /// must cover every mechanism the receiver may choose).
-    #[must_use]
-    pub fn with_registry(working: WorkingSet, seed: u64, registry: Arc<SummaryRegistry>) -> Self {
         Self {
             working,
             state: SenderState::AwaitSketch,
-            registry,
+            registry: standard_registry_arc(),
             receiver_sketch: None,
             candidates: None,
             rng: Xoshiro256StarStar::new(seed),
@@ -800,12 +763,6 @@ impl SenderMachine {
     #[must_use]
     pub fn is_finished(&self) -> bool {
         self.state == SenderState::Done
-    }
-
-    /// Symbols streamed in answer to the request (the `End` count).
-    #[must_use]
-    pub fn streamed(&self) -> u64 {
-        self.streamed
     }
 }
 
@@ -1099,20 +1056,12 @@ fn read_failure(e: FrameError, stats: WireStats) -> DriveError {
 /// silent (with a socket read timeout set) before the session finishes
 /// yields [`DriveError::PeerClosed`] / [`DriveError::ReadTimeout`]
 /// carrying the partial counters.
-pub fn drive_receiver<S: std::io::Read + std::io::Write>(
-    machine: &mut ReceiverMachine,
-    stream: &mut S,
-    limit: FrameLimit,
-) -> Result<WireStats, DriveError> {
-    drive_receiver_with(machine, stream, limit, |_, _| {})
-}
-
-/// [`drive_receiver`] with a per-action observer: after each batch of
-/// reply frames is written, `observe` sees every action the machine
-/// emitted alongside the machine itself. A daemon uses this to ingest
-/// [`SessionAction::SymbolDecoded`] ids into a shared working set while
-/// the session is still running, so parallel sessions benefit from each
-/// other's progress.
+///
+/// After each batch of reply frames is written, `observe` sees every
+/// action the machine emitted alongside the machine itself. A daemon
+/// uses this to ingest [`SessionAction::SymbolDecoded`] ids into a
+/// shared working set while the session is still running, so parallel
+/// sessions benefit from each other's progress.
 pub fn drive_receiver_with<S, F>(
     machine: &mut ReceiverMachine,
     stream: &mut S,
@@ -1182,6 +1131,14 @@ pub fn drive_sender<S: std::io::Read + std::io::Write>(
 mod tests {
     use super::*;
     use icd_util::rng::{Rng64, Xoshiro256StarStar};
+
+    /// Drives `receiver` over `stream` with no per-action observer.
+    fn drive<S: std::io::Read + std::io::Write>(
+        receiver: &mut ReceiverMachine,
+        stream: &mut S,
+    ) -> Result<WireStats, DriveError> {
+        drive_receiver_with(receiver, stream, FrameLimit::default(), |_, _| {})
+    }
 
     fn sym(id: u64) -> EncodedSymbol {
         EncodedSymbol {
@@ -1256,7 +1213,7 @@ mod tests {
         assert!(receiver.gained() as usize > fresh * 9 / 10);
         // Every decoded id is genuinely in the final working set.
         for id in &decoded {
-            assert!(receiver.working().contains(*id));
+            assert!(receiver.working().payload(*id).is_some());
         }
         // Completion actions fired exactly once per side.
         let completions = actions
@@ -1311,7 +1268,7 @@ mod tests {
         let gained = receiver.gained() as usize;
         assert!(gained <= fresh.len());
         assert!(gained > fresh.len() * 9 / 10, "gained {gained} of {}", fresh.len());
-        for id in fresh.iter().filter(|id| receiver.working().contains(**id)) {
+        for id in fresh.iter().filter(|id| receiver.working().payload(**id).is_some()) {
             let payload = receiver.working().payload(*id).expect("present");
             assert_eq!(payload.as_ref(), &id.to_le_bytes());
         }
@@ -1351,7 +1308,7 @@ mod tests {
             receiver.gained()
         );
         // Payload integrity through recoded XOR paths.
-        for id in fresh.iter().filter(|id| receiver.working().contains(**id)) {
+        for id in fresh.iter().filter(|id| receiver.working().payload(**id).is_some()) {
             let payload = receiver.working().payload(*id).expect("present");
             assert_eq!(payload.as_ref(), &id.to_le_bytes());
         }
@@ -1472,7 +1429,7 @@ mod tests {
     }
 
     // An in-memory duplex "socket": two Vec-backed half-channels.
-    // Exercises drive_receiver/drive_sender — the exact code the real
+    // Exercises drive_receiver_with/drive_sender — the exact code the real
     // daemon runs — without touching the network.
     struct Half {
         incoming: std::sync::mpsc::Receiver<Vec<u8>>,
@@ -1533,7 +1490,7 @@ mod tests {
                 .expect("sender drive");
             (sender, stats)
         });
-        let recv_stats = drive_receiver(&mut receiver, &mut receiver_half, FrameLimit::default())
+        let recv_stats = drive(&mut receiver, &mut receiver_half)
             .expect("receiver drive");
         drop(receiver_half);
         let (sender, send_stats) = sender_thread.join().expect("join");
@@ -1562,7 +1519,7 @@ mod tests {
                 if let SessionAction::SymbolDecoded(id) = action {
                     // The machine's working set already holds the symbol
                     // when the observer fires — live ingestion is sound.
-                    assert!(machine.working().contains(*id));
+                    assert!(machine.working().payload(*id).is_some());
                     seen.push(*id);
                 }
             },
@@ -1593,7 +1550,7 @@ mod tests {
             }
         }
         let (mut receiver, mut sender, _) = machines(10);
-        match drive_receiver(&mut receiver, &mut DeadAfterWrite, FrameLimit::default()) {
+        match drive(&mut receiver, &mut DeadAfterWrite) {
             Err(DriveError::PeerClosed { stats }) => {
                 // The opening sketch frame was still booked.
                 assert_eq!(stats.frames, 1);
@@ -1636,7 +1593,7 @@ mod tests {
         };
         let (mut receiver, _, _) = machines(10);
         assert!(matches!(
-            drive_receiver(&mut receiver, &mut stream, FrameLimit::default()),
+            drive(&mut receiver, &mut stream),
             Err(DriveError::Transport(FrameError::Truncated { needed: 5, got: 7 }))
         ));
     }
@@ -1660,7 +1617,7 @@ mod tests {
             }
         }
         let (mut receiver, _, _) = machines(10);
-        match drive_receiver(&mut receiver, &mut SilentPeer, FrameLimit::default()) {
+        match drive(&mut receiver, &mut SilentPeer) {
             Err(DriveError::ReadTimeout { stats }) => assert_eq!(stats.frames, 1),
             other => panic!("expected ReadTimeout, got {other:?}"),
         }
@@ -1687,7 +1644,7 @@ mod tests {
             }
         }
         let (mut receiver, _, _) = machines(10);
-        match drive_receiver(&mut receiver, &mut FullBuffer, FrameLimit::default()) {
+        match drive(&mut receiver, &mut FullBuffer) {
             Err(DriveError::Transport(e)) => {
                 assert!(matches!(e, FrameError::TimedOut));
                 assert!(e.is_transient());
@@ -1727,8 +1684,10 @@ mod tests {
         // against a fresh sender over the same inventory (the serving
         // daemon rebuilds its machine per connection too).
         let missing = 1000 - gained_before;
-        let mut resumed =
-            receiver.into_resumed(SessionConfig::new().with_request(missing).with_seed(99));
+        let mut resumed = ReceiverMachine::new(
+            receiver.into_working(),
+            SessionConfig::new().with_request(missing).with_seed(99),
+        );
         assert_eq!(resumed.working().len(), held_at_cut);
         let sender_ids: Vec<u64> = {
             let mut v = ids(600, 1);

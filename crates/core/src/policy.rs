@@ -11,7 +11,7 @@
 //!   (estimated) identical is rejected outright.
 //! * **Summary choice** (§5): every mechanism registered in the
 //!   [`SummaryRegistry`] is a candidate. Instead of hardcoded
-//!   per-mechanism thresholds, [`plan_transfer`] scores each candidate
+//!   per-mechanism thresholds, `plan_transfer` scores each candidate
 //!   by its *advertised* costs — estimated wire bytes plus
 //!   compute-weighted op count — and drops candidates below the
 //!   deployment's recall floor. The paper's Bloom-for-large-differences /
@@ -85,7 +85,7 @@ pub enum TransferPlan {
 /// sender. Candidate summaries come from `registry`, scored under
 /// `sizing` — no mechanism is named here.
 #[must_use]
-pub fn plan_transfer(
+pub(crate) fn plan_transfer(
     estimate: &OverlapEstimate,
     knobs: &PolicyKnobs,
     sizing: &SummarySizing,

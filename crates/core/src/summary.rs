@@ -22,13 +22,11 @@
 //! 1. Implement [`Reconciler`] and [`SetSummary`] for your digest type
 //!    in its home crate (depend on `icd-summary` only).
 //! 2. Write a `spec()` returning a [`SummarySpec`]: pick an unused
-//!    [`SummaryId`] (ids ≥ `SummaryId::FIRST_PRIVATE` are never assigned
-//!    by this workspace), and provide `build`, `decode`, and the three
+//!    [`SummaryId`], and provide `build`, `decode`, and the three
 //!    analytic advisors (`wire_cost`, `compute_cost`, `expected_recall`)
-//!    that [`crate::policy::plan_transfer`] scores.
-//! 3. Register it: `let mut reg = standard_registry(); reg.register(spec())?;`
-//!    and hand the registry to [`crate::SessionConfig::with_registry`]
-//!    (receiver) and [`crate::SenderMachine::with_registry`] (sender).
+//!    that the transfer policy ([`crate::policy`]) scores.
+//! 3. Register it in `icd_recon::standard_registry`, the one registry
+//!    both session machines consult.
 //!
 //! The mechanism then travels in the generic `Message::Summary` wire
 //! frame, is eligible for policy selection, and can be swept by the
@@ -47,7 +45,7 @@ pub use icd_summary::{
 /// A process-wide `Arc` of the [`standard_registry`], the default for
 /// [`crate::SessionConfig`] and [`crate::SenderMachine`].
 #[must_use]
-pub fn standard_registry_arc() -> Arc<SummaryRegistry> {
+pub(crate) fn standard_registry_arc() -> Arc<SummaryRegistry> {
     static SHARED: OnceLock<Arc<SummaryRegistry>> = OnceLock::new();
     Arc::clone(SHARED.get_or_init(|| Arc::new(standard_registry())))
 }

@@ -79,12 +79,6 @@ impl WorkingSet {
         self.symbols.is_empty()
     }
 
-    /// Whether symbol `id` is present.
-    #[must_use]
-    pub fn contains(&self, id: SymbolId) -> bool {
-        self.symbols.contains_key(&id)
-    }
-
     /// Payload of symbol `id`, if held.
     #[must_use]
     pub fn payload(&self, id: SymbolId) -> Option<&Bytes> {
@@ -139,12 +133,6 @@ impl WorkingSet {
     pub fn estimate_against(&self, peer_sketch: &MinwiseSketch) -> OverlapEstimate {
         self.sketch.estimate(peer_sketch)
     }
-
-    /// The live reconciliation tree (for searching a peer's summary).
-    #[must_use]
-    pub fn tree(&self) -> &ReconciliationTree {
-        &self.tree
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +159,7 @@ mod tests {
         assert!(ws.insert(sym(7)));
         assert!(!ws.insert(sym(7)), "duplicate rejected");
         assert_eq!(ws.len(), 1);
-        assert!(ws.contains(7));
+        assert!(ws.payload(7).is_some());
         assert_eq!(ws.payload(7).expect("present").as_ref(), &7u64.to_le_bytes());
     }
 
@@ -186,7 +174,7 @@ mod tests {
         let b = WorkingSet::from_symbols(ids.iter().map(|&id| sym(id)));
         // Same contents → identical sketches and identical tree roots.
         assert_eq!(a.sketch().minima(), b.sketch().minima());
-        assert_eq!(a.tree().root_value(), b.tree().root_value());
+        assert_eq!(a.tree.root_value(), b.tree.root_value());
         let est = a.estimate_against(b.sketch());
         assert_eq!(est.resemblance(), 1.0);
         assert!(est.is_identical(0.01), "admission control should reject");
@@ -245,7 +233,7 @@ mod tests {
         assert!(!found.is_empty());
         // One-sided error: everything found is genuinely missing at A.
         for id in &found {
-            assert!(!a.contains(*id));
+            assert!(a.payload(*id).is_none());
             assert!(fresh.contains(id));
         }
     }
@@ -256,6 +244,6 @@ mod tests {
         let collected: Vec<EncodedSymbol> = ws.symbols().collect();
         assert_eq!(collected.len(), 50);
         let rebuilt = WorkingSet::from_symbols(collected);
-        assert_eq!(rebuilt.tree().root_value(), ws.tree().root_value());
+        assert_eq!(rebuilt.tree.root_value(), ws.tree.root_value());
     }
 }

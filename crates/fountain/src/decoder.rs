@@ -133,12 +133,6 @@ impl Decoder {
         }
     }
 
-    /// The spec this decoder speaks.
-    #[must_use]
-    pub fn spec(&self) -> &CodeSpec {
-        &self.spec
-    }
-
     /// Allocation counters of the block-buffer pool.
     #[must_use]
     pub fn pool_stats(&self) -> PoolStats {
@@ -492,13 +486,13 @@ mod tests {
             match dec.receive(&sym) {
                 DecodeStatus::Progress { newly_recovered } => total += newly_recovered,
                 DecodeStatus::Complete => {
-                    total += dec.spec().num_blocks() - (total);
+                    total += dec.spec.num_blocks() - (total);
                     break;
                 }
                 _ => {}
             }
         }
-        assert_eq!(total, dec.spec().num_blocks());
+        assert_eq!(total, dec.spec.num_blocks());
         assert!(dec.is_complete());
     }
 

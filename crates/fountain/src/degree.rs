@@ -20,7 +20,7 @@ use icd_util::rng::Rng64;
 /// A discrete distribution over symbol degrees `1..=max_degree`,
 /// sampled by inverse-CDF binary search in `O(log max_degree)`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DegreeDistribution {
+pub(crate) struct DegreeDistribution {
     /// `cdf[i]` = P(degree ≤ i+1); last entry is 1.0.
     cdf: Vec<f64>,
     mean: f64,
@@ -32,7 +32,7 @@ impl DegreeDistribution {
     ///
     /// Panics if `weights` is empty or sums to zero.
     #[must_use]
-    pub fn from_weights(weights: &[f64]) -> Self {
+    pub(crate) fn from_weights(weights: &[f64]) -> Self {
         assert!(!weights.is_empty(), "degree distribution needs weights");
         assert!(
             weights.iter().all(|w| w.is_finite() && *w >= 0.0),
@@ -58,7 +58,7 @@ impl DegreeDistribution {
     /// The ideal soliton distribution for `n` blocks:
     /// ρ(1) = 1/n, ρ(d) = 1/(d(d−1)) for d = 2..=n.
     #[must_use]
-    pub fn ideal_soliton(n: usize) -> Self {
+    pub(crate) fn ideal_soliton(n: usize) -> Self {
         assert!(n >= 1, "soliton needs at least one block");
         let mut weights = vec![0.0; n];
         weights[0] = 1.0 / n as f64;
@@ -74,7 +74,7 @@ impl DegreeDistribution {
     /// * `c` — tuning constant (paper-era practice: 0.01–0.1),
     /// * `delta` — target decode-failure probability bound.
     #[must_use]
-    pub fn robust_soliton(n: usize, c: f64, delta: f64) -> Self {
+    pub(crate) fn robust_soliton(n: usize, c: f64, delta: f64) -> Self {
         assert!(n >= 1, "soliton needs at least one block");
         assert!(c > 0.0 && delta > 0.0 && delta < 1.0, "bad soliton parameters");
         let nf = n as f64;
@@ -100,7 +100,7 @@ impl DegreeDistribution {
     /// δ = 0.5 — at the paper's l = 23 968 this yields average degree
     /// ≈ 11 and single-digit-percent decoding overhead, matching §6.1.
     #[must_use]
-    pub fn paper_default(n: usize) -> Self {
+    pub(crate) fn paper_default(n: usize) -> Self {
         Self::robust_soliton(n, 0.03, 0.5)
     }
 
@@ -109,7 +109,7 @@ impl DegreeDistribution {
     /// fixed degree limit primarily to keep the listing of identifiers
     /// short" (§5.4.2; the paper caps at 50).
     #[must_use]
-    pub fn capped(&self, max_degree: usize) -> Self {
+    pub(crate) fn capped(&self, max_degree: usize) -> Self {
         assert!(max_degree >= 1, "cap must be at least 1");
         let cap = max_degree.min(self.cdf.len());
         let mut weights: Vec<f64> = Vec::with_capacity(cap);
@@ -128,7 +128,7 @@ impl DegreeDistribution {
 
     /// Samples a degree.
     #[must_use]
-    pub fn sample<R: Rng64>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng64>(&self, rng: &mut R) -> usize {
         let u = rng.unit_f64();
         // First index with cdf ≥ u.
         let idx = self.cdf.partition_point(|&p| p < u);
@@ -137,25 +137,14 @@ impl DegreeDistribution {
 
     /// Expected degree.
     #[must_use]
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.mean
     }
 
     /// Largest degree with non-zero probability.
     #[must_use]
-    pub fn max_degree(&self) -> usize {
+    pub(crate) fn max_degree(&self) -> usize {
         self.cdf.len()
-    }
-
-    /// P(degree = d); 0 outside `1..=max_degree`.
-    #[must_use]
-    pub fn pmf(&self, d: usize) -> f64 {
-        if d == 0 || d > self.cdf.len() {
-            return 0.0;
-        }
-        let hi = self.cdf[d - 1];
-        let lo = if d >= 2 { self.cdf[d - 2] } else { 0.0 };
-        hi - lo
     }
 }
 
@@ -163,6 +152,18 @@ impl DegreeDistribution {
 mod tests {
     use super::*;
     use icd_util::rng::Xoshiro256StarStar;
+
+    impl DegreeDistribution {
+        /// P(degree = d); 0 outside `1..=max_degree`.
+        fn pmf(&self, d: usize) -> f64 {
+            if d == 0 || d > self.cdf.len() {
+                return 0.0;
+            }
+            let hi = self.cdf[d - 1];
+            let lo = if d >= 2 { self.cdf[d - 2] } else { 0.0 };
+            hi - lo
+        }
+    }
 
     #[test]
     fn ideal_soliton_pmf_known_values() {

@@ -27,7 +27,7 @@ use crate::degree::DegreeDistribution;
 /// Reusable buffers for allocation-free symbol generation
 /// ([`Encoder::symbol_into`]).
 #[derive(Debug, Clone, Default)]
-pub struct EncodeScratch {
+pub(crate) struct EncodeScratch {
     /// The generated payload (valid after `symbol_into` returns).
     pub payload: SymbolBuf,
     neighbors: Vec<usize>,
@@ -62,7 +62,7 @@ impl CodeSpec {
 
     /// Builds a spec with an explicit degree distribution.
     #[must_use]
-    pub fn with_distribution(
+    pub(crate) fn with_distribution(
         num_blocks: usize,
         block_size: usize,
         distribution: DegreeDistribution,
@@ -90,13 +90,13 @@ impl CodeSpec {
 
     /// Block size in bytes.
     #[must_use]
-    pub fn block_size(&self) -> usize {
+    pub(crate) fn block_size(&self) -> usize {
         self.block_size
     }
 
     /// The degree distribution.
     #[must_use]
-    pub fn distribution(&self) -> &DegreeDistribution {
+    pub(crate) fn distribution(&self) -> &DegreeDistribution {
         &self.distribution
     }
 
@@ -112,7 +112,7 @@ impl CodeSpec {
     /// [`CodeSpec::neighbors`] into a caller-owned vector (cleared
     /// first). The hot path: encoder and decoder derive a neighbor set
     /// per symbol, and this form does it without allocating.
-    pub fn neighbors_into(&self, id: SymbolId, out: &mut Vec<usize>) {
+    pub(crate) fn neighbors_into(&self, id: SymbolId, out: &mut Vec<usize>) {
         let mut rng = Xoshiro256StarStar::new(hash64(id, self.code_seed));
         let degree = self.distribution.sample(&mut rng).min(self.num_blocks);
         rng.sample_distinct_into(self.num_blocks, degree, out);
@@ -122,7 +122,7 @@ impl CodeSpec {
     /// [`CodeSpec::neighbors_into`] through a reusable
     /// [`DistinctSampler`], making the per-symbol derivation `O(degree)`
     /// even when the distribution's spike fires. Identical output.
-    pub fn neighbors_sampled(
+    pub(crate) fn neighbors_sampled(
         &self,
         id: SymbolId,
         sampler: &mut DistinctSampler,
@@ -132,12 +132,6 @@ impl CodeSpec {
         let degree = self.distribution.sample(&mut rng).min(self.num_blocks);
         sampler.sample_into(&mut rng, self.num_blocks, degree, out);
         out.sort_unstable();
-    }
-
-    /// Degree of symbol `id` (length of its neighbor set).
-    #[must_use]
-    pub fn degree_of(&self, id: SymbolId) -> usize {
-        self.neighbors(id).len()
     }
 }
 
@@ -160,7 +154,7 @@ pub struct Encoder {
 impl Encoder {
     /// Creates an encoder. The spec's geometry must match the content's.
     #[must_use]
-    pub fn new(spec: CodeSpec, source: SourceBlocks) -> Self {
+    pub(crate) fn new(spec: CodeSpec, source: SourceBlocks) -> Self {
         assert_eq!(spec.num_blocks(), source.num_blocks(), "block count mismatch");
         assert_eq!(spec.block_size(), source.block_size(), "block size mismatch");
         Self { spec, source }
@@ -198,7 +192,7 @@ impl Encoder {
     /// Generates symbol `id` into reusable scratch — the allocation-free
     /// form of [`Encoder::symbol`]. After the call `scratch.payload`
     /// holds the XOR of the neighbor blocks.
-    pub fn symbol_into(&self, id: SymbolId, scratch: &mut EncodeScratch) {
+    pub(crate) fn symbol_into(&self, id: SymbolId, scratch: &mut EncodeScratch) {
         self.spec
             .neighbors_sampled(id, &mut scratch.sampler, &mut scratch.neighbors);
         let block_size = self.spec.block_size();
@@ -232,7 +226,12 @@ impl Encoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::xor_into;
+
+    fn xor_into(dst: &mut [u8], src: &[u8]) {
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d ^= s;
+        }
+    }
 
     fn content(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 31 % 255) as u8).collect()
@@ -313,7 +312,7 @@ mod tests {
     fn empirical_average_degree_matches_distribution() {
         let spec = CodeSpec::new(2000, 10, 9);
         let samples = 20_000u64;
-        let total: usize = (0..samples).map(|id| spec.degree_of(id)).sum();
+        let total: usize = (0..samples).map(|id| spec.neighbors(id).len()).sum();
         let emp = total as f64 / samples as f64;
         let expect = spec.distribution().mean();
         assert!((emp - expect).abs() < 0.3, "empirical {emp} vs analytic {expect}");

@@ -12,14 +12,14 @@
 //!
 //! Modules:
 //!
-//! * [`block`] — file partitioning into source blocks and reassembly.
-//! * [`degree`] — degree distributions: ideal and robust soliton plus the
+//! * `block` — file partitioning into source blocks and reassembly.
+//! * `degree` — degree distributions: ideal and robust soliton plus the
 //!   capped variants used for recoding (the paper's own distribution is
 //!   proprietary; DESIGN.md documents the substitution — the robust
 //!   soliton lands in the same sparse Θ(log l) band: mean degree ≈ 16 vs
 //!   the paper's 11, decoding overhead in the same few-percent range at
 //!   l ≈ 24 000).
-//! * [`encoder`] — the memoryless encoder: a symbol is a pure function of
+//! * `encoder` — the memoryless encoder: a symbol is a pure function of
 //!   its 64-bit id, so independently seeded senders emit uncorrelated,
 //!   additive streams ("additivity", §2.3).
 //! * [`decoder`] — the peeling decoder with full cascade, duplicate
@@ -30,19 +30,17 @@
 //!   `coding_table` experiment).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod block;
+mod block;
 pub mod decoder;
-pub mod degree;
-pub mod encoder;
+mod degree;
+mod encoder;
 pub mod overhead;
 pub mod recode;
 
-pub use block::{SourceBlocks, SymbolId};
+pub use block::SymbolId;
 pub use decoder::{DecodeStatus, Decoder};
-pub use degree::DegreeDistribution;
-pub use encoder::{CodeSpec, EncodeScratch, EncodedSymbol, Encoder};
-pub use recode::{
-    RecodeBuffer, RecodePayload, RecodePolicy, RecodeScratch, RecodedSymbol, Recoder,
-};
+pub use encoder::{CodeSpec, EncodedSymbol, Encoder};
+pub use recode::{RecodeBuffer, RecodePolicy, RecodeScratch, RecodedSymbol, Recoder};

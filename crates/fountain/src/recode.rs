@@ -49,11 +49,6 @@ pub struct RecodedSymbol {
 }
 
 impl RecodedSymbol {
-    /// Degree of the recoded symbol.
-    #[must_use]
-    pub fn degree(&self) -> usize {
-        self.components.len()
-    }
 }
 
 /// Degree-selection policy for a recoding sender.
@@ -198,18 +193,6 @@ impl Recoder {
             policy,
             cap,
         }
-    }
-
-    /// Working-set size `n = |B_F|`.
-    #[must_use]
-    pub fn working_set_size(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// The effective degree cap.
-    #[must_use]
-    pub fn cap(&self) -> usize {
-        self.cap
     }
 
     /// Draws the degree for the next symbol according to the policy.
@@ -673,11 +656,16 @@ impl<P: RecodePayload> RecodeBuffer<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::xor_into;
     use crate::decoder::{DecodeStatus, Decoder};
     use crate::encoder::Encoder;
     use icd_util::rng::{SplitMix64, Xoshiro256StarStar};
     use std::collections::HashMap;
+
+    fn xor_into(dst: &mut [u8], src: &[u8]) {
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d ^= s;
+        }
+    }
 
     fn sym(id: SymbolId, byte: u8) -> EncodedSymbol {
         EncodedSymbol {
@@ -892,7 +880,7 @@ mod tests {
             RecodePolicy::MinwiseScaled { containment: 0.5 },
         );
         let avg = |r: &Recoder, rng: &mut Xoshiro256StarStar| {
-            (0..500).map(|_| r.generate(rng).degree()).sum::<usize>() as f64 / 500.0
+            (0..500).map(|_| r.generate(rng).components.len()).sum::<usize>() as f64 / 500.0
         };
         let a = avg(&oblivious, &mut rng);
         let b = avg(&scaled, &mut rng);
@@ -907,7 +895,7 @@ mod tests {
         let r = Recoder::new(symbols, 50, RecodePolicy::LowerBounded { containment: c });
         let mut rng = Xoshiro256StarStar::new(7);
         for _ in 0..500 {
-            let d = r.generate(&mut rng).degree();
+            let d = r.generate(&mut rng).components.len();
             assert!(d >= lo && d <= 50, "degree {d} outside [{lo}, 50]");
         }
     }
@@ -922,7 +910,7 @@ mod tests {
             let rec = r.generate(&mut rng);
             assert!(rec.components.windows(2).all(|w| w[0] < w[1]));
             assert!(rec.components.iter().all(|id| ids.contains(id)));
-            assert!(rec.degree() >= 1 && rec.degree() <= 20);
+            assert!(!rec.components.is_empty() && rec.components.len() <= 20);
         }
     }
 

@@ -31,7 +31,7 @@ const MAGIC: [u8; 4] = *b"ICDN";
 /// Hello preamble protocol version.
 const VERSION: u8 = 1;
 /// Encoded hello length: magic + version + epoch + dialer + seed.
-pub const HELLO_BYTES: usize = 4 + 1 + 1 + 4 + 8;
+pub(crate) const HELLO_BYTES: usize = 4 + 1 + 1 + 4 + 8;
 
 /// Wire byte marking a [`SessionEpoch::Live`] hello.
 const LIVE_EPOCH: u8 = 0xFF;
@@ -261,7 +261,7 @@ impl ServeStatus {
     /// `true` for every status other than [`ServeStatus::Complete`] —
     /// the session ended early and the dialer saw a partial transfer.
     #[must_use]
-    pub fn is_degraded(self) -> bool {
+    pub(crate) fn is_degraded(self) -> bool {
         !matches!(self, Self::Complete)
     }
 }
@@ -310,7 +310,7 @@ pub fn serve_session<S: Read + Write>(
 ///
 /// # Errors
 /// [`DriveError::Machine`] or a non-transient transport failure.
-pub fn serve_session_budgeted<S: Read + Write>(
+pub(crate) fn serve_session_budgeted<S: Read + Write>(
     stream: &mut S,
     snapshot: WorkingSet,
     sender_seed: u64,

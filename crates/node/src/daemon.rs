@@ -14,7 +14,7 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use icd_core::machine::{DriveError, WireStats};
@@ -123,7 +123,7 @@ impl Roster {
 
     /// Address of a live peer (`None` while departed or unknown).
     #[must_use]
-    pub fn addr(&self, peer: PeerId) -> Option<SocketAddr> {
+    pub(crate) fn addr(&self, peer: PeerId) -> Option<SocketAddr> {
         self.live.get(&peer).copied()
     }
 
@@ -177,7 +177,7 @@ pub struct FetchReport {
     pub from: PeerId,
     /// Reconciliation round the session ran in.
     pub round: u32,
-    /// Session seed the round ran under ([`round_seed`] of the link).
+    /// Session seed the round ran under (`round_seed` of the link).
     pub seed: u64,
     /// The session outcome, or the error that ended it. After retries,
     /// `Ok` carries the *accumulated* stats and gains of every attempt.
@@ -227,6 +227,48 @@ struct ServeCtx {
     /// Sessions that ended early (peer closed / timed out / truncated
     /// mid-frame / chaos-severed) but were absorbed, not fatal.
     degraded: AtomicU64,
+    /// Serve sessions between their accepted hello and their booking in
+    /// `log`/`degraded`. A dialer can see its session's last frame
+    /// before the serving thread books it; the accessors wait for this
+    /// to reach zero so they never miss a session its dialer finished.
+    in_flight: Mutex<u32>,
+    /// Signalled whenever a serve session is booked.
+    booked: Condvar,
+}
+
+impl ServeCtx {
+    /// Blocks until no serve session is between its hello and its
+    /// booking, waiting at most the read timeout so that a stalled
+    /// dialer cannot hold an accessor forever.
+    fn settle(&self) {
+        let in_flight = self.in_flight.lock().expect("in-flight lock");
+        let busy = |n: &mut u32| *n > 0;
+        match self.read_timeout {
+            Some(t) => drop(self.booked.wait_timeout_while(in_flight, t, busy)),
+            None => drop(self.booked.wait_while(in_flight, busy)),
+        }
+    }
+}
+
+/// Counts one serve session as in flight until dropped, which happens
+/// after the session is booked, on every path out of [`serve_one`].
+struct InFlight<'a>(&'a ServeCtx);
+
+impl<'a> InFlight<'a> {
+    fn enter(ctx: &'a ServeCtx) -> Self {
+        *ctx.in_flight.lock().expect("in-flight lock") += 1;
+        Self(ctx)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        // A counter update cannot leave the count torn, so a poisoned
+        // lock is recovered rather than panicking inside `drop`.
+        let mut n = self.0.in_flight.lock().unwrap_or_else(PoisonError::into_inner);
+        *n -= 1;
+        self.0.booked.notify_all();
+    }
 }
 
 /// A running peer: listener thread + shared working set.
@@ -305,6 +347,8 @@ impl Node {
             ),
             frame_budget: config.chaos.as_ref().map_or(u64::MAX, |c| c.frame_budget),
             degraded: AtomicU64::new(0),
+            in_flight: Mutex::new(0),
+            booked: Condvar::new(),
         });
 
         let accept_stop = stop.clone();
@@ -383,23 +427,23 @@ impl Node {
         &self.shared
     }
 
-    /// The expanded plan this node follows.
-    #[must_use]
-    pub fn plan(&self) -> &SwarmPlan {
-        &self.plan
-    }
-
-    /// Per-dialer serve-side wire counters recorded so far.
+    /// Per-dialer serve-side wire counters of every serve session
+    /// booked so far. Waits (at most the read timeout) for sessions
+    /// already past their hello, so a session whose dialer has finished
+    /// is always included.
     #[must_use]
     pub fn serve_stats(&self) -> Vec<(u32, WireStats)> {
+        self.serve_ctx.settle();
         self.serve_ctx.log.lock().expect("serve log lock").clone()
     }
 
     /// Serve sessions that ended early (dialer hung up, deadline fired,
     /// stream truncated mid-frame, chaos-severed) but were absorbed —
-    /// the daemon logged them and kept serving.
+    /// the daemon logged them and kept serving. Waits for in-flight
+    /// sessions like [`Self::serve_stats`].
     #[must_use]
     pub fn degraded_sessions(&self) -> u64 {
+        self.serve_ctx.settle();
         self.serve_ctx.degraded.load(Ordering::Relaxed)
     }
 
@@ -418,7 +462,7 @@ impl Node {
     /// fault-free goldens never take this path (they gain every round),
     /// so byte parity with the simulator is untouched.
     #[must_use]
-    pub fn stall_escalations(&self) -> u64 {
+    pub(crate) fn stall_escalations(&self) -> u64 {
         self.escalations.load(Ordering::Relaxed)
     }
 
@@ -469,14 +513,14 @@ impl Node {
     /// Sessions construct their receiver machines exactly as
     /// `OverlayNet::connect_session` does: snapshot = the ids held at
     /// the round barrier, sorted; request = symbols missing at the
-    /// barrier; machine seed derived from [`round_seed`] of the link.
+    /// barrier; machine seed derived from `round_seed` of the link.
     /// A node that was complete at the barrier dials nobody. Peers
     /// missing from `roster` report `"peer not in roster"` without
     /// dialing.
     ///
     /// If the *previous* call gained nothing while the node was still
     /// incomplete, this round escalates to speculative recovery dials —
-    /// see [`Self::stall_escalations`].
+    /// see `Self::stall_escalations`.
     #[must_use]
     pub fn run_fetches(&self, roster: &Roster) -> Vec<FetchReport> {
         let (round, frozen) = {
@@ -591,12 +635,6 @@ impl Node {
             let _ = t.join();
         }
     }
-
-    /// The frozen round-0 inventory (diagnostics).
-    #[must_use]
-    pub fn initial_inventory(&self) -> WorkingSet {
-        self.rounds.lock().expect("rounds lock").serve[0].clone()
-    }
 }
 
 impl Drop for Node {
@@ -615,6 +653,7 @@ fn serve_one(mut stream: TcpStream, ctx: &ServeCtx) {
     let Ok(hello) = Hello::read_from(&mut stream) else {
         return; // not a protocol peer (e.g. the stop wake-up)
     };
+    let _in_flight = InFlight::enter(ctx);
     let (_, sender_seed) = session_machine_seeds(hello.seed);
     let snapshot = match hello.epoch {
         // A dialer ahead of our barrier (only possible without the

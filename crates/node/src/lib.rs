@@ -10,41 +10,42 @@
 //! spawning real daemons and diffing their per-link wire counters
 //! against [`plan::predict`].
 //!
-//! * [`plan`] — the deterministic distribution plan: universe ids,
+//! * `plan` — the deterministic distribution plan: universe ids,
 //!   per-node initial shares, directed session links with per-link
 //!   seeds, all pure functions of a [`plan::DistributionSpec`]; plus
 //!   the simulator-backed [`plan::predict`] oracle.
-//! * [`shared`] — the one working set a node's connection threads
+//! * `shared` — the one working set a node's connection threads
 //!   share: mutex-guarded cross-session symbol ingestion with
 //!   duplicate-free distinct counting.
-//! * [`connection`] — per-connection drivers: the dialer-side
+//! * `connection` — per-connection drivers: the dialer-side
 //!   [`connection::fetch_session`], the listener-side
 //!   [`connection::serve_session`], and the tiny hello preamble that
 //!   carries `(dialer, link seed, epoch)` ahead of the first frame.
-//! * [`daemon`] — the peer runtime: listener thread serving many
+//! * `daemon` — the peer runtime: listener thread serving many
 //!   inbound sessions, parallel fetches with crash recovery, and a
 //!   roster speaking `icd-swarm`'s [`icd_swarm::SwarmEvent`]
 //!   membership vocabulary.
-//! * [`retry`] — capped exponential backoff with seeded jitter; the
+//! * `retry` — capped exponential backoff with seeded jitter; the
 //!   redial discipline behind the daemon's transient-failure recovery.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod connection;
-pub mod daemon;
-pub mod plan;
-pub mod retry;
-pub mod shared;
+mod connection;
+mod daemon;
+mod plan;
+mod retry;
+mod shared;
 
 pub use connection::{
-    fetch_session, serve_session, serve_session_budgeted, FetchError, FetchOutcome, Hello,
-    HelloError, ServeOutcome, ServeStatus, SessionEpoch,
+    fetch_session, serve_session, FetchError, FetchOutcome, Hello, HelloError, ServeOutcome,
+    ServeStatus, SessionEpoch,
 };
-pub use daemon::{DaemonConfig, FetchReport, Node, NodeConfig, Roster, ServeChaos};
+pub use daemon::{parse_roster, DaemonConfig, FetchReport, Node, NodeConfig, Roster, ServeChaos};
 pub use plan::{
-    link_seed, predict, predict_faulty, round_seed, DistributionSpec, FaultyPrediction,
-    PlannedLink, Prediction, SpecParseError, SwarmPlan, MAX_ROUNDS,
+    link_seed, predict, predict_faulty, DistributionSpec, FaultyPrediction, PlannedLink,
+    Prediction, SpecParseError, SwarmPlan, MAX_ROUNDS,
 };
 pub use retry::RetryPolicy;
 pub use shared::SharedWorkingSet;

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Every process derives the identical distribution plan from `--spec`
-//! alone (see `icd_node::plan`); the roster only maps peer ids to
+//! alone (see `icd_node::DistributionSpec`); the roster only maps peer ids to
 //! addresses. On start the node prints `LISTEN <addr>` and begins
 //! serving. With `--roster` it immediately fetches over its planned
 //! links, prints one `FETCH` line per session and a final `DONE` line,
@@ -58,8 +58,9 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
-use icd_node::daemon::parse_roster;
-use icd_node::{DaemonConfig, DistributionSpec, Node, Roster, RetryPolicy, ServeChaos};
+use icd_node::{
+    parse_roster, DaemonConfig, DistributionSpec, Node, Roster, RetryPolicy, ServeChaos,
+};
 use icd_obs::{MetricsRegistry, TraceBuf};
 use icd_swarm::SwarmEvent;
 

@@ -56,7 +56,7 @@ impl DistributionSpec {
     ///
     /// # Errors
     /// Returns the first structural problem found.
-    pub fn validate(&self) -> Result<(), SpecParseError> {
+    pub(crate) fn validate(&self) -> Result<(), SpecParseError> {
         if self.seeders == 0 || self.seeders >= self.nodes {
             return Err(SpecParseError::new("need 1 <= seeders < nodes"));
         }
@@ -233,7 +233,7 @@ pub const MAX_ROUNDS: u32 = 16;
 /// ignores the session seed — the daemon's stall escalation covers
 /// that case.)
 #[must_use]
-pub fn round_seed(link_seed: u64, round: u32) -> u64 {
+pub(crate) fn round_seed(link_seed: u64, round: u32) -> u64 {
     if round == 0 {
         link_seed
     } else {
@@ -245,7 +245,7 @@ impl SwarmPlan {
     /// Expands `spec` into the concrete plan.
     ///
     /// # Panics
-    /// If `spec` fails [`DistributionSpec::validate`].
+    /// If `spec` fails `DistributionSpec::validate`.
     #[must_use]
     pub fn new(spec: DistributionSpec) -> Self {
         spec.validate().expect("invalid DistributionSpec");
@@ -303,7 +303,7 @@ impl SwarmPlan {
     }
 
     /// The links node `n` fetches over (it is `to`), in plan order.
-    pub fn fetches_of(&self, n: PeerId) -> impl Iterator<Item = &PlannedLink> {
+    pub(crate) fn fetches_of(&self, n: PeerId) -> impl Iterator<Item = &PlannedLink> {
         self.links.iter().filter(move |l| l.to == n)
     }
 }
@@ -337,7 +337,7 @@ impl Prediction {
 /// outcome, round by round exactly as the daemons execute it: round
 /// `r` reconnects a session on every link whose receiver is still
 /// incomplete (fresh snapshots via the engine's refresh-on-connect,
-/// session seed [`round_seed`]) and drains it fully before the next
+/// session seed `round_seed`) and drains it fully before the next
 /// round's snapshots freeze. No observers are registered, so
 /// [`OverlayNet::run`] returns only when every session has drained —
 /// exactly when the real daemons' blocking drivers return — and the

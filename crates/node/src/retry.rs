@@ -39,16 +39,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Fail-fast policy: transient errors surface immediately, exactly
-    /// the pre-recovery daemon behaviour.
-    #[must_use]
-    pub fn none() -> Self {
-        Self {
-            max_retries: 0,
-            ..Self::default()
-        }
-    }
-
     /// A policy with the given retry budget and default delays.
     #[must_use]
     pub fn with_retries(max_retries: u32) -> Self {
@@ -61,7 +51,7 @@ impl RetryPolicy {
     /// Whether attempt `attempt` (1-based; 1 is the initial dial) may
     /// be followed by another.
     #[must_use]
-    pub fn allows_retry(&self, attempt: u32) -> bool {
+    pub(crate) fn allows_retry(&self, attempt: u32) -> bool {
         attempt <= self.max_retries
     }
 
@@ -71,7 +61,7 @@ impl RetryPolicy {
     /// `max_delay`, then jittered down by up to half — deterministic in
     /// `(policy, salt, attempt)`.
     #[must_use]
-    pub fn backoff(&self, attempt: u32, salt: u64) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32, salt: u64) -> Duration {
         let attempt = attempt.max(1);
         let exp = self
             .base_delay
@@ -114,7 +104,7 @@ mod tests {
 
     #[test]
     fn retry_budget_gates_attempts() {
-        let none = RetryPolicy::none();
+        let none = RetryPolicy::with_retries(0);
         assert!(!none.allows_retry(1));
         let two = RetryPolicy::default();
         assert!(two.allows_retry(1) && two.allows_retry(2) && !two.allows_retry(3));

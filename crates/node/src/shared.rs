@@ -8,7 +8,7 @@
 //! shared distinct count — never by summing per-session gains, which
 //! would double-count symbols two senders both shipped.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 use icd_core::WorkingSet;
 use icd_fountain::EncodedSymbol;
@@ -19,7 +19,6 @@ use icd_fountain::EncodedSymbol;
 pub struct SharedWorkingSet {
     inner: Mutex<WorkingSet>,
     target: usize,
-    complete: Condvar,
 }
 
 impl SharedWorkingSet {
@@ -30,19 +29,13 @@ impl SharedWorkingSet {
         Self {
             inner: Mutex::new(initial),
             target,
-            complete: Condvar::new(),
         }
     }
 
     /// Ingests one decoded symbol. Returns `true` if it was new to the
     /// node (not just to the session that decoded it).
     pub fn ingest(&self, symbol: EncodedSymbol) -> bool {
-        let mut ws = self.inner.lock().expect("working set lock");
-        let fresh = ws.insert(symbol);
-        if fresh && ws.len() >= self.target {
-            self.complete.notify_all();
-        }
-        fresh
+        self.inner.lock().expect("working set lock").insert(symbol)
     }
 
     /// Distinct symbols currently held.
@@ -57,12 +50,6 @@ impl SharedWorkingSet {
         self.distinct() >= self.target
     }
 
-    /// The completion target.
-    #[must_use]
-    pub fn target(&self) -> usize {
-        self.target
-    }
-
     /// A clone of the current working set — the snapshot a new session
     /// (serve or fetch) freezes for its machine.
     #[must_use]
@@ -74,15 +61,6 @@ impl SharedWorkingSet {
     #[must_use]
     pub fn sorted_ids(&self) -> Vec<u64> {
         self.inner.lock().expect("working set lock").sorted_ids()
-    }
-
-    /// Blocks until the target is reached. Sessions call
-    /// [`Self::ingest`]; anyone may wait.
-    pub fn wait_complete(&self) {
-        let mut ws = self.inner.lock().expect("working set lock");
-        while ws.len() < self.target {
-            ws = self.complete.wait(ws).expect("working set lock");
-        }
     }
 }
 
@@ -112,6 +90,5 @@ mod tests {
         assert_eq!(fresh_a + fresh_b, 100);
         assert!(shared.is_complete());
         assert_eq!(shared.distinct(), 100);
-        shared.wait_complete(); // already complete: returns immediately
     }
 }

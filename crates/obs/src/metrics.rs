@@ -9,8 +9,7 @@
 //!
 //! [`MetricsRegistry::snapshot`] freezes everything into a typed
 //! [`MetricsSnapshot`]; [`MetricsSnapshot::to_json`] renders it with a
-//! stable field order, and [`MetricsSnapshot::validate_json`] is the
-//! schema check CI's `obs-smoke` job runs against daemon output.
+//! stable field order; the unit tests hold that output to its schema.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -34,7 +33,7 @@ impl Counter {
 
     /// Current value.
     #[must_use]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -51,7 +50,7 @@ impl Gauge {
 
     /// Current value.
     #[must_use]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -206,21 +205,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The value of counter `name`, if present.
-    #[must_use]
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-    }
-
-    /// The value of gauge `name`, if present.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
-    }
-
     /// Renders the snapshot as one JSON object with a stable shape:
     /// `{"counters":{...},"gauges":{...},"histograms":{name:
     /// {"count":N,"sum":N,"buckets":[[i,n],...]}}}`.
@@ -257,16 +241,18 @@ impl MetricsSnapshot {
         out.push_str("}}");
         out
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
 
     /// Checks that `json` has the [`MetricsSnapshot::to_json`] shape:
     /// the three sections in order, every instrument name a
-    /// `snake_case` identifier, every value a decimal integer. This is
-    /// the schema gate CI runs over daemon metric lines — a structural
-    /// check, deliberately not a full JSON parser.
-    ///
-    /// # Errors
-    /// A description of the first structural violation.
-    pub fn validate_json(json: &str) -> Result<(), String> {
+    /// `snake_case` identifier, every value a decimal integer — a
+    /// structural check, deliberately not a full JSON parser. Returns
+    /// the first violation.
+    fn validate_json(json: &str) -> Result<(), String> {
         let s = json.trim();
         let body = s
             .strip_prefix('{')
@@ -319,46 +305,41 @@ impl MetricsSnapshot {
         }
         Ok(())
     }
-}
 
-/// Index of the `}` closing the object body that starts at `s[0]`
-/// (depth 0 = the section's own close).
-fn find_brace_close(s: &str) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, c) in s.char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' if depth == 0 => return Some(i),
-            '}' => depth -= 1,
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Splits `"a":1,"b":{..},"c":2` at top-level commas.
-fn split_top_level(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0;
-    for (i, c) in s.char_indices() {
-        match c {
-            '{' | '[' => depth += 1,
-            '}' | ']' => depth -= 1,
-            ',' if depth == 0 => {
-                out.push(&s[start..i]);
-                start = i + 1;
+    /// Index of the `}` closing the object body that starts at `s[0]`
+    /// (depth 0 = the section's own close).
+    fn find_brace_close(s: &str) -> Option<usize> {
+        let mut depth = 0usize;
+        for (i, c) in s.char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' if depth == 0 => return Some(i),
+                '}' => depth -= 1,
+                _ => {}
             }
-            _ => {}
         }
+        None
     }
-    out.push(&s[start..]);
-    out
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Splits `"a":1,"b":{..},"c":2` at top-level commas.
+    fn split_top_level(s: &str) -> Vec<&str> {
+        let mut out = Vec::new();
+        let mut depth = 0usize;
+        let mut start = 0;
+        for (i, c) in s.char_indices() {
+            match c {
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                ',' if depth == 0 => {
+                    out.push(&s[start..i]);
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        out.push(&s[start..]);
+        out
+    }
 
     #[test]
     fn counters_gauges_histograms_snapshot() {
@@ -372,8 +353,8 @@ mod tests {
             h.observe(v);
         }
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("sends"), Some(4));
-        assert_eq!(snap.gauge("scratch_bytes"), Some(4096));
+        assert_eq!(snap.counters, [("sends".to_string(), 4)]);
+        assert_eq!(snap.gauges, [("scratch_bytes".to_string(), 4096)]);
         let (_, hist) = &snap.histograms[0];
         assert_eq!(hist.count, 5);
         assert_eq!(hist.sum, 1030);
@@ -394,14 +375,14 @@ mod tests {
             "{\"counters\":{\"a_count\":1,\"b_count\":2},\"gauges\":{\"g\":7},\
              \"histograms\":{\"h\":{\"count\":1,\"sum\":5,\"buckets\":[[3,1]]}}}"
         );
-        MetricsSnapshot::validate_json(&json).expect("own output validates");
+        validate_json(&json).expect("own output validates");
     }
 
     #[test]
     fn empty_registry_validates() {
         let json = MetricsRegistry::shared().snapshot().to_json();
         assert_eq!(json, "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
-        MetricsSnapshot::validate_json(&json).expect("empty validates");
+        validate_json(&json).expect("empty validates");
     }
 
     #[test]
@@ -416,7 +397,7 @@ mod tests {
             "{\"counters\":{},\"gauges\":{},\"histograms\":{}}trailing",
         ] {
             assert!(
-                MetricsSnapshot::validate_json(bad).is_err(),
+                validate_json(bad).is_err(),
                 "accepted: {bad:?}"
             );
         }

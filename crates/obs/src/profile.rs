@@ -32,18 +32,18 @@ pub struct PhaseProfile {
 impl PhaseProfile {
     /// An empty profile.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// [`PhaseProfile::new`] behind the shared handle.
+    /// `PhaseProfile::new` behind the shared handle.
     #[must_use]
     pub fn shared() -> ProfileHandle {
         Rc::new(RefCell::new(Self::new()))
     }
 
     /// Adds one call of `ns` nanoseconds to `phase`.
-    pub fn record(&mut self, phase: &'static str, ns: u64) {
+    pub(crate) fn record(&mut self, phase: &'static str, ns: u64) {
         let stat = self.phases.entry(phase).or_default();
         stat.calls += 1;
         stat.total_ns += ns;
@@ -65,16 +65,6 @@ impl PhaseProfile {
     #[must_use]
     pub fn total_ns(&self, phase: &str) -> u64 {
         self.get(phase).map_or(0, |s| s.total_ns)
-    }
-
-    /// All phases, name-sorted.
-    pub fn phases(&self) -> impl Iterator<Item = (&'static str, PhaseStat)> + '_ {
-        self.phases.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Drops all accumulated stats.
-    pub fn clear(&mut self) {
-        self.phases.clear();
     }
 
     /// A human-readable multi-line report (`phase  calls  total ms`).
@@ -113,7 +103,7 @@ mod tests {
         );
         assert_eq!(p.total_ns("commit"), 7);
         assert_eq!(p.total_ns("never"), 0);
-        let names: Vec<_> = p.phases().map(|(n, _)| n).collect();
+        let names: Vec<_> = p.phases.keys().copied().collect();
         assert_eq!(names, vec!["commit", "generate"]);
         assert!(p.report().contains("generate"));
     }

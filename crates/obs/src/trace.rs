@@ -116,7 +116,7 @@ pub enum TraceEvent {
 impl TraceEvent {
     /// The event's JSONL tag.
     #[must_use]
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             TraceEvent::LinkSend { .. } => "link_send",
             TraceEvent::SessionFrame { .. } => "session_frame",
@@ -221,11 +221,6 @@ impl TraceBuf {
     /// The held records, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
         self.records.iter()
-    }
-
-    /// Drops every record (sequence numbering continues).
-    pub fn clear(&mut self) {
-        self.records.clear();
     }
 
     /// Serializes the held records as JSONL, one flat object per line.

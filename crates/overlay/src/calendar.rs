@@ -19,7 +19,7 @@ use std::collections::BinaryHeap;
 use crate::net::Time;
 
 /// Ticks the wheel covers; one bit of the slot-occupancy word per tick.
-pub const WHEEL: Time = u64::BITS as Time;
+pub(crate) const WHEEL: Time = u64::BITS as Time;
 
 /// A timing wheel of due links (see the module docs).
 #[derive(Debug)]

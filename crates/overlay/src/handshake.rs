@@ -14,10 +14,10 @@ use icd_summary::{DiffEstimate, SummarySizing};
 
 /// Bloom-filter sizing used by the summary strategies in all experiments
 /// (§5.2's 8-bits-per-element reference point).
-pub const FILTER_BITS_PER_ELEMENT: f64 = 8.0;
+pub(crate) const FILTER_BITS_PER_ELEMENT: f64 = 8.0;
 
 /// The digest sizing every simulated transfer uses (the §5 reference
-/// points, [`FILTER_BITS_PER_ELEMENT`] for Bloom). The char-poly bound
+/// points, `FILTER_BITS_PER_ELEMENT` for Bloom). The char-poly bound
 /// is capped low: §6.3's two-peer geometries put roughly half the
 /// system in the difference, which is exactly the regime §5.1 calls
 /// prohibitive for the polynomial method — a capped sketch fails fast
@@ -49,7 +49,7 @@ pub fn handshake_estimate(
 /// The protocol-wide min-wise permutation family every simulated
 /// transfer shares (§4: "fixed universally off-line").
 #[must_use]
-pub fn standard_family() -> PermutationFamily {
+pub(crate) fn standard_family() -> PermutationFamily {
     PermutationFamily::standard(0x1CD)
 }
 

@@ -16,7 +16,7 @@
 //!   in-flight queue plus a timing-wheel send calendar make every run
 //!   byte-identical to replay. All transfer shapes — the classic figures, churn, meshes,
 //!   lossy heterogeneous topologies — run on this one engine.
-//! * [`calendar`] — the timing-wheel send calendar behind the engine's
+//! * `calendar` — the timing-wheel send calendar behind the engine's
 //!   per-tick link scan.
 //! * [`receiver`] — receiver state: known-symbol set, pending recoded
 //!   symbols (substitution cascade), completion target.
@@ -25,7 +25,7 @@
 //! * [`scenario`] — §6.3's experiment geometries: compact/stretched
 //!   two-peer transfers (Figure 5), full + partial sender (Figure 6),
 //!   and k partial senders (Figures 7 and 8).
-//! * [`handshake`] — the single copy of the protocol-wide handshake
+//! * `handshake` — the single copy of the protocol-wide handshake
 //!   parameterization (digest sizing, permutation family, difference
 //!   estimate).
 //! * [`transfer`] — the classic presets (2-node line, line + fountain,
@@ -34,11 +34,12 @@
 //!   engine (the §2.3 statelessness claims, exercised end to end).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod calendar;
+mod calendar;
 pub mod churn;
-pub mod handshake;
+mod handshake;
 pub mod net;
 pub mod receiver;
 pub mod scenario;

@@ -19,7 +19,7 @@
 //!   — `seq` is a global monotone counter assigned at scheduling time, so
 //!   two arrivals at the same tick replay in exactly the order they were
 //!   scheduled — and a **timing-wheel send calendar**
-//!   ([`crate::calendar`]) that yields each tick's due links in creation
+//!   (`crate::calendar`) that yields each tick's due links in creation
 //!   order. Runs are a pure function of their inputs at any thread
 //!   count, which is what lets `ExperimentGrid` sweeps stay
 //!   byte-identical.
@@ -39,7 +39,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use bytes::Bytes;
 use icd_core::machine::{ReceiverMachine, SenderMachine, SessionAction, SessionEvent};
-use icd_core::{SessionConfig, TransferPlan, WorkingSet};
+use icd_core::{SessionConfig, WorkingSet};
 use icd_fountain::EncodedSymbol;
 use icd_obs::{TraceEvent, TraceHandle};
 use icd_sketch::{MinwiseSketch, PermutationFamily};
@@ -53,7 +53,7 @@ use icd_wire::{encoded_symbol_frame_len, recoded_symbol_frame_len, Message, FRAM
 use crate::calendar::SendCalendar;
 use crate::handshake::{handshake_estimate, standard_family, standard_sizing};
 use crate::receiver::Receiver;
-use crate::scenario::{MultiSenderScenario, ScenarioParams, TwoPeerScenario};
+use crate::scenario::{MultiSenderScenario, ScenarioParams};
 use crate::strategy::{
     FullSender, Packet, PacketScratch, ReceiverHandshake, Sender, StrategyKind,
 };
@@ -402,7 +402,6 @@ struct LinkState {
     /// ordinary frames counted in `bytes_sent`).
     control_bytes: u64,
     summary: Option<SummaryId>,
-    handshake_bytes: usize,
 }
 
 /// Whether the `id` mechanism's digest build reads only the key set and
@@ -552,8 +551,7 @@ impl std::error::Error for ConnectError {}
 /// The discrete-event overlay network runtime. See the module docs for
 /// the model; see `run_transfer`/`run_with_migration` in
 /// [`crate::transfer`]/[`crate::churn`] for the four legacy presets and
-/// [`run_mesh_download`]/[`run_lossy_transfer`] for scenarios only this
-/// engine can run.
+/// [`run_mesh_download`] for scenarios only this engine can run.
 #[derive(Debug)]
 pub struct OverlayNet {
     nodes: Vec<NodeState>,
@@ -609,7 +607,7 @@ impl std::fmt::Debug for FrameTap {
 
 impl OverlayNet {
     /// Creates an empty network with the standard protocol constants
-    /// (the [`crate::handshake`] sizing/family and the shared registry).
+    /// (the `crate::handshake` sizing/family and the shared registry).
     /// `seed` keys the engine's own streams (per-link loss RNGs); link
     /// sender seeds come from each [`ConnectSpec`].
     #[must_use]
@@ -637,16 +635,6 @@ impl OverlayNet {
         }
     }
 
-    /// Replaces the digest sizing used for engine-built handshakes.
-    #[must_use]
-    pub fn with_sizing(mut self, sizing: SummarySizing) -> Self {
-        self.sizing = sizing;
-        for node in &mut self.nodes {
-            node.digests.clear();
-        }
-        self
-    }
-
     /// Replaces the data-plane payload size (default: the paper's 1 KB
     /// packet, [`PACKET_BYTES`]). Applies to links connected afterwards
     /// and to the net's byte accounting.
@@ -658,12 +646,6 @@ impl OverlayNet {
             self.tap_payload = Bytes::from(vec![0u8; bytes]);
         }
         self
-    }
-
-    /// The configured data-plane payload size in bytes.
-    #[must_use]
-    pub fn payload_bytes(&self) -> usize {
-        self.payload_bytes
     }
 
     /// Installs an observer called with `(link, frame)` for every frame
@@ -680,11 +662,6 @@ impl OverlayNet {
         self.frame_tap = Some(FrameTap(Box::new(tap)));
     }
 
-    /// Removes the frame tap installed by [`OverlayNet::set_frame_tap`].
-    pub fn clear_frame_tap(&mut self) {
-        self.frame_tap = None;
-    }
-
     /// Installs a deterministic trace recorder. Every record is stamped
     /// with the engine clock and a push-assigned sequence number only —
     /// never wall time — so the exported JSONL is a parity artifact:
@@ -693,11 +670,6 @@ impl OverlayNet {
     /// check while no tracer is installed.
     pub fn set_tracer(&mut self, tracer: TraceHandle) {
         self.tracer = Some(tracer);
-    }
-
-    /// Removes the recorder installed by [`OverlayNet::set_tracer`].
-    pub fn clear_tracer(&mut self) {
-        self.tracer = None;
     }
 
     // ------------------------------------------------------------------
@@ -750,7 +722,7 @@ impl OverlayNet {
     /// sketch, per the strategy's needs) is derived from `to`'s
     /// *current* working set unless `spec` carries one; the sender pumps
     /// over `from`'s advertised inventory, refreshed at connect time
-    /// (see [`OverlayNet::refresh_inventory`]).
+    /// (see `OverlayNet::refresh_inventory`).
     ///
     /// Panics on a wiring error ([`ConnectError`]); topology builders
     /// that want the error instead use [`OverlayNet::try_connect`].
@@ -839,7 +811,6 @@ impl OverlayNet {
             params,
             false,
             summary,
-            handshake_bytes,
             control_bytes,
         ))
     }
@@ -849,7 +820,7 @@ impl OverlayNet {
     /// wire frames — sketches, summaries, requests, symbols, End — are
     /// what actually crosses the link, with rate/latency/loss applied to
     /// the real framed byte lengths. Each endpoint's working set is the
-    /// node's current one, every id expanded to [`Self::payload_bytes`]
+    /// node's current one, every id expanded to `Self::payload_bytes`
     /// bytes via [`session_payload`]; symbols the receiver machine
     /// decodes are mirrored into the destination node, so completion,
     /// gain, and mixed session/packet topologies all work unchanged.
@@ -912,7 +883,7 @@ impl OverlayNet {
             to_sender,
             in_flight: 0,
         });
-        Ok(self.install_link(from, to, LinkSource::Session(sess), params, false, None, 0, 0))
+        Ok(self.install_link(from, to, LinkSource::Session(sess), params, false, None, 0))
     }
 
     /// Refreshes `node`'s advertised inventory from its live working
@@ -921,7 +892,7 @@ impl OverlayNet {
     /// freezes inventories *during* a connection, not across them, so a
     /// rejoining peer advertises everything it picked up in between.
     /// Returns the number of symbols newly advertised.
-    pub fn refresh_inventory(&mut self, node: NodeId) -> usize {
+    pub(crate) fn refresh_inventory(&mut self, node: NodeId) -> usize {
         let state = &mut self.nodes[node.0];
         if state.seeder {
             return 0; // static inventory is the working set
@@ -944,8 +915,15 @@ impl OverlayNet {
     /// Connects a digital-fountain full sender `from → to` (counts in
     /// the `packets_from_full` column). `stream` keeps multiple full
     /// senders' fresh-id namespaces disjoint.
-    pub fn connect_full(&mut self, from: NodeId, to: NodeId, stream: u32, params: Link) -> LinkId {
-        self.install_link(from, to, LinkSource::Fountain(FullSender::new(stream)), params, true, None, 0, 0)
+    pub(crate) fn connect_full(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        stream: u32,
+        params: Link,
+    ) -> LinkId {
+        let source = LinkSource::Fountain(FullSender::new(stream));
+        self.install_link(from, to, source, params, true, None, 0)
     }
 
     /// Tears a link down. Packets already in flight on it are dropped;
@@ -995,7 +973,6 @@ impl OverlayNet {
         params: Link,
         full: bool,
         summary: Option<SummaryId>,
-        handshake_bytes: usize,
         control_bytes: u64,
     ) -> LinkId {
         assert!(params.interval >= 1, "link interval must be >= 1");
@@ -1030,7 +1007,6 @@ impl OverlayNet {
             bytes_delivered: 0,
             control_bytes,
             summary,
-            handshake_bytes,
         });
         self.nodes[from.0].out_links.push(id);
         self.nodes[to.0].in_links.push(id);
@@ -1065,7 +1041,7 @@ impl OverlayNet {
 
     /// The node's standing min-wise calling card (§4): computed from the
     /// current working set on first use, cached until the set changes.
-    pub fn calling_card(&mut self, node: NodeId) -> &MinwiseSketch {
+    pub(crate) fn calling_card(&mut self, node: NodeId) -> &MinwiseSketch {
         let family = &self.family;
         let state = &mut self.nodes[node.0];
         if state.card.is_none() {
@@ -1588,7 +1564,7 @@ impl OverlayNet {
 
     /// Distinct symbols node `n` gained since it was added.
     #[must_use]
-    pub fn node_gained(&self, n: NodeId) -> usize {
+    pub(crate) fn node_gained(&self, n: NodeId) -> usize {
         self.nodes[n.0].receiver.distinct_symbols() - self.nodes[n.0].start_distinct
     }
 
@@ -1604,23 +1580,11 @@ impl OverlayNet {
         self.links.iter().filter(|l| l.full).map(|l| l.packets_sent).sum()
     }
 
-    /// Packets dropped by lossy links so far.
-    #[must_use]
-    pub fn packets_lost(&self) -> u64 {
-        self.links.iter().map(|l| l.packets_lost).sum()
-    }
-
     /// The summary mechanism link `l`'s handshake shipped (None for
     /// uninformed/full links).
     #[must_use]
-    pub fn link_summary(&self, l: LinkId) -> Option<SummaryId> {
+    pub(crate) fn link_summary(&self, l: LinkId) -> Option<SummaryId> {
         self.links[l.0].summary
-    }
-
-    /// Handshake digest bytes link `l` shipped at setup.
-    #[must_use]
-    pub fn link_handshake_bytes(&self, l: LinkId) -> usize {
-        self.links[l.0].handshake_bytes
     }
 
     /// `(sent, delivered, lost)` counters for link `l`.
@@ -1634,7 +1598,7 @@ impl OverlayNet {
     /// `write_frame_buf` lengths of the frames that took send slots and
     /// of those that arrived (lost frames are booked as sent, never as
     /// delivered; connect-time handshakes live in
-    /// [`OverlayNet::link_control_bytes`]).
+    /// `OverlayNet::link_control_bytes`).
     #[must_use]
     pub fn link_wire_bytes(&self, l: LinkId) -> (u64, u64) {
         let link = &self.links[l.0];
@@ -1645,7 +1609,7 @@ impl OverlayNet {
     /// exchange (zero for full links, and for session links,
     /// whose handshake frames are counted in [`Self::link_wire_bytes`]).
     #[must_use]
-    pub fn link_control_bytes(&self, l: LinkId) -> u64 {
+    pub(crate) fn link_control_bytes(&self, l: LinkId) -> u64 {
         self.links[l.0].control_bytes
     }
 
@@ -1655,12 +1619,6 @@ impl OverlayNet {
     #[must_use]
     pub fn wire_bytes_sent(&self) -> u64 {
         self.links.iter().map(|l| l.bytes_sent).sum()
-    }
-
-    /// Net-wide framed wire bytes delivered.
-    #[must_use]
-    pub fn wire_bytes_delivered(&self) -> u64 {
-        self.links.iter().map(|l| l.bytes_delivered).sum()
     }
 
     /// Net-wide framed control-exchange bytes (packet links' handshakes).
@@ -1681,16 +1639,6 @@ impl OverlayNet {
             .sum()
     }
 
-    /// The transfer plan a session link's machines negotiated: `None`
-    /// for packet links and until the handshake resolves.
-    #[must_use]
-    pub fn session_link_plan(&self, l: LinkId) -> Option<TransferPlan> {
-        match &self.links[l.0].source {
-            LinkSource::Session(sess) => sess.receiver.plan(),
-            _ => None,
-        }
-    }
-
     /// Whether a session link's machine pair has finished (both sides).
     /// `false` for packet links.
     #[must_use]
@@ -1709,12 +1657,6 @@ impl OverlayNet {
         self.links[l.0].exhausted
     }
 
-    /// Whether link `l` is still connected.
-    #[must_use]
-    pub fn link_alive(&self, l: LinkId) -> bool {
-        self.links[l.0].alive
-    }
-
     /// Link `l`'s `(source, destination)` nodes.
     #[must_use]
     pub fn link_ends(&self, l: LinkId) -> (NodeId, NodeId) {
@@ -1722,22 +1664,10 @@ impl OverlayNet {
         (link.from, link.to)
     }
 
-    /// Live links sourced at `n`, in creation order.
-    #[must_use]
-    pub fn node_out_links(&self, n: NodeId) -> &[LinkId] {
-        &self.nodes[n.0].out_links
-    }
-
     /// Live links terminating at `n`, in creation order.
     #[must_use]
     pub fn node_in_links(&self, n: NodeId) -> &[LinkId] {
         &self.nodes[n.0].in_links
-    }
-
-    /// Number of nodes ever added.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// The legacy-shaped outcome for one node: net-wide packet totals,
@@ -1762,7 +1692,7 @@ impl OverlayNet {
 /// and a live session presented with the same estimate always pick the
 /// same mechanism.
 #[must_use]
-pub fn advise_summary(
+pub(crate) fn advise_summary(
     registry: &SummaryRegistry,
     sizing: &SummarySizing,
     estimate: &DiffEstimate,
@@ -1935,39 +1865,10 @@ pub fn run_mesh_download_with(
     }
 }
 
-/// Two peers over a lossy, possibly slow/laggy link — the §2 robustness
-/// argument the legacy loops could not test: recoded streams ride
-/// through loss with overhead ≈ 1/(1−p), while a one-shot informed
-/// candidate list (Random/summary) loses withheld symbols forever.
-#[must_use]
-pub fn run_lossy_transfer(
-    scenario: &TwoPeerScenario,
-    strategy: StrategyKind,
-    link: Link,
-    seed: u64,
-) -> TransferOutcome {
-    let mut seeds = SplitMix64::new(seed);
-    let mut net = OverlayNet::new(seed);
-    let receiver = net.add_node(&scenario.receiver_set, scenario.target);
-    net.set_observer(receiver, true);
-    let sender = net.add_seeder(&scenario.sender_set);
-    net.connect(
-        sender,
-        receiver,
-        strategy,
-        link,
-        ConnectSpec::seeded(seeds.next_u64()),
-    );
-    let budget = (default_max_ticks(scenario.target) as f64 / (1.0 - link.loss)).ceil() as u64
-        * link.interval.max(1)
-        + link.latency;
-    net.run(RunLimit::ticks(budget));
-    net.outcome_for(receiver)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::TwoPeerScenario;
     use icd_summary::SummaryId;
 
     fn compact(n: usize) -> ScenarioParams {
@@ -2041,6 +1942,29 @@ mod tests {
         assert!((rate - 0.3).abs() < 0.02, "loss rate {rate}");
     }
 
+    /// Two peers over one lossy, possibly slow/laggy link: the §2
+    /// robustness argument. Recoded streams ride through loss with
+    /// overhead ≈ 1/(1−p); a one-shot candidate list loses withheld
+    /// symbols forever.
+    fn lossy_transfer(
+        scenario: &TwoPeerScenario,
+        strategy: StrategyKind,
+        link: Link,
+        seed: u64,
+    ) -> TransferOutcome {
+        let mut net = OverlayNet::new(seed);
+        let receiver = net.add_node(&scenario.receiver_set, scenario.target);
+        net.set_observer(receiver, true);
+        let sender = net.add_seeder(&scenario.sender_set);
+        let spec = ConnectSpec::seeded(SplitMix64::new(seed).next_u64());
+        net.connect(sender, receiver, strategy, link, spec);
+        let budget = (default_max_ticks(scenario.target) as f64 / (1.0 - link.loss)).ceil() as u64
+            * link.interval.max(1)
+            + link.latency;
+        net.run(RunLimit::ticks(budget));
+        net.outcome_for(receiver)
+    }
+
     #[test]
     fn deterministic_replay_under_loss_and_latency() {
         let params = compact(1200);
@@ -2050,10 +1974,10 @@ mod tests {
             latency: 5,
             loss: 0.1,
         };
-        let a = run_lossy_transfer(&scenario, StrategyKind::Recode, link, 7);
-        let b = run_lossy_transfer(&scenario, StrategyKind::Recode, link, 7);
+        let a = lossy_transfer(&scenario, StrategyKind::Recode, link, 7);
+        let b = lossy_transfer(&scenario, StrategyKind::Recode, link, 7);
         assert_eq!(a, b);
-        let c = run_lossy_transfer(&scenario, StrategyKind::Recode, link, 8);
+        let c = lossy_transfer(&scenario, StrategyKind::Recode, link, 8);
         assert_ne!(a.packets_from_partial, c.packets_from_partial);
     }
 
@@ -2062,7 +1986,7 @@ mod tests {
         let params = compact(1500);
         let scenario = TwoPeerScenario::build(&params, 0.2);
         let link = Link::lossy(0.2);
-        let recode = run_lossy_transfer(
+        let recode = lossy_transfer(
             &scenario,
             StrategyKind::RecodeSummary(SummaryId::BLOOM),
             link,
@@ -2077,7 +2001,7 @@ mod tests {
             recode.overhead()
         );
         // The one-shot candidate list loses withheld symbols forever.
-        let one_shot = run_lossy_transfer(
+        let one_shot = lossy_transfer(
             &scenario,
             StrategyKind::RandomSummary(SummaryId::BLOOM),
             link,
@@ -2260,13 +2184,13 @@ mod tests {
         let cb = net.connect(c, b, StrategyKind::Random, Link::default(), ConnectSpec::seeded(2));
         let bc = net.connect(b, c, StrategyKind::Random, Link::default(), ConnectSpec::seeded(3));
         assert_eq!(net.node_in_links(b), &[ab, cb]);
-        assert_eq!(net.node_out_links(b), &[bc]);
+        assert_eq!(net.nodes[b.0].out_links, [bc]);
         assert_eq!(net.link_ends(cb), (c, b));
         net.disconnect_node(b);
         assert!(net.node_in_links(b).is_empty());
-        assert!(net.node_out_links(b).is_empty());
-        assert!(!net.link_alive(ab) && !net.link_alive(cb) && !net.link_alive(bc));
-        assert!(net.node_out_links(a).is_empty(), "peer lists pruned too");
+        assert!(net.nodes[b.0].out_links.is_empty());
+        assert!([ab, cb, bc].iter().all(|l| !net.links[l.0].alive));
+        assert!(net.nodes[a.0].out_links.is_empty(), "peer lists pruned too");
     }
 
     #[test]
@@ -2394,7 +2318,13 @@ mod tests {
         assert_eq!(net.node_distinct(r), 40, "every sender symbol landed");
         assert!(net.session_link_finished(l));
         assert!(net.link_exhausted(l), "drained session link goes idle");
-        assert!(net.session_link_plan(l).is_some(), "handshake resolved a plan");
+        assert!(
+            matches!(
+                &net.links[l.0].source,
+                LinkSource::Session(sess) if sess.receiver.plan().is_some()
+            ),
+            "handshake resolved a plan"
+        );
         let (sent, delivered) = net.link_wire_bytes(l);
         assert_eq!(sent, delivered, "lossless link delivers every frame");
         let (frames, bytes) = *tapped.borrow();

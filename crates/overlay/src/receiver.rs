@@ -18,10 +18,6 @@ use crate::SymbolId;
 pub struct Receiver {
     buffer: RecodeBuffer<()>,
     target: usize,
-    /// Packets whose entire content was already known on arrival.
-    redundant_packets: u64,
-    /// Packets received in total.
-    packets_received: u64,
 }
 
 impl Receiver {
@@ -37,24 +33,13 @@ impl Receiver {
         for &id in initial {
             buffer.add_known(id, &[], |_, ()| {});
         }
-        Self {
-            buffer,
-            target,
-            redundant_packets: 0,
-            packets_received: 0,
-        }
+        Self { buffer, target }
     }
 
     /// Number of distinct symbols currently held.
     #[must_use]
-    pub fn distinct_symbols(&self) -> usize {
+    pub(crate) fn distinct_symbols(&self) -> usize {
         self.buffer.known_count()
-    }
-
-    /// The completion target.
-    #[must_use]
-    pub fn target(&self) -> usize {
-        self.target
     }
 
     /// True once the decoding target is met.
@@ -65,20 +50,14 @@ impl Receiver {
 
     /// Distinct symbols still needed.
     #[must_use]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.target.saturating_sub(self.distinct_symbols())
-    }
-
-    /// Whether the receiver already holds symbol `id`.
-    #[must_use]
-    pub fn knows(&self, id: SymbolId) -> bool {
-        self.buffer.knows(id)
     }
 
     /// Snapshot of the current working set (sorted, for determinism).
     /// Used when re-handshaking on a migrated connection.
     #[must_use]
-    pub fn working_set(&self) -> Vec<SymbolId> {
+    pub(crate) fn working_set(&self) -> Vec<SymbolId> {
         let mut ids: Vec<SymbolId> = self.buffer.known_ids().collect();
         ids.sort_unstable();
         ids
@@ -87,7 +66,7 @@ impl Receiver {
     /// Symbols gained after the receiver held its first `distinct`, in
     /// arrival order.
     #[must_use]
-    pub fn symbols_since(&self, distinct: usize) -> &[SymbolId] {
+    pub(crate) fn symbols_since(&self, distinct: usize) -> &[SymbolId] {
         self.buffer.known_since(distinct)
     }
 
@@ -103,37 +82,18 @@ impl Receiver {
 
     /// [`Receiver::receive`] from the tick loop's reusable scratch —
     /// no packet object, no per-packet allocation.
-    pub fn receive_scratch(&mut self, scratch: &PacketScratch) -> usize {
+    pub(crate) fn receive_scratch(&mut self, scratch: &PacketScratch) -> usize {
         self.receive_ids(scratch.is_recoded(), scratch.ids())
     }
 
     /// The shared ingest path behind [`Receiver::receive`] and
     /// [`Receiver::receive_scratch`].
     fn receive_ids(&mut self, recoded: bool, ids: &[SymbolId]) -> usize {
-        self.packets_received += 1;
-        let gained = if !recoded && self.buffer.knows(ids[0]) {
+        if !recoded && self.buffer.knows(ids[0]) {
             0
         } else {
             self.buffer.receive(ids, &[], |_, ()| {})
-        };
-        if gained == 0 {
-            self.redundant_packets += 1;
         }
-        gained
-    }
-
-    /// Packets that contributed nothing on arrival (they may still be
-    /// buffered recoded symbols that pay off later; this counter tracks
-    /// instantaneous uselessness, the buffer tracks pending state).
-    #[must_use]
-    pub fn redundant_packets(&self) -> u64 {
-        self.redundant_packets
-    }
-
-    /// Total packets ingested.
-    #[must_use]
-    pub fn packets_received(&self) -> u64 {
-        self.packets_received
     }
 
     /// Recoded packets still awaiting resolution.
@@ -153,8 +113,8 @@ mod tests {
         assert_eq!(r.distinct_symbols(), 3);
         assert_eq!(r.remaining(), 7);
         assert!(!r.is_complete());
-        assert!(r.knows(2));
-        assert!(!r.knows(4));
+        assert!(r.buffer.knows(2));
+        assert!(!r.buffer.knows(4));
     }
 
     #[test]
@@ -162,7 +122,6 @@ mod tests {
         let mut r = Receiver::new(&[1], 3);
         assert_eq!(r.receive(&Packet::Encoded(2)), 1);
         assert_eq!(r.receive(&Packet::Encoded(2)), 0, "duplicate is redundant");
-        assert_eq!(r.redundant_packets(), 1);
         assert_eq!(r.receive(&Packet::Encoded(3)), 1);
         assert!(r.is_complete());
     }
@@ -172,12 +131,12 @@ mod tests {
         // Receiver knows 10; recoded {10, 20} yields 20 immediately.
         let mut r = Receiver::new(&[10], 5);
         assert_eq!(r.receive(&Packet::Recoded(vec![10, 20])), 1);
-        assert!(r.knows(20));
+        assert!(r.buffer.knows(20));
         // Recoded {30, 40} pends; then 30 arrives and 40 cascades out.
         assert_eq!(r.receive(&Packet::Recoded(vec![30, 40])), 0);
         assert_eq!(r.pending_recoded(), 1);
         assert_eq!(r.receive(&Packet::Encoded(30)), 2, "30 plus cascaded 40");
-        assert!(r.knows(40));
+        assert!(r.buffer.knows(40));
         assert_eq!(r.pending_recoded(), 0);
     }
 
@@ -185,7 +144,6 @@ mod tests {
     fn fully_known_recoded_is_redundant() {
         let mut r = Receiver::new(&[1, 2], 10);
         assert_eq!(r.receive(&Packet::Recoded(vec![1, 2])), 0);
-        assert_eq!(r.redundant_packets(), 1);
     }
 
     #[test]

@@ -203,13 +203,13 @@ impl TwoPeerScenario {
 
     /// The receiver's standing min-wise calling card (computed once).
     #[must_use]
-    pub fn receiver_sketch(&self, family: &PermutationFamily) -> &MinwiseSketch {
+    pub(crate) fn receiver_sketch(&self, family: &PermutationFamily) -> &MinwiseSketch {
         calling_card(&self.receiver_card, family, &self.receiver_set)
     }
 
     /// The sender's standing min-wise calling card (computed once).
     #[must_use]
-    pub fn sender_sketch(&self, family: &PermutationFamily) -> &MinwiseSketch {
+    pub(crate) fn sender_sketch(&self, family: &PermutationFamily) -> &MinwiseSketch {
         calling_card(&self.sender_card, family, &self.sender_set)
     }
 }
@@ -297,19 +297,19 @@ impl MultiSenderScenario {
 
     /// Distinct symbols the receiver still needs.
     #[must_use]
-    pub fn needed(&self) -> usize {
+    pub(crate) fn needed(&self) -> usize {
         self.target - self.receiver_set.len()
     }
 
     /// The receiver's standing min-wise calling card (computed once).
     #[must_use]
-    pub fn receiver_sketch(&self, family: &PermutationFamily) -> &MinwiseSketch {
+    pub(crate) fn receiver_sketch(&self, family: &PermutationFamily) -> &MinwiseSketch {
         calling_card(&self.receiver_card, family, &self.receiver_set)
     }
 
     /// Sender `i`'s standing min-wise calling card (computed once).
     #[must_use]
-    pub fn sender_sketch(&self, i: usize, family: &PermutationFamily) -> &MinwiseSketch {
+    pub(crate) fn sender_sketch(&self, i: usize, family: &PermutationFamily) -> &MinwiseSketch {
         calling_card(&self.sender_cards[i], family, &self.sender_sets[i])
     }
 }

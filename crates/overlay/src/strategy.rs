@@ -46,28 +46,13 @@ pub enum Packet {
 }
 
 impl Packet {
-    /// True framed wire size of this packet carrying a `block_size`
-    /// payload: the exact `write_frame_buf` length of the corresponding
-    /// `icd-wire` message (length prefix included). Delegates to the
-    /// closed forms pinned against the real encoder in `icd-wire`, so
-    /// byte-accounting ablations can never drift from the wire again —
-    /// the old hand-rolled header arithmetic here undercounted every
-    /// packet by 9–11 bytes (missing the frame prefix, tag, and count
-    /// fields).
-    #[must_use]
-    pub fn wire_size(&self, block_size: usize) -> usize {
-        match self {
-            Packet::Encoded(_) => icd_wire::encoded_symbol_frame_len(block_size),
-            Packet::Recoded(c) => icd_wire::recoded_symbol_frame_len(c.len(), block_size),
-        }
-    }
 }
 
 /// A reusable packet buffer for the tick loop: one of these lives for a
 /// whole simulated transfer, so emitting a packet allocates nothing —
 /// the component list is rewritten in place each tick.
 #[derive(Debug, Clone, Default)]
-pub struct PacketScratch {
+pub(crate) struct PacketScratch {
     recoded: bool,
     ids: Vec<SymbolId>,
 }
@@ -75,27 +60,27 @@ pub struct PacketScratch {
 impl PacketScratch {
     /// An empty scratch buffer.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Whether the held packet is recoded.
     #[must_use]
-    pub fn is_recoded(&self) -> bool {
+    pub(crate) fn is_recoded(&self) -> bool {
         self.recoded
     }
 
     /// The held packet's symbol ids: the single encoded id, or the
     /// recoded component list.
     #[must_use]
-    pub fn ids(&self) -> &[SymbolId] {
+    pub(crate) fn ids(&self) -> &[SymbolId] {
         &self.ids
     }
 
     /// Materializes an owning [`Packet`] (allocates; tests and
     /// non-hot-path callers only).
     #[must_use]
-    pub fn to_packet(&self) -> Packet {
+    pub(crate) fn to_packet(&self) -> Packet {
         if self.recoded {
             Packet::Recoded(self.ids.clone())
         } else {
@@ -160,22 +145,16 @@ impl StrategyKind {
 
     /// The summary mechanism this strategy ships, if any.
     #[must_use]
-    pub fn summary_id(&self) -> Option<SummaryId> {
+    pub(crate) fn summary_id(&self) -> Option<SummaryId> {
         match self {
             StrategyKind::RandomSummary(id) | StrategyKind::RecodeSummary(id) => Some(*id),
             _ => None,
         }
     }
 
-    /// Whether the strategy needs a receiver digest in the handshake.
-    #[must_use]
-    pub fn needs_summary(&self) -> bool {
-        self.summary_id().is_some()
-    }
-
     /// Whether the strategy needs min-wise sketches.
     #[must_use]
-    pub fn needs_sketch(&self) -> bool {
+    pub(crate) fn needs_sketch(&self) -> bool {
         matches!(self, StrategyKind::RecodeMinwise)
     }
 }
@@ -244,7 +223,7 @@ impl ReceiverHandshake {
     /// here; the sketch is only consulted when the strategy needs one.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
-    pub fn for_strategy_with(
+    pub(crate) fn for_strategy_with(
         strategy: StrategyKind,
         working_set: &[SymbolId],
         sizing: &SummarySizing,
@@ -284,14 +263,12 @@ pub struct Sender {
     /// The working set Random draws from (empty for the other
     /// strategies, which keep only candidates or a recoder).
     working: Vec<SymbolId>,
-    working_len: usize,
     /// Random-order candidate queue (summary strategies);
     /// `next_candidate` indexes into it.
     candidates: Vec<SymbolId>,
     next_candidate: usize,
     recoder: Option<Recoder>,
     rng: Xoshiro256StarStar,
-    packets_sent: u64,
     recode_scratch: RecodeScratch,
 }
 
@@ -326,7 +303,7 @@ impl Sender {
     /// borrowed: only the strategies that draw from it keep a copy.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
-    pub fn with_calling_card(
+    pub(crate) fn with_calling_card(
         kind: StrategyKind,
         working: &[SymbolId],
         handshake: &ReceiverHandshake,
@@ -394,39 +371,12 @@ impl Sender {
         Self {
             kind,
             working: drawn,
-            working_len: working.len(),
             candidates,
             next_candidate,
             recoder,
             rng,
-            packets_sent: 0,
             recode_scratch: RecodeScratch::default(),
         }
-    }
-
-    /// The strategy this sender runs.
-    #[must_use]
-    pub fn kind(&self) -> StrategyKind {
-        self.kind
-    }
-
-    /// Packets emitted so far.
-    #[must_use]
-    pub fn packets_sent(&self) -> u64 {
-        self.packets_sent
-    }
-
-    /// Size of the sender's working set.
-    #[must_use]
-    pub fn working_set_size(&self) -> usize {
-        self.working_len
-    }
-
-    /// Number of symbols the receiver's digest cleared for sending
-    /// (summary strategies only; 0 otherwise).
-    #[must_use]
-    pub fn candidate_count(&self) -> usize {
-        self.candidates.len()
     }
 
     /// Emits the next packet, or `None` if this sender can provably
@@ -442,8 +392,8 @@ impl Sender {
     /// Emits the next packet into reusable scratch — the tick loop's
     /// allocation-free form of [`Sender::next_packet`]. Returns `false`
     /// (leaving `scratch` stale) when the sender is exhausted.
-    pub fn next_packet_into(&mut self, scratch: &mut PacketScratch) -> bool {
-        let emitted = match self.kind {
+    pub(crate) fn next_packet_into(&mut self, scratch: &mut PacketScratch) -> bool {
+        match self.kind {
             StrategyKind::Random => {
                 let id = self.working[self.rng.index(self.working.len())];
                 scratch.set_encoded(id);
@@ -472,11 +422,7 @@ impl Sender {
                 }
                 None => false,
             },
-        };
-        if emitted {
-            self.packets_sent += 1;
         }
-        emitted
     }
 }
 
@@ -508,7 +454,6 @@ fn cleared_candidates(
 #[derive(Debug)]
 pub struct FullSender {
     next: u64,
-    packets_sent: u64,
 }
 
 /// Tag bit marking full-sender (fresh fountain) symbol ids.
@@ -521,7 +466,6 @@ impl FullSender {
     pub fn new(stream: u32) -> Self {
         Self {
             next: FRESH_ID_BIT | (u64::from(stream) << 48),
-            packets_sent: 0,
         }
     }
 
@@ -534,16 +478,9 @@ impl FullSender {
 
     /// [`FullSender::next_packet`] into reusable scratch (a full sender
     /// never exhausts, so this always emits).
-    pub fn next_packet_into(&mut self, scratch: &mut PacketScratch) {
+    pub(crate) fn next_packet_into(&mut self, scratch: &mut PacketScratch) {
         scratch.set_encoded(self.next);
         self.next += 1;
-        self.packets_sent += 1;
-    }
-
-    /// Packets emitted so far.
-    #[must_use]
-    pub fn packets_sent(&self) -> u64 {
-        self.packets_sent
     }
 }
 
@@ -600,7 +537,6 @@ mod tests {
                 other => panic!("unexpected packet {other:?}"),
             }
         }
-        assert_eq!(s.packets_sent(), 500);
     }
 
     #[test]
@@ -820,36 +756,5 @@ mod tests {
             StrategyKind::RecodeSummary(SummaryId::WHOLE_SET).label(),
             "Recode/WS"
         );
-    }
-
-    #[test]
-    fn packet_wire_size_is_the_framed_length() {
-        // prefix(4) + tag(1) + id(8) + count(4) + payload.
-        assert_eq!(Packet::Encoded(1).wire_size(1400), 1417);
-        // prefix(4) + tag(1) + count(4) + 3 ids + count(4) + payload.
-        assert_eq!(Packet::Recoded(vec![1, 2, 3]).wire_size(1400), 1437);
-        // Cross-check against the actual encoder, not just the formula.
-        use bytes::Bytes;
-        let mut scratch = Vec::new();
-        icd_wire::write_frame_buf(
-            &mut std::io::sink(),
-            &icd_wire::Message::EncodedSymbol {
-                id: 1,
-                payload: Bytes::from(vec![0u8; 1400]),
-            },
-            &mut scratch,
-        )
-        .expect("sink write");
-        assert_eq!(scratch.len(), Packet::Encoded(1).wire_size(1400));
-        icd_wire::write_frame_buf(
-            &mut std::io::sink(),
-            &icd_wire::Message::RecodedSymbol {
-                components: vec![1, 2, 3],
-                payload: Bytes::from(vec![0u8; 1400]),
-            },
-            &mut scratch,
-        )
-        .expect("sink write");
-        assert_eq!(scratch.len(), Packet::Recoded(vec![1, 2, 3]).wire_size(1400));
     }
 }

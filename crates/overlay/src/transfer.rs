@@ -33,9 +33,8 @@ use crate::strategy::{ReceiverHandshake, StrategyKind};
 // The handshake parameterization constants moved to `crate::handshake`
 // (one copy for presets, churn, the engine, and the bench harnesses);
 // re-exported here because this module was their historical home.
-pub use crate::handshake::{
-    handshake_estimate, standard_family, standard_sizing, FILTER_BITS_PER_ELEMENT,
-};
+pub use crate::handshake::{handshake_estimate, standard_sizing};
+use crate::handshake::standard_family;
 
 /// Result of one simulated transfer.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -78,11 +78,6 @@ pub struct CostReport {
 }
 
 impl CostReport {
-    /// Finds a row by method name.
-    #[must_use]
-    pub fn row(&self, method: &str) -> Option<&CostRow> {
-        self.rows.iter().find(|r| r.method == method)
-    }
 }
 
 fn score(found: &[u64], scenario: &Scenario) -> (f64, bool) {
@@ -231,6 +226,10 @@ pub fn measure_all(scenario: &Scenario, poly_bound: usize) -> CostReport {
 mod tests {
     use super::*;
 
+    fn row<'a>(rep: &'a CostReport, method: &str) -> &'a CostRow {
+        rep.rows.iter().find(|r| r.method == method).expect("method row")
+    }
+
     fn report() -> (Scenario, CostReport) {
         let scenario = Scenario::generate(5000, 100, 42);
         let rep = measure_all(&scenario, 128);
@@ -248,26 +247,26 @@ mod tests {
     #[test]
     fn exact_methods_are_exact() {
         let (_, rep) = report();
-        assert_eq!(rep.row("whole-set").unwrap().accuracy, 1.0);
-        assert_eq!(rep.row("char-poly").unwrap().accuracy, 1.0);
+        assert_eq!(row(&rep, "whole-set").accuracy, 1.0);
+        assert_eq!(row(&rep, "char-poly").accuracy, 1.0);
     }
 
     #[test]
     fn approximate_methods_are_close() {
         let (_, rep) = report();
-        assert!(rep.row("bloom-8bpe").unwrap().accuracy > 0.9);
-        assert!(rep.row("art-8bpe-c5").unwrap().accuracy > 0.7);
+        assert!(row(&rep, "bloom-8bpe").accuracy > 0.9);
+        assert!(row(&rep, "art-8bpe-c5").accuracy > 0.7);
     }
 
     #[test]
     fn wire_cost_ordering_matches_paper() {
         // §5.1/§5.2: poly sketch ≪ Bloom/ART ≪ hash set < whole set.
         let (_, rep) = report();
-        let poly = rep.row("char-poly").unwrap().wire_bytes;
-        let bloom = rep.row("bloom-8bpe").unwrap().wire_bytes;
-        let art = rep.row("art-8bpe-c5").unwrap().wire_bytes;
-        let hash = rep.row("hash-set-16").unwrap().wire_bytes;
-        let whole = rep.row("whole-set").unwrap().wire_bytes;
+        let poly = row(&rep, "char-poly").wire_bytes;
+        let bloom = row(&rep, "bloom-8bpe").wire_bytes;
+        let art = row(&rep, "art-8bpe-c5").wire_bytes;
+        let hash = row(&rep, "hash-set-16").wire_bytes;
+        let whole = row(&rep, "whole-set").wire_bytes;
         assert!(poly < bloom, "poly {poly} vs bloom {bloom}");
         assert!(bloom <= art * 2, "bloom and ART are the same order");
         assert!(art < hash, "art {art} vs hash {hash}");
@@ -278,7 +277,7 @@ mod tests {
     fn poly_bound_failure_yields_zero_accuracy() {
         let scenario = Scenario::generate(1000, 200, 7);
         let rep = measure_all(&scenario, 16); // d = 200 > 16
-        assert_eq!(rep.row("char-poly").unwrap().accuracy, 0.0);
+        assert_eq!(row(&rep, "char-poly").accuracy, 0.0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::wholeset::WholeSetMessage;
 
 /// The trivial exact baseline speaking the summary traits.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WholeSetDigest {
+pub(crate) struct WholeSetDigest {
     message: WholeSetMessage,
     keys: HashSet<u64>,
 }
@@ -31,14 +31,14 @@ pub struct WholeSetDigest {
 impl WholeSetDigest {
     /// Builds the digest of `keys`.
     #[must_use]
-    pub fn build(keys: &[u64]) -> Self {
+    pub(crate) fn build(keys: &[u64]) -> Self {
         let message = WholeSetMessage::build(keys);
         let keys = message.keys().iter().copied().collect();
         Self { message, keys }
     }
 
     /// Decodes a digest from its wire body.
-    pub fn decode(body: &[u8]) -> Result<Self, SummaryError> {
+    pub(crate) fn decode(body: &[u8]) -> Result<Self, SummaryError> {
         let mut r = FrameReader::new(body);
         let keys = r.u64s()?;
         r.finish()?;
@@ -74,7 +74,7 @@ impl SetSummary for WholeSetDigest {
 
 /// The whole-set registry entry.
 #[must_use]
-pub fn whole_set_spec() -> SummarySpec {
+pub(crate) fn whole_set_spec() -> SummarySpec {
     SummarySpec {
         id: SummaryId::WHOLE_SET,
         label: "whole-set",
@@ -92,28 +92,22 @@ pub fn whole_set_spec() -> SummarySpec {
 
 /// The §5.1 truncated-hash baseline speaking the summary traits.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HashSetDigest {
+pub(crate) struct HashSetDigest {
     message: HashSetMessage,
 }
 
 impl HashSetDigest {
     /// Builds the digest of `keys` at `bits`-wide hashes.
     #[must_use]
-    pub fn build(keys: &[u64], bits: u32) -> Self {
+    pub(crate) fn build(keys: &[u64], bits: u32) -> Self {
         Self {
             message: HashSetMessage::build(keys, bits),
         }
     }
 
-    /// The wrapped message.
-    #[must_use]
-    pub fn message(&self) -> &HashSetMessage {
-        &self.message
-    }
-
     /// Decodes a digest from its wire body. Hashes are packed at
     /// `⌈bits/8⌉` bytes each.
-    pub fn decode(body: &[u8]) -> Result<Self, SummaryError> {
+    pub(crate) fn decode(body: &[u8]) -> Result<Self, SummaryError> {
         let mut r = FrameReader::new(body);
         let bits = u32::from(r.u8()?);
         if !(1..=64).contains(&bits) {
@@ -176,7 +170,7 @@ impl SetSummary for HashSetDigest {
 
 /// The hash-set registry entry.
 #[must_use]
-pub fn hash_set_spec() -> SummarySpec {
+pub(crate) fn hash_set_spec() -> SummarySpec {
     SummarySpec {
         id: SummaryId::HASH_SET,
         label: "hash-set",
@@ -199,7 +193,7 @@ pub fn hash_set_spec() -> SummarySpec {
 
 /// The Minsky–Trachtenberg sketch speaking the summary traits.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CharPolyDigest {
+pub(crate) struct CharPolyDigest {
     sketch: CharPolySketch,
 }
 
@@ -211,25 +205,19 @@ pub struct CharPolyDigest {
 /// does not eliminate — the work one hostile frame can force; a
 /// deployment facing untrusted peers at scale registers a custom spec
 /// with a decoder capped at its own `poly_max_bound`.
-pub const MAX_DECODE_BOUND: usize = 4096;
+pub(crate) const MAX_DECODE_BOUND: usize = 4096;
 
 impl CharPolyDigest {
     /// Builds the digest of `keys` for discrepancy bound `bound`.
     #[must_use]
-    pub fn build(keys: &[u64], bound: usize) -> Self {
+    pub(crate) fn build(keys: &[u64], bound: usize) -> Self {
         Self {
             sketch: CharPolySketch::build(keys, bound),
         }
     }
 
-    /// The wrapped sketch.
-    #[must_use]
-    pub fn sketch(&self) -> &CharPolySketch {
-        &self.sketch
-    }
-
     /// Decodes a digest from its wire body.
-    pub fn decode(body: &[u8]) -> Result<Self, SummaryError> {
+    pub(crate) fn decode(body: &[u8]) -> Result<Self, SummaryError> {
         let mut r = FrameReader::new(body);
         let bound = r.u32()? as usize;
         if bound > MAX_DECODE_BOUND {
@@ -298,7 +286,7 @@ impl SetSummary for CharPolyDigest {
 
 /// The characteristic-polynomial registry entry.
 #[must_use]
-pub fn char_poly_spec() -> SummarySpec {
+pub(crate) fn char_poly_spec() -> SummarySpec {
     SummarySpec {
         id: SummaryId::CHAR_POLY,
         label: "char-poly",
@@ -378,7 +366,7 @@ mod tests {
             // Packing claim: ⌈bits/8⌉ bytes per distinct hash + header.
             assert_eq!(
                 body.len(),
-                5 + digest.message().len() * bits.div_ceil(8) as usize
+                5 + digest.message.hashes_sorted().len() * bits.div_ceil(8) as usize
             );
         }
     }

@@ -30,7 +30,7 @@ pub struct HashSetMessage {
 impl HashSetMessage {
     /// Builds the message with `bits`-wide truncated hashes (1–64).
     #[must_use]
-    pub fn build(keys: &[u64], bits: u32) -> Self {
+    pub(crate) fn build(keys: &[u64], bits: u32) -> Self {
         assert!((1..=64).contains(&bits), "hash width must be 1..=64 bits");
         let hashes = keys.iter().map(|&k| Self::hash(k, bits)).collect();
         Self { hashes, bits }
@@ -47,25 +47,13 @@ impl HashSetMessage {
 
     /// Hash width in bits.
     #[must_use]
-    pub fn bits(&self) -> u32 {
+    pub(crate) fn bits(&self) -> u32 {
         self.bits
-    }
-
-    /// Number of distinct hashes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.hashes.len()
-    }
-
-    /// True if no hashes are present.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
     }
 
     /// Wire size in bytes: `⌈|S_A|·bits / 8⌉` (hashes packed).
     #[must_use]
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         (self.hashes.len() * self.bits as usize).div_ceil(8)
     }
 
@@ -73,7 +61,7 @@ impl HashSetMessage {
     /// the Bloom sense: a collision answers positively (the safe
     /// direction), a miss proves absence. O(1), no allocation.
     #[must_use]
-    pub fn contains_hash_of(&self, key: u64) -> bool {
+    pub(crate) fn contains_hash_of(&self, key: u64) -> bool {
         self.hashes.contains(&Self::hash(key, self.bits))
     }
 
@@ -81,7 +69,7 @@ impl HashSetMessage {
     /// whose hash is absent is *definitely* missing at A; keys whose hash
     /// collides are (wrongly, with probability ≈ |S_A|/2^bits) withheld.
     #[must_use]
-    pub fn missing_at_sender(&self, b_keys: &[u64]) -> Vec<u64> {
+    pub(crate) fn missing_at_sender(&self, b_keys: &[u64]) -> Vec<u64> {
         let mut out: Vec<u64> = b_keys
             .iter()
             .copied()
@@ -102,7 +90,7 @@ impl HashSetMessage {
 
     /// The distinct hashes, sorted (wire encoding).
     #[must_use]
-    pub fn hashes_sorted(&self) -> Vec<u64> {
+    pub(crate) fn hashes_sorted(&self) -> Vec<u64> {
         let mut out: Vec<u64> = self.hashes.iter().copied().collect();
         out.sort_unstable();
         out
@@ -112,7 +100,7 @@ impl HashSetMessage {
     /// decoding). Returns `None` for an out-of-range width or a hash
     /// exceeding it.
     #[must_use]
-    pub fn from_parts(hashes: Vec<u64>, bits: u32) -> Option<Self> {
+    pub(crate) fn from_parts(hashes: Vec<u64>, bits: u32) -> Option<Self> {
         if !(1..=64).contains(&bits) {
             return None;
         }
@@ -182,9 +170,9 @@ mod tests {
         let m64 = HashSetMessage::build(&a, 64);
         // Truncated hashes may collide among A's own keys, so size is
         // per *distinct hash* (that is all that crosses the wire).
-        assert_eq!(m16.wire_size(), m16.len() * 2);
-        assert!(m16.len() > 980, "16-bit collisions should be rare at n=1000");
-        assert_eq!(m64.len(), 1000);
+        assert_eq!(m16.wire_size(), m16.hashes.len() * 2);
+        assert!(m16.hashes.len() > 980, "16-bit collisions should be rare at n=1000");
+        assert_eq!(m64.hashes.len(), 1000);
         assert_eq!(m64.wire_size(), 8000);
     }
 

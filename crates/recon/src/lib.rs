@@ -5,7 +5,7 @@
 //! time or transmission size". This crate implements those exact
 //! approaches so the claim can be measured rather than assumed:
 //!
-//! * [`wholeset`] — peer A ships its entire key set: O(|S_A| log u) bits,
+//! * `wholeset` — peer A ships its entire key set: O(|S_A| log u) bits,
 //!   zero error.
 //! * [`hashset`] — peer A ships h-bit hashes of its keys: O(|S_A| log h)
 //!   bits, inverse-polynomial miss probability (§5.1's middle option).
@@ -18,24 +18,23 @@
 //! * [`cost`] — a harness that runs every method (exact and approximate)
 //!   on one scenario and reports bits sent, time spent, and accuracy —
 //!   the `recon_cost_table` experiment.
-//! * [`digest`] — the exact mechanisms' plugs into the workspace-wide
+//! * `digest` — the exact mechanisms' plugs into the workspace-wide
 //!   `icd-summary` trait API, so whole-set, hash-set, and char-poly run
 //!   end-to-end through the session state machines, not just offline.
 //! * [`registry`] — the assembled standard [`icd_summary::SummaryRegistry`]
 //!   holding all five mechanisms.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod digest;
+mod digest;
 pub mod hashset;
 pub mod poly;
 pub mod polyfield;
 pub mod registry;
-pub mod wholeset;
+mod wholeset;
 
-pub use cost::{CostReport, CostRow};
-pub use digest::{CharPolyDigest, HashSetDigest, WholeSetDigest};
 pub use poly::{CharPolySketch, PolyError};
 pub use registry::{shared_registry, standard_registry};

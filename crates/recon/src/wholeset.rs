@@ -8,47 +8,35 @@ use std::collections::HashSet;
 
 /// Peer A's message: its complete key set (sorted for determinism).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WholeSetMessage {
+pub(crate) struct WholeSetMessage {
     keys: Vec<u64>,
 }
 
 impl WholeSetMessage {
     /// Builds the message.
     #[must_use]
-    pub fn build(keys: &[u64]) -> Self {
+    pub(crate) fn build(keys: &[u64]) -> Self {
         let mut keys = keys.to_vec();
         keys.sort_unstable();
         keys.dedup();
         Self { keys }
     }
 
-    /// Number of keys advertised.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True if the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
     /// Wire size: 8 bytes per key (`|S_A| log u` bits with u = 2^64).
     #[must_use]
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         self.keys.len() * 8
     }
 
     /// The keys (sorted).
     #[must_use]
-    pub fn keys(&self) -> &[u64] {
+    pub(crate) fn keys(&self) -> &[u64] {
         &self.keys
     }
 
     /// Computes S_B ∖ S_A exactly.
     #[must_use]
-    pub fn missing_at_sender(&self, b_keys: &[u64]) -> Vec<u64> {
+    pub(crate) fn missing_at_sender(&self, b_keys: &[u64]) -> Vec<u64> {
         let a: HashSet<u64> = self.keys.iter().copied().collect();
         let mut out: Vec<u64> = b_keys.iter().copied().filter(|k| !a.contains(k)).collect();
         out.sort_unstable();
@@ -84,7 +72,7 @@ mod tests {
     #[test]
     fn empty_cases() {
         let empty = WholeSetMessage::build(&[]);
-        assert!(empty.is_empty());
+        assert!(empty.keys().is_empty());
         assert_eq!(empty.missing_at_sender(&[7]), vec![7]);
         let msg = WholeSetMessage::build(&[7]);
         assert!(msg.missing_at_sender(&[]).is_empty());

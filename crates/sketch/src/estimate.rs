@@ -79,16 +79,6 @@ impl OverlapEstimate {
         }
     }
 
-    /// Containment of A in B: |A∩B| / |A|.
-    #[must_use]
-    pub fn containment_of_a(&self) -> f64 {
-        if self.size_a == 0 {
-            0.0
-        } else {
-            (self.intersection_size() / self.size_a as f64).clamp(0.0, 1.0)
-        }
-    }
-
     /// Fraction of B's symbols that are *useful* to A: 1 − c.
     ///
     /// §4: "The quantity |A∩B|/|B| represents the fraction of elements B
@@ -131,7 +121,6 @@ mod tests {
         assert!((est.intersection_size() - 50.0).abs() < 1e-9);
         assert!((est.union_size() - 250.0).abs() < 1e-9);
         assert!((est.containment_of_b() - 0.25).abs() < 1e-9);
-        assert!((est.containment_of_a() - 0.5).abs() < 1e-9);
         assert!((est.useful_fraction_of_b() - 0.75).abs() < 1e-9);
     }
 
@@ -177,7 +166,6 @@ mod tests {
     #[test]
     fn empty_sets_do_not_divide_by_zero() {
         let est = OverlapEstimate::from_resemblance(0.5, 0, 0);
-        assert_eq!(est.containment_of_a(), 0.0);
         assert_eq!(est.containment_of_b(), 0.0);
         assert_eq!(est.intersection_size(), 0.0);
         let est2 = OverlapEstimate::from_containment_of_b(0.5, 0, 0);

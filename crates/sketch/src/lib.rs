@@ -2,41 +2,37 @@
 //!
 //! Before two peers open a data connection they exchange a single small
 //! packet that lets each side estimate how much of the other's working set
-//! it already has. This crate implements the three estimators the paper
-//! considers, in increasing order of preference:
+//! it already has. §4 weighs three estimators for that packet; this crate
+//! implements the one the paper ships:
 //!
-//! * [`random_sample`] — straightforward random sampling: send `k` random
-//!   keys; the peer probes its own (sorted) working set for each.
-//!   Drawbacks: per-element search on the receiving side, and samples of
-//!   two third-party peers cannot be compared with each other.
-//! * [`modk`] — Broder's first alternative: sample every key ≡ 0 (mod k).
-//!   Samples of different peers *are* mutually comparable, but their size
-//!   is variable, which is awkward for fixed-size packets.
-//! * [`minwise`] — min-wise permutation sketches, the approach the paper
-//!   prefers: a constant-size vector of per-permutation minima. Any two
-//!   sketches built from the same permutation family can be compared, and
-//!   sketches compose under set union by coordinate-wise minimum.
+//! * `minwise` — min-wise permutation sketches: a constant-size vector
+//!   of per-permutation minima. Any two sketches built from the same
+//!   permutation family can be compared, and sketches compose under set
+//!   union by coordinate-wise minimum.
 //!
-//! [`estimate`] holds the conversions between the two similarity measures
+//! The two alternatives §4 rejects are not implemented. A random sample
+//! of `k` keys costs a search per key on the receiving side, and samples
+//! of two third-party peers cannot be compared with each other. Broder's
+//! mod-k sample is comparable across peers, but its size varies with the
+//! set, which does not fit a fixed-size packet.
+//!
+//! `estimate` holds the conversions between the two similarity measures
 //! involved (resemblance `|A∩B|/|A∪B|` and containment `|A∩B|/|B|`) via
 //! inclusion–exclusion, as described in §4.
 //!
-//! All estimators are incremental: receiving one new symbol updates a
+//! The sketch is incremental: receiving one new symbol updates a
 //! sketch in `O(1)` (amortized) time, matching the paper's requirement
 //! that estimation keep functioning "even as new data arrives".
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod estimate;
-pub mod minwise;
-pub mod modk;
-pub mod random_sample;
+mod estimate;
+mod minwise;
 
 pub use estimate::OverlapEstimate;
 pub use minwise::{MinwiseSketch, PermutationFamily};
-pub use modk::ModKSample;
-pub use random_sample::RandomSample;
 
 /// A working-set element key: a 64-bit identifier of an encoded symbol.
 ///

@@ -23,7 +23,7 @@ use crate::estimate::OverlapEstimate;
 use crate::Key;
 
 /// Default number of permutations: 128 minima × 8 B = 1 KB packet.
-pub const DEFAULT_PERMUTATIONS: usize = 128;
+pub(crate) const DEFAULT_PERMUTATIONS: usize = 128;
 
 /// Sentinel stored in a coordinate before any key has been inserted.
 ///
@@ -33,7 +33,7 @@ const EMPTY: u64 = u64::MAX;
 
 /// A linear permutation π(x) = a·x + b (mod p), a ≠ 0, over GF(2^61 − 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinearPermutation {
+pub(crate) struct LinearPermutation {
     a: u64,
     b: u64,
 }
@@ -41,7 +41,7 @@ pub struct LinearPermutation {
 impl LinearPermutation {
     /// Draws a uniformly random permutation (a ≠ 0).
     #[must_use]
-    pub fn random<R: Rng64>(rng: &mut R) -> Self {
+    pub(crate) fn random<R: Rng64>(rng: &mut R) -> Self {
         let a = 1 + rng.below(modp::P - 1);
         let b = rng.below(modp::P);
         Self { a, b }
@@ -57,14 +57,8 @@ impl LinearPermutation {
     /// result to `add(mul(a, x), b)`.
     #[inline]
     #[must_use]
-    pub fn apply(&self, x: u64) -> u64 {
+    pub(crate) fn apply(&self, x: u64) -> u64 {
         modp::reduce122(u128::from(self.a) * u128::from(x) + u128::from(self.b))
-    }
-
-    /// Inverts the permutation: returns the `x` with `apply(x) == y`.
-    #[must_use]
-    pub fn invert(&self, y: u64) -> u64 {
-        modp::div(modp::sub(y, self.b), self.a)
     }
 }
 
@@ -104,14 +98,8 @@ impl PermutationFamily {
 
     /// Number of permutations.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.perms.len()
-    }
-
-    /// True if the family is empty (never constructible via `new`).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.perms.is_empty()
     }
 
     /// Maps an arbitrary 64-bit key into the permutation domain `[0, p)`.
@@ -121,15 +109,8 @@ impl PermutationFamily {
     /// that transformation.
     #[inline]
     #[must_use]
-    pub fn key_to_field(key: Key) -> u64 {
+    pub(crate) fn key_to_field(key: Key) -> u64 {
         modp::canon(mix64(key))
-    }
-
-    /// Applies permutation `j` to a raw key.
-    #[inline]
-    #[must_use]
-    pub fn image(&self, j: usize, key: Key) -> u64 {
-        self.perms[j].apply(Self::key_to_field(key))
     }
 }
 
@@ -189,12 +170,6 @@ impl MinwiseSketch {
             *min = y.min(*min);
         }
         self.set_size += 1;
-    }
-
-    /// Number of permutations (sketch width).
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.minima.len()
     }
 
     /// Number of keys inserted.
@@ -278,13 +253,6 @@ impl MinwiseSketch {
             set_size: est.union_size().round() as u64,
         }
     }
-
-    /// Serialized size in bytes: 8 per minimum (set size and family seed
-    /// ride in the message header, accounted by `icd-wire`).
-    #[must_use]
-    pub fn wire_size(&self) -> usize {
-        self.minima.len() * 8
-    }
 }
 
 #[cfg(test)]
@@ -298,14 +266,12 @@ mod tests {
     }
 
     #[test]
-    fn permutation_is_bijective_and_invertible() {
+    fn permutation_stays_in_field() {
         let mut rng = Xoshiro256StarStar::new(1);
         for _ in 0..10 {
             let p = LinearPermutation::random(&mut rng);
             for x in [0u64, 1, 2, 12345, modp::P - 1] {
-                let y = p.apply(x);
-                assert!(y < modp::P);
-                assert_eq!(p.invert(y), x);
+                assert!(p.apply(x) < modp::P);
             }
         }
     }
@@ -365,7 +331,7 @@ mod tests {
     fn standard_family_fits_1kb() {
         let f = PermutationFamily::standard(0);
         let s = MinwiseSketch::new(&f);
-        assert_eq!(s.wire_size(), 1024, "the paper's single-1KB-packet claim");
+        assert_eq!(s.minima().len() * 8, 1024, "the paper's single-1KB-packet claim");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for similarity estimation: estimator agreement,
 //! composition laws, and statistical soundness on random set pairs.
 
-use icd_sketch::{MinwiseSketch, ModKSample, OverlapEstimate, PermutationFamily, RandomSample};
+use icd_sketch::{MinwiseSketch, OverlapEstimate, PermutationFamily};
 use icd_util::rng::Xoshiro256StarStar;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -75,31 +75,20 @@ proptest! {
 
     #[test]
     fn estimators_agree_on_clear_structure(seed in any::<u64>()) {
-        // All three §4 estimators must agree within statistical error on
-        // a set pair with 50 % containment.
+        // The min-wise estimate must land within statistical error of
+        // the truth on a set pair with 50 % containment.
         let (a_keys, b_keys) = sets(600, 600, 600, seed);
         let family = PermutationFamily::new(13, 256);
         let mw_a = MinwiseSketch::from_keys(&family, a_keys.iter().copied());
         let mw_b = MinwiseSketch::from_keys(&family, b_keys.iter().copied());
-        let mw = mw_a.estimate(&mw_b);
-        let mk_a = ModKSample::build(a_keys.iter().copied(), 4);
-        let mk_b = ModKSample::build(b_keys.iter().copied(), 4);
-        let mk = mk_a.estimate(&mk_b);
-        let mut sorted_b = b_keys.clone();
-        sorted_b.sort_unstable();
-        let mut rng = Xoshiro256StarStar::new(seed ^ 1);
-        let sample = RandomSample::draw(&a_keys, 256, &mut rng);
-        let rs = sample.evaluate_against(&sorted_b, b_keys.len() as u64);
+        let est = mw_a.estimate(&mw_b);
         let truth = 0.5; // |A∩B|/|B| = 600/1200
-        for (name, est) in [("minwise", mw), ("modk", mk), ("random", rs)] {
-            prop_assert!(
-                (est.containment_of_b() - truth).abs() < 0.15,
-                "{} containment {} far from {}",
-                name,
-                est.containment_of_b(),
-                truth
-            );
-        }
+        prop_assert!(
+            (est.containment_of_b() - truth).abs() < 0.15,
+            "minwise containment {} far from {}",
+            est.containment_of_b(),
+            truth
+        );
     }
 
     #[test]

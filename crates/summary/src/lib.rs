@@ -27,11 +27,12 @@
 //! `icd-core::summary`.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod registry;
-pub mod traits;
+mod registry;
+mod traits;
 
 pub use codec::{FrameReader, FrameWriter};
 pub use registry::{cheapest_mechanism, SummaryRegistry, SummarySpec};
@@ -41,8 +42,8 @@ pub use traits::{DiffEstimate, Reconciler, SetSummary, SummaryError, SummarySizi
 ///
 /// The numeric value travels on the wire (in the generic summary frame)
 /// and addresses the [`SummaryRegistry`]; it must never be reused for a
-/// different mechanism. Known ids are given named constants; deployments
-/// may register private mechanisms under ids ≥ [`SummaryId::FIRST_PRIVATE`].
+/// different mechanism. Known ids are given named constants; any other
+/// id is a private mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SummaryId(pub u16);
 
@@ -60,8 +61,6 @@ impl SummaryId {
     pub const BLOOM: SummaryId = SummaryId(4);
     /// Approximate reconciliation tree summary (§5.3).
     pub const ART: SummaryId = SummaryId(5);
-    /// First id available for out-of-tree mechanisms.
-    pub const FIRST_PRIVATE: SummaryId = SummaryId(0x8000);
 
     /// Human-readable mechanism name (stable; used in tables and logs).
     #[must_use]

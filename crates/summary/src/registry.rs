@@ -11,11 +11,11 @@ use crate::traits::{DiffEstimate, Reconciler, SetSummary, SummaryError, SummaryS
 use crate::SummaryId;
 
 /// Builds a digest over a key set.
-pub type BuildFn = fn(&SummarySizing, &DiffEstimate, &[u64]) -> Box<dyn SetSummary>;
+pub(crate) type BuildFn = fn(&SummarySizing, &DiffEstimate, &[u64]) -> Box<dyn SetSummary>;
 /// Decodes a wire body into a sender-side reconciler.
-pub type DecodeFn = fn(&[u8]) -> Result<Box<dyn Reconciler>, SummaryError>;
+pub(crate) type DecodeFn = fn(&[u8]) -> Result<Box<dyn Reconciler>, SummaryError>;
 /// Analytic advisor: estimated wire bytes / compute op-units / recall.
-pub type AdviseFn = fn(&SummarySizing, &DiffEstimate) -> f64;
+pub(crate) type AdviseFn = fn(&SummarySizing, &DiffEstimate) -> f64;
 
 /// One mechanism's registry entry.
 #[derive(Debug, Clone, Copy)]
@@ -76,7 +76,7 @@ impl SummaryRegistry {
     }
 
     /// Looks up a mechanism, or errors with [`SummaryError::Unknown`].
-    pub fn require(&self, id: SummaryId) -> Result<&SummarySpec, SummaryError> {
+    pub(crate) fn require(&self, id: SummaryId) -> Result<&SummarySpec, SummaryError> {
         self.get(id).ok_or(SummaryError::Unknown(id))
     }
 

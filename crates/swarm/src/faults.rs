@@ -25,7 +25,7 @@ use crate::membership::PeerId;
 /// trailing by the configured downtime — mirroring how
 /// [`crate::membership::churn_plan`] pairs leaves with rejoins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultEvent {
+pub(crate) enum FaultEvent {
     /// The peer's process dies: every link is torn down and in-flight
     /// frames are lost. Unlike a polite `Leave`, nothing is announced —
     /// senders discover the corpse when their connections die.
@@ -51,22 +51,6 @@ pub enum FaultEvent {
     /// The peer's inbound links collapse to a fraction of their rate —
     /// the slow-peer regime; links are rebuilt on slowed profiles.
     RateCollapse(PeerId),
-}
-
-impl FaultEvent {
-    /// The peer the fault lands on.
-    #[must_use]
-    pub fn peer(&self) -> PeerId {
-        match *self {
-            Self::Crash(p)
-            | Self::Restart(p)
-            | Self::CutLink(p)
-            | Self::StallStart(p)
-            | Self::StallEnd(p)
-            | Self::TruncateFrame(p)
-            | Self::RateCollapse(p) => p,
-        }
-    }
 }
 
 /// Fault-injection parameters: how many of each fault, and when.
@@ -96,7 +80,7 @@ pub struct FaultConfig {
 impl FaultConfig {
     /// No faults at all — the strict no-op plan every golden runs under.
     #[must_use]
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self {
             crashes: 0,
             downtime: 1,
@@ -123,7 +107,7 @@ impl FaultConfig {
 
     /// Whether this config schedules no faults at all.
     #[must_use]
-    pub fn is_quiet(&self) -> bool {
+    pub(crate) fn is_quiet(&self) -> bool {
         self.crashes == 0
             && self.link_cuts == 0
             && self.stalls == 0
@@ -138,7 +122,7 @@ const FAULT_SEED_SALT: u64 = 0xFA17_0B5E;
 /// A sorted, seeded schedule of [`FaultEvent`]s — the replayable unit
 /// the simulator predicts and the chaos harness injects.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultPlan {
+pub(crate) struct FaultPlan {
     /// Events in tick order; same-tick order is generation order
     /// (crashes, cuts, stalls, truncations, collapses).
     pub events: Vec<(Time, FaultEvent)>,
@@ -147,7 +131,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// The empty plan.
     #[must_use]
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self { events: Vec::new() }
     }
 
@@ -156,7 +140,7 @@ impl FaultPlan {
     /// of `(cfg, roster, seed)`, drawn from its own salted RNG stream:
     /// a quiet config yields an empty plan and perturbs nothing else.
     #[must_use]
-    pub fn generate(
+    pub(crate) fn generate(
         cfg: &FaultConfig,
         initial_peers: usize,
         protected: usize,
@@ -202,25 +186,6 @@ impl FaultPlan {
         events.sort_by_key(|&(t, _)| t); // stable: same-tick order is generation order
         Self { events }
     }
-
-    /// Whether the plan schedules nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Scheduled event count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// How many events match `pred` — e.g. counting the truncations a
-    /// prediction must budget retries for.
-    #[must_use]
-    pub fn count(&self, pred: impl Fn(&FaultEvent) -> bool) -> usize {
-        self.events.iter().filter(|(_, e)| pred(e)).count()
-    }
 }
 
 #[cfg(test)]
@@ -249,14 +214,21 @@ mod tests {
         assert_ne!(a, FaultPlan::generate(&cfg(), 24, 2, 8));
         // 3 crash+restart pairs, 4 cuts, 2 stall pairs, 3 truncations,
         // 2 collapses.
-        assert_eq!(a.len(), 6 + 4 + 4 + 3 + 2);
+        assert_eq!(a.events.len(), 6 + 4 + 4 + 3 + 2);
     }
 
     #[test]
     fn every_crash_has_a_trailing_restart_and_seeds_are_protected() {
         let plan = FaultPlan::generate(&cfg(), 24, 2, 7);
         for &(_, e) in &plan.events {
-            assert!(e.peer() >= 2, "seed peers must never fault, got {e:?}");
+            let (FaultEvent::Crash(peer)
+            | FaultEvent::Restart(peer)
+            | FaultEvent::CutLink(peer)
+            | FaultEvent::StallStart(peer)
+            | FaultEvent::StallEnd(peer)
+            | FaultEvent::TruncateFrame(peer)
+            | FaultEvent::RateCollapse(peer)) = e;
+            assert!(peer >= 2, "seed peers must never fault, got {e:?}");
         }
         let crashes: Vec<(Time, PeerId)> = plan
             .events
@@ -289,16 +261,19 @@ mod tests {
 
     #[test]
     fn quiet_config_is_empty_and_roster_of_only_seeds_faults_nobody() {
-        assert!(FaultPlan::generate(&FaultConfig::none(), 50, 2, 1).is_empty());
+        assert!(FaultPlan::generate(&FaultConfig::none(), 50, 2, 1).events.is_empty());
         assert!(FaultConfig::none().is_quiet());
-        assert!(FaultPlan::generate(&cfg(), 2, 2, 1).is_empty());
+        assert!(FaultPlan::generate(&cfg(), 2, 2, 1).events.is_empty());
     }
 
     #[test]
     fn count_filters_by_kind() {
         let plan = FaultPlan::generate(&cfg(), 24, 2, 7);
-        assert_eq!(plan.count(|e| matches!(e, FaultEvent::TruncateFrame(_))), 3);
-        assert_eq!(plan.count(|e| matches!(e, FaultEvent::CutLink(_))), 4);
+        let count = |pred: fn(&FaultEvent) -> bool| {
+            plan.events.iter().filter(|(_, e)| pred(e)).count()
+        };
+        assert_eq!(count(|e| matches!(e, FaultEvent::TruncateFrame(_))), 3);
+        assert_eq!(count(|e| matches!(e, FaultEvent::CutLink(_))), 4);
         assert_eq!(FaultConfig::link_cuts(5, (1, 9)).link_cuts, 5);
     }
 }

@@ -51,24 +51,11 @@ pub struct ChurnConfig {
 impl ChurnConfig {
     /// A quiescent swarm: no membership events at all.
     #[must_use]
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self {
             leave_fraction: 0.0,
             downtime: 1,
             window: (1, 1),
-            joins: 0,
-            rewires: 0,
-        }
-    }
-
-    /// Leave/rejoin churn over `fraction` of the roster in `window`,
-    /// with the given downtime and no joins or rewires.
-    #[must_use]
-    pub fn leaving(fraction: f64, window: (Time, Time), downtime: Time) -> Self {
-        Self {
-            leave_fraction: fraction,
-            downtime: downtime.max(1),
-            window,
             joins: 0,
             rewires: 0,
         }
@@ -84,7 +71,7 @@ const CHURN_SEED_SALT: u64 = 0xC412_2011;
 /// leaves, then joins, then rewires — and every rejoin trails its leave
 /// by `downtime` ticks. Pure function of `(cfg, roster, seed)`.
 #[must_use]
-pub fn churn_plan(
+pub(crate) fn churn_plan(
     cfg: &ChurnConfig,
     initial_peers: usize,
     protected: usize,

@@ -25,10 +25,9 @@
 //!   peers (the self-healing behaviour an adaptive overlay needs to
 //!   survive churn at all).
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use icd_obs::{MetricsRegistry, ProfileHandle, TraceEvent, TraceHandle};
+use icd_obs::{ProfileHandle, TraceEvent, TraceHandle};
 use icd_overlay::net::{ConnectSpec, Link, NodeId, OverlayNet, RunLimit, StopReason, Time};
 use icd_overlay::scenario::ScenarioParams;
 use icd_overlay::strategy::StrategyKind;
@@ -85,7 +84,7 @@ pub struct SwarmConfig {
     pub link_profiles: Vec<Link>,
     /// Membership churn schedule parameters.
     pub churn: ChurnConfig,
-    /// Fault-injection schedule parameters. [`FaultConfig::none`] (the
+    /// Fault-injection schedule parameters. `FaultConfig::none` (the
     /// default) is a strict no-op: no fault RNG stream is consulted and
     /// every existing outcome is byte-identical.
     pub faults: FaultConfig,
@@ -420,8 +419,6 @@ pub struct Swarm {
     /// Structured trace recorder, forwarded to the engine. Stamped with
     /// sim time only — installing one never perturbs an outcome.
     tracer: Option<TraceHandle>,
-    /// Metrics sink for the swarm-level counters and gauges.
-    metrics: Option<Arc<MetricsRegistry>>,
     /// Maintenance rounds run so far (traced as `round_start`).
     rounds: u64,
     /// Wall-clock phase recorder ([`Swarm::set_profiler`]). Nothing the
@@ -458,7 +455,7 @@ impl Swarm {
     /// in `(cfg, seed)`.
     ///
     /// Panics on an invalid config; experiment grids that must survive
-    /// mis-sized cells use [`Swarm::try_new`] instead.
+    /// mis-sized cells use `Swarm::try_new` instead.
     #[must_use]
     pub fn new(cfg: SwarmConfig, seed: u64) -> Self {
         Self::try_new(cfg, seed).unwrap_or_else(|e| panic!("{e}"))
@@ -467,7 +464,7 @@ impl Swarm {
     /// [`Swarm::new`] returning a descriptive [`SwarmConfigError`]
     /// instead of panicking — a mis-sized experiment cell fails that
     /// cell, not the whole grid.
-    pub fn try_new(cfg: SwarmConfig, seed: u64) -> Result<Self, SwarmConfigError> {
+    pub(crate) fn try_new(cfg: SwarmConfig, seed: u64) -> Result<Self, SwarmConfigError> {
         if cfg.peers < 3 {
             return Err(SwarmConfigError::TooFewPeers { peers: cfg.peers });
         }
@@ -526,7 +523,6 @@ impl Swarm {
             faults_applied: 0,
             links_created: 0,
             tracer: None,
-            metrics: None,
             rounds: 0,
             profiler: None,
             pool,
@@ -545,18 +541,6 @@ impl Swarm {
         Ok(swarm)
     }
 
-    /// The shared completion target (distinct symbols per peer).
-    #[must_use]
-    pub fn target(&self) -> usize {
-        self.target
-    }
-
-    /// Current roster size (initial peers + joins so far).
-    #[must_use]
-    pub fn roster(&self) -> usize {
-        self.peers.len()
-    }
-
     /// Installs a structured trace recorder on the swarm and its
     /// engine. Records are stamped with sim time and a deterministic
     /// sequence number only, so the trace of a `(config, seed)` run is
@@ -564,12 +548,6 @@ impl Swarm {
     pub fn set_tracer(&mut self, tracer: TraceHandle) {
         self.net.set_tracer(tracer.clone());
         self.tracer = Some(tracer);
-    }
-
-    /// Removes the trace recorder installed by [`Swarm::set_tracer`].
-    pub fn clear_tracer(&mut self) {
-        self.net.clear_tracer();
-        self.tracer = None;
     }
 
     /// Installs a wall-clock phase recorder: [`Swarm::run`] then times
@@ -594,36 +572,11 @@ impl Swarm {
         out
     }
 
-    /// Installs a metrics sink. Swarm-level counters (rounds, stall
-    /// escalations, applied faults) accrue as the run progresses;
-    /// outcome mirrors land as gauges when [`Swarm::run`] finishes.
-    /// Also publishes `swarm_sampling_scratch_bytes_saved`: the bytes
-    /// the pool-universe bitmap scratch saves per inventory sample over
-    /// the hashed set it replaced.
-    pub fn set_metrics(&mut self, metrics: Arc<MetricsRegistry>) {
-        // The hashed set held 8-byte ids at ~7/8 load in power-of-two
-        // buckets of ~9 bytes each (value + control byte); the bitmap
-        // holds one bit per pool symbol.
-        let hashed = (self.pool.len() * 8 / 7).next_power_of_two() * 9;
-        let saved = hashed.saturating_sub(self.inventory_scratch.memory_bytes());
-        metrics
-            .gauge("swarm_sampling_scratch_bytes_saved")
-            .set(saved as u64);
-        self.metrics = Some(metrics);
-    }
-
     /// Pushes `event` onto the installed tracer (if any) at the current
     /// engine tick.
     fn trace(&self, event: TraceEvent) {
         if let Some(tracer) = &self.tracer {
             tracer.borrow_mut().push(self.net.now(), event);
-        }
-    }
-
-    /// Bumps a named counter on the installed metrics sink (if any).
-    fn count(&self, name: &str) {
-        if let Some(metrics) = &self.metrics {
-            metrics.counter(name).inc();
         }
     }
 
@@ -792,7 +745,6 @@ impl Swarm {
                 fault: fault.to_string(),
                 peer: peer as u64,
             });
-            self.count("swarm_faults_applied");
         }
     }
 
@@ -963,7 +915,6 @@ impl Swarm {
     fn refresh_pass(&mut self) -> u64 {
         self.trace(TraceEvent::RoundStart { round: self.rounds });
         self.rounds += 1;
-        self.count("swarm_rounds");
         let mut rebuilt = 0u64;
         for p in 0..self.peers.len() {
             if !self.present.contains(p) {
@@ -1003,7 +954,6 @@ impl Swarm {
                         peer: p as u64,
                         starved: u64::from(starved),
                     });
-                    self.count("swarm_stall_escalations");
                     // Origin fallback: the seed peers hold the full
                     // pool, and their last-resort links recode over it.
                     for s in 0..self.cfg.seed_peers {
@@ -1119,20 +1069,6 @@ impl Swarm {
             .filter(|p| self.net.node_complete(p.node))
             .count();
         let packets = self.net.packets_from_partial() + self.net.packets_from_full();
-        if let Some(metrics) = &self.metrics {
-            metrics.gauge("swarm_completed_peers").set(completed as u64);
-            metrics.gauge("swarm_roster_peers").set(self.peers.len() as u64);
-            metrics.gauge("swarm_ticks").set(self.net.now());
-            metrics.gauge("swarm_events").set(self.net.events_processed());
-            metrics.gauge("swarm_packets").set(packets);
-            metrics
-                .gauge("swarm_wire_bytes")
-                .set(self.net.wire_bytes_sent() + self.net.control_wire_bytes());
-            metrics
-                .gauge("swarm_reconnects")
-                .set(self.reconnects);
-            metrics.gauge("swarm_retries").set(self.retries);
-        }
         SwarmOutcome {
             peers: self.peers.len(),
             completed,
@@ -1190,6 +1126,18 @@ pub fn try_run_swarm(cfg: SwarmConfig, seed: u64) -> Result<SwarmOutcome, SwarmC
 mod tests {
     use super::*;
     use icd_obs::PhaseProfile;
+
+    /// Leave/rejoin churn over `fraction` of the roster in `window`,
+    /// with the given downtime and no joins or rewires.
+    fn leaving(fraction: f64, window: (Time, Time), downtime: Time) -> ChurnConfig {
+        ChurnConfig {
+            leave_fraction: fraction,
+            downtime,
+            window,
+            joins: 0,
+            rewires: 0,
+        }
+    }
 
     #[test]
     fn presence_index_matches_a_roster_scan() {
@@ -1374,7 +1322,7 @@ mod tests {
         // reconciliation keeps packets-per-needed-symbol near 1 even
         // while the roster churns.
         let cfg = SwarmConfig::new(32, 80, TopologyKind::PowerLaw { m: 2 }).with_churn(
-            ChurnConfig::leaving(0.2, (5, 60), 25),
+            leaving(0.2, (5, 60), 25),
         );
         let out = run_swarm(cfg, 12);
         assert_eq!(out.stop, StopReason::Completed);
@@ -1441,7 +1389,7 @@ mod tests {
     #[test]
     fn faults_compose_with_churn() {
         let cfg = quiet(24, 60)
-            .with_churn(ChurnConfig::leaving(0.2, (5, 60), 25))
+            .with_churn(leaving(0.2, (5, 60), 25))
             .with_faults(FaultConfig::link_cuts(4, (10, 80)));
         let out = run_swarm(cfg, 11);
         assert_eq!(out.stop, StopReason::Completed);

@@ -42,15 +42,6 @@ pub enum TopologyKind {
 }
 
 impl TopologyKind {
-    /// Short label for experiment tables.
-    #[must_use]
-    pub fn label(&self) -> String {
-        match self {
-            TopologyKind::ErdosRenyi { p } => format!("ER(p={p})"),
-            TopologyKind::PowerLaw { m } => format!("power-law(m={m})"),
-            TopologyKind::RingChords { chords } => format!("ring+{chords}"),
-        }
-    }
 }
 
 /// A generated overlay graph: `nodes` peers and a normalized undirected

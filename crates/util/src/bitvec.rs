@@ -42,13 +42,6 @@ impl BitVec {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
-    /// Clears bit `i` to 0. Panics if `i >= len`.
-    #[inline]
-    pub fn clear(&mut self, i: usize) {
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
     /// Reads bit `i`. Panics if `i >= len`.
     #[inline]
     #[must_use]
@@ -63,11 +56,6 @@ impl BitVec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Sets every bit to 0.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
     /// In-place union with another vector of the same length.
     ///
     /// Panics if lengths differ: merging summaries of different geometries
@@ -76,14 +64,6 @@ impl BitVec {
         assert_eq!(self.len, other.len, "bit vector length mismatch");
         for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
             *a |= b;
-        }
-    }
-
-    /// In-place intersection with another vector of the same length.
-    pub fn intersect_with(&mut self, other: &Self) {
-        assert_eq!(self.len, other.len, "bit vector length mismatch");
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a &= b;
         }
     }
 
@@ -124,22 +104,6 @@ impl BitVec {
         }
         Some(v)
     }
-
-    /// Iterator over the indices of set bits, ascending.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let tz = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + tz)
-                }
-            })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -147,7 +111,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn set_get_clear_roundtrip() {
+    fn set_get_roundtrip() {
         let mut v = BitVec::new(130);
         assert_eq!(v.len(), 130);
         assert!(!v.get(0));
@@ -156,9 +120,7 @@ mod tests {
         v.set(129);
         assert!(v.get(0) && v.get(64) && v.get(129));
         assert!(!v.get(1) && !v.get(63) && !v.get(128));
-        v.clear(64);
-        assert!(!v.get(64));
-        assert_eq!(v.count_ones(), 2);
+        assert_eq!(v.count_ones(), 3);
     }
 
     #[test]
@@ -176,7 +138,7 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection() {
+    fn union_sets_both_sides() {
         let mut a = BitVec::new(100);
         let mut b = BitVec::new(100);
         a.set(3);
@@ -187,10 +149,6 @@ mod tests {
         u.union_with(&b);
         assert!(u.get(3) && u.get(50) && u.get(99));
         assert_eq!(u.count_ones(), 3);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert!(i.get(50));
-        assert_eq!(i.count_ones(), 1);
     }
 
     #[test]
@@ -235,22 +193,10 @@ mod tests {
     }
 
     #[test]
-    fn iter_ones_matches_gets() {
-        let mut v = BitVec::new(200);
-        let idx = [0usize, 5, 63, 64, 65, 127, 128, 199];
-        for &i in &idx {
-            v.set(i);
-        }
-        let collected: Vec<usize> = v.iter_ones().collect();
-        assert_eq!(collected, idx);
-    }
-
-    #[test]
     fn empty_vector_behaves() {
         let v = BitVec::new(0);
         assert!(v.is_empty());
         assert_eq!(v.count_ones(), 0);
         assert_eq!(v.to_bytes().len(), 0);
-        assert_eq!(v.iter_ones().count(), 0);
     }
 }

@@ -66,28 +66,6 @@ pub fn hash64(value: u64, seed: u64) -> u64 {
     mix64(mix64(value ^ 0x510E_527F_ADE6_82D1).wrapping_add(seed ^ 0x9B05_688C_2B3E_6C1F))
 }
 
-/// Hashes a byte slice to a 64-bit value under `seed` (FNV-1a core with a
-/// [`mix64`] finalizer).
-///
-/// Used to derive stable symbol keys from payload bytes in examples and to
-/// checksum reassembled files in tests.
-#[must_use]
-pub fn hash_bytes(bytes: &[u8], seed: u64) -> u64 {
-    const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut state = FNV_OFFSET ^ mix64(seed);
-    // Consume 8-byte words first for throughput, then the tail.
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().expect("chunk is 8 bytes"));
-        state = (state ^ word).wrapping_mul(FNV_PRIME);
-    }
-    for &b in chunks.remainder() {
-        state = (state ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    mix64(state)
-}
-
 /// A family of pairwise-independent-style hash functions indexed by `i`,
 /// derived from two base hashes (Kirsch–Mitzenmacher double hashing).
 ///
@@ -117,7 +95,7 @@ impl DoubleHash {
     /// The `i`-th derived hash.
     #[inline]
     #[must_use]
-    pub fn probe(&self, i: u64) -> u64 {
+    pub(crate) fn probe(&self, i: u64) -> u64 {
         self.h1.wrapping_add(i.wrapping_mul(self.h2))
     }
 
@@ -131,15 +109,6 @@ impl DoubleHash {
         let h = self.probe(i);
         ((u128::from(h) * bound as u128) >> 64) as usize
     }
-}
-
-/// Reduces a 64-bit hash to `[0, bound)` without the modulo bias of `%`
-/// (Lemire's multiply-shift reduction).
-#[inline]
-#[must_use]
-pub fn reduce(hash: u64, bound: usize) -> usize {
-    debug_assert!(bound > 0);
-    ((u128::from(hash) * bound as u128) >> 64) as usize
 }
 
 /// A [`std::hash::Hasher`] built on [`mix64`], for hash maps keyed by
@@ -255,24 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_bytes_stable_and_seed_sensitive() {
-        let data = b"informed content delivery";
-        assert_eq!(hash_bytes(data, 7), hash_bytes(data, 7));
-        assert_ne!(hash_bytes(data, 7), hash_bytes(data, 8));
-        assert_ne!(hash_bytes(&data[..10], 7), hash_bytes(&data[..11], 7));
-    }
-
-    #[test]
-    fn hash_bytes_handles_all_tail_lengths() {
-        // Exercise every remainder length of the 8-byte chunk loop.
-        let base: Vec<u8> = (0u8..32).collect();
-        let mut seen = std::collections::HashSet::new();
-        for len in 0..=base.len() {
-            assert!(seen.insert(hash_bytes(&base[..len], 3)), "collision at {len}");
-        }
-    }
-
-    #[test]
     fn double_hash_probes_are_distinct() {
         let dh = DoubleHash::new(123, 456);
         let mut seen = std::collections::HashSet::new();
@@ -330,17 +281,5 @@ mod tests {
         let mut map: FastHashMap<u64, u32> = FastHashMap::default();
         map.insert(1, 2);
         assert_eq!(map.get(&1), Some(&2));
-    }
-
-    #[test]
-    fn reduce_is_roughly_uniform() {
-        let bound = 10usize;
-        let mut counts = vec![0u32; bound];
-        for i in 0..10_000u64 {
-            counts[reduce(mix64(i), bound)] += 1;
-        }
-        for &c in &counts {
-            assert!((800..1200).contains(&c), "bucket count {c} far from 1000");
-        }
     }
 }

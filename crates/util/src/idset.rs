@@ -8,22 +8,21 @@
 //! `Arc` so a million peers share a single copy) and represents each
 //! peer's membership as a plain bitmap over universe *ranks*. Per-set
 //! cost is `ceil(universe/64)` words — under 2 KiB for a 16k-symbol
-//! object versus tens of bytes *per id* for a hash set — and queries
-//! are a binary search plus a bit test.
+//! object versus tens of bytes *per id* for a hash set — and an insert
+//! is a binary search plus a bit test.
 
 use std::sync::Arc;
 
 /// A membership set over a fixed, shared universe of ids.
 ///
 /// Construction sorts and deduplicates the universe; all sets built via
-/// [`IdSet::fresh`] on the same [`IdUniverse`] share that one
+/// [`IdUniverse::empty_set`] on the same [`IdUniverse`] share that one
 /// allocation. Ids outside the universe are never members and cannot be
 /// inserted.
 #[derive(Clone, Debug)]
 pub struct IdSet {
     universe: IdUniverse,
     words: Vec<u64>,
-    len: usize,
 }
 
 /// A sorted, deduplicated, reference-counted id universe.
@@ -44,21 +43,9 @@ impl IdUniverse {
         Self { ids: ids.into() }
     }
 
-    /// Number of distinct ids in the universe.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the universe is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
     /// Rank of `id` in the sorted universe, if present.
     #[must_use]
-    pub fn rank(&self, id: u64) -> Option<usize> {
+    pub(crate) fn rank(&self, id: u64) -> Option<usize> {
         self.ids.binary_search(&id).ok()
     }
 
@@ -68,26 +55,11 @@ impl IdUniverse {
         IdSet {
             universe: self.clone(),
             words: vec![0u64; self.ids.len().div_ceil(64)],
-            len: 0,
         }
     }
 }
 
 impl IdSet {
-    /// Empty set over a freshly built universe. Prefer building one
-    /// [`IdUniverse`] and calling [`IdUniverse::empty_set`] when many
-    /// sets share a pool.
-    #[must_use]
-    pub fn fresh(universe: &IdUniverse) -> Self {
-        universe.empty_set()
-    }
-
-    /// The shared universe this set indexes into.
-    #[must_use]
-    pub fn universe(&self) -> &IdUniverse {
-        &self.universe
-    }
-
     /// Inserts `id`; returns `true` if it was newly added.
     ///
     /// # Panics
@@ -104,59 +76,12 @@ impl IdSet {
             return false;
         }
         self.words[word] |= mask;
-        self.len += 1;
         true
-    }
-
-    /// Whether `id` is a member. Ids outside the universe are simply
-    /// not members.
-    #[must_use]
-    pub fn contains(&self, id: u64) -> bool {
-        match self.universe.rank(id) {
-            Some(rank) => self.words[rank / 64] & (1u64 << (rank % 64)) != 0,
-            None => false,
-        }
-    }
-
-    /// Number of members.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the set has no members.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Removes all members, keeping the universe and capacity.
     pub fn clear(&mut self) {
         self.words.fill(0);
-        self.len = 0;
-    }
-
-    /// Iterates members in sorted id order (universe rank order).
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.words.iter().enumerate().flat_map(move |(w, &word)| {
-            let ids = &self.universe.ids;
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(ids[w * 64 + bit])
-            })
-        })
-    }
-
-    /// Heap bytes owned by this set alone (the shared universe is not
-    /// charged — it is amortized across every set built over it).
-    #[must_use]
-    pub fn memory_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -170,40 +95,14 @@ mod tests {
     }
 
     #[test]
-    fn insert_contains_len_roundtrip() {
+    fn insert_reports_each_id_new_once() {
         let pool = sparse_ids(100);
         let uni = IdUniverse::new(pool.clone());
         let mut set = uni.empty_set();
-        assert!(set.is_empty());
-        for (i, &id) in pool.iter().enumerate() {
-            assert!(!set.contains(id));
+        for &id in &pool {
             assert!(set.insert(id));
             assert!(!set.insert(id), "second insert must report present");
-            assert!(set.contains(id));
-            assert_eq!(set.len(), i + 1);
         }
-    }
-
-    #[test]
-    fn iterates_in_sorted_order() {
-        let pool = sparse_ids(257);
-        let uni = IdUniverse::new(pool.clone());
-        let mut set = uni.empty_set();
-        // Insert in original (unsorted, hash-shuffled) order.
-        for &id in pool.iter().step_by(3) {
-            set.insert(id);
-        }
-        let got: Vec<u64> = set.iter().collect();
-        let mut want: Vec<u64> = pool.iter().copied().step_by(3).collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn outside_universe_is_never_member() {
-        let uni = IdUniverse::new(sparse_ids(10));
-        let set = uni.empty_set();
-        assert!(!set.contains(0xDEAD_BEEF));
     }
 
     #[test]
@@ -221,8 +120,8 @@ mod tests {
         let b = uni.empty_set();
         assert!(Arc::ptr_eq(&a.universe.ids, &b.universe.ids));
         // Per-set footprint is the bitmap alone: 1000 bits -> 16 words.
-        assert_eq!(a.memory_bytes(), 16 * 8);
-        assert_eq!(b.memory_bytes(), 16 * 8);
+        assert_eq!(a.words.len(), 16);
+        assert_eq!(b.words.len(), 16);
     }
 
     #[test]
@@ -233,8 +132,7 @@ mod tests {
             set.insert(id);
         }
         set.clear();
-        assert_eq!(set.len(), 0);
-        assert!(set.iter().next().is_none());
+        assert!(set.words.iter().all(|&w| w == 0));
         assert!(set.insert(sparse_ids(1)[0]));
     }
 
@@ -243,6 +141,6 @@ mod tests {
         let mut pool = sparse_ids(20);
         pool.extend(sparse_ids(20));
         let uni = IdUniverse::new(pool);
-        assert_eq!(uni.len(), 20);
+        assert_eq!(uni.ids.len(), 20);
     }
 }

@@ -16,8 +16,6 @@
 //!   polynomial set-reconciliation baseline.
 //! * [`stats`] — mean / variance / confidence-interval helpers used by the
 //!   experiment harness.
-//! * [`search`] — interpolation search over sorted keys (the lookup
-//!   structure the paper suggests for random-sample membership probes).
 //! * [`idset`] — compressed working-set membership: a rank bitmap over a
 //!   shared sorted symbol universe, so per-peer inventory sets cost bits
 //!   instead of hash-table entries at swarm scale.
@@ -30,6 +28,7 @@
 //! not depend on external hashing or PRNG crates.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod bitvec;
@@ -37,7 +36,6 @@ pub mod hash;
 pub mod idset;
 pub mod modp;
 pub mod rng;
-pub mod search;
 pub mod stats;
 pub mod symbol;
 

@@ -20,7 +20,7 @@ pub const P: u64 = (1u64 << 61) - 1;
 /// Reduces an arbitrary `u128` product into `[0, P)`.
 #[inline]
 #[must_use]
-pub fn reduce128(x: u128) -> u64 {
+pub(crate) fn reduce128(x: u128) -> u64 {
     // Split into 61-bit limbs; since P = 2^61 - 1, 2^61 ≡ 1 (mod P), so the
     // limbs simply add.
     let lo = (x & u128::from(P)) as u64;
@@ -39,10 +39,10 @@ pub fn reduce128(x: u128) -> u64 {
 /// Reduces a value `< 2^122 + 2^61` — the range of `a·x + b` for field
 /// elements — into `[0, P)` with a Lemire/Barrett-style fused fold:
 /// one two-limb split, one carry fold, and a *single* conditional
-/// subtraction, versus [`reduce128`]'s three-limb split and double
+/// subtraction, versus `reduce128`'s three-limb split and double
 /// subtraction. This is the min-wise sketch build's inner operation
 /// (128 executions per inserted key), where the saved ALU work is
-/// measurable; value-identical to [`reduce128`] on the whole domain
+/// measurable; value-identical to `reduce128` on the whole domain
 /// (proptested below and pinned by the sketch-identity test in
 /// `icd-sketch`).
 #[inline]

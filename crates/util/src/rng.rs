@@ -200,39 +200,6 @@ impl Xoshiro256StarStar {
         }
         Self { s }
     }
-
-    /// Jump function: advances the state by 2^128 steps, producing a
-    /// generator whose stream is disjoint from the original for 2^128
-    /// outputs. Used to hand decorrelated streams to parallel sweeps.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_2618_E03F_C9AA,
-            0x39AB_DC45_29B1_661C,
-        ];
-        let mut acc = [0u64; 4];
-        for word in JUMP {
-            for bit in 0..64 {
-                if (word >> bit) & 1 == 1 {
-                    for (a, s) in acc.iter_mut().zip(self.s.iter()) {
-                        *a ^= s;
-                    }
-                }
-                self.next_u64();
-            }
-        }
-        self.s = acc;
-    }
-
-    /// Returns a decorrelated child generator and advances `self` past its
-    /// stream.
-    #[must_use]
-    pub fn split(&mut self) -> Self {
-        let child = self.clone();
-        self.jump();
-        child
-    }
 }
 
 impl Rng64 for Xoshiro256StarStar {
@@ -356,23 +323,5 @@ mod tests {
             // And the generators are left in the same state.
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn jump_produces_disjoint_prefix() {
-        let mut a = Xoshiro256StarStar::new(1);
-        let mut b = a.clone();
-        b.jump();
-        let sa: Vec<u64> = (0..64).map(|_| a.next_u64()).collect();
-        let sb: Vec<u64> = (0..64).map(|_| b.next_u64()).collect();
-        assert_ne!(sa, sb);
-    }
-
-    #[test]
-    fn split_children_decorrelated() {
-        let mut root = Xoshiro256StarStar::new(77);
-        let mut c1 = root.split();
-        let mut c2 = root.split();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 }

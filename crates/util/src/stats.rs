@@ -39,26 +39,6 @@ impl Summary {
         self.max = self.max.max(x);
     }
 
-    /// Merges another summary into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Self) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -73,7 +53,7 @@ impl Summary {
 
     /// Unbiased sample variance; 0 with fewer than two observations.
     #[must_use]
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -83,13 +63,13 @@ impl Summary {
 
     /// Sample standard deviation.
     #[must_use]
-    pub fn stddev(&self) -> f64 {
+    pub(crate) fn stddev(&self) -> f64 {
         self.variance().sqrt()
     }
 
     /// Standard error of the mean.
     #[must_use]
-    pub fn stderr(&self) -> f64 {
+    pub(crate) fn stderr(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -126,38 +106,6 @@ impl FromIterator<f64> for Summary {
     }
 }
 
-/// Mean of a slice; 0 on empty input.
-#[must_use]
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
-/// Linearly interpolated percentile (`q` in [0, 100]) of unsorted data.
-///
-/// Sorts a copy; intended for end-of-run reporting, not hot loops.
-#[must_use]
-pub fn percentile(xs: &[f64], q: f64) -> f64 {
-    assert!((0.0..=100.0).contains(&q), "percentile {q} out of range");
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    let rank = q / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,61 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let all: Summary = data.iter().copied().collect();
-        let first: Summary = data[..37].iter().copied().collect();
-        let mut second: Summary = data[37..].iter().copied().collect();
-        second.merge(&first);
-        assert_eq!(second.count(), all.count());
-        assert!((second.mean() - all.mean()).abs() < 1e-9);
-        assert!((second.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(second.min(), all.min());
-        assert_eq!(second.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: Summary = [1.0, 2.0, 3.0].into_iter().collect();
-        let before = a.clone();
-        a.merge(&Summary::new());
-        assert_eq!(a, before);
-        let mut empty = Summary::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
     fn ci_shrinks_with_samples() {
         let small: Summary = (0..10).map(|i| i as f64).collect();
         let large: Summary = (0..1000).map(|i| (i % 10) as f64).collect();
         assert!(large.ci95() < small.ci95());
-    }
-
-    #[test]
-    fn percentile_basics() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 100.0), 5.0);
-        assert_eq!(percentile(&xs, 50.0), 3.0);
-        assert!((percentile(&xs, 25.0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [0.0, 10.0];
-        assert!((percentile(&xs, 30.0) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn percentile_rejects_bad_q() {
-        let _ = percentile(&[1.0], 101.0);
-    }
-
-    #[test]
-    fn mean_empty_is_zero() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[3.0, 5.0]), 4.0);
     }
 }

@@ -124,7 +124,7 @@ impl SymbolBuf {
     /// in word arenas (the recoder). `words` must cover exactly this
     /// buffer's live words, with the same zero-padded-tail convention.
     #[inline]
-    pub fn xor_word_slice(&mut self, words: &[u64]) {
+    pub(crate) fn xor_word_slice(&mut self, words: &[u64]) {
         let n = self.word_len();
         assert_eq!(words.len(), n, "XOR of unequal-length word slices");
         for (d, s) in self.words[..n].iter_mut().zip(words) {
@@ -137,7 +137,7 @@ impl SymbolBuf {
     /// actually bounds high-degree recoding over a working set bigger
     /// than L2 — single-stream XOR serializes on L3 latency instead.
     #[inline]
-    pub fn xor_word_slices4(&mut self, s0: &[u64], s1: &[u64], s2: &[u64], s3: &[u64]) {
+    pub(crate) fn xor_word_slices4(&mut self, s0: &[u64], s1: &[u64], s2: &[u64], s3: &[u64]) {
         let n = self.word_len();
         assert!(
             s0.len() == n && s1.len() == n && s2.len() == n && s3.len() == n,
@@ -151,7 +151,7 @@ impl SymbolBuf {
     /// XORs eight word slices in at once (see [`SymbolBuf::xor_word_slices4`]).
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    pub fn xor_word_slices8(
+    pub(crate) fn xor_word_slices8(
         &mut self,
         s0: &[u64], s1: &[u64], s2: &[u64], s3: &[u64],
         s4: &[u64], s5: &[u64], s6: &[u64], s7: &[u64],
@@ -212,7 +212,7 @@ impl SymbolBuf {
         }
     }
 
-    /// XORs four byte slices in at once: [`SymbolBuf::xor_word_slices4`]
+    /// XORs four byte slices in at once: `SymbolBuf::xor_word_slices4`
     /// for sources that are kept as bytes (the encoder's source blocks).
     /// Panics on length mismatch.
     pub fn xor_bytes4(&mut self, sources: [&[u8]; 4]) {
@@ -275,7 +275,7 @@ impl SymbolBuf {
 /// Counters proving (or disproving) steady-state allocation freedom.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Buffers newly heap-allocated by [`SymbolPool::acquire`].
+    /// Buffers newly heap-allocated by [`SymbolPool::acquire_for_overwrite`].
     pub allocated: u64,
     /// Acquisitions served from the free list (no allocation).
     pub reused: u64,
@@ -301,25 +301,6 @@ impl SymbolPool {
         Self::default()
     }
 
-    /// A pool pre-warmed with `count` buffers of `len` bytes, so even the
-    /// first transfer through it allocates nothing.
-    #[must_use]
-    pub fn with_capacity(count: usize, len: usize) -> Self {
-        let mut pool = Self::new();
-        for _ in 0..count {
-            pool.free.push(SymbolBuf::zeroed(len));
-        }
-        pool
-    }
-
-    /// Hands out a zeroed buffer of `len` bytes, reusing a retired one
-    /// when its capacity suffices.
-    pub fn acquire(&mut self, len: usize) -> SymbolBuf {
-        let mut buf = self.acquire_raw(len);
-        buf.clear();
-        buf
-    }
-
     /// Hands out a buffer of `len` bytes with **unspecified contents** —
     /// possibly stale bytes from its previous user, with the
     /// zero-padded-tail invariant suspended. For callers that overwrite
@@ -328,10 +309,6 @@ impl SymbolPool {
     /// block-sized memset on the per-symbol hot path. The pool is
     /// per-session state, so "stale" never crosses a trust boundary.
     pub fn acquire_for_overwrite(&mut self, len: usize) -> SymbolBuf {
-        self.acquire_raw(len)
-    }
-
-    fn acquire_raw(&mut self, len: usize) -> SymbolBuf {
         let need = len.div_ceil(WORD_BYTES);
         // Scan a bounded suffix for a fitting buffer; with the homogeneous
         // block sizes of one code every entry fits, making this O(1).
@@ -353,12 +330,6 @@ impl SymbolPool {
     pub fn release(&mut self, buf: SymbolBuf) {
         self.stats.released += 1;
         self.free.push(buf);
-    }
-
-    /// Buffers currently parked in the free list.
-    #[must_use]
-    pub fn free_buffers(&self) -> usize {
-        self.free.len()
     }
 
     /// Allocation/reuse counters since construction.
@@ -440,13 +411,13 @@ mod tests {
     #[test]
     fn pool_reuses_and_counts() {
         let mut pool = SymbolPool::new();
-        let a = pool.acquire(1400);
-        let b = pool.acquire(1400);
+        let a = pool.acquire_for_overwrite(1400);
+        let b = pool.acquire_for_overwrite(1400);
         assert_eq!(pool.stats().allocated, 2);
         pool.release(a);
         pool.release(b);
         for _ in 0..100 {
-            let buf = pool.acquire(1400);
+            let buf = pool.acquire_for_overwrite(1400);
             pool.release(buf);
         }
         let stats = pool.stats();
@@ -456,29 +427,12 @@ mod tests {
     }
 
     #[test]
-    fn pool_reissues_buffers_zeroed() {
-        // The poisoning hazard: a dirty released buffer must come back
-        // clean, including when reused at a shorter length.
-        let mut pool = SymbolPool::new();
-        let mut buf = pool.acquire(64);
-        buf.copy_from_bytes(&[0xEE; 64]);
-        pool.release(buf);
-        let again = pool.acquire(64);
-        assert_eq!(again.to_vec(), vec![0u8; 64], "reused buffer not zeroed");
-        pool.release(again);
-        let shorter = pool.acquire(13);
-        assert_eq!(shorter.len(), 13);
-        assert_eq!(shorter.to_vec(), vec![0u8; 13]);
-        assert!(shorter.words().iter().all(|&w| w == 0));
-    }
-
-    #[test]
     fn acquire_for_overwrite_is_clean_after_copy() {
         // The overwrite discipline: the raw buffer may carry stale bytes,
         // but one copy_from_bytes re-establishes both the contents and
         // the zero-padded-tail invariant — including when reused shorter.
         let mut pool = SymbolPool::new();
-        let mut buf = pool.acquire(64);
+        let mut buf = pool.acquire_for_overwrite(64);
         buf.copy_from_bytes(&[0xEE; 64]);
         pool.release(buf);
         let mut again = pool.acquire_for_overwrite(13);
@@ -486,32 +440,17 @@ mod tests {
         assert_eq!(again.to_vec(), vec![0x11; 13]);
         let last = *again.words().last().expect("non-empty");
         assert_eq!(last >> 40, 0, "tail bytes beyond len must be zero");
-        // And the zeroing acquire stays available for accumulator use.
-        pool.release(again);
-        let fresh = pool.acquire(13);
-        assert_eq!(fresh.to_vec(), vec![0u8; 13]);
     }
 
     #[test]
     fn pool_grows_for_larger_requests() {
         let mut pool = SymbolPool::new();
-        let small = pool.acquire(8);
+        let small = pool.acquire_for_overwrite(8);
         pool.release(small);
         // A bigger request cannot reuse the 1-word buffer.
-        let big = pool.acquire(1024);
+        let big = pool.acquire_for_overwrite(1024);
         assert_eq!(big.len(), 1024);
         assert_eq!(pool.stats().allocated, 2);
-    }
-
-    #[test]
-    fn prewarmed_pool_never_allocates() {
-        let mut pool = SymbolPool::with_capacity(4, 256);
-        let bufs: Vec<SymbolBuf> = (0..4).map(|_| pool.acquire(256)).collect();
-        for b in bufs {
-            pool.release(b);
-        }
-        assert_eq!(pool.stats().allocated, 0);
-        assert_eq!(pool.stats().reused, 4);
     }
 
     #[test]

@@ -5,7 +5,6 @@ use icd_util::bitvec::BitVec;
 use icd_util::hash::{hash64, mix64, unmix64};
 use icd_util::modp::{self, P};
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
-use icd_util::search::interpolation_find;
 use proptest::prelude::*;
 
 fn field_elem() -> impl Strategy<Value = u64> {
@@ -82,22 +81,5 @@ proptest! {
         let set: std::collections::HashSet<_> = sample.iter().collect();
         prop_assert_eq!(set.len(), k);
         prop_assert!(sample.iter().all(|&v| v < n));
-    }
-
-    #[test]
-    fn interpolation_agrees_with_binary_search(
-        mut keys in proptest::collection::vec(any::<u64>(), 0..300),
-        probes in proptest::collection::vec(any::<u64>(), 0..50),
-    ) {
-        keys.sort_unstable();
-        keys.dedup();
-        for p in probes {
-            let expect = keys.binary_search(&p).ok();
-            let got = interpolation_find(&keys, p);
-            prop_assert_eq!(got.is_some(), expect.is_some());
-            if let Some(idx) = got {
-                prop_assert_eq!(keys[idx], p);
-            }
-        }
     }
 }

@@ -9,8 +9,8 @@
 //! a byte-exact, documented layout, and [`budget`] turns the paper's
 //! sentences into compile-and-run assertions.
 //!
-//! * [`message`] — the control messages: working-set sketches (min-wise,
-//!   random-sample, mod-k), the generic tagged summary frame (any
+//! * [`message`] — the control messages: the min-wise working-set
+//!   sketch (the §4 calling card), the generic tagged summary frame (any
 //!   mechanism registered in the peers' `SummaryRegistry`, addressed by
 //!   its stable `SummaryId`), symbol requests, and the data-plane symbol
 //!   frames (encoded and recoded).
@@ -27,6 +27,7 @@
 //! cross a trust boundary.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod budget;
@@ -38,5 +39,4 @@ pub use buffered::buffered_session;
 pub use framing::{read_frame, read_frame_bytes, write_frame, write_frame_buf, FrameError, FrameLimit};
 pub use message::{
     encoded_symbol_frame_len, recoded_symbol_frame_len, Message, WireError, FRAME_PREFIX_BYTES,
-    SYMBOL_ID_BITS,
 };

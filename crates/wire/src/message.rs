@@ -13,18 +13,18 @@
 //!
 //! Data-plane payloads are [`bytes::Bytes`]: encoding a symbol message
 //! appends the shared payload without first copying it into an owned
-//! vector ([`Message::encode_into`] writes straight into the caller's
+//! vector (`Message::encode_into` writes straight into the caller's
 //! frame buffer), and [`Message::decode_from`] materializes a received
 //! payload as a zero-copy view of the input buffer.
 
 use bytes::Bytes;
-use icd_sketch::{MinwiseSketch, ModKSample, RandomSample};
+use icd_sketch::MinwiseSketch;
 
 /// The negotiated symbol-id width: every summary in this protocol
 /// revision digests 64-bit symbol ids. A frame declaring any other width
 /// was built for a different universe; decoding its body against 64-bit
 /// ids would silently truncate, so the decoder rejects it outright.
-pub const SYMBOL_ID_BITS: u8 = 64;
+pub(crate) const SYMBOL_ID_BITS: u8 = 64;
 
 /// Errors produced by decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +39,7 @@ pub enum WireError {
         claimed: u64,
     },
     /// A summary frame declared an element width other than the
-    /// negotiated [`SYMBOL_ID_BITS`].
+    /// negotiated `SYMBOL_ID_BITS`.
     ElementWidthMismatch {
         /// The width the frame declared.
         declared: u8,
@@ -71,17 +71,16 @@ impl std::error::Error for WireError {}
 /// Decoder sanity limit on any single vector length (elements).
 const MAX_VEC: u64 = 16 * 1024 * 1024;
 
-/// Message tags (stable protocol constants). Tags 0x04/0x05 belonged to
-/// the retired mechanism-specific Bloom/ART messages and stay reserved.
+/// Message tags (stable protocol constants). Tags 0x02/0x03 belonged to
+/// the retired random-sample and mod-k sketches, and 0x04/0x05 to the
+/// retired mechanism-specific Bloom/ART messages; all four stay reserved.
 mod tag {
-    pub const MINWISE: u8 = 0x01;
-    pub const RANDOM_SAMPLE: u8 = 0x02;
-    pub const MODK: u8 = 0x03;
-    pub const SUMMARY: u8 = 0x07;
-    pub const SYMBOL_REQUEST: u8 = 0x06;
-    pub const ENCODED_SYMBOL: u8 = 0x10;
-    pub const RECODED_SYMBOL: u8 = 0x11;
-    pub const END: u8 = 0x7F;
+    pub(super) const MINWISE: u8 = 0x01;
+    pub(super) const SUMMARY: u8 = 0x07;
+    pub(super) const SYMBOL_REQUEST: u8 = 0x06;
+    pub(super) const ENCODED_SYMBOL: u8 = 0x10;
+    pub(super) const RECODED_SYMBOL: u8 = 0x11;
+    pub(super) const END: u8 = 0x7F;
 }
 
 /// A protocol message.
@@ -89,10 +88,6 @@ mod tag {
 pub enum Message {
     /// Min-wise sketch: the §4 "calling card".
     Minwise(MinwiseSketch),
-    /// Random sample of working-set keys.
-    RandomSample(RandomSample),
-    /// Mod-k sample of hashed working-set keys.
-    ModK(ModKSample),
     /// A fine-grained summary in the generic tagged frame: any mechanism
     /// registered under `summary_id` in the peers' `SummaryRegistry`.
     Summary {
@@ -100,7 +95,7 @@ pub enum Message {
         summary_id: u16,
         /// The mechanism-owned body (decoded via the registry, never
         /// here). The declared element width rides in the frame and must
-        /// equal [`SYMBOL_ID_BITS`].
+        /// equal `SYMBOL_ID_BITS`.
         body: Vec<u8>,
     },
     /// "Send me `count` symbols" — the receiver-driven request of §6.1
@@ -277,7 +272,7 @@ impl Message {
 
     /// Encodes the message by appending to `out` — the framing layer's
     /// form: one reusable buffer, zero intermediate copies.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         let mut w = Writer { buf: out };
         match self {
             Message::Minwise(s) => {
@@ -285,17 +280,6 @@ impl Message {
                 w.u64(s.family_seed());
                 w.u64(s.set_size());
                 w.u64s(s.minima());
-            }
-            Message::RandomSample(s) => {
-                w.u8(tag::RANDOM_SAMPLE);
-                w.u64(s.set_size());
-                w.u64s(s.keys());
-            }
-            Message::ModK(s) => {
-                w.u8(tag::MODK);
-                w.u64(s.modulus());
-                w.u64(s.set_size());
-                w.u64s(s.hashed_keys());
             }
             Message::Summary { summary_id, body } => {
                 w.u8(tag::SUMMARY);
@@ -336,20 +320,6 @@ impl Message {
                 let sketch = MinwiseSketch::from_parts(family_seed, minima, set_size)
                     .ok_or(WireError::Invalid("empty minwise sketch"))?;
                 Message::Minwise(sketch)
-            }
-            tag::RANDOM_SAMPLE => {
-                let set_size = r.u64()?;
-                let keys = r.u64s()?;
-                Message::RandomSample(RandomSample::from_parts(keys, set_size))
-            }
-            tag::MODK => {
-                let modulus = r.u64()?;
-                if modulus == 0 {
-                    return Err(WireError::Invalid("mod-k modulus zero"));
-                }
-                let set_size = r.u64()?;
-                let hashed = r.u64s()?;
-                Message::ModK(ModKSample::from_parts(modulus, hashed, set_size))
             }
             tag::SUMMARY => {
                 let summary_id = r.u16()?;
@@ -397,14 +367,10 @@ impl Message {
     /// number of bytes [`Message::encode_into`] would produce, and a
     /// test pins the two to each other for every variant.
     #[must_use]
-    pub fn encoded_size(&self) -> usize {
+    pub(crate) fn encoded_size(&self) -> usize {
         match self {
             // tag + family seed + set size + (count + minima)
             Message::Minwise(s) => 1 + 8 + 8 + 4 + 8 * s.minima().len(),
-            // tag + set size + (count + keys)
-            Message::RandomSample(s) => 1 + 8 + 4 + 8 * s.keys().len(),
-            // tag + modulus + set size + (count + hashed keys)
-            Message::ModK(s) => 1 + 8 + 8 + 4 + 8 * s.hashed_keys().len(),
             // tag + summary id + element width + (length + body)
             Message::Summary { body, .. } => 1 + 2 + 1 + 4 + body.len(),
             Message::SymbolRequest { .. } | Message::End { .. } => 1 + 8,
@@ -438,7 +404,7 @@ pub const FRAME_PREFIX_BYTES: usize = 4;
 /// Encoded body size of an `EncodedSymbol` carrying `payload_len`
 /// payload bytes: tag + id + (length + payload).
 #[must_use]
-pub const fn encoded_symbol_size(payload_len: usize) -> usize {
+pub(crate) const fn encoded_symbol_size(payload_len: usize) -> usize {
     1 + 8 + 4 + payload_len
 }
 
@@ -446,7 +412,7 @@ pub const fn encoded_symbol_size(payload_len: usize) -> usize {
 /// ids and `payload_len` payload bytes: tag + (count + ids) + (length +
 /// payload).
 #[must_use]
-pub const fn recoded_symbol_size(components: usize, payload_len: usize) -> usize {
+pub(crate) const fn recoded_symbol_size(components: usize, payload_len: usize) -> usize {
     1 + 4 + 8 * components + 4 + payload_len
 }
 
@@ -495,20 +461,6 @@ mod tests {
         // 1 tag + 8 seed + 8 size + 4 len + 1024 minima = 1045 — one
         // sketch per 1KB+headroom packet, §3's claim at the wire level.
         assert_eq!(msg.encoded_size(), 1045);
-    }
-
-    #[test]
-    fn random_sample_roundtrip() {
-        let mut rng = Xoshiro256StarStar::new(2);
-        let universe = keys(100, 3);
-        let sample = RandomSample::draw(&universe, 128, &mut rng);
-        roundtrip(&Message::RandomSample(sample));
-    }
-
-    #[test]
-    fn modk_roundtrip() {
-        let sample = ModKSample::build(keys(5000, 4), 64);
-        roundtrip(&Message::ModK(sample));
     }
 
     #[test]
@@ -585,12 +537,8 @@ mod tests {
     #[test]
     fn encoded_size_matches_actual_encoding_for_every_variant() {
         let family = PermutationFamily::standard(7);
-        let mut rng = Xoshiro256StarStar::new(11);
-        let universe = keys(300, 12);
         let variants = vec![
             Message::Minwise(MinwiseSketch::from_keys(&family, keys(200, 10))),
-            Message::RandomSample(RandomSample::draw(&universe, 64, &mut rng)),
-            Message::ModK(ModKSample::build(keys(2000, 13), 32)),
             Message::Summary {
                 summary_id: 4,
                 body: vec![0xA5; 37],
@@ -699,7 +647,9 @@ mod tests {
     fn bad_tag_rejected() {
         assert_eq!(Message::decode(&[0xEE]), Err(WireError::BadTag(0xEE)));
         assert_eq!(Message::decode(&[]), Err(WireError::Truncated));
-        // The retired mechanism-specific tags stay dead.
+        // The retired sketch and mechanism-specific tags stay dead.
+        assert_eq!(Message::decode(&[0x02]), Err(WireError::BadTag(0x02)));
+        assert_eq!(Message::decode(&[0x03]), Err(WireError::BadTag(0x03)));
         assert_eq!(Message::decode(&[0x04]), Err(WireError::BadTag(0x04)));
         assert_eq!(Message::decode(&[0x05]), Err(WireError::BadTag(0x05)));
     }
@@ -716,9 +666,10 @@ mod tests {
 
     #[test]
     fn oversized_length_rejected() {
-        // Hand-craft a RANDOM_SAMPLE claiming 2^31 keys.
-        let mut bytes = vec![tag::RANDOM_SAMPLE];
-        bytes.extend_from_slice(&0u64.to_le_bytes());
+        // Hand-craft a MINWISE sketch claiming 2^32 - 1 minima.
+        let mut bytes = vec![tag::MINWISE];
+        bytes.extend_from_slice(&7u64.to_le_bytes()); // family seed
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // set size
         bytes.extend_from_slice(&(u32::MAX).to_le_bytes());
         match Message::decode(&bytes) {
             Err(WireError::Oversized { claimed }) => {

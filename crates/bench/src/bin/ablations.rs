@@ -19,7 +19,7 @@ use icd_bench::ExpConfig;
 use icd_overlay::net::{ConnectSpec, Link, OverlayNet, RunLimit};
 use icd_overlay::receiver::Receiver;
 use icd_overlay::scenario::{ScenarioParams, TwoPeerScenario};
-use icd_overlay::strategy::{Packet, ReceiverHandshake, StrategyKind};
+use icd_overlay::strategy::{ReceiverHandshake, StrategyKind};
 use icd_overlay::transfer::{default_max_ticks, handshake_estimate};
 use icd_recon::shared_registry;
 use icd_sketch::PermutationFamily;
@@ -74,6 +74,7 @@ fn filter_bits_sweep(cfg: &ExpConfig) -> Table {
                 &family,
                 shared_registry(),
                 &estimate,
+                None,
             );
             let filter_bytes = handshake.summary_bytes();
             let withheld = handshake.summary.as_ref().map_or(0, |(_, body)| {
@@ -171,7 +172,7 @@ fn run_recode_with_cap(scenario: &TwoPeerScenario, cap: usize, seed: u64) -> (f6
     while !receiver.is_complete() && packets < max {
         packets += 1;
         let rec = recoder.generate(&mut rng);
-        receiver.receive(&Packet::Recoded(rec.components));
+        receiver.receive(&rec.components);
     }
     (
         packets as f64 / scenario.needed() as f64,
@@ -217,7 +218,7 @@ fn degree_policy_compare(cfg: &ExpConfig) -> Table {
         while !receiver.is_complete() && packets < max {
             packets += 1;
             let rec = recoder.generate(&mut rng);
-            receiver.receive(&Packet::Recoded(rec.components));
+            receiver.receive(&rec.components);
         }
         (
             packets as f64 / scenario.needed() as f64,

@@ -26,8 +26,10 @@
 //!    them over real sockets, the overlay engine over simulated links,
 //!    tests over [`FramePump`]'s in-memory queues).
 //!
-//! The simulation-facing strategy code lives in `icd-overlay`; this
-//! crate is the payload-carrying, protocol-speaking layer.
+//! The §6.2 sender strategies live here too, once: [`strategy`]'s
+//! pull-based `StrategySender` emits packet ids, which the
+//! [`SenderMachine`] frames with payloads and the `icd-overlay` engine's
+//! packet links book as simulated traffic.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -35,6 +37,7 @@
 
 pub mod machine;
 pub mod policy;
+pub mod strategy;
 pub mod summary;
 pub mod working_set;
 
@@ -44,5 +47,6 @@ pub use machine::{
     SessionEvent, WireStats,
 };
 pub use policy::{select_summary, PolicyKnobs, TransferPlan};
+pub use strategy::{StrategyKind, StrategySender};
 pub use summary::{SummaryId, SummaryRegistry, SummarySizing};
 pub use working_set::WorkingSet;

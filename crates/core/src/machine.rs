@@ -14,10 +14,12 @@
 //!      whole-set, hash-set, char-poly, bloom, art, or an out-of-tree
 //!      one — takes this path; the machines never name a mechanism.
 //!    * *Speculative* — receiver sends only `SymbolRequest{count}`.
-//! 4. **S → R**: up to `count` data messages — encoded symbols the
-//!    decoded summary's [`Reconciler`](crate::summary::Reconciler)
-//!    cleared (reconciled), or recoded symbols with min-wise-scaled
-//!    degrees (speculative) — then `End`.
+//! 4. **S → R**: up to `count` data messages, then `End`. The sender
+//!    builds a [`StrategySender`] when the request arrives and frames
+//!    what it emits: Random/summary over the ids the decoded summary's
+//!    [`Reconciler`](crate::summary::Reconciler) cleared (reconciled),
+//!    or Recode/MW over its whole working set in sorted order
+//!    (speculative), so every frame is a function of the seeds.
 //!
 //! A machine consumes [`SessionEvent`]s (`PeerConnected`,
 //! `FrameReceived`) and emits [`SessionAction`]s (`SendFrame`,
@@ -46,10 +48,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use icd_fountain::recode::PAPER_DEGREE_LIMIT;
-use icd_fountain::{EncodedSymbol, RecodeBuffer, RecodePolicy, Recoder};
-use icd_sketch::MinwiseSketch;
-use icd_util::rng::{Rng64 as _, Xoshiro256StarStar};
+use icd_fountain::{EncodedSymbol, RecodeBuffer, SymbolId};
 use icd_util::symbol::SymbolBuf;
 use icd_wire::buffered::buffered_session;
 use icd_wire::framing::{read_frame_bytes, write_frame_buf, FrameError, FrameLimit};
@@ -57,6 +56,7 @@ use icd_wire::message::FRAME_PREFIX_BYTES;
 use icd_wire::{Message, WireError};
 
 use crate::policy::{plan_transfer, PolicyKnobs, TransferPlan};
+use crate::strategy::{missing_at_peer, PacketScratch, StrategyKind, StrategySender};
 use crate::summary::{
     diff_estimate, standard_registry_arc, SummaryError, SummaryId, SummaryRegistry, SummarySizing,
 };
@@ -612,11 +612,12 @@ pub struct SenderMachine {
     working: WorkingSet,
     state: SenderState,
     registry: Arc<SummaryRegistry>,
-    /// Receiver sketch, kept for speculative-degree estimation.
-    receiver_sketch: Option<MinwiseSketch>,
-    /// Candidate symbols cleared by a receiver summary.
-    candidates: Option<Vec<EncodedSymbol>>,
-    rng: Xoshiro256StarStar,
+    /// Estimated share of this sender's set the receiver holds, from
+    /// its sketch: the speculative transfer's degree scaling.
+    containment: f64,
+    /// The receiver summary's mechanism and the ids it cleared.
+    cleared: Option<(SummaryId, Vec<SymbolId>)>,
+    seed: u64,
     streamed: u64,
     framer: Framer,
 }
@@ -630,9 +631,9 @@ impl SenderMachine {
             working,
             state: SenderState::AwaitSketch,
             registry: standard_registry_arc(),
-            receiver_sketch: None,
-            candidates: None,
-            rng: Xoshiro256StarStar::new(seed),
+            containment: 0.0,
+            cleared: None,
+            seed,
             streamed: 0,
             framer: Framer::default(),
         }
@@ -670,26 +671,15 @@ impl SenderMachine {
                 if sketch.family_seed() != self.working.sketch().family_seed() {
                     return Err(SessionError::FamilyMismatch.into());
                 }
-                self.receiver_sketch = Some(sketch.clone());
+                self.containment = sketch.estimate(self.working.sketch()).containment_of_b();
                 self.state = SenderState::AwaitPlan;
                 let card = Message::Minwise(self.working.sketch().clone());
                 self.framer.send(&card, actions)
             }
             (SenderState::AwaitPlan, Message::Summary { summary_id, body }) => {
-                // One dispatch for every mechanism: registry decode, then
-                // the Reconciler trait produces the cleared candidates.
-                let reconciler = self.registry.decode(SummaryId(*summary_id), body)?;
-                let missing = reconciler.missing_at_peer(&self.working.sorted_ids());
-                let candidates: Vec<EncodedSymbol> = missing
-                    .into_iter()
-                    .filter_map(|id| {
-                        self.working.payload(id).map(|p| EncodedSymbol {
-                            id,
-                            payload: p.clone(),
-                        })
-                    })
-                    .collect();
-                self.candidates = Some(candidates);
+                let id = SummaryId(*summary_id);
+                let cleared = missing_at_peer(&self.registry, id, body, &self.working.sorted_ids())?;
+                self.cleared = Some((id, cleared));
                 Ok(())
             }
             (SenderState::AwaitPlan, Message::SymbolRequest { count }) => {
@@ -709,50 +699,41 @@ impl SenderMachine {
         }
     }
 
-    /// Streams the answer to a request for `count` symbols, then `End`.
+    /// Streams the answer to a request for `count` symbols, then `End`:
+    /// the reconciled transfer walks the cleared ids, each at most once;
+    /// the speculative one recodes over the whole set with
+    /// min-wise-scaled degrees. Either stops at `count` or exhaustion.
     fn stream(&mut self, count: u64, actions: &mut Vec<SessionAction>) -> Result<(), MachineError> {
+        let (kind, pool) = match self.cleared.take() {
+            Some((id, cleared)) => (StrategyKind::RandomSummary(id), cleared),
+            None => (StrategyKind::RecodeMinwise, self.working.sorted_ids()),
+        };
+        let hint = usize::try_from(count).unwrap_or(usize::MAX);
+        let mut sender =
+            StrategySender::new(kind, pool, self.containment, self.seed, hint, Some(&self.working));
+        let mut packet = PacketScratch::default();
         let mut sent = 0u64;
-        match self.candidates.take() {
-            Some(mut candidates) => {
-                // Reconciled transfer: ship cleared symbols, each at most
-                // once, stopping at the request or exhaustion.
-                self.rng.shuffle(&mut candidates);
-                for sym in candidates.into_iter().take(count as usize) {
-                    // `sym.payload` is shared with the working set, so
-                    // the message costs a reference count, not a copy.
-                    let msg = Message::EncodedSymbol {
-                        id: sym.id,
-                        payload: sym.payload,
-                    };
-                    self.framer.send(&msg, actions)?;
-                    sent += 1;
+        while sent < count && sender.emit(&mut packet) {
+            let msg = if packet.is_recoded() {
+                Message::RecodedSymbol {
+                    components: packet.ids().to_vec(),
+                    payload: Bytes::from(packet.payload().to_vec()),
                 }
-            }
-            None => {
-                // Speculative transfer: recode over the whole set with
-                // min-wise-scaled degrees.
-                let containment = self
-                    .receiver_sketch
-                    .as_ref()
-                    .map(|rs| rs.estimate(self.working.sketch()).containment_of_b())
-                    .unwrap_or(0.0);
-                if !self.working.is_empty() {
-                    let recoder = Recoder::new(
-                        self.working.symbols().collect(),
-                        PAPER_DEGREE_LIMIT,
-                        RecodePolicy::MinwiseScaled { containment },
-                    );
-                    for _ in 0..count {
-                        let rec = recoder.generate(&mut self.rng);
-                        let msg = Message::RecodedSymbol {
-                            components: rec.components,
-                            payload: rec.payload,
-                        };
-                        self.framer.send(&msg, actions)?;
-                        sent += 1;
-                    }
+            } else {
+                let id = packet.ids()[0];
+                // A reconciler answers from the ids it was given, so
+                // every cleared id is held; the payload is shared with
+                // the working set (a reference count, not a copy).
+                let Some(payload) = self.working.payload(id) else {
+                    continue;
+                };
+                Message::EncodedSymbol {
+                    id,
+                    payload: payload.clone(),
                 }
-            }
+            };
+            self.framer.send(&msg, actions)?;
+            sent += 1;
         }
         self.streamed = sent;
         self.framer.send(&Message::End { sent }, actions)

@@ -124,9 +124,9 @@ pub(crate) fn plan_transfer(
 /// clears the recall floor (`None` when nothing qualifies). The rule —
 /// advertised wire bytes + `compute_weight` × advertised op units, ties
 /// toward the lower [`SummaryId`] — lives in
-/// [`icd_summary::cheapest_mechanism`], shared with the overlay
-/// engine's per-link advisor so sessions and simulated links always
-/// agree.
+/// [`icd_summary::cheapest_mechanism`]. The overlay engine's per-link
+/// advisor calls this function too, so sessions and simulated links
+/// always agree.
 #[must_use]
 pub fn select_summary(
     estimate: &OverlapEstimate,

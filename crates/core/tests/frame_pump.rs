@@ -386,3 +386,25 @@ fn both_plans_deliver_only_authentic_novel_symbols() {
         }
     }
 }
+
+#[test]
+fn speculative_frames_are_a_function_of_the_seeds() {
+    // Two identical speculative exchanges must put the same bytes on the
+    // wire: the sender's recoder walks its working set in sorted order,
+    // never in hash-map order.
+    let exchange = || {
+        let receiver_ws = WorkingSet::from_symbols((0..300).map(sym));
+        let sender_ws = WorkingSet::from_symbols((150..600).map(sym));
+        let mut receiver = ReceiverMachine::new(receiver_ws, speculative(50).with_seed(7));
+        let mut sender = SenderMachine::new(sender_ws, 11);
+        let mut frames = Vec::new();
+        FramePump::new()
+            .run_observed(&mut receiver, &mut sender, |frame| frames.push(frame.clone()))
+            .expect("clean session");
+        assert!(matches!(receiver.plan(), Some(TransferPlan::Speculative { .. })));
+        frames
+    };
+    let first = exchange();
+    assert_eq!(first.len(), 54, "card, reply, request, 50 symbols, End");
+    assert_eq!(first, exchange());
+}

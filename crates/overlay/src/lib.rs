@@ -20,8 +20,10 @@
 //!   per-tick link scan.
 //! * [`receiver`] — receiver state: known-symbol set, pending recoded
 //!   symbols (substitution cascade), completion target.
-//! * [`strategy`] — the five §6.2 sender strategies: Random, Random/BF,
-//!   Recode, Recode/BF, Recode/MW.
+//! * [`strategy`] — the simulator's side of the five §6.2 sender
+//!   strategies (Random, Random/BF, Recode, Recode/BF, Recode/MW), which
+//!   run in `icd-core`'s one `StrategySender`: the receiver handshake a
+//!   packet link builds its sender from, and the full sender.
 //! * [`scenario`] — §6.3's experiment geometries: compact/stretched
 //!   two-peer transfers (Figure 5), full + partial sender (Figure 6),
 //!   and k partial senders (Figures 7 and 8).
@@ -52,7 +54,7 @@ pub use net::{
 };
 pub use receiver::Receiver;
 pub use scenario::{MultiSenderScenario, ScenarioParams, TwoPeerScenario};
-pub use strategy::{Packet, Sender, StrategyKind};
+pub use strategy::StrategyKind;
 pub use transfer::{run_transfer, TransferOutcome};
 
 /// Symbol identifier (shared with the codec crate's `SymbolId`).

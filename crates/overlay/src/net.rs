@@ -12,7 +12,8 @@
 //!   set, recomputed only when the set changes), and a completion
 //!   target;
 //! * a set of directed **links**, each owning an independent per-link
-//!   sender pump (a [`crate::strategy::Sender`], a
+//!   sender pump (an `icd-core` [`StrategySender`] — the same §6.2
+//!   sender the session machines frame — a
 //!   [`crate::strategy::FullSender`], or an `icd-core` session-machine
 //!   pair) plus the link's rate, latency, and loss parameters;
 //! * a **binary-heap queue of in-flight packets keyed by `(time, seq)`**
@@ -39,7 +40,8 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use bytes::Bytes;
 use icd_core::machine::{ReceiverMachine, SenderMachine, SessionAction, SessionEvent};
-use icd_core::{SessionConfig, WorkingSet};
+use icd_core::strategy::{PacketScratch, StrategySender};
+use icd_core::{select_summary, PolicyKnobs, SessionConfig, WorkingSet};
 use icd_fountain::EncodedSymbol;
 use icd_obs::{TraceEvent, TraceHandle};
 use icd_sketch::{MinwiseSketch, PermutationFamily};
@@ -48,15 +50,16 @@ use icd_util::hash::mix64;
 use icd_util::rng::{Rng64, SplitMix64, Xoshiro256StarStar};
 use icd_wire::budget::PACKET_BYTES;
 use icd_wire::framing::write_frame_buf;
-use icd_wire::{encoded_symbol_frame_len, recoded_symbol_frame_len, Message, FRAME_PREFIX_BYTES};
+use icd_wire::{
+    encoded_symbol_frame_len, minwise_frame_len, recoded_symbol_frame_len, summary_frame_len,
+    symbol_request_frame_len, Message, FRAME_PREFIX_BYTES,
+};
 
 use crate::calendar::SendCalendar;
 use crate::handshake::{handshake_estimate, standard_family, standard_sizing};
 use crate::receiver::Receiver;
 use crate::scenario::{MultiSenderScenario, ScenarioParams};
-use crate::strategy::{
-    FullSender, Packet, PacketScratch, ReceiverHandshake, Sender, StrategyKind,
-};
+use crate::strategy::{FullSender, ReceiverHandshake, StrategyKind};
 use crate::transfer::{default_max_ticks, TransferOutcome};
 use crate::SymbolId;
 
@@ -324,11 +327,11 @@ impl NodeState {
 /// A link's pump, statically dispatched: the send path is the engine's
 /// hottest instruction stream, and static dispatch lets the strategy
 /// senders inline into it. (The variant sizes are deliberately lopsided
-/// — a `Sender` is link state, one per link, not a message.)
+/// — a `StrategySender` is link state, one per link, not a message.)
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum LinkSource {
-    Strategy(Sender),
+    Strategy(StrategySender),
     Fountain(FullSender),
     /// A payload-true link: a sans-I/O receiver/sender machine pair from
     /// `icd-core`, pumped frame-by-frame by the engine. Everything that
@@ -341,11 +344,11 @@ enum LinkSource {
 
 impl LinkSource {
     #[inline]
-    fn next_packet_into(&mut self, scratch: &mut PacketScratch) -> bool {
+    fn emit(&mut self, scratch: &mut PacketScratch) -> bool {
         match self {
-            LinkSource::Strategy(sender) => sender.next_packet_into(scratch),
+            LinkSource::Strategy(sender) => sender.emit(scratch),
             LinkSource::Fountain(fountain) => {
-                fountain.next_packet_into(scratch);
+                fountain.emit(scratch);
                 true
             }
             LinkSource::Session(_) => {
@@ -471,28 +474,16 @@ fn session_symbol(id: SymbolId, len: usize) -> EncodedSymbol {
 /// exchange, frame by frame as the §3 session ships it: the receiver's
 /// min-wise calling card (sketch strategies), the sender's card in
 /// reply, the receiver's tagged summary frame, and the symbol request.
-/// Each term is `FRAME_PREFIX_BYTES` plus the `Message` encoding laid
-/// out in `icd-wire` (pinned there by `encoded_size` tests).
 fn control_plane_bytes(handshake: &ReceiverHandshake, sender_card: bool) -> u64 {
-    let minwise_frame = |sketch: &MinwiseSketch| {
-        // tag + family seed + set size + count + 8 bytes per minimum.
-        (FRAME_PREFIX_BYTES + 1 + 8 + 8 + 4 + 8 * sketch.minima().len()) as u64
-    };
-    let mut total = 0u64;
-    if let Some(sketch) = handshake.sketch.as_ref() {
-        total += minwise_frame(sketch);
-        if sender_card {
-            // The reply card mirrors the receiver's sketch shape.
-            total += minwise_frame(sketch);
-        }
-    }
-    if let Some((_, body)) = handshake.summary.as_ref() {
-        // tag + summary id + scheme + body count + body.
-        total += (FRAME_PREFIX_BYTES + 1 + 2 + 1 + 4 + body.len()) as u64;
-    }
-    // SymbolRequest: tag + count.
-    total += (FRAME_PREFIX_BYTES + 1 + 8) as u64;
-    total
+    // The reply card mirrors the receiver's sketch shape.
+    let cards = handshake.sketch.as_ref().map_or(0, |sketch| {
+        (1 + usize::from(sender_card)) * minwise_frame_len(sketch.minima().len())
+    });
+    let summary = handshake
+        .summary
+        .as_ref()
+        .map_or(0, |(_, body)| summary_frame_len(body.len()));
+    (cards + summary + symbol_request_frame_len()) as u64
 }
 
 /// Why [`OverlayNet::try_connect`] refused to create a link. All cases
@@ -622,7 +613,7 @@ impl OverlayNet {
             events_processed: 0,
             observer_count: 0,
             incomplete_observers: 0,
-            scratch: PacketScratch::new(),
+            scratch: PacketScratch::default(),
             family: standard_family(),
             registry: icd_recon::shared_registry(),
             sizing: standard_sizing(),
@@ -779,15 +770,13 @@ impl OverlayNet {
                 .needs_sketch()
                 .then(|| self.calling_card(from).clone()),
         };
-        let sender = Sender::with_calling_card(
+        let sender = handshake.sender(
             strategy,
             &self.nodes[from.0].inventory,
-            &handshake,
-            &self.family,
+            sender_card.as_ref(),
             self.registry,
             spec.seed,
             hint,
-            sender_card.as_ref(),
         );
         let summary = handshake.summary.as_ref().map(|(id, _)| *id);
         let handshake_bytes = handshake.summary_bytes();
@@ -1097,30 +1086,16 @@ impl OverlayNet {
     }
 
     /// Scores every registered summary mechanism for the `from → to`
-    /// link from the two nodes' calling cards and returns the informed
-    /// strategy the advisors pick (or the sketch-only fallback when no
-    /// mechanism clears `min_recall`). `recode` selects the
-    /// Recode/summary family over Random/summary.
-    pub fn advised_strategy(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        recode: bool,
-        min_recall: f64,
-        compute_weight: f64,
-    ) -> StrategyKind {
+    /// link from the two nodes' calling cards — the session policy's
+    /// [`select_summary`] at the default knobs — and returns the informed
+    /// strategy it picks (or the sketch-only fallback when no mechanism
+    /// clears the recall floor). `recode` selects the Recode/summary
+    /// family over Random/summary.
+    pub fn advised_strategy(&mut self, from: NodeId, to: NodeId, recode: bool) -> StrategyKind {
         let to_card = self.calling_card(to).clone();
-        let from_card = self.calling_card(from).clone();
         // A = the downloading node, B = the candidate sender (§4 roles).
-        let overlap = to_card.estimate(&from_card);
-        let expected_new =
-            (overlap.useful_fraction_of_b() * overlap.size_b() as f64).round() as usize;
-        let estimate = handshake_estimate(
-            overlap.size_a() as usize,
-            overlap.size_b() as usize,
-            expected_new,
-        );
-        match advise_summary(self.registry, &self.sizing, &estimate, min_recall, compute_weight) {
+        let overlap = to_card.estimate(self.calling_card(from));
+        match select_summary(&overlap, &PolicyKnobs::default(), &self.sizing, self.registry) {
             Some(id) if recode => StrategyKind::RecodeSummary(id),
             Some(id) => StrategyKind::RandomSummary(id),
             None if recode => StrategyKind::RecodeMinwise,
@@ -1222,7 +1197,7 @@ impl OverlayNet {
         }
         let scratch = &mut self.scratch;
         let link = &mut self.links[l.0];
-        if !link.source.next_packet_into(scratch) {
+        if !link.source.emit(scratch) {
             link.exhausted = true;
             return None; // its calendar entry was just popped; none re-added
         }
@@ -1309,7 +1284,7 @@ impl OverlayNet {
         let node = &mut self.nodes[to.0];
         debug_assert!(!node.seeder, "seeder nodes cannot be link destinations");
         let was_complete = node.receiver.is_complete();
-        let gained = node.receiver.receive_scratch(&self.scratch);
+        let gained = node.receiver.receive(self.scratch.ids());
         if gained > 0 {
             node.working_set_changed();
         }
@@ -1331,12 +1306,7 @@ impl OverlayNet {
         let to = link.to;
         let node = &mut self.nodes[to.0];
         let was_complete = node.receiver.is_complete();
-        let gained = if recoded {
-            // The event owns its component list; no copy on delivery.
-            node.receiver.receive(&Packet::Recoded(ids))
-        } else {
-            node.receiver.receive(&Packet::Encoded(ids[0]))
-        };
+        let gained = node.receiver.receive(&ids);
         if gained > 0 {
             node.working_set_changed();
         }
@@ -1502,7 +1472,7 @@ impl OverlayNet {
         let was_complete = node.receiver.is_complete();
         let mut gained = 0;
         for id in decoded {
-            gained += node.receiver.receive(&Packet::Encoded(id));
+            gained += node.receiver.receive(&[id]);
         }
         if gained > 0 {
             node.working_set_changed();
@@ -1686,22 +1656,6 @@ impl OverlayNet {
     }
 }
 
-/// The per-link summary choice of the mesh preset: the one selection
-/// rule in [`icd_summary::cheapest_mechanism`] — the same one the
-/// session policy scores — consulted link by link, so a simulated link
-/// and a live session presented with the same estimate always pick the
-/// same mechanism.
-#[must_use]
-pub(crate) fn advise_summary(
-    registry: &SummaryRegistry,
-    sizing: &SummarySizing,
-    estimate: &DiffEstimate,
-    min_recall: f64,
-    compute_weight: f64,
-) -> Option<SummaryId> {
-    icd_summary::cheapest_mechanism(registry, sizing, estimate, min_recall, compute_weight)
-}
-
 // ----------------------------------------------------------------------
 // Engine-only presets: scenarios the four legacy loops could not run.
 // ----------------------------------------------------------------------
@@ -1791,7 +1745,7 @@ pub fn run_mesh_download_with(
     let mut links = Vec::with_capacity(k);
     let mut summaries = Vec::with_capacity(k);
     for (i, &s) in seeders.iter().enumerate() {
-        let strategy = net.advised_strategy(s, receiver, recode, 0.6, 0.15);
+        let strategy = net.advised_strategy(s, receiver, recode);
         let link = net.connect(
             s,
             receiver,
@@ -1813,7 +1767,7 @@ pub fn run_mesh_download_with(
         for i in 0..k {
             let from = seeders[(i + 1) % k];
             let to = seeders[i];
-            let strategy = net.advised_strategy(from, to, recode, 0.6, 0.15);
+            let strategy = net.advised_strategy(from, to, recode);
             net.connect(
                 from,
                 to,
@@ -2059,7 +2013,7 @@ mod tests {
         let b: Vec<SymbolId> = (10_000..11_000u64).map(|i| i * 3 + 1).collect();
         let na = net.add_node(&a, a.len() * 2);
         let nb = net.add_node(&b, b.len());
-        let strategy = net.advised_strategy(nb, na, false, 0.6, 0.15);
+        let strategy = net.advised_strategy(nb, na, false);
         assert_eq!(strategy, StrategyKind::RandomSummary(SummaryId::BLOOM));
     }
 
@@ -2233,19 +2187,6 @@ mod tests {
         let gained = net.node_distinct(s) - 1;
         assert_eq!(net.refresh_inventory(s), gained);
         assert_eq!(net.refresh_inventory(s), 0, "second refresh is a no-op");
-    }
-
-    #[test]
-    fn advise_summary_respects_recall_floor() {
-        let registry = icd_recon::shared_registry();
-        let sizing = standard_sizing();
-        let estimate = handshake_estimate(1000, 1000, 500);
-        // Impossible floor → no mechanism qualifies.
-        assert_eq!(advise_summary(registry, &sizing, &estimate, 1.1, 0.0), None);
-        // Exact-only floor → an exact mechanism.
-        let exact = advise_summary(registry, &sizing, &estimate, 1.0, 0.0).expect("exact exists");
-        let spec = registry.get(exact).expect("registered");
-        assert!(((spec.expected_recall)(&sizing, &estimate) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use icd_fountain::RecodeBuffer;
 
-use crate::strategy::{Packet, PacketScratch};
 use crate::SymbolId;
 
 /// A simulated receiver.
@@ -70,36 +69,12 @@ impl Receiver {
         self.buffer.known_since(distinct)
     }
 
-    /// Ingests one packet; returns the number of *new* distinct symbols
-    /// gained (0 for redundant packets; possibly > 1 when a recoded
-    /// packet cascades).
-    pub fn receive(&mut self, packet: &Packet) -> usize {
-        match packet {
-            Packet::Encoded(id) => self.receive_ids(false, std::slice::from_ref(id)),
-            Packet::Recoded(components) => self.receive_ids(true, components),
-        }
-    }
-
-    /// [`Receiver::receive`] from the tick loop's reusable scratch —
-    /// no packet object, no per-packet allocation.
-    pub(crate) fn receive_scratch(&mut self, scratch: &PacketScratch) -> usize {
-        self.receive_ids(scratch.is_recoded(), scratch.ids())
-    }
-
-    /// The shared ingest path behind [`Receiver::receive`] and
-    /// [`Receiver::receive_scratch`].
-    fn receive_ids(&mut self, recoded: bool, ids: &[SymbolId]) -> usize {
-        if !recoded && self.buffer.knows(ids[0]) {
-            0
-        } else {
-            self.buffer.receive(ids, &[], |_, ()| {})
-        }
-    }
-
-    /// Recoded packets still awaiting resolution.
-    #[must_use]
-    pub fn pending_recoded(&self) -> usize {
-        self.buffer.pending_count()
+    /// Ingests one packet given by its symbol ids — the encoded id, or a
+    /// recoded packet's components (an encoded symbol is the degree-1
+    /// case). Returns the number of *new* distinct symbols gained (0 for
+    /// redundant packets; possibly > 1 when a recoded packet cascades).
+    pub fn receive(&mut self, ids: &[SymbolId]) -> usize {
+        self.buffer.receive(ids, &[], |_, ()| {})
     }
 }
 
@@ -120,9 +95,9 @@ mod tests {
     #[test]
     fn encoded_packet_gains_one() {
         let mut r = Receiver::new(&[1], 3);
-        assert_eq!(r.receive(&Packet::Encoded(2)), 1);
-        assert_eq!(r.receive(&Packet::Encoded(2)), 0, "duplicate is redundant");
-        assert_eq!(r.receive(&Packet::Encoded(3)), 1);
+        assert_eq!(r.receive(&[2]), 1);
+        assert_eq!(r.receive(&[2]), 0, "duplicate is redundant");
+        assert_eq!(r.receive(&[3]), 1);
         assert!(r.is_complete());
     }
 
@@ -130,29 +105,29 @@ mod tests {
     fn recoded_packet_substitution() {
         // Receiver knows 10; recoded {10, 20} yields 20 immediately.
         let mut r = Receiver::new(&[10], 5);
-        assert_eq!(r.receive(&Packet::Recoded(vec![10, 20])), 1);
+        assert_eq!(r.receive(&[10, 20]), 1);
         assert!(r.buffer.knows(20));
         // Recoded {30, 40} pends; then 30 arrives and 40 cascades out.
-        assert_eq!(r.receive(&Packet::Recoded(vec![30, 40])), 0);
-        assert_eq!(r.pending_recoded(), 1);
-        assert_eq!(r.receive(&Packet::Encoded(30)), 2, "30 plus cascaded 40");
+        assert_eq!(r.receive(&[30, 40]), 0);
+        assert_eq!(r.buffer.pending_count(), 1);
+        assert_eq!(r.receive(&[30]), 2, "30 plus cascaded 40");
         assert!(r.buffer.knows(40));
-        assert_eq!(r.pending_recoded(), 0);
+        assert_eq!(r.buffer.pending_count(), 0);
     }
 
     #[test]
     fn fully_known_recoded_is_redundant() {
         let mut r = Receiver::new(&[1, 2], 10);
-        assert_eq!(r.receive(&Packet::Recoded(vec![1, 2])), 0);
+        assert_eq!(r.receive(&[1, 2]), 0);
     }
 
     #[test]
     fn completion_at_exact_target() {
         let mut r = Receiver::new(&[], 2);
         assert_eq!(r.remaining(), 2);
-        r.receive(&Packet::Encoded(1));
+        r.receive(&[1]);
         assert!(!r.is_complete());
-        r.receive(&Packet::Encoded(2));
+        r.receive(&[2]);
         assert!(r.is_complete());
         assert_eq!(r.remaining(), 0);
     }

@@ -101,7 +101,7 @@ pub fn default_max_ticks(target: usize) -> u64 {
 /// exactly what the engine would derive from the receiver node's state.
 fn two_peer_handshake(scenario: &TwoPeerScenario, strategy: StrategyKind) -> ReceiverHandshake {
     let family = standard_family();
-    ReceiverHandshake::for_strategy_with(
+    ReceiverHandshake::for_strategy(
         strategy,
         &scenario.receiver_set,
         &standard_sizing(),
@@ -196,7 +196,7 @@ pub fn run_multi_partial(
     let family = standard_family();
     // One handshake shared by all k links (every sender set is the same
     // size, so the estimate — and therefore the digest — is identical).
-    let handshake = ReceiverHandshake::for_strategy_with(
+    let handshake = ReceiverHandshake::for_strategy(
         strategy,
         &scenario.receiver_set,
         &standard_sizing(),

@@ -126,11 +126,10 @@ impl SummaryRegistry {
 /// breaking toward the lower id (registries iterate in id order), so
 /// selection is deterministic. `None` when nothing qualifies.
 ///
-/// This is *the* selection rule: the session policy
-/// (`icd_core::policy::select_summary`) and the overlay engine's
-/// per-link advisor (`icd_overlay::net::advise_summary`) both call it,
-/// so a session and a simulated link presented with the same estimate
-/// always pick the same mechanism.
+/// This is *the* selection rule: `icd_core::policy::select_summary`
+/// calls it for the session policy and for the overlay engine's
+/// per-link advisor alike, so a session and a simulated link presented
+/// with the same estimate always pick the same mechanism.
 #[must_use]
 pub fn cheapest_mechanism(
     registry: &SummaryRegistry,

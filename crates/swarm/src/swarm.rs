@@ -658,7 +658,7 @@ impl Swarm {
                 }
             }
             SwarmStrategy::Advised { recode } => {
-                self.net.advised_strategy(from, to, recode, 0.6, 0.15)
+                self.net.advised_strategy(from, to, recode)
             }
         }
     }

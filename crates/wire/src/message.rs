@@ -369,11 +369,9 @@ impl Message {
     #[must_use]
     pub(crate) fn encoded_size(&self) -> usize {
         match self {
-            // tag + family seed + set size + (count + minima)
-            Message::Minwise(s) => 1 + 8 + 8 + 4 + 8 * s.minima().len(),
-            // tag + summary id + element width + (length + body)
-            Message::Summary { body, .. } => 1 + 2 + 1 + 4 + body.len(),
-            Message::SymbolRequest { .. } | Message::End { .. } => 1 + 8,
+            Message::Minwise(s) => minwise_size(s.minima().len()),
+            Message::Summary { body, .. } => summary_size(body.len()),
+            Message::SymbolRequest { .. } | Message::End { .. } => COUNT_SIZE,
             Message::EncodedSymbol { payload, .. } => encoded_symbol_size(payload.len()),
             Message::RecodedSymbol { components, payload } => {
                 recoded_symbol_size(components.len(), payload.len())
@@ -400,6 +398,21 @@ impl Message {
 
 /// Bytes the length-prefixed framing layer adds to every message.
 pub const FRAME_PREFIX_BYTES: usize = 4;
+
+/// Encoded body size of a `Minwise` sketch with `minima` minima: tag +
+/// family seed + set size + (count + minima).
+const fn minwise_size(minima: usize) -> usize {
+    1 + 8 + 8 + 4 + 8 * minima
+}
+
+/// Encoded body size of a `Summary` frame with a `body_len`-byte body:
+/// tag + summary id + element width + (length + body).
+const fn summary_size(body_len: usize) -> usize {
+    1 + 2 + 1 + 4 + body_len
+}
+
+/// Encoded body size of a `SymbolRequest` or `End`: tag + count.
+const COUNT_SIZE: usize = 1 + 8;
 
 /// Encoded body size of an `EncodedSymbol` carrying `payload_len`
 /// payload bytes: tag + id + (length + payload).
@@ -432,6 +445,25 @@ pub const fn encoded_symbol_frame_len(payload_len: usize) -> usize {
 #[inline]
 pub const fn recoded_symbol_frame_len(components: usize, payload_len: usize) -> usize {
     FRAME_PREFIX_BYTES + recoded_symbol_size(components, payload_len)
+}
+
+/// Framed wire length of a `Minwise` calling card with `minima` minima —
+/// what the engine books for a packet link's sketch exchange.
+#[must_use]
+pub const fn minwise_frame_len(minima: usize) -> usize {
+    FRAME_PREFIX_BYTES + minwise_size(minima)
+}
+
+/// Framed wire length of a `Summary` frame with a `body_len`-byte body.
+#[must_use]
+pub const fn summary_frame_len(body_len: usize) -> usize {
+    FRAME_PREFIX_BYTES + summary_size(body_len)
+}
+
+/// Framed wire length of a `SymbolRequest`.
+#[must_use]
+pub const fn symbol_request_frame_len() -> usize {
+    FRAME_PREFIX_BYTES + COUNT_SIZE
 }
 
 #[cfg(test)]
@@ -572,9 +604,23 @@ mod tests {
             crate::framing::write_frame_buf(&mut framed, msg, &mut scratch).expect("frame");
             assert_eq!(msg.frame_len(), framed.len(), "frame budget for {msg:?}");
         }
-        // The closed-form symbol helpers the engine charges links with.
+        // The closed-form helpers the engine charges links with, pinned
+        // to the encoder's own frame length.
         assert_eq!(encoded_symbol_frame_len(53), 4 + 1 + 8 + 4 + 53);
         assert_eq!(recoded_symbol_frame_len(5, 19), 4 + 1 + 4 + 40 + 4 + 19);
+        for msg in &variants {
+            let closed_form = match msg {
+                Message::Minwise(s) => minwise_frame_len(s.minima().len()),
+                Message::Summary { body, .. } => summary_frame_len(body.len()),
+                Message::SymbolRequest { .. } => symbol_request_frame_len(),
+                Message::EncodedSymbol { payload, .. } => encoded_symbol_frame_len(payload.len()),
+                Message::RecodedSymbol { components, payload } => {
+                    recoded_symbol_frame_len(components.len(), payload.len())
+                }
+                Message::End { .. } => continue,
+            };
+            assert_eq!(closed_form, msg.frame_len(), "closed form for {msg:?}");
+        }
         assert!(Message::is_data_tag(tag::ENCODED_SYMBOL));
         assert!(Message::is_data_tag(tag::RECODED_SYMBOL));
         assert!(!Message::is_data_tag(tag::MINWISE));

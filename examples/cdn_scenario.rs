@@ -10,9 +10,10 @@
 //!
 //! Run with: `cargo run --release --example cdn_scenario`
 
+use icd_core::strategy::PacketScratch;
 use icd_overlay::receiver::Receiver;
 use icd_overlay::scenario::ScenarioParams;
-use icd_overlay::strategy::{FullSender, ReceiverHandshake, Sender, StrategyKind};
+use icd_overlay::strategy::{FullSender, ReceiverHandshake, StrategyKind};
 use icd_overlay::transfer::{handshake_estimate, standard_sizing};
 use icd_recon::shared_registry;
 use icd_sketch::PermutationFamily;
@@ -65,35 +66,31 @@ fn main() {
         &family,
         shared_registry(),
         &handshake_estimate(c_set.len(), d_set.len(), needed),
+        None,
     );
     let per_peer = needed / 2;
-    let mut peers = vec![
-        Sender::new(strategy, d_set, &handshake, &family, shared_registry(), 1, per_peer),
-        Sender::new(strategy, e_set, &handshake, &family, shared_registry(), 2, per_peer),
-    ];
+    let mut peers = [(d_set, 1), (e_set, 2)]
+        .map(|(set, seed)| handshake.sender(strategy, &set, None, shared_registry(), seed, per_peer));
     // The parent still trickles fresh symbols: model its 1/4 rate by
     // letting it send on every 4th tick via a full sender we gate below.
     let mut parent = FullSender::new(0);
+    let mut packet = PacketScratch::default();
     let mut ticks = 0u64;
     while !receiver.is_complete() && ticks < tree_ticks * 2 {
         ticks += 1;
         if ticks.is_multiple_of(tree_rate_limit) {
-            let p = parent.next_packet();
-            receiver.receive(&p);
+            parent.emit(&mut packet);
+            receiver.receive(packet.ids());
         }
-        let mut all_dry = true;
+        // Once the peers exhaust their useful symbols, only the parent
+        // trickle remains.
         for peer in &mut peers {
-            if let Some(p) = peer.next_packet() {
-                all_dry = false;
-                receiver.receive(&p);
+            if peer.emit(&mut packet) {
+                receiver.receive(packet.ids());
                 if receiver.is_complete() {
                     break;
                 }
             }
-        }
-        if all_dry && !ticks.is_multiple_of(tree_rate_limit) && receiver.pending_recoded() == 0 {
-            // Peers exhausted their useful symbols; only the parent
-            // trickle remains.
         }
     }
     let collaborative_ticks = ticks;

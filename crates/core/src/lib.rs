@@ -23,8 +23,8 @@
 //!    sans-I/O state machines — frames in, actions out — that any driver
 //!    can pump; summaries travel in the generic tagged frame, so the
 //!    machines dispatch purely on `SummaryId` (the `icd-node` daemon runs
-//!    them over real sockets, the overlay engine over simulated links,
-//!    tests over [`FramePump`]'s in-memory queues).
+//!    them over real sockets, its `predict` oracle and the tests over
+//!    [`FramePump`]'s in-memory queues).
 //!
 //! The §6.2 sender strategies live here too, once: [`strategy`]'s
 //! pull-based `StrategySender` emits packet ids, which the

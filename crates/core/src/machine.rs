@@ -30,19 +30,17 @@
 //!
 //! Time never enters a machine. Deadlines belong to the driver: the
 //! blocking drivers below surface socket timeouts as
-//! [`DriveError::ReadTimeout`], and the overlay engine detects stalled
-//! links itself. The same machine therefore runs unchanged under the
-//! discrete-event overlay engine (simulated ticks), real sockets, and
-//! in-memory queues.
+//! [`DriveError::ReadTimeout`], and [`FramePump`] reports quiescence as
+//! [`PumpStep::Idle`]. The same machine therefore runs unchanged over
+//! real sockets and in-memory queues.
 //!
 //! Drivers in this workspace:
-//! * `icd-overlay`'s session links pump one frame per link send slot,
-//!   applying rate/latency/loss to real framed byte lengths;
 //! * [`drive_receiver_with`]/[`drive_sender`] run the machines over any
 //!   blocking `Read + Write` stream (the `icd-node` daemon and the
 //!   `tcp_reconcile` example);
 //! * [`FramePump`] interleaves two machines over in-memory queues, one
-//!   frame per direction per step.
+//!   frame per direction per step (`icd-node`'s `predict` steps one
+//!   pump per planned link in lockstep).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -763,7 +761,7 @@ pub enum PumpStep {
 /// interleave steps of many pumps and detect quiescence without ever
 /// parking a thread. [`FramePump::run`] is a loop over `step`, so both
 /// drive byte-identical exchanges. Byte counters sum the exact framed
-/// lengths crossing each direction.
+/// lengths delivered in each direction.
 #[derive(Debug, Default)]
 pub struct FramePump {
     to_sender: VecDeque<Bytes>,
@@ -797,15 +795,8 @@ impl FramePump {
     fn route(&mut self, from: Vec<SessionAction>, from_receiver: bool, sink: &mut Vec<SessionAction>) {
         for action in from {
             match action {
-                SessionAction::SendFrame(frame) => {
-                    if from_receiver {
-                        self.bytes_to_sender += frame.len() as u64;
-                        self.to_sender.push_back(frame);
-                    } else {
-                        self.bytes_to_receiver += frame.len() as u64;
-                        self.to_receiver.push_back(frame);
-                    }
-                }
+                SessionAction::SendFrame(frame) if from_receiver => self.to_sender.push_back(frame),
+                SessionAction::SendFrame(frame) => self.to_receiver.push_back(frame),
                 other => sink.push(other),
             }
         }
@@ -823,9 +814,12 @@ impl FramePump {
         (self.bytes_to_sender, self.bytes_to_receiver)
     }
 
-    /// Delivers at most one queued frame to each machine. Non-transport
-    /// actions are appended to `actions`; frames are re-queued toward
-    /// the opposite side.
+    /// Delivers at most one queued frame to each machine. Both frames
+    /// are taken off their queues before either is delivered, so a frame
+    /// a machine answers with waits for the next step; the
+    /// receiver-bound frame is delivered first. Non-transport actions
+    /// are appended to `actions`; frames are re-queued toward the
+    /// opposite side.
     pub fn step(
         &mut self,
         receiver: &mut ReceiverMachine,
@@ -842,24 +836,24 @@ impl FramePump {
         actions: &mut Vec<SessionAction>,
         observe: &mut impl FnMut(&Bytes),
     ) -> Result<PumpStep, MachineError> {
-        let mut progressed = false;
-        if let Some(frame) = self.to_sender.pop_front() {
-            observe(&frame);
-            let out = sender.handle(SessionEvent::FrameReceived(frame))?;
-            self.route(out, false, actions);
-            progressed = true;
+        let to_receiver = self.to_receiver.pop_front();
+        let to_sender = self.to_sender.pop_front();
+        if to_receiver.is_none() && to_sender.is_none() {
+            return Ok(PumpStep::Idle);
         }
-        if let Some(frame) = self.to_receiver.pop_front() {
+        if let Some(frame) = to_receiver {
             observe(&frame);
+            self.bytes_to_receiver += frame.len() as u64;
             let out = receiver.handle(SessionEvent::FrameReceived(frame))?;
             self.route(out, true, actions);
-            progressed = true;
         }
-        Ok(if progressed {
-            PumpStep::Progressed
-        } else {
-            PumpStep::Idle
-        })
+        if let Some(frame) = to_sender {
+            observe(&frame);
+            self.bytes_to_sender += frame.len() as u64;
+            let out = sender.handle(SessionEvent::FrameReceived(frame))?;
+            self.route(out, false, actions);
+        }
+        Ok(PumpStep::Progressed)
     }
 
     /// Drives both machines to quiescence, returning all non-transport

@@ -408,3 +408,44 @@ fn speculative_frames_are_a_function_of_the_seeds() {
     assert_eq!(first.len(), 54, "card, reply, request, 50 symbols, End");
     assert_eq!(first, exchange());
 }
+
+#[test]
+fn wire_bytes_count_frames_on_delivery_not_when_queued() {
+    let make = || {
+        let (receiver_ws, sender_ws) = overlapping_sets(300, 20, 60);
+        let config = SessionConfig::new().with_request(60).with_seed(0x51);
+        (
+            ReceiverMachine::new(receiver_ws, config),
+            SenderMachine::new(sender_ws, 0x52),
+        )
+    };
+    // The receiver opens with its calling card and nothing else.
+    let (mut twin, _) = make();
+    let opening: Vec<usize> = twin
+        .handle(SessionEvent::PeerConnected)
+        .expect("connect")
+        .into_iter()
+        .filter_map(|a| match a {
+            SessionAction::SendFrame(frame) => Some(frame.len()),
+            _ => None,
+        })
+        .collect();
+    let [card_len] = opening[..] else {
+        panic!("expected one opening frame, got {opening:?}");
+    };
+
+    let (mut receiver, mut sender) = make();
+    let mut pump = FramePump::new();
+    let mut actions = Vec::new();
+    pump.start(&mut receiver, &mut sender, &mut actions)
+        .expect("start");
+    assert!(!pump.is_idle(), "the card is queued");
+    assert_eq!(pump.wire_bytes(), (0, 0), "nothing delivered before a step");
+    pump.step(&mut receiver, &mut sender, &mut actions)
+        .expect("step");
+    assert_eq!(
+        pump.wire_bytes(),
+        (card_len as u64, 0),
+        "the first step delivers the card; the reply waits for the next"
+    );
+}

@@ -5,14 +5,15 @@
 //! the same code path the in-process tests exercise, now over a real
 //! socket. The hello is the *only* traffic the session machines do not
 //! emit; it is deliberately excluded from [`WireStats`] so a daemon's
-//! per-link counters remain byte-identical to the simulator's session
-//! links, which have no connection-establishment phase.
+//! per-link counters remain byte-identical to the in-memory sessions of
+//! [`crate::plan::predict`], which have no connection-establishment
+//! phase.
 //!
 //! The dialer is the **receiver** (it downloads), the listener the
-//! **sender** — the same orientation as `OverlayNet::connect_session`'s
-//! `from → to` (listener = `from`). The hello carries the link seed, so
-//! both endpoints derive their machine seeds from the one value via
-//! [`icd_overlay::session_machine_seeds`], exactly like the engine.
+//! **sender** — the same orientation as a planned link's `from → to`
+//! (listener = `from`). The hello carries the link seed, so both
+//! endpoints derive their machine seeds from the one value via
+//! [`icd_overlay::session_machine_seeds`], exactly like `predict`.
 
 use std::io::{Read, Write};
 
@@ -41,13 +42,14 @@ const LIVE_EPOCH: u8 = 0xFF;
 pub enum SessionEpoch {
     /// Serve the snapshot frozen at reconciliation-round barrier `r` —
     /// the sessions a [`crate::plan::SwarmPlan`] schedules, where byte
-    /// parity with the simulator holds because `OverlayNet` freezes all
-    /// inventories at connect time before any transfer runs. Round 0 is
+    /// parity with [`crate::plan::predict`] holds because it freezes all
+    /// of a round's inventories before any transfer runs. Round 0 is
     /// the node's initial share. Values `0xF0..` are reserved on the
     /// wire; plans never get near them ([`crate::plan::MAX_ROUNDS`]).
     Round(u8),
     /// Serve the node's *current* shared working set — what a rejoining
-    /// or late-dialing peer wants (the engine's refresh-on-connect).
+    /// or late-dialing peer wants (what [`crate::plan::predict_faulty`]'s
+    /// resumption sessions model).
     /// No parity guarantee: the snapshot races in-flight ingestion.
     Live,
 }

@@ -193,17 +193,17 @@ pub struct FetchReport {
 
 /// Barrier-frozen per-round session state.
 ///
-/// `OverlayNet` freezes every endpoint's snapshot at `connect_session`
-/// time, before any frame of the round moves; byte parity with the
-/// simulator therefore requires the daemon to do the same. Each
-/// [`Node::advance_round`] call is one such barrier: it refreshes the
-/// sender inventory exactly like the engine's `refresh_inventory`
-/// (fresh ids appended in sorted order) and freezes both the serve
-/// snapshot and the receiver's sorted snapshot + request for the round.
+/// `predict` freezes every endpoint's snapshot when it opens the
+/// round's sessions, before any frame of the round moves; byte parity
+/// with the oracle therefore requires the daemon to do the same. Each
+/// [`Node::advance_round`] call is one such barrier: it appends the ids
+/// gained since the last barrier to the sender inventory (in sorted
+/// order) and freezes both the serve snapshot and the receiver's sorted
+/// snapshot + request for the round.
 #[derive(Debug)]
 struct Rounds {
-    /// Sender inventory in the engine's canonical order: the initial
-    /// share, then each barrier's fresh ids appended in sorted order.
+    /// Sender inventory: the initial share, then each barrier's fresh
+    /// ids appended in sorted order.
     inventory: Vec<u64>,
     /// Frozen serve (sender-side) snapshots, indexed by round.
     serve: Vec<WorkingSet>,
@@ -472,9 +472,9 @@ impl Node {
         (self.rounds.lock().expect("rounds lock").serve.len() - 1) as u32
     }
 
-    /// One round barrier: refreshes the sender inventory the way the
-    /// engine's `refresh_inventory` does (fresh ids appended in sorted
-    /// order) and freezes both sides' snapshots for the new round.
+    /// One round barrier: appends the ids gained since the last barrier
+    /// to the sender inventory (in sorted order) and freezes both sides'
+    /// snapshots for the new round.
     /// Returns the new round number.
     ///
     /// The harness calls this on *every* node before any node dials the
@@ -510,10 +510,10 @@ impl Node {
 
     /// Runs every planned fetch of this node concurrently — one thread
     /// per upstream peer — and returns the reports in plan order.
-    /// Sessions construct their receiver machines exactly as
-    /// `OverlayNet::connect_session` does: snapshot = the ids held at
-    /// the round barrier, sorted; request = symbols missing at the
-    /// barrier; machine seed derived from `round_seed` of the link.
+    /// Sessions construct their receiver machines exactly as `predict`
+    /// does: snapshot = the ids held at the round barrier, sorted;
+    /// request = symbols missing at the barrier; machine seed derived
+    /// from `round_seed` of the link.
     /// A node that was complete at the barrier dials nobody. Peers
     /// missing from `roster` report `"peer not in roster"` without
     /// dialing.
@@ -741,7 +741,7 @@ pub(crate) fn retry_seed(link_seed: u64, round: u32, attempt: u32) -> u64 {
     icd_util::hash::mix64(round_seed(link_seed, round) ^ RETRY_SEED_SALT ^ u64::from(attempt))
 }
 
-/// Dials `from` and runs one fetch session, mirroring the engine's
+/// Dials `from` and runs one fetch session, mirroring `predict`'s
 /// receiver-side construction — then, on *transient* failure (peer
 /// closed, deadline fired, stream truncated mid-frame, dial refused),
 /// redials under the job's [`RetryPolicy`].
@@ -905,7 +905,7 @@ fn dial_once(
         return Err(("hello write failed", WireStats::default(), 0, true));
     }
 
-    // Receiver snapshot exactly as `connect_session` builds it: the
+    // Receiver snapshot exactly as `predict` builds it: the
     // ids held at the barrier (or, on a resumption, right now),
     // *sorted*, expanded through the shared payload convention.
     let snapshot = WorkingSet::from_symbols(snapshot_ids.iter().map(|&sym_id| {

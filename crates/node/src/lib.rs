@@ -3,8 +3,8 @@
 //! Everything below the socket is shared with the rest of the
 //! workspace — the sans-I/O [`icd_core::ReceiverMachine`] /
 //! [`icd_core::SenderMachine`] pair emits the exact `icd-wire` frames
-//! the discrete-event simulator books, so a swarm of OS processes and
-//! an [`icd_overlay::OverlayNet`] run of the same topology and seed
+//! an in-memory [`icd_core::FramePump`] moves, so a swarm of OS
+//! processes and a [`plan::predict`] run of the same topology and seed
 //! move **byte-identical traffic on every link**. That is the crate's
 //! load-bearing claim, and `tests/swarm_harness.rs` enforces it by
 //! spawning real daemons and diffing their per-link wire counters
@@ -13,7 +13,8 @@
 //! * `plan` — the deterministic distribution plan: universe ids,
 //!   per-node initial shares, directed session links with per-link
 //!   seeds, all pure functions of a [`plan::DistributionSpec`]; plus
-//!   the simulator-backed [`plan::predict`] oracle.
+//!   the [`plan::predict`] oracle, which runs every round's sessions
+//!   in-process as lockstep [`icd_core::FramePump`] pairs.
 //! * `shared` — the one working set a node's connection threads
 //!   share: mutex-guarded cross-session symbol ingestion with
 //!   duplicate-free distinct counting.

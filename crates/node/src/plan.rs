@@ -10,17 +10,22 @@
 //! nothing about the object or the topology ever crosses the wire
 //! out-of-band.
 //!
-//! [`predict`] runs the same plan through [`OverlayNet`] session links
-//! and reports what the real swarm must reproduce: completion, distinct
-//! counts, and per-link wire bytes — exact, because both worlds pump
-//! machines constructed from identical `(working set, request, seed)`
-//! triples (see [`icd_overlay::session_machine_seeds`]).
+//! [`predict`] runs the same plan in-process, one [`FramePump`] per
+//! planned link stepped in lockstep, and reports what the real swarm
+//! must reproduce: completion, distinct counts, and per-link wire bytes
+//! — exact, because both worlds pump machines constructed from
+//! identical `(working set, request, seed)` triples (see
+//! [`icd_overlay::session_machine_seeds`]).
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 
-use icd_overlay::net::RunLimit;
-use icd_overlay::{Link, OverlayNet, StopReason, SymbolId};
+use icd_core::{
+    FramePump, PumpStep, ReceiverMachine, SenderMachine, SessionAction, SessionConfig, WorkingSet,
+};
+use icd_fountain::EncodedSymbol;
+use icd_overlay::{session_machine_seeds, session_payload, SymbolId};
 use icd_swarm::{build_topology, PeerId, Topology, TopologyKind};
 use icd_util::hash::mix64;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
@@ -314,7 +319,8 @@ impl SwarmPlan {
 pub struct Prediction {
     /// Per-node completion (seeders trivially true).
     pub completed: Vec<bool>,
-    /// Per-node distinct symbol count at the end.
+    /// Per-node distinct symbol count at the end (seeders: the whole
+    /// universe).
     pub distinct: Vec<usize>,
     /// Per-link wire bytes (both directions of the session, framed),
     /// summed over all rounds, in [`SwarmPlan::links`] order. Lossless
@@ -333,72 +339,22 @@ impl Prediction {
     }
 }
 
-/// Runs `plan` through [`OverlayNet`] session links and reports the
-/// outcome, round by round exactly as the daemons execute it: round
-/// `r` reconnects a session on every link whose receiver is still
-/// incomplete (fresh snapshots via the engine's refresh-on-connect,
-/// session seed `round_seed`) and drains it fully before the next
-/// round's snapshots freeze. No observers are registered, so
-/// [`OverlayNet::run`] returns only when every session has drained —
-/// exactly when the real daemons' blocking drivers return — and the
-/// per-barrier node states in both worlds are identical, which is what
-/// makes the per-link byte counts an exact oracle.
+/// Runs `plan` round by round exactly as the daemons execute it and
+/// reports the outcome. Round `r` freezes every node's held set, opens
+/// a session on every link whose receiver is still incomplete (session
+/// seed `round_seed`), and steps the sessions' [`FramePump`]s in
+/// lockstep until all are idle; only then does the next round's
+/// snapshot freeze. Each session is a pure function of its frozen
+/// `(snapshot, request, seed)` triple, and the daemons freeze the same
+/// triples at their round barriers, which is what makes the per-link
+/// byte counts an exact oracle.
 ///
 /// # Panics
-/// If the engine rejects a planned link (cannot happen for a valid
-/// plan) or a round fails to drain within a generous tick budget.
+/// If a session breaks the protocol (a machine bug: both ends are
+/// built from the same plan).
 #[must_use]
 pub fn predict(plan: &SwarmPlan) -> Prediction {
-    let spec = &plan.spec;
-    let mut net = OverlayNet::new(spec.seed).with_payload_bytes(spec.payload);
-    let mut nodes = Vec::with_capacity(spec.nodes);
-    for n in 0..spec.nodes {
-        let id = if spec.is_seeder(n) {
-            net.add_seeder(&plan.shares[n])
-        } else {
-            net.add_node(&plan.shares[n], spec.universe)
-        };
-        nodes.push(id);
-    }
-    let mut link_bytes = vec![0u64; plan.links.len()];
-    let mut rounds = 0;
-    for round in 0..MAX_ROUNDS {
-        let pending: Vec<usize> = (0..plan.links.len())
-            .filter(|&i| !net.node_complete(nodes[plan.links[i].to]))
-            .collect();
-        if pending.is_empty() {
-            break;
-        }
-        rounds = round + 1;
-        let round_links: Vec<(usize, _)> = pending
-            .iter()
-            .map(|&i| {
-                let link = &plan.links[i];
-                let id = net
-                    .connect_session(
-                        nodes[link.from],
-                        nodes[link.to],
-                        Link::default(),
-                        round_seed(link.seed, round),
-                    )
-                    .expect("planned links are well-formed");
-                (i, id)
-            })
-            .collect();
-        let reason = net.run(RunLimit::ticks(1_000_000_000));
-        assert_eq!(reason, StopReason::Stalled, "sessions must drain");
-        for (i, l) in round_links {
-            let (sent, delivered) = net.link_wire_bytes(l);
-            assert_eq!(sent, delivered, "plan links are lossless");
-            link_bytes[i] += sent;
-        }
-    }
-    Prediction {
-        completed: nodes.iter().map(|&n| net.node_complete(n)).collect(),
-        distinct: nodes.iter().map(|&n| net.node_distinct(n)).collect(),
-        link_bytes,
-        rounds,
-    }
+    replay(plan, &[], 0).0
 }
 
 /// A [`predict`]-style oracle for a run with injected session cuts:
@@ -406,11 +362,12 @@ pub fn predict(plan: &SwarmPlan) -> Prediction {
 ///
 /// Unlike the fault-free prediction this is a **bound**, not a
 /// byte-equality oracle: the daemon's chaos hook cuts a session after a
-/// frame budget while the replay cuts on a tick boundary, so the two
-/// worlds sever at slightly different points in the symbol stream. The
-/// replay still pins down the structure — which links pay twice, how
-/// many resumption sessions run — and [`FaultyPrediction::byte_bound`]
-/// turns that into a ceiling the chaos harness asserts against.
+/// frame budget while the replay cuts after a number of lockstep pump
+/// steps, so the two worlds sever at slightly different points in the
+/// symbol stream. The replay still pins down the structure — which
+/// links pay twice, how many resumption sessions run — and
+/// [`FaultyPrediction::byte_bound`] turns that into a ceiling the chaos
+/// harness asserts against.
 #[derive(Debug, Clone)]
 pub struct FaultyPrediction {
     /// The fault-free oracle for the same plan.
@@ -428,8 +385,8 @@ impl FaultyPrediction {
     /// Ceiling on total wire bytes a recovering daemon swarm may move:
     /// the costlier of the two replays, plus two full fault-free
     /// sessions of slack per severed link (one for the dead attempt's
-    /// worst case, one for timing skew between the daemon's
-    /// frame-budget cut and the replay's tick cut).
+    /// worst case, one for skew between the daemon's frame-budget cut
+    /// and the replay's step-count cut).
     #[must_use]
     pub fn byte_bound(&self) -> u64 {
         let slack: u64 = self
@@ -441,22 +398,24 @@ impl FaultyPrediction {
     }
 }
 
-/// Replays `plan` with the listed `(from, to)` session links severed
-/// `cut_ticks` into round 0 and resumed immediately — the simulator
-/// twin of the daemon's `ServeChaos` + retry recovery. The resumption
-/// session reconnects on the receiver's *current* state (the engine's
-/// refresh-on-connect), exactly mirroring the daemon's `Live`-epoch
-/// redial, under the same `retry_seed` the daemon would use.
+/// Replays `plan` with the listed `(from, to)` session links severed in
+/// round 0 and resumed immediately — the simulator twin of the daemon's
+/// `ServeChaos` + retry recovery. The round's sessions open at tick 0
+/// and lockstep step `k` is tick `k`; the cut lands at tick
+/// `cut_ticks`, before that step runs, unless the round drained first.
+/// The resumption session is built on both peers' *current* sets,
+/// mirroring the daemon's `Live`-epoch redial, under the same
+/// `retry_seed` the daemon would use.
 ///
 /// # Panics
-/// If a severed pair is not a planned link, or a round fails to drain.
+/// If a severed pair is not a planned link, or a session breaks the
+/// protocol.
 #[must_use]
 pub fn predict_faulty(
     plan: &SwarmPlan,
     severed_pairs: &[(PeerId, PeerId)],
     cut_ticks: u64,
 ) -> FaultyPrediction {
-    let base = predict(plan);
     let severed: Vec<usize> = severed_pairs
         .iter()
         .map(|&(from, to)| {
@@ -466,103 +425,133 @@ pub fn predict_faulty(
                 .expect("severed pair is a planned link")
         })
         .collect();
-
-    let spec = &plan.spec;
-    let mut net = OverlayNet::new(spec.seed).with_payload_bytes(spec.payload);
-    let mut nodes = Vec::with_capacity(spec.nodes);
-    for n in 0..spec.nodes {
-        let id = if spec.is_seeder(n) {
-            net.add_seeder(&plan.shares[n])
-        } else {
-            net.add_node(&plan.shares[n], spec.universe)
-        };
-        nodes.push(id);
-    }
-    let mut link_bytes = vec![0u64; plan.links.len()];
-    let mut rounds = 0;
-    let mut retries = 0u64;
-    for round in 0..MAX_ROUNDS {
-        let pending: Vec<usize> = (0..plan.links.len())
-            .filter(|&i| !net.node_complete(nodes[plan.links[i].to]))
-            .collect();
-        if pending.is_empty() {
-            break;
-        }
-        rounds = round + 1;
-        let mut round_links: Vec<(usize, _)> = pending
-            .iter()
-            .map(|&i| {
-                let link = &plan.links[i];
-                let id = net
-                    .connect_session(
-                        nodes[link.from],
-                        nodes[link.to],
-                        Link::default(),
-                        round_seed(link.seed, round),
-                    )
-                    .expect("planned links are well-formed");
-                (i, id)
-            })
-            .collect();
-        if round == 0 && !severed.is_empty() {
-            let pause = net.now() + cut_ticks;
-            let reason = net.run(RunLimit {
-                max_ticks: 1_000_000_000,
-                stop_before: Some(pause),
-            });
-            // If the round drained before the cut (tiny spec), there is
-            // nothing left to sever and no resumption runs.
-            if reason == StopReason::Paused {
-                for slot in &mut round_links {
-                    let (i, l) = *slot;
-                    if !severed.contains(&i) {
-                        continue;
-                    }
-                    // Bill the dead attempt, cut it, redial on the
-                    // receiver's current state.
-                    let (sent, _) = net.link_wire_bytes(l);
-                    link_bytes[i] += sent;
-                    net.disconnect(l);
-                    let link = &plan.links[i];
-                    let resumed = net
-                        .connect_session(
-                            nodes[link.from],
-                            nodes[link.to],
-                            Link::default(),
-                            retry_seed_for_replay(link.seed, round),
-                        )
-                        .expect("resumption link is well-formed");
-                    retries += 1;
-                    *slot = (i, resumed);
-                }
-            }
-        }
-        let reason = net.run(RunLimit::ticks(1_000_000_000));
-        assert_eq!(reason, StopReason::Stalled, "sessions must drain");
-        for (i, l) in round_links {
-            let (sent, _) = net.link_wire_bytes(l);
-            link_bytes[i] += sent;
-        }
-    }
-    let faulty = Prediction {
-        completed: nodes.iter().map(|&n| net.node_complete(n)).collect(),
-        distinct: nodes.iter().map(|&n| net.node_distinct(n)).collect(),
-        link_bytes,
-        rounds,
-    };
+    let (faulty, retries) = replay(plan, &severed, cut_ticks);
     FaultyPrediction {
-        base,
+        base: predict(plan),
         faulty,
         severed,
         retries,
     }
 }
 
-/// The session seed the daemon's first redial of a round-`round` fetch
-/// uses (`crate::daemon`'s retry attempt 2) — re-derived here so the
-/// replay and the real recovery draw identical symbol streams.
-fn retry_seed_for_replay(link_seed: u64, round: u32) -> u64 {
-    crate::daemon::retry_seed(link_seed, round, 2)
+/// One planned link's session in a round: its machine pair and the
+/// in-memory pump between them.
+struct Session {
+    /// Index into [`SwarmPlan::links`].
+    link: usize,
+    receiver: ReceiverMachine,
+    sender: SenderMachine,
+    pump: FramePump,
+}
+
+impl Session {
+    /// Opens the session on plan link `link` over the peers' current
+    /// sets: each side's ids, sorted, expanded through
+    /// [`session_payload`]; the request is what the receiver still
+    /// misses (at least one); both machine seeds derive from `seed`.
+    fn open(plan: &SwarmPlan, held: &[BTreeSet<SymbolId>], link: usize, seed: u64) -> Self {
+        let spec = &plan.spec;
+        let PlannedLink { from, to, .. } = plan.links[link];
+        let working = |n: PeerId| {
+            WorkingSet::from_symbols(held[n].iter().map(|&id| EncodedSymbol {
+                id,
+                payload: session_payload(id, spec.payload),
+            }))
+        };
+        let request = spec.universe.saturating_sub(held[to].len()).max(1) as u64;
+        let (receiver_seed, sender_seed) = session_machine_seeds(seed);
+        let config = SessionConfig::new()
+            .with_request(request)
+            .with_seed(receiver_seed);
+        let mut session = Self {
+            link,
+            receiver: ReceiverMachine::new(working(to), config),
+            sender: SenderMachine::new(working(from), sender_seed),
+            pump: FramePump::new(),
+        };
+        session
+            .pump
+            .start(&mut session.receiver, &mut session.sender, &mut Vec::new())
+            .expect("fresh machines accept PeerConnected");
+        session
+    }
+
+    /// One pump step; every symbol the receiver decodes joins `held`,
+    /// the fetching peer's set. Returns whether a frame moved.
+    fn step(&mut self, held: &mut BTreeSet<SymbolId>, actions: &mut Vec<SessionAction>) -> bool {
+        let step = self
+            .pump
+            .step(&mut self.receiver, &mut self.sender, actions)
+            .unwrap_or_else(|e| panic!("session on plan link {} broke protocol: {e}", self.link));
+        for action in actions.drain(..) {
+            if let SessionAction::SymbolDecoded(id) = action {
+                held.insert(id);
+            }
+        }
+        step == PumpStep::Progressed
+    }
+
+    /// Framed bytes delivered so far, both directions.
+    fn wire_bytes(&self) -> u64 {
+        let (to_sender, to_receiver) = self.pump.wire_bytes();
+        to_sender + to_receiver
+    }
+}
+
+/// The round loop behind [`predict`] and [`predict_faulty`]: severs the
+/// `severed` plan links at tick `cut_ticks` of round 0 (nothing when
+/// `severed` is empty) and returns the outcome plus the resumption
+/// sessions opened.
+fn replay(plan: &SwarmPlan, severed: &[usize], cut_ticks: u64) -> (Prediction, u64) {
+    let spec = &plan.spec;
+    let mut held: Vec<BTreeSet<SymbolId>> = plan
+        .shares
+        .iter()
+        .map(|share| share.iter().copied().collect())
+        .collect();
+    let mut link_bytes = vec![0u64; plan.links.len()];
+    let mut rounds = 0;
+    let mut retries = 0u64;
+    let mut actions = Vec::new();
+    for round in 0..MAX_ROUNDS {
+        let mut sessions: Vec<Session> = (0..plan.links.len())
+            .filter(|&i| held[plan.links[i].to].len() < spec.universe)
+            .map(|i| Session::open(plan, &held, i, round_seed(plan.links[i].seed, round)))
+            .collect();
+        if sessions.is_empty() {
+            break;
+        }
+        rounds = round + 1;
+        for tick in 1.. {
+            if round == 0 && tick == cut_ticks.max(1) {
+                for session in sessions.iter_mut().filter(|s| severed.contains(&s.link)) {
+                    // Bill the dead attempt, redial on the current sets.
+                    link_bytes[session.link] += session.wire_bytes();
+                    let seed = crate::daemon::retry_seed(plan.links[session.link].seed, round, 2);
+                    *session = Session::open(plan, &held, session.link, seed);
+                    retries += 1;
+                }
+            }
+            let mut progressed = false;
+            for session in &mut sessions {
+                let to = plan.links[session.link].to;
+                progressed |= session.step(&mut held[to], &mut actions);
+            }
+            if !progressed {
+                break;
+            }
+        }
+        for session in &sessions {
+            link_bytes[session.link] += session.wire_bytes();
+        }
+    }
+    let prediction = Prediction {
+        completed: held.iter().map(|h| h.len() >= spec.universe).collect(),
+        distinct: held.iter().map(BTreeSet::len).collect(),
+        link_bytes,
+        rounds,
+    };
+    (prediction, retries)
 }
 
 #[cfg(test)]
@@ -648,11 +637,8 @@ mod tests {
         let plan = SwarmPlan::new(spec());
         let p = predict(&plan);
         assert!(p.completed.iter().all(|&c| c), "distribution must finish");
-        // Seeders hold the object outside their (empty) receiver; every
-        // leecher must end with the full universe.
-        for n in plan.spec.seeders..plan.spec.nodes {
-            assert_eq!(p.distinct[n], plan.spec.universe);
-        }
+        // Every node, seeder or leecher, ends with the full universe.
+        assert!(p.distinct.iter().all(|&d| d == plan.spec.universe));
         assert!(p.link_bytes.iter().all(|&b| b > 0));
         assert!(
             (1..=4).contains(&p.rounds),

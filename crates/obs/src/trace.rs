@@ -34,13 +34,6 @@ pub enum TraceEvent {
         /// Framed wire length in bytes.
         frame_len: u64,
     },
-    /// A session link moved one real wire frame (sans-I/O machines).
-    SessionFrame {
-        /// Engine link index.
-        link: u64,
-        /// Framed wire length in bytes.
-        frame_len: u64,
-    },
     /// A strategy link's connect-time reconciliation handshake.
     SummaryExchanged {
         /// Sender node.
@@ -119,7 +112,6 @@ impl TraceEvent {
     pub(crate) fn tag(&self) -> &'static str {
         match self {
             TraceEvent::LinkSend { .. } => "link_send",
-            TraceEvent::SessionFrame { .. } => "session_frame",
             TraceEvent::SummaryExchanged { .. } => "summary_exchanged",
             TraceEvent::LinkUp { .. } => "link_up",
             TraceEvent::LinkDown { .. } => "link_down",
@@ -293,9 +285,6 @@ fn write_record(out: &mut String, rec: &TraceRecord) {
                  \"components\":{components},\"frame_len\":{frame_len}"
             );
         }
-        TraceEvent::SessionFrame { link, frame_len } => {
-            let _ = write!(out, ",\"link\":{link},\"frame_len\":{frame_len}");
-        }
         TraceEvent::SummaryExchanged {
             from,
             to,
@@ -410,10 +399,6 @@ fn parse_record(line: &str) -> Result<TraceRecord, String> {
             recoded: boolean("recoded")?,
             lost: boolean("lost")?,
             components: num("components")?,
-            frame_len: num("frame_len")?,
-        },
-        "session_frame" => TraceEvent::SessionFrame {
-            link: num("link")?,
             frame_len: num("frame_len")?,
         },
         "summary_exchanged" => TraceEvent::SummaryExchanged {
@@ -573,10 +558,6 @@ mod tests {
                 lost: false,
                 components: 5,
                 frame_len: 1434,
-            },
-            TraceEvent::SessionFrame {
-                link: 0,
-                frame_len: 77,
             },
             TraceEvent::SummaryExchanged {
                 from: 1,

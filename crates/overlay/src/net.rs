@@ -13,9 +13,9 @@
 //!   target;
 //! * a set of directed **links**, each owning an independent per-link
 //!   sender pump (an `icd-core` [`StrategySender`] — the same §6.2
-//!   sender the session machines frame — a
-//!   [`crate::strategy::FullSender`], or an `icd-core` session-machine
-//!   pair) plus the link's rate, latency, and loss parameters;
+//!   sender the session machines frame — or a
+//!   [`crate::strategy::FullSender`]) plus the link's rate, latency, and
+//!   loss parameters;
 //! * a **binary-heap queue of in-flight packets keyed by `(time, seq)`**
 //!   — `seq` is a global monotone counter assigned at scheduling time, so
 //!   two arrivals at the same tick replay in exactly the order they were
@@ -36,13 +36,11 @@
 
 use std::cmp::Ordering;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use bytes::Bytes;
-use icd_core::machine::{ReceiverMachine, SenderMachine, SessionAction, SessionEvent};
 use icd_core::strategy::{PacketScratch, StrategySender};
-use icd_core::{select_summary, PolicyKnobs, SessionConfig, WorkingSet};
-use icd_fountain::EncodedSymbol;
+use icd_core::{select_summary, PolicyKnobs};
 use icd_obs::{TraceEvent, TraceHandle};
 use icd_sketch::{MinwiseSketch, PermutationFamily};
 use icd_summary::{DiffEstimate, SummaryId, SummaryRegistry, SummarySizing};
@@ -52,7 +50,7 @@ use icd_wire::budget::PACKET_BYTES;
 use icd_wire::framing::write_frame_buf;
 use icd_wire::{
     encoded_symbol_frame_len, minwise_frame_len, recoded_symbol_frame_len, summary_frame_len,
-    symbol_request_frame_len, Message, FRAME_PREFIX_BYTES,
+    symbol_request_frame_len, Message,
 };
 
 use crate::calendar::SendCalendar;
@@ -187,7 +185,7 @@ impl ConnectSpec {
 }
 
 /// An in-flight packet (latency > 0) on its way to a destination — the
-/// heap-resident event kind. Send opportunities are not materialized as
+/// only heap-resident event. Send opportunities are not materialized as
 /// events: they recur on a fixed per-link cadence, so the engine
 /// regenerates them from each link's `next_send` state (scanned in link
 /// order, which *is* their `(time, seq)` order) instead of letting them
@@ -197,23 +195,8 @@ struct Event {
     time: Time,
     seq: u64,
     link: LinkId,
-    kind: EventKind,
-}
-
-/// What is in flight: packet links carry symbol-level packets, session
-/// links carry the actual encoded wire frames their machines emitted.
-#[derive(Debug)]
-enum EventKind {
-    Packet {
-        recoded: bool,
-        ids: Vec<SymbolId>,
-    },
-    Frame {
-        /// Direction within the (bidirectional) session: `true` for
-        /// sender → receiver frames, `false` for the control backflow.
-        to_receiver: bool,
-        frame: Bytes,
-    },
+    recoded: bool,
+    ids: Vec<SymbolId>,
 }
 
 impl PartialEq for Event {
@@ -333,12 +316,7 @@ impl NodeState {
 enum LinkSource {
     Strategy(StrategySender),
     Fountain(FullSender),
-    /// A payload-true link: a sans-I/O receiver/sender machine pair from
-    /// `icd-core`, pumped frame-by-frame by the engine. Everything that
-    /// crosses the link — sketches, summaries, requests, symbols, End —
-    /// is the actual `icd-wire` frame the machines produced.
-    Session(Box<SessionLink>),
-    /// A torn-down packet link: its pump was dropped at disconnect.
+    /// A torn-down link: its pump was dropped at disconnect.
     Closed,
 }
 
@@ -351,29 +329,9 @@ impl LinkSource {
                 fountain.emit(scratch);
                 true
             }
-            LinkSource::Session(_) => {
-                unreachable!("session links pump frames, not packets")
-            }
             LinkSource::Closed => unreachable!("a torn-down link never sends"),
         }
     }
-}
-
-/// State of one session link: the two machines and their frame outboxes.
-/// The engine is the driver — each send opportunity moves at most one
-/// frame per direction (mirroring `FramePump::step`), applies
-/// rate/latency/loss to the real framed byte length, and feeds arrivals
-/// back in as [`SessionEvent::FrameReceived`].
-#[derive(Debug)]
-struct SessionLink {
-    receiver: ReceiverMachine,
-    sender: SenderMachine,
-    /// Frames queued at the sender end, heading to the receiver.
-    to_receiver: VecDeque<Bytes>,
-    /// Frames queued at the receiver end, heading back to the sender.
-    to_sender: VecDeque<Bytes>,
-    /// Frames currently in flight (latency > 0) on this link.
-    in_flight: u32,
 }
 
 #[derive(Debug)]
@@ -392,17 +350,13 @@ struct LinkState {
     packets_lost: u64,
     packets_delivered: u64,
     /// Framed wire bytes booked at send time: the `write_frame_buf`
-    /// length of every frame that took a send slot (lost ones included,
-    /// exactly like `packets_sent`). Packet links book the frame their
-    /// symbol *would* occupy on the wire; session links book the actual
-    /// frames their machines emitted.
+    /// length of the frame each sent symbol occupies on the wire (lost
+    /// ones included, exactly like `packets_sent`).
     bytes_sent: u64,
     /// Framed wire bytes that arrived (excludes lost frames and frames
     /// dropped by a mid-flight teardown).
     bytes_delivered: u64,
-    /// Wire-exact framed bytes of the connect-time handshake exchange
-    /// (packet links only; session links ship their handshake as
-    /// ordinary frames counted in `bytes_sent`).
+    /// Wire-exact framed bytes of the connect-time handshake exchange.
     control_bytes: u64,
     summary: Option<SummaryId>,
 }
@@ -427,18 +381,18 @@ fn estimate_free(id: SummaryId) -> bool {
 /// sender seeds.
 const LOSS_SEED_SALT: u64 = 0x1055_1CD0;
 
-/// Salts keying a session link's receiver- and sender-side machine RNG
+/// Salts keying a session's receiver- and sender-side machine RNG
 /// streams off the caller's link seed.
 const SESSION_SEED_SALT: u64 = 0x5E55_10A1;
 const SESSION_SENDER_SALT: u64 = 0x5E55_5E4D;
 
-/// The `(receiver-config, sender)` machine seeds a session link derives
-/// from its link seed — the derivation [`OverlayNet::connect_session`]
-/// applies, exported so external drivers (the `icd-node` peer daemon)
-/// can pump machines that are byte-identical to the engine's for the
-/// same topology and seed. Frame *lengths* are a function of the
-/// working sets and request alone, but frame *contents* (which symbols
-/// stream, candidate shuffle order) follow these seeds.
+/// The `(receiver-config, sender)` machine seeds a session derives from
+/// its link seed — the one derivation every session driver applies (the
+/// `icd-node` daemon on both ends of a socket, its `predict` oracle, the
+/// repo benchmark), so machines built for the same topology and seed
+/// are byte-identical wherever they run. Frame *lengths* are a function
+/// of the working sets and request alone, but frame *contents* (which
+/// symbols stream, candidate shuffle order) follow these seeds.
 #[must_use]
 pub fn session_machine_seeds(seed: u64) -> (u64, u64) {
     (
@@ -447,11 +401,12 @@ pub fn session_machine_seeds(seed: u64) -> (u64, u64) {
     )
 }
 
-/// Deterministic payload a symbol id expands to on a session link: `len`
-/// bytes of SplitMix64 keystream keyed by the id. Engine nodes track
-/// ids, not payloads; this function is the shared convention that lets
-/// both endpoints of a session link (and any test re-deriving frames)
-/// agree on payload content without storing it anywhere.
+/// Deterministic payload a symbol id expands to in a session: `len`
+/// bytes of SplitMix64 keystream keyed by the id. Plans and engine
+/// nodes track ids, not payloads; this function is the shared
+/// convention that lets both endpoints of a session (and any test
+/// re-deriving frames) agree on payload content without storing it
+/// anywhere.
 #[must_use]
 pub fn session_payload(id: SymbolId, len: usize) -> Bytes {
     let mut rng = SplitMix64::new(mix64(id ^ 0x5EA1_0AD5));
@@ -461,13 +416,6 @@ pub fn session_payload(id: SymbolId, len: usize) -> Bytes {
     }
     buf.truncate(len);
     Bytes::from(buf)
-}
-
-fn session_symbol(id: SymbolId, len: usize) -> EncodedSymbol {
-    EncodedSymbol {
-        id,
-        payload: session_payload(id, len),
-    }
 }
 
 /// Wire-exact framed byte cost of a packet link's connect-time control
@@ -567,11 +515,6 @@ pub struct OverlayNet {
     registry: &'static SummaryRegistry,
     sizing: SummarySizing,
     seed: u64,
-    /// Data-plane symbol payload size in bytes. Engine nodes track
-    /// symbol *ids*; this is the payload length every id expands to when
-    /// a link's bytes are accounted (packet links) or its frames are
-    /// actually encoded (session links, frame taps).
-    payload_bytes: usize,
     /// Observer invoked with every frame that takes a send slot, as the
     /// exact bytes `write_frame_buf` produces — the frame-parity seam.
     frame_tap: Option<FrameTap>,
@@ -618,7 +561,6 @@ impl OverlayNet {
             registry: icd_recon::shared_registry(),
             sizing: standard_sizing(),
             seed,
-            payload_bytes: PACKET_BYTES,
             frame_tap: None,
             tracer: None,
             tap_frame: Vec::new(),
@@ -626,30 +568,15 @@ impl OverlayNet {
         }
     }
 
-    /// Replaces the data-plane payload size (default: the paper's 1 KB
-    /// packet, [`PACKET_BYTES`]). Applies to links connected afterwards
-    /// and to the net's byte accounting.
-    #[must_use]
-    pub fn with_payload_bytes(mut self, bytes: usize) -> Self {
-        assert!(bytes >= 1, "payload must be at least one byte");
-        self.payload_bytes = bytes;
-        if self.frame_tap.is_some() && self.tap_payload.len() != bytes {
-            self.tap_payload = Bytes::from(vec![0u8; bytes]);
-        }
-        self
-    }
-
     /// Installs an observer called with `(link, frame)` for every frame
     /// that takes a send slot — the exact prefix+body bytes
     /// `write_frame_buf` produces, lost frames included (mirroring
-    /// `bytes_sent`). Session-link frames are handed over verbatim;
-    /// packet-link symbols are materialized as the frame they occupy on
-    /// the wire (zeroed payload, budget-true length). The packet fast
-    /// path pays nothing while no tap is installed.
+    /// `bytes_sent`): each symbol is materialized as the frame it
+    /// occupies on the wire (zeroed [`PACKET_BYTES`] payload,
+    /// budget-true length). The send path pays nothing while no tap is
+    /// installed.
     pub fn set_frame_tap<F: FnMut(LinkId, &[u8]) + 'static>(&mut self, tap: F) {
-        if self.tap_payload.len() != self.payload_bytes {
-            self.tap_payload = Bytes::from(vec![0u8; self.payload_bytes]);
-        }
+        self.tap_payload = Bytes::from(vec![0u8; PACKET_BYTES]);
         self.frame_tap = Some(FrameTap(Box::new(tap)));
     }
 
@@ -804,77 +731,6 @@ impl OverlayNet {
         ))
     }
 
-    /// Connects `from → to` as a **session link**: a sans-I/O
-    /// [`ReceiverMachine`]/[`SenderMachine`] pair from `icd-core` whose
-    /// wire frames — sketches, summaries, requests, symbols, End — are
-    /// what actually crosses the link, with rate/latency/loss applied to
-    /// the real framed byte lengths. Each endpoint's working set is the
-    /// node's current one, every id expanded to `Self::payload_bytes`
-    /// bytes via [`session_payload`]; symbols the receiver machine
-    /// decodes are mirrored into the destination node, so completion,
-    /// gain, and mixed session/packet topologies all work unchanged.
-    ///
-    /// Loss applies only to data-plane frames (encoded/recoded symbols):
-    /// the engine has no retransmission layer, and §3's handshake is a
-    /// handful of frames riding a reliable control channel.
-    pub fn connect_session(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        params: Link,
-        seed: u64,
-    ) -> Result<LinkId, ConnectError> {
-        for node in [from, to] {
-            if node.0 >= self.nodes.len() {
-                return Err(ConnectError::UnknownNode { node });
-            }
-        }
-        if from == to {
-            return Err(ConnectError::SelfLoop { node: from });
-        }
-        self.refresh_inventory(from);
-        let payload = self.payload_bytes;
-        let receiver_ws = WorkingSet::from_symbols(
-            self.nodes[to.0]
-                .working_keys()
-                .iter()
-                .map(|&id| session_symbol(id, payload)),
-        );
-        let sender_ws = WorkingSet::from_symbols(
-            self.nodes[from.0]
-                .inventory
-                .iter()
-                .map(|&id| session_symbol(id, payload)),
-        );
-        let request = self.nodes[to.0].receiver.remaining().max(1) as u64;
-        let (receiver_seed, sender_seed) = session_machine_seeds(seed);
-        let config = SessionConfig::new()
-            .with_request(request)
-            .with_seed(receiver_seed);
-        let mut receiver = ReceiverMachine::new(receiver_ws, config);
-        let mut sender = SenderMachine::new(sender_ws, sender_seed);
-        let mut to_sender = VecDeque::new();
-        for action in receiver
-            .handle(SessionEvent::PeerConnected)
-            .expect("fresh receiver accepts PeerConnected")
-        {
-            if let SessionAction::SendFrame(f) = action {
-                to_sender.push_back(f);
-            }
-        }
-        let _ = sender
-            .handle(SessionEvent::PeerConnected)
-            .expect("fresh sender accepts PeerConnected");
-        let sess = Box::new(SessionLink {
-            receiver,
-            sender,
-            to_receiver: VecDeque::new(),
-            to_sender,
-            in_flight: 0,
-        });
-        Ok(self.install_link(from, to, LinkSource::Session(sess), params, false, None, 0))
-    }
-
     /// Refreshes `node`'s advertised inventory from its live working
     /// set: symbols gained since the last connection are appended in
     /// sorted order. Called automatically on every (re)connect — §6.1
@@ -926,12 +782,9 @@ impl OverlayNet {
         if !state.exhausted {
             self.send_queue.remove(state.next_send, link.0 as u32);
         }
-        // A dead packet link never sends again: release its pump (the
-        // sender's inventory copy, candidates and recoder). Session
-        // links keep their machines for the post-run accessors.
-        if !matches!(state.source, LinkSource::Session(_)) {
-            state.source = LinkSource::Closed;
-        }
+        // A dead link never sends again: release its pump (the sender's
+        // inventory copy, candidates and recoder).
+        state.source = LinkSource::Closed;
         let (from, to) = (state.from, state.to);
         self.nodes[from.0].out_links.retain(|&l| l != link);
         self.nodes[to.0].in_links.retain(|&l| l != link);
@@ -1013,14 +866,15 @@ impl OverlayNet {
         id
     }
 
-    fn schedule_arrival(&mut self, time: Time, link: LinkId, kind: EventKind) {
+    fn schedule_arrival(&mut self, time: Time, link: LinkId, recoded: bool, ids: Vec<SymbolId>) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Reverse(Event {
             time,
             seq,
             link,
-            kind,
+            recoded,
+            ids,
         }));
     }
 
@@ -1167,15 +1021,7 @@ impl OverlayNet {
                 }
                 let Reverse(event) = self.queue.pop().expect("peeked");
                 self.events_processed += 1;
-                let reason = match event.kind {
-                    EventKind::Packet { recoded, ids } => {
-                        self.process_arrival(event.link, recoded, ids)
-                    }
-                    EventKind::Frame { to_receiver, frame } => {
-                        self.process_session_arrival(event.link, frame, to_receiver, true)
-                    }
-                };
-                if let Some(reason) = reason {
+                if let Some(reason) = self.process_arrival(event.link, event.recoded, event.ids) {
                     return reason;
                 }
             }
@@ -1192,9 +1038,6 @@ impl OverlayNet {
     }
 
     fn process_send(&mut self, l: LinkId) -> Option<StopReason> {
-        if matches!(self.links[l.0].source, LinkSource::Session(_)) {
-            return self.process_session_send(l);
-        }
         let scratch = &mut self.scratch;
         let link = &mut self.links[l.0];
         if !link.source.emit(scratch) {
@@ -1205,9 +1048,9 @@ impl OverlayNet {
         // Book the framed wire length this symbol occupies: the exact
         // `write_frame_buf` output for the corresponding message.
         let frame_len = if scratch.is_recoded() {
-            recoded_symbol_frame_len(scratch.ids().len(), self.payload_bytes)
+            recoded_symbol_frame_len(scratch.ids().len(), PACKET_BYTES)
         } else {
-            encoded_symbol_frame_len(self.payload_bytes)
+            encoded_symbol_frame_len(PACKET_BYTES)
         } as u64;
         link.bytes_sent += frame_len;
         link.next_send = self.now + link.params.interval;
@@ -1247,7 +1090,7 @@ impl OverlayNet {
             let arrival_time = self.now + latency;
             let ids = self.scratch.ids().to_vec();
             let recoded = self.scratch.is_recoded();
-            self.schedule_arrival(arrival_time, l, EventKind::Packet { recoded, ids });
+            self.schedule_arrival(arrival_time, l, recoded, ids);
             None
         }
     }
@@ -1293,9 +1136,9 @@ impl OverlayNet {
 
     fn process_arrival(&mut self, l: LinkId, recoded: bool, ids: Vec<SymbolId>) -> Option<StopReason> {
         let frame_len = if recoded {
-            recoded_symbol_frame_len(ids.len(), self.payload_bytes)
+            recoded_symbol_frame_len(ids.len(), PACKET_BYTES)
         } else {
-            encoded_symbol_frame_len(self.payload_bytes)
+            encoded_symbol_frame_len(PACKET_BYTES)
         } as u64;
         let link = &mut self.links[l.0];
         if !link.alive {
@@ -1307,173 +1150,6 @@ impl OverlayNet {
         let node = &mut self.nodes[to.0];
         let was_complete = node.receiver.is_complete();
         let gained = node.receiver.receive(&ids);
-        if gained > 0 {
-            node.working_set_changed();
-        }
-        self.completion_after_delivery(to, was_complete)
-    }
-
-    /// One send opportunity on a session link: moves at most one queued
-    /// frame per direction (mirroring `FramePump::step`), booking the
-    /// real framed byte length against the link and applying loss to
-    /// data-plane frames only.
-    fn process_session_send(&mut self, l: LinkId) -> Option<StopReason> {
-        let now = self.now;
-        let LinkState {
-            source,
-            params,
-            loss_rng,
-            next_send,
-            exhausted,
-            packets_sent,
-            packets_lost,
-            bytes_sent,
-            ..
-        } = &mut self.links[l.0];
-        let (interval, latency, loss) = (params.interval, params.latency, params.loss);
-        let LinkSource::Session(sess) = source else {
-            unreachable!("process_session_send on a packet link")
-        };
-        let fwd = sess.to_receiver.pop_front();
-        let rev = sess.to_sender.pop_front();
-        if fwd.is_none() && rev.is_none() {
-            let finished = sess.receiver.is_finished() && sess.sender.is_finished();
-            if finished || sess.in_flight == 0 {
-                // Done — or wedged with nothing in flight that could
-                // ever produce another frame.
-                *exhausted = true;
-                return None;
-            }
-            // Frames still in flight will wake the machines; idle until
-            // the next opportunity.
-            *next_send = now + interval;
-            self.send_queue.push(*next_send, l.0 as u32);
-            return None;
-        }
-        *next_send = now + interval;
-        let due = *next_send;
-        // At most two entries: one frame per direction.
-        let mut inline: [Option<(Bytes, bool)>; 2] = [None, None];
-        for (slot, (frame, to_receiver)) in [(fwd, true), (rev, false)]
-            .into_iter()
-            .filter_map(|(f, d)| f.map(|f| (f, d)))
-            .enumerate()
-        {
-            *packets_sent += 1;
-            *bytes_sent += frame.len() as u64;
-            if let Some(tracer) = &self.tracer {
-                tracer.borrow_mut().push(
-                    now,
-                    TraceEvent::SessionFrame {
-                        link: l.0 as u64,
-                        frame_len: frame.len() as u64,
-                    },
-                );
-            }
-            if let Some(tap) = self.frame_tap.as_mut() {
-                (tap.0)(l, &frame);
-            }
-            let data = frame
-                .get(FRAME_PREFIX_BYTES)
-                .copied()
-                .is_some_and(Message::is_data_tag);
-            let lost = data && loss > 0.0 && {
-                let draw = (loss_rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-                draw < loss
-            };
-            if lost {
-                *packets_lost += 1;
-                continue;
-            }
-            if latency == 0 {
-                inline[slot] = Some((frame, to_receiver));
-            } else {
-                sess.in_flight += 1;
-                let seq = self.seq;
-                self.seq += 1;
-                self.queue.push(Reverse(Event {
-                    time: now + latency,
-                    seq,
-                    link: l,
-                    kind: EventKind::Frame { to_receiver, frame },
-                }));
-            }
-        }
-        // Calendar first (as in the packet path) so an early Completed
-        // return leaves resumable state.
-        self.send_queue.push(due, l.0 as u32);
-        for (frame, to_receiver) in inline.into_iter().flatten() {
-            if let Some(reason) = self.process_session_arrival(l, frame, to_receiver, false) {
-                return Some(reason);
-            }
-        }
-        None
-    }
-
-    /// Lands one session-link frame: feeds it to the destination-side
-    /// machine, queues whatever frames the machine answers with, and
-    /// mirrors every symbol the receiver machine decodes into the
-    /// destination node's engine-side receiver (so completion, gain, and
-    /// calling-card invalidation work exactly as for packet links).
-    fn process_session_arrival(
-        &mut self,
-        l: LinkId,
-        frame: Bytes,
-        to_receiver: bool,
-        from_queue: bool,
-    ) -> Option<StopReason> {
-        let LinkState {
-            source,
-            alive,
-            to,
-            packets_delivered,
-            bytes_delivered,
-            ..
-        } = &mut self.links[l.0];
-        let to = *to;
-        let LinkSource::Session(sess) = source else {
-            return None;
-        };
-        if from_queue {
-            sess.in_flight -= 1;
-        }
-        if !*alive {
-            return None; // torn down mid-flight: the frame is gone
-        }
-        *packets_delivered += 1;
-        *bytes_delivered += frame.len() as u64;
-        let actions = if to_receiver {
-            sess.receiver.handle(SessionEvent::FrameReceived(frame))
-        } else {
-            sess.sender.handle(SessionEvent::FrameReceived(frame))
-        };
-        // A frame both machines agreed on cannot fail to parse or
-        // violate the protocol: an error here is an engine bug, and the
-        // deterministic seed in the message reproduces it.
-        let actions = actions.unwrap_or_else(|e| panic!("session link {} broke protocol: {e}", l.0));
-        let mut decoded: Vec<SymbolId> = Vec::new();
-        for action in actions {
-            match action {
-                SessionAction::SendFrame(f) => {
-                    if to_receiver {
-                        sess.to_sender.push_back(f);
-                    } else {
-                        sess.to_receiver.push_back(f);
-                    }
-                }
-                SessionAction::SymbolDecoded(id) => decoded.push(id),
-                _ => {}
-            }
-        }
-        if decoded.is_empty() {
-            return None;
-        }
-        let node = &mut self.nodes[to.0];
-        let was_complete = node.receiver.is_complete();
-        let mut gained = 0;
-        for id in decoded {
-            gained += node.receiver.receive(&[id]);
-        }
         if gained > 0 {
             node.working_set_changed();
         }
@@ -1576,8 +1252,7 @@ impl OverlayNet {
     }
 
     /// Wire-exact framed bytes of link `l`'s connect-time control
-    /// exchange (zero for full links, and for session links,
-    /// whose handshake frames are counted in [`Self::link_wire_bytes`]).
+    /// exchange (zero for full links).
     #[must_use]
     pub(crate) fn link_control_bytes(&self, l: LinkId) -> u64 {
         self.links[l.0].control_bytes
@@ -1607,18 +1282,6 @@ impl OverlayNet {
             .iter()
             .map(|l| l.bytes_sent - l.bytes_delivered)
             .sum()
-    }
-
-    /// Whether a session link's machine pair has finished (both sides).
-    /// `false` for packet links.
-    #[must_use]
-    pub fn session_link_finished(&self, l: LinkId) -> bool {
-        match &self.links[l.0].source {
-            LinkSource::Session(sess) => {
-                sess.receiver.is_finished() && sess.sender.is_finished()
-            }
-            _ => false,
-        }
     }
 
     /// Whether link `l`'s source has exhausted.
@@ -2223,125 +1886,10 @@ mod tests {
             .try_connect(stale, r, StrategyKind::Random, Link::default(), ConnectSpec::seeded(2))
             .expect_err("stale source");
         assert_eq!(err, ConnectError::UnknownNode { node: stale });
-        assert_eq!(
-            net.connect_session(s, stale, Link::default(), 3).expect_err("stale session"),
-            ConnectError::UnknownNode { node: stale }
-        );
         // The net survives the refusal: a valid rewire still works.
         net.set_observer(r, true);
         net.connect(s, r, StrategyKind::Random, Link::default(), ConnectSpec::seeded(4));
         assert_eq!(net.run(RunLimit::ticks(1_000)), StopReason::Completed);
-    }
-
-    #[test]
-    fn session_link_completes_with_wire_exact_bytes() {
-        // A session link moves actual icd-wire frames; the engine's byte
-        // counters must equal the summed lengths of exactly those frames.
-        // The target is set one above what the sender holds, so the run
-        // stalls only after the session drains completely (a Completed
-        // stop returns the moment the observer finishes, which can leave
-        // the session's closing End frame still queued).
-        let mut net = OverlayNet::new(36).with_payload_bytes(64);
-        let r = net.add_node(&[1, 2, 3], 41);
-        net.set_observer(r, true);
-        let inventory: Vec<SymbolId> = (1..=40).collect();
-        let s = net.add_seeder(&inventory);
-        let tapped = std::rc::Rc::new(std::cell::RefCell::new((0u64, 0u64)));
-        let sink = std::rc::Rc::clone(&tapped);
-        net.set_frame_tap(move |_, frame| {
-            let mut t = sink.borrow_mut();
-            t.0 += 1;
-            t.1 += frame.len() as u64;
-        });
-        let l = net.connect_session(s, r, Link::default(), 0xF00D).expect("wired");
-        let stop = net.run(RunLimit::ticks(10_000));
-        assert_eq!(stop, StopReason::Stalled);
-        assert_eq!(net.node_distinct(r), 40, "every sender symbol landed");
-        assert!(net.session_link_finished(l));
-        assert!(net.link_exhausted(l), "drained session link goes idle");
-        assert!(
-            matches!(
-                &net.links[l.0].source,
-                LinkSource::Session(sess) if sess.receiver.plan().is_some()
-            ),
-            "handshake resolved a plan"
-        );
-        let (sent, delivered) = net.link_wire_bytes(l);
-        assert_eq!(sent, delivered, "lossless link delivers every frame");
-        let (frames, bytes) = *tapped.borrow();
-        assert_eq!(bytes, sent, "tap saw exactly the booked bytes");
-        let (packets_sent, _, _) = net.link_packets(l);
-        assert_eq!(frames, packets_sent, "every frame took a send slot");
-        assert_eq!(net.link_control_bytes(l), 0, "handshake frames ride in bytes_sent");
-    }
-
-    #[test]
-    fn session_link_rides_latency_and_interval() {
-        let mut net = OverlayNet::new(37).with_payload_bytes(32);
-        let r = net.add_node(&[], 12);
-        net.set_observer(r, true);
-        let inventory: Vec<SymbolId> = (100..112).collect();
-        let s = net.add_seeder(&inventory);
-        let link = Link {
-            interval: 2,
-            latency: 3,
-            loss: 0.0,
-        };
-        let l = net.connect_session(s, r, link, 0xBEEF).expect("wired");
-        assert_eq!(net.run(RunLimit::ticks(100_000)), StopReason::Completed);
-        assert_eq!(net.node_distinct(r), 12);
-        let (sent, delivered, lost) = net.link_packets(l);
-        assert_eq!(lost, 0);
-        assert!(delivered <= sent, "completion can strand queued frames");
-        // Rate 1/2 with a frame per direction per slot: the handshake
-        // plus 12 symbols plus End need well over a dozen ticks.
-        assert!(net.now() > 12, "interval and latency must slow the run");
-    }
-
-    #[test]
-    fn session_link_loss_hits_data_frames_only() {
-        // Loss must never deadlock the handshake: control frames ride a
-        // reliable channel, data frames drop i.i.d. A one-shot session
-        // plan loses withheld symbols forever (the §2 argument), so the
-        // run ends in a stall with the receiver short — never a hang.
-        let mut net = OverlayNet::new(38).with_payload_bytes(32);
-        let r = net.add_node(&[], 400);
-        net.set_observer(r, true);
-        let inventory: Vec<SymbolId> = (0..400).collect();
-        let s = net.add_seeder(&inventory);
-        let l = net.connect_session(s, r, Link::lossy(0.25), 0xD1CE).expect("wired");
-        let stop = net.run(RunLimit::ticks(100_000));
-        assert!(
-            matches!(stop, StopReason::Completed | StopReason::Stalled),
-            "lossy session must terminate, got {stop:?}"
-        );
-        let (sent, delivered, lost) = net.link_packets(l);
-        assert!(lost > 0, "a quarter of data frames should drop");
-        assert_eq!(delivered + lost, sent);
-        assert!(net.node_distinct(r) > 200, "most symbols still land");
-        let (bytes_sent, bytes_delivered) = net.link_wire_bytes(l);
-        assert!(bytes_delivered < bytes_sent, "lost frames are sent, not delivered");
-    }
-
-    #[test]
-    fn session_and_packet_links_interoperate_on_one_node() {
-        // Mixed data planes: node r downloads from one packet link and
-        // one session link at once; symbols from either count toward the
-        // same completion target.
-        let mut net = OverlayNet::new(39).with_payload_bytes(48);
-        let r = net.add_node(&[], 60);
-        net.set_observer(r, true);
-        let first: Vec<SymbolId> = (0..30).collect();
-        let second: Vec<SymbolId> = (30..60).collect();
-        let s1 = net.add_seeder(&first);
-        let s2 = net.add_seeder(&second);
-        net.connect(s1, r, StrategyKind::Random, Link::default(), ConnectSpec::seeded(1));
-        net.connect_session(s2, r, Link::default(), 2).expect("wired");
-        assert_eq!(net.run(RunLimit::ticks(10_000)), StopReason::Completed);
-        assert_eq!(net.node_distinct(r), 60);
-        // Net-wide byte totals cover both link kinds.
-        assert!(net.wire_bytes_sent() > 0);
-        assert!(net.control_wire_bytes() > 0, "packet link booked its handshake");
     }
 
     #[test]

@@ -1,31 +1,25 @@
 //! Frame parity: the engine's byte counters are the lengths of real
 //! encoded wire frames, not payload approximations.
 //!
-//! Three invariants pinned here, end to end:
+//! Two invariants pinned here, end to end:
 //!
 //! 1. For a fixed-seed run, each link's `bytes_sent` equals the summed
 //!    `write_frame_buf` lengths of exactly the frames that crossed it
 //!    (the frame tap materializes them, so the equality is against real
 //!    encoder output, not a second copy of the closed-form arithmetic).
-//! 2. A session link's traffic is byte-identical to the same sans-I/O
-//!    machines run under `icd-core`'s `FramePump` — the engine adds
-//!    rate/latency/loss scheduling but not a single wire byte.
-//! 3. The mesh preset's `wire_bytes` outcome is a deterministic golden:
+//! 2. The mesh preset's `wire_bytes` outcome is a deterministic golden:
 //!    a fixed seed reproduces it exactly, run after run.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use icd_core::machine::{FramePump, ReceiverMachine, SenderMachine};
-use icd_core::{SessionConfig, WorkingSet};
-use icd_fountain::EncodedSymbol;
 use icd_overlay::net::{
     run_mesh_download, ConnectSpec, Link, LinkId, OverlayNet, RunLimit, StopReason,
 };
 use icd_overlay::scenario::{ScenarioParams, TwoPeerScenario};
 use icd_overlay::strategy::StrategyKind;
-use icd_overlay::{session_payload, SymbolId};
+use icd_overlay::SymbolId;
 
 /// Per-link tap accumulator: (frames, bytes) keyed by link.
 type TapLog = Rc<RefCell<HashMap<LinkId, (u64, u64)>>>;
@@ -81,117 +75,7 @@ fn per_link_byte_totals_equal_summed_frame_lengths() {
     assert_eq!(tap_total, net.wire_bytes_sent());
 }
 
-/// Invariant 2: the identical machine pair — same working sets (ids
-/// expanded through [`session_payload`]), same request — pumped by
-/// `icd-core`'s `FramePump` moves exactly the bytes the engine booked
-/// for its session link. The target overshoots the sender's holdings so
-/// the engine run stalls only after the session drains completely.
-#[test]
-fn session_link_matches_frame_pump_byte_for_byte() {
-    const PAYLOAD: usize = 96;
-    let have: Vec<SymbolId> = (1..=10).collect();
-    let pool: Vec<SymbolId> = (1..=50).collect();
-    let target = 51; // 10 held + 40 fresh available: one short, so it stalls.
-
-    // Engine side: one session link, full drain, tap the frames.
-    let mut net = OverlayNet::new(0x5E55).with_payload_bytes(PAYLOAD);
-    let r = net.add_node(&have, target);
-    net.set_observer(r, true);
-    let s = net.add_seeder(&pool);
-    let log = install_tap(&mut net);
-    let l = net.connect_session(s, r, Link::default(), 0xABCD).expect("wired");
-    assert_eq!(net.run(RunLimit::ticks(100_000)), StopReason::Stalled);
-    assert_eq!(net.node_distinct(r), 50, "every fresh symbol landed");
-    assert!(net.session_link_finished(l), "machines ran to End");
-    let (engine_sent, engine_delivered) = net.link_wire_bytes(l);
-    assert_eq!(engine_sent, engine_delivered, "lossless link");
-    let (tap_frames, tap_bytes) = log.borrow().get(&l).copied().expect("tapped");
-    assert_eq!(tap_bytes, engine_sent);
-
-    // FramePump side: machines built from the same sets. Seeds differ
-    // from the engine's internal derivation on purpose — symbol *choice*
-    // is seeded, frame *lengths* are a function of the sets and request
-    // alone, so the byte totals must still agree exactly.
-    let symbol = |id: SymbolId| EncodedSymbol {
-        id,
-        payload: session_payload(id, PAYLOAD),
-    };
-    let mut receiver = ReceiverMachine::new(
-        WorkingSet::from_symbols(have.iter().copied().map(symbol)),
-        SessionConfig::new().with_request((target - have.len()) as u64).with_seed(7),
-    );
-    let mut sender =
-        SenderMachine::new(WorkingSet::from_symbols(pool.iter().copied().map(symbol)), 11);
-    let mut pump = FramePump::new();
-    pump.run(&mut receiver, &mut sender).expect("pump to quiescence");
-    assert!(receiver.is_finished() && sender.is_finished());
-    let (to_sender, to_receiver) = pump.wire_bytes();
-    assert_eq!(
-        to_sender + to_receiver,
-        engine_sent,
-        "engine session link and FramePump moved different wire bytes"
-    );
-    assert_eq!(receiver.gained(), 40, "pump gained the same 40 symbols");
-    // Frame counts agree too: the engine adds scheduling, not traffic.
-    // A hand-rolled pump (route SendFrame actions into queues, consume
-    // one per direction per round) counts frames the pump's byte
-    // counters cannot.
-    let mut probe_r = ReceiverMachine::new(
-        WorkingSet::from_symbols(have.iter().copied().map(symbol)),
-        SessionConfig::new().with_request((target - have.len()) as u64).with_seed(7),
-    );
-    let mut probe_s =
-        SenderMachine::new(WorkingSet::from_symbols(pool.iter().copied().map(symbol)), 11);
-    assert_eq!(tap_frames, count_frames(&mut probe_r, &mut probe_s));
-}
-
-/// Drives a machine pair to quiescence by hand, returning the number of
-/// frames that crossed in either direction.
-fn count_frames(receiver: &mut ReceiverMachine, sender: &mut SenderMachine) -> u64 {
-    use icd_core::{SessionAction, SessionEvent};
-    use std::collections::VecDeque;
-    let mut to_sender = VecDeque::new();
-    let mut to_receiver = VecDeque::new();
-    let route = |actions: Vec<SessionAction>,
-                     from_receiver: bool,
-                     to_sender: &mut VecDeque<_>,
-                     to_receiver: &mut VecDeque<_>| {
-        for action in actions {
-            if let SessionAction::SendFrame(frame) = action {
-                if from_receiver {
-                    to_sender.push_back(frame);
-                } else {
-                    to_receiver.push_back(frame);
-                }
-            }
-        }
-    };
-    let opening = receiver.handle(SessionEvent::PeerConnected).expect("receiver connect");
-    route(opening, true, &mut to_sender, &mut to_receiver);
-    let hello = sender.handle(SessionEvent::PeerConnected).expect("sender connect");
-    route(hello, false, &mut to_sender, &mut to_receiver);
-    let mut frames = 0u64;
-    loop {
-        let mut progressed = false;
-        if let Some(frame) = to_sender.pop_front() {
-            frames += 1;
-            let out = sender.handle(SessionEvent::FrameReceived(frame)).expect("sender");
-            route(out, false, &mut to_sender, &mut to_receiver);
-            progressed = true;
-        }
-        if let Some(frame) = to_receiver.pop_front() {
-            frames += 1;
-            let out = receiver.handle(SessionEvent::FrameReceived(frame)).expect("receiver");
-            route(out, true, &mut to_sender, &mut to_receiver);
-            progressed = true;
-        }
-        if !progressed {
-            return frames;
-        }
-    }
-}
-
-/// Invariant 3: the mesh preset's wire-byte outcome is a fixed-seed
+/// Invariant 2: the mesh preset's wire-byte outcome is a fixed-seed
 /// golden — two runs agree bit-for-bit, and the counter is strictly
 /// larger than the payload floor (frames carry headers; the pre-fix
 /// payload arithmetic undercounted 9–11 bytes per frame).

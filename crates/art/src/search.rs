@@ -247,7 +247,7 @@ mod tests {
     fn empty_own_tree_reports_nothing() {
         let params = ArtParams::default();
         let a = ReconciliationTree::from_keys(params, keys(100, 6));
-        let b = ReconciliationTree::new(params);
+        let b = ReconciliationTree::from_keys(params, []);
         let summary = ArtSummary::build(&a, SummaryParams::standard());
         let out = search_differences(&b, &summary);
         assert!(out.missing_at_peer.is_empty());
@@ -258,29 +258,12 @@ mod tests {
     fn empty_peer_everything_is_missing() {
         let params = ArtParams::default();
         let ks = keys(500, 7);
-        let a = ReconciliationTree::new(params);
+        let a = ReconciliationTree::from_keys(params, []);
         let b = ReconciliationTree::from_keys(params, ks.iter().copied());
         let summary = ArtSummary::build(&a, SummaryParams::standard());
         let out = search_differences(&b, &summary);
         let mut expect = ks;
         expect.sort_unstable();
         assert_eq!(out.missing_at_peer, expect);
-    }
-
-    #[test]
-    fn incremental_tree_searches_identically() {
-        let (a_keys, b_keys, _) = scenario(1000, 50, 8);
-        let params = ArtParams::default();
-        let a = ReconciliationTree::from_keys(params, a_keys.iter().copied());
-        let batch = ReconciliationTree::from_keys(params, b_keys.iter().copied());
-        let mut inc = ReconciliationTree::new(params);
-        for &k in &b_keys {
-            inc.insert(k);
-        }
-        let summary = ArtSummary::build(&a, SummaryParams::standard());
-        assert_eq!(
-            search_differences(&batch, &summary).missing_at_peer,
-            search_differences(&inc, &summary).missing_at_peer
-        );
     }
 }

@@ -260,7 +260,7 @@ mod tests {
 
     #[test]
     fn empty_tree_summarizes() {
-        let tree = ReconciliationTree::new(ArtParams::default());
+        let tree = ReconciliationTree::from_keys(ArtParams::default(), []);
         let summary = ArtSummary::build(&tree, SummaryParams::standard());
         assert_eq!(summary.elements(), 0);
         // Nothing inserted → probes are negative.

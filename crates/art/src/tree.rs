@@ -2,10 +2,10 @@
 //! tree.
 //!
 //! Nodes live in an arena (`Vec`-indexed) — no `Rc`/`RefCell`, no
-//! recursion-depth hazards on adversarial inputs. The tree supports both
-//! batch construction (`from_keys`, O(n log n)) and incremental insertion
-//! (`insert`, O(depth)), the latter being what a peer uses as symbols
-//! arrive mid-transfer.
+//! recursion-depth hazards on adversarial inputs. A tree is built in one
+//! batch (`from_keys`, O(n log n)) over the ids of one exchange: ART
+//! digests are sized per exchange, so no peer keeps a tree live between
+//! exchanges.
 
 use icd_util::hash::hash64;
 
@@ -64,16 +64,12 @@ pub(crate) enum Node {
     /// A leaf holds exactly one position (w.h.p. one key; collisions in
     /// the 64-bit position space would share a leaf, preserving
     /// correctness of node values).
-    Leaf {
-        value: u64,
-        position: u64,
-        keys: Vec<u64>,
-    },
-    /// An internal node splits on `bit` (0 = MSB): left subtree has the
-    /// bit clear, right subtree set. `value` is the XOR of both children.
+    Leaf { value: u64, keys: Vec<u64> },
+    /// An internal node splits on the first position bit its keys
+    /// disagree on: left subtree has the bit clear, right subtree set.
+    /// `value` is the XOR of both children.
     Internal {
         value: u64,
-        bit: u32,
         left: NodeId,
         right: NodeId,
     },
@@ -98,17 +94,6 @@ pub struct ReconciliationTree {
 }
 
 impl ReconciliationTree {
-    /// Creates an empty tree.
-    #[must_use]
-    pub fn new(params: ArtParams) -> Self {
-        Self {
-            params,
-            nodes: Vec::new(),
-            root: None,
-            len: 0,
-        }
-    }
-
     /// Builds a tree over `keys` (duplicates are ignored).
     #[must_use]
     pub fn from_keys<I: IntoIterator<Item = u64>>(params: ArtParams, keys: I) -> Self {
@@ -119,7 +104,12 @@ impl ReconciliationTree {
         items.sort_unstable();
         items.dedup_by_key(|(p, k)| (*p, *k));
         // Drop duplicate keys (same position AND key).
-        let mut tree = Self::new(params);
+        let mut tree = Self {
+            params,
+            nodes: Vec::new(),
+            root: None,
+            len: 0,
+        };
         if items.is_empty() {
             return tree;
         }
@@ -136,16 +126,11 @@ impl ReconciliationTree {
         debug_assert!(!items.is_empty());
         // All same position → leaf (holds all colliding keys).
         if items.first().map(|(p, _)| p) == items.last().map(|(p, _)| p) {
-            let position = items[0].0;
             let keys: Vec<u64> = items.iter().map(|&(_, k)| k).collect();
             let value = keys
                 .iter()
                 .fold(0u64, |acc, &k| acc ^ self.params.value(k));
-            return self.push(Node::Leaf {
-                value,
-                position,
-                keys,
-            });
+            return self.push(Node::Leaf { value, keys });
         }
         // Find the first bit where the slice splits (collapse equal
         // prefixes). Positions differ, so a split bit must exist.
@@ -163,12 +148,7 @@ impl ReconciliationTree {
             let left = self.build_range(&items[..split], depth + 1);
             let right = self.build_range(&items[split..], depth + 1);
             let value = self.nodes[left as usize].value() ^ self.nodes[right as usize].value();
-            return self.push(Node::Internal {
-                value,
-                bit: depth,
-                left,
-                right,
-            });
+            return self.push(Node::Internal { value, left, right });
         }
     }
 
@@ -176,144 +156,6 @@ impl ReconciliationTree {
         let id = u32::try_from(self.nodes.len()).expect("tree exceeds u32 arena");
         self.nodes.push(node);
         id
-    }
-
-    /// Inserts one key incrementally in O(depth): descends to the
-    /// insertion point, splices a new internal node if needed, and XORs
-    /// the new value into every node along the path.
-    ///
-    /// Returns `false` (and changes nothing) if the key was already
-    /// present.
-    pub fn insert(&mut self, key: u64) -> bool {
-        let position = self.params.position(key);
-        let value = self.params.value(key);
-        let Some(root) = self.root else {
-            let id = self.push(Node::Leaf {
-                value,
-                position,
-                keys: vec![key],
-            });
-            self.root = Some(id);
-            self.len = 1;
-            return true;
-        };
-        // Descend, recording the path for the value update.
-        let mut path: Vec<NodeId> = Vec::new();
-        let mut cur = root;
-        loop {
-            match &self.nodes[cur as usize] {
-                Node::Internal { bit, left, right, .. } => {
-                    let (bit, left, right) = (*bit, *left, *right);
-                    // If the new position diverges from this subtree's
-                    // common prefix *above* this split bit, splice here.
-                    if let Some(diverge) = self.diverge_bit(cur, position, bit) {
-                        self.splice(cur, &path, position, value, key, diverge);
-                        return true;
-                    }
-                    path.push(cur);
-                    cur = if position & (1u64 << (63 - bit)) == 0 {
-                        left
-                    } else {
-                        right
-                    };
-                }
-                Node::Leaf {
-                    position: leaf_pos,
-                    keys,
-                    ..
-                } => {
-                    let leaf_pos = *leaf_pos;
-                    if leaf_pos == position {
-                        if keys.contains(&key) {
-                            return false; // duplicate
-                        }
-                        // 64-bit position collision: extend this leaf.
-                        if let Node::Leaf { value: v, keys, .. } = &mut self.nodes[cur as usize] {
-                            *v ^= value;
-                            keys.push(key);
-                        }
-                        for id in path {
-                            self.xor_value(id, value);
-                        }
-                        self.len += 1;
-                        return true;
-                    }
-                    // Split at the first differing bit between positions.
-                    let diverge = (leaf_pos ^ position).leading_zeros();
-                    self.splice(cur, &path, position, value, key, diverge);
-                    return true;
-                }
-            }
-        }
-    }
-
-    /// First bit `< limit` where `position` leaves the prefix shared by
-    /// subtree `node` — detected by comparing against any position in the
-    /// subtree (all share the prefix above the node's split bit).
-    fn diverge_bit(&self, node: NodeId, position: u64, limit: u32) -> Option<u32> {
-        let sample = self.sample_position(node);
-        let diff = sample ^ position;
-        if diff == 0 {
-            return None;
-        }
-        let bit = diff.leading_zeros();
-        if bit < limit {
-            Some(bit)
-        } else {
-            None
-        }
-    }
-
-    /// Any position stored beneath `node` (leftmost descent).
-    fn sample_position(&self, mut node: NodeId) -> u64 {
-        loop {
-            match &self.nodes[node as usize] {
-                Node::Leaf { position, .. } => return *position,
-                Node::Internal { left, .. } => node = *left,
-            }
-        }
-    }
-
-    /// Splices a new internal node above `at`, separating the existing
-    /// subtree from a fresh leaf for `key` at bit `diverge`, then updates
-    /// values up `path`.
-    fn splice(
-        &mut self,
-        at: NodeId,
-        path: &[NodeId],
-        position: u64,
-        value: u64,
-        key: u64,
-        diverge: u32,
-    ) {
-        let leaf = self.push(Node::Leaf {
-            value,
-            position,
-            keys: vec![key],
-        });
-        // Move the existing node out to a new slot; `at` becomes the new
-        // internal node so parent links stay valid.
-        let old = self.nodes[at as usize].clone();
-        let old_value = old.value();
-        let moved = self.push(old);
-        let new_bit_set = position & (1u64 << (63 - diverge)) != 0;
-        let (left, right) = if new_bit_set { (moved, leaf) } else { (leaf, moved) };
-        self.nodes[at as usize] = Node::Internal {
-            value: old_value ^ value,
-            bit: diverge,
-            left,
-            right,
-        };
-        for &id in path {
-            self.xor_value(id, value);
-        }
-        self.len += 1;
-    }
-
-    fn xor_value(&mut self, id: NodeId, delta: u64) {
-        match &mut self.nodes[id as usize] {
-            Node::Leaf { value, .. } | Node::Internal { value, .. } => *value ^= delta,
-        }
     }
 
     /// Number of distinct keys in the tree.
@@ -389,7 +231,7 @@ mod tests {
 
     #[test]
     fn empty_tree() {
-        let t = ReconciliationTree::new(ArtParams::default());
+        let t = ReconciliationTree::from_keys(ArtParams::default(), []);
         assert!(t.is_empty());
         assert_eq!(t.root_value(), None);
         assert_eq!(t.depth(), 0);
@@ -440,53 +282,6 @@ mod tests {
         ks.extend(keys(100, 4)); // same again
         let t = ReconciliationTree::from_keys(params, ks);
         assert_eq!(t.len(), 100);
-    }
-
-    #[test]
-    fn incremental_matches_batch() {
-        let params = ArtParams::default();
-        let ks = keys(1000, 5);
-        let batch = ReconciliationTree::from_keys(params, ks.iter().copied());
-        let mut inc = ReconciliationTree::new(params);
-        for &k in &ks {
-            assert!(inc.insert(k));
-        }
-        assert_eq!(inc.len(), batch.len());
-        assert_eq!(inc.root_value(), batch.root_value());
-        // The full multiset of (value, is_leaf) node labels must agree —
-        // the summaries depend on exactly this.
-        let collect = |t: &ReconciliationTree| {
-            let mut v: Vec<(u64, bool)> = Vec::new();
-            t.visit_values(|val, leaf| v.push((val, leaf)));
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(collect(&inc), collect(&batch));
-    }
-
-    #[test]
-    fn incremental_duplicate_rejected() {
-        let params = ArtParams::default();
-        let mut t = ReconciliationTree::new(params);
-        assert!(t.insert(7));
-        assert!(!t.insert(7));
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn interleaved_insert_preserves_equivalence() {
-        // Insert in two different interleavings; trees must agree.
-        let params = ArtParams::default();
-        let ks = keys(200, 6);
-        let mut a = ReconciliationTree::new(params);
-        let mut b = ReconciliationTree::new(params);
-        for &k in &ks {
-            a.insert(k);
-        }
-        for &k in ks.iter().rev() {
-            b.insert(k);
-        }
-        assert_eq!(a.root_value(), b.root_value());
     }
 
     #[test]

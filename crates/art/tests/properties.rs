@@ -1,5 +1,5 @@
 //! Property-based tests for approximate reconciliation trees: structural
-//! canonicity, incremental-vs-batch agreement, and search soundness.
+//! canonicity, the root XOR law, and search soundness.
 
 use icd_art::{search_differences, ArtParams, ArtSummary, ReconciliationTree, SummaryParams};
 use proptest::prelude::*;
@@ -13,12 +13,9 @@ proptest! {
         let params = ArtParams::default();
         let fwd = ReconciliationTree::from_keys(params, keys.iter().copied());
         keys.reverse();
-        let mut inc = ReconciliationTree::new(params);
-        for &k in &keys {
-            inc.insert(k);
-        }
-        prop_assert_eq!(fwd.root_value(), inc.root_value());
-        prop_assert_eq!(fwd.len(), inc.len());
+        let rev = ReconciliationTree::from_keys(params, keys.iter().copied());
+        prop_assert_eq!(fwd.root_value(), rev.root_value());
+        prop_assert_eq!(fwd.len(), rev.len());
     }
 
     #[test]

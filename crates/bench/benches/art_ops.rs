@@ -1,5 +1,5 @@
-//! ART micro-benchmarks: batch build, incremental insert, summary build.
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+//! ART micro-benchmarks: batch build and summary build.
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use icd_art::{ArtParams, ArtSummary, ReconciliationTree, SummaryParams};
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 use std::hint::black_box;
@@ -14,18 +14,6 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(n as u64));
     group.bench_function("build_10k", |b| {
         b.iter(|| black_box(ReconciliationTree::from_keys(params, keys.iter().copied())))
-    });
-    group.bench_function("incremental_insert_10k", |b| {
-        b.iter_batched(
-            || ReconciliationTree::new(params),
-            |mut t| {
-                for &k in &keys {
-                    t.insert(k);
-                }
-                black_box(t)
-            },
-            BatchSize::SmallInput,
-        );
     });
     let tree = ReconciliationTree::from_keys(params, keys.iter().copied());
     group.bench_function("summarize_10k_8bpe", |b| {

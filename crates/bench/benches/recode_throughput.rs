@@ -4,13 +4,12 @@
 //! Generation goes through the pooled scratch path
 //! ([`Recoder::generate_into`]) — the data plane's real hot path, with
 //! zero per-symbol allocation and word-wide XOR. Substitution receives
-//! into a warm `RecodeBuffer<SymbolBuf>`, materializing each recovery as
-//! `Bytes` as the receiver machine does; the buffer setup (2 500 known
-//! symbols) is cloned per sample outside the timed region.
+//! into a warm `RecodeBuffer<Bytes>`, sharing each recovery's `Bytes`
+//! as the receiver machine does; the buffer setup (2 500 known symbols)
+//! is cloned per sample outside the timed region.
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use icd_fountain::{EncodedSymbol, RecodeBuffer, RecodePolicy, RecodeScratch, Recoder};
 use icd_util::rng::Xoshiro256StarStar;
-use icd_util::symbol::SymbolBuf;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -43,9 +42,9 @@ fn bench(c: &mut Criterion) {
     let recoder = Recoder::new(symbols.clone(), 50, RecodePolicy::Oblivious);
     let mut rng = Xoshiro256StarStar::new(12);
     let stream: Vec<_> = (0..100).map(|_| recoder.generate(&mut rng)).collect();
-    let mut warm = RecodeBuffer::<SymbolBuf>::new();
+    let mut warm = RecodeBuffer::<bytes::Bytes>::new();
     for s in &symbols[..2500] {
-        warm.add_known(s.id, &s.payload, |_, _| {});
+        warm.add_known(s.id, s.payload.clone(), |_, _| {});
     }
     group.bench_function("substitute_100", |b| {
         b.iter_batched(
@@ -53,8 +52,8 @@ fn bench(c: &mut Criterion) {
             |mut buf| {
                 let mut recovered = 0usize;
                 for rec in &stream {
-                    recovered += buf.receive(&rec.components, &rec.payload, |_, p| {
-                        black_box(bytes::Bytes::from(p.to_vec()));
+                    recovered += buf.receive(&rec.components, rec.payload.clone(), |_, p| {
+                        black_box(p.clone());
                     });
                 }
                 black_box(recovered)

@@ -65,7 +65,6 @@ use icd_overlay::scenario::{ScenarioParams, TwoPeerScenario};
 use icd_overlay::strategy::StrategyKind;
 use icd_overlay::transfer::run_transfer;
 use icd_util::rng::{Rng64, SplitMix64, Xoshiro256StarStar};
-use icd_util::symbol::SymbolBuf;
 
 const SEED: u64 = 0x1CD_BA5E;
 
@@ -259,9 +258,9 @@ fn recode_probes(quick: bool) -> (Probe, Probe) {
     let mut rng = Xoshiro256StarStar::new(SEED ^ 4);
     let stream: Vec<_> = (0..count).map(|_| recoder.generate(&mut rng)).collect();
     let absorbed: usize = stream.iter().map(|r| r.payload.len()).sum();
-    let mut warm = RecodeBuffer::<SymbolBuf>::new();
+    let mut warm = RecodeBuffer::<bytes::Bytes>::new();
     for s in &symbols[..n / 2] {
-        warm.add_known(s.id, &s.payload, |_, _| {});
+        warm.add_known(s.id, s.payload.clone(), |_, _| {});
     }
     // Clone and drop stay outside the timed region. Each repetition
     // clones its buffer before freeing the previous one, so the freed
@@ -278,10 +277,10 @@ fn recode_probes(quick: bool) -> (Probe, Probe) {
         drop(previous.take());
         let t = Instant::now();
         for rec in &stream {
-            // Each recovery is materialized as `Bytes`, as the receiver
-            // machine does before it enters the working set.
-            buf.receive(&rec.components, &rec.payload, |_, p| {
-                std::hint::black_box(bytes::Bytes::from(p.to_vec()));
+            // Each recovery's `Bytes` is shared once more, as the
+            // receiver machine shares it with its working set.
+            buf.receive(&rec.components, rec.payload.clone(), |_, p| {
+                std::hint::black_box(p.clone());
             });
         }
         sub_secs = sub_secs.min(t.elapsed().as_secs_f64());

@@ -19,14 +19,25 @@
 //!    what it emits: Random/summary over the ids the decoded summary's
 //!    [`Reconciler`](crate::summary::Reconciler) cleared (reconciled),
 //!    or Recode/MW over its whole working set in sorted order
-//!    (speculative), so every frame is a function of the seeds.
+//!    (speculative), so every frame is a function of the seeds. The
+//!    answer is pulled, not pushed: each [`SenderMachine::next_frame`]
+//!    generates one frame, so a driver writes the first symbol while the
+//!    rest are still ungenerated and the receiver ingests while the
+//!    sender encodes.
 //!
 //! A machine consumes [`SessionEvent`]s (`PeerConnected`,
 //! `FrameReceived`) and emits [`SessionAction`]s (`SendFrame`,
 //! `SymbolDecoded`, `Completed`, `Rejected`). Every `SendFrame` carries
 //! the *exact* bytes `icd-wire`'s `write_frame_buf` produces — length
 //! prefix included — so whatever the driver sums is by construction the
-//! true wire cost.
+//! true wire cost. A frame is encoded once, straight into the `Bytes`
+//! that carries it.
+//!
+//! A symbol's payload is never copied inside the machines: the receiver
+//! shares its held payloads with its substitution buffer by reference
+//! count, and a received encoded symbol is kept as a view of the frame
+//! it arrived in. Only a recoded symbol with unknown components is
+//! copied, into the buffer's accumulator.
 //!
 //! Time never enters a machine. Deadlines belong to the driver: the
 //! blocking drivers below surface socket timeouts as
@@ -47,9 +58,10 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use icd_fountain::{EncodedSymbol, RecodeBuffer, SymbolId};
-use icd_util::symbol::SymbolBuf;
 use icd_wire::buffered::buffered_session;
-use icd_wire::framing::{read_frame_bytes, write_frame_buf, FrameError, FrameLimit};
+use icd_wire::framing::{
+    encode_frame, encode_recoded_frame, read_frame_bytes, FrameError, FrameLimit,
+};
 use icd_wire::message::FRAME_PREFIX_BYTES;
 use icd_wire::{Message, WireError};
 
@@ -295,13 +307,17 @@ fn decode_frame(frame: &Bytes) -> Result<Message, MachineError> {
     Message::decode_from(&frame.slice(FRAME_PREFIX_BYTES..)).map_err(MachineError::Wire)
 }
 
-/// Transport-facing state both machines share: the connection flag,
-/// whether the terminal action went out, and the frame encoder.
+/// Transport-facing state both machines share: the connection flag
+/// and whether the terminal action went out.
 #[derive(Debug, Default)]
 struct Framer {
     connected: bool,
     reported: bool,
-    scratch: Vec<u8>,
+}
+
+/// Wraps a frame encoding failure as the machine error drivers see.
+fn oversized(_: FrameError) -> MachineError {
+    MachineError::Frame("message exceeds frame size bounds")
 }
 
 impl Framer {
@@ -323,15 +339,8 @@ impl Framer {
     }
 
     /// Encodes `msg` as one whole frame and queues it for sending.
-    fn send(
-        &mut self,
-        msg: &Message,
-        actions: &mut Vec<SessionAction>,
-    ) -> Result<(), MachineError> {
-        let mut out = Vec::with_capacity(msg.frame_len());
-        write_frame_buf(&mut out, msg, &mut self.scratch)
-            .map_err(|_| MachineError::Frame("message exceeds frame size bounds"))?;
-        actions.push(SessionAction::SendFrame(Bytes::from(out)));
+    fn send(&self, msg: &Message, actions: &mut Vec<SessionAction>) -> Result<(), MachineError> {
+        actions.push(SessionAction::SendFrame(encode_frame(msg).map_err(oversized)?));
         Ok(())
     }
 
@@ -364,13 +373,14 @@ impl ReceiverState {
 }
 
 /// Receiver-side sans-I/O machine: owns its [`WorkingSet`], the
-/// substitution buffer over it, and the plan it negotiates.
+/// substitution buffer over it, and the plan it negotiates. The buffer
+/// and the working set hold the same payload allocations.
 #[derive(Debug)]
 pub struct ReceiverMachine {
     config: SessionConfig,
     state: ReceiverState,
     working: WorkingSet,
-    buffer: RecodeBuffer<SymbolBuf>,
+    buffer: RecodeBuffer<Bytes>,
     /// Symbol length every data frame must carry: set by the first
     /// symbol held or received, so a peer's short payload is a protocol
     /// error instead of an unequal-length XOR in the buffer.
@@ -382,14 +392,15 @@ pub struct ReceiverMachine {
 
 impl ReceiverMachine {
     /// Builds the machine over a working set. Nothing is transmitted
-    /// until the driver delivers [`SessionEvent::PeerConnected`].
+    /// until the driver delivers [`SessionEvent::PeerConnected`]. The
+    /// substitution buffer shares the held payloads; none is copied.
     #[must_use]
     pub fn new(working: WorkingSet, config: SessionConfig) -> Self {
         let mut buffer = RecodeBuffer::new();
         let mut payload_len = None;
         for sym in working.symbols() {
             payload_len.get_or_insert(sym.payload.len());
-            buffer.add_known(sym.id, &sym.payload, |_, _| {});
+            buffer.add_known(sym.id, sym.payload, |_, _| {});
         }
         Self {
             config,
@@ -511,11 +522,12 @@ impl ReceiverMachine {
     /// Substitutes one data message into the buffer. Each symbol it
     /// recovers that is new to the working set is a `SymbolDecoded`. A
     /// payload of the wrong length is rejected before it reaches the
-    /// buffer.
+    /// buffer. `payload` is a view of the frame; an encoded symbol is
+    /// kept as that view.
     fn ingest(
         &mut self,
         components: &[u64],
-        payload: &[u8],
+        payload: &Bytes,
         actions: &mut Vec<SessionAction>,
     ) -> Result<(), MachineError> {
         let expected = *self.payload_len.get_or_insert(payload.len());
@@ -527,12 +539,8 @@ impl ReceiverMachine {
             .into());
         }
         let (working, gained) = (&mut self.working, &mut self.gained);
-        self.buffer.receive(components, payload, |id, data| {
-            let payload = if data.is_empty() {
-                Bytes::new()
-            } else {
-                Bytes::from(data.to_vec())
-            };
+        self.buffer.receive(components, payload.clone(), |id, payload| {
+            let payload = payload.clone();
             if working.insert(EncodedSymbol { id, payload }) {
                 *gained += 1;
                 actions.push(SessionAction::SymbolDecoded(id));
@@ -589,6 +597,7 @@ impl ReceiverMachine {
 enum SenderState {
     AwaitSketch,
     AwaitPlan,
+    Streaming,
     Done,
 }
 
@@ -597,9 +606,20 @@ impl SenderState {
         match self {
             Self::AwaitSketch => "await-sketch",
             Self::AwaitPlan => "await-plan",
+            Self::Streaming => "streaming",
             Self::Done => "done",
         }
     }
+}
+
+/// The answer to a symbol request while it is being pulled: the
+/// strategy that picks each packet and how many frames are still due.
+#[derive(Debug)]
+struct Answer {
+    sender: StrategySender,
+    packet: PacketScratch,
+    count: u64,
+    sent: u64,
 }
 
 /// Sender-side sans-I/O machine. Owns a snapshot of the sender's working
@@ -616,7 +636,8 @@ pub struct SenderMachine {
     /// The receiver summary's mechanism and the ids it cleared.
     cleared: Option<(SummaryId, Vec<SymbolId>)>,
     seed: u64,
-    streamed: u64,
+    /// Open from the request until its `End` frame is pulled.
+    answer: Option<Answer>,
     framer: Framer,
 }
 
@@ -632,14 +653,16 @@ impl SenderMachine {
             containment: 0.0,
             cleared: None,
             seed,
-            streamed: 0,
+            answer: None,
             framer: Framer::default(),
         }
     }
 
     /// Feeds one event; returns the actions for the driver to execute.
     /// The sender speaks only in response to the receiver, so
-    /// `PeerConnected` produces no frames.
+    /// `PeerConnected` produces no frames, and a symbol request produces
+    /// none either: it opens the answer that [`SenderMachine::next_frame`]
+    /// yields frame by frame.
     pub fn handle(&mut self, event: SessionEvent) -> Result<Vec<SessionAction>, MachineError> {
         let mut actions = Vec::new();
         match event {
@@ -648,10 +671,7 @@ impl SenderMachine {
                 let msg = self.framer.receive(&frame)?;
                 self.on_message(&msg, &mut actions)?;
                 if self.state == SenderState::Done {
-                    let done = SessionAction::Completed {
-                        gained: self.streamed,
-                    };
-                    self.framer.finish(done, &mut actions);
+                    self.framer.finish(SessionAction::Completed { gained: 0 }, &mut actions);
                 }
             }
         }
@@ -681,8 +701,8 @@ impl SenderMachine {
                 Ok(())
             }
             (SenderState::AwaitPlan, Message::SymbolRequest { count }) => {
-                self.state = SenderState::Done;
-                self.stream(*count, actions)
+                self.open_answer(*count);
+                Ok(())
             }
             (SenderState::AwaitPlan, Message::End { .. }) => {
                 // Admission control rejected us; nothing to do.
@@ -697,26 +717,42 @@ impl SenderMachine {
         }
     }
 
-    /// Streams the answer to a request for `count` symbols, then `End`:
-    /// the reconciled transfer walks the cleared ids, each at most once;
-    /// the speculative one recodes over the whole set with
-    /// min-wise-scaled degrees. Either stops at `count` or exhaustion.
-    fn stream(&mut self, count: u64, actions: &mut Vec<SessionAction>) -> Result<(), MachineError> {
+    /// Opens the answer to a request for `count` symbols: the
+    /// reconciled transfer walks the cleared ids, each at most once; the
+    /// speculative one recodes over the whole set with min-wise-scaled
+    /// degrees. Either stops at `count` or exhaustion, then sends `End`.
+    fn open_answer(&mut self, count: u64) {
         let (kind, pool) = match self.cleared.take() {
             Some((id, cleared)) => (StrategyKind::RandomSummary(id), cleared),
             None => (StrategyKind::RecodeMinwise, self.working.sorted_ids()),
         };
         let hint = usize::try_from(count).unwrap_or(usize::MAX);
-        let mut sender =
+        let sender =
             StrategySender::new(kind, pool, self.containment, self.seed, hint, Some(&self.working));
-        let mut packet = PacketScratch::default();
-        let mut sent = 0u64;
-        while sent < count && sender.emit(&mut packet) {
-            let msg = if packet.is_recoded() {
-                Message::RecodedSymbol {
-                    components: packet.ids().to_vec(),
-                    payload: Bytes::from(packet.payload().to_vec()),
-                }
+        self.answer = Some(Answer {
+            sender,
+            packet: PacketScratch::default(),
+            count,
+            sent: 0,
+        });
+        self.state = SenderState::Streaming;
+    }
+
+    /// Generates the next frame of the open answer into `actions` and
+    /// returns `true`: a data frame, or — once the request is met or the
+    /// strategy is exhausted — the `End` frame followed by `Completed`.
+    /// Returns `false`, adding nothing, when no answer is open (before
+    /// the request, or after `End`). Each call encodes exactly one
+    /// frame, so a driver interleaves generation with writing.
+    pub fn next_frame(&mut self, actions: &mut Vec<SessionAction>) -> Result<bool, MachineError> {
+        let Some(answer) = self.answer.as_mut() else {
+            return Ok(false);
+        };
+        while answer.sent < answer.count && answer.sender.emit(&mut answer.packet) {
+            let packet = &answer.packet;
+            let frame = if packet.is_recoded() {
+                let payload = packet.payload();
+                encode_recoded_frame(packet.ids(), payload.len(), |out| payload.write_to(out))
             } else {
                 let id = packet.ids()[0];
                 // A reconciler answers from the ids it was given, so
@@ -725,16 +761,28 @@ impl SenderMachine {
                 let Some(payload) = self.working.payload(id) else {
                     continue;
                 };
-                Message::EncodedSymbol {
+                encode_frame(&Message::EncodedSymbol {
                     id,
                     payload: payload.clone(),
-                }
+                })
             };
-            self.framer.send(&msg, actions)?;
-            sent += 1;
+            actions.push(SessionAction::SendFrame(frame.map_err(oversized)?));
+            answer.sent += 1;
+            return Ok(true);
         }
-        self.streamed = sent;
-        self.framer.send(&Message::End { sent }, actions)
+        let sent = answer.sent;
+        self.answer = None;
+        self.state = SenderState::Done;
+        self.framer.send(&Message::End { sent }, actions)?;
+        self.framer.finish(SessionAction::Completed { gained: sent }, actions);
+        Ok(true)
+    }
+
+    /// True from the symbol request until the answer's `End` frame has
+    /// been pulled with [`SenderMachine::next_frame`].
+    #[must_use]
+    pub fn is_streaming(&self) -> bool {
+        self.answer.is_some()
     }
 
     /// The sender has answered the request (or been rejected) and will
@@ -762,10 +810,16 @@ pub enum PumpStep {
 /// parking a thread. [`FramePump::run`] is a loop over `step`, so both
 /// drive byte-identical exchanges. Byte counters sum the exact framed
 /// lengths delivered in each direction.
+///
+/// The sender's answer stream behaves as if it were queued behind the
+/// sender's other frames, but each frame is pulled from the machine
+/// only in the step that delivers it.
 #[derive(Debug, Default)]
 pub struct FramePump {
     to_sender: VecDeque<Bytes>,
     to_receiver: VecDeque<Bytes>,
+    /// Whether the sender has an answer open (frames still to pull).
+    sender_streaming: bool,
     bytes_to_sender: u64,
     bytes_to_receiver: u64,
 }
@@ -802,10 +856,11 @@ impl FramePump {
         }
     }
 
-    /// True when no frame is queued in either direction.
+    /// True when no frame is queued in either direction and the sender
+    /// has none left to pull.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.to_sender.is_empty() && self.to_receiver.is_empty()
+        self.to_sender.is_empty() && self.to_receiver.is_empty() && !self.sender_streaming
     }
 
     /// Total framed bytes delivered so far `(to_sender, to_receiver)`.
@@ -817,9 +872,11 @@ impl FramePump {
     /// Delivers at most one queued frame to each machine. Both frames
     /// are taken off their queues before either is delivered, so a frame
     /// a machine answers with waits for the next step; the
-    /// receiver-bound frame is delivered first. Non-transport actions
-    /// are appended to `actions`; frames are re-queued toward the
-    /// opposite side.
+    /// receiver-bound frame is delivered first. When nothing is queued
+    /// toward the receiver, the sender's next answer frame is pulled
+    /// ([`SenderMachine::next_frame`]) in its place. Non-transport
+    /// actions are appended to `actions`; frames are re-queued toward
+    /// the opposite side.
     pub fn step(
         &mut self,
         receiver: &mut ReceiverMachine,
@@ -836,6 +893,12 @@ impl FramePump {
         actions: &mut Vec<SessionAction>,
         observe: &mut impl FnMut(&Bytes),
     ) -> Result<PumpStep, MachineError> {
+        if self.to_receiver.is_empty() && self.sender_streaming {
+            let mut pulled = Vec::new();
+            sender.next_frame(&mut pulled)?;
+            self.sender_streaming = sender.is_streaming();
+            self.route(pulled, false, actions);
+        }
         let to_receiver = self.to_receiver.pop_front();
         let to_sender = self.to_sender.pop_front();
         if to_receiver.is_none() && to_sender.is_none() {
@@ -851,6 +914,7 @@ impl FramePump {
             observe(&frame);
             self.bytes_to_sender += frame.len() as u64;
             let out = sender.handle(SessionEvent::FrameReceived(frame))?;
+            self.sender_streaming = sender.is_streaming();
             self.route(out, false, actions);
         }
         Ok(PumpStep::Progressed)
@@ -992,7 +1056,9 @@ impl From<MachineError> for DriveError {
     }
 }
 
-fn execute<S: std::io::Write>(
+/// Writes every `SendFrame` in `actions` to the buffered stream, booking
+/// each in `stats`.
+fn write_frames<S: std::io::Write>(
     actions: &[SessionAction],
     stream: &mut S,
     stats: &mut WireStats,
@@ -1007,6 +1073,15 @@ fn execute<S: std::io::Write>(
             stream.write_all(frame).map_err(FrameError::from)?;
         }
     }
+    Ok(())
+}
+
+fn execute<S: std::io::Write>(
+    actions: &[SessionAction],
+    stream: &mut S,
+    stats: &mut WireStats,
+) -> Result<(), DriveError> {
+    write_frames(actions, stream, stats)?;
     // One batch of replies, one write: the stream is buffered (see
     // `buffered_session`), and flushing here rather than at the next
     // read keeps a write failure classified as one.
@@ -1071,9 +1146,12 @@ where
 }
 
 /// Runs a [`SenderMachine`] over a blocking stream: feed inbound frames,
-/// write replies, stop when the session completes. Premature peer close
-/// or read timeout becomes a typed [`DriveError`] like the receiver
-/// side's.
+/// write replies, stop when the session completes. The answer to the
+/// request is written as it is pulled, one frame at a time, through the
+/// stream's write buffer — no flush per frame; the buffer drains to the
+/// socket whenever it fills and once more when the session ends.
+/// Premature peer close or read timeout becomes a typed [`DriveError`]
+/// like the receiver side's.
 pub fn drive_sender<S: std::io::Read + std::io::Write>(
     machine: &mut SenderMachine,
     stream: &mut S,
@@ -1086,7 +1164,13 @@ pub fn drive_sender<S: std::io::Read + std::io::Write>(
             stream,
             &mut stats,
         )?;
+        let mut pulled = Vec::new();
         while !machine.is_finished() {
+            if machine.next_frame(&mut pulled)? {
+                write_frames(&pulled, stream, &mut stats)?;
+                pulled.clear();
+                continue;
+            }
             let frame = match read_frame_bytes(stream, limit) {
                 Ok(frame) => frame,
                 Err(e) => return Err(read_failure(e, stats)),
@@ -1133,9 +1217,7 @@ mod tests {
 
     /// `msg` as the whole frame a peer would deliver.
     fn frame(msg: &Message) -> SessionEvent {
-        let mut out = Vec::new();
-        write_frame_buf(&mut out, msg, &mut Vec::new()).expect("frame");
-        SessionEvent::FrameReceived(Bytes::from(out))
+        SessionEvent::FrameReceived(encode_frame(msg).expect("frame"))
     }
 
     /// Build the canonical overlapping scenario: receiver has
@@ -1200,6 +1282,55 @@ mod tests {
         // at least prefix + tag + something per frame.
         let (to_sender, to_receiver) = pump.wire_bytes();
         assert!(to_sender > 0 && to_receiver > 0);
+    }
+
+    #[test]
+    fn held_payloads_are_shared_with_the_substitution_buffer() {
+        let working = working(&ids(200, 50));
+        let held: Vec<(u64, *const u8)> = working
+            .symbols()
+            .map(|s| (s.id, s.payload.as_ptr()))
+            .collect();
+        let receiver = ReceiverMachine::new(working, SessionConfig::default());
+        for (id, ptr) in held {
+            let payload = receiver.buffer.known_payload(id).expect("held symbol is known");
+            assert_eq!(payload.as_ptr(), ptr, "symbol {id} copied into the buffer");
+        }
+    }
+
+    #[test]
+    fn received_encoded_symbols_are_views_of_their_frame() {
+        let shared = ids(300, 51);
+        let peer = working(&ids(300, 52));
+        let mut receiver = ReceiverMachine::new(working(&shared), SessionConfig::default());
+        receiver.handle(SessionEvent::PeerConnected).expect("connect");
+        receiver
+            .handle(frame(&Message::Minwise(peer.sketch().clone())))
+            .expect("peer sketch");
+        let id = 0xFEED;
+        let symbol = Message::EncodedSymbol {
+            id,
+            payload: Bytes::from(vec![7u8; 8]),
+        };
+        let raw = encode_frame(&symbol).expect("frame");
+        let inside = raw.as_ptr_range();
+        let actions = receiver
+            .handle(SessionEvent::FrameReceived(raw.clone()))
+            .expect("ingest");
+        assert_eq!(actions, vec![SessionAction::SymbolDecoded(id)]);
+        let stored = receiver.working().payload(id).expect("decoded");
+        assert!(inside.contains(&stored.as_ptr()), "payload copied out of its frame");
+        let buffered = receiver.buffer.known_payload(id).expect("known");
+        assert_eq!(buffered.as_ptr(), stored.as_ptr());
+    }
+
+    #[test]
+    fn reconciled_sessions_draw_no_payload_buffer() {
+        let (shared, fresh) = (ids(1000, 53), ids(300, 54));
+        let receiver = transfer(&shared, &fresh, SessionConfig::new().with_request(1000), 55);
+        assert!(matches!(receiver.plan(), Some(TransferPlan::Reconciled { .. })));
+        assert!(receiver.gained() > 0);
+        assert_eq!(receiver.buffer.pool().stats(), icd_util::symbol::PoolStats::default());
     }
 
     #[test]

@@ -1,15 +1,20 @@
-//! A peer's working set: symbols plus incrementally maintained summaries.
+//! A peer's working set: symbols plus the one summary kept live.
 //!
 //! §4 requires that "all of our approaches can be incrementally updated
 //! upon acquisition of new content, with constant overhead per receipt
-//! of each new element". [`WorkingSet::insert`] therefore updates the
-//! min-wise sketch (O(width) field ops) and the reconciliation tree
-//! (O(log n)) on every arrival; Bloom filters and ART summaries — which
-//! are built *for a particular peer exchange* — are generated on demand
-//! from current state.
+//! of each new element". The min-wise sketch — the calling card every
+//! exchange opens with — is the one summary that is read on every
+//! session, so [`WorkingSet::insert`] updates it (O(width) field ops) on
+//! every arrival. Bloom filters and ART digests are built *for a
+//! particular peer exchange*, sized from that exchange's difference
+//! estimate, so they are generated on demand from [`WorkingSet::sorted_ids`]
+//! through the summary registry and nothing is maintained for them per
+//! insert.
+//!
+//! Payloads are [`Bytes`]: a working set shares each one by reference
+//! count with the frames and buffers it came from, never copies it.
 
 use bytes::Bytes;
-use icd_art::{ArtParams, ReconciliationTree};
 use icd_fountain::{EncodedSymbol, SymbolId};
 use icd_sketch::{MinwiseSketch, OverlapEstimate, PermutationFamily};
 use std::collections::HashMap;
@@ -22,7 +27,6 @@ pub const FAMILY_SEED: u64 = 0x1CD0_F00D;
 pub struct WorkingSet {
     symbols: HashMap<SymbolId, Bytes>,
     sketch: MinwiseSketch,
-    tree: ReconciliationTree,
     family: PermutationFamily,
 }
 
@@ -39,7 +43,6 @@ impl WorkingSet {
         let family = PermutationFamily::standard(FAMILY_SEED);
         Self {
             sketch: MinwiseSketch::new(&family),
-            tree: ReconciliationTree::new(ArtParams::default()),
             symbols: HashMap::new(),
             family,
         }
@@ -56,13 +59,12 @@ impl WorkingSet {
     }
 
     /// Inserts a symbol; returns `false` (and changes nothing) if the id
-    /// was already present. Sketch and tree update incrementally.
+    /// was already present. The sketch updates incrementally.
     pub fn insert(&mut self, symbol: EncodedSymbol) -> bool {
         if self.symbols.contains_key(&symbol.id) {
             return false;
         }
         self.sketch.insert(&self.family, symbol.id);
-        self.tree.insert(symbol.id);
         self.symbols.insert(symbol.id, symbol.payload);
         true
     }
@@ -172,9 +174,9 @@ mod tests {
             a.insert(sym(id));
         }
         let b = WorkingSet::from_symbols(ids.iter().map(|&id| sym(id)));
-        // Same contents → identical sketches and identical tree roots.
+        // Same contents → identical sketches and identical ids.
         assert_eq!(a.sketch().minima(), b.sketch().minima());
-        assert_eq!(a.tree.root_value(), b.tree.root_value());
+        assert_eq!(a.sorted_ids(), b.sorted_ids());
         let est = a.estimate_against(b.sketch());
         assert_eq!(est.resemblance(), 1.0);
         assert!(est.is_identical(0.01), "admission control should reject");
@@ -244,6 +246,7 @@ mod tests {
         let collected: Vec<EncodedSymbol> = ws.symbols().collect();
         assert_eq!(collected.len(), 50);
         let rebuilt = WorkingSet::from_symbols(collected);
-        assert_eq!(rebuilt.tree.root_value(), ws.tree.root_value());
+        assert_eq!(rebuilt.sorted_ids(), ws.sorted_ids());
+        assert_eq!(rebuilt.sketch().minima(), ws.sketch().minima());
     }
 }

@@ -449,3 +449,91 @@ fn wire_bytes_count_frames_on_delivery_not_when_queued() {
         "the first step delivers the card; the reply waits for the next"
     );
 }
+
+/// FNV-1a over every frame the pump delivers, in delivery order across
+/// both directions, each frame preceded by its length so boundaries are
+/// part of the digest. Returns the plan, the digest, the frame count and
+/// the pump's per-direction byte counters.
+fn frame_digest(
+    receiver_ws: WorkingSet,
+    sender_ws: WorkingSet,
+    config: SessionConfig,
+    seed: u64,
+) -> (TransferPlan, u64, usize, (u64, u64)) {
+    let mut receiver = ReceiverMachine::new(receiver_ws, config);
+    let mut sender = SenderMachine::new(sender_ws, seed);
+    let mut pump = FramePump::new();
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    let mut frames = 0;
+    let mut absorb = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+        }
+    };
+    pump.run_observed(&mut receiver, &mut sender, |frame| {
+        absorb(&(frame.len() as u64).to_le_bytes());
+        absorb(frame);
+        frames += 1;
+    })
+    .expect("clean session");
+    let plan = receiver.plan().expect("plan chosen");
+    (plan, hash, frames, pump.wire_bytes())
+}
+
+#[test]
+fn frame_sequences_are_pinned() {
+    // One fixed session per plan, every frame's bytes and the delivery
+    // interleaving hashed. The values were recorded when the sender
+    // still generated its whole answer up front; a sender that streams
+    // must put the identical sequence on the wire.
+    let (receiver_ws, sender_ws) = overlapping_sets(600, 80, 240);
+    let config = SessionConfig::new().with_request(200).with_seed(0x31);
+    let (plan, hash, frames, bytes) = frame_digest(receiver_ws, sender_ws, config, 0x32);
+    assert_eq!(plan, TransferPlan::Reconciled { summary: SummaryId::BLOOM });
+    assert_eq!((hash, frames, bytes), (5_030_036_419_189_950_874, 205, (1_783, 6_062)));
+
+    let (receiver_ws, sender_ws) = overlapping_sets(600, 80, 240);
+    let config = speculative(200).with_seed(0x33);
+    let (plan, hash, frames, bytes) = frame_digest(receiver_ws, sender_ws, config, 0x34);
+    assert!(matches!(plan, TransferPlan::Speculative { .. }), "got {plan:?}");
+    assert_eq!((hash, frames, bytes), (5_184_618_817_629_827_075, 204, (1_062, 32_462)));
+}
+
+#[test]
+fn sender_yields_its_first_data_frame_before_generating_the_rest() {
+    // A speculative request for u64::MAX symbols: a sender that built
+    // its whole answer when the request arrived would never return.
+    let frames = |actions: Vec<SessionAction>| -> Vec<Bytes> {
+        actions
+            .into_iter()
+            .filter_map(|a| match a {
+                SessionAction::SendFrame(frame) => Some(frame),
+                _ => None,
+            })
+            .collect()
+    };
+    let (receiver_ws, sender_ws) = overlapping_sets(300, 20, 60);
+    let mut receiver = ReceiverMachine::new(receiver_ws, speculative(u64::MAX));
+    let mut sender = SenderMachine::new(sender_ws, 5);
+    let card = frames(receiver.handle(SessionEvent::PeerConnected).expect("connect"));
+    assert!(frames(sender.handle(SessionEvent::PeerConnected).expect("connect")).is_empty());
+    let [card] = &card[..] else { panic!("one calling card") };
+    let reply = frames(sender.handle(SessionEvent::FrameReceived(card.clone())).expect("card"));
+    let [reply] = &reply[..] else { panic!("one calling card back") };
+    let request = frames(receiver.handle(SessionEvent::FrameReceived(reply.clone())).expect("reply"));
+    let [request] = &request[..] else { panic!("a speculative plan sends only the request") };
+
+    let answered = sender.handle(SessionEvent::FrameReceived(request.clone())).expect("request");
+    assert!(answered.is_empty(), "the request opens the answer but generates no frame");
+    assert!(sender.is_streaming() && !sender.is_finished());
+    for _ in 0..3 {
+        let mut pulled = Vec::new();
+        assert!(sender.next_frame(&mut pulled).expect("pull"));
+        let [SessionAction::SendFrame(frame)] = &pulled[..] else {
+            panic!("one frame per pull, got {pulled:?}");
+        };
+        assert!(Message::is_data_tag(frame[4]), "a data frame");
+        receiver.handle(SessionEvent::FrameReceived(frame.clone())).expect("ingest");
+    }
+    assert!(sender.is_streaming() && !sender.is_finished());
+}

@@ -12,10 +12,13 @@ use bytes::Bytes;
 /// sketches, and filters operate on.
 pub type SymbolId = u64;
 
-/// Content partitioned into equal-size source blocks.
+/// Content partitioned into equal-size source blocks, held as one
+/// contiguous zero-padded buffer: encoding reads many blocks per
+/// symbol, and a block is then a plain offset into one allocation rather
+/// than a buffer of its own behind a reference-counted header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SourceBlocks {
-    blocks: Vec<Bytes>,
+    data: Bytes,
     block_size: usize,
 }
 
@@ -28,29 +31,17 @@ impl SourceBlocks {
     #[must_use]
     pub(crate) fn split(content: &[u8], block_size: usize) -> Self {
         assert!(block_size > 0, "block size must be positive");
-        let mut blocks: Vec<Bytes> = content
-            .chunks(block_size)
-            .map(|chunk| {
-                if chunk.len() == block_size {
-                    Bytes::copy_from_slice(chunk)
-                } else {
-                    let mut padded = Vec::with_capacity(block_size);
-                    padded.extend_from_slice(chunk);
-                    padded.resize(block_size, 0);
-                    Bytes::from(padded)
-                }
-            })
-            .collect();
-        if blocks.is_empty() {
-            blocks.push(Bytes::from(vec![0u8; block_size]));
-        }
-        Self { blocks, block_size }
+        let blocks = content.len().div_ceil(block_size).max(1);
+        let data = Bytes::from_fill(blocks * block_size, |data| {
+            data[..content.len()].copy_from_slice(content);
+        });
+        Self { data, block_size }
     }
 
     /// Number of source blocks, `l` in the paper's notation.
     #[must_use]
     pub(crate) fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.data.len() / self.block_size
     }
 
     /// Size of each block in bytes.
@@ -61,8 +52,8 @@ impl SourceBlocks {
 
     /// Block `i`.
     #[must_use]
-    pub(crate) fn block(&self, i: usize) -> &Bytes {
-        &self.blocks[i]
+    pub(crate) fn block(&self, i: usize) -> &[u8] {
+        &self.data[i * self.block_size..(i + 1) * self.block_size]
     }
 }
 
@@ -75,7 +66,8 @@ mod tests {
         for len in [0usize, 1, 99, 100, 101, 1399, 1400, 1401, 10_000] {
             let content: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             let sb = SourceBlocks::split(&content, 100);
-            let mut joined: Vec<u8> = sb.blocks.iter().flat_map(|b| b.iter().copied()).collect();
+            let mut joined: Vec<u8> =
+                (0..sb.num_blocks()).flat_map(|i| sb.block(i).iter().copied()).collect();
             assert!(joined[len..].iter().all(|&b| b == 0), "zero padding at len {len}");
             joined.truncate(len);
             assert_eq!(joined, content, "roundtrip at len {len}");
@@ -97,7 +89,7 @@ mod tests {
     fn empty_content_yields_one_zero_block() {
         let sb = SourceBlocks::split(&[], 64);
         assert_eq!(sb.num_blocks(), 1);
-        assert_eq!(&sb.block(0)[..], &[0u8; 64][..]);
+        assert_eq!(sb.block(0), &[0u8; 64][..]);
     }
 
     #[test]

@@ -183,9 +183,10 @@ impl Encoder {
     /// [`Encoder::symbol`] through caller-owned scratch.
     fn symbol_with(&self, id: SymbolId, scratch: &mut EncodeScratch) -> EncodedSymbol {
         self.symbol_into(id, scratch);
+        let payload = &scratch.payload;
         EncodedSymbol {
             id,
-            payload: Bytes::from(scratch.payload.to_vec()),
+            payload: Bytes::from_fill(payload.len(), |out| payload.write_to(out)),
         }
     }
 
@@ -201,7 +202,7 @@ impl Encoder {
         } else {
             scratch.payload = SymbolBuf::zeroed(block_size);
         }
-        let block = |b: usize| &self.source.block(b)[..];
+        let block = |b: usize| self.source.block(b);
         let mut quads = scratch.neighbors.chunks_exact(4);
         for q in quads.by_ref() {
             scratch
@@ -290,7 +291,7 @@ mod tests {
         for id in 0..5000u64 {
             let n = enc.spec().neighbors(id);
             if n.len() == 1 {
-                assert_eq!(&enc.symbol(id).payload[..], &source.block(n[0])[..]);
+                assert_eq!(&enc.symbol(id).payload[..], source.block(n[0]));
                 found = true;
                 break;
             }

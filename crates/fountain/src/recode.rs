@@ -221,7 +221,7 @@ impl Recoder {
         self.generate_into(rng, &mut scratch);
         RecodedSymbol {
             components: std::mem::take(&mut scratch.components),
-            payload: Bytes::from(scratch.payload.to_vec()),
+            payload: Bytes::from_fill(scratch.payload.len(), |out| scratch.payload.write_to(out)),
         }
     }
 
@@ -355,57 +355,79 @@ impl WatcherArena {
     }
 }
 
-/// What a [`RecodeBuffer`] stores for each known or pending symbol.
+/// What a [`RecodeBuffer`] stores for each known symbol, and how it
+/// accumulates a pending recoded one.
 ///
 /// The §6.1 simulation "keeps payload bytes out of the simulation while
 /// the substitution *structure* stays exact": it runs the buffer over
 /// `()`, so every payload operation compiles away and the known map has
 /// the layout of an id set. The data plane runs the same buffer over
-/// word-aligned [`SymbolBuf`]s drawn from a [`SymbolPool`]. The cascade
-/// is written once, in [`RecodeBuffer`], and never branches on the
-/// payload type.
+/// [`Bytes`]: a known symbol's payload is shared by reference count with
+/// the working set or frame it came from, never copied, and only a
+/// recoded symbol that still has unknown components is copied — once —
+/// into a word-aligned [`SymbolBuf`] accumulator drawn from a
+/// [`SymbolPool`]. The cascade is written once, in [`RecodeBuffer`], and
+/// never branches on the payload type.
 pub trait RecodePayload: Sized {
-    /// Recycler for payloads the buffer releases.
+    /// A pending recoded symbol's running XOR.
+    type Acc;
+
+    /// Recycler for accumulators the buffer releases.
     type Pool: Clone + Default + std::fmt::Debug;
 
-    /// Builds a payload from the bytes a symbol arrived with.
-    fn load(pool: &mut Self::Pool, bytes: &[u8]) -> Self;
+    /// Starts an accumulator from a recoded symbol's payload.
+    fn load(pool: &mut Self::Pool, payload: &Self) -> Self::Acc;
 
-    /// XORs `other` into `self`.
-    fn xor_in(&mut self, other: &Self);
+    /// XORs a known payload into an accumulator.
+    fn xor_in(acc: &mut Self::Acc, known: &Self);
 
-    /// Hands a payload the buffer no longer needs back to the pool.
-    fn release(pool: &mut Self::Pool, payload: Self);
+    /// Turns an accumulator left with one unknown component into that
+    /// symbol's payload, recycling the accumulator.
+    fn freeze(pool: &mut Self::Pool, acc: Self::Acc) -> Self;
+
+    /// Hands an accumulator the buffer no longer needs back to the pool.
+    fn release(pool: &mut Self::Pool, acc: Self::Acc);
 }
 
 impl RecodePayload for () {
+    type Acc = ();
     type Pool = ();
 
     #[inline]
-    fn load((): &mut (), _: &[u8]) {}
+    fn load((): &mut (), (): &()) {}
 
     #[inline]
-    fn xor_in(&mut self, (): &()) {}
+    fn xor_in((): &mut (), (): &()) {}
+
+    #[inline]
+    fn freeze((): &mut (), (): ()) {}
 
     #[inline]
     fn release((): &mut (), (): ()) {}
 }
 
-impl RecodePayload for SymbolBuf {
+impl RecodePayload for Bytes {
+    type Acc = SymbolBuf;
     type Pool = SymbolPool;
 
-    fn load(pool: &mut SymbolPool, bytes: &[u8]) -> Self {
-        let mut buf = pool.acquire_for_overwrite(bytes.len());
-        buf.copy_from_bytes(bytes);
-        buf
+    fn load(pool: &mut SymbolPool, payload: &Bytes) -> SymbolBuf {
+        let mut acc = pool.acquire_for_overwrite(payload.len());
+        acc.copy_from_bytes(payload);
+        acc
     }
 
-    fn xor_in(&mut self, other: &Self) {
-        self.xor_buf(other);
+    fn xor_in(acc: &mut SymbolBuf, known: &Bytes) {
+        acc.xor_bytes(known);
     }
 
-    fn release(pool: &mut SymbolPool, payload: Self) {
-        pool.release(payload);
+    fn freeze(pool: &mut SymbolPool, acc: SymbolBuf) -> Bytes {
+        let payload = Bytes::from_fill(acc.len(), |out| acc.write_to(out));
+        pool.release(acc);
+        payload
+    }
+
+    fn release(pool: &mut SymbolPool, acc: SymbolBuf) {
+        pool.release(acc);
     }
 }
 
@@ -415,9 +437,9 @@ impl RecodePayload for SymbolBuf {
 /// recoded symbols, and cascades: a recovered encoded symbol may unlock
 /// further recoded symbols, exactly like the base decoder's ripple but
 /// one level up. Generic over the [`RecodePayload`] each entry carries:
-/// `RecodeBuffer<()>` in the simulator, `RecodeBuffer<SymbolBuf>` on
-/// the data plane — one cascade, so the simulated substitution
-/// structure is the real one.
+/// `RecodeBuffer<()>` in the simulator, `RecodeBuffer<Bytes>` on the
+/// data plane — one cascade, so the simulated substitution structure is
+/// the real one.
 ///
 /// A buffered recoded symbol is the lazy-release form the peeling
 /// decoder uses: a count of still-unknown components and the XOR of
@@ -440,7 +462,7 @@ pub struct RecodeBuffer<P: RecodePayload> {
     /// append-only and never reused: a resolved slot still has watcher
     /// nodes on its other components, and those must read `None` when
     /// their id resolves later rather than land in an unrelated symbol.
-    pending: Vec<Option<PendingRecoded<P>>>,
+    pending: Vec<Option<PendingRecoded<P::Acc>>>,
     /// Number of `Some` slots in `pending`.
     pending_live: usize,
     watchers: WatcherArena,
@@ -455,13 +477,14 @@ pub struct RecodeBuffer<P: RecodePayload> {
 }
 
 #[derive(Debug, Clone)]
-struct PendingRecoded<P> {
+struct PendingRecoded<A> {
     /// Components not yet known; at least 2 while the slot is pending.
     unknown: u32,
     /// XOR of the unknown component ids — the last one once `unknown`
     /// is 1.
     unknown_xor: SymbolId,
-    payload: P,
+    /// XOR of the payload and every component known so far.
+    acc: A,
 }
 
 impl<P: RecodePayload> Default for RecodeBuffer<P> {
@@ -508,10 +531,9 @@ impl<P: RecodePayload> RecodeBuffer<P> {
     pub fn add_known(
         &mut self,
         id: SymbolId,
-        payload: &[u8],
+        payload: P,
         recovered: impl FnMut(SymbolId, &P),
     ) -> usize {
-        let payload = P::load(&mut self.pool, payload);
         self.resolve(id, payload, false, recovered)
     }
 
@@ -519,6 +541,18 @@ impl<P: RecodePayload> RecodeBuffer<P> {
     #[must_use]
     pub fn knows(&self, id: SymbolId) -> bool {
         self.known.contains_key(&id)
+    }
+
+    /// The payload held for known symbol `id`.
+    #[must_use]
+    pub fn known_payload(&self, id: SymbolId) -> Option<&P> {
+        self.known.get(&id)
+    }
+
+    /// The recycler pending symbols' accumulators are drawn from.
+    #[must_use]
+    pub fn pool(&self) -> &P::Pool {
+        &self.pool
     }
 
     /// Number of known encoded symbols.
@@ -555,47 +589,56 @@ impl<P: RecodePayload> RecodeBuffer<P> {
     /// (a plain encoded symbol is the degree-1 case). Every symbol it
     /// recovers — none when buffered or redundant, several via cascade —
     /// goes to `recovered`. Returns the number recovered.
+    ///
+    /// A degree-1 symbol's payload is kept as given: it becomes the
+    /// known payload without passing through an accumulator.
     pub fn receive(
         &mut self,
         components: &[SymbolId],
-        payload: &[u8],
+        payload: P,
         recovered: impl FnMut(SymbolId, &P),
     ) -> usize {
         assert!(!components.is_empty(), "recoded symbol with no components");
-        let mut buf = P::load(&mut self.pool, payload);
-        self.unknown_ids.clear();
-        for id in components {
-            match self.known.get(id) {
-                Some(known) => buf.xor_in(known),
-                None => self.unknown_ids.push(*id),
-            }
-        }
-        match self.unknown_ids.len() {
-            0 => {
+        let (id, payload) = if let [id] = components {
+            if self.known.contains_key(id) {
                 self.redundant += 1;
-                P::release(&mut self.pool, buf);
-                0
+                return 0;
             }
-            1 => {
-                let id = self.unknown_ids[0];
-                self.resolve(id, buf, true, recovered)
-            }
-            unknown => {
-                let slot = u32::try_from(self.pending.len()).expect("pending overflow");
-                let mut unknown_xor = 0;
-                for &id in &self.unknown_ids {
-                    self.watchers.watch(id, slot);
-                    unknown_xor ^= id;
+            (*id, payload)
+        } else {
+            let mut acc = P::load(&mut self.pool, &payload);
+            self.unknown_ids.clear();
+            for id in components {
+                match self.known.get(id) {
+                    Some(known) => P::xor_in(&mut acc, known),
+                    None => self.unknown_ids.push(*id),
                 }
-                self.pending.push(Some(PendingRecoded {
-                    unknown: u32::try_from(unknown).expect("degree overflow"),
-                    unknown_xor,
-                    payload: buf,
-                }));
-                self.pending_live += 1;
-                0
             }
-        }
+            match self.unknown_ids.len() {
+                0 => {
+                    self.redundant += 1;
+                    P::release(&mut self.pool, acc);
+                    return 0;
+                }
+                1 => (self.unknown_ids[0], P::freeze(&mut self.pool, acc)),
+                unknown => {
+                    let slot = u32::try_from(self.pending.len()).expect("pending overflow");
+                    let mut unknown_xor = 0;
+                    for &id in &self.unknown_ids {
+                        self.watchers.watch(id, slot);
+                        unknown_xor ^= id;
+                    }
+                    self.pending.push(Some(PendingRecoded {
+                        unknown: u32::try_from(unknown).expect("degree overflow"),
+                        unknown_xor,
+                        acc,
+                    }));
+                    self.pending_live += 1;
+                    return 0;
+                }
+            }
+        };
+        self.resolve(id, payload, true, recovered)
     }
 
     /// Marks `id` known with `payload` and cascades, returning the number
@@ -617,10 +660,9 @@ impl<P: RecodePayload> RecodeBuffer<P> {
         while let Some((id, data)) = queue.pop() {
             let reported = std::mem::replace(&mut report, true);
             let data = match self.known.entry(id) {
-                Entry::Occupied(_) => {
-                    P::release(&mut self.pool, data);
-                    continue;
-                }
+                // Two pending symbols of one cascade resolved to the
+                // same id; the first to land is kept.
+                Entry::Occupied(_) => continue,
                 Entry::Vacant(slot) => &*slot.insert(data),
             };
             self.arrivals.push(id);
@@ -640,11 +682,11 @@ impl<P: RecodePayload> RecodeBuffer<P> {
                 };
                 p.unknown -= 1;
                 p.unknown_xor ^= id;
-                p.payload.xor_in(data);
+                P::xor_in(&mut p.acc, data);
                 if p.unknown == 1 {
                     let p = self.pending[slot as usize].take().expect("checked above");
                     self.pending_live -= 1;
-                    queue.push((p.unknown_xor, p.payload));
+                    queue.push((p.unknown_xor, P::freeze(&mut self.pool, p.acc)));
                 }
             }
         }
@@ -674,17 +716,17 @@ mod tests {
         }
     }
 
-    fn add_known(buf: &mut RecodeBuffer<SymbolBuf>, sym: &EncodedSymbol) {
-        buf.add_known(sym.id, &sym.payload, |_, _| {});
+    fn add_known(buf: &mut RecodeBuffer<Bytes>, sym: &EncodedSymbol) {
+        buf.add_known(sym.id, sym.payload.clone(), |_, _| {});
     }
 
-    /// Receives `rec`, materializing what it recovers as encoded symbols.
-    fn receive(buf: &mut RecodeBuffer<SymbolBuf>, rec: &RecodedSymbol) -> Vec<EncodedSymbol> {
+    /// Receives `rec`, collecting what it recovers as encoded symbols.
+    fn receive(buf: &mut RecodeBuffer<Bytes>, rec: &RecodedSymbol) -> Vec<EncodedSymbol> {
         let mut out = Vec::new();
-        buf.receive(&rec.components, &rec.payload, |id, payload| {
+        buf.receive(&rec.components, rec.payload.clone(), |id, payload| {
             out.push(EncodedSymbol {
                 id,
-                payload: Bytes::from(payload.to_vec()),
+                payload: payload.clone(),
             });
         });
         out
@@ -728,6 +770,26 @@ mod tests {
         assert_eq!(by_id[&5].payload, y5.payload);
         assert_eq!(by_id[&8].payload, y8.payload);
         assert_eq!(by_id[&13].payload, y13.payload);
+    }
+
+    #[test]
+    fn known_payloads_are_shared_not_copied() {
+        // A held payload and a degree-1 arrival (a view into a larger
+        // frame) are stored as given; only a recoded symbol that still
+        // has unknown components draws an accumulator from the pool.
+        let mut buf = RecodeBuffer::<Bytes>::new();
+        let held = Bytes::from(vec![1u8; 64]);
+        buf.add_known(1, held.clone(), |_, _| {});
+        let frame = Bytes::from(vec![2u8; 80]);
+        let arriving = frame.slice(16..);
+        assert_eq!(buf.receive(&[2], arriving.clone(), |_, _| {}), 1);
+        assert_eq!(buf.known_payload(1).map(|p| p.as_ptr()), Some(held.as_ptr()));
+        assert_eq!(buf.known_payload(2).map(|p| p.as_ptr()), Some(arriving.as_ptr()));
+        assert_eq!(buf.pool().stats().allocated, 0);
+        assert_eq!(buf.receive(&[1, 3], Bytes::from(vec![3u8; 64]), |_, _| {}), 1);
+        assert_eq!(buf.known_payload(3).map(|p| p.to_vec()), Some(vec![2u8; 64]));
+        assert_eq!(buf.pool().stats().allocated, 1);
+        assert_eq!(buf.pool().stats().released, 1);
     }
 
     #[test]
@@ -924,6 +986,6 @@ mod tests {
     #[should_panic(expected = "no components")]
     fn empty_recoded_symbol_rejected() {
         let mut buf = RecodeBuffer::<()>::new();
-        let _ = buf.receive(&[], &[], |_, _| {});
+        let _ = buf.receive(&[], (), |_, _| {});
     }
 }

@@ -170,11 +170,11 @@ fn stale_watchers_do_not_disturb_later_pending_symbols() {
     // c is stale by the time c's chain runs, and z1 = {c, d}, buffered
     // after z0, sits behind it in that chain: z1 must still yield d.
     let (a, b, c, d) = (11u64, 22, 33, 44);
-    let mut buf = RecodeBuffer::<SymbolBuf>::new();
+    let mut buf = RecodeBuffer::<Bytes>::new();
     let mut reference = ReferenceCascade::default();
-    let mut step = |buf: &mut RecodeBuffer<SymbolBuf>, components: &[u64]| {
+    let mut step = |buf: &mut RecodeBuffer<Bytes>, components: &[u64]| {
         let mut ids = Vec::new();
-        buf.receive(components, &blend(components), |id, p| {
+        buf.receive(components, Bytes::from(blend(components)), |id, p| {
             assert_eq!(p.to_vec(), truth(id), "payload of {id}");
             ids.push(id);
         });
@@ -320,16 +320,16 @@ proptest! {
         let truth: std::collections::HashMap<u64, Bytes> =
             symbols.iter().map(|s| (s.id, s.payload.clone())).collect();
         let recoder = Recoder::new(symbols.clone(), 10, RecodePolicy::Oblivious);
-        let mut buf = RecodeBuffer::<SymbolBuf>::new();
+        let mut buf = RecodeBuffer::<Bytes>::new();
         let cut = ((n_symbols as f64) * known_frac) as usize;
         for s in &symbols[..cut] {
-            buf.add_known(s.id, &s.payload, |_, _| {});
+            buf.add_known(s.id, s.payload.clone(), |_, _| {});
         }
         let mut rng = Xoshiro256StarStar::new(seed);
         for _ in 0..200 {
             let rec = recoder.generate(&mut rng);
             let mut got = Vec::new();
-            buf.receive(&rec.components, &rec.payload, |id, p| got.push((id, p.to_vec())));
+            buf.receive(&rec.components, rec.payload.clone(), |id, p| got.push((id, p.to_vec())));
             for (id, payload) in got {
                 prop_assert_eq!(&payload[..], &truth.get(&id).expect("known id")[..]);
             }
@@ -364,35 +364,35 @@ proptest! {
         ),
     ) {
         // The simulator's RecodeBuffer<()> and the data plane's
-        // RecodeBuffer<SymbolBuf> must both match the list-of-remaining-ids
+        // RecodeBuffer<Bytes> must both match the list-of-remaining-ids
         // reference call by call: same recoveries in the same order, same
         // known set in the same arrival order, same redundancy and pending
         // accounting, across interleaved add_known and receive calls.
         // Component lists come unsorted and may repeat an id, as the wire
         // allows; every recovered payload must be the true one.
         let ids: Vec<u64> = (0..universe as u64).map(|i| i * 31 + 5).collect();
-        let mut full = RecodeBuffer::<SymbolBuf>::new();
+        let mut full = RecodeBuffer::<Bytes>::new();
         let mut lean = RecodeBuffer::<()>::new();
         let mut reference = ReferenceCascade::default();
         for (step, (picks, seed_known)) in packets.into_iter().enumerate() {
             let components: Vec<u64> = picks.iter().map(|&p| ids[p % universe]).collect();
             let (mut full_got, mut lean_got) = (Vec::new(), Vec::new());
             let mut payloads_ok = true;
-            let mut check = |id: u64, p: &SymbolBuf| {
+            let mut check = |id: u64, p: &Bytes| {
                 payloads_ok &= p.to_vec() == truth(id);
                 full_got.push(id);
             };
             let (a, b, expect) = if seed_known {
                 let id = components[0];
                 (
-                    full.add_known(id, &truth(id), &mut check),
-                    lean.add_known(id, &[], |id, ()| lean_got.push(id)),
+                    full.add_known(id, Bytes::from(truth(id)), &mut check),
+                    lean.add_known(id, (), |id, ()| lean_got.push(id)),
                     reference.add_known(id),
                 )
             } else {
                 (
-                    full.receive(&components, &blend(&components), &mut check),
-                    lean.receive(&components, &[], |id, ()| lean_got.push(id)),
+                    full.receive(&components, Bytes::from(blend(&components)), &mut check),
+                    lean.receive(&components, (), |id, ()| lean_got.push(id)),
                     reference.receive(&components),
                 )
             };
@@ -415,9 +415,9 @@ proptest! {
 
     #[test]
     fn degree_one_recoded_is_the_symbol(payload in proptest::collection::vec(any::<u8>(), 0..64), id in any::<u64>()) {
-        let mut buf = RecodeBuffer::<SymbolBuf>::new();
+        let mut buf = RecodeBuffer::<Bytes>::new();
         let mut got = Vec::new();
-        buf.receive(&[id], &payload, |id, p| got.push((id, p.to_vec())));
+        buf.receive(&[id], Bytes::from(payload.clone()), |id, p| got.push((id, p.to_vec())));
         prop_assert_eq!(got.len(), 1);
         prop_assert_eq!(got[0].0, id);
         prop_assert_eq!(&got[0].1[..], &payload[..]);

@@ -337,13 +337,31 @@ pub(crate) fn serve_session_budgeted<S: Read + Write>(
         )? {
             return Ok(outcome);
         }
+        flush(stream)?;
 
+        let mut pulled = Vec::new();
         loop {
             if machine.is_finished() {
                 return Ok(ServeOutcome {
                     stats,
                     status: ServeStatus::Complete,
                 });
+            }
+            // The answer goes out as it is pulled, one frame per call,
+            // through the write buffer (drained when full and when the
+            // session ends, never per frame).
+            if machine.next_frame(&mut pulled).map_err(DriveError::Machine)? {
+                if let Some(outcome) = write_actions(
+                    stream,
+                    &pulled,
+                    &mut stats,
+                    &mut data_written,
+                    budget,
+                )? {
+                    return Ok(outcome);
+                }
+                pulled.clear();
+                continue;
             }
             let frame = match read_frame_bytes(stream, limit) {
                 Ok(frame) => frame,
@@ -380,8 +398,16 @@ pub(crate) fn serve_session_budgeted<S: Read + Write>(
             )? {
                 return Ok(outcome);
             }
+            flush(stream)?;
         }
     })
+}
+
+/// Flushes one batch of replies: see `icd_core::machine`'s `execute`.
+fn flush<S: Write>(stream: &mut S) -> Result<(), DriveError> {
+    stream
+        .flush()
+        .map_err(|e| DriveError::Transport(FrameError::from(e)))
 }
 
 /// Writes every `SendFrame` action, booking stats; returns the severed
@@ -418,10 +444,6 @@ fn write_actions<S: Write>(
             }
         }
     }
-    // One batch, one write — see `icd_core::machine`'s `execute`.
-    stream
-        .flush()
-        .map_err(|e| DriveError::Transport(FrameError::from(e)))?;
     Ok(None)
 }
 

@@ -30,7 +30,7 @@ impl Receiver {
         // overshoot).
         let mut buffer = RecodeBuffer::with_capacity(target.max(initial.len()));
         for &id in initial {
-            buffer.add_known(id, &[], |_, ()| {});
+            buffer.add_known(id, (), |_, ()| {});
         }
         Self { buffer, target }
     }
@@ -74,7 +74,7 @@ impl Receiver {
     /// case). Returns the number of *new* distinct symbols gained (0 for
     /// redundant packets; possibly > 1 when a recoded packet cascades).
     pub fn receive(&mut self, ids: &[SymbolId]) -> usize {
-        self.buffer.receive(ids, &[], |_, ()| {})
+        self.buffer.receive(ids, (), |_, ()| {})
     }
 }
 

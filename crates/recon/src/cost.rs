@@ -202,8 +202,9 @@ pub fn measure_all(scenario: &Scenario, poly_bound: usize) -> CostReport {
         let tree_a = ReconciliationTree::from_keys(params, scenario.a_keys.iter().copied());
         let summary = ArtSummary::build(&tree_a, SummaryParams::standard());
         let build_ns = t0.elapsed().as_nanos();
-        // B's tree is maintained incrementally in a deployment; its
-        // construction is not part of per-reconciliation time.
+        // §4 counts B's tree as maintained incrementally, so its
+        // construction is not part of per-reconciliation time (the
+        // session machines build it per exchange instead).
         let tree_b = ReconciliationTree::from_keys(params, scenario.b_keys.iter().copied());
         let t1 = Instant::now();
         let out = search_differences(&tree_b, &summary);

@@ -229,7 +229,7 @@ impl Poly {
     /// fails (repeated or non-linear factors), which callers treat as a
     /// verification failure.
     #[must_use]
-    pub fn roots(&self, seed: u64) -> Option<Vec<u64>> {
+    pub(crate) fn roots(&self, seed: u64) -> Option<Vec<u64>> {
         if self.is_zero() {
             return None;
         }

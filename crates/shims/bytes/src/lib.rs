@@ -4,7 +4,9 @@
 //! workspace ships the minimal API surface it actually uses: [`Bytes`],
 //! an immutable, cheaply clonable (reference-counted) byte buffer with
 //! zero-copy subslicing via [`Bytes::slice`]. Semantics match the real
-//! crate for this subset; `BytesMut` is intentionally absent.
+//! crate for this subset; `BytesMut` is intentionally absent. In its
+//! place, [`Bytes::from_fill`] lets a producer write a new buffer's
+//! bytes in place, inside the shared allocation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,6 +18,12 @@ use std::sync::{Arc, OnceLock};
 
 /// An immutable, reference-counted byte buffer. `clone()` and
 /// [`Bytes::slice`] are O(1): both share the backing allocation.
+///
+/// The reference counts and the bytes live in one allocation (an
+/// `Arc<[u8]>`), so reading a buffer is one pointer hop. That is why
+/// `Bytes::from(Vec<u8>)` copies: safe code cannot grow a vector's
+/// allocation by the counts' header. [`Bytes::from_fill`] is the
+/// copy-free way in.
 #[derive(Clone)]
 pub struct Bytes {
     data: Arc<[u8]>,
@@ -58,6 +66,23 @@ impl Bytes {
             off: 0,
             len: slice.len(),
         }
+    }
+
+    /// A buffer of `len` bytes that `fill` writes in place. The bytes
+    /// are allocated once, zeroed, inside the shared allocation and
+    /// handed to `fill` before anything else can see them, so a producer
+    /// — a frame reader, an encoder — builds a buffer with no staging
+    /// vector and no copy.
+    #[must_use]
+    pub fn from_fill(len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
+        if len == 0 {
+            fill(&mut []);
+            return Self::new();
+        }
+        // An exact-size iterator collects straight into one allocation.
+        let mut data: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        fill(Arc::get_mut(&mut data).expect("a new Arc has no other owner"));
+        Self { data, off: 0, len }
     }
 
     /// Creates a buffer from a static byte slice (copies; the real crate
@@ -134,6 +159,8 @@ impl Borrow<[u8]> for Bytes {
     }
 }
 
+/// Copies the vector's bytes into a new shared allocation (see
+/// [`Bytes`] for why it cannot adopt the vector's own).
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         if v.is_empty() {
@@ -237,6 +264,21 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert!(!a.is_empty());
         assert!(Bytes::new().is_empty());
+    }
+
+    #[test]
+    fn from_fill_writes_in_place() {
+        let mut seen = std::ptr::null();
+        let a = Bytes::from_fill(1400, |buf| {
+            assert!(buf.iter().all(|&b| b == 0), "handed over zeroed");
+            buf[7] = 9;
+            seen = buf.as_ptr();
+        });
+        assert_eq!(a.len(), 1400);
+        assert_eq!(a.as_ptr(), seen, "the filled bytes are the buffer");
+        assert_eq!((a[7], a[8]), (9, 0));
+        let empty = Bytes::from_fill(0, |buf| assert!(buf.is_empty()));
+        assert_eq!(empty.as_ptr(), Bytes::new().as_ptr());
     }
 
     #[test]

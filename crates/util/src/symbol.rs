@@ -27,7 +27,7 @@ const WORD_BYTES: usize = 8;
 /// * `words.len() >= len.div_ceil(8)` (capacity may exceed the live
 ///   view when a pooled buffer is reused at a shorter length);
 /// * the bytes of the live word range beyond `len` are always zero, so
-///   whole-word operations ([`SymbolBuf::xor_buf`], [`SymbolBuf::eq`])
+///   whole-word operations ([`SymbolBuf::xor_word_slices`], [`SymbolBuf::eq`])
 ///   need no tail masking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymbolBuf {
@@ -106,17 +106,6 @@ impl SymbolBuf {
             let mut last = [0u8; WORD_BYTES];
             last[..tail.len()].copy_from_slice(tail);
             self.words[self.len / WORD_BYTES] = u64::from_le_bytes(last);
-        }
-    }
-
-    /// XORs another buffer in: the fast path, one `u64` op per word.
-    /// Panics on length mismatch.
-    #[inline]
-    pub fn xor_buf(&mut self, other: &Self) {
-        assert_eq!(other.len, self.len, "XOR of unequal-length buffers");
-        let n = self.word_len();
-        for (d, s) in self.words[..n].iter_mut().zip(&other.words[..n]) {
-            *d ^= s;
         }
     }
 
@@ -354,18 +343,14 @@ mod tests {
     }
 
     #[test]
-    fn xor_buf_matches_bytewise() {
+    fn xor_bytes_matches_bytewise() {
         for len in [0usize, 1, 7, 8, 9, 63, 64, 100, 1400] {
             let a: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             let b: Vec<u8> = (0..len).map(|i| (i * 7 % 253) as u8).collect();
             let mut buf = SymbolBuf::from_bytes(&a);
-            buf.xor_buf(&SymbolBuf::from_bytes(&b));
+            buf.xor_bytes(&b);
             let expect: Vec<u8> = a.iter().zip(&b).map(|(x, y)| x ^ y).collect();
             assert_eq!(buf.to_vec(), expect, "len {len}");
-            // xor_bytes agrees with xor_buf.
-            let mut buf2 = SymbolBuf::from_bytes(&a);
-            buf2.xor_bytes(&b);
-            assert_eq!(buf2, buf, "len {len}");
         }
     }
 
@@ -378,7 +363,7 @@ mod tests {
             for count in 0..=21 {
                 let bufs: Vec<SymbolBuf> = (0..count).map(|k| SymbolBuf::from_bytes(&source(k))).collect();
                 let mut expect = SymbolBuf::from_bytes(&source(99));
-                bufs.iter().for_each(|b| expect.xor_buf(b));
+                bufs.iter().for_each(|b| expect.xor_bytes(&b.to_vec()));
                 let mut got = SymbolBuf::from_bytes(&source(99));
                 got.xor_word_slices(bufs.iter().map(SymbolBuf::words));
                 assert_eq!(got, expect, "len {len}, {count} sources");

@@ -11,7 +11,9 @@
 
 use std::io::{Read, Write};
 
-use crate::message::{Message, WireError};
+use bytes::Bytes;
+
+use crate::message::{encode_recoded_into, recoded_symbol_frame_len, Message, WireError};
 
 /// Upper bound on accepted frame sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,17 +130,52 @@ pub fn write_frame_buf<W: Write>(
     msg: &Message,
     scratch: &mut Vec<u8>,
 ) -> Result<(), FrameError> {
+    let prefix = length_prefix(msg.encoded_size())?;
     scratch.clear();
-    scratch.extend_from_slice(&[0u8; 4]);
-    msg.encode_into(scratch);
-    let body_len = scratch.len() - 4;
+    scratch.resize(msg.frame_len(), 0);
+    scratch[..4].copy_from_slice(&prefix);
+    msg.encode_into(&mut scratch[4..]);
+    writer.write_all(scratch)?;
+    Ok(())
+}
+
+/// One whole frame of `msg` — length prefix and body, the bytes
+/// [`write_frame_buf`] writes — encoded once, straight into the shared
+/// buffer that carries it ([`Bytes::from_fill`]), for a caller that
+/// hands frames on as buffers.
+pub fn encode_frame(msg: &Message) -> Result<Bytes, FrameError> {
+    let prefix = length_prefix(msg.encoded_size())?;
+    Ok(Bytes::from_fill(msg.frame_len(), |frame| {
+        frame[..4].copy_from_slice(&prefix);
+        msg.encode_into(&mut frame[4..]);
+    }))
+}
+
+/// The frame [`encode_frame`] gives for a `RecodedSymbol` over
+/// `components` with a `payload_len`-byte payload, the payload written
+/// in place by `fill`: a sender whose recoded payload is a word-packed
+/// accumulator writes it into the frame once instead of first copying
+/// it into a `Message`.
+pub fn encode_recoded_frame(
+    components: &[u64],
+    payload_len: usize,
+    fill: impl FnOnce(&mut [u8]),
+) -> Result<Bytes, FrameError> {
+    let frame_len = recoded_symbol_frame_len(components.len(), payload_len);
+    let prefix = length_prefix(frame_len - 4)?;
+    Ok(Bytes::from_fill(frame_len, |frame| {
+        frame[..4].copy_from_slice(&prefix);
+        encode_recoded_into(&mut frame[4..], components, payload_len, fill);
+    }))
+}
+
+/// The u32 length prefix of a `body_len`-byte frame body.
+fn length_prefix(body_len: usize) -> Result<[u8; 4], FrameError> {
     let len = u32::try_from(body_len).map_err(|_| FrameError::TooLarge {
         claimed: u32::MAX,
         limit: u32::MAX,
     })?;
-    scratch[..4].copy_from_slice(&len.to_le_bytes());
-    writer.write_all(scratch)?;
-    Ok(())
+    Ok(len.to_le_bytes())
 }
 
 /// Reads the 4-byte length prefix. A clean EOF before the first byte is
@@ -193,7 +230,7 @@ fn read_body<R: Read>(reader: &mut R, buf: &mut [u8], got_before: usize) -> Resu
 pub fn read_frame_bytes<R: Read>(
     reader: &mut R,
     limit: FrameLimit,
-) -> Result<bytes::Bytes, FrameError> {
+) -> Result<Bytes, FrameError> {
     let len_bytes = read_prefix(reader)?;
     let len = u32::from_le_bytes(len_bytes);
     if len > limit.max_bytes {
@@ -202,10 +239,14 @@ pub fn read_frame_bytes<R: Read>(
             limit: limit.max_bytes,
         });
     }
-    let mut frame = vec![0u8; 4 + len as usize];
-    frame[..4].copy_from_slice(&len_bytes);
-    read_body(reader, &mut frame[4..], 4)?;
-    Ok(bytes::Bytes::from(frame))
+    // Read straight into the shared buffer the frame travels in.
+    let mut read = Ok(());
+    let frame = Bytes::from_fill(4 + len as usize, |frame| {
+        frame[..4].copy_from_slice(&len_bytes);
+        read = read_body(reader, &mut frame[4..], 4);
+    });
+    read?;
+    Ok(frame)
 }
 
 /// Reads one frame and decodes it. Returns [`FrameError::Closed`] if the
@@ -220,17 +261,42 @@ pub fn read_frame<R: Read>(reader: &mut R, limit: FrameLimit) -> Result<Message,
             limit: limit.max_bytes,
         });
     }
-    let mut body = vec![0u8; len as usize];
-    read_body(reader, &mut body, 4)?;
-    // Hand the body over as a shared buffer so data-plane payloads
-    // decode as views of it — the read is the frame's only copy.
-    Message::decode_from(&bytes::Bytes::from(body)).map_err(FrameError::Wire)
+    // Read into a shared buffer so data-plane payloads decode as views
+    // of it — the read is the frame's only copy.
+    let mut read = Ok(());
+    let body = Bytes::from_fill(len as usize, |body| read = read_body(reader, body, 4));
+    read?;
+    Message::decode_from(&body).map_err(FrameError::Wire)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    #[test]
+    fn encoded_frames_match_the_written_ones() {
+        let msgs = vec![
+            Message::SymbolRequest { count: 9 },
+            Message::EncodedSymbol {
+                id: 7,
+                payload: bytes::Bytes::from(vec![1, 2, 3]),
+            },
+            Message::RecodedSymbol {
+                components: vec![4, 5],
+                payload: bytes::Bytes::from(vec![6; 10]),
+            },
+        ];
+        for m in &msgs {
+            let mut written = Vec::new();
+            write_frame(&mut written, m).expect("write");
+            let frame = encode_frame(m).expect("encode");
+            assert_eq!(frame, written);
+            assert_eq!(frame.len(), m.frame_len());
+        }
+        let filled = encode_recoded_frame(&[4, 5], 10, |out| out.fill(6)).expect("encode");
+        assert_eq!(filled, encode_frame(&msgs[2]).expect("encode"));
+    }
 
     #[test]
     fn roundtrip_multiple_frames() {

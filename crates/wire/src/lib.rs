@@ -36,7 +36,10 @@ pub mod framing;
 pub mod message;
 
 pub use buffered::buffered_session;
-pub use framing::{read_frame, read_frame_bytes, write_frame, write_frame_buf, FrameError, FrameLimit};
+pub use framing::{
+    encode_frame, encode_recoded_frame, read_frame, read_frame_bytes, write_frame,
+    write_frame_buf, FrameError, FrameLimit,
+};
 pub use message::{
     encoded_symbol_frame_len, minwise_frame_len, recoded_symbol_frame_len, summary_frame_len,
     symbol_request_frame_len, Message, WireError, FRAME_PREFIX_BYTES,

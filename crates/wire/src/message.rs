@@ -12,10 +12,11 @@
 //! — adding a summary mechanism touches the registry, not this file.
 //!
 //! Data-plane payloads are [`bytes::Bytes`]: encoding a symbol message
-//! appends the shared payload without first copying it into an owned
+//! writes the shared payload without first copying it into an owned
 //! vector (`Message::encode_into` writes straight into the caller's
-//! frame buffer), and [`Message::decode_from`] materializes a received
-//! payload as a zero-copy view of the input buffer.
+//! frame buffer, sized in advance by `Message::encoded_size`), and
+//! [`Message::decode_from`] materializes a received payload as a
+//! zero-copy view of the input buffer.
 
 use bytes::Bytes;
 use icd_sketch::MinwiseSketch;
@@ -128,35 +129,57 @@ pub enum Message {
     },
 }
 
-/// Byte-writer with the workspace's layout conventions, appending to a
-/// caller-owned buffer so frame encoding needs no intermediate vector.
+/// Byte-writer with the workspace's layout conventions, filling a
+/// caller-owned buffer of exactly the encoded size, so a frame is
+/// encoded straight into the buffer that carries it.
 #[derive(Debug)]
 struct Writer<'a> {
-    buf: &'a mut Vec<u8>,
+    buf: &'a mut [u8],
+    pos: usize,
 }
 
-impl Writer<'_> {
+impl<'a> Writer<'a> {
+    fn new(buf: &'a mut [u8]) -> Self {
+        Self { buf, pos: 0 }
+    }
+    /// The next `n` bytes, for the caller to write.
+    fn take(&mut self, n: usize) -> &mut [u8] {
+        let start = self.pos;
+        self.pos += n;
+        &mut self.buf[start..self.pos]
+    }
+    fn put(&mut self, v: &[u8]) {
+        self.take(v.len()).copy_from_slice(v);
+    }
     fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
     fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
     fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
+    }
+    fn length(&mut self, n: usize) {
+        self.u32(u32::try_from(n).expect("vector too long to encode"));
     }
     fn bytes(&mut self, v: &[u8]) {
-        self.u32(u32::try_from(v.len()).expect("vector too long to encode"));
-        self.buf.extend_from_slice(v);
+        self.length(v.len());
+        self.put(v);
     }
     fn u64s(&mut self, v: &[u64]) {
-        self.u32(u32::try_from(v.len()).expect("vector too long to encode"));
+        self.length(v.len());
         for &x in v {
             self.u64(x);
         }
+    }
+    /// Checks that the layout filled the buffer: its size came from
+    /// `Message::encoded_size`, and the two must never disagree.
+    fn finish(self) {
+        assert_eq!(self.pos, self.buf.len(), "encoding disagrees with its size budget");
     }
 }
 
@@ -237,6 +260,26 @@ impl SymbolHeader {
     }
 }
 
+/// Writes a `RecodedSymbol` body over `components` whose `payload_len`
+/// payload bytes `fill` writes in place into `out`, which must be
+/// exactly [`recoded_symbol_size`] bytes — the one encoder of that
+/// layout, so a payload held in some other form (a word-packed
+/// accumulator) is written into the frame once, without first becoming
+/// a buffer of its own.
+pub(crate) fn encode_recoded_into(
+    out: &mut [u8],
+    components: &[u64],
+    payload_len: usize,
+    fill: impl FnOnce(&mut [u8]),
+) {
+    let mut w = Writer::new(out);
+    w.u8(tag::RECODED_SYMBOL);
+    w.u64s(components);
+    w.length(payload_len);
+    fill(w.take(payload_len));
+    w.finish();
+}
+
 /// Parses an `ENCODED_SYMBOL`/`RECODED_SYMBOL` frame into its header
 /// plus the byte range of the payload within `input`. The single parse
 /// routine behind both [`Message::decode`] (which copies the range) and
@@ -265,15 +308,21 @@ impl Message {
     /// Encodes the message to bytes (tag + body).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = vec![0; self.encoded_size()];
         self.encode_into(&mut out);
         out
     }
 
-    /// Encodes the message by appending to `out` — the framing layer's
-    /// form: one reusable buffer, zero intermediate copies.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut w = Writer { buf: out };
+    /// Encodes the message into `out`, which must be exactly
+    /// [`Message::encoded_size`] bytes — the framing layer's form: the
+    /// frame buffer is sized once and written once.
+    pub(crate) fn encode_into(&self, out: &mut [u8]) {
+        if let Message::RecodedSymbol { components, payload } = self {
+            return encode_recoded_into(out, components, payload.len(), |dst| {
+                dst.copy_from_slice(payload);
+            });
+        }
+        let mut w = Writer::new(out);
         match self {
             Message::Minwise(s) => {
                 w.u8(tag::MINWISE);
@@ -296,16 +345,13 @@ impl Message {
                 w.u64(*id);
                 w.bytes(payload);
             }
-            Message::RecodedSymbol { components, payload } => {
-                w.u8(tag::RECODED_SYMBOL);
-                w.u64s(components);
-                w.bytes(payload);
-            }
+            Message::RecodedSymbol { .. } => unreachable!("encoded above"),
             Message::End { sent } => {
                 w.u8(tag::END);
                 w.u64(*sent);
             }
         }
+        w.finish();
     }
 
     /// Decodes a message. The entire input must be consumed.

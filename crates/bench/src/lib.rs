@@ -10,7 +10,8 @@
 //! (a 32 MB file at 1400-byte blocks). The default here is l = 8 000 so
 //! the whole battery completes in minutes on a laptop; set
 //! `ICD_BLOCKS=23968` (and optionally `ICD_TRIALS`) to reproduce at
-//! paper scale. Shapes are scale-stable — EXPERIMENTS.md records both.
+//! paper scale. Shapes are scale-stable: each binary prints the same
+//! table at either scale.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]

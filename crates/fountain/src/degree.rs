@@ -200,8 +200,8 @@ mod tests {
         // heuristic at l = 23 968 — essentially H(l) ≈ 10.7, the ideal-
         // soliton mean. The robust soliton's ripple insurance adds
         // ≈ 1 + ln(R/δ) on top, landing near 16. Same order, slightly
-        // larger; EXPERIMENTS.md records the measured value and the
-        // `coding_table` harness prints both. What must hold: the mean is
+        // larger; the `coding_table` binary prints the measured value.
+        // What must hold: the mean is
         // Θ(log l), i.e. the code is sparse.
         let d = DegreeDistribution::paper_default(23_968);
         assert!(

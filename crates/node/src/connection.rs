@@ -44,8 +44,13 @@ pub enum SessionEpoch {
     /// the sessions a [`crate::plan::SwarmPlan`] schedules, where byte
     /// parity with [`crate::plan::predict`] holds because it freezes all
     /// of a round's inventories before any transfer runs. Round 0 is
-    /// the node's initial share. Values `0xF0..` are reserved on the
-    /// wire; plans never get near them ([`crate::plan::MAX_ROUNDS`]).
+    /// the node's initial share. A server keeps only its current
+    /// round's snapshot: a hello for any other round gets the live set,
+    /// like [`Self::Live`]. That happens only between standalone
+    /// daemons, which race each other's barriers; the harness never
+    /// dials off the barrier. Values `0xF0..` are reserved on the wire;
+    /// the round barrier stops well below them
+    /// ([`crate::machine::MAX_ROUNDS`]).
     Round(u8),
     /// Serve the node's *current* shared working set — what a rejoining
     /// or late-dialing peer wants (what [`crate::plan::predict_faulty`]'s

@@ -9,30 +9,30 @@
 //! [`SwarmEvent`] membership vocabulary, so the same Join/Leave/Rejoin
 //! semantics the simulator's churn plans use drive a real deployment's
 //! address book.
+//!
+//! The round policy — freeze at the barrier, choose the dials, resume a
+//! cut session, escalate a stalled node — is the [`NodeMachine`]'s,
+//! which `predict` drives too. This module keeps only what a real
+//! deployment adds: sockets, threads, deadlines, backoff sleeps and the
+//! chaos hook.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use icd_core::machine::{DriveError, WireStats};
-use icd_core::{PolicyKnobs, SessionConfig, WorkingSet};
 use icd_obs::{MetricsRegistry, SyncTraceHandle, TraceEvent};
-use icd_overlay::{session_machine_seeds, session_payload};
+use icd_overlay::session_machine_seeds;
 use icd_swarm::{PeerId, SwarmEvent};
 
-use crate::connection::{
-    fetch_session, serve_session_budgeted, FetchError, FetchOutcome, Hello, SessionEpoch,
-};
-use crate::plan::{round_seed, DistributionSpec, SwarmPlan};
+use crate::connection::{fetch_session, serve_session_budgeted, FetchError, FetchOutcome, Hello};
+use crate::machine::{initial_share, round_seed, Dial, NodeMachine};
+use crate::plan::{DistributionSpec, PlannedLink, SwarmPlan};
 use crate::retry::RetryPolicy;
 use crate::shared::SharedWorkingSet;
-
-/// Salt folded into per-retry session seeds so a redial never replays
-/// the round's original symbol stream.
-const RETRY_SEED_SALT: u64 = 0x1CD0_7E72;
 
 /// Daemon-side fault injection: sever the first serve session from
 /// each listed dialer after a fixed number of data frames. The cut is
@@ -68,7 +68,7 @@ pub struct DaemonConfig {
     pub write_timeout: Option<Duration>,
     /// Redial discipline for transient fetch failures: peer closed,
     /// deadline fired, stream truncated mid-frame. Retries resume on a
-    /// [`SessionEpoch::Live`] session advertising everything decoded so
+    /// [`crate::SessionEpoch::Live`] session advertising everything decoded so
     /// far, so no byte of prior progress is re-fetched.
     pub retry: RetryPolicy,
     /// Optional serve-side fault injection (chaos tests only).
@@ -191,33 +191,16 @@ pub struct FetchReport {
     pub retries: u32,
 }
 
-/// Barrier-frozen per-round session state.
-///
-/// `predict` freezes every endpoint's snapshot when it opens the
-/// round's sessions, before any frame of the round moves; byte parity
-/// with the oracle therefore requires the daemon to do the same. Each
-/// [`Node::advance_round`] call is one such barrier: it appends the ids
-/// gained since the last barrier to the sender inventory (in sorted
-/// order) and freezes both the serve snapshot and the receiver's sorted
-/// snapshot + request for the round.
-#[derive(Debug)]
-struct Rounds {
-    /// Sender inventory: the initial share, then each barrier's fresh
-    /// ids appended in sorted order.
-    inventory: Vec<u64>,
-    /// Frozen serve (sender-side) snapshots, indexed by round.
-    serve: Vec<WorkingSet>,
-    /// Frozen receiver state per round — sorted snapshot ids and the
-    /// request count — or `None` when the node was already complete at
-    /// that barrier and dials nobody.
-    fetch: Vec<Option<(Vec<u64>, u64)>>,
-}
-
-/// Everything a serve thread needs, shared across all of them.
-struct ServeCtx {
+/// Everything a node's serve and fetch threads share.
+struct NodeCtx {
+    id: PeerId,
+    /// Set when the node stops; the accept loop exits on its next wake.
+    stop: AtomicBool,
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
-    rounds: Arc<Mutex<Rounds>>,
+    retry: RetryPolicy,
+    /// The round policy. Lock order: the machine before the shared set.
+    machine: Mutex<NodeMachine>,
     shared: Arc<SharedWorkingSet>,
     log: Mutex<Vec<(u32, WireStats)>>,
     /// Dialers whose next session gets severed (drained as they dial).
@@ -236,7 +219,7 @@ struct ServeCtx {
     booked: Condvar,
 }
 
-impl ServeCtx {
+impl NodeCtx {
     /// Blocks until no serve session is between its hello and its
     /// booking, waiting at most the read timeout so that a stalled
     /// dialer cannot hold an accessor forever.
@@ -248,14 +231,18 @@ impl ServeCtx {
             None => drop(self.booked.wait_while(in_flight, busy)),
         }
     }
+
+    fn machine(&self) -> MutexGuard<'_, NodeMachine> {
+        self.machine.lock().expect("machine lock")
+    }
 }
 
 /// Counts one serve session as in flight until dropped, which happens
 /// after the session is booked, on every path out of [`serve_one`].
-struct InFlight<'a>(&'a ServeCtx);
+struct InFlight<'a>(&'a NodeCtx);
 
 impl<'a> InFlight<'a> {
-    fn enter(ctx: &'a ServeCtx) -> Self {
+    fn enter(ctx: &'a NodeCtx) -> Self {
         *ctx.in_flight.lock().expect("in-flight lock") += 1;
         Self(ctx)
     }
@@ -271,21 +258,12 @@ impl Drop for InFlight<'_> {
     }
 }
 
-/// A running peer: listener thread + shared working set.
+/// A running peer: listener thread + shared working set, driving one
+/// round machine over sockets and threads.
 pub struct Node {
-    config: DaemonConfig,
-    plan: SwarmPlan,
-    shared: Arc<SharedWorkingSet>,
-    rounds: Arc<Mutex<Rounds>>,
+    ctx: Arc<NodeCtx>,
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    serve_ctx: Arc<ServeCtx>,
-    /// Set when the previous [`Self::run_fetches`] gained nothing while
-    /// the node was still incomplete — the next round's dials escalate
-    /// to speculative transfers (see [`Self::stall_escalations`]).
-    stalled: AtomicBool,
-    escalations: AtomicU64,
     /// Structured trace recorder. Records are stamped with the round
     /// number (never wall-clock time); fetch threads share it, so the
     /// interleaving of same-round records is scheduling-dependent —
@@ -304,59 +282,35 @@ impl Node {
     /// Socket bind/configuration failures.
     pub fn start(config: DaemonConfig) -> io::Result<Self> {
         let plan = SwarmPlan::new(config.spec);
-        let share = &plan.shares[config.id];
-        let payload = config.spec.payload;
-        let initial_inventory = WorkingSet::from_symbols(share.iter().map(|&id| {
-            icd_fountain::EncodedSymbol {
-                id,
-                payload: session_payload(id, payload),
-            }
-        }));
-        let shared = Arc::new(SharedWorkingSet::new(
-            initial_inventory.clone(),
-            config.spec.universe,
-        ));
-        let missing = config.spec.universe - share.len();
-        let mut sorted_share = share.clone();
-        sorted_share.sort_unstable();
-        let round0_fetch = if missing == 0 {
-            None
-        } else {
-            Some((sorted_share, missing as u64))
-        };
-        let rounds = Arc::new(Mutex::new(Rounds {
-            inventory: share.clone(),
-            serve: vec![initial_inventory],
-            fetch: vec![round0_fetch],
-        }));
+        let held = initial_share(&plan, config.id);
+        let machine = NodeMachine::new(&plan, config.id, &held);
         let listener = TcpListener::bind(&config.listen)?;
         let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let serve_ctx = Arc::new(ServeCtx {
+        let ServeChaos {
+            sever_dialers,
+            frame_budget,
+        } = config.chaos.unwrap_or_default();
+        let ctx = Arc::new(NodeCtx {
+            id: config.id,
+            stop: AtomicBool::new(false),
             read_timeout: config.read_timeout,
             write_timeout: config.write_timeout,
-            rounds: rounds.clone(),
-            shared: shared.clone(),
+            retry: config.retry,
+            machine: Mutex::new(machine),
+            shared: Arc::new(SharedWorkingSet::new(held, config.spec.universe)),
             log: Mutex::new(Vec::new()),
-            chaos_pending: Mutex::new(
-                config
-                    .chaos
-                    .as_ref()
-                    .map(|c| c.sever_dialers.clone())
-                    .unwrap_or_default(),
-            ),
-            frame_budget: config.chaos.as_ref().map_or(u64::MAX, |c| c.frame_budget),
+            chaos_pending: Mutex::new(sever_dialers),
+            frame_budget,
             degraded: AtomicU64::new(0),
             in_flight: Mutex::new(0),
             booked: Condvar::new(),
         });
 
-        let accept_stop = stop.clone();
-        let accept_ctx = serve_ctx.clone();
+        let accept_ctx = ctx.clone();
         let accept_thread = std::thread::spawn(move || {
             let mut sessions = Vec::new();
             for stream in listener.incoming() {
-                if accept_stop.load(Ordering::SeqCst) {
+                if accept_ctx.stop.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
@@ -369,16 +323,9 @@ impl Node {
         });
 
         Ok(Self {
-            config,
-            plan,
-            shared,
-            rounds,
+            ctx,
             local_addr,
-            stop,
             accept_thread: Some(accept_thread),
-            serve_ctx,
-            stalled: AtomicBool::new(false),
-            escalations: AtomicU64::new(0),
             trace: None,
             metrics: None,
         })
@@ -424,7 +371,7 @@ impl Node {
     /// The node's shared working set.
     #[must_use]
     pub fn shared(&self) -> &Arc<SharedWorkingSet> {
-        &self.shared
+        &self.ctx.shared
     }
 
     /// Per-dialer serve-side wire counters of every serve session
@@ -433,8 +380,8 @@ impl Node {
     /// is always included.
     #[must_use]
     pub fn serve_stats(&self) -> Vec<(u32, WireStats)> {
-        self.serve_ctx.settle();
-        self.serve_ctx.log.lock().expect("serve log lock").clone()
+        self.ctx.settle();
+        self.ctx.log.lock().expect("serve log lock").clone()
     }
 
     /// Serve sessions that ended early (dialer hung up, deadline fired,
@@ -443,79 +390,45 @@ impl Node {
     /// sessions like [`Self::serve_stats`].
     #[must_use]
     pub fn degraded_sessions(&self) -> u64 {
-        self.serve_ctx.settle();
-        self.serve_ctx.degraded.load(Ordering::Relaxed)
+        self.ctx.settle();
+        self.ctx.degraded.load(Ordering::Relaxed)
     }
 
-    /// Rounds this node ran as speculative escalations.
-    ///
-    /// Approximate summaries (Bloom, ART) are pure functions of the two
-    /// working sets, so their false positives do not re-draw under
-    /// fresh round seeds: a node whose last missing symbols are exactly
-    /// the digest's false positives can livelock, gaining nothing round
-    /// after round while every session "succeeds". The daemon detects
-    /// that state — a [`Self::run_fetches`] round that gained nothing
-    /// while still incomplete — and escalates the *next* round to
-    /// speculative [`SessionEpoch::Live`] dials: no summary travels, so
-    /// the sender recodes over its whole set (§6's fallback) and the
-    /// withheld symbols arrive XOR-combined with known ones. The
-    /// fault-free goldens never take this path (they gain every round),
-    /// so byte parity with the simulator is untouched.
+    /// Rounds this node ran as speculative escalations, each after a
+    /// [`Self::run_fetches`] round that gained nothing while the node was
+    /// incomplete. The round machine decides them, and `predict` runs the
+    /// same machine; the fault-free goldens never escalate.
     #[must_use]
     pub(crate) fn stall_escalations(&self) -> u64 {
-        self.escalations.load(Ordering::Relaxed)
+        self.ctx.machine().escalations()
     }
 
     /// The reconciliation round the node is currently in (0-based).
     #[must_use]
     pub fn current_round(&self) -> u32 {
-        (self.rounds.lock().expect("rounds lock").serve.len() - 1) as u32
+        self.ctx.machine().round()
     }
 
-    /// One round barrier: appends the ids gained since the last barrier
-    /// to the sender inventory (in sorted order) and freezes both sides'
-    /// snapshots for the new round.
-    /// Returns the new round number.
+    /// One round barrier: freezes the node's held set for the next
+    /// round — the one set both its serve and its fetch sessions of
+    /// that round run over — and returns the new round number. At the
+    /// cap, `MAX_ROUNDS - 1`, the barrier is refused: nothing changes
+    /// and the current round is returned.
     ///
     /// The harness calls this on *every* node before any node dials the
     /// next round — only then do both worlds agree on every endpoint's
     /// state, which is what makes per-round byte parity exact.
     pub fn advance_round(&self) -> u32 {
-        let mut rounds = self.rounds.lock().expect("rounds lock");
-        let held = self.shared.sorted_ids();
-        let have: HashSet<u64> = rounds.inventory.iter().copied().collect();
-        // `held` is sorted, so the fresh suffix lands in sorted order.
-        let fresh: Vec<u64> = held
-            .iter()
-            .copied()
-            .filter(|id| !have.contains(id))
-            .collect();
-        rounds.inventory.extend(fresh);
-        let payload = self.config.spec.payload;
-        let serve = WorkingSet::from_symbols(rounds.inventory.iter().map(|&id| {
-            icd_fountain::EncodedSymbol {
-                id,
-                payload: session_payload(id, payload),
-            }
-        }));
-        rounds.serve.push(serve);
-        let missing = self.config.spec.universe.saturating_sub(held.len());
-        rounds.fetch.push(if missing == 0 {
-            None
-        } else {
-            Some((held, missing as u64))
-        });
-        (rounds.serve.len() - 1) as u32
+        let mut machine = self.ctx.machine();
+        let advanced = self.ctx.shared.with(|held| machine.advance(held));
+        advanced.unwrap_or_else(|| machine.round())
     }
 
     /// Runs every planned fetch of this node concurrently — one thread
-    /// per upstream peer — and returns the reports in plan order.
-    /// Sessions construct their receiver machines exactly as `predict`
-    /// does: snapshot = the ids held at the round barrier, sorted;
-    /// request = symbols missing at the barrier; machine seed derived
-    /// from `round_seed` of the link.
-    /// A node that was complete at the barrier dials nobody. Peers
-    /// missing from `roster` report `"peer not in roster"` without
+    /// per upstream peer — and returns the reports in plan order. Each
+    /// fetch dials as the round machine decides, exactly as `predict`
+    /// does. A node that was complete at the barrier dials nobody.
+    /// Peers missing from `roster` report `"peer not in roster"` without
     /// dialing.
     ///
     /// If the *previous* call gained nothing while the node was still
@@ -523,72 +436,45 @@ impl Node {
     /// see `Self::stall_escalations`.
     #[must_use]
     pub fn run_fetches(&self, roster: &Roster) -> Vec<FetchReport> {
-        let (round, frozen) = {
-            let rounds = self.rounds.lock().expect("rounds lock");
-            (
-                (rounds.serve.len() - 1) as u32,
-                rounds.fetch.last().cloned().flatten(),
-            )
+        let (round, links, escalated) = {
+            let mut machine = self.ctx.machine();
+            let round = machine.round();
+            let (links, escalated) = machine.open_round();
+            (round, links.to_vec(), escalated)
         };
-        let Some((snapshot_ids, request)) = frozen else {
-            return Vec::new();
-        };
-        let escalate = self.stalled.load(Ordering::SeqCst);
-        let fetches: Vec<_> = self.plan.fetches_of(self.config.id).copied().collect();
-        let handles: Vec<_> = fetches
+        let handles: Vec<_> = links
             .into_iter()
             .map(|link| {
-                let job = FetchJob {
-                    from: link.from,
-                    round,
-                    seed: round_seed(link.seed, round),
-                    link_seed: link.seed,
-                    addr: roster.addr(link.from),
-                    payload: self.config.spec.payload,
-                    id: self.config.id,
-                    snapshot_ids: snapshot_ids.clone(),
-                    request,
-                    universe: self.config.spec.universe,
-                    read_timeout: self.config.read_timeout,
-                    write_timeout: self.config.write_timeout,
-                    policy: self.config.retry,
-                    escalate,
-                    trace: self.trace.clone(),
-                };
-                let shared = self.shared.clone();
-                std::thread::spawn(move || fetch_one(job, &shared))
+                let ctx = self.ctx.clone();
+                let addr = roster.addr(link.from);
+                let trace = self.trace.clone();
+                std::thread::spawn(move || fetch_one(&ctx, link, round, addr, trace.as_ref()))
             })
             .collect();
         let reports: Vec<FetchReport> = handles
             .into_iter()
             .map(|h| h.join().expect("fetch thread panicked"))
             .collect();
-        if escalate && !reports.is_empty() {
-            self.escalations.fetch_add(1, Ordering::Relaxed);
-            if let Some(trace) = &self.trace {
-                trace.lock().expect("trace lock").push(
+        // The escalation and the session spans land after the joins, in
+        // plan order — the trace is per-round reproducible even though
+        // the fetch threads themselves finish in scheduling order.
+        if let Some(trace) = &self.trace {
+            let mut buf = trace.lock().expect("trace lock");
+            if escalated {
+                buf.push(
                     u64::from(round),
                     TraceEvent::StallEscalation {
-                        peer: self.config.id as u64,
-                        starved: self.escalations.load(Ordering::Relaxed),
+                        peer: self.ctx.id as u64,
+                        starved: self.stall_escalations(),
                     },
                 );
             }
-            if let Some(metrics) = &self.metrics {
-                metrics.counter("node_stall_escalations").inc();
-            }
-        }
-        // Session spans land after the joins, in plan order — the trace
-        // is per-round reproducible even though the fetch threads
-        // themselves finish in scheduling order.
-        if let Some(trace) = &self.trace {
-            let mut buf = trace.lock().expect("trace lock");
             for r in &reports {
                 buf.push(
                     u64::from(round),
                     TraceEvent::SessionSpan {
                         from: r.from as u64,
-                        to: self.config.id as u64,
+                        to: self.ctx.id as u64,
                         round: u64::from(r.round),
                         retries: u64::from(r.retries),
                         ok: r.outcome.is_ok(),
@@ -597,6 +483,9 @@ impl Node {
             }
         }
         if let Some(metrics) = &self.metrics {
+            if escalated {
+                metrics.counter("node_stall_escalations").inc();
+            }
             metrics
                 .counter("node_fetch_sessions")
                 .add(reports.len() as u64);
@@ -612,21 +501,20 @@ impl Node {
             .filter_map(|r| r.outcome.as_ref().ok())
             .map(|o| o.gained)
             .sum();
-        let stalled_now = !reports.is_empty() && gained == 0 && !self.shared.is_complete();
-        if stalled_now && !escalate {
+        let complete = self.ctx.shared.is_complete();
+        if self.ctx.machine().close_round(gained, complete) {
             eprintln!(
                 "icd-node: peer {} round {round} gained nothing while incomplete; \
                  escalating next round to speculative dials",
-                self.config.id
+                self.ctx.id
             );
         }
-        self.stalled.store(stalled_now, Ordering::SeqCst);
         reports
     }
 
     /// Stops the listener and joins every serve thread. Idempotent.
     pub fn stop(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
+        if self.ctx.stop.swap(true, Ordering::SeqCst) {
             return;
         }
         // Wake the accept loop with a throwaway connection.
@@ -643,10 +531,11 @@ impl Drop for Node {
     }
 }
 
-/// Serves one accepted connection: hello, snapshot per the requested
-/// epoch, one sender session. Connection-level failures are absorbed as
-/// degraded sessions — logged, counted, never fatal to the daemon.
-fn serve_one(mut stream: TcpStream, ctx: &ServeCtx) {
+/// Serves one accepted connection: hello, the snapshot the machine
+/// picks for the requested epoch, one sender session. Connection-level
+/// failures are absorbed as degraded sessions — logged, counted, never
+/// fatal to the daemon.
+fn serve_one(mut stream: TcpStream, ctx: &NodeCtx) {
     let _ = stream.set_read_timeout(ctx.read_timeout);
     let _ = stream.set_write_timeout(ctx.write_timeout);
     let _ = stream.set_nodelay(true);
@@ -655,21 +544,10 @@ fn serve_one(mut stream: TcpStream, ctx: &ServeCtx) {
     };
     let _in_flight = InFlight::enter(ctx);
     let (_, sender_seed) = session_machine_seeds(hello.seed);
-    let snapshot = match hello.epoch {
-        // A dialer ahead of our barrier (only possible without the
-        // harness's lockstep) gets the live set — completion still
-        // works; exact parity is a barrier-mode guarantee.
-        SessionEpoch::Round(r) => {
-            let frozen = ctx
-                .rounds
-                .lock()
-                .expect("rounds lock")
-                .serve
-                .get(r as usize)
-                .cloned();
-            frozen.unwrap_or_else(|| ctx.shared.snapshot())
-        }
-        SessionEpoch::Live => ctx.shared.snapshot(),
+    let snapshot = {
+        let machine = ctx.machine();
+        ctx.shared
+            .with(|held| machine.session_set(hello.epoch, held).clone())
     };
     let sever = {
         let mut pending = ctx.chaos_pending.lock().expect("chaos lock");
@@ -707,225 +585,98 @@ fn serve_one(mut stream: TcpStream, ctx: &ServeCtx) {
     }
 }
 
-/// One planned fetch, bundled for its worker thread.
-struct FetchJob {
-    from: PeerId,
+/// Runs this round's fetch over `link`: each attempt dials as the
+/// machine decides — the planned (or escalated) dial first, then, after
+/// each *transient* failure (peer closed, deadline fired, stream
+/// truncated mid-frame, dial refused), a resumption under the node's
+/// [`RetryPolicy`]. The fetch ends when a session ends, when a failure
+/// is not transient or out of retries, or when the machine has nothing
+/// left to dial for (the node completed while backing off).
+fn fetch_one(
+    ctx: &NodeCtx,
+    link: PlannedLink,
     round: u32,
-    /// Session seed of the round's planned attempt ([`round_seed`]).
-    seed: u64,
-    /// Base link seed — jitter salt and the root of retry seeds.
-    link_seed: u64,
     addr: Option<SocketAddr>,
-    payload: usize,
-    id: PeerId,
-    /// Barrier-frozen receiver snapshot ids (attempt 1 only).
-    snapshot_ids: Vec<u64>,
-    /// Symbols missing at the barrier (attempt 1 only).
-    request: u64,
-    universe: usize,
-    read_timeout: Option<Duration>,
-    write_timeout: Option<Duration>,
-    policy: RetryPolicy,
-    /// Stall escalation: dial [`SessionEpoch::Live`] with coarse policy
-    /// knobs so the sender streams recoded symbols instead of filtering
-    /// through an approximate digest whose false positives are stuck.
-    escalate: bool,
-    /// Shared trace recorder (redials are recorded as they happen).
-    trace: Option<SyncTraceHandle>,
-}
-
-/// Session seed for retry `attempt` (≥ 2) of a round fetch: distinct
-/// from the round seed so a resumed session never replays the original
-/// symbol stream, deterministic so a chaos run replays exactly.
-pub(crate) fn retry_seed(link_seed: u64, round: u32, attempt: u32) -> u64 {
-    icd_util::hash::mix64(round_seed(link_seed, round) ^ RETRY_SEED_SALT ^ u64::from(attempt))
-}
-
-/// Dials `from` and runs one fetch session, mirroring `predict`'s
-/// receiver-side construction — then, on *transient* failure (peer
-/// closed, deadline fired, stream truncated mid-frame, dial refused),
-/// redials under the job's [`RetryPolicy`].
-///
-/// Attempt 1 is the planned round session: barrier-frozen snapshot,
-/// `Round` epoch, the round seed — byte parity with the simulator.
-/// Retries are *resumptions*: a fresh [`SessionEpoch::Live`] hello
-/// advertising the node's **current** working set (everything decoded
-/// so far, including symbols the dead session delivered before it
-/// died), so recovery never re-fetches a byte of prior progress. If
-/// the node finished while backing off, the retry is skipped entirely.
-fn fetch_one(job: FetchJob, shared: &SharedWorkingSet) -> FetchReport {
-    let mut total = WireStats::default();
-    let mut gained_total = 0u64;
-    let mut retries = 0u32;
-    let mut attempt = 1u32;
-    loop {
-        let (epoch, ids, request, seed) = if attempt == 1 && job.escalate {
-            // Stall escalation: a live speculative dial over the current
-            // set. The request carries a decoding allowance (§6.1) since
-            // recoded symbols are not individually guaranteed useful.
-            // `retry_seed(.., 1)` is otherwise unused (redials start at
-            // attempt 2), so the escalated stream never replays any
-            // planned or retried stream of this round.
-            let held = shared.sorted_ids();
-            let missing = (job.universe.saturating_sub(held.len())) as u64;
-            if missing == 0 {
-                return FetchReport {
-                    from: job.from,
-                    round: job.round,
-                    seed: job.seed,
-                    outcome: Ok(FetchOutcome {
-                        stats: total,
-                        gained: gained_total,
-                        rejected: false,
-                    }),
-                    stats: total,
-                    retries,
-                };
-            }
-            (
-                SessionEpoch::Live,
-                held,
-                missing * 2 + 4,
-                retry_seed(job.link_seed, job.round, 1),
-            )
-        } else if attempt == 1 {
-            (
-                SessionEpoch::Round(job.round as u8),
-                job.snapshot_ids.clone(),
-                job.request,
-                job.seed,
-            )
-        } else {
-            // Resumption: re-summarize the now-larger working set.
-            let held = shared.sorted_ids();
-            let missing = (job.universe.saturating_sub(held.len())) as u64;
-            if missing == 0 {
-                // Finished while backing off — nothing left to dial for.
-                return FetchReport {
-                    from: job.from,
-                    round: job.round,
-                    seed: job.seed,
-                    outcome: Ok(FetchOutcome {
-                        stats: total,
-                        gained: gained_total,
-                        rejected: false,
-                    }),
-                    stats: total,
-                    retries,
-                };
-            }
-            (
-                SessionEpoch::Live,
-                held,
-                missing,
-                retry_seed(job.link_seed, job.round, attempt),
-            )
+    trace: Option<&SyncTraceHandle>,
+) -> FetchReport {
+    let mut stats = WireStats::default();
+    let (mut gained, mut retries, mut attempt) = (0, 0, 0);
+    let outcome = loop {
+        attempt += 1;
+        let dial = {
+            let machine = ctx.machine();
+            ctx.shared.with(|held| machine.dial(&link, attempt, held))
         };
-        match dial_once(&job, epoch, &ids, request, seed, job.escalate, shared) {
+        let Some(dial) = dial else { break Ok(false) };
+        match dial_once(ctx, addr, dial) {
             Ok(outcome) => {
-                total += outcome.stats;
-                gained_total += outcome.gained;
-                return FetchReport {
-                    from: job.from,
-                    round: job.round,
-                    seed: job.seed,
-                    outcome: Ok(FetchOutcome {
-                        stats: total,
-                        gained: gained_total,
-                        rejected: outcome.rejected,
-                    }),
-                    stats: total,
-                    retries,
-                };
+                stats += outcome.stats;
+                gained += outcome.gained;
+                break Ok(outcome.rejected);
             }
-            Err((msg, stats, gained, transient)) => {
-                total += stats;
-                gained_total += gained;
-                if transient && job.policy.allows_retry(attempt) {
-                    retries += 1;
-                    if let Some(trace) = &job.trace {
-                        trace.lock().expect("trace lock").push(
-                            u64::from(job.round),
-                            TraceEvent::Redial {
-                                from: job.id as u64,
-                                to: job.from as u64,
-                                round: u64::from(job.round),
-                                attempt: u64::from(attempt),
-                            },
-                        );
-                    }
-                    std::thread::sleep(job.policy.backoff(attempt, job.link_seed));
-                    attempt += 1;
-                    continue;
+            Err((msg, partial_stats, partial_gain, transient)) => {
+                stats += partial_stats;
+                gained += partial_gain;
+                if !(transient && ctx.retry.allows_retry(attempt)) {
+                    break Err(msg);
                 }
-                return FetchReport {
-                    from: job.from,
-                    round: job.round,
-                    seed: job.seed,
-                    outcome: Err(msg),
-                    stats: total,
-                    retries,
-                };
+                retries += 1;
+                if let Some(trace) = trace {
+                    trace.lock().expect("trace lock").push(
+                        u64::from(round),
+                        TraceEvent::Redial {
+                            from: ctx.id as u64,
+                            to: link.from as u64,
+                            round: u64::from(round),
+                            attempt: u64::from(attempt),
+                        },
+                    );
+                }
+                std::thread::sleep(ctx.retry.backoff(attempt, link.seed));
             }
         }
+    };
+    FetchReport {
+        from: link.from,
+        round,
+        seed: round_seed(link.seed, round),
+        outcome: outcome.map(|rejected| FetchOutcome {
+            stats,
+            gained,
+            rejected,
+        }),
+        stats,
+        retries,
     }
 }
 
 /// One dial + one session. The error arm carries the failure message,
 /// any partial wire counters and gains, and whether the failure is
 /// transient (worth a redial) — protocol and machine errors are not.
-/// With `speculative`, the receiver advertises itself as not
-/// fine-grained capable, so policy plans a recoded transfer instead of
-/// building an approximate digest (the stall-escalation path).
 fn dial_once(
-    job: &FetchJob,
-    epoch: SessionEpoch,
-    snapshot_ids: &[u64],
-    request: u64,
-    seed: u64,
-    speculative: bool,
-    shared: &SharedWorkingSet,
+    ctx: &NodeCtx,
+    addr: Option<SocketAddr>,
+    dial: Dial,
 ) -> Result<FetchOutcome, (&'static str, WireStats, u64, bool)> {
-    let Some(addr) = job.addr else {
+    let Some(addr) = addr else {
         return Err(("peer not in roster", WireStats::default(), 0, false));
     };
     let Ok(mut stream) = TcpStream::connect(addr) else {
         // Refused dials are transient: the peer may be mid-restart.
         return Err(("connect failed", WireStats::default(), 0, true));
     };
-    let _ = stream.set_read_timeout(job.read_timeout);
-    let _ = stream.set_write_timeout(job.write_timeout);
+    let _ = stream.set_read_timeout(ctx.read_timeout);
+    let _ = stream.set_write_timeout(ctx.write_timeout);
     let _ = stream.set_nodelay(true);
     let hello = Hello {
-        dialer: job.id as u32,
-        seed,
-        epoch,
+        dialer: ctx.id as u32,
+        seed: dial.seed,
+        epoch: dial.epoch,
     };
     if hello.write_to(&mut stream).is_err() {
         return Err(("hello write failed", WireStats::default(), 0, true));
     }
-
-    // Receiver snapshot exactly as `predict` builds it: the
-    // ids held at the barrier (or, on a resumption, right now),
-    // *sorted*, expanded through the shared payload convention.
-    let snapshot = WorkingSet::from_symbols(snapshot_ids.iter().map(|&sym_id| {
-        icd_fountain::EncodedSymbol {
-            id: sym_id,
-            payload: session_payload(sym_id, job.payload),
-        }
-    }));
-    let (receiver_seed, _) = session_machine_seeds(seed);
-    let mut config = SessionConfig::new()
-        .with_request(request)
-        .with_seed(receiver_seed);
-    if speculative {
-        config = config.with_knobs(PolicyKnobs {
-            fine_grained_capable: false,
-            ..PolicyKnobs::default()
-        });
-    }
-
-    match fetch_session(&mut stream, snapshot, config, shared) {
+    match fetch_session(&mut stream, dial.working, dial.config, &ctx.shared) {
         Ok(outcome) => Ok(outcome),
         Err(FetchError { error, gained }) => match error {
             DriveError::PeerClosed { stats } => {

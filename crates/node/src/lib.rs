@@ -35,6 +35,7 @@
 
 mod connection;
 mod daemon;
+mod machine;
 mod plan;
 mod retry;
 mod shared;
@@ -44,9 +45,10 @@ pub use connection::{
     ServeStatus, SessionEpoch,
 };
 pub use daemon::{parse_roster, DaemonConfig, FetchReport, Node, NodeConfig, Roster, ServeChaos};
+pub use machine::MAX_ROUNDS;
 pub use plan::{
     link_seed, predict, predict_faulty, DistributionSpec, FaultyPrediction, PlannedLink,
-    Prediction, SpecParseError, SwarmPlan, MAX_ROUNDS,
+    Prediction, SpecParseError, SwarmPlan,
 };
 pub use retry::RetryPolicy;
 pub use shared::SharedWorkingSet;

@@ -20,7 +20,8 @@
 //! ROSTER 0=addr 1=addr ...   replace the address book
 //! METRICS                    print the metrics snapshot (with --metrics)
 //! GO                         run current round's fetches, print FETCH*/DONE
-//! ROUND                      round barrier: freeze next round's snapshots
+//! ROUND                      round barrier: freeze next round's snapshot
+//!                            (ROUND-ERR max-rounds at MAX_ROUNDS - 1)
 //! EVENT LEAVE <id>           apply membership events to the roster
 //! EVENT REJOIN <id> [addr]
 //! EVENT JOIN <addr>
@@ -59,7 +60,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use icd_node::{
-    parse_roster, DaemonConfig, DistributionSpec, Node, Roster, RetryPolicy, ServeChaos,
+    parse_roster, DaemonConfig, DistributionSpec, Node, RetryPolicy, Roster, ServeChaos, MAX_ROUNDS,
 };
 use icd_obs::{MetricsRegistry, TraceBuf};
 use icd_swarm::SwarmEvent;
@@ -278,7 +279,7 @@ fn main() {
         // guarantees completion, not simulator byte parity — the
         // harness protocol below provides the lockstep for that.
         go(&node, &roster, args.id);
-        while !node.shared().is_complete() && node.current_round() + 1 < icd_node::MAX_ROUNDS {
+        while !node.shared().is_complete() && node.current_round() + 1 < MAX_ROUNDS {
             node.advance_round();
             go(&node, &roster, args.id);
         }
@@ -294,7 +295,10 @@ fn main() {
             [] => {}
             ["QUIT"] => break,
             ["GO"] => go(&node, &roster, args.id),
-            ["ROUND"] => println!("ROUND-OK {}", node.advance_round()),
+            ["ROUND"] if node.current_round() + 1 < MAX_ROUNDS => {
+                println!("ROUND-OK {}", node.advance_round());
+            }
+            ["ROUND"] => println!("ROUND-ERR max-rounds"),
             ["STATS"] => {
                 let shared = node.shared();
                 println!(

@@ -13,22 +13,20 @@
 //! [`predict`] runs the same plan in-process, one [`FramePump`] per
 //! planned link stepped in lockstep, and reports what the real swarm
 //! must reproduce: completion, distinct counts, and per-link wire bytes
-//! — exact, because both worlds pump machines constructed from
-//! identical `(working set, request, seed)` triples (see
-//! [`icd_overlay::session_machine_seeds`]).
+//! — exact, because both worlds ask the same [`NodeMachine`] per node
+//! for every session's `(working set, request, seed)` triple.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 
-use icd_core::{
-    FramePump, PumpStep, ReceiverMachine, SenderMachine, SessionAction, SessionConfig, WorkingSet,
-};
+use icd_core::{FramePump, PumpStep, ReceiverMachine, SenderMachine, SessionAction, WorkingSet};
 use icd_fountain::EncodedSymbol;
-use icd_overlay::{session_machine_seeds, session_payload, SymbolId};
+use icd_overlay::SymbolId;
 use icd_swarm::{build_topology, PeerId, Topology, TopologyKind};
 use icd_util::hash::mix64;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
+
+use crate::machine::{initial_share, NodeMachine, MAX_ROUNDS};
 
 /// Salts keeping the plan's derived RNG streams disjoint from each
 /// other and from every other stream keyed by the same seed.
@@ -218,34 +216,6 @@ pub fn link_seed(seed: u64, from: PeerId, to: PeerId) -> u64 {
     mix64(mix64(seed ^ LINK_SALT) ^ pair)
 }
 
-/// Salt separating per-round session seeds on the same link.
-const ROUND_SALT: u64 = 0x1CD0_2D01;
-
-/// Most reconciliation rounds a swarm will run before giving up.
-/// Coverage gaps close geometrically (every round spreads symbols one
-/// hop further), so real plans finish in two or three. Note that
-/// re-keying rounds does **not** re-draw approximate-summary false
-/// positives — a digest is a pure function of the two working sets —
-/// which is why a node whose round gained nothing escalates to a
-/// speculative dial instead of merely waiting for the next seed (see
-/// `Node::stall_escalations`).
-pub const MAX_ROUNDS: u32 = 16;
-
-/// The session seed a link uses in reconciliation round `round`.
-/// Round 0 is the link seed itself; later rounds re-key so the
-/// sender's candidate shuffle and recoding draws differ per round.
-/// (Approximate-summary false positives do *not* re-draw — the digest
-/// ignores the session seed — the daemon's stall escalation covers
-/// that case.)
-#[must_use]
-pub(crate) fn round_seed(link_seed: u64, round: u32) -> u64 {
-    if round == 0 {
-        link_seed
-    } else {
-        mix64(link_seed ^ ROUND_SALT.wrapping_add(u64::from(round)))
-    }
-}
-
 impl SwarmPlan {
     /// Expands `spec` into the concrete plan.
     ///
@@ -329,6 +299,10 @@ pub struct Prediction {
     /// Reconciliation rounds the swarm ran (a link only participates in
     /// a round while its receiver is incomplete).
     pub rounds: u32,
+    /// Per-node rounds whose dials escalated to speculative transfers
+    /// after a round that gained nothing (see `Node::stall_escalations`;
+    /// the same machine decides it in both worlds).
+    pub stall_escalations: Vec<u64>,
 }
 
 impl Prediction {
@@ -340,21 +314,22 @@ impl Prediction {
 }
 
 /// Runs `plan` round by round exactly as the daemons execute it and
-/// reports the outcome. Round `r` freezes every node's held set, opens
-/// a session on every link whose receiver is still incomplete (session
-/// seed `round_seed`), and steps the sessions' [`FramePump`]s in
-/// lockstep until all are idle; only then does the next round's
-/// snapshot freeze. Each session is a pure function of its frozen
-/// `(snapshot, request, seed)` triple, and the daemons freeze the same
-/// triples at their round barriers, which is what makes the per-link
-/// byte counts an exact oracle.
+/// reports the outcome. Every node is a round machine, as in a
+/// daemon: at each barrier every machine freezes its node's held set,
+/// every link whose receiver is still incomplete opens the session its
+/// machine dials, and the sessions' [`FramePump`]s step in lockstep
+/// until all are idle; only then does the next barrier freeze. Each
+/// session is a pure function of its frozen `(snapshot, request, seed)`
+/// triple, and the daemons' machines freeze the same triples at their
+/// barriers, which is what makes the per-link byte counts an exact
+/// oracle.
 ///
 /// # Panics
 /// If a session breaks the protocol (a machine bug: both ends are
 /// built from the same plan).
 #[must_use]
 pub fn predict(plan: &SwarmPlan) -> Prediction {
-    replay(plan, &[], 0).0
+    replay(plan, &[], 0, MAX_ROUNDS).0
 }
 
 /// A [`predict`]-style oracle for a run with injected session cuts:
@@ -403,9 +378,9 @@ impl FaultyPrediction {
 /// `ServeChaos` + retry recovery. The round's sessions open at tick 0
 /// and lockstep step `k` is tick `k`; the cut lands at tick
 /// `cut_ticks`, before that step runs, unless the round drained first.
-/// The resumption session is built on both peers' *current* sets,
-/// mirroring the daemon's `Live`-epoch redial, under the same
-/// `retry_seed` the daemon would use.
+/// The resumption is the receiving machine's second attempt, as in the
+/// daemon: a `Live`-epoch session over both peers' *current* sets,
+/// skipped if the receiver has completed.
 ///
 /// # Panics
 /// If a severed pair is not a planned link, or a session breaks the
@@ -425,7 +400,7 @@ pub fn predict_faulty(
                 .expect("severed pair is a planned link")
         })
         .collect();
-    let (faulty, retries) = replay(plan, &severed, cut_ticks);
+    let (faulty, retries) = replay(plan, &severed, cut_ticks, MAX_ROUNDS);
     FaultyPrediction {
         base: predict(plan),
         faulty,
@@ -433,6 +408,9 @@ pub fn predict_faulty(
         retries,
     }
 }
+
+/// A node in the replay: its round machine and the set it holds.
+type PeerState = (NodeMachine, WorkingSet);
 
 /// One planned link's session in a round: its machine pair and the
 /// in-memory pump between them.
@@ -445,47 +423,44 @@ struct Session {
 }
 
 impl Session {
-    /// Opens the session on plan link `link` over the peers' current
-    /// sets: each side's ids, sorted, expanded through
-    /// [`session_payload`]; the request is what the receiver still
-    /// misses (at least one); both machine seeds derive from `seed`.
-    fn open(plan: &SwarmPlan, held: &[BTreeSet<SymbolId>], link: usize, seed: u64) -> Self {
-        let spec = &plan.spec;
-        let PlannedLink { from, to, .. } = plan.links[link];
-        let working = |n: PeerId| {
-            WorkingSet::from_symbols(held[n].iter().map(|&id| EncodedSymbol {
-                id,
-                payload: session_payload(id, spec.payload),
-            }))
-        };
-        let request = spec.universe.saturating_sub(held[to].len()).max(1) as u64;
-        let (receiver_seed, sender_seed) = session_machine_seeds(seed);
-        let config = SessionConfig::new()
-            .with_request(request)
-            .with_seed(receiver_seed);
+    /// Opens attempt `attempt` of plan link `link`'s fetch as the
+    /// receiving node's machine dials it, over the set the serving
+    /// node's machine picks for the dial's epoch; `None` when the
+    /// receiving machine has nothing to dial.
+    fn open(plan: &SwarmPlan, nodes: &[PeerState], link: usize, attempt: u32) -> Option<Self> {
+        let planned = &plan.links[link];
+        let (receiver, held) = &nodes[planned.to];
+        let dial = receiver.dial(planned, attempt, held)?;
+        let (sender, held) = &nodes[planned.from];
+        let served = sender.session_set(dial.epoch, held).clone();
         let mut session = Self {
             link,
-            receiver: ReceiverMachine::new(working(to), config),
-            sender: SenderMachine::new(working(from), sender_seed),
+            sender: SenderMachine::new(served, dial.sender_seed()),
+            receiver: ReceiverMachine::new(dial.working, dial.config),
             pump: FramePump::new(),
         };
         session
             .pump
             .start(&mut session.receiver, &mut session.sender, &mut Vec::new())
             .expect("fresh machines accept PeerConnected");
-        session
+        Some(session)
     }
 
     /// One pump step; every symbol the receiver decodes joins `held`,
     /// the fetching peer's set. Returns whether a frame moved.
-    fn step(&mut self, held: &mut BTreeSet<SymbolId>, actions: &mut Vec<SessionAction>) -> bool {
+    fn step(&mut self, held: &mut WorkingSet, actions: &mut Vec<SessionAction>) -> bool {
         let step = self
             .pump
             .step(&mut self.receiver, &mut self.sender, actions)
             .unwrap_or_else(|e| panic!("session on plan link {} broke protocol: {e}", self.link));
         for action in actions.drain(..) {
             if let SessionAction::SymbolDecoded(id) = action {
-                held.insert(id);
+                let payload = self.receiver.working().payload(id);
+                let payload = payload.expect("decoded symbol is in the machine's working set");
+                held.insert(EncodedSymbol {
+                    id,
+                    payload: payload.clone(),
+                });
             }
         }
         step == PumpStep::Progressed
@@ -498,58 +473,83 @@ impl Session {
     }
 }
 
-/// The round loop behind [`predict`] and [`predict_faulty`]: severs the
-/// `severed` plan links at tick `cut_ticks` of round 0 (nothing when
-/// `severed` is empty) and returns the outcome plus the resumption
-/// sessions opened.
-fn replay(plan: &SwarmPlan, severed: &[usize], cut_ticks: u64) -> (Prediction, u64) {
-    let spec = &plan.spec;
-    let mut held: Vec<BTreeSet<SymbolId>> = plan
-        .shares
-        .iter()
-        .map(|share| share.iter().copied().collect())
+/// The round loop behind [`predict`] and [`predict_faulty`]: runs at
+/// most `round_limit` rounds, severs the `severed` plan links at tick
+/// `cut_ticks` of round 0 (nothing when `severed` is empty), and returns
+/// the outcome plus the resumption sessions opened.
+fn replay(
+    plan: &SwarmPlan,
+    severed: &[usize],
+    cut_ticks: u64,
+    round_limit: u32,
+) -> (Prediction, u64) {
+    let universe = plan.spec.universe;
+    let mut nodes: Vec<PeerState> = (0..plan.spec.nodes)
+        .map(|n| {
+            let held = initial_share(plan, n);
+            (NodeMachine::new(plan, n, &held), held)
+        })
         .collect();
     let mut link_bytes = vec![0u64; plan.links.len()];
-    let mut rounds = 0;
-    let mut retries = 0u64;
+    let (mut rounds, mut retries) = (0, 0u64);
     let mut actions = Vec::new();
-    for round in 0..MAX_ROUNDS {
+    loop {
+        let before: Vec<usize> = nodes.iter().map(|(_, held)| held.len()).collect();
+        let dialing: Vec<bool> = nodes
+            .iter_mut()
+            .map(|(machine, _)| !machine.open_round().0.is_empty())
+            .collect();
         let mut sessions: Vec<Session> = (0..plan.links.len())
-            .filter(|&i| held[plan.links[i].to].len() < spec.universe)
-            .map(|i| Session::open(plan, &held, i, round_seed(plan.links[i].seed, round)))
+            .filter(|&i| dialing[plan.links[i].to])
+            .filter_map(|i| Session::open(plan, &nodes, i, 1))
             .collect();
         if sessions.is_empty() {
             break;
         }
-        rounds = round + 1;
         for tick in 1.. {
-            if round == 0 && tick == cut_ticks.max(1) {
-                for session in sessions.iter_mut().filter(|s| severed.contains(&s.link)) {
-                    // Bill the dead attempt, redial on the current sets.
+            if rounds == 0 && tick == cut_ticks.max(1) {
+                // Bill each dead attempt, then resume it as the daemon would.
+                sessions.retain_mut(|session| {
+                    if !severed.contains(&session.link) {
+                        return true;
+                    }
                     link_bytes[session.link] += session.wire_bytes();
-                    let seed = crate::daemon::retry_seed(plan.links[session.link].seed, round, 2);
-                    *session = Session::open(plan, &held, session.link, seed);
-                    retries += 1;
-                }
+                    let resumed = Session::open(plan, &nodes, session.link, 2);
+                    retries += u64::from(resumed.is_some());
+                    resumed.map(|resumed| *session = resumed).is_some()
+                });
             }
             let mut progressed = false;
             for session in &mut sessions {
                 let to = plan.links[session.link].to;
-                progressed |= session.step(&mut held[to], &mut actions);
+                progressed |= session.step(&mut nodes[to].1, &mut actions);
             }
             if !progressed {
                 break;
             }
         }
+        rounds += 1;
         for session in &sessions {
             link_bytes[session.link] += session.wire_bytes();
         }
+        for ((machine, held), before) in nodes.iter_mut().zip(before) {
+            machine.close_round((held.len() - before) as u64, held.len() >= universe);
+        }
+        // The barrier. The machines share one round, so they reach the
+        // round cap together.
+        if rounds == round_limit || nodes.iter_mut().any(|(m, now)| m.advance(now).is_none()) {
+            break;
+        }
     }
     let prediction = Prediction {
-        completed: held.iter().map(|h| h.len() >= spec.universe).collect(),
-        distinct: held.iter().map(BTreeSet::len).collect(),
+        completed: nodes
+            .iter()
+            .map(|(_, held)| held.len() >= universe)
+            .collect(),
+        distinct: nodes.iter().map(|(_, held)| held.len()).collect(),
         link_bytes,
         rounds,
+        stall_escalations: nodes.iter().map(|(m, _)| m.escalations()).collect(),
     };
     (prediction, retries)
 }
@@ -676,5 +676,31 @@ mod tests {
         let again = predict_faulty(&plan, &[(victim.from, victim.to)], 24);
         assert_eq!(fp.faulty, again.faulty);
         assert_eq!(fp.retries, again.retries);
+    }
+
+    /// A universe above the min-wise sketch's 128-permutation resolution
+    /// stalls under the §4 identical-reject rule: node 3 ends round 0 one
+    /// symbol short and gains nothing in round 1, so its machine
+    /// escalates round 2 — the round a daemon's machine escalates.
+    #[test]
+    fn replay_escalates_the_round_after_a_stall() {
+        let spec: DistributionSpec =
+            "seed=1,nodes=5,seeders=1,universe=200,share=75,payload=64,topo=ring2"
+                .parse()
+                .expect("spec parses");
+        let plan = SwarmPlan::new(spec);
+        let after = |rounds| replay(&plan, &[], 0, rounds).0;
+        assert_eq!(after(1).distinct[3], 199);
+        assert_eq!(after(2).distinct[3], 199);
+        assert_eq!(after(2).stall_escalations, [0; 5]);
+        assert_eq!(after(3).stall_escalations, [0, 0, 0, 1, 0]);
+        let p = predict(&plan);
+        assert_eq!(after(3), p, "round 2 completes the swarm");
+        assert_eq!(p.rounds, 3);
+        assert!(p.completed.iter().all(|&c| c));
+        assert_eq!(
+            p.link_bytes,
+            [12414, 19626, 12416, 11084, 6015, 13114, 9521, 6260, 11327, 5612, 12903]
+        );
     }
 }

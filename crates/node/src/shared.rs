@@ -8,7 +8,7 @@
 //! shared distinct count — never by summing per-session gains, which
 //! would double-count symbols two senders both shipped.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use icd_core::WorkingSet;
 use icd_fountain::EncodedSymbol;
@@ -35,13 +35,13 @@ impl SharedWorkingSet {
     /// Ingests one decoded symbol. Returns `true` if it was new to the
     /// node (not just to the session that decoded it).
     pub fn ingest(&self, symbol: EncodedSymbol) -> bool {
-        self.inner.lock().expect("working set lock").insert(symbol)
+        self.lock().insert(symbol)
     }
 
     /// Distinct symbols currently held.
     #[must_use]
     pub fn distinct(&self) -> usize {
-        self.inner.lock().expect("working set lock").len()
+        self.lock().len()
     }
 
     /// Whether the node reached its target.
@@ -54,13 +54,23 @@ impl SharedWorkingSet {
     /// (serve or fetch) freezes for its machine.
     #[must_use]
     pub fn snapshot(&self) -> WorkingSet {
-        self.inner.lock().expect("working set lock").clone()
+        self.lock().clone()
     }
 
     /// Sorted ids currently held (diagnostics, roster reporting).
     #[must_use]
     pub fn sorted_ids(&self) -> Vec<u64> {
-        self.inner.lock().expect("working set lock").sorted_ids()
+        self.lock().sorted_ids()
+    }
+
+    /// Runs `f` on the held set, with ingestion held off until it
+    /// returns.
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&WorkingSet) -> R) -> R {
+        f(&self.lock())
+    }
+
+    fn lock(&self) -> MutexGuard<'_, WorkingSet> {
+        self.inner.lock().expect("working set lock")
     }
 }
 

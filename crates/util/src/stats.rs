@@ -3,8 +3,8 @@
 //! Every figure in the paper's evaluation plots a mean over repeated
 //! randomized trials. [`Summary`] accumulates samples in one pass (Welford)
 //! and reports mean, sample standard deviation, and a normal-approximation
-//! 95 % confidence half-width, which EXPERIMENTS.md records next to each
-//! reproduced number.
+//! 95 % confidence half-width, which the `coding_table` binary prints
+//! next to each measured decoding overhead.
 
 /// One-pass accumulator for mean and variance (Welford's algorithm).
 #[derive(Debug, Clone, Default, PartialEq)]

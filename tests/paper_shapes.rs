@@ -1,6 +1,7 @@
 //! Qualitative reproduction tests: the *shapes* of the paper's evaluation
 //! must hold at test scale — who wins, in which direction curves move,
-//! and where regimes flip. These are the claims EXPERIMENTS.md records
+//! and where regimes flip. These are the claims the `icd-bench`
+//! experiment binaries (`fig4a`, `fig5`, `fig6`, `fig7`, `fig8`) print
 //! quantitatively; here they gate CI.
 
 use icd_bench::experiments::art_accuracy::accuracy_cell;

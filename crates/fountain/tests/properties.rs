@@ -234,6 +234,35 @@ fn two_ripple_entries_racing_for_one_block() {
     assert_eq!(decoder.into_content(content.len()).expect("complete"), content);
 }
 
+#[test]
+fn the_cheapest_ready_symbol_releases_the_block() {
+    // L = {1, 2} and H = {0, 1, 2} are buffered; {0} then {1} leave both
+    // with block 2 as their last unknown. H's payload is corrupt, so the
+    // content comes out right only if L, the symbol with fewer
+    // neighbors, is the one that releases block 2.
+    let content: Vec<u8> = (0..64u8).collect();
+    let encoder = Encoder::for_content(&content, 16, 3);
+    let spec = encoder.spec();
+    assert_eq!(spec.num_blocks(), 4);
+    let find = |blocks: &[usize]| {
+        (0..100_000)
+            .find(|&id| spec.neighbors(id) == blocks)
+            .expect("an id over these blocks")
+    };
+    let corrupt = EncodedSymbol {
+        id: find(&[0, 1, 2]),
+        payload: Bytes::from(vec![0xA5; 16]),
+    };
+    assert_ne!(corrupt, encoder.symbol(corrupt.id));
+    let mut arrivals = vec![encoder.symbol(find(&[1, 2])), corrupt];
+    arrivals.extend([find(&[0]), find(&[1])].map(|id| encoder.symbol(id)));
+    arrivals.extend(encoder.stream(9).take(200));
+    let decoder = assert_decoder_matches_reference(&encoder, &arrivals);
+    assert!(decoder.is_complete());
+    let decoded = decoder.into_content(content.len());
+    assert_eq!(decoded.expect("complete"), content);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

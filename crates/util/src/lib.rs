@@ -19,9 +19,10 @@
 //! * [`idset`] — compressed working-set membership: a rank bitmap over a
 //!   shared sorted symbol universe, so per-peer inventory sets cost bits
 //!   instead of hash-table entries at swarm scale.
-//! * [`symbol`] — word-aligned payload buffers ([`symbol::SymbolBuf`])
-//!   and the free-list pool ([`symbol::SymbolPool`]) that make the
-//!   encode/decode/recode hot path allocation-free at steady state.
+//! * [`symbol`] — word-aligned payload buffers ([`symbol::SymbolBuf`]),
+//!   the free-list pool ([`symbol::SymbolPool`]) that makes the recode
+//!   hot path allocation-free at steady state, and the multi-stream XOR
+//!   kernels the encoder, decoder and recoder share.
 //!
 //! Nothing in this crate is specific to the paper's algorithms; it exists
 //! so that the algorithmic crates stay focused and so the workspace does

@@ -8,11 +8,13 @@
 //! `u64` loop the compiler vectorizes, with no per-byte tail handling
 //! because the final partial word is kept zero-padded as an invariant.
 //!
-//! [`SymbolPool`] is a free-list of retired buffers. Decoders and recode
-//! buffers acquire from and release to a pool instead of allocating, so
-//! a steady-state transfer performs **zero per-symbol heap allocations**
+//! [`SymbolPool`] is a free-list of retired buffers. Recode buffers
+//! acquire from and release to a pool instead of allocating, so a
+//! steady-state transfer performs **zero per-symbol heap allocations**
 //! once the pool has warmed up — [`PoolStats`] makes that property
-//! assertable in tests rather than aspirational.
+//! assertable in tests rather than aspirational. The decoder needs no
+//! pool: it writes every block into one object buffer, XORing with
+//! [`xor_bytes_into`], the byte-destination form of the same kernels.
 //!
 //! Everything here is safe code: byte views are materialized through
 //! `u64::from_le_bytes`/`to_le_bytes` on exact chunks, which optimizes to
@@ -261,6 +263,63 @@ impl SymbolBuf {
     }
 }
 
+/// XORs every slice of `sources` into `dst`, eight (then four, then one)
+/// streams per pass: [`SymbolBuf::xor_word_slices`] for a destination
+/// kept as bytes (the decoder writes blocks straight into the object).
+/// Panics on length mismatch.
+pub fn xor_bytes_into<'a>(dst: &mut [u8], mut sources: impl Iterator<Item = &'a [u8]>) {
+    loop {
+        let mut batch: [&[u8]; 8] = [&[]; 8];
+        let mut n = 0;
+        for (slot, s) in batch.iter_mut().zip(sources.by_ref()) {
+            *slot = s;
+            n += 1;
+        }
+        if n == 8 {
+            xor_streams(dst, batch);
+            continue;
+        }
+        let rest = if n >= 4 {
+            let [s0, s1, s2, s3, ..] = batch;
+            xor_streams(dst, [s0, s1, s2, s3]);
+            &batch[4..n]
+        } else {
+            &batch[..n]
+        };
+        for &s in rest {
+            xor_streams(dst, [s]);
+        }
+        return;
+    }
+}
+
+/// One pass of [`xor_bytes_into`]: `N` independent load streams, a word
+/// at a time, then the bytes past the last whole word.
+#[inline]
+fn xor_streams<const N: usize>(dst: &mut [u8], sources: [&[u8]; N]) {
+    assert!(
+        sources.iter().all(|s| s.len() == dst.len()),
+        "XOR of unequal-length buffers"
+    );
+    let (words, tail) = dst.as_chunks_mut::<WORD_BYTES>();
+    let full = words.len();
+    // Re-slicing to the destination's word count lets the compiler drop
+    // the per-word bounds checks below.
+    let streams = sources.map(|s| &s.as_chunks::<WORD_BYTES>().0[..full]);
+    for (i, word) in words.iter_mut().enumerate() {
+        let mut acc = u64::from_le_bytes(*word);
+        for s in &streams {
+            acc ^= u64::from_le_bytes(s[i]);
+        }
+        *word = acc.to_le_bytes();
+    }
+    for (j, byte) in tail.iter_mut().enumerate() {
+        for s in &sources {
+            *byte ^= s[full * WORD_BYTES + j];
+        }
+    }
+}
+
 /// Counters proving (or disproving) steady-state allocation freedom.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
@@ -367,6 +426,10 @@ mod tests {
                 let mut got = SymbolBuf::from_bytes(&source(99));
                 got.xor_word_slices(bufs.iter().map(SymbolBuf::words));
                 assert_eq!(got, expect, "len {len}, {count} sources");
+                let bytes: Vec<Vec<u8>> = (0..count).map(source).collect();
+                let mut dst = source(99);
+                xor_bytes_into(&mut dst, bytes.iter().map(Vec::as_slice));
+                assert_eq!(dst, expect.to_vec(), "bytes at len {len}, {count} sources");
             }
             let quad = [source(1), source(2), source(3), source(4)];
             let mut expect = SymbolBuf::from_bytes(&source(99));
@@ -443,5 +506,12 @@ mod tests {
     fn xor_length_mismatch_panics() {
         let mut a = SymbolBuf::zeroed(8);
         a.xor_bytes(&[0u8; 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal-length")]
+    fn xor_bytes_into_length_mismatch_panics() {
+        let mut dst = [0u8; 8];
+        xor_bytes_into(&mut dst, [&[0u8; 9][..]].into_iter());
     }
 }

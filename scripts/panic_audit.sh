@@ -13,7 +13,7 @@
 set -euo pipefail
 
 declare -A CEILING=(
-    [art]=4 [bench]=6 [bloom]=1 [core]=2 [fountain]=8 [node]=28 [obs]=6
+    [art]=4 [bench]=6 [bloom]=1 [core]=2 [fountain]=5 [node]=28 [obs]=6
     [overlay]=12 [recon]=5 [sketch]=0 [summary]=6 [swarm]=2 [util]=5 [wire]=6
 )
 

@@ -33,8 +33,9 @@
 //!   execution are visible separately from the fault-free number.
 //!
 //! * **traced swarm** — the churned-swarm probe with a structured trace
-//!   recorder installed, and the derived `trace_overhead_pct` — the
-//!   enabled-mode cost of the observability plane. Disabled-mode cost
+//!   recorder installed, the derived `trace_overhead_pct` — the
+//!   enabled-mode cost of the observability plane in time — and
+//!   `trace_bytes_per_record`, its cost in memory. Disabled-mode cost
 //!   is covered by the delta table below (no recorder is installed in
 //!   any other probe).
 //! * **swarm split** — the churned-swarm probe with a `PhaseProfile`
@@ -103,9 +104,7 @@ fn main() {
     let untraced = swarm.value;
     probes.push(swarm);
     probes.push(faulty_swarm_events_probe(quick));
-    let (traced, overhead) = swarm_traced_events_probe(quick, untraced);
-    probes.push(traced);
-    probes.push(overhead);
+    probes.extend(swarm_traced_events_probe(quick, untraced));
     probes.extend(swarm_split_probes(quick));
     probes.push(swarm_peak_rss_probe());
 
@@ -456,12 +455,14 @@ fn churned_swarm_config(quick: bool) -> (icd_swarm::SwarmConfig, usize, usize) {
 /// The churned-swarm probe with a trace recorder installed — the
 /// enabled-mode cost of the observability plane, paired with the
 /// derived `trace_overhead_pct` against the recorder-free number (the
-/// nightly lane greps the pair). Negative overhead is timing noise.
-fn swarm_traced_events_probe(quick: bool, untraced: f64) -> (Probe, Probe) {
+/// nightly lane greps the pair) and the recorder's heap per record,
+/// `trace_bytes_per_record`. Negative overhead is timing noise.
+fn swarm_traced_events_probe(quick: bool, untraced: f64) -> [Probe; 3] {
     let (cfg, _, blocks) = churned_swarm_config(quick);
     let mut events = 0u64;
     let mut roster = 0usize;
     let mut records = 0usize;
+    let mut bytes = 0usize;
     let secs = best_of(if quick { 2 } else { 3 }, || {
         let mut swarm = icd_swarm::Swarm::new(cfg.clone(), SEED ^ 13);
         let tracer = TraceBuf::shared(1 << 22);
@@ -471,6 +472,7 @@ fn swarm_traced_events_probe(quick: bool, untraced: f64) -> (Probe, Probe) {
         events = out.events;
         roster = out.peers;
         records = tracer.borrow().len();
+        bytes = tracer.borrow().bytes_held();
     });
     let traced = events as f64 / secs;
     let probe = Probe {
@@ -479,7 +481,8 @@ fn swarm_traced_events_probe(quick: bool, untraced: f64) -> (Probe, Probe) {
         unit: "events/s",
         detail: format!(
             "{roster}-peer power-law(m=2) swarm, n={blocks}, 10% churn, \
-             {records} trace records captured"
+             {records} trace records captured; costs in trace_overhead_pct \
+             and trace_bytes_per_record"
         ),
     };
     let overhead = Probe {
@@ -488,7 +491,16 @@ fn swarm_traced_events_probe(quick: bool, untraced: f64) -> (Probe, Probe) {
         unit: "%",
         detail: "enabled-mode slowdown vs the recorder-free swarm probe".to_string(),
     };
-    (probe, overhead)
+    let per_record = Probe {
+        name: "trace_bytes_per_record",
+        value: bytes as f64 / records.max(1) as f64,
+        unit: "B",
+        detail: format!(
+            "TraceBuf::bytes_held over held records ({bytes} B / {records}): \
+             slot and spill rings by capacity plus the label table"
+        ),
+    };
+    [probe, overhead, per_record]
 }
 
 /// Where a churned-swarm run spends its wall time: one profiled run of

@@ -194,18 +194,63 @@ fn stale_watchers_do_not_disturb_later_pending_symbols() {
     assert_eq!(buf.known_since(0), [a, b, c, d]);
 }
 
-/// Feeds `arrivals` to a [`Decoder`] and the reference side by side and
-/// holds every observable equal after every call.
-fn assert_decoder_matches_reference(encoder: &Encoder, arrivals: &[EncodedSymbol]) -> Decoder {
-    let mut decoder = Decoder::new(encoder.spec().clone());
-    let mut reference = ReferencePeeler::new(encoder.spec().clone());
-    for (step, symbol) in arrivals.iter().enumerate() {
+/// A [`Decoder`] and the reference fed side by side, every observable
+/// held equal after every call.
+struct Lockstep {
+    decoder: Decoder,
+    reference: ReferencePeeler,
+    step: usize,
+}
+
+impl Lockstep {
+    fn new(spec: &CodeSpec) -> Self {
+        Self { decoder: Decoder::new(spec.clone()), reference: ReferencePeeler::new(spec.clone()), step: 0 }
+    }
+
+    fn receive(&mut self, symbol: &EncodedSymbol) {
+        let (decoder, reference, step) = (&mut self.decoder, &mut self.reference, self.step);
         assert_eq!(decoder.receive(symbol), reference.receive(symbol.id), "status at arrival {step}");
         assert_eq!(decoder.stats(), reference.stats, "stats at arrival {step}");
         assert_eq!(decoder.recovered_blocks(), reference.recovered(), "recovered at arrival {step}");
         assert_eq!(decoder.buffered_symbols(), reference.pending.len(), "buffered at arrival {step}");
+        self.step += 1;
     }
-    decoder
+}
+
+/// Feeds `arrivals` through a [`Lockstep`] and returns its decoder.
+fn assert_decoder_matches_reference(encoder: &Encoder, arrivals: &[EncodedSymbol]) -> Decoder {
+    let mut lockstep = Lockstep::new(encoder.spec());
+    for symbol in arrivals {
+        lockstep.receive(symbol);
+    }
+    lockstep.decoder
+}
+
+/// The unbounded stream `encoder.stream(seed ^ 1)`, cut at 20·l + 200
+/// symbols and delivered out of order: windows of 3·l + 30 symbols,
+/// each with its first `repeats` symbols sent twice, shuffled by one rng
+/// seeded with `seed ^ 2`. How many symbols a decode needs is random
+/// (at l = 14 a stream can go 90 symbols before its first degree-1
+/// symbol), so properties feed windows until the decode completes and
+/// fail only past the cap.
+fn shuffled_windows(
+    encoder: &Encoder,
+    seed: u64,
+    repeats: usize,
+) -> impl Iterator<Item = Vec<EncodedSymbol>> + '_ {
+    let l = encoder.spec().num_blocks();
+    let mut stream = encoder.stream(seed ^ 1).take(20 * l + 200);
+    let mut rng = Xoshiro256StarStar::new(seed ^ 2);
+    std::iter::from_fn(move || {
+        let mut window: Vec<EncodedSymbol> = stream.by_ref().take(3 * l + 30).collect();
+        if window.is_empty() {
+            return None;
+        }
+        let repeated = window[..repeats.min(window.len())].to_vec();
+        window.extend(repeated);
+        icd_util::rng::Rng64::shuffle(&mut rng, &mut window);
+        Some(window)
+    })
 }
 
 #[test]
@@ -295,20 +340,11 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let encoder = Encoder::for_content(&content, block_size, seed);
-        let l = encoder.spec().num_blocks();
-        // Collect a generous batch, then deliver shuffled.
-        let mut symbols: Vec<EncodedSymbol> = encoder.stream(seed ^ 1).take(3 * l + 30).collect();
-        let mut rng = Xoshiro256StarStar::new(seed ^ 2);
-        icd_util::rng::Rng64::shuffle(&mut rng, &mut symbols);
         let mut dec = Decoder::new(encoder.spec().clone());
-        let mut done = false;
-        for sym in &symbols {
-            if matches!(dec.receive(sym), DecodeStatus::Complete) {
-                done = true;
-                break;
-            }
-        }
-        prop_assert!(done, "3l + 30 symbols should decode");
+        let done = shuffled_windows(&encoder, seed, 0)
+            .flatten()
+            .any(|sym| matches!(dec.receive(&sym), DecodeStatus::Complete));
+        prop_assert!(done, "20l + 200 symbols did not decode");
         prop_assert_eq!(dec.into_content(content.len()).unwrap(), content);
     }
 
@@ -322,14 +358,21 @@ proptest! {
         // ids mixed in and the feed running on past completion.
         let encoder = Encoder::for_content(&content, block_size, seed);
         let l = encoder.spec().num_blocks();
-        let mut arrivals: Vec<EncodedSymbol> = encoder.stream(seed ^ 1).take(3 * l + 30).collect();
-        let repeats = arrivals[..l.min(20)].to_vec();
-        arrivals.extend(repeats);
-        let mut rng = Xoshiro256StarStar::new(seed ^ 2);
-        icd_util::rng::Rng64::shuffle(&mut rng, &mut arrivals);
-        let decoder = assert_decoder_matches_reference(&encoder, &arrivals);
-        prop_assert!(decoder.is_complete(), "3l + 30 symbols should decode");
-        prop_assert_eq!(decoder.into_content(content.len()).unwrap(), content);
+        let mut windows = shuffled_windows(&encoder, seed, l.min(20));
+        let mut lockstep = Lockstep::new(encoder.spec());
+        for window in windows.by_ref() {
+            window.iter().for_each(|sym| lockstep.receive(sym));
+            if lockstep.decoder.is_complete() {
+                break;
+            }
+        }
+        prop_assert!(lockstep.decoder.is_complete(), "20l + 200 symbols did not decode");
+        // The rest of the completing window, and one more, arrive after
+        // completion.
+        for sym in windows.next().iter().flatten() {
+            lockstep.receive(sym);
+        }
+        prop_assert_eq!(lockstep.decoder.into_content(content.len()).unwrap(), content);
     }
 
     #[test]

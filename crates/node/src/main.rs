@@ -50,19 +50,22 @@
 //! `METRICS {json}` line at shutdown (and on the `METRICS` harness
 //! command); `--trace-out PATH` records per-round session spans,
 //! redials, and stall escalations — stamped with round numbers, never
-//! wall-clock time — and writes them as JSONL on exit.
+//! wall-clock time — and appends each round's records to PATH as JSONL
+//! before the round's `DONE` line, so a killed daemon leaves every round
+//! it finished.
 //!
 //! The spec and roster can also come from `ICD_NODE_SPEC` /
 //! `ICD_NODE_ROSTER` environment variables (flags win).
 
-use std::io::{BufRead, Write};
+use std::fs::File;
+use std::io::{BufRead, BufWriter, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
 use icd_node::{
     parse_roster, DaemonConfig, DistributionSpec, Node, RetryPolicy, Roster, ServeChaos, MAX_ROUNDS,
 };
-use icd_obs::{MetricsRegistry, TraceBuf};
+use icd_obs::{MetricsRegistry, SyncTraceHandle, TraceBuf};
 use icd_swarm::SwarmEvent;
 
 fn fatal(msg: &str) -> ! {
@@ -168,8 +171,59 @@ fn parse_args() -> Args {
     }
 }
 
+/// The `--trace-out` file, appended round by round.
+///
+/// Each flush writes only the records pushed since the last one, so the
+/// file of a graceful run holds the same bytes as one export at
+/// shutdown would (the ring never evicts at `TRACE_CAP` in a harness
+/// run). Appended bytes survive the process being killed, not the host
+/// crashing: nothing is synced to disk.
+struct TraceOut {
+    trace: SyncTraceHandle,
+    path: String,
+    file: File,
+    next_seq: u64,
+}
+
+impl TraceOut {
+    /// Creates (or truncates) `path`; `None`, logged, when it cannot.
+    fn create(path: &str) -> Option<Self> {
+        match File::create(path) {
+            Ok(file) => Some(Self {
+                trace: TraceBuf::shared_sync(TRACE_CAP),
+                path: path.to_string(),
+                file,
+                next_seq: 0,
+            }),
+            Err(e) => {
+                eprintln!("icd-node: creating trace file {path}: {e}; tracing off");
+                None
+            }
+        }
+    }
+
+    /// Appends the records pushed since the last flush. Failures are
+    /// logged: the trace never stops the daemon.
+    fn flush(&mut self) {
+        let Ok(buf) = self.trace.lock() else {
+            eprintln!("icd-node: trace lock poisoned; {} not written", self.path);
+            return;
+        };
+        let mut out = BufWriter::new(&self.file);
+        match buf
+            .write_jsonl_since(self.next_seq, &mut out)
+            .and_then(|next| out.flush().map(|()| next))
+        {
+            Ok(next) => self.next_seq = next,
+            Err(e) => eprintln!("icd-node: writing trace to {}: {e}", self.path),
+        }
+    }
+}
+
 /// Runs the current round's fetches and prints the harness report lines.
-fn go(node: &Node, roster: &Roster, my_id: usize) {
+/// The round's trace records are appended before `DONE`, so a harness
+/// that has read `DONE` finds them in the file.
+fn go(node: &Node, roster: &Roster, my_id: usize, trace: Option<&mut TraceOut>) {
     let mut out = std::io::stdout().lock();
     for report in node.run_fetches(roster) {
         let (gained, status): (u64, String) = match report.outcome {
@@ -196,6 +250,9 @@ fn go(node: &Node, roster: &Roster, my_id: usize) {
             status
         )
         .expect("stdout");
+    }
+    if let Some(trace) = trace {
+        trace.flush();
     }
     let shared = node.shared();
     writeln!(
@@ -256,12 +313,9 @@ fn main() {
     if let Some(registry) = &registry {
         node.set_metrics(Arc::clone(registry));
     }
-    let trace = args
-        .trace_out
-        .is_some()
-        .then(|| TraceBuf::shared_sync(TRACE_CAP));
+    let mut trace = args.trace_out.as_deref().and_then(TraceOut::create);
     if let Some(trace) = &trace {
-        node.set_trace(Arc::clone(trace));
+        node.set_trace(Arc::clone(&trace.trace));
     }
     println!("LISTEN {}", node.local_addr());
     std::io::stdout().flush().expect("stdout");
@@ -278,10 +332,10 @@ fn main() {
         // (peers ahead of us serve their live set), so this mode
         // guarantees completion, not simulator byte parity — the
         // harness protocol below provides the lockstep for that.
-        go(&node, &roster, args.id);
+        go(&node, &roster, args.id, trace.as_mut());
         while !node.shared().is_complete() && node.current_round() + 1 < MAX_ROUNDS {
             node.advance_round();
-            go(&node, &roster, args.id);
+            go(&node, &roster, args.id, trace.as_mut());
         }
     }
 
@@ -294,7 +348,7 @@ fn main() {
         match words.as_slice() {
             [] => {}
             ["QUIT"] => break,
-            ["GO"] => go(&node, &roster, args.id),
+            ["GO"] => go(&node, &roster, args.id, trace.as_mut()),
             ["ROUND"] if node.current_round() + 1 < MAX_ROUNDS => {
                 println!("ROUND-OK {}", node.advance_round());
             }
@@ -333,10 +387,7 @@ fn main() {
         println!("METRICS {}", registry.snapshot().to_json());
         std::io::stdout().flush().expect("stdout");
     }
-    if let (Some(path), Some(trace)) = (&args.trace_out, &trace) {
-        let jsonl = trace.lock().expect("trace lock").to_jsonl();
-        if let Err(e) = std::fs::write(path, jsonl) {
-            eprintln!("icd-node: writing trace to {path}: {e}");
-        }
+    if let Some(trace) = &mut trace {
+        trace.flush();
     }
 }

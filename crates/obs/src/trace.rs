@@ -1,6 +1,6 @@
 //! The deterministic structured trace plane.
 //!
-//! A [`TraceBuf`] is a bounded ring of [`TraceRecord`]s. Every record
+//! A [`TraceBuf`] is a bounded ring of trace records. Every record
 //! carries the *engine* clock (`t` — sim ticks for the simulator,
 //! reconciliation rounds for the daemon) and a sequence number assigned
 //! at push time; wall-clock time never appears. That makes a trace a
@@ -8,12 +8,28 @@
 //! be equivalent (a rerun, 1 thread vs. 8) must produce
 //! byte-identical [`TraceBuf::to_jsonl`] output.
 //!
+//! Recording is cheap enough to leave on: the ring stores one 16-byte
+//! slot per record and no [`TraceRecord`]. A slot holds the clock as a
+//! `u32`, two `u32` fields, a 24-bit field and the event kind, which
+//! covers `link_send`, `link_up`, `link_down`, `round_start`,
+//! `stall_escalation` and `fault_applied` at engine-range values; a
+//! `fault_applied` label is interned once in a small table and the slot
+//! holds its index. Anything that does not fit — a clock at or past
+//! 2³², an out-of-range field, a label past the table's bound, and the
+//! wide `summary_exchanged`, `redial` and `session_span` events — is
+//! kept whole in a spill ring, and its slot only marks the spill. Slots
+//! and spill entries are evicted together, oldest first. A record's
+//! sequence number is not stored: it is the drop count plus the slot's
+//! position. [`TraceRecord`]s and JSONL exist only on export.
+//!
 //! The JSONL codec is hand-rolled (the workspace has no registry
 //! access, hence no serde): one flat JSON object per line, round-trips
 //! through [`TraceBuf::parse_jsonl`] exactly.
 
+use std::cell::OnceCell;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
+use std::fmt;
+use std::io;
 
 /// One structured event, without its timestamp. Field types are kept
 /// flat (u64 / bool / String) so the JSONL codec stays trivial.
@@ -125,6 +141,8 @@ impl TraceEvent {
 }
 
 /// One trace entry: deterministic clock, push-assigned sequence, event.
+///
+/// `Display` renders the record as one JSONL line, without the newline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Engine-clock stamp (sim ticks, or daemon rounds). Never wall
@@ -137,11 +155,90 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
+impl fmt::Display for TraceRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_record(f, self)
+    }
+}
+
 /// Shared single-threaded handle — the engine/swarm recorder shape.
 pub type TraceHandle = std::rc::Rc<std::cell::RefCell<TraceBuf>>;
 
 /// Shared thread-safe handle — the daemon recorder shape.
 pub type SyncTraceHandle = std::sync::Arc<std::sync::Mutex<TraceBuf>>;
+
+/// Interned `fault_applied` labels kept at most. A label past the bound
+/// spills with its event, so arbitrary caller strings cannot grow the
+/// table without limit.
+const LABEL_CAP: usize = 256;
+
+/// What a [`Slot`] holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// The record is the spill ring's next entry.
+    Spill,
+    /// `a` = link, `b` = frame length, `c` = components · 4 + lost · 2
+    /// + recoded.
+    LinkSend,
+    /// `a` = link, `b` = from, `c` = to.
+    LinkUp,
+    /// `a` = link.
+    LinkDown,
+    /// `a` = round.
+    RoundStart,
+    /// `a` = peer, `b` = starved passes.
+    StallEscalation,
+    /// `a` = peer, `c` = label index.
+    FaultApplied,
+}
+
+/// An unsigned 24-bit field, stored little-endian.
+#[derive(Debug, Clone, Copy)]
+struct U24([u8; 3]);
+
+impl U24 {
+    fn new(v: u64) -> Option<Self> {
+        let [b0, b1, b2, rest @ ..] = v.to_le_bytes();
+        (rest == [0; 5]).then_some(Self([b0, b1, b2]))
+    }
+
+    fn get(self) -> u64 {
+        let [b0, b1, b2] = self.0;
+        u64::from(u32::from_le_bytes([b0, b1, b2, 0]))
+    }
+}
+
+/// One stored record: 16 bytes, no heap.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    t: u32,
+    a: u32,
+    b: u32,
+    c: U24,
+    kind: Kind,
+}
+
+impl Slot {
+    const SPILL: Slot = Slot {
+        t: 0,
+        a: 0,
+        b: 0,
+        c: U24([0; 3]),
+        kind: Kind::Spill,
+    };
+
+    /// A slot of `kind` when `t`, `a` and `b` fit 32 bits and `c` fits
+    /// 24.
+    fn new(kind: Kind, t: u64, a: u64, b: u64, c: u64) -> Option<Self> {
+        Some(Self {
+            t: u32::try_from(t).ok()?,
+            a: u32::try_from(a).ok()?,
+            b: u32::try_from(b).ok()?,
+            c: U24::new(c)?,
+            kind,
+        })
+    }
+}
 
 /// Bounded ring buffer of trace records.
 ///
@@ -151,20 +248,30 @@ pub type SyncTraceHandle = std::sync::Arc<std::sync::Mutex<TraceBuf>>;
 #[derive(Debug)]
 pub struct TraceBuf {
     cap: usize,
-    records: VecDeque<TraceRecord>,
-    next_seq: u64,
+    /// One slot per held record, oldest first.
+    slots: VecDeque<Slot>,
+    /// The records of the [`Kind::Spill`] slots, in slot order.
+    spill: VecDeque<(u64, TraceEvent)>,
+    /// Interned `fault_applied` labels; never evicted.
+    labels: Vec<String>,
     dropped: u64,
+    /// [`TraceBuf::records`]' decoded view, built on demand and
+    /// discarded by the next push.
+    decoded: OnceCell<Vec<TraceRecord>>,
 }
 
 impl TraceBuf {
-    /// An empty ring holding at most `cap` records (min 1).
+    /// An empty ring holding at most `cap` records (min 1). Nothing is
+    /// allocated until the first push.
     #[must_use]
     pub fn new(cap: usize) -> Self {
         Self {
             cap: cap.max(1),
-            records: VecDeque::new(),
-            next_seq: 0,
+            slots: VecDeque::new(),
+            spill: VecDeque::new(),
+            labels: Vec::new(),
             dropped: 0,
+            decoded: OnceCell::new(),
         }
     }
 
@@ -183,25 +290,133 @@ impl TraceBuf {
     /// Records `event` at engine time `t`, assigning the next sequence
     /// number. Evicts the oldest record when full.
     pub fn push(&mut self, t: u64, event: TraceEvent) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if self.records.len() == self.cap {
-            self.records.pop_front();
+        self.decoded.take();
+        if self.slots.len() == self.cap {
+            if let Some(Slot {
+                kind: Kind::Spill, ..
+            }) = self.slots.pop_front()
+            {
+                self.spill.pop_front();
+            }
             self.dropped += 1;
         }
-        self.records.push_back(TraceRecord { t, seq, event });
+        let slot = self.pack(t, &event).unwrap_or_else(|| {
+            self.spill.push_back((t, event));
+            Slot::SPILL
+        });
+        self.slots.push_back(slot);
+    }
+
+    /// The slot for `event` at `t`, or `None` when it must spill.
+    fn pack(&mut self, t: u64, event: &TraceEvent) -> Option<Slot> {
+        match *event {
+            TraceEvent::LinkSend {
+                link,
+                recoded,
+                lost,
+                components,
+                frame_len,
+            } => {
+                let c = components.checked_mul(4)? | u64::from(lost) << 1 | u64::from(recoded);
+                Slot::new(Kind::LinkSend, t, link, frame_len, c)
+            }
+            TraceEvent::LinkUp { link, from, to } => Slot::new(Kind::LinkUp, t, link, from, to),
+            TraceEvent::LinkDown { link } => Slot::new(Kind::LinkDown, t, link, 0, 0),
+            TraceEvent::RoundStart { round } => Slot::new(Kind::RoundStart, t, round, 0, 0),
+            TraceEvent::StallEscalation { peer, starved } => {
+                Slot::new(Kind::StallEscalation, t, peer, starved, 0)
+            }
+            TraceEvent::FaultApplied { ref fault, peer } => {
+                // Built before interning, so a record that spills anyway
+                // never takes a table entry.
+                let slot = Slot::new(Kind::FaultApplied, t, peer, 0, 0)?;
+                let label = self.intern(fault)?;
+                Some(Slot {
+                    c: U24::new(label as u64)?,
+                    ..slot
+                })
+            }
+            TraceEvent::SummaryExchanged { .. }
+            | TraceEvent::Redial { .. }
+            | TraceEvent::SessionSpan { .. } => None,
+        }
+    }
+
+    /// `label`'s index in the table, adding it while there is room.
+    fn intern(&mut self, label: &str) -> Option<usize> {
+        if let Some(i) = self.labels.iter().position(|l| l == label) {
+            return Some(i);
+        }
+        if self.labels.len() == LABEL_CAP {
+            return None;
+        }
+        self.labels.push(label.to_owned());
+        Some(self.labels.len() - 1)
+    }
+
+    /// The event `slot` encodes, or `None` for a spill marker.
+    fn unpack(&self, slot: Slot) -> Option<TraceEvent> {
+        let (a, b, c) = (u64::from(slot.a), u64::from(slot.b), slot.c.get());
+        Some(match slot.kind {
+            Kind::Spill => return None,
+            Kind::LinkSend => TraceEvent::LinkSend {
+                link: a,
+                recoded: c & 1 != 0,
+                lost: c & 2 != 0,
+                components: c >> 2,
+                frame_len: b,
+            },
+            Kind::LinkUp => TraceEvent::LinkUp {
+                link: a,
+                from: b,
+                to: c,
+            },
+            Kind::LinkDown => TraceEvent::LinkDown { link: a },
+            Kind::RoundStart => TraceEvent::RoundStart { round: a },
+            Kind::StallEscalation => TraceEvent::StallEscalation {
+                peer: a,
+                starved: b,
+            },
+            Kind::FaultApplied => TraceEvent::FaultApplied {
+                fault: self.labels[c as usize].clone(),
+                peer: a,
+            },
+        })
+    }
+
+    /// The held records with `seq >= from`, oldest first, decoded one
+    /// at a time.
+    fn decode_from(&self, from: u64) -> impl Iterator<Item = TraceRecord> + '_ {
+        let skip = usize::try_from(from.saturating_sub(self.dropped))
+            .map_or(self.slots.len(), |s| s.min(self.slots.len()));
+        let spilled_before = self
+            .slots
+            .range(..skip)
+            .filter(|s| s.kind == Kind::Spill)
+            .count();
+        let mut spill = self.spill.iter().skip(spilled_before);
+        self.slots
+            .range(skip..)
+            .zip(self.dropped + skip as u64..)
+            .filter_map(move |(&slot, seq)| {
+                let (t, event) = match self.unpack(slot) {
+                    Some(event) => (u64::from(slot.t), event),
+                    None => spill.next().cloned()?,
+                };
+                Some(TraceRecord { t, seq, event })
+            })
     }
 
     /// Records currently held (after any eviction).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.slots.len()
     }
 
     /// Whether the ring holds no records.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.slots.is_empty()
     }
 
     /// Records evicted by the ring bound.
@@ -210,21 +425,60 @@ impl TraceBuf {
         self.dropped
     }
 
-    /// The held records, oldest first.
+    /// Heap bytes the recorder holds: slot ring, spill ring (with the
+    /// labels of spilled `fault_applied` events) and label table, by
+    /// capacity. The decoded view [`TraceBuf::records`] builds is an
+    /// export cost and is not counted.
+    #[must_use]
+    pub fn bytes_held(&self) -> usize {
+        let spilled_labels: usize = self
+            .spill
+            .iter()
+            .map(|(_, event)| match event {
+                TraceEvent::FaultApplied { fault, .. } => fault.capacity(),
+                _ => 0,
+            })
+            .sum();
+        self.slots.capacity() * std::mem::size_of::<Slot>()
+            + self.spill.capacity() * std::mem::size_of::<(u64, TraceEvent)>()
+            + spilled_labels
+            + self.labels.capacity() * std::mem::size_of::<String>()
+            + self.labels.iter().map(String::capacity).sum::<usize>()
+    }
+
+    /// The held records, oldest first. The first call after a push
+    /// decodes the ring into a cache that the next push discards.
     pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter()
+        self.decoded
+            .get_or_init(|| self.decode_from(0).collect())
+            .iter()
     }
 
     /// Serializes the held records as JSONL, one flat object per line.
     /// Byte-deterministic: equal rings render equal strings.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.records.len() * 64);
-        for rec in &self.records {
-            write_record(&mut out, rec);
-            out.push('\n');
+        use fmt::Write as _;
+        let mut out = String::with_capacity(self.slots.len() * 64);
+        for rec in self.decode_from(0) {
+            let _ = writeln!(out, "{rec}");
         }
         out
+    }
+
+    /// Streams the held records with sequence number `seq` or later to
+    /// `out` as JSONL, in [`TraceBuf::to_jsonl`]'s format, and returns
+    /// the sequence number the next push will get — the `seq` that
+    /// continues the stream after it. Records evicted before the call
+    /// are skipped.
+    ///
+    /// # Errors
+    /// The first error `out` returns.
+    pub fn write_jsonl_since(&self, seq: u64, out: &mut impl io::Write) -> io::Result<u64> {
+        for rec in self.decode_from(seq) {
+            writeln!(out, "{rec}")?;
+        }
+        Ok(self.dropped + self.slots.len() as u64)
     }
 
     /// Parses [`TraceBuf::to_jsonl`] output back into records. Blank
@@ -269,8 +523,8 @@ impl std::error::Error for TraceParseError {}
 // Encoding
 // ---------------------------------------------------------------------
 
-fn write_record(out: &mut String, rec: &TraceRecord) {
-    let _ = write!(out, "{{\"t\":{},\"seq\":{},\"ev\":\"{}\"", rec.t, rec.seq, rec.event.tag());
+fn write_record(out: &mut impl fmt::Write, rec: &TraceRecord) -> fmt::Result {
+    write!(out, "{{\"t\":{},\"seq\":{},\"ev\":\"{}\"", rec.t, rec.seq, rec.event.tag())?;
     match &rec.event {
         TraceEvent::LinkSend {
             link,
@@ -278,83 +532,69 @@ fn write_record(out: &mut String, rec: &TraceRecord) {
             lost,
             components,
             frame_len,
-        } => {
-            let _ = write!(
-                out,
-                ",\"link\":{link},\"recoded\":{recoded},\"lost\":{lost},\
-                 \"components\":{components},\"frame_len\":{frame_len}"
-            );
-        }
+        } => write!(
+            out,
+            ",\"link\":{link},\"recoded\":{recoded},\"lost\":{lost},\
+             \"components\":{components},\"frame_len\":{frame_len}"
+        )?,
         TraceEvent::SummaryExchanged {
             from,
             to,
             summary,
             handshake_bytes,
             control_bytes,
-        } => {
-            let _ = write!(
-                out,
-                ",\"from\":{from},\"to\":{to},\"summary\":{summary},\
-                 \"handshake_bytes\":{handshake_bytes},\"control_bytes\":{control_bytes}"
-            );
-        }
+        } => write!(
+            out,
+            ",\"from\":{from},\"to\":{to},\"summary\":{summary},\
+             \"handshake_bytes\":{handshake_bytes},\"control_bytes\":{control_bytes}"
+        )?,
         TraceEvent::LinkUp { link, from, to } => {
-            let _ = write!(out, ",\"link\":{link},\"from\":{from},\"to\":{to}");
+            write!(out, ",\"link\":{link},\"from\":{from},\"to\":{to}")?;
         }
-        TraceEvent::LinkDown { link } => {
-            let _ = write!(out, ",\"link\":{link}");
-        }
-        TraceEvent::RoundStart { round } => {
-            let _ = write!(out, ",\"round\":{round}");
-        }
+        TraceEvent::LinkDown { link } => write!(out, ",\"link\":{link}")?,
+        TraceEvent::RoundStart { round } => write!(out, ",\"round\":{round}")?,
         TraceEvent::StallEscalation { peer, starved } => {
-            let _ = write!(out, ",\"peer\":{peer},\"starved\":{starved}");
+            write!(out, ",\"peer\":{peer},\"starved\":{starved}")?;
         }
         TraceEvent::FaultApplied { fault, peer } => {
-            out.push_str(",\"fault\":");
-            write_json_string(out, fault);
-            let _ = write!(out, ",\"peer\":{peer}");
+            out.write_str(",\"fault\":")?;
+            write_json_string(out, fault)?;
+            write!(out, ",\"peer\":{peer}")?;
         }
         TraceEvent::Redial {
             from,
             to,
             round,
             attempt,
-        } => {
-            let _ = write!(
-                out,
-                ",\"from\":{from},\"to\":{to},\"round\":{round},\"attempt\":{attempt}"
-            );
-        }
+        } => write!(
+            out,
+            ",\"from\":{from},\"to\":{to},\"round\":{round},\"attempt\":{attempt}"
+        )?,
         TraceEvent::SessionSpan {
             from,
             to,
             round,
             retries,
             ok,
-        } => {
-            let _ = write!(
-                out,
-                ",\"from\":{from},\"to\":{to},\"round\":{round},\"retries\":{retries},\"ok\":{ok}"
-            );
-        }
+        } => write!(
+            out,
+            ",\"from\":{from},\"to\":{to},\"round\":{round},\"retries\":{retries},\"ok\":{ok}"
+        )?,
     }
-    out.push('}');
+    out.write_char('}')
 }
 
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
+fn write_json_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.push('"');
+    out.write_char('"')
 }
 
 // ---------------------------------------------------------------------
@@ -642,6 +882,158 @@ mod tests {
         assert_eq!(err.line, 2);
         let err = TraceBuf::parse_jsonl("{\"t\":0,\"seq\":0,\"ev\":\"no_such_tag\"}").unwrap_err();
         assert!(err.what.contains("unknown event tag"));
+    }
+
+    /// One event of every narrowly stored kind at the top of its range.
+    fn widest_narrow_events() -> Vec<TraceEvent> {
+        let max32 = u64::from(u32::MAX);
+        vec![
+            TraceEvent::LinkSend {
+                link: max32,
+                recoded: true,
+                lost: true,
+                components: (1 << 22) - 1,
+                frame_len: max32,
+            },
+            TraceEvent::LinkUp {
+                link: max32,
+                from: max32,
+                to: (1 << 24) - 1,
+            },
+            TraceEvent::LinkDown { link: max32 },
+            TraceEvent::RoundStart { round: max32 },
+            TraceEvent::StallEscalation {
+                peer: max32,
+                starved: max32,
+            },
+            TraceEvent::FaultApplied {
+                fault: "crash".into(),
+                peer: max32,
+            },
+        ]
+    }
+
+    #[test]
+    fn a_slot_is_sixteen_bytes_at_most() {
+        assert!(std::mem::size_of::<Slot>() <= 16);
+    }
+
+    #[test]
+    fn engine_range_events_take_one_slot_and_no_allocation() {
+        let mut buf = TraceBuf::new(64);
+        let events = widest_narrow_events();
+        for ev in &events {
+            buf.push(u64::from(u32::MAX), ev.clone());
+        }
+        assert!(buf.spill.is_empty(), "an engine-range event spilled");
+        let held: Vec<TraceEvent> = buf.records().map(|r| r.event.clone()).collect();
+        assert_eq!(held, events);
+        // Once the ring is full, pushing evicts in place: no allocation.
+        let mut buf = TraceBuf::new(4);
+        let send = |link| TraceEvent::LinkSend {
+            link,
+            recoded: false,
+            lost: false,
+            components: 1,
+            frame_len: 1434,
+        };
+        for link in 0..4 {
+            buf.push(link, send(link));
+        }
+        let bytes = buf.bytes_held();
+        for link in 4..1000 {
+            buf.push(link, send(link));
+            assert_eq!(buf.bytes_held(), bytes, "push {link} allocated");
+        }
+        assert!(buf.spill.is_empty());
+    }
+
+    #[test]
+    fn one_past_a_slot_field_spills_and_round_trips() {
+        let wide = [
+            TraceEvent::LinkSend {
+                link: 1,
+                recoded: false,
+                lost: true,
+                components: 1 << 22,
+                frame_len: 9,
+            },
+            TraceEvent::LinkUp {
+                link: 1,
+                from: 2,
+                to: 1 << 24,
+            },
+            TraceEvent::LinkDown {
+                link: 1 << 32,
+            },
+            TraceEvent::StallEscalation {
+                peer: 3,
+                starved: u64::MAX,
+            },
+        ];
+        let mut buf = TraceBuf::new(64);
+        for ev in &wide {
+            buf.push(5, ev.clone());
+        }
+        buf.push(1 << 32, TraceEvent::RoundStart { round: 0 });
+        assert_eq!(buf.spill.len(), wide.len() + 1);
+        let parsed = TraceBuf::parse_jsonl(&buf.to_jsonl()).expect("round trip");
+        assert!(parsed.iter().eq(buf.records()));
+        assert_eq!(parsed[4].t, 1 << 32);
+    }
+
+    #[test]
+    fn labels_past_the_table_bound_spill() {
+        let mut buf = TraceBuf::new(8);
+        for i in 0..LABEL_CAP as u64 + 40 {
+            buf.push(
+                i,
+                TraceEvent::FaultApplied {
+                    fault: format!("fault-{i}"),
+                    peer: i,
+                },
+            );
+        }
+        assert_eq!(buf.labels.len(), LABEL_CAP);
+        assert_eq!(buf.spill.len(), 8, "the held records are all past the bound");
+        let last = buf.records().last().cloned().expect("held");
+        assert_eq!(
+            last.event,
+            TraceEvent::FaultApplied {
+                fault: format!("fault-{}", LABEL_CAP + 39),
+                peer: LABEL_CAP as u64 + 39,
+            }
+        );
+        // A label already in the table still packs.
+        buf.push(0, TraceEvent::FaultApplied { fault: "fault-0".into(), peer: 0 });
+        assert_eq!(buf.spill.len(), 7);
+    }
+
+    #[test]
+    fn streamed_pieces_concatenate_to_the_export() {
+        let mut buf = TraceBuf::new(6);
+        let mut streamed = Vec::new();
+        let mut next = 0;
+        for (i, ev) in sample_events().into_iter().enumerate() {
+            buf.push(i as u64, ev);
+            if i % 2 == 1 {
+                next = buf.write_jsonl_since(next, &mut streamed).expect("to a Vec");
+            }
+        }
+        next = buf.write_jsonl_since(next, &mut streamed).expect("to a Vec");
+        assert_eq!(next, 9);
+        assert_eq!(buf.dropped(), 3);
+        // Nothing was evicted between two writes, so the stream holds
+        // every record; the export holds the last six.
+        let streamed = String::from_utf8(streamed).expect("utf-8");
+        assert_eq!(streamed.lines().count(), 9);
+        assert!(streamed.ends_with(&buf.to_jsonl()));
+        let mut tail = Vec::new();
+        assert_eq!(buf.write_jsonl_since(0, &mut tail).expect("to a Vec"), 9);
+        assert_eq!(String::from_utf8(tail).expect("utf-8"), buf.to_jsonl());
+        let mut none = Vec::new();
+        assert_eq!(buf.write_jsonl_since(9, &mut none).expect("to a Vec"), 9);
+        assert!(none.is_empty());
     }
 
     #[test]

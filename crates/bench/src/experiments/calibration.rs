@@ -93,7 +93,7 @@ pub fn recon_cost_table(cfg: &ExpConfig) -> Table {
     let shared = cfg.num_blocks;
     let differences = (cfg.num_blocks / 50).max(20);
     let scenario = Scenario::generate(shared, differences, cfg.base_seed);
-    let report = measure_all(&scenario, (differences * 2).max(16));
+    let report = measure_all(&scenario);
     let mut table = Table::new(
         format!(
             "Reconciliation cost comparison (|A|={shared}, |B−A|={differences})"

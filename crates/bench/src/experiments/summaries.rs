@@ -46,10 +46,8 @@ pub struct SessionGeometry {
     pub sender_extra: usize,
 }
 
-/// The default geometries: a small difference (the ART/char-poly
-/// regime), a moderate one, and a low-correlation one (Bloom territory).
-/// Differences stay modest so the char-poly Θ(m̄³) solve remains a
-/// measurement, not a stall.
+/// The default geometries: a small difference (the ART/RIBLT regime), a
+/// moderate one, and a low-correlation one (Bloom territory).
 #[must_use]
 pub(crate) fn default_geometries() -> Vec<SessionGeometry> {
     vec![
@@ -118,7 +116,7 @@ pub fn session_cell(
 
     // Observe the pump to count the control-plane bytes that actually
     // cross the wire, as message bodies (frame minus length prefix).
-    // (A char-poly frame's size depends on the sketch-noisy estimate the
+    // (A RIBLT frame's size depends on the sketch-noisy estimate the
     // *session* made, so only measuring the real frames is honest.)
     let mut summary_bytes = 0usize;
     let mut control_bytes = 0usize;
@@ -167,8 +165,8 @@ pub fn session_matrix(cfg: &ExpConfig) -> Table {
         table.push_row(cells);
     }
     // Frame bytes measured off the wire, first trial of the middle
-    // geometry (char-poly frames vary with the per-seed sketch
-    // estimate, so this is a sample, not a constant).
+    // geometry (RIBLT frames vary with the per-seed sketch estimate,
+    // so this is a sample, not a constant).
     let bi = geometries.len() / 2;
     let mut bytes_row = vec![format!("summary bytes ({})", geometries[bi].label)];
     for (gi, _) in mechanisms.iter().enumerate() {
@@ -179,8 +177,8 @@ pub fn session_matrix(cfg: &ExpConfig) -> Table {
 }
 
 /// Appends a per-mechanism completion row so stalls (an approximate
-/// digest withholding too much, a char-poly bound failure) are reported
-/// rather than silently folded into the overhead averages.
+/// digest withholding too much, a RIBLT prefix that did not peel) are
+/// reported rather than silently folded into the overhead averages.
 fn push_completion_row(
     table: &mut Table,
     results: &crate::engine::GridResults<(bool, f64)>,
@@ -207,9 +205,7 @@ fn push_completion_row(
 /// (packets per needed symbol) per mechanism, Figure-5 style.
 #[must_use]
 pub fn overlay_matrix(cfg: &ExpConfig) -> Table {
-    // Modest scale: the char-poly column's Θ(m̄³) solve runs on the full
-    // two-peer difference.
-    let blocks = cfg.num_blocks.min(1_500);
+    let blocks = cfg.num_blocks;
     let mechanisms = standard_registry().ids();
     let correlations = vec![0.0, 0.2, 0.4];
     let sweep = ExperimentGrid::new(correlations.clone(), mechanisms.clone(), cfg.seeds());
@@ -283,7 +279,7 @@ mod tests {
             receiver_extra: 30,
             sender_extra: 80,
         };
-        for mechanism in [SummaryId::WHOLE_SET, SummaryId::CHAR_POLY] {
+        for mechanism in [SummaryId::WHOLE_SET, SummaryId::RIBLT] {
             let out = session_cell(&geometry, mechanism, 7);
             assert!(
                 (out.recovered - 1.0).abs() < 1e-9,

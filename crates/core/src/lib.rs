@@ -13,8 +13,8 @@
 //!    transmissions. Digests are pluggable: every mechanism implements
 //!    the [`summary`] module's `SetSummary`/`Reconciler` traits and
 //!    registers in a `SummaryRegistry` under a stable `SummaryId` —
-//!    whole-set, hash-set, and char-poly (exact, §5.1) alongside Bloom
-//!    (§5.2) and ART (§5.3) all run through the same machinery.
+//!    whole-set, hash-set, and a rateless IBLT (exact, §5.1) alongside
+//!    Bloom (§5.2) and ART (§5.3) all run through the same machinery.
 //!    [`policy`] scores the registered candidates by their advertised
 //!    wire/compute/accuracy numbers, following §3's tradeoff discussion.
 //! 3. **Informed transfer** — the sender streams encoded symbols the

@@ -11,7 +11,7 @@
 //!    * *Reconciled* — receiver builds the chosen summary through its
 //!      [`SummaryRegistry`] and sends it in the generic tagged frame,
 //!      plus a `SymbolRequest{count}`. Any registered mechanism —
-//!      whole-set, hash-set, char-poly, bloom, art, or an out-of-tree
+//!      whole-set, hash-set, bloom, art, riblt, or an out-of-tree
 //!      one — takes this path; the machines never name a mechanism.
 //!    * *Speculative* — receiver sends only `SymbolRequest{count}`.
 //! 4. **S → R**: up to `count` data messages, then `End`. The sender
@@ -79,7 +79,7 @@ use crate::working_set::WorkingSet;
 /// use icd_core::{SessionConfig, summary::SummaryId};
 /// let config = SessionConfig::new()
 ///     .with_request(256)
-///     .with_summary(SummaryId::CHAR_POLY);
+///     .with_summary(SummaryId::RIBLT);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SessionConfig {

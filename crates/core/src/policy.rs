@@ -18,7 +18,12 @@
 //!   ART-for-small-differences rule emerges from the advertised numbers
 //!   (Bloom's O(n) scan vs the ART's O(d log n) search at half the bit
 //!   budget), and the same scoring admits the exact mechanisms when the
-//!   knobs demand precision (§5.1's whole-set / hash-set / char-poly).
+//!   knobs demand precision (§5.1's exact methods: whole-set, hash-set,
+//!   and the rateless IBLT standing in for the characteristic
+//!   polynomial). Default knobs never select the rateless IBLT: its
+//!   score (20-byte cells, ≈ 3 per estimated difference, plus ≈ 2 ln m
+//!   cell updates per key on both sets) stays above Bloom's or the
+//!   ART's, so it waits behind the precision knobs.
 //! * **Recoding policy** (§5.4.2): with a summary in hand the sender can
 //!   pick guaranteed-useful symbols and recoding is unnecessary; without
 //!   one, recode with min-wise degree scaling.
@@ -44,8 +49,8 @@ pub struct PolicyKnobs {
     pub min_recall: f64,
     /// Wire-byte equivalents charged per advertised compute op-unit —
     /// the resources-available axis. Zero scores by wire size alone;
-    /// larger values penalize compute-heavy mechanisms (the
-    /// characteristic polynomial's Θ(d³), Bloom's O(n) scan).
+    /// larger values penalize compute-heavy mechanisms (the rateless
+    /// IBLT's O(ln d) cell updates per key, Bloom's O(n) scan).
     pub compute_weight: f64,
 }
 
@@ -198,18 +203,19 @@ mod tests {
     #[test]
     fn precision_knobs_unlock_exact_mechanisms() {
         // A recall floor above Bloom/ART accuracy and free compute: the
-        // char-poly sketch (O(d) wire) wins small differences, the
-        // truncated hash set wins large ones — §5.1's regime, reachable
-        // through the same scoring that picks Bloom/ART by default.
+        // rateless IBLT (O(d) wire, 20-byte cells) wins small
+        // differences, the truncated hash set wins large ones — §5.1's
+        // regime, reachable through the same scoring that picks
+        // Bloom/ART by default.
         let knobs = PolicyKnobs {
             min_recall: 0.98,
             compute_weight: 0.0,
             ..PolicyKnobs::default()
         };
         assert_eq!(
-            plan(&est(0.96, 1000, 1000), &knobs),
+            plan(&est(0.98, 1000, 1000), &knobs),
             TransferPlan::Reconciled {
-                summary: SummaryId::CHAR_POLY
+                summary: SummaryId::RIBLT
             }
         );
         assert_eq!(
@@ -230,6 +236,33 @@ mod tests {
                 summary: SummaryId::WHOLE_SET
             }
         );
+    }
+
+    #[test]
+    fn default_knobs_never_select_riblt() {
+        // The rateless IBLT waits behind the precision knobs: at default
+        // knobs, removing it changes no selection over the swarm, ring,
+        // summary-matrix and file-pair geometries.
+        let full = standard_registry();
+        let mut without = SummaryRegistry::new();
+        for spec in full.iter().filter(|spec| spec.id != SummaryId::RIBLT) {
+            without.register(*spec).expect("distinct ids");
+        }
+        let knobs = PolicyKnobs::default();
+        let sizing = SummarySizing::default();
+        let sizes = [16u64, 64, 100, 1_600, 20_000];
+        for a in sizes {
+            for b in sizes {
+                for r in [0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.98, 0.985] {
+                    let e = est(r, a, b);
+                    assert_eq!(
+                        select_summary(&e, &knobs, &sizing, &full),
+                        select_summary(&e, &knobs, &sizing, &without),
+                        "|A| = {a}, |B| = {b}, r = {r}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! The paper presents five strategies; the two informed ones use a Bloom
 //! filter. Here the informed strategies are parameterized by
 //! [`SummaryId`], so *any* mechanism registered in the peers'
-//! [`SummaryRegistry`] — Bloom, ART, whole-set, hash-set, char-poly —
+//! [`SummaryRegistry`] — Bloom, ART, whole-set, hash-set, RIBLT —
 //! can drive them, and the experiment grid can sweep mechanisms as a
 //! strategy axis:
 //!
@@ -75,7 +75,7 @@ impl StrategyKind {
     ];
 
     /// The label used in the paper's figure legends (mechanism-suffixed
-    /// for non-Bloom digests, e.g. `Random/CPI`).
+    /// for non-Bloom digests, e.g. `Random/RIBLT`).
     #[must_use]
     pub fn label(&self) -> &'static str {
         match self {
@@ -110,7 +110,7 @@ const SUMMARY_LABELS: [(SummaryId, &str, &str); 5] = [
     (SummaryId::ART, "Random/ART", "Recode/ART"),
     (SummaryId::WHOLE_SET, "Random/WS", "Recode/WS"),
     (SummaryId::HASH_SET, "Random/HS", "Recode/HS"),
-    (SummaryId::CHAR_POLY, "Random/CPI", "Recode/CPI"),
+    (SummaryId::RIBLT, "Random/RIBLT", "Recode/RIBLT"),
 ];
 
 fn summary_label(id: SummaryId, recode: bool) -> &'static str {
@@ -487,8 +487,8 @@ mod tests {
             vec!["Random", "Random/BF", "Recode", "Recode/BF", "Recode/MW"]
         );
         assert_eq!(
-            StrategyKind::RandomSummary(SummaryId::CHAR_POLY).label(),
-            "Random/CPI"
+            StrategyKind::RandomSummary(SummaryId::RIBLT).label(),
+            "Random/RIBLT"
         );
         assert_eq!(
             StrategyKind::RecodeSummary(SummaryId::WHOLE_SET).label(),

@@ -10,7 +10,7 @@
 //!   overlay simulator, and the experiment grid all dispatch on it.
 //! * [`SummaryRegistry`] / [`SummarySpec`] — id → constructor/decoder/
 //!   cost-advisor mapping. [`standard_registry`] holds the five shipped
-//!   mechanisms (whole-set, hash-set, char-poly, bloom, art).
+//!   mechanisms (whole-set, hash-set, bloom, art, riblt).
 //! * [`SummarySizing`] / [`DiffEstimate`] — the inputs constructors and
 //!   cost advisors consume.
 //!

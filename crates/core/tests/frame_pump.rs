@@ -138,7 +138,7 @@ fn speculative_plan_reaches_the_target_over_repeated_sessions() {
 #[test]
 fn every_registered_summary_carries_a_session_end_to_end() {
     // The acceptance bar for the trait API: whole-set, hash-set,
-    // char-poly, bloom, and art all drive the *same* session machines
+    // bloom, art, and riblt all drive the *same* session machines
     // over the *same* generic wire frame, selected purely by SummaryId.
     for mechanism in standard_registry().ids() {
         let (receiver_ws, sender_ws) = overlapping_sets(400, 40, 80);
@@ -171,7 +171,7 @@ fn every_registered_summary_carries_a_session_end_to_end() {
         );
         // Exact mechanisms deliver the full difference; approximate ones
         // must clear a usable share (one-sided error only withholds).
-        let exact = mechanism == SummaryId::WHOLE_SET || mechanism == SummaryId::CHAR_POLY;
+        let exact = mechanism == SummaryId::WHOLE_SET || mechanism == SummaryId::RIBLT;
         if exact {
             assert_eq!(
                 session.gained(),

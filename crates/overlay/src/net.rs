@@ -54,7 +54,7 @@ use icd_wire::{
 };
 
 use crate::calendar::SendCalendar;
-use crate::handshake::{handshake_estimate, standard_family, standard_sizing};
+use crate::handshake::{handshake_estimate, standard_family};
 use crate::receiver::Receiver;
 use crate::scenario::{MultiSenderScenario, ScenarioParams};
 use crate::strategy::{FullSender, ReceiverHandshake, StrategyKind};
@@ -364,9 +364,8 @@ struct LinkState {
 /// Whether the `id` mechanism's digest build reads only the key set and
 /// the sizing, never the per-peer [`DiffEstimate`] — so one encoded body
 /// is the handshake of every sender a node reconciles with until its
-/// set changes. The characteristic polynomial sizes its bound from the
-/// estimate and is rebuilt per connection, as is any mechanism not
-/// listed here.
+/// set changes. The rateless IBLT sizes its prefix from the estimate
+/// and is rebuilt per connection, as is any mechanism not listed here.
 fn estimate_free(id: SummaryId) -> bool {
     [
         SummaryId::WHOLE_SET,
@@ -559,7 +558,7 @@ impl OverlayNet {
             scratch: PacketScratch::default(),
             family: standard_family(),
             registry: icd_recon::shared_registry(),
-            sizing: standard_sizing(),
+            sizing: SummarySizing::default(),
             seed,
             frame_tap: None,
             tracer: None,
@@ -1858,7 +1857,7 @@ mod tests {
         // sender it handshakes with; that is only sound while the build
         // reads nothing peer-specific.
         let registry = icd_recon::shared_registry();
-        let sizing = standard_sizing();
+        let sizing = SummarySizing::default();
         let keys: Vec<SymbolId> = (0..500u64).map(|i| i * 7 + 3).collect();
         let body = |id, estimate: &DiffEstimate| {
             registry.build(id, &sizing, estimate, &keys).expect("registered").encode_body()

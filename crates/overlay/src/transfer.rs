@@ -24,6 +24,7 @@
 //!   transfer takes `needed` ticks; any configuration's rate relative to
 //!   that baseline is `needed / ticks` without running the baseline.
 
+use icd_summary::SummarySizing;
 use icd_util::rng::{Rng64, SplitMix64};
 
 use crate::net::{ConnectSpec, Link, OverlayNet, RunLimit};
@@ -33,7 +34,7 @@ use crate::strategy::{ReceiverHandshake, StrategyKind};
 // The handshake parameterization constants moved to `crate::handshake`
 // (one copy for presets, churn, the engine, and the bench harnesses);
 // re-exported here because this module was their historical home.
-pub use crate::handshake::{handshake_estimate, standard_sizing};
+pub use crate::handshake::handshake_estimate;
 use crate::handshake::standard_family;
 
 /// Result of one simulated transfer.
@@ -104,7 +105,7 @@ fn two_peer_handshake(scenario: &TwoPeerScenario, strategy: StrategyKind) -> Rec
     ReceiverHandshake::for_strategy(
         strategy,
         &scenario.receiver_set,
-        &standard_sizing(),
+        &SummarySizing::default(),
         &family,
         icd_recon::shared_registry(),
         &handshake_estimate(
@@ -199,7 +200,7 @@ pub fn run_multi_partial(
     let handshake = ReceiverHandshake::for_strategy(
         strategy,
         &scenario.receiver_set,
-        &standard_sizing(),
+        &SummarySizing::default(),
         &family,
         icd_recon::shared_registry(),
         &handshake_estimate(

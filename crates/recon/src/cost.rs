@@ -16,7 +16,7 @@ use icd_bloom::BloomFilter;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 
 use crate::hashset::HashSetMessage;
-use crate::poly::{key_to_field, reconcile, CharPolySketch};
+use crate::riblt::{Encoder, Peeler, CELL_BYTES};
 use crate::wholeset::WholeSetMessage;
 
 /// One scenario: peer A's set, peer B's set, and the true difference.
@@ -77,9 +77,6 @@ pub struct CostReport {
     pub rows: Vec<CostRow>,
 }
 
-impl CostReport {
-}
-
 fn score(found: &[u64], scenario: &Scenario) -> (f64, bool) {
     let truth: HashSet<u64> = scenario.true_difference.iter().copied().collect();
     let hits = found.iter().filter(|k| truth.contains(k)).count();
@@ -92,11 +89,9 @@ fn score(found: &[u64], scenario: &Scenario) -> (f64, bool) {
     (accuracy, false_reports)
 }
 
-/// Runs every method on the scenario. `poly_bound` sizes the polynomial
-/// sketch (it must be ≥ the true discrepancy to succeed; pass what a
-/// deployment would guess).
+/// Runs every method on the scenario.
 #[must_use]
-pub fn measure_all(scenario: &Scenario, poly_bound: usize) -> CostReport {
+pub fn measure_all(scenario: &Scenario) -> CostReport {
     let mut rows = Vec::new();
 
     // Whole set.
@@ -137,32 +132,32 @@ pub fn measure_all(scenario: &Scenario, poly_bound: usize) -> CostReport {
         });
     }
 
-    // Characteristic polynomial.
+    // Rateless IBLT: A streams cells until B's peel completes, so the
+    // row reports the smallest prefix that peels. Build time is A's
+    // coding, reconcile time B's coding plus the peel.
     {
         let t0 = Instant::now();
-        let sketch = CharPolySketch::build(&scenario.a_keys, poly_bound);
-        let build_ns = t0.elapsed().as_nanos();
+        let mut encoder = Encoder::new(&scenario.a_keys);
+        let mut build = t0.elapsed();
         let t1 = Instant::now();
-        let found: Vec<u64> = match reconcile(&sketch, &scenario.b_keys) {
-            Ok(diff) => {
-                // Map field images back to B's raw keys.
-                let images: HashSet<u64> = diff.b_minus_a.into_iter().collect();
-                scenario
-                    .b_keys
-                    .iter()
-                    .copied()
-                    .filter(|&k| images.contains(&key_to_field(k)))
-                    .collect()
-            }
-            Err(_) => Vec::new(), // bound exceeded → method yields nothing
-        };
-        let reconcile_ns = t1.elapsed().as_nanos();
+        let mut peeler = Peeler::new(&scenario.b_keys);
+        let mut reconcile = t1.elapsed();
+        while !peeler.is_done() {
+            let t = Instant::now();
+            let cell = encoder.next_cell();
+            let coded = Instant::now();
+            peeler.push(&cell);
+            build += coded - t;
+            reconcile += coded.elapsed();
+        }
+        let cells = peeler.cells_received();
+        let found = peeler.missing_at_peer();
         let (accuracy, false_reports) = score(&found, scenario);
         rows.push(CostRow {
-            method: "char-poly",
-            wire_bytes: sketch.wire_size(),
-            build_ns,
-            reconcile_ns,
+            method: "riblt",
+            wire_bytes: CELL_BYTES * cells + 4,
+            build_ns: build.as_nanos(),
+            reconcile_ns: reconcile.as_nanos(),
             accuracy,
             false_reports,
         });
@@ -233,7 +228,7 @@ mod tests {
 
     fn report() -> (Scenario, CostReport) {
         let scenario = Scenario::generate(5000, 100, 42);
-        let rep = measure_all(&scenario, 128);
+        let rep = measure_all(&scenario);
         (scenario, rep)
     }
 
@@ -249,7 +244,7 @@ mod tests {
     fn exact_methods_are_exact() {
         let (_, rep) = report();
         assert_eq!(row(&rep, "whole-set").accuracy, 1.0);
-        assert_eq!(row(&rep, "char-poly").accuracy, 1.0);
+        assert_eq!(row(&rep, "riblt").accuracy, 1.0);
     }
 
     #[test]
@@ -261,30 +256,35 @@ mod tests {
 
     #[test]
     fn wire_cost_ordering_matches_paper() {
-        // §5.1/§5.2: poly sketch ≪ Bloom/ART ≪ hash set < whole set.
+        // §5.1/§5.2: O(d) sketch ≪ Bloom/ART ≪ hash set < whole set.
         let (_, rep) = report();
-        let poly = row(&rep, "char-poly").wire_bytes;
+        let riblt = row(&rep, "riblt").wire_bytes;
         let bloom = row(&rep, "bloom-8bpe").wire_bytes;
         let art = row(&rep, "art-8bpe-c5").wire_bytes;
         let hash = row(&rep, "hash-set-16").wire_bytes;
         let whole = row(&rep, "whole-set").wire_bytes;
-        assert!(poly < bloom, "poly {poly} vs bloom {bloom}");
+        assert!(riblt < bloom, "riblt {riblt} vs bloom {bloom}");
         assert!(bloom <= art * 2, "bloom and ART are the same order");
         assert!(art < hash, "art {art} vs hash {hash}");
         assert!(hash < whole, "hash {hash} vs whole {whole}");
     }
 
     #[test]
-    fn poly_bound_failure_yields_zero_accuracy() {
-        let scenario = Scenario::generate(1000, 200, 7);
-        let rep = measure_all(&scenario, 16); // d = 200 > 16
-        assert_eq!(row(&rep, "char-poly").accuracy, 0.0);
+    fn riblt_prefix_grows_with_the_difference() {
+        // Rateless: the row sends what the difference needs — about
+        // 1.4·d cells — not a bound fixed in advance.
+        for d in [50usize, 400] {
+            let rep = measure_all(&Scenario::generate(1000, d, 7));
+            let cells = (row(&rep, "riblt").wire_bytes - 4) / CELL_BYTES;
+            assert!(cells >= d && cells <= 3 * d, "d = {d}: {cells} cells");
+            assert_eq!(row(&rep, "riblt").accuracy, 1.0);
+        }
     }
 
     #[test]
     fn empty_difference_scores_one() {
         let scenario = Scenario::generate(500, 0, 9);
-        let rep = measure_all(&scenario, 8);
+        let rep = measure_all(&scenario);
         for row in &rep.rows {
             assert_eq!(row.accuracy, 1.0, "{} on empty difference", row.method);
         }

@@ -1,11 +1,11 @@
 //! The exact mechanisms' plugs into the workspace-wide summary API.
 //!
-//! Three digests live here, one per §5.1 baseline implemented by this
+//! Three digests live here, one per exact mechanism implemented by this
 //! crate: [`WholeSetDigest`] (ship every key), [`HashSetDigest`]
-//! (truncated hashes), and [`CharPolyDigest`] (characteristic-polynomial
-//! interpolation). Each implements `SetSummary`/`Reconciler`, so all
-//! three run end-to-end through the real session state machines and the
-//! experiment grid — not just the offline cost table.
+//! (truncated hashes), and [`RibltDigest`] (a rateless-IBLT prefix).
+//! Each implements `SetSummary`/`Reconciler`, so all three run end to
+//! end through the real session state machines and the experiment grid —
+//! not just the offline cost table.
 
 use std::collections::HashSet;
 
@@ -14,7 +14,7 @@ use icd_summary::{
 };
 
 use crate::hashset::HashSetMessage;
-use crate::poly::{key_to_field, reconcile, CharPolySketch, VERIFY_POINTS};
+use crate::riblt::{cells_per_key, prefix, prefix_len, Cell, Peeler, CELL_BYTES};
 use crate::wholeset::WholeSetMessage;
 
 // ---------------------------------------------------------------------------
@@ -188,74 +188,57 @@ pub(crate) fn hash_set_spec() -> SummarySpec {
 }
 
 // ---------------------------------------------------------------------------
-// Characteristic polynomial
+// Rateless IBLT
 // ---------------------------------------------------------------------------
 
-/// The Minsky–Trachtenberg sketch speaking the summary traits.
+/// A prefix of the rateless IBLT cell stream speaking the summary traits.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct CharPolyDigest {
-    sketch: CharPolySketch,
+pub(crate) struct RibltDigest {
+    cells: Vec<Cell>,
 }
 
-/// Decoder-side cap on the sketch bound. Reconciliation costs Θ(m̄³)
-/// compute and Θ(m̄²) memory, so a peer-declared bound is an attack
-/// surface: frames beyond the build-side default
-/// (`SummarySizing::poly_max_bound`, 4096) are rejected at decode
-/// instead of detonating inside `missing_at_peer`. This bounds — it
-/// does not eliminate — the work one hostile frame can force; a
-/// deployment facing untrusted peers at scale registers a custom spec
-/// with a decoder capped at its own `poly_max_bound`.
-pub(crate) const MAX_DECODE_BOUND: usize = 4096;
-
-impl CharPolyDigest {
-    /// Builds the digest of `keys` for discrepancy bound `bound`.
+impl RibltDigest {
+    /// Builds the first `m` cells of `keys`' stream.
     #[must_use]
-    pub(crate) fn build(keys: &[u64], bound: usize) -> Self {
+    pub(crate) fn build(keys: &[u64], m: usize) -> Self {
         Self {
-            sketch: CharPolySketch::build(keys, bound),
+            cells: prefix(keys, m),
         }
     }
 
-    /// Decodes a digest from its wire body.
+    /// Decodes a digest from its wire body: a cell count, then the cells.
+    /// The count is checked against the body before anything is sized by it.
     pub(crate) fn decode(body: &[u8]) -> Result<Self, SummaryError> {
         let mut r = FrameReader::new(body);
-        let bound = r.u32()? as usize;
-        if bound > MAX_DECODE_BOUND {
-            return Err(SummaryError::Malformed("char-poly bound exceeds decoder limit"));
-        }
-        let set_size = r.u64()?;
-        let evals = r.u64s()?;
+        let m = r.checked_len()?;
+        let raw = r.raw(
+            m.checked_mul(CELL_BYTES)
+                .ok_or(SummaryError::Malformed("cell count overflow"))?,
+        )?;
         r.finish()?;
-        let sketch = CharPolySketch::from_parts(evals, bound, set_size)
-            .ok_or(SummaryError::Malformed("char-poly evaluation count mismatch"))?;
-        Ok(Self { sketch })
+        let mut cells = FrameReader::new(raw);
+        let cells = (0..m)
+            .map(|_| Cell::read(&mut cells))
+            .collect::<Result<_, _>>()?;
+        Ok(Self { cells })
     }
 }
 
-impl Reconciler for CharPolyDigest {
+impl Reconciler for RibltDigest {
     fn id(&self) -> SummaryId {
-        SummaryId::CHAR_POLY
+        SummaryId::RIBLT
     }
 
-    /// Runs the rational interpolation. Exact when the true discrepancy
-    /// fits the sketch bound; a detected bound failure yields the empty
-    /// diff (the mechanism contributes nothing rather than something
-    /// wrong — §5.1's "prohibitive except when d is known").
+    /// Peels the difference against `local`. Exact when the prefix
+    /// peels; a prefix too short for the true difference yields the
+    /// empty diff (the mechanism contributes nothing rather than
+    /// something wrong).
     fn missing_at_peer(&self, local: &[u64]) -> Vec<u64> {
-        match reconcile(&self.sketch, local) {
-            Ok(diff) => {
-                let images: HashSet<u64> = diff.b_minus_a.into_iter().collect();
-                let mut out: Vec<u64> = local
-                    .iter()
-                    .copied()
-                    .filter(|&k| images.contains(&key_to_field(k)))
-                    .collect();
-                out.sort_unstable();
-                out.dedup();
-                out
-            }
-            Err(_) => Vec::new(),
+        let mut peeler = Peeler::new(local);
+        for cell in &self.cells {
+            peeler.push(cell);
         }
+        peeler.missing_at_peer()
     }
 
     fn is_exact(&self) -> bool {
@@ -263,17 +246,18 @@ impl Reconciler for CharPolyDigest {
     }
 }
 
-impl SetSummary for CharPolyDigest {
+impl SetSummary for RibltDigest {
     fn encode_body(&self) -> Vec<u8> {
         let mut w = FrameWriter::new();
-        w.u32(u32::try_from(self.sketch.bound()).expect("bound fits u32"));
-        w.u64(self.sketch.set_size());
-        w.u64s(self.sketch.evals());
+        w.u32(u32::try_from(self.cells.len()).unwrap_or(u32::MAX));
+        for cell in &self.cells {
+            cell.write(&mut w);
+        }
         w.finish()
     }
 
-    /// Per-key membership is not answerable from polynomial evaluations;
-    /// the conservative answer never wrongly reports an absence.
+    /// Per-key membership is not answerable from coded cells; the
+    /// conservative answer never wrongly reports an absence.
     fn probably_contains(&self, _key: u64) -> bool {
         true
     }
@@ -284,38 +268,26 @@ impl SetSummary for CharPolyDigest {
     }
 }
 
-/// The characteristic-polynomial registry entry.
+/// The rateless-IBLT registry entry.
 #[must_use]
-pub(crate) fn char_poly_spec() -> SummarySpec {
+pub(crate) fn riblt_spec() -> SummarySpec {
     SummarySpec {
-        id: SummaryId::CHAR_POLY,
-        label: "char-poly",
-        build: |sizing, est, keys| {
-            Box::new(CharPolyDigest::build(keys, sizing.poly_bound(est.expected_delta)))
+        id: SummaryId::RIBLT,
+        label: "riblt",
+        build: |_sizing, est, keys| {
+            Box::new(RibltDigest::build(keys, prefix_len(est.expected_delta)))
         },
-        decode: |body| Ok(Box::new(CharPolyDigest::decode(body)?)),
-        wire_cost: |sizing, est| {
-            8.0 * (sizing.poly_bound(est.expected_delta) + VERIFY_POINTS) as f64 + 16.0
+        decode: |body| Ok(Box::new(RibltDigest::decode(body)?)),
+        wire_cost: |_sizing, est| (CELL_BYTES * prefix_len(est.expected_delta) + 4) as f64,
+        compute_cost: |_sizing, est| {
+            // Both sides code their set into the prefix, then one pass
+            // of peeling over it.
+            let m = prefix_len(est.expected_delta);
+            (est.summarized + est.searched) as f64 * cells_per_key(m) + m as f64
         },
-        compute_cost: |sizing, est| {
-            // Θ(m̄·(|A|+|B|)) evaluation work plus the Θ(m̄³) solve —
-            // the costs §5.1 calls prohibitive when d is large.
-            let bound = sizing.poly_bound(est.expected_delta) as f64;
-            bound * (est.summarized + est.searched) as f64 + bound.powi(3)
-        },
-        expected_recall: |sizing, est| {
-            // Exact when the margin covers the true discrepancy; the
-            // haircut prices the sketch-noise risk of undershooting.
-            // When `poly_max_bound` caps the sketch below the estimated
-            // difference the reconciliation is guaranteed to fail
-            // (detectably, yielding nothing) — advertise that honestly
-            // so policy never selects a mechanism that cannot deliver.
-            if sizing.poly_bound(est.expected_delta) < est.expected_delta {
-                0.0
-            } else {
-                0.98
-            }
-        },
+        // The prefix peels ≥ 98 % of the time while the true difference
+        // stays within twice the estimate (`tests/riblt_threshold.rs`).
+        expected_recall: |_sizing, _est| 0.98,
     }
 }
 
@@ -383,10 +355,11 @@ mod tests {
     }
 
     #[test]
-    fn char_poly_digest_recovers_exact_difference() {
+    fn riblt_digest_recovers_exact_difference() {
         let (a, b, extra) = planted(400, 30, 4);
-        let digest = CharPolyDigest::build(&a, 64);
-        let back = CharPolyDigest::decode(&digest.encode_body()).expect("decode");
+        let digest = RibltDigest::build(&a, prefix_len(30));
+        let back = RibltDigest::decode(&digest.encode_body()).expect("decode");
+        assert_eq!(back, digest);
         let mut want = extra.clone();
         want.sort_unstable();
         assert_eq!(back.missing_at_peer(&b), want);
@@ -395,29 +368,23 @@ mod tests {
     }
 
     #[test]
-    fn char_poly_bound_failure_yields_empty_not_wrong() {
+    fn riblt_short_prefix_yields_empty_not_wrong() {
         let (a, b, _) = planted(400, 100, 5);
-        let digest = CharPolyDigest::build(&a, 16); // d = 100 > 16
+        let digest = RibltDigest::build(&a, 16); // d = 100 ≫ 16 cells
         assert!(digest.missing_at_peer(&b).is_empty());
     }
 
     #[test]
-    fn char_poly_decode_caps_peer_declared_bound() {
-        // A frame declaring a huge bound must be rejected at decode —
-        // the Θ(m̄³) solve it would trigger is the attack, not the body
-        // size. (Hand-crafted: the codec length checks alone pass.)
-        let claimed = (MAX_DECODE_BOUND + 1) as u32;
-        let mut w = icd_summary::FrameWriter::new();
-        w.u32(claimed);
-        w.u64(1000);
-        w.u64s(&vec![1u64; MAX_DECODE_BOUND + 1 + crate::poly::VERIFY_POINTS]);
+    fn riblt_decode_checks_cell_count_against_the_body() {
+        // A body declaring ~16.7M cells with one cell behind it must fail
+        // on the length check, not allocate by the declared count.
+        let mut w = FrameWriter::new();
+        w.u32(0x00FF_FFFF);
+        Cell::default().write(&mut w);
         assert!(matches!(
-            CharPolyDigest::decode(&w.finish()),
+            RibltDigest::decode(&w.finish()),
             Err(SummaryError::Malformed(_))
         ));
-        // At the cap itself, decode still works.
-        let digest = CharPolyDigest::build(&keys(50, 6), 32);
-        assert!(CharPolyDigest::decode(&digest.encode_body()).is_ok());
     }
 
     #[test]
@@ -435,11 +402,11 @@ mod tests {
     fn advertised_costs_are_finite_and_ordered() {
         let sizing = SummarySizing::default();
         let est = DiffEstimate::new(5000, 5100, 100);
-        let poly = (char_poly_spec().wire_cost)(&sizing, &est);
+        let riblt = (riblt_spec().wire_cost)(&sizing, &est);
         let hash = (hash_set_spec().wire_cost)(&sizing, &est);
         let whole = (whole_set_spec().wire_cost)(&sizing, &est);
-        // §5.1's ordering: poly ≪ hash < whole for a small difference.
-        assert!(poly < hash, "poly {poly} vs hash {hash}");
+        // §5.1's ordering: O(d) sketch ≪ hash < whole for a small difference.
+        assert!(riblt < hash, "riblt {riblt} vs hash {hash}");
         assert!(hash < whole, "hash {hash} vs whole {whole}");
     }
 }

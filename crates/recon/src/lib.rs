@@ -9,17 +9,16 @@
 //!   zero error.
 //! * [`hashset`] — peer A ships h-bit hashes of its keys: O(|S_A| log h)
 //!   bits, inverse-polynomial miss probability (§5.1's middle option).
-//! * [`poly`] — the characteristic-polynomial method of
-//!   Minsky–Trachtenberg–Zippel (the paper's reference \[19\]): O(d log u)
-//!   bits for discrepancy d, but Θ(d·|S|) field operations of
-//!   preprocessing and Θ(d³) recovery — implemented in full over
-//!   GF(2^61 − 1), including rational-function interpolation and
-//!   root-finding ([`polyfield`] holds the polynomial arithmetic).
+//! * [`riblt`] — a rateless invertible Bloom lookup table (Eppstein et
+//!   al. 2011; Yang, Gilad and Alizadeh 2024), standing in for the
+//!   characteristic-polynomial method the paper cites (\[19\]): O(d)
+//!   cells for a difference of d, O(ln d) cell updates per key, and a
+//!   linear peel instead of a Θ(d³) interpolation.
 //! * [`cost`] — a harness that runs every method (exact and approximate)
 //!   on one scenario and reports bits sent, time spent, and accuracy —
 //!   the `recon_cost_table` experiment.
 //! * `digest` — the exact mechanisms' plugs into the workspace-wide
-//!   `icd-summary` trait API, so whole-set, hash-set, and char-poly run
+//!   `icd-summary` trait API, so whole-set, hash-set, and RIBLT run
 //!   end-to-end through the session state machines, not just offline.
 //! * [`registry`] — the assembled standard [`icd_summary::SummaryRegistry`]
 //!   holding all five mechanisms.
@@ -31,10 +30,8 @@
 pub mod cost;
 mod digest;
 pub mod hashset;
-pub mod poly;
-pub mod polyfield;
 pub mod registry;
+pub mod riblt;
 mod wholeset;
 
-pub use poly::{CharPolySketch, PolyError};
 pub use registry::{shared_registry, standard_registry};

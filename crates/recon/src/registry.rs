@@ -11,19 +11,19 @@ use std::sync::OnceLock;
 
 use icd_summary::SummaryRegistry;
 
-use crate::digest::{char_poly_spec, hash_set_spec, whole_set_spec};
+use crate::digest::{hash_set_spec, riblt_spec, whole_set_spec};
 
 /// Builds a registry holding all five standard mechanisms: whole-set,
-/// hash-set, char-poly, bloom, and art.
+/// hash-set, bloom, art, and RIBLT.
 #[must_use]
 pub fn standard_registry() -> SummaryRegistry {
     let mut reg = SummaryRegistry::new();
     for spec in [
         whole_set_spec(),
         hash_set_spec(),
-        char_poly_spec(),
         icd_bloom::digest::spec(),
         icd_art::digest::spec(),
+        riblt_spec(),
     ] {
         reg.register(spec).expect("standard ids are distinct");
     }
@@ -50,9 +50,9 @@ mod tests {
             vec![
                 SummaryId::WHOLE_SET,
                 SummaryId::HASH_SET,
-                SummaryId::CHAR_POLY,
                 SummaryId::BLOOM,
                 SummaryId::ART,
+                SummaryId::RIBLT,
             ]
         );
         for spec in reg.iter() {

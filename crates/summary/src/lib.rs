@@ -3,7 +3,7 @@
 //! The paper frames fine-grained reconciliation as an *open* family of
 //! set-summary mechanisms — Bloom filters, approximate reconciliation
 //! trees, and exact approaches such as whole-set exchange, truncated
-//! hash sets, and characteristic-polynomial interpolation — traded off
+//! hash sets, and invertible Bloom lookup tables — traded off
 //! by wire size, accuracy, and compute. This crate defines the one
 //! abstraction every mechanism plugs into:
 //!
@@ -55,12 +55,14 @@ impl SummaryId {
     pub const WHOLE_SET: SummaryId = SummaryId(1);
     /// Truncated-hash set (§5.1's middle option).
     pub const HASH_SET: SummaryId = SummaryId(2);
-    /// Characteristic-polynomial interpolation (Minsky–Trachtenberg).
-    pub const CHAR_POLY: SummaryId = SummaryId(3);
+    // Id 3 carried the characteristic-polynomial sketch, which the
+    // rateless IBLT replaced; it is retired, never to be reassigned.
     /// Bloom filter over the working set (§5.2).
     pub const BLOOM: SummaryId = SummaryId(4);
     /// Approximate reconciliation tree summary (§5.3).
     pub const ART: SummaryId = SummaryId(5);
+    /// Rateless invertible Bloom lookup table (exact, O(d) cells).
+    pub const RIBLT: SummaryId = SummaryId(6);
 
     /// Human-readable mechanism name (stable; used in tables and logs).
     #[must_use]
@@ -69,9 +71,9 @@ impl SummaryId {
             SummaryId::NONE => "none",
             SummaryId::WHOLE_SET => "whole-set",
             SummaryId::HASH_SET => "hash-set",
-            SummaryId::CHAR_POLY => "char-poly",
             SummaryId::BLOOM => "bloom",
             SummaryId::ART => "art",
+            SummaryId::RIBLT => "riblt",
             _ => "private",
         }
     }
@@ -92,9 +94,9 @@ mod tests {
         let ids = [
             SummaryId::WHOLE_SET,
             SummaryId::HASH_SET,
-            SummaryId::CHAR_POLY,
             SummaryId::BLOOM,
             SummaryId::ART,
+            SummaryId::RIBLT,
         ];
         let set: std::collections::HashSet<u16> = ids.iter().map(|i| i.0).collect();
         assert_eq!(set.len(), ids.len());
@@ -104,6 +106,7 @@ mod tests {
             assert_ne!(id.label(), "private");
         }
         assert_eq!(SummaryId(0x9999).label(), "private");
+        assert_eq!(SummaryId(3).label(), "private", "retired char-poly id");
         assert_eq!(format!("{}", SummaryId::BLOOM), "bloom(4)");
     }
 }

@@ -44,16 +44,6 @@ pub struct SummarySizing {
     pub art_correction: u32,
     /// Truncated-hash width in bits (§5.1's `log h`).
     pub hash_bits: u32,
-    /// Characteristic-polynomial bound as a multiple of the estimated
-    /// symmetric difference (the sketch estimate is noisy; the margin
-    /// absorbs it).
-    pub poly_margin: f64,
-    /// Flat headroom added to the polynomial bound.
-    pub poly_slack: usize,
-    /// Hard cap on the polynomial bound: the Θ(m̄³) recovery makes an
-    /// unbounded sketch a self-inflicted denial of service when the
-    /// estimated difference is huge (§5.1's "prohibitive" regime).
-    pub poly_max_bound: usize,
 }
 
 impl Default for SummarySizing {
@@ -64,20 +54,7 @@ impl Default for SummarySizing {
             art_internal_bits_per_element: 1.5,
             art_correction: 5,
             hash_bits: 16,
-            poly_margin: 2.0,
-            poly_slack: 16,
-            poly_max_bound: 4096,
         }
-    }
-}
-
-impl SummarySizing {
-    /// The characteristic-polynomial bound this sizing yields for an
-    /// estimated symmetric difference.
-    #[must_use]
-    pub fn poly_bound(&self, expected_delta: usize) -> usize {
-        ((expected_delta.max(1) as f64 * self.poly_margin).ceil() as usize + self.poly_slack)
-            .clamp(1, self.poly_max_bound.max(1))
     }
 }
 
@@ -95,8 +72,8 @@ pub struct DiffEstimate {
     /// Estimated |S_B ∖ S_A| — the useful symbols an informed transfer
     /// would move.
     pub expected_new: usize,
-    /// Estimated |S_A Δ S_B| — what exact methods such as the
-    /// characteristic polynomial must bound.
+    /// Estimated |S_A Δ S_B| — what exact methods such as the rateless
+    /// IBLT size their digest by.
     pub expected_delta: usize,
 }
 
@@ -136,7 +113,7 @@ pub trait Reconciler: std::fmt::Debug + Send + Sync {
     fn missing_at_peer(&self, local: &[u64]) -> Vec<u64>;
 
     /// Whether the mechanism recovers the difference exactly (whole-set
-    /// and, within its bound, the characteristic polynomial).
+    /// and, when its prefix peels, the rateless IBLT).
     fn is_exact(&self) -> bool {
         false
     }
@@ -156,8 +133,8 @@ pub trait SetSummary: Reconciler {
 
     /// Membership probe: `false` means the summarized set provably lacks
     /// `key`; `true` means it probably contains it. Mechanisms that
-    /// cannot answer per-key probes (the characteristic polynomial)
-    /// conservatively return `true`.
+    /// cannot answer per-key probes (the rateless IBLT) conservatively
+    /// return `true`.
     fn probably_contains(&self, key: u64) -> bool;
 
     /// Estimated |keys ∖ S_A|: how many of `keys` the summarized set

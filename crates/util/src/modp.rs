@@ -1,15 +1,11 @@
 //! Arithmetic in GF(p) for the Mersenne prime p = 2^61 − 1.
 //!
-//! Two consumers:
-//!
-//! * **Min-wise linear permutations** (§4 of the paper): π(x) = a·x + b
-//!   (mod p) is a bijection on [0, p) whenever a ≠ 0, which is exactly the
-//!   "simple permutations" substitution the paper makes for truly random
-//!   permutations. A Mersenne modulus makes the reduction two adds and a
-//!   mask instead of a division.
-//! * **Characteristic-polynomial set reconciliation** (§5.1 / \[19\]): the
-//!   exact baseline needs field inversion, polynomial evaluation and
-//!   root-finding over a prime field.
+//! The consumer is the min-wise linear permutation (§4 of the paper):
+//! π(x) = a·x + b (mod p) is a bijection on [0, p) whenever a ≠ 0, which
+//! is exactly the "simple permutations" substitution the paper makes for
+//! truly random permutations. A Mersenne modulus makes the reduction two
+//! adds and a mask instead of a division. `add` and `mul` are the
+//! reference the fused [`reduce122`] path is tested against.
 //!
 //! Elements are `u64` values in `[0, P)`. Operations are `O(1)` with no
 //! branches beyond the final conditional subtraction.
@@ -87,69 +83,12 @@ pub fn add(a: u64, b: u64) -> u64 {
     }
 }
 
-/// Modular subtraction.
-#[inline]
-#[must_use]
-pub fn sub(a: u64, b: u64) -> u64 {
-    debug_assert!(a < P && b < P);
-    if a >= b {
-        a - b
-    } else {
-        a + P - b
-    }
-}
-
-/// Modular negation.
-#[inline]
-#[must_use]
-pub fn neg(a: u64) -> u64 {
-    debug_assert!(a < P);
-    if a == 0 {
-        0
-    } else {
-        P - a
-    }
-}
-
 /// Modular multiplication.
 #[inline]
 #[must_use]
 pub fn mul(a: u64, b: u64) -> u64 {
     debug_assert!(a < P && b < P);
     reduce128(u128::from(a) * u128::from(b))
-}
-
-/// Modular exponentiation by squaring.
-#[must_use]
-pub fn pow(mut base: u64, mut exp: u64) -> u64 {
-    debug_assert!(base < P);
-    let mut acc = 1u64;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            acc = mul(acc, base);
-        }
-        base = mul(base, base);
-        exp >>= 1;
-    }
-    acc
-}
-
-/// Modular inverse via Fermat's little theorem: a^(p−2).
-///
-/// Panics on zero, which has no inverse; callers reconciling sets must
-/// guard divisions themselves (a zero denominator means an evaluation
-/// point collided with a set element).
-#[must_use]
-pub fn inv(a: u64) -> u64 {
-    assert!(a != 0, "zero has no modular inverse");
-    pow(a, P - 2)
-}
-
-/// Modular division `a / b`.
-#[inline]
-#[must_use]
-pub fn div(a: u64, b: u64) -> u64 {
-    mul(a, inv(b))
 }
 
 #[cfg(test)]
@@ -159,22 +98,6 @@ mod tests {
     #[test]
     fn constants_sane() {
         assert_eq!(P, 2_305_843_009_213_693_951);
-    }
-
-    #[test]
-    fn add_sub_inverse() {
-        let pairs = [(0u64, 0u64), (1, P - 1), (P - 1, P - 1), (12345, 67890)];
-        for (a, b) in pairs {
-            assert_eq!(sub(add(a, b), b), a);
-            assert_eq!(add(sub(a, b), b), a);
-        }
-    }
-
-    #[test]
-    fn neg_is_additive_inverse() {
-        for a in [0u64, 1, 2, P / 2, P - 1] {
-            assert_eq!(add(a, neg(a)), 0);
-        }
     }
 
     #[test]
@@ -238,38 +161,6 @@ mod tests {
         assert_eq!(canon(P), 0);
         assert_eq!(canon(P + 5), 5);
         assert_eq!(canon(u64::MAX), (u64::MAX % P));
-    }
-
-    #[test]
-    fn pow_and_fermat() {
-        assert_eq!(pow(3, 0), 1);
-        assert_eq!(pow(3, 1), 3);
-        assert_eq!(pow(3, 2), 9);
-        // Fermat: a^(p-1) = 1 for a != 0.
-        for a in [1u64, 2, 7, 1 << 40, P - 1] {
-            assert_eq!(pow(a, P - 1), 1, "fermat fails for {a}");
-        }
-    }
-
-    #[test]
-    fn inv_is_multiplicative_inverse() {
-        for a in [1u64, 2, 3, 12345, P - 1, 1 << 50] {
-            assert_eq!(mul(a, inv(a)), 1, "inverse fails for {a}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "no modular inverse")]
-    fn inv_zero_panics() {
-        let _ = inv(0);
-    }
-
-    #[test]
-    fn div_consistency() {
-        let a = 998_877;
-        let b = 665_544;
-        let q = div(a, b);
-        assert_eq!(mul(q, b), a);
     }
 
     #[test]

@@ -14,10 +14,10 @@ use icd_core::strategy::PacketScratch;
 use icd_overlay::receiver::Receiver;
 use icd_overlay::scenario::ScenarioParams;
 use icd_overlay::strategy::{FullSender, ReceiverHandshake, StrategyKind};
-use icd_overlay::transfer::{handshake_estimate, standard_sizing};
+use icd_overlay::transfer::handshake_estimate;
 use icd_recon::shared_registry;
 use icd_sketch::PermutationFamily;
-use icd_summary::SummaryId;
+use icd_summary::{SummaryId, SummarySizing};
 use icd_util::hash::mix64;
 
 fn main() {
@@ -62,7 +62,7 @@ fn main() {
     let handshake = ReceiverHandshake::for_strategy(
         strategy,
         &c_set,
-        &standard_sizing(),
+        &SummarySizing::default(),
         &family,
         shared_registry(),
         &handshake_estimate(c_set.len(), d_set.len(), needed),

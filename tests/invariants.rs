@@ -83,15 +83,15 @@ proptest! {
         prop_assert_eq!(decoder.into_content(content.len()).unwrap(), content);
     }
 
-    /// The exact polynomial method recovers the exact difference whenever
-    /// the bound is respected.
+    /// The rateless IBLT recovers the exact difference, in both
+    /// directions, once the peer has streamed enough cells.
     #[test]
-    fn charpoly_exactness(
+    fn riblt_exactness(
         shared in proptest::collection::hash_set(any::<u64>(), 1..120),
         a_only in proptest::collection::hash_set(any::<u64>(), 0..10),
         b_only in proptest::collection::hash_set(any::<u64>(), 0..10),
     ) {
-        use icd_recon::poly::{key_to_field, reconcile, CharPolySketch};
+        use icd_recon::riblt::{Encoder, Peeler};
         let a_only: HashSet<u64> = a_only.difference(&shared).copied().collect();
         let b_only: HashSet<u64> = b_only
             .difference(&shared)
@@ -102,12 +102,17 @@ proptest! {
             .collect();
         let a: Vec<u64> = shared.iter().chain(a_only.iter()).copied().collect();
         let b: Vec<u64> = shared.iter().chain(b_only.iter()).copied().collect();
-        let sketch = CharPolySketch::build(&a, 24);
-        let diff = reconcile(&sketch, &b).expect("within bound");
-        let expect_ab: HashSet<u64> = a_only.iter().map(|&k| key_to_field(k)).collect();
-        let expect_ba: HashSet<u64> = b_only.iter().map(|&k| key_to_field(k)).collect();
-        prop_assert_eq!(diff.a_minus_b.into_iter().collect::<HashSet<_>>(), expect_ab);
-        prop_assert_eq!(diff.b_minus_a.into_iter().collect::<HashSet<_>>(), expect_ba);
+        for (remote, local, expect) in [(&a, &b, &b_only), (&b, &a, &a_only)] {
+            let mut encoder = Encoder::new(remote);
+            let mut peeler = Peeler::new(local);
+            while !peeler.is_done() {
+                prop_assert!(peeler.cells_received() < 1_000, "peel never completed");
+                peeler.push(&encoder.next_cell());
+            }
+            let mut expect: Vec<u64> = expect.iter().copied().collect();
+            expect.sort_unstable();
+            prop_assert_eq!(peeler.missing_at_peer(), expect);
+        }
     }
 }
 
@@ -118,7 +123,7 @@ fn reconciliation_methods_agree_on_one_sidedness() {
     use icd_recon::cost::{measure_all, Scenario};
     for seed in [1u64, 2, 3] {
         let scenario = Scenario::generate(3000, 80, seed);
-        let report = measure_all(&scenario, 200);
+        let report = measure_all(&scenario);
         for row in &report.rows {
             assert!(!row.false_reports, "{} produced false reports", row.method);
         }

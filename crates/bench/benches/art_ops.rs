@@ -1,6 +1,6 @@
 //! ART micro-benchmarks: batch build and summary build.
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use icd_art::{ArtParams, ArtSummary, ReconciliationTree, SummaryParams};
+use icd_sketch::art::{ArtParams, ArtSummary, ReconciliationTree, SummaryParams};
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 use std::hint::black_box;
 

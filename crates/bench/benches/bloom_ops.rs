@@ -1,7 +1,7 @@
 //! Bloom filter micro-benchmarks: insert and probe throughput at the
 //! paper's 8-bits-per-element geometry.
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use icd_bloom::BloomFilter;
+use icd_sketch::bloom::BloomFilter;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 use std::hint::black_box;
 

@@ -1,8 +1,8 @@
 //! Table 4(c)'s speed column: Bloom O(n) probing vs ART O(d log n)
 //! search.
 use criterion::{criterion_group, criterion_main, Criterion};
-use icd_art::{search_differences, ArtParams, ArtSummary, ReconciliationTree, SummaryParams};
-use icd_bloom::BloomFilter;
+use icd_sketch::art::{search_differences, ArtParams, ArtSummary, ReconciliationTree, SummaryParams};
+use icd_sketch::bloom::BloomFilter;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 use std::hint::black_box;
 

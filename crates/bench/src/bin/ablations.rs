@@ -21,9 +21,7 @@ use icd_overlay::receiver::Receiver;
 use icd_overlay::scenario::{ScenarioParams, TwoPeerScenario};
 use icd_overlay::strategy::{ReceiverHandshake, StrategyKind};
 use icd_overlay::transfer::{default_max_ticks, handshake_estimate};
-use icd_recon::shared_registry;
-use icd_sketch::PermutationFamily;
-use icd_summary::{SummaryId, SummarySizing};
+use icd_sketch::{standard_registry, PermutationFamily, SummaryId, SummarySizing};
 use icd_util::rng::Xoshiro256StarStar;
 
 fn main() {
@@ -72,13 +70,13 @@ fn filter_bits_sweep(cfg: &ExpConfig) -> Table {
                 &scenario.receiver_set,
                 &sizing,
                 &family,
-                shared_registry(),
+                standard_registry(),
                 &estimate,
                 None,
             );
             let filter_bytes = handshake.summary_bytes();
             let withheld = handshake.summary.as_ref().map_or(0, |(_, body)| {
-                let digest = icd_bloom::BloomDigest::decode(body).expect("bloom body");
+                let digest = icd_sketch::bloom::BloomDigest::decode(body).expect("bloom body");
                 useful.iter().filter(|&&id| digest.filter().contains(id)).count()
             });
             (bpe, handshake, filter_bytes, withheld)

@@ -291,7 +291,7 @@ fn bloom_probe(quick: bool) -> Probe {
     let trials = if quick { 200_000u64 } else { 1_000_000 };
     let mut rng = Xoshiro256StarStar::new(SEED ^ 5);
     let keys: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-    let mut filter = icd_bloom::BloomFilter::with_bits_per_element(n, 8.0, SEED ^ 6);
+    let mut filter = icd_sketch::bloom::BloomFilter::with_bits_per_element(n, 8.0, SEED ^ 6);
     for &k in &keys {
         filter.insert(k);
     }

@@ -1,8 +1,8 @@
 //! Figure 4(a), Table 4(b), and Table 4(c): approximate reconciliation
 //! tree accuracy and the Bloom-vs-ART comparison.
 
-use icd_art::accuracy::{measure_accuracy, optimal_split, AccuracyConfig};
-use icd_bloom::BloomFilter;
+use icd_sketch::art::accuracy::{measure_accuracy, optimal_split, AccuracyConfig};
+use icd_sketch::bloom::BloomFilter;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 
 use crate::config::ExpConfig;
@@ -117,14 +117,14 @@ pub fn table4c(cfg: &ExpConfig) -> Table {
     let bloom_probes = b_keys.len(); // one membership test per element
 
     // ART at 8 bits/element, correction 5 (the paper's row).
-    let params = icd_art::ArtParams::default();
-    let tree_a = icd_art::ReconciliationTree::from_keys(params, shared.iter().copied());
-    let tree_b = icd_art::ReconciliationTree::from_keys(params, b_keys.iter().copied());
-    let summary = icd_art::ArtSummary::build(
+    let params = icd_sketch::art::ArtParams::default();
+    let tree_a = icd_sketch::art::ReconciliationTree::from_keys(params, shared.iter().copied());
+    let tree_b = icd_sketch::art::ReconciliationTree::from_keys(params, b_keys.iter().copied());
+    let summary = icd_sketch::art::ArtSummary::build(
         &tree_a,
-        icd_art::SummaryParams::with_split(8.0, 5.0, 5),
+        icd_sketch::art::SummaryParams::with_split(8.0, 5.0, 5),
     );
-    let art_out = icd_art::search_differences(&tree_b, &summary);
+    let art_out = icd_sketch::art::search_differences(&tree_b, &summary);
 
     let mut table = Table::new(
         format!("Table 4(c): structure comparison at 8 bits/element (n={n}, d={d})"),

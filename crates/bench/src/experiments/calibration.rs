@@ -2,9 +2,9 @@
 //! (§6.1), and the exact-vs-approximate reconciliation cost comparison
 //! (§5.1).
 
-use icd_bloom::{math, BloomFilter};
 use icd_fountain::overhead::measure_overhead;
-use icd_recon::cost::{measure_all, Scenario};
+use icd_sketch::bloom::{math, BloomFilter};
+use icd_sketch::exact::cost::{measure_all, Scenario};
 use icd_util::rng::Rng64;
 
 use crate::config::ExpConfig;

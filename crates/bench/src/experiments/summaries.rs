@@ -13,18 +13,23 @@
 //! * [`overlay_matrix`] — the §6.2 Random/summary strategy under each
 //!   mechanism in the tick-loop simulator: the paper's Figure-5 shape,
 //!   but with the digest pluggable.
+//! * [`selection_report`] — no transfer at all: the mechanism the
+//!   policy's scorer picks, at default and at precision knobs, for the
+//!   link geometries the benchmark workloads run.
 //!
 //! Adding a mechanism to the registry adds a row to both tables without
 //! touching this file — the whole point of the trait API.
 
 use bytes::Bytes;
-use icd_core::{FramePump, ReceiverMachine, SenderMachine, SessionConfig, WorkingSet};
+use icd_core::{
+    select_summary, FramePump, PolicyKnobs, ReceiverMachine, SenderMachine, SessionConfig,
+    WorkingSet,
+};
 use icd_fountain::EncodedSymbol;
-use icd_overlay::scenario::ScenarioParams;
+use icd_overlay::scenario::{ScenarioParams, TwoPeerScenario};
 use icd_overlay::strategy::StrategyKind;
 use icd_overlay::transfer::run_transfer;
-use icd_recon::standard_registry;
-use icd_summary::SummaryId;
+use icd_sketch::{standard_registry, OverlapEstimate, SummaryId, SummarySizing};
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 use icd_wire::{Message, FRAME_PREFIX_BYTES};
 
@@ -211,7 +216,7 @@ pub fn overlay_matrix(cfg: &ExpConfig) -> Table {
     let sweep = ExperimentGrid::new(correlations.clone(), mechanisms.clone(), cfg.seeds());
     let results = sweep.run(|cell| {
         let params = ScenarioParams::compact(blocks, cell.seed);
-        let scenario = icd_overlay::scenario::TwoPeerScenario::build(&params, *cell.scenario);
+        let scenario = TwoPeerScenario::build(&params, *cell.scenario);
         let outcome = run_transfer(
             &scenario,
             StrategyKind::RandomSummary(*cell.strategy),
@@ -243,6 +248,96 @@ pub fn overlay_matrix(cfg: &ExpConfig) -> Table {
         table.push_row(cells);
     }
     push_completion_row(&mut table, &results, correlations.len(), mechanisms.len());
+    table
+}
+
+/// A link geometry of the selection report: label, receiver set size,
+/// sender set size and the two sets' resemblance.
+type LinkGeometry = (String, u64, u64, f64);
+
+/// Sets of `a` and `b` symbols with `shared` in common.
+fn link(label: impl Into<String>, a: u64, b: u64, shared: u64) -> LinkGeometry {
+    (label.into(), a, b, shared as f64 / (a + b - shared) as f64)
+}
+
+/// The benchmark workloads' link geometries, each as the link first
+/// sees it (later rounds only grow the sets), then the grid the policy
+/// tests sweep (`default_knobs_never_select_riblt`).
+fn selection_geometries() -> Vec<LinkGeometry> {
+    let mut out = Vec::new();
+    // fig5-sweep: Figure 5's two systems at n = 23 968, ten correlation
+    // points each up to the system's cap.
+    for (system, params) in [
+        ("compact", ScenarioParams::compact(23_968, 0)),
+        ("stretched", ScenarioParams::stretched(23_968, 0)),
+    ] {
+        let max = params.max_two_peer_correlation() - 1e-9;
+        for i in 0..10 {
+            let correlation = max * f64::from(i) / 9.0;
+            let s = TwoPeerScenario::build(&params, correlation);
+            let (a, b) = (s.receiver_set.len() as u64, s.sender_set.len() as u64);
+            let shared = (s.correlation * b as f64).round() as u64;
+            out.push(link(format!("fig5-sweep {system} c={}", f3(correlation)), a, b, shared));
+        }
+    }
+    // ring5-* (one seeder holds the universe, leechers a random share
+    // each) and swarm10k (seeds hold a pool of 1.1 × 64 symbols,
+    // ordinary peers half of it). Two random shares overlap in
+    // share² / universe symbols on average.
+    for (name, universe, share) in [
+        ("ring5-p16k", 100, 37),
+        ("ring5-p64", 80, 30),
+        ("swarm10k", 70, 35),
+    ] {
+        out.push(link(format!("{name} from seeder"), share, universe, share));
+        let overlap = (share * share) as f64 / universe as f64;
+        out.push(link(format!("{name} from peer"), share, share, overlap.round() as u64));
+    }
+    // file-pair-32m: a universe of 1.4 l symbols at l = 23 968; the
+    // receiver holds its first 60 %, the sender its last 60 %.
+    let universe = (1.4 * 23_968.0_f64).round() as u64;
+    let side = (0.6 * universe as f64).round() as u64;
+    out.push(link("file-pair-32m", side, side, 2 * side - universe));
+    let sizes = [16u64, 64, 100, 1_600, 20_000];
+    for a in sizes {
+        for b in sizes {
+            for r in [0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.98, 0.985] {
+                out.push(("grid".to_string(), a, b, r));
+            }
+        }
+    }
+    out
+}
+
+/// The selection report: per link geometry, the mechanism
+/// [`select_summary`] picks from the standard registry at default knobs
+/// and at precision knobs (recall ≥ 0.98, compute free — the regime
+/// that unlocks the exact mechanisms). The estimate is exact (the true
+/// resemblance), so the report shows the scorer, not sketch noise;
+/// `none` means no mechanism qualifies and the plan falls back to the
+/// speculative transfer.
+#[must_use]
+pub fn selection_report() -> Table {
+    let precision = PolicyKnobs {
+        min_recall: 0.98,
+        compute_weight: 0.0,
+        ..PolicyKnobs::default()
+    };
+    let mut table = Table::new(
+        "Summary selection: mechanism select_summary picks per link geometry",
+        &["geometry", "receiver", "sender", "resemblance", "default", "precision"],
+    );
+    for (label, a, b, r) in selection_geometries() {
+        let estimate = OverlapEstimate::from_resemblance(r, a, b);
+        let pick = |knobs: &PolicyKnobs| {
+            select_summary(&estimate, knobs, &SummarySizing::default(), standard_registry())
+                .map_or("none", SummaryId::label)
+                .to_string()
+        };
+        let default = pick(&PolicyKnobs::default());
+        let row = vec![label, a.to_string(), b.to_string(), f3(r), default, pick(&precision)];
+        table.push_row(row);
+    }
     table
 }
 

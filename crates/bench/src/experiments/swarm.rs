@@ -10,7 +10,7 @@
 //! [`crate::engine::ExperimentGrid`] — byte-identical at any thread
 //! count like every other artifact.
 
-use icd_summary::SummaryId;
+use icd_sketch::SummaryId;
 use icd_swarm::{try_run_swarm, ChurnConfig, SwarmConfig, SwarmOutcome, SwarmStrategy, TopologyKind};
 
 use icd_overlay::strategy::StrategyKind;

@@ -9,7 +9,7 @@ use icd_bench::experiments::summaries::{session_cell, SessionGeometry};
 use icd_overlay::scenario::{ScenarioParams, TwoPeerScenario};
 use icd_overlay::strategy::StrategyKind;
 use icd_overlay::transfer::run_transfer;
-use icd_recon::standard_registry;
+use icd_sketch::standard_registry;
 
 fn mini_fig5_table(threads: usize) -> String {
     let blocks = 600;

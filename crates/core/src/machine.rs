@@ -54,7 +54,6 @@
 //!   pump per planned link in lockstep).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use bytes::Bytes;
 use icd_fountain::{EncodedSymbol, RecodeBuffer, SymbolId};
@@ -68,7 +67,7 @@ use icd_wire::{Message, WireError};
 use crate::policy::{plan_transfer, PolicyKnobs, TransferPlan};
 use crate::strategy::{missing_at_peer, PacketScratch, StrategyKind, StrategySender};
 use crate::summary::{
-    diff_estimate, standard_registry_arc, SummaryError, SummaryId, SummaryRegistry, SummarySizing,
+    diff_estimate, standard_registry, SummaryError, SummaryId, SummaryRegistry, SummarySizing,
 };
 use crate::working_set::WorkingSet;
 
@@ -96,7 +95,7 @@ pub struct SessionConfig {
     /// RNG seed (recoding draws on the sender side use the peer's seed).
     pub seed: u64,
     /// The mechanism registry both construction and scoring consult.
-    pub registry: Arc<SummaryRegistry>,
+    pub registry: &'static SummaryRegistry,
 }
 
 impl Default for SessionConfig {
@@ -107,7 +106,7 @@ impl Default for SessionConfig {
             sizing: SummarySizing::default(),
             summary_override: None,
             seed: 0x5E55_1014,
-            registry: standard_registry_arc(),
+            registry: standard_registry(),
         }
     }
 }
@@ -186,7 +185,6 @@ impl From<SummaryError> for SessionError {
         match err {
             SummaryError::Unknown(id) => Self::UnknownSummary { id: id.0 },
             SummaryError::Malformed(why) => Self::MalformedSummary(why),
-            SummaryError::DuplicateId(_) => Self::MalformedSummary("duplicate summary id"),
         }
     }
 }
@@ -464,7 +462,7 @@ impl ReceiverMachine {
                 // is rejected before any digest is built.
                 let config = &self.config;
                 let scored =
-                    plan_transfer(&estimate, &config.knobs, &config.sizing, &config.registry);
+                    plan_transfer(&estimate, &config.knobs, &config.sizing, config.registry);
                 let plan = match (config.summary_override, scored) {
                     (_, TransferPlan::Reject) => TransferPlan::Reject,
                     (Some(id), _) => TransferPlan::Reconciled { summary: id },
@@ -629,7 +627,7 @@ struct Answer {
 pub struct SenderMachine {
     working: WorkingSet,
     state: SenderState,
-    registry: Arc<SummaryRegistry>,
+    registry: &'static SummaryRegistry,
     /// Estimated share of this sender's set the receiver holds, from
     /// its sketch: the speculative transfer's degree scaling.
     containment: f64,
@@ -649,7 +647,7 @@ impl SenderMachine {
         Self {
             working,
             state: SenderState::AwaitSketch,
-            registry: standard_registry_arc(),
+            registry: standard_registry(),
             containment: 0.0,
             cleared: None,
             seed,
@@ -696,7 +694,7 @@ impl SenderMachine {
             }
             (SenderState::AwaitPlan, Message::Summary { summary_id, body }) => {
                 let id = SummaryId(*summary_id);
-                let cleared = missing_at_peer(&self.registry, id, body, &self.working.sorted_ids())?;
+                let cleared = missing_at_peer(self.registry, id, body, &self.working.sorted_ids())?;
                 self.cleared = Some((id, cleared));
                 Ok(())
             }

@@ -129,7 +129,7 @@ pub(crate) fn plan_transfer(
 /// clears the recall floor (`None` when nothing qualifies). The rule —
 /// advertised wire bytes + `compute_weight` × advertised op units, ties
 /// toward the lower [`SummaryId`] — lives in
-/// [`icd_summary::cheapest_mechanism`]. The overlay engine's per-link
+/// [`icd_sketch::cheapest_mechanism`]. The overlay engine's per-link
 /// advisor calls this function too, so sessions and simulated links
 /// always agree.
 #[must_use]
@@ -140,7 +140,7 @@ pub fn select_summary(
     registry: &SummaryRegistry,
 ) -> Option<SummaryId> {
     let est = diff_estimate(estimate);
-    icd_summary::cheapest_mechanism(registry, sizing, &est, knobs.min_recall, knobs.compute_weight)
+    icd_sketch::cheapest_mechanism(registry, sizing, &est, knobs.min_recall, knobs.compute_weight)
 }
 
 #[cfg(test)]
@@ -157,7 +157,7 @@ mod tests {
             estimate,
             knobs,
             &SummarySizing::default(),
-            &standard_registry(),
+            standard_registry(),
         )
     }
 
@@ -244,10 +244,9 @@ mod tests {
         // knobs, removing it changes no selection over the swarm, ring,
         // summary-matrix and file-pair geometries.
         let full = standard_registry();
-        let mut without = SummaryRegistry::new();
-        for spec in full.iter().filter(|spec| spec.id != SummaryId::RIBLT) {
-            without.register(*spec).expect("distinct ids");
-        }
+        let without = SummaryRegistry::from_specs(
+            full.iter().filter(|spec| spec.id != SummaryId::RIBLT).copied(),
+        );
         let knobs = PolicyKnobs::default();
         let sizing = SummarySizing::default();
         let sizes = [16u64, 64, 100, 1_600, 20_000];
@@ -256,7 +255,7 @@ mod tests {
                 for r in [0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.98, 0.985] {
                     let e = est(r, a, b);
                     assert_eq!(
-                        select_summary(&e, &knobs, &sizing, &full),
+                        select_summary(&e, &knobs, &sizing, full),
                         select_summary(&e, &knobs, &sizing, &without),
                         "|A| = {a}, |B| = {b}, r = {r}"
                     );
@@ -280,7 +279,7 @@ mod tests {
             &est(0.5, 1000, 1000),
             &PolicyKnobs::default(),
             &SummarySizing::default(),
-            &SummaryRegistry::new(),
+            &SummaryRegistry::from_specs([]),
         );
         assert!(matches!(none, TransferPlan::Speculative { .. }));
     }

@@ -283,8 +283,8 @@ impl StrategySender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::{shared_registry, DiffEstimate, SummarySizing};
-    use icd_bloom::BloomDigest;
+    use crate::summary::{standard_registry, DiffEstimate, SummarySizing};
+    use icd_sketch::bloom::BloomDigest;
     use icd_sketch::{MinwiseSketch, PermutationFamily};
     use std::collections::HashSet;
 
@@ -298,7 +298,7 @@ mod tests {
     fn digest(id: SummaryId, receiver: &[SymbolId], peer_len: usize, hint: usize) -> Vec<u8> {
         let mut keys = receiver.to_vec();
         keys.sort_unstable();
-        shared_registry()
+        standard_registry()
             .build(
                 id,
                 &SummarySizing::default(),
@@ -319,7 +319,7 @@ mod tests {
     ) -> StrategySender {
         let id = kind.summary_id().expect("summary strategy");
         let body = digest(id, receiver, sender.len(), hint);
-        let pool = missing_at_peer(shared_registry(), id, &body, sender).expect("digest decodes");
+        let pool = missing_at_peer(standard_registry(), id, &body, sender).expect("digest decodes");
         StrategySender::new(kind, pool, 0.0, seed, hint, None)
     }
 
@@ -376,7 +376,7 @@ mod tests {
             .chain(fresh.iter().copied())
             .collect();
         let receiver: HashSet<_> = receiver_set.iter().copied().collect();
-        for id in shared_registry().ids() {
+        for id in standard_registry().ids() {
             let strategy = StrategyKind::RandomSummary(id);
             let mut s = informed(strategy, &receiver_set, &sender_set, fresh.len(), 23);
             let mut sent = HashSet::new();

@@ -1,5 +1,5 @@
-//! The protocol's summary surface: the `icd-summary` trait API plus the
-//! standard registry, re-exported as one front door.
+//! The protocol's summary surface: `icd-sketch`'s summary trait API plus
+//! the standard registry, re-exported as one front door.
 //!
 //! Everything a deployment needs to work with fine-grained summaries
 //! lives behind this module:
@@ -14,41 +14,29 @@
 //! * [`SummarySizing`] / [`DiffEstimate`] — the inputs constructors and
 //!   cost advisors consume.
 //!
-//! # Registering a new summary
+//! # Adding a summary
 //!
 //! A new mechanism plugs in without touching sessions, policy, or the
 //! wire layer:
 //!
-//! 1. Implement [`Reconciler`] and [`SetSummary`] for your digest type
-//!    in its home crate (depend on `icd-summary` only).
-//! 2. Write a `spec()` returning a [`SummarySpec`]: pick an unused
-//!    [`SummaryId`], and provide `build`, `decode`, and the three
-//!    analytic advisors (`wire_cost`, `compute_cost`, `expected_recall`)
-//!    that the transfer policy ([`crate::policy`]) scores.
-//! 3. Register it in `icd_recon::standard_registry`, the one registry
-//!    both session machines consult.
+//! 1. Add a module to `icd-sketch` whose digest type implements
+//!    [`Reconciler`] and [`SetSummary`].
+//! 2. Write its [`SummarySpec`]: pick an unused [`SummaryId`], and
+//!    provide `build`, `decode`, and the three analytic advisors
+//!    (`wire_cost`, `compute_cost`, `expected_recall`) that the transfer
+//!    policy ([`crate::policy`]) scores.
+//! 3. Add the spec to the list [`standard_registry`] is built from.
 //!
 //! The mechanism then travels in the generic `Message::Summary` wire
 //! frame, is eligible for policy selection, and can be swept by the
 //! experiment grid exactly like the built-ins.
 
-use std::sync::{Arc, OnceLock};
-
 use icd_sketch::OverlapEstimate;
 
-pub use icd_recon::registry::{shared_registry, standard_registry};
-pub use icd_summary::{
-    DiffEstimate, Reconciler, SetSummary, SummaryError, SummaryId, SummaryRegistry, SummarySizing,
-    SummarySpec,
+pub use icd_sketch::{
+    standard_registry, DiffEstimate, Reconciler, SetSummary, SummaryError, SummaryId,
+    SummaryRegistry, SummarySizing, SummarySpec,
 };
-
-/// A process-wide `Arc` of the [`standard_registry`], the default for
-/// [`crate::SessionConfig`] and [`crate::SenderMachine`].
-#[must_use]
-pub(crate) fn standard_registry_arc() -> Arc<SummaryRegistry> {
-    static SHARED: OnceLock<Arc<SummaryRegistry>> = OnceLock::new();
-    Arc::clone(SHARED.get_or_init(|| Arc::new(standard_registry())))
-}
 
 /// Converts a sketch-exchange estimate into the [`DiffEstimate`] the
 /// summary constructors and cost advisors consume. Directions follow the
@@ -68,14 +56,6 @@ pub fn diff_estimate(estimate: &OverlapEstimate) -> DiffEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn standard_registry_arc_is_shared_and_complete() {
-        let a = standard_registry_arc();
-        let b = standard_registry_arc();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.len(), 5);
-    }
 
     #[test]
     fn diff_estimate_directions() {

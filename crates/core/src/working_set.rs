@@ -206,7 +206,7 @@ mod tests {
         let est = DiffEstimate::new(ws.len(), ws.len(), 10);
         for id in registry.ids() {
             let digest = ws
-                .build_summary(id, &SummarySizing::default(), &est, &registry)
+                .build_summary(id, &SummarySizing::default(), &est, registry)
                 .expect("registered mechanism");
             // No mechanism may deny its own contents (one-sided error).
             for key in ws.ids() {
@@ -229,7 +229,7 @@ mod tests {
         let registry = standard_registry();
         let est = DiffEstimate::new(a.len(), b.len(), fresh.len());
         let summary = a
-            .build_summary(SummaryId::ART, &SummarySizing::default(), &est, &registry)
+            .build_summary(SummaryId::ART, &SummarySizing::default(), &est, registry)
             .expect("art registered");
         let found = summary.missing_at_peer(&b.sorted_ids());
         assert!(!found.is_empty());

@@ -26,6 +26,7 @@
 //! access, hence no serde): one flat JSON object per line, round-trips
 //! through [`TraceBuf::parse_jsonl`] exactly.
 
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::fmt;
@@ -91,8 +92,9 @@ pub enum TraceEvent {
     },
     /// A scheduled fault actually landed (no-op faults are not traced).
     FaultApplied {
-        /// Fault kind name (`crash`, `cut_link`, ...).
-        fault: String,
+        /// Fault kind name (`crash`, `cut_link`, ...): borrowed when the
+        /// engine records it, owned when decoded or parsed.
+        fault: Cow<'static, str>,
         /// Victim peer (roster index).
         peer: u64,
     },
@@ -378,7 +380,7 @@ impl TraceBuf {
                 starved: b,
             },
             Kind::FaultApplied => TraceEvent::FaultApplied {
-                fault: self.labels[c as usize].clone(),
+                fault: Cow::Owned(self.labels[c as usize].clone()),
                 peer: a,
             },
         })
@@ -435,7 +437,10 @@ impl TraceBuf {
             .spill
             .iter()
             .map(|(_, event)| match event {
-                TraceEvent::FaultApplied { fault, .. } => fault.capacity(),
+                TraceEvent::FaultApplied {
+                    fault: Cow::Owned(fault),
+                    ..
+                } => fault.capacity(),
                 _ => 0,
             })
             .sum();
@@ -662,7 +667,7 @@ fn parse_record(line: &str) -> Result<TraceRecord, String> {
             starved: num("starved")?,
         },
         "fault_applied" => TraceEvent::FaultApplied {
-            fault: string("fault")?,
+            fault: Cow::Owned(string("fault")?),
             peer: num("peer")?,
         },
         "redial" => TraceEvent::Redial {
@@ -989,7 +994,7 @@ mod tests {
             buf.push(
                 i,
                 TraceEvent::FaultApplied {
-                    fault: format!("fault-{i}"),
+                    fault: format!("fault-{i}").into(),
                     peer: i,
                 },
             );
@@ -1000,7 +1005,7 @@ mod tests {
         assert_eq!(
             last.event,
             TraceEvent::FaultApplied {
-                fault: format!("fault-{}", LABEL_CAP + 39),
+                fault: format!("fault-{}", LABEL_CAP + 39).into(),
                 peer: LABEL_CAP as u64 + 39,
             }
         );

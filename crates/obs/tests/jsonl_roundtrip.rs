@@ -40,7 +40,7 @@ fn build_event(kind: u8, a: u64, b: u64, c: u64, flag: bool, name: Vec<u8>) -> T
         6 => TraceEvent::FaultApplied {
             // Arbitrary bytes → lossy UTF-8: exercises quotes,
             // backslashes, and control characters in the escaper.
-            fault: String::from_utf8_lossy(&name).into_owned(),
+            fault: String::from_utf8_lossy(&name).into_owned().into(),
             peer: a,
         },
         7 => TraceEvent::Redial {

@@ -97,7 +97,7 @@ fn event(kind: u8, sels: (u8, u8, u8), raws: (u64, u64, u64)) -> TraceEvent {
             starved: b,
         },
         5 => TraceEvent::FaultApplied {
-            fault: label(sels.2, raws.2),
+            fault: label(sels.2, raws.2).into(),
             peer: a,
         },
         6 => TraceEvent::SummaryExchanged {

@@ -186,7 +186,7 @@ pub fn run_with_migration(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icd_summary::SummaryId;
+    use icd_sketch::SummaryId;
 
     #[test]
     fn migration_does_not_prevent_completion() {

@@ -9,8 +9,7 @@
 //! a receiver derives for a candidate sender at connection setup. Digest
 //! sizing is `SummarySizing::default()`, the §5 reference points.
 
-use icd_sketch::PermutationFamily;
-use icd_summary::DiffEstimate;
+use icd_sketch::{DiffEstimate, PermutationFamily};
 
 /// The receiver-side estimate a simulated handshake parameterizes its
 /// digest with: its own inventory, the peer's inventory size, and the

@@ -42,8 +42,9 @@ use bytes::Bytes;
 use icd_core::strategy::{PacketScratch, StrategySender};
 use icd_core::{select_summary, PolicyKnobs};
 use icd_obs::{TraceEvent, TraceHandle};
-use icd_sketch::{MinwiseSketch, PermutationFamily};
-use icd_summary::{DiffEstimate, SummaryId, SummaryRegistry, SummarySizing};
+use icd_sketch::{
+    DiffEstimate, MinwiseSketch, PermutationFamily, SummaryId, SummaryRegistry, SummarySizing,
+};
 use icd_util::hash::mix64;
 use icd_util::rng::{Rng64, SplitMix64, Xoshiro256StarStar};
 use icd_wire::budget::PACKET_BYTES;
@@ -557,7 +558,7 @@ impl OverlayNet {
             incomplete_observers: 0,
             scratch: PacketScratch::default(),
             family: standard_family(),
-            registry: icd_recon::shared_registry(),
+            registry: icd_sketch::standard_registry(),
             sizing: SummarySizing::default(),
             seed,
             frame_tap: None,
@@ -1485,7 +1486,7 @@ pub fn run_mesh_download_with(
 mod tests {
     use super::*;
     use crate::scenario::TwoPeerScenario;
-    use icd_summary::SummaryId;
+    use icd_sketch::SummaryId;
 
     fn compact(n: usize) -> ScenarioParams {
         ScenarioParams::compact(n, 0xBEEF)
@@ -1856,7 +1857,7 @@ mod tests {
         // A node caches one body per `estimate_free` mechanism for every
         // sender it handshakes with; that is only sound while the build
         // reads nothing peer-specific.
-        let registry = icd_recon::shared_registry();
+        let registry = icd_sketch::standard_registry();
         let sizing = SummarySizing::default();
         let keys: Vec<SymbolId> = (0..500u64).map(|i| i * 7 + 3).collect();
         let body = |id, estimate: &DiffEstimate| {

@@ -11,8 +11,9 @@
 //! * [`FullSender`] — the digital fountain a full peer streams.
 
 use icd_core::strategy::{missing_at_peer, PacketScratch, StrategySender};
-use icd_sketch::{MinwiseSketch, PermutationFamily};
-use icd_summary::{DiffEstimate, SummaryId, SummaryRegistry, SummarySizing};
+use icd_sketch::{
+    DiffEstimate, MinwiseSketch, PermutationFamily, SummaryId, SummaryRegistry, SummarySizing,
+};
 
 pub use icd_core::strategy::StrategyKind;
 
@@ -151,7 +152,7 @@ impl FullSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icd_recon::shared_registry;
+    use icd_sketch::standard_registry;
     use icd_util::rng::{Rng64, Xoshiro256StarStar};
     use std::collections::HashSet;
 
@@ -184,7 +185,7 @@ mod tests {
             StrategyKind::RandomSummary(SummaryId::BLOOM),
             &[1, 2, 3],
             None,
-            shared_registry(),
+            standard_registry(),
             15,
             10,
         );

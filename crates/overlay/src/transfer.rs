@@ -24,7 +24,7 @@
 //!   transfer takes `needed` ticks; any configuration's rate relative to
 //!   that baseline is `needed / ticks` without running the baseline.
 
-use icd_summary::SummarySizing;
+use icd_sketch::SummarySizing;
 use icd_util::rng::{Rng64, SplitMix64};
 
 use crate::net::{ConnectSpec, Link, OverlayNet, RunLimit};
@@ -107,7 +107,7 @@ fn two_peer_handshake(scenario: &TwoPeerScenario, strategy: StrategyKind) -> Rec
         &scenario.receiver_set,
         &SummarySizing::default(),
         &family,
-        icd_recon::shared_registry(),
+        icd_sketch::standard_registry(),
         &handshake_estimate(
             scenario.receiver_set.len(),
             scenario.sender_set.len(),
@@ -202,7 +202,7 @@ pub fn run_multi_partial(
         &scenario.receiver_set,
         &SummarySizing::default(),
         &family,
-        icd_recon::shared_registry(),
+        icd_sketch::standard_registry(),
         &handshake_estimate(
             scenario.receiver_set.len(),
             scenario.sender_sets[0].len(),
@@ -256,7 +256,7 @@ mod tests {
     use super::*;
     use crate::net::{NodeId, StopReason};
     use crate::scenario::ScenarioParams;
-    use icd_summary::SummaryId;
+    use icd_sketch::SummaryId;
 
     fn compact(n: usize) -> ScenarioParams {
         ScenarioParams::compact(n, 0xFEED)

@@ -10,9 +10,9 @@
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 use icd_util::stats::Summary;
 
-use crate::search::search_differences_with_correction;
-use crate::summary::{ArtSummary, SummaryParams};
-use crate::tree::{ArtParams, ReconciliationTree};
+use crate::art::search::search_differences_with_correction;
+use crate::art::summary::{ArtSummary, SummaryParams};
+use crate::art::tree::{ArtParams, ReconciliationTree};
 
 /// Configuration of one accuracy experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,21 +1,19 @@
 //! The ART mechanism's plug into the workspace-wide summary API.
 //!
 //! [`ArtDigest`] pairs an [`ArtSummary`] with the protocol [`ArtParams`]
-//! and implements the `icd-summary` traits. Receiver side it encodes the
+//! and implements the summary traits. Receiver side it encodes the
 //! two Bloom filters plus geometry; sender side the decoded digest
 //! rebuilds a reconciliation tree over the caller's keys and runs the
 //! §5.3 difference search — O(d log n) probes when the difference is
 //! small, the regime the mechanism is designed for.
 
-use icd_bloom::digest::{decode_filter, encode_filter};
-use icd_summary::{
-    FrameReader, FrameWriter, Reconciler, SetSummary, SummaryError, SummaryId, SummarySizing,
-    SummarySpec,
-};
+use crate::bloom::digest::{decode_filter, encode_filter};
+use crate::summary::codec::{FrameReader, FrameWriter, MAX_VEC};
+use crate::summary::{Reconciler, SetSummary, SummaryError, SummaryId, SummarySizing, SummarySpec};
 
-use crate::search::search_differences;
-use crate::summary::{ArtSummary, SummaryParams};
-use crate::tree::{ArtParams, ReconciliationTree};
+use crate::art::search::search_differences;
+use crate::art::summary::{ArtSummary, SummaryParams};
+use crate::art::tree::{ArtParams, ReconciliationTree};
 
 /// A transmissible ART summary speaking the summary traits.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +45,7 @@ impl ArtDigest {
         let mut r = FrameReader::new(body);
         let correction = u32::from(r.u16()?);
         let elements = r.u64()?;
-        if elements > icd_summary::codec::MAX_VEC {
+        if elements > MAX_VEC {
             return Err(SummaryError::Malformed("art element count out of range"));
         }
         let leaf = decode_filter(&mut r)?;
@@ -102,7 +100,7 @@ const BODY_HEADER_BYTES: f64 = 68.0;
 
 /// The ART mechanism's registry entry.
 #[must_use]
-pub fn spec() -> SummarySpec {
+pub(crate) fn spec() -> SummarySpec {
     SummarySpec {
         id: SummaryId::ART,
         label: "art",

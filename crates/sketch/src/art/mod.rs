@@ -33,12 +33,8 @@
 //! probability of position collisions to ~n²/2⁶⁴ (so the "reported
 //! differences are true differences" guarantee is exact in practice).
 
-#![forbid(unsafe_code)]
-#![warn(unreachable_pub)]
-#![warn(missing_docs)]
-
 pub mod accuracy;
-pub mod digest;
+pub(crate) mod digest;
 mod search;
 mod summary;
 mod tree;

@@ -20,8 +20,8 @@
 //! Figure 4 and Table 4(b) of the paper quantify, and what the
 //! `fig4a`/`table4b` harnesses reproduce.
 
-use crate::summary::ArtSummary;
-use crate::tree::{Node, ReconciliationTree};
+use crate::art::summary::ArtSummary;
+use crate::art::tree::{Node, ReconciliationTree};
 
 /// Result of a difference search.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -108,8 +108,8 @@ pub(crate) fn search_differences_with_correction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::SummaryParams;
-    use crate::tree::ArtParams;
+    use crate::art::summary::SummaryParams;
+    use crate::art::tree::ArtParams;
     use icd_util::rng::{Rng64, Xoshiro256StarStar};
     use std::collections::HashSet;
 

@@ -14,9 +14,9 @@
 //! figure shows at the extremes emerge naturally rather than by special
 //! case.
 
-use icd_bloom::BloomFilter;
+use crate::bloom::BloomFilter;
 
-use crate::tree::ReconciliationTree;
+use crate::art::tree::ReconciliationTree;
 
 /// Sizing for a tree summary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,7 +176,7 @@ fn sized_filter(n: usize, bits_per_element: f64, seed: u64) -> BloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::ArtParams;
+    use crate::art::tree::ArtParams;
     use icd_util::rng::{Rng64, Xoshiro256StarStar};
 
     fn keys(n: usize, seed: u64) -> Vec<u64> {

@@ -1,17 +1,15 @@
 //! The Bloom mechanism's plug into the workspace-wide summary API.
 //!
 //! [`BloomDigest`] wraps a [`BloomFilter`] built over a working set's
-//! symbol ids and implements the `icd-summary` traits: receiver side it
+//! symbol ids and implements the summary traits: receiver side it
 //! encodes to a self-describing body, sender side the decoded filter
 //! yields every local id the filter rejects (§5.2's reconciled
 //! transfer). The body codec here is also the canonical filter layout
 //! that composite mechanisms (the ART summary) embed.
 
-use icd_summary::{
-    FrameReader, FrameWriter, Reconciler, SetSummary, SummaryError, SummaryId, SummarySpec,
-};
-
-use crate::{math, BloomFilter};
+use super::{math, BloomFilter};
+use crate::summary::codec::{FrameReader, FrameWriter, MAX_VEC};
+use crate::summary::{Reconciler, SetSummary, SummaryError, SummaryId, SummarySpec};
 
 /// Protocol-wide seed for working-set Bloom digests (all peers agree).
 pub(crate) const DIGEST_SEED: u64 = 0x00F1_17E5;
@@ -59,7 +57,7 @@ impl BloomDigest {
 }
 
 /// Encodes a filter in the canonical body layout (geometry + bits).
-pub fn encode_filter(w: &mut FrameWriter, f: &BloomFilter) {
+pub(crate) fn encode_filter(w: &mut FrameWriter, f: &BloomFilter) {
     w.u64(f.num_bits() as u64);
     w.u8(u8::try_from(f.num_hashes().min(255)).expect("k fits u8"));
     w.u64(f.seed());
@@ -68,9 +66,9 @@ pub fn encode_filter(w: &mut FrameWriter, f: &BloomFilter) {
 }
 
 /// Decodes a filter from the canonical body layout.
-pub fn decode_filter(r: &mut FrameReader<'_>) -> Result<BloomFilter, SummaryError> {
+pub(crate) fn decode_filter(r: &mut FrameReader<'_>) -> Result<BloomFilter, SummaryError> {
     let m = r.u64()?;
-    if m == 0 || m > icd_summary::codec::MAX_VEC * 8 {
+    if m == 0 || m > MAX_VEC * 8 {
         return Err(SummaryError::Malformed("bloom filter bit count out of range"));
     }
     let k = u32::from(r.u8()?);
@@ -118,7 +116,7 @@ const BODY_HEADER_BYTES: f64 = 29.0;
 
 /// The Bloom mechanism's registry entry.
 #[must_use]
-pub fn spec() -> SummarySpec {
+pub(crate) fn spec() -> SummarySpec {
     SummarySpec {
         id: SummaryId::BLOOM,
         label: "bloom",
@@ -146,7 +144,7 @@ pub fn spec() -> SummarySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icd_summary::{DiffEstimate, SummarySizing};
+    use crate::summary::{DiffEstimate, SummarySizing};
     use icd_util::rng::{Rng64, Xoshiro256StarStar};
 
     fn keys(n: usize, seed: u64) -> Vec<u64> {

@@ -15,7 +15,7 @@
 use icd_util::bitvec::BitVec;
 use icd_util::hash::DoubleHash;
 
-use crate::math;
+use super::math;
 
 /// A fixed-geometry Bloom filter over 64-bit keys.
 #[derive(Debug, Clone, PartialEq, Eq)]

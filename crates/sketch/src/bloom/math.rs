@@ -4,7 +4,7 @@
 //! this module owns the formula, the optimal-k rule `k = (m/n)·ln 2`, and
 //! inverse sizing (bits needed for a target false-positive rate). The
 //! `bloom_fp_table` experiment binary cross-checks these numbers against
-//! the measured behaviour of [`crate::BloomFilter`].
+//! the measured behaviour of [`super::BloomFilter`].
 
 /// False-positive probability of an `m`-bit, `k`-hash filter holding `n`
 /// elements: `(1 − e^{−kn/m})^k`. Returns 1.0 for degenerate geometry.

@@ -19,15 +19,10 @@
 //!   paper's §5.2 calibration points (4 bits/elem + 3 hashes → 14.7 %,
 //!   8 bits/elem + 5 hashes → 2.2 %) are regenerated by the
 //!   `bloom_fp_table` experiment binary.
-//! * [`digest`] — the mechanism's plug into the workspace-wide
-//!   `icd-summary` trait API ([`digest::BloomDigest`] and its registry
-//!   [`digest::spec`]).
+//! * `digest` — the mechanism's plug into the summary trait API
+//!   ([`BloomDigest`] and its registry entry).
 
-#![forbid(unsafe_code)]
-#![warn(unreachable_pub)]
-#![warn(missing_docs)]
-
-pub mod digest;
+pub(crate) mod digest;
 mod filter;
 pub mod math;
 

@@ -11,13 +11,13 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use icd_art::{search_differences, ArtParams, ArtSummary, ReconciliationTree, SummaryParams};
-use icd_bloom::BloomFilter;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 
-use crate::hashset::HashSetMessage;
-use crate::riblt::{Encoder, Peeler, CELL_BYTES};
-use crate::wholeset::WholeSetMessage;
+use crate::art::{search_differences, ArtParams, ArtSummary, ReconciliationTree, SummaryParams};
+use crate::bloom::BloomFilter;
+use crate::exact::hashset::HashSetMessage;
+use crate::exact::riblt::{Encoder, Peeler, CELL_BYTES};
+use crate::exact::wholeset::WholeSetMessage;
 
 /// One scenario: peer A's set, peer B's set, and the true difference.
 #[derive(Debug, Clone)]

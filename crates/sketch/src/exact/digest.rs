@@ -1,7 +1,6 @@
 //! The exact mechanisms' plugs into the workspace-wide summary API.
 //!
-//! Three digests live here, one per exact mechanism implemented by this
-//! crate: [`WholeSetDigest`] (ship every key), [`HashSetDigest`]
+//! Three digests live here, one per exact mechanism of this module: [`WholeSetDigest`] (ship every key), [`HashSetDigest`]
 //! (truncated hashes), and [`RibltDigest`] (a rateless-IBLT prefix).
 //! Each implements `SetSummary`/`Reconciler`, so all three run end to
 //! end through the real session state machines and the experiment grid —
@@ -9,13 +8,11 @@
 
 use std::collections::HashSet;
 
-use icd_summary::{
-    FrameReader, FrameWriter, Reconciler, SetSummary, SummaryError, SummaryId, SummarySpec,
-};
-
-use crate::hashset::HashSetMessage;
-use crate::riblt::{cells_per_key, prefix, prefix_len, Cell, Peeler, CELL_BYTES};
-use crate::wholeset::WholeSetMessage;
+use crate::exact::hashset::HashSetMessage;
+use crate::exact::riblt::{cells_per_key, prefix, prefix_len, Cell, Peeler, CELL_BYTES};
+use crate::exact::wholeset::WholeSetMessage;
+use crate::summary::codec::{FrameReader, FrameWriter};
+use crate::summary::{Reconciler, SetSummary, SummaryError, SummaryId, SummarySpec};
 
 // ---------------------------------------------------------------------------
 // Whole set
@@ -53,10 +50,6 @@ impl Reconciler for WholeSetDigest {
 
     fn missing_at_peer(&self, local: &[u64]) -> Vec<u64> {
         self.message.missing_at_sender(local)
-    }
-
-    fn is_exact(&self) -> bool {
-        true
     }
 }
 
@@ -240,10 +233,6 @@ impl Reconciler for RibltDigest {
         }
         peeler.missing_at_peer()
     }
-
-    fn is_exact(&self) -> bool {
-        true
-    }
 }
 
 impl SetSummary for RibltDigest {
@@ -294,7 +283,7 @@ pub(crate) fn riblt_spec() -> SummarySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icd_summary::{DiffEstimate, SummarySizing};
+    use crate::summary::{DiffEstimate, SummarySizing};
     use icd_util::rng::{Rng64, Xoshiro256StarStar};
 
     fn keys(n: usize, seed: u64) -> Vec<u64> {
@@ -318,7 +307,6 @@ mod tests {
         let mut want = extra.clone();
         want.sort_unstable();
         assert_eq!(back.missing_at_peer(&b), want);
-        assert!(back.is_exact());
         assert!(digest.probably_contains(a[0]));
         assert!(!digest.probably_contains(extra[0]));
     }

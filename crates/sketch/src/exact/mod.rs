@@ -2,7 +2,7 @@
 //!
 //! The paper motivates its *approximate* methods (Bloom filters, ARTs) by
 //! arguing that exact approaches are "prohibitive in either computation
-//! time or transmission size". This crate implements those exact
+//! time or transmission size". This module implements those exact
 //! approaches so the claim can be measured rather than assumed:
 //!
 //! * `wholeset` — peer A ships its entire key set: O(|S_A| log u) bits,
@@ -17,21 +17,12 @@
 //! * [`cost`] — a harness that runs every method (exact and approximate)
 //!   on one scenario and reports bits sent, time spent, and accuracy —
 //!   the `recon_cost_table` experiment.
-//! * `digest` — the exact mechanisms' plugs into the workspace-wide
-//!   `icd-summary` trait API, so whole-set, hash-set, and RIBLT run
-//!   end-to-end through the session state machines, not just offline.
-//! * [`registry`] — the assembled standard [`icd_summary::SummaryRegistry`]
-//!   holding all five mechanisms.
-
-#![forbid(unsafe_code)]
-#![warn(unreachable_pub)]
-#![warn(missing_docs)]
+//! * `digest` — the exact mechanisms' plugs into the summary trait API,
+//!   so whole-set, hash-set, and RIBLT run end to end through the
+//!   session state machines, not just offline.
 
 pub mod cost;
-mod digest;
+pub(crate) mod digest;
 pub mod hashset;
-pub mod registry;
 pub mod riblt;
 mod wholeset;
-
-pub use registry::{shared_registry, standard_registry};

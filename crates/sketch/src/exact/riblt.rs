@@ -22,8 +22,10 @@
 //! difference (`prefix_len`); the cost harness streams cells until the
 //! peel completes, which measures the smallest prefix that peels.
 
-use icd_summary::{FrameReader, FrameWriter, SummaryError};
 use icd_util::hash::{hash64, mix64};
+
+use crate::summary::codec::{FrameReader, FrameWriter};
+use crate::summary::SummaryError;
 
 /// Bytes one cell takes on the wire: a u32 count and two u64 XORs.
 pub(crate) const CELL_BYTES: usize = 20;

@@ -5,56 +5,56 @@
 //! `icd-wire`: every read is bounds-checked, every length field is
 //! sanity-capped, and a malformed body is a [`SummaryError`], never a
 //! panic. Keeping the codec here (rather than in `icd-wire`) lets the
-//! home crates encode/decode their digests without a dependency on the
+//! mechanisms encode/decode their digests without a dependency on the
 //! message layer.
 
-use crate::traits::SummaryError;
+use super::SummaryError;
 
 /// Sanity cap on any single vector length (elements), mirroring the
 /// wire layer's decoder limit.
-pub const MAX_VEC: u64 = 16 * 1024 * 1024;
+pub(crate) const MAX_VEC: u64 = 16 * 1024 * 1024;
 
 /// Little-endian byte writer for summary bodies.
 #[derive(Debug, Default)]
-pub struct FrameWriter {
+pub(crate) struct FrameWriter {
     buf: Vec<u8>,
 }
 
 impl FrameWriter {
     /// Creates an empty writer.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a little-endian u16.
-    pub fn u16(&mut self, v: u16) {
+    pub(crate) fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian u32.
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian u64.
-    pub fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
+    pub(crate) fn bytes(&mut self, v: &[u8]) {
         self.u32(u32::try_from(v.len()).expect("vector too long to encode"));
         self.buf.extend_from_slice(v);
     }
 
     /// Appends a length-prefixed u64 vector.
-    pub fn u64s(&mut self, v: &[u64]) {
+    pub(crate) fn u64s(&mut self, v: &[u64]) {
         self.u32(u32::try_from(v.len()).expect("vector too long to encode"));
         for &x in v {
             self.u64(x);
@@ -63,14 +63,14 @@ impl FrameWriter {
 
     /// Finishes the writer, yielding the encoded body.
     #[must_use]
-    pub fn finish(self) -> Vec<u8> {
+    pub(crate) fn finish(self) -> Vec<u8> {
         self.buf
     }
 }
 
 /// Bounds-checked little-endian reader for summary bodies.
 #[derive(Debug)]
-pub struct FrameReader<'a> {
+pub(crate) struct FrameReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -78,7 +78,7 @@ pub struct FrameReader<'a> {
 impl<'a> FrameReader<'a> {
     /// Wraps a body for decoding.
     #[must_use]
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
@@ -96,27 +96,27 @@ impl<'a> FrameReader<'a> {
     }
 
     /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, SummaryError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, SummaryError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a little-endian u16.
-    pub fn u16(&mut self) -> Result<u16, SummaryError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, SummaryError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
     }
 
     /// Reads a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32, SummaryError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, SummaryError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
 
     /// Reads a little-endian u64.
-    pub fn u64(&mut self) -> Result<u64, SummaryError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, SummaryError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
     /// Reads a length prefix, enforcing [`MAX_VEC`].
-    pub fn checked_len(&mut self) -> Result<usize, SummaryError> {
+    pub(crate) fn checked_len(&mut self) -> Result<usize, SummaryError> {
         let n = u64::from(self.u32()?);
         if n > MAX_VEC {
             return Err(SummaryError::Malformed("length field exceeds limit"));
@@ -125,13 +125,13 @@ impl<'a> FrameReader<'a> {
     }
 
     /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, SummaryError> {
+    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, SummaryError> {
         let n = self.checked_len()?;
         Ok(self.take(n)?.to_vec())
     }
 
     /// Reads a length-prefixed u64 vector.
-    pub fn u64s(&mut self) -> Result<Vec<u64>, SummaryError> {
+    pub(crate) fn u64s(&mut self) -> Result<Vec<u64>, SummaryError> {
         let n = self.checked_len()?;
         let raw = self.take(
             n.checked_mul(8)
@@ -144,12 +144,12 @@ impl<'a> FrameReader<'a> {
     }
 
     /// Reads `n` raw bytes (no length prefix).
-    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], SummaryError> {
+    pub(crate) fn raw(&mut self, n: usize) -> Result<&'a [u8], SummaryError> {
         self.take(n)
     }
 
     /// Asserts the entire body was consumed.
-    pub fn finish(self) -> Result<(), SummaryError> {
+    pub(crate) fn finish(self) -> Result<(), SummaryError> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {

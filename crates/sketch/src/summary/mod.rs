@@ -4,7 +4,7 @@
 //! set-summary mechanisms — Bloom filters, approximate reconciliation
 //! trees, and exact approaches such as whole-set exchange, truncated
 //! hash sets, and invertible Bloom lookup tables — traded off
-//! by wire size, accuracy, and compute. This crate defines the one
+//! by wire size, accuracy, and compute. This module defines the one
 //! abstraction every mechanism plugs into:
 //!
 //! * [`SummaryId`] — a stable 16-bit protocol identifier per mechanism.
@@ -19,23 +19,16 @@
 //!   and analytic cost advisors ([`SummarySpec`]). Policy code scores
 //!   candidates through the registry instead of hardcoding mechanism
 //!   names; sessions, the wire layer, and the experiment grid all
-//!   dispatch purely on [`SummaryId`].
-//!
-//! Mechanism *implementations* live in their home crates (`icd-bloom`,
-//! `icd-art`, `icd-recon`), which depend on this crate; the assembled
-//! standard registry lives in `icd-recon` and is re-exported by
-//! `icd-core::summary`.
+//!   dispatch purely on [`SummaryId`]. [`standard_registry`] is the one
+//!   process-wide table of the five shipped mechanisms.
+//! * `codec` — the bounds-checked little-endian primitives every body
+//!   format is written and read with.
 
-#![forbid(unsafe_code)]
-#![warn(unreachable_pub)]
-#![warn(missing_docs)]
-
-pub mod codec;
+pub(crate) mod codec;
 mod registry;
 mod traits;
 
-pub use codec::{FrameReader, FrameWriter};
-pub use registry::{cheapest_mechanism, SummaryRegistry, SummarySpec};
+pub use registry::{cheapest_mechanism, standard_registry, SummaryRegistry, SummarySpec};
 pub use traits::{DiffEstimate, Reconciler, SetSummary, SummaryError, SummarySizing};
 
 /// Stable protocol identifier of a summary mechanism.

@@ -4,11 +4,15 @@
 //! build a digest, how to decode one from wire bytes, and the analytic
 //! cost/accuracy advisors that transfer policy scores instead of
 //! hardcoding mechanism-specific thresholds. Entry points are plain
-//! function pointers, so a registry is cheap to build, `Clone`, and
-//! deterministic to iterate (specs are kept sorted by id).
+//! function pointers, so a registry is an immutable table, deterministic
+//! to iterate (specs are kept sorted by id). The shipped mechanisms form
+//! one such table, [`standard_registry`], built once per process.
 
-use crate::traits::{DiffEstimate, Reconciler, SetSummary, SummaryError, SummarySizing};
-use crate::SummaryId;
+use std::sync::OnceLock;
+
+use super::traits::{DiffEstimate, Reconciler, SetSummary, SummaryError, SummarySizing};
+use super::SummaryId;
+use crate::exact::digest::{hash_set_spec, riblt_spec, whole_set_spec};
 
 /// Builds a digest over a key set.
 pub(crate) type BuildFn = fn(&SummarySizing, &DiffEstimate, &[u64]) -> Box<dyn SetSummary>;
@@ -38,32 +42,21 @@ pub struct SummarySpec {
     pub expected_recall: AdviseFn,
 }
 
-/// An ordered, duplicate-free collection of [`SummarySpec`]s.
-#[derive(Debug, Clone, Default)]
+/// A table of [`SummarySpec`]s, sorted by id.
+#[derive(Debug)]
 pub struct SummaryRegistry {
     specs: Vec<SummarySpec>,
 }
 
 impl SummaryRegistry {
-    /// Creates an empty registry.
+    /// Builds a table of `specs`, sorted by id. The ids must be
+    /// distinct, and [`SummaryId::NONE`], which names no mechanism, must
+    /// not appear.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a mechanism. Fails on a duplicate id or on the reserved
-    /// [`SummaryId::NONE`].
-    pub fn register(&mut self, spec: SummarySpec) -> Result<(), SummaryError> {
-        if spec.id == SummaryId::NONE {
-            return Err(SummaryError::DuplicateId(SummaryId::NONE));
-        }
-        match self.specs.binary_search_by_key(&spec.id, |s| s.id) {
-            Ok(_) => Err(SummaryError::DuplicateId(spec.id)),
-            Err(at) => {
-                self.specs.insert(at, spec);
-                Ok(())
-            }
-        }
+    pub fn from_specs(specs: impl IntoIterator<Item = SummarySpec>) -> Self {
+        let mut specs: Vec<SummarySpec> = specs.into_iter().collect();
+        specs.sort_by_key(|s| s.id);
+        Self { specs }
     }
 
     /// Looks up a mechanism by id.
@@ -73,11 +66,6 @@ impl SummaryRegistry {
             .binary_search_by_key(&id, |s| s.id)
             .ok()
             .map(|at| &self.specs[at])
-    }
-
-    /// Looks up a mechanism, or errors with [`SummaryError::Unknown`].
-    pub(crate) fn require(&self, id: SummaryId) -> Result<&SummarySpec, SummaryError> {
-        self.get(id).ok_or(SummaryError::Unknown(id))
     }
 
     /// All registered ids, ascending.
@@ -111,13 +99,31 @@ impl SummaryRegistry {
         estimate: &DiffEstimate,
         keys: &[u64],
     ) -> Result<Box<dyn SetSummary>, SummaryError> {
-        Ok((self.require(id)?.build)(sizing, estimate, keys))
+        let spec = self.get(id).ok_or(SummaryError::Unknown(id))?;
+        Ok((spec.build)(sizing, estimate, keys))
     }
 
     /// Convenience: decodes a wire body under `id`.
     pub fn decode(&self, id: SummaryId, body: &[u8]) -> Result<Box<dyn Reconciler>, SummaryError> {
-        (self.require(id)?.decode)(body)
+        (self.get(id).ok_or(SummaryError::Unknown(id))?.decode)(body)
     }
+}
+
+/// The standard registry: whole-set, hash-set, Bloom, ART and RIBLT,
+/// built once per process and shared by every session, link and
+/// experiment cell.
+#[must_use]
+pub fn standard_registry() -> &'static SummaryRegistry {
+    static STANDARD: OnceLock<SummaryRegistry> = OnceLock::new();
+    STANDARD.get_or_init(|| {
+        SummaryRegistry::from_specs([
+            whole_set_spec(),
+            hash_set_spec(),
+            crate::bloom::digest::spec(),
+            crate::art::digest::spec(),
+            riblt_spec(),
+        ])
+    })
 }
 
 /// Scores every registered mechanism by its advertised costs — wire
@@ -193,35 +199,21 @@ mod tests {
     }
 
     #[test]
-    fn register_lookup_and_order() {
-        let mut reg = SummaryRegistry::new();
-        reg.register(fake_spec(SummaryId(9))).unwrap();
-        reg.register(fake_spec(SummaryId(3))).unwrap();
+    fn from_specs_sorts_and_looks_up() {
+        let reg = SummaryRegistry::from_specs([fake_spec(SummaryId(9)), fake_spec(SummaryId(3))]);
         assert_eq!(reg.ids(), vec![SummaryId(3), SummaryId(9)]);
         assert_eq!(reg.len(), 2);
         assert!(reg.get(SummaryId(3)).is_some());
         assert!(reg.get(SummaryId(4)).is_none());
         assert_eq!(
-            reg.require(SummaryId(4)).unwrap_err(),
+            reg.decode(SummaryId(4), &[]).unwrap_err(),
             SummaryError::Unknown(SummaryId(4))
         );
     }
 
     #[test]
-    fn duplicates_and_reserved_rejected() {
-        let mut reg = SummaryRegistry::new();
-        reg.register(fake_spec(SummaryId(7))).unwrap();
-        assert_eq!(
-            reg.register(fake_spec(SummaryId(7))).unwrap_err(),
-            SummaryError::DuplicateId(SummaryId(7))
-        );
-        assert!(reg.register(fake_spec(SummaryId::NONE)).is_err());
-    }
-
-    #[test]
     fn build_and_decode_dispatch() {
-        let mut reg = SummaryRegistry::new();
-        reg.register(fake_spec(SummaryId(2))).unwrap();
+        let reg = SummaryRegistry::from_specs([fake_spec(SummaryId(2))]);
         let est = DiffEstimate::new(10, 10, 5);
         let digest = reg
             .build(SummaryId(2), &SummarySizing::default(), &est, &[1, 2])
@@ -243,5 +235,55 @@ mod tests {
         // B ⊂ A: nothing new, Δ = A∖B.
         let est = DiffEstimate::new(100, 60, 0);
         assert_eq!(est.expected_delta, 40);
+    }
+
+    #[test]
+    fn standard_registry_holds_all_five() {
+        let reg = standard_registry();
+        assert_eq!(
+            reg.ids(),
+            vec![
+                SummaryId::WHOLE_SET,
+                SummaryId::HASH_SET,
+                SummaryId::BLOOM,
+                SummaryId::ART,
+                SummaryId::RIBLT,
+            ]
+        );
+        for spec in reg.iter() {
+            assert_eq!(spec.label, spec.id.label(), "labels agree with ids");
+        }
+        assert!(reg.get(SummaryId::NONE).is_none());
+    }
+
+    #[test]
+    fn every_mechanism_ignores_the_order_of_the_searched_set() {
+        let reg = standard_registry();
+        let ours: Vec<u64> = (0..60u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        // Half shared, half new, in a scrambled order with a repeat.
+        let mut theirs: Vec<u64> = ours[30..].to_vec();
+        theirs.extend((1000..1030u64).map(|i| i.wrapping_mul(0xD6E8_FEB8_6659_FD93)));
+        theirs.reverse();
+        theirs.swap(7, 41);
+        theirs.push(theirs[3]);
+        let mut sorted = theirs.clone();
+        sorted.sort_unstable();
+        let sizing = SummarySizing::default();
+        let estimate = DiffEstimate::new(ours.len(), theirs.len(), 30);
+        for spec in reg.iter() {
+            let body = (spec.build)(&sizing, &estimate, &ours).encode_body();
+            let reconciler = reg.decode(spec.id, &body).expect("decodes");
+            let answer = reconciler.missing_at_peer(&theirs);
+            assert_eq!(answer, reconciler.missing_at_peer(&sorted), "{}", spec.label);
+            assert!(answer.windows(2).all(|w| w[0] < w[1]), "{} sorted, no repeats", spec.label);
+        }
+    }
+
+    #[test]
+    fn standard_registry_is_stable() {
+        let a = standard_registry();
+        let b = standard_registry();
+        assert!(std::ptr::eq(a, b));
+        assert_eq!(a.len(), 5);
     }
 }

@@ -1,7 +1,7 @@
 //! The two traits every mechanism implements, plus the sizing and
 //! estimate inputs their constructors consume.
 
-use crate::SummaryId;
+use super::SummaryId;
 
 /// Errors surfaced by summary construction and decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -10,8 +10,6 @@ pub enum SummaryError {
     Malformed(&'static str),
     /// The id is not present in the registry consulted.
     Unknown(SummaryId),
-    /// An id was registered twice.
-    DuplicateId(SummaryId),
 }
 
 impl std::fmt::Display for SummaryError {
@@ -19,7 +17,6 @@ impl std::fmt::Display for SummaryError {
         match self {
             Self::Malformed(why) => write!(f, "malformed summary body: {why}"),
             Self::Unknown(id) => write!(f, "summary id {id} not registered"),
-            Self::DuplicateId(id) => write!(f, "summary id {id} registered twice"),
         }
     }
 }
@@ -111,12 +108,6 @@ pub trait Reconciler: std::fmt::Debug + Send + Sync {
     /// duplicates, so callers get the same answer however `local` is
     /// ordered.
     fn missing_at_peer(&self, local: &[u64]) -> Vec<u64>;
-
-    /// Whether the mechanism recovers the difference exactly (whole-set
-    /// and, when its prefix peels, the rateless IBLT).
-    fn is_exact(&self) -> bool {
-        false
-    }
 }
 
 /// Receiver-side digest of a working set.

@@ -2,7 +2,7 @@
 //! contract under arbitrary workloads, serialization totality, union
 //! coverage, and the one-sided error reconciliation relies on.
 
-use icd_bloom::BloomFilter;
+use icd_sketch::bloom::BloomFilter;
 use proptest::prelude::*;
 use std::collections::HashSet;
 

@@ -7,8 +7,7 @@
 //! with a consistent header and garbage cells, every truncation of a
 //! valid body, and valid bodies with flipped bits.
 
-use icd_recon::standard_registry;
-use icd_summary::{DiffEstimate, SummaryError, SummaryId, SummarySizing};
+use icd_sketch::{standard_registry, DiffEstimate, SummaryError, SummaryId, SummarySizing};
 use proptest::prelude::*;
 
 /// Decodes `body` and, if it decodes, checks the reconciler's answer.

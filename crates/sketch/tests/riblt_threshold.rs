@@ -11,9 +11,8 @@
 //!
 //! Run with `--nocapture` to see the measured ratios.
 
-use icd_recon::riblt::{Encoder, Peeler};
-use icd_recon::standard_registry;
-use icd_summary::{DiffEstimate, SummaryId, SummarySizing};
+use icd_sketch::exact::riblt::{Encoder, Peeler};
+use icd_sketch::{standard_registry, DiffEstimate, SummaryId, SummarySizing};
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 
 /// Keys shared by both sides in every geometry: they cancel in the

@@ -32,7 +32,7 @@ use icd_overlay::net::{ConnectSpec, Link, NodeId, OverlayNet, RunLimit, StopReas
 use icd_overlay::scenario::ScenarioParams;
 use icd_overlay::strategy::StrategyKind;
 use icd_overlay::SymbolId;
-use icd_summary::SummaryId;
+use icd_sketch::SummaryId;
 use icd_util::idset::{IdSet, IdUniverse};
 use icd_util::rng::{Rng64, SplitMix64, Xoshiro256StarStar};
 
@@ -742,7 +742,7 @@ impl Swarm {
         if self.faults_applied > before {
             let (fault, peer) = fault_label(event);
             self.trace(TraceEvent::FaultApplied {
-                fault: fault.to_string(),
+                fault: fault.into(),
                 peer: peer as u64,
             });
         }

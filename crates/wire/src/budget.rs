@@ -6,62 +6,55 @@
 //! cost "a modest amount of space ... a gigabyte of content will
 //! typically require a summary on the order of 10KB"; §5.2 sizes a Bloom
 //! filter for 10 000 packets at "five 1 KB packets". Each claim has a
-//! function here returning the actual encoded size of the corresponding
-//! message, and a test pinning it to the paper's figure.
-
-use icd_art::{ArtDigest, SummaryParams};
-use icd_bloom::{BloomDigest, BloomFilter};
-use icd_sketch::{MinwiseSketch, PermutationFamily};
-use icd_summary::{SetSummary, SummaryId};
-
-use crate::message::Message;
+//! test here that encodes the corresponding message and pins its size
+//! to the paper's figure.
 
 /// The canonical packet size the paper budgets against.
 pub const PACKET_BYTES: usize = 1024;
 
-/// Number of whole packets a message of `bytes` occupies.
-#[must_use]
-pub fn packets_needed(bytes: usize) -> usize {
-    bytes.div_ceil(PACKET_BYTES)
-}
-
-/// Encoded size of a standard (128-permutation) min-wise sketch message
-/// for a working set of `keys`.
-#[must_use]
-pub fn minwise_message_size(keys: &[u64]) -> usize {
-    let family = PermutationFamily::standard(0);
-    let sketch = MinwiseSketch::from_keys(&family, keys.iter().copied());
-    Message::Minwise(sketch).encoded_size()
-}
-
-/// Encoded size of a Bloom summary frame at `bits_per_element` for
-/// `keys`.
-#[must_use]
-pub fn bloom_message_size(keys: &[u64], bits_per_element: f64) -> usize {
-    let filter = BloomFilter::from_keys(keys.iter().copied(), bits_per_element, 0);
-    summary_frame(SummaryId::BLOOM, &BloomDigest::from_filter(filter)).encoded_size()
-}
-
-/// Encoded size of a standard (8 bits/element) ART summary frame for
-/// `keys`.
-#[must_use]
-pub fn art_message_size(keys: &[u64]) -> usize {
-    let digest = ArtDigest::build(keys, SummaryParams::standard());
-    summary_frame(SummaryId::ART, &digest).encoded_size()
-}
-
-/// Wraps any digest in the generic summary frame.
-fn summary_frame(id: SummaryId, digest: &dyn SetSummary) -> Message {
-    Message::Summary {
-        summary_id: id.0,
-        body: digest.encode_body(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Message;
+    use icd_sketch::art::{ArtDigest, SummaryParams};
+    use icd_sketch::bloom::{BloomDigest, BloomFilter};
+    use icd_sketch::{MinwiseSketch, PermutationFamily, SetSummary, SummaryId};
     use icd_util::rng::{Rng64, Xoshiro256StarStar};
+
+    /// Number of whole packets a message of `bytes` occupies.
+    fn packets_needed(bytes: usize) -> usize {
+        bytes.div_ceil(PACKET_BYTES)
+    }
+
+    /// Encoded size of a standard (128-permutation) min-wise sketch
+    /// message for a working set of `keys`.
+    fn minwise_message_size(keys: &[u64]) -> usize {
+        let family = PermutationFamily::standard(0);
+        let sketch = MinwiseSketch::from_keys(&family, keys.iter().copied());
+        Message::Minwise(sketch).encoded_size()
+    }
+
+    /// Encoded size of a Bloom summary frame at `bits_per_element` for
+    /// `keys`.
+    fn bloom_message_size(keys: &[u64], bits_per_element: f64) -> usize {
+        let filter = BloomFilter::from_keys(keys.iter().copied(), bits_per_element, 0);
+        summary_frame(SummaryId::BLOOM, &BloomDigest::from_filter(filter)).encoded_size()
+    }
+
+    /// Encoded size of a standard (8 bits/element) ART summary frame for
+    /// `keys`.
+    fn art_message_size(keys: &[u64]) -> usize {
+        let digest = ArtDigest::build(keys, SummaryParams::standard());
+        summary_frame(SummaryId::ART, &digest).encoded_size()
+    }
+
+    /// Wraps any digest in the generic summary frame.
+    fn summary_frame(id: SummaryId, digest: &dyn SetSummary) -> Message {
+        Message::Summary {
+            summary_id: id.0,
+            body: digest.encode_body(),
+        }
+    }
 
     fn keys(n: usize) -> Vec<u64> {
         let mut rng = Xoshiro256StarStar::new(0xB0D9E7);

@@ -15,9 +15,7 @@ use icd_overlay::receiver::Receiver;
 use icd_overlay::scenario::ScenarioParams;
 use icd_overlay::strategy::{FullSender, ReceiverHandshake, StrategyKind};
 use icd_overlay::transfer::handshake_estimate;
-use icd_recon::shared_registry;
-use icd_sketch::PermutationFamily;
-use icd_summary::{SummaryId, SummarySizing};
+use icd_sketch::{standard_registry, PermutationFamily, SummaryId, SummarySizing};
 use icd_util::hash::mix64;
 
 fn main() {
@@ -64,13 +62,13 @@ fn main() {
         &c_set,
         &SummarySizing::default(),
         &family,
-        shared_registry(),
+        standard_registry(),
         &handshake_estimate(c_set.len(), d_set.len(), needed),
         None,
     );
     let per_peer = needed / 2;
     let mut peers = [(d_set, 1), (e_set, 2)]
-        .map(|(set, seed)| handshake.sender(strategy, &set, None, shared_registry(), seed, per_peer));
+        .map(|(set, seed)| handshake.sender(strategy, &set, None, standard_registry(), seed, per_peer));
     // The parent still trickles fresh symbols: model its 1/4 rate by
     // letting it send on every 4th tick via a full sender we gate below.
     let mut parent = FullSender::new(0);

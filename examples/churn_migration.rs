@@ -9,7 +9,7 @@
 use icd_overlay::churn::{run_with_migration, MigrationConfig};
 use icd_overlay::scenario::ScenarioParams;
 use icd_overlay::strategy::StrategyKind;
-use icd_summary::SummaryId;
+use icd_sketch::SummaryId;
 
 fn main() {
     let n = 6_000usize;

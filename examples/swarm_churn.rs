@@ -25,7 +25,7 @@ fn main() {
     println!("== {peers}-peer power-law swarm, n={blocks} blocks, 10% churn ==\n");
     for (label, strategy) in [
         ("Random/BF", SwarmStrategy::Fixed(icd_overlay::strategy::StrategyKind::RandomSummary(
-            icd_summary::SummaryId::BLOOM,
+            icd_sketch::SummaryId::BLOOM,
         ))),
         ("advised (recode)", SwarmStrategy::Advised { recode: true }),
     ] {

@@ -13,8 +13,8 @@
 set -euo pipefail
 
 declare -A CEILING=(
-    [art]=4 [bench]=6 [bloom]=1 [core]=2 [fountain]=5 [node]=27 [obs]=6
-    [overlay]=12 [recon]=3 [sketch]=0 [summary]=6 [swarm]=2 [util]=5 [wire]=6
+    [bench]=6 [core]=2 [fountain]=5 [node]=27 [obs]=6 [overlay]=12
+    [sketch]=13 [swarm]=2 [util]=5 [wire]=6
 )
 
 cd "$(dirname "$0")/.."

@@ -19,7 +19,7 @@
 set -euo pipefail
 
 # Lower this whenever the allowlist shrinks; never raise it.
-ALLOW_CEILING=48
+ALLOW_CEILING=44
 
 cd "$(dirname "$0")/.."
 ALLOW=scripts/pub_audit.allow

@@ -1,9 +1,9 @@
 //! Property-based tests on the core data-structure invariants that the
 //! informed-delivery protocol relies on, exercised across crates.
 
-use icd_art::{search_differences, ArtParams, ArtSummary, ReconciliationTree, SummaryParams};
-use icd_bloom::BloomFilter;
 use icd_fountain::{DecodeStatus, Decoder, Encoder};
+use icd_sketch::art::{search_differences, ArtParams, ArtSummary, ReconciliationTree, SummaryParams};
+use icd_sketch::bloom::BloomFilter;
 use icd_sketch::{MinwiseSketch, PermutationFamily};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -91,7 +91,7 @@ proptest! {
         a_only in proptest::collection::hash_set(any::<u64>(), 0..10),
         b_only in proptest::collection::hash_set(any::<u64>(), 0..10),
     ) {
-        use icd_recon::riblt::{Encoder, Peeler};
+        use icd_sketch::exact::riblt::{Encoder, Peeler};
         let a_only: HashSet<u64> = a_only.difference(&shared).copied().collect();
         let b_only: HashSet<u64> = b_only
             .difference(&shared)
@@ -120,7 +120,7 @@ proptest! {
 /// never contradict each other on what is "definitely missing".
 #[test]
 fn reconciliation_methods_agree_on_one_sidedness() {
-    use icd_recon::cost::{measure_all, Scenario};
+    use icd_sketch::exact::cost::{measure_all, Scenario};
     for seed in [1u64, 2, 3] {
         let scenario = Scenario::generate(3000, 80, seed);
         let report = measure_all(&scenario);

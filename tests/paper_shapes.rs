@@ -8,7 +8,7 @@ use icd_bench::experiments::art_accuracy::accuracy_cell;
 use icd_bench::ExpConfig;
 use icd_overlay::scenario::{MultiSenderScenario, ScenarioParams, TwoPeerScenario};
 use icd_overlay::strategy::StrategyKind;
-use icd_summary::SummaryId;
+use icd_sketch::SummaryId;
 use icd_overlay::transfer::{
     random_strategy_analytic_overhead, run_multi_partial, run_transfer, run_with_full_sender,
 };

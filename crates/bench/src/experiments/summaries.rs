@@ -14,8 +14,8 @@
 //!   mechanism in the tick-loop simulator: the paper's Figure-5 shape,
 //!   but with the digest pluggable.
 //! * [`selection_report`] — no transfer at all: the mechanism the
-//!   policy's scorer picks, at default and at precision knobs, for the
-//!   link geometries the benchmark workloads run.
+//!   policy's scorer picks, at default and at precision knobs, on the
+//!   benchmark workloads' links that select one.
 //!
 //! Adding a mechanism to the registry adds a row to both tables without
 //! touching this file — the whole point of the trait API.
@@ -251,63 +251,22 @@ pub fn overlay_matrix(cfg: &ExpConfig) -> Table {
     table
 }
 
-/// A link geometry of the selection report: label, receiver set size,
-/// sender set size and the two sets' resemblance.
-type LinkGeometry = (String, u64, u64, f64);
-
-/// Sets of `a` and `b` symbols with `shared` in common.
-fn link(label: impl Into<String>, a: u64, b: u64, shared: u64) -> LinkGeometry {
-    (label.into(), a, b, shared as f64 / (a + b - shared) as f64)
-}
-
-/// The benchmark workloads' link geometries, each as the link first
-/// sees it (later rounds only grow the sets), then the grid the policy
-/// tests sweep (`default_knobs_never_select_riblt`).
-fn selection_geometries() -> Vec<LinkGeometry> {
-    let mut out = Vec::new();
-    // fig5-sweep: Figure 5's two systems at n = 23 968, ten correlation
-    // points each up to the system's cap.
-    for (system, params) in [
-        ("compact", ScenarioParams::compact(23_968, 0)),
-        ("stretched", ScenarioParams::stretched(23_968, 0)),
-    ] {
-        let max = params.max_two_peer_correlation() - 1e-9;
-        for i in 0..10 {
-            let correlation = max * f64::from(i) / 9.0;
-            let s = TwoPeerScenario::build(&params, correlation);
-            let (a, b) = (s.receiver_set.len() as u64, s.sender_set.len() as u64);
-            let shared = (s.correlation * b as f64).round() as u64;
-            out.push(link(format!("fig5-sweep {system} c={}", f3(correlation)), a, b, shared));
-        }
-    }
-    // ring5-* (one seeder holds the universe, leechers a random share
-    // each) and swarm10k (seeds hold a pool of 1.1 × 64 symbols,
-    // ordinary peers half of it). Two random shares overlap in
-    // share² / universe symbols on average.
-    for (name, universe, share) in [
-        ("ring5-p16k", 100, 37),
-        ("ring5-p64", 80, 30),
-        ("swarm10k", 70, 35),
-    ] {
-        out.push(link(format!("{name} from seeder"), share, universe, share));
-        let overlap = (share * share) as f64 / universe as f64;
-        out.push(link(format!("{name} from peer"), share, share, overlap.round() as u64));
-    }
-    // file-pair-32m: a universe of 1.4 l symbols at l = 23 968; the
-    // receiver holds its first 60 %, the sender its last 60 %.
-    let universe = (1.4 * 23_968.0_f64).round() as u64;
-    let side = (0.6 * universe as f64).round() as u64;
-    out.push(link("file-pair-32m", side, side, 2 * side - universe));
-    let sizes = [16u64, 64, 100, 1_600, 20_000];
-    for a in sizes {
-        for b in sizes {
-            for r in [0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.98, 0.985] {
-                out.push(("grid".to_string(), a, b, r));
-            }
-        }
-    }
-    out
-}
+/// The links of the benchmark workloads whose sessions select a
+/// mechanism, as each link first sees them (later rounds only grow the
+/// sets): label, receiver symbols, sender symbols, shared symbols.
+/// `ring5-*` leechers hold a random share of the universe (37 of 100,
+/// 30 of 80), and two shares overlap in share² / universe symbols on
+/// average. `file-pair-32m`'s sides hold the first and the last 60 % of
+/// a universe of 1.4 l symbols at l = 23 968. `fig5-sweep` and
+/// `swarm10k` run fixed Bloom strategies and select nothing; the policy
+/// tests pin the synthetic grid.
+const SELECTION_LINKS: [(&str, u64, u64, u64); 5] = [
+    ("ring5-p16k from seeder", 37, 100, 37),
+    ("ring5-p16k from peer", 37, 37, 14),
+    ("ring5-p64 from seeder", 30, 80, 30),
+    ("ring5-p64 from peer", 30, 30, 11),
+    ("file-pair-32m", 20_133, 20_133, 6_711),
+];
 
 /// The selection report: per link geometry, the mechanism
 /// [`select_summary`] picks from the standard registry at default knobs
@@ -327,7 +286,8 @@ pub fn selection_report() -> Table {
         "Summary selection: mechanism select_summary picks per link geometry",
         &["geometry", "receiver", "sender", "resemblance", "default", "precision"],
     );
-    for (label, a, b, r) in selection_geometries() {
+    for (label, a, b, shared) in SELECTION_LINKS {
+        let r = shared as f64 / (a + b - shared) as f64;
         let estimate = OverlapEstimate::from_resemblance(r, a, b);
         let pick = |knobs: &PolicyKnobs| {
             select_summary(&estimate, knobs, &SummarySizing::default(), standard_registry())
@@ -335,7 +295,7 @@ pub fn selection_report() -> Table {
                 .to_string()
         };
         let default = pick(&PolicyKnobs::default());
-        let row = vec![label, a.to_string(), b.to_string(), f3(r), default, pick(&precision)];
+        let row = vec![label.to_string(), a.to_string(), b.to_string(), f3(r), default, pick(&precision)];
         table.push_row(row);
     }
     table

@@ -56,6 +56,11 @@ impl SummaryRegistry {
     pub fn from_specs(specs: impl IntoIterator<Item = SummarySpec>) -> Self {
         let mut specs: Vec<SummarySpec> = specs.into_iter().collect();
         specs.sort_by_key(|s| s.id);
+        debug_assert!(
+            specs.windows(2).all(|w| w[0].id < w[1].id)
+                && specs.first().is_none_or(|s| s.id != SummaryId::NONE),
+            "registry ids must be distinct and not NONE"
+        );
         Self { specs }
     }
 
@@ -209,6 +214,20 @@ mod tests {
             reg.decode(SummaryId(4), &[]).unwrap_err(),
             SummaryError::Unknown(SummaryId(4))
         );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "distinct and not NONE")]
+    fn duplicate_ids_rejected() {
+        let _ = SummaryRegistry::from_specs([fake_spec(SummaryId(2)), fake_spec(SummaryId(2))]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "distinct and not NONE")]
+    fn reserved_id_rejected() {
+        let _ = SummaryRegistry::from_specs([fake_spec(SummaryId::NONE)]);
     }
 
     #[test]

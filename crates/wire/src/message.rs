@@ -6,7 +6,7 @@
 //! and a dedicated proptest in the integration suite.
 //!
 //! Fine-grained summaries travel in one *generic tagged frame*
-//! ([`Message::Summary`]): a stable mechanism id (`icd-summary`'s
+//! ([`Message::Summary`]): a stable mechanism id (`icd-sketch`'s
 //! `SummaryId`), the declared element width, and an opaque body the
 //! mechanism's own codec owns. The wire layer never interprets the body
 //! — adding a summary mechanism touches the registry, not this file.

@@ -42,6 +42,11 @@
 //!   installed: the share of `Swarm::run` wall time spent in each of
 //!   `icd_swarm::PROFILE_SCOPES` (`split_*_pct`), plus how much of the
 //!   run the three tiling scopes cover (`split_covered_pct`).
+//! * **swarm bytes** — one churned-swarm run, first in the process:
+//!   `Swarm::bytes_held` after the run (`swarm_bytes_held_mb`, the
+//!   per-structure breakdown in its detail) and the share of that run's
+//!   `VmHWM` growth the breakdown accounts for
+//!   (`swarm_bytes_held_pct`).
 //!
 //! If an output file already exists, its metrics are read *before*
 //! overwriting and a per-probe `DELTA <name> <old> -> <new> (±x.x%)`
@@ -91,7 +96,9 @@ fn main() {
     // every run prints its own before/after delta table.
     let previous = std::fs::read_to_string(&out_path).ok();
 
-    let mut probes = Vec::new();
+    // First, while the process is fresh: the footprint probe reads the
+    // VmHWM growth of its own run.
+    let mut probes = Vec::from(swarm_bytes_probes(quick));
     probes.push(decode_probe(quick));
     let (generate, substitute) = recode_probes(quick);
     probes.push(generate);
@@ -546,6 +553,37 @@ fn swarm_split_probes(quick: bool) -> Vec<Probe> {
             .to_string(),
     });
     probes
+}
+
+/// Where one churned-swarm run's bytes sit: `Swarm::bytes_held` after
+/// `run`, and its share of the `VmHWM` growth across `Swarm::new` plus
+/// `run`. Called first in the process, so that growth is this run's.
+fn swarm_bytes_probes(quick: bool) -> [Probe; 2] {
+    let (cfg, _, blocks) = churned_swarm_config(quick);
+    let before = icd_bench::peak_rss_mb().unwrap_or(0.0);
+    let mut swarm = icd_swarm::Swarm::new(cfg, SEED ^ 13);
+    let out = swarm.run();
+    assert!(out.all_complete(), "footprint swarm probe failed to complete");
+    let growth = icd_bench::peak_rss_mb().unwrap_or(0.0) - before;
+    let held = swarm.bytes_held();
+    let held_mb = held.total() as f64 / f64::from(1 << 20);
+    [
+        Probe {
+            name: "swarm_bytes_held_mb",
+            value: held_mb,
+            unit: "MB",
+            detail: format!("{}-peer churned swarm, n={blocks}, after run: {held}", out.peers),
+        },
+        Probe {
+            name: "swarm_bytes_held_pct",
+            value: if growth > 0.0 { held_mb / growth * 100.0 } else { 0.0 },
+            unit: "%",
+            detail: format!(
+                "swarm_bytes_held_mb over the {growth:.1} MB VmHWM growth across \
+                 Swarm::new + run (0 where procfs is unavailable)"
+            ),
+        },
+    ]
 }
 
 /// Peak resident set after every swarm probe has run — the "does the

@@ -13,8 +13,10 @@
 //! ```
 //!
 //! Scaled runs print the completed-peer count, engine event total, and
-//! peak RSS (`icd_bench::peak_rss_mb`), so a 100k-node invocation
-//! doubles as the memory-footprint report. Churn volume scales with the
+//! peak RSS (`icd_bench::peak_rss_mb`), then the engine's byte breakdown
+//! (`Swarm::bytes_held`) and the share of the run's `VmHWM` growth it
+//! accounts for, so a 100k-node invocation doubles as the
+//! memory-footprint report. Churn volume scales with the
 //! roster (10% leavers, 1% joins, 2% rewires) and the tick window grows
 //! with `peers` so the leave/rejoin schedule stays feasible; all
 //! derived assertions are written in terms of `peers`, not literals —
@@ -61,19 +63,24 @@ fn run_grid(peers: usize, threads: usize) -> Vec<SwarmOutcome> {
 #[test]
 fn power_law_swarm_completes_under_churn() {
     let peers = scale();
+    // The footprint report runs first and alone: `VmHWM` only rises, so
+    // its growth across this one `Swarm::new` + `run` is that run's.
+    let before = icd_bench::peak_rss_mb();
+    let mut swarm = Swarm::new(power_law_config(peers), 0xA11);
+    let out = swarm.run();
+    report(peers, &out, before, &swarm);
+    assert_scaled(peers, &out);
+    drop(swarm);
     if peers > 20_000 {
         // The huge geometries run one cell, once — the point is the
         // completion + footprint report, not the thread-parity smoke
         // (pinned below at CI scale).
-        let out = Swarm::new(power_law_config(peers), 0xA11).run();
-        report(peers, &out);
-        assert_scaled(peers, &out);
         return;
     }
     let serial = run_grid(peers, 1);
     let parallel = run_grid(peers, 8);
     assert_eq!(serial, parallel, "1-thread vs 8-thread outcomes diverged");
-    report(peers, &serial[0]);
+    assert_eq!(serial[0], out, "the grid's first cell is the reported run");
     for out in &serial {
         assert_scaled(peers, out);
     }
@@ -103,11 +110,22 @@ fn assert_scaled(peers: usize, out: &SwarmOutcome) {
     assert!(out.rejoins > 0 && out.rewires > 0);
 }
 
-fn report(peers: usize, out: &SwarmOutcome) {
-    let rss = icd_bench::peak_rss_mb()
-        .map_or_else(|| "n/a".to_string(), |mb| format!("{mb:.1}"));
+/// Prints the completion line and the byte breakdown. `before` is the
+/// `VmHWM` read before the swarm was built.
+fn report(peers: usize, out: &SwarmOutcome, before: Option<f64>, swarm: &Swarm) {
+    let peak = icd_bench::peak_rss_mb();
+    let rss = peak.map_or_else(|| "n/a".to_string(), |mb| format!("{mb:.1}"));
     println!(
         "ICD_SCALE={peers}: {}/{} complete in {} ticks, {} events, peak RSS {rss} MB",
         out.completed, out.peers, out.ticks, out.events
     );
+    let held = swarm.bytes_held();
+    let coverage = match (before, peak) {
+        (Some(before), Some(peak)) if peak > before => {
+            let held_mb = held.total() as f64 / f64::from(1 << 20);
+            format!("{:.2} of the run's VmHWM growth", held_mb / (peak - before))
+        }
+        _ => "VmHWM growth n/a".to_string(),
+    };
+    println!("bytes held: {held} ({coverage})");
 }

@@ -42,9 +42,8 @@ pub mod summary;
 pub mod working_set;
 
 pub use machine::{
-    drive_receiver_with, drive_sender, DriveError, FramePump, MachineError,
-    PumpStep, ReceiverMachine, SenderMachine, SessionAction, SessionConfig, SessionError,
-    SessionEvent, WireStats,
+    drive_receiver_with, DriveError, FramePump, MachineError, PumpStep, ReceiverMachine,
+    SenderMachine, SessionAction, SessionConfig, SessionError, SessionEvent, WireStats,
 };
 pub use policy::{select_summary, PolicyKnobs, TransferPlan};
 pub use strategy::{StrategyKind, StrategySender};

@@ -46,9 +46,9 @@
 //! real sockets and in-memory queues.
 //!
 //! Drivers in this workspace:
-//! * [`drive_receiver_with`]/[`drive_sender`] run the machines over any
-//!   blocking `Read + Write` stream (the `icd-node` daemon and the
-//!   `tcp_reconcile` example);
+//! * [`drive_receiver_with`] runs a receiver over any blocking
+//!   `Read + Write` stream (the `icd-node` daemon's fetches; its
+//!   `serve_session` drives the sender the same way);
 //! * [`FramePump`] interleaves two machines over in-memory queues, one
 //!   frame per direction per step (`icd-node`'s `predict` steps one
 //!   pump per planned link in lockstep).
@@ -1143,51 +1143,49 @@ where
     })
 }
 
-/// Runs a [`SenderMachine`] over a blocking stream: feed inbound frames,
-/// write replies, stop when the session completes. The answer to the
-/// request is written as it is pulled, one frame at a time, through the
-/// stream's write buffer — no flush per frame; the buffer drains to the
-/// socket whenever it fills and once more when the session ends.
-/// Premature peer close or read timeout becomes a typed [`DriveError`]
-/// like the receiver side's.
-pub fn drive_sender<S: std::io::Read + std::io::Write>(
-    machine: &mut SenderMachine,
-    stream: &mut S,
-    limit: FrameLimit,
-) -> Result<WireStats, DriveError> {
-    buffered_session(stream, |stream| {
-        let mut stats = WireStats::default();
-        execute(
-            &machine.handle(SessionEvent::PeerConnected)?,
-            stream,
-            &mut stats,
-        )?;
-        let mut pulled = Vec::new();
-        while !machine.is_finished() {
-            if machine.next_frame(&mut pulled)? {
-                write_frames(&pulled, stream, &mut stats)?;
-                pulled.clear();
-                continue;
-            }
-            let frame = match read_frame_bytes(stream, limit) {
-                Ok(frame) => frame,
-                Err(e) => return Err(read_failure(e, stats)),
-            };
-            stats.count(&frame);
-            execute(
-                &machine.handle(SessionEvent::FrameReceived(frame))?,
-                stream,
-                &mut stats,
-            )?;
-        }
-        Ok(stats)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use icd_util::rng::{Rng64, Xoshiro256StarStar};
+
+    /// The sender's side of [`drive_receiver_with`] for these tests:
+    /// feed inbound frames, write replies, stop when the session
+    /// completes, pulling the answer one frame at a time through the
+    /// stream's write buffer. (`icd-node`'s `serve_session` is the
+    /// product's blocking sender loop.)
+    fn drive_sender<S: std::io::Read + std::io::Write>(
+        machine: &mut SenderMachine,
+        stream: &mut S,
+        limit: FrameLimit,
+    ) -> Result<WireStats, DriveError> {
+        buffered_session(stream, |stream| {
+            let mut stats = WireStats::default();
+            execute(
+                &machine.handle(SessionEvent::PeerConnected)?,
+                stream,
+                &mut stats,
+            )?;
+            let mut pulled = Vec::new();
+            while !machine.is_finished() {
+                if machine.next_frame(&mut pulled)? {
+                    write_frames(&pulled, stream, &mut stats)?;
+                    pulled.clear();
+                    continue;
+                }
+                let frame = match read_frame_bytes(stream, limit) {
+                    Ok(frame) => frame,
+                    Err(e) => return Err(read_failure(e, stats)),
+                };
+                stats.count(&frame);
+                execute(
+                    &machine.handle(SessionEvent::FrameReceived(frame))?,
+                    stream,
+                    &mut stats,
+                )?;
+            }
+            Ok(stats)
+        })
+    }
 
     /// Drives `receiver` over `stream` with no per-action observer.
     fn drive<S: std::io::Read + std::io::Write>(

@@ -39,6 +39,7 @@
 
 use icd_fountain::recode::PAPER_DEGREE_LIMIT;
 use icd_fountain::{EncodedSymbol, RecodePolicy, RecodeScratch, Recoder, SymbolId};
+use icd_util::mem::vec_bytes;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 use icd_util::symbol::SymbolBuf;
 
@@ -94,6 +95,16 @@ impl StrategyKind {
             StrategyKind::RandomSummary(id) | StrategyKind::RecodeSummary(id) => Some(*id),
             _ => None,
         }
+    }
+
+    /// Whether the strategy sends recoded symbols, so its receiver
+    /// buffers them for substitution.
+    #[must_use]
+    pub fn recodes(&self) -> bool {
+        matches!(
+            self,
+            StrategyKind::Recode | StrategyKind::RecodeSummary(_) | StrategyKind::RecodeMinwise
+        )
     }
 
     /// Whether the strategy needs min-wise sketches.
@@ -179,8 +190,9 @@ enum Pick {
     Draw(Vec<SymbolId>),
     /// Random/summary: the shuffled candidates, each sent once.
     Walk { ids: Vec<SymbolId>, next: usize },
-    /// The recoding strategies.
-    Recode(Recoder),
+    /// The recoding strategies. Boxed: a recoder is several times the
+    /// size of the other picks, and every live link holds a sender.
+    Recode(Box<Recoder>),
 }
 
 /// A sender bound to one receiver for the duration of a connection,
@@ -226,7 +238,7 @@ impl StrategySender {
             if ids.is_empty() {
                 return Pick::Walk { ids, next: 0 };
             }
-            Pick::Recode(match payloads {
+            Pick::Recode(Box::new(match payloads {
                 None => Recoder::from_ids(ids, PAPER_DEGREE_LIMIT, policy),
                 Some(working) => {
                     let symbols = ids
@@ -238,7 +250,7 @@ impl StrategySender {
                         .collect();
                     Recoder::new(symbols, PAPER_DEGREE_LIMIT, policy)
                 }
-            })
+            }))
         };
         let pick = match kind {
             StrategyKind::Random => Pick::Draw(pool),
@@ -255,6 +267,16 @@ impl StrategySender {
             StrategyKind::RecodeMinwise => recode(pool, RecodePolicy::MinwiseScaled { containment }),
         };
         Self { pick, rng }
+    }
+
+    /// Heap bytes behind this sender, by capacity: its id pool, or its
+    /// boxed recoder and everything the recoder holds.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        match &self.pick {
+            Pick::Draw(ids) | Pick::Walk { ids, .. } => vec_bytes(ids),
+            Pick::Recode(recoder) => std::mem::size_of::<Recoder>() + recoder.heap_bytes(),
+        }
     }
 
     /// Writes the next packet into `out` and returns `true`, or returns

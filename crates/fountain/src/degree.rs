@@ -29,6 +29,11 @@ pub(crate) struct DegreeDistribution {
 }
 
 impl DegreeDistribution {
+    /// Heap bytes of the CDF table, by capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        icd_util::mem::vec_bytes(&self.cdf)
+    }
+
     /// Builds a distribution from unnormalized weights over degrees
     /// `1..=weights.len()`. Zero-weight degrees are allowed.
     ///

@@ -29,6 +29,7 @@ use std::collections::hash_map::Entry;
 use bytes::Bytes;
 
 use icd_util::hash::FastHashMap;
+use icd_util::mem::{table_bytes, vec_bytes};
 use icd_util::rng::{DistinctSampler, Rng64};
 use icd_util::symbol::{SymbolBuf, SymbolPool};
 
@@ -195,6 +196,13 @@ impl Recoder {
         }
     }
 
+    /// Heap bytes behind this recoder, by capacity: the id array, the
+    /// packed payload arena and the degree table.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.ids) + vec_bytes(&self.payload_words) + self.distribution.heap_bytes()
+    }
+
     /// Draws the degree for the next symbol according to the policy.
     fn draw_degree<R: Rng64>(&self, rng: &mut R) -> usize {
         let base = self.distribution.sample(rng);
@@ -298,12 +306,14 @@ struct WatcherArena {
 }
 
 impl WatcherArena {
-    fn with_capacity(ids: usize) -> Self {
-        Self {
-            lists: FastHashMap::with_capacity_and_hasher(ids, Default::default()),
-            nodes: Vec::with_capacity(ids),
-            free: Vec::new(),
-        }
+    /// Makes room for `ids` watched ids and as many nodes.
+    fn reserve(&mut self, ids: usize) {
+        self.lists.reserve(ids.saturating_sub(self.lists.len()));
+        self.nodes.reserve(ids.saturating_sub(self.nodes.len()));
+    }
+
+    fn bytes(&self) -> usize {
+        table_bytes(&self.lists) + vec_bytes(&self.nodes) + vec_bytes(&self.free)
     }
 
     /// Registers pending `slot` as watching `id` (appended in FIFO
@@ -510,18 +520,49 @@ impl<P: RecodePayload> RecodeBuffer<P> {
         Self::default()
     }
 
-    /// Creates a buffer pre-sized for roughly `expected_known` symbols, so
-    /// the known map and watcher index never pay a mid-transfer rehash
-    /// chain.
+    /// Creates a buffer whose known side — the known map and the arrival
+    /// list — is pre-sized for roughly `expected_known` symbols, so it
+    /// never pays a mid-transfer rehash chain. The substitution side
+    /// (pending slots and the watcher index) starts empty: only recoded
+    /// symbols with two or more unknown components land there, so a
+    /// receiver behind recoding links sizes it with
+    /// [`RecodeBuffer::reserve_substitution`] before their first packet.
     #[must_use]
     pub fn with_capacity(expected_known: usize) -> Self {
         Self {
             known: FastHashMap::with_capacity_and_hasher(expected_known, Default::default()),
             arrivals: Vec::with_capacity(expected_known),
-            watchers: WatcherArena::with_capacity(expected_known / 2),
-            pending: Vec::with_capacity(expected_known / 2),
             ..Self::default()
         }
+    }
+
+    /// Sizes the substitution side for a transfer toward roughly
+    /// `expected_known` symbols: room for `expected_known / 2` pending
+    /// slots and watched ids. Capacity only — no outcome of
+    /// [`RecodeBuffer::receive`] depends on it — and a no-op once the
+    /// room is there.
+    pub fn reserve_substitution(&mut self, expected_known: usize) {
+        let want = expected_known / 2;
+        self.pending.reserve(want.saturating_sub(self.pending.len()));
+        self.watchers.reserve(want);
+    }
+
+    /// Heap bytes of the known side (the known map, the arrival list
+    /// and the stack every insertion cascades through), by capacity.
+    /// Payloads a `RecodeBuffer<Bytes>` shares by reference count are
+    /// not counted.
+    #[must_use]
+    pub fn known_bytes(&self) -> usize {
+        table_bytes(&self.known) + vec_bytes(&self.arrivals) + vec_bytes(&self.queue)
+    }
+
+    /// Heap bytes of the substitution side (pending slots, the watcher
+    /// index and the unknown-component scratch), by capacity: zero until
+    /// a symbol of degree two or more arrives or the side is reserved.
+    /// Accumulator payloads are not counted.
+    #[must_use]
+    pub fn substitution_bytes(&self) -> usize {
+        vec_bytes(&self.pending) + self.watchers.bytes() + vec_bytes(&self.unknown_ids)
     }
 
     /// Seeds the buffer with a symbol the receiver already holds,
@@ -559,11 +600,6 @@ impl<P: RecodePayload> RecodeBuffer<P> {
     #[must_use]
     pub fn known_count(&self) -> usize {
         self.known.len()
-    }
-
-    /// Iterates over all known ids, in the order they became known.
-    pub fn known_ids(&self) -> impl Iterator<Item = SymbolId> + '_ {
-        self.arrivals.iter().copied()
     }
 
     /// The ids that became known after the first `count`, in the order
@@ -883,6 +919,48 @@ mod tests {
             }
         }
         assert_eq!(decoder.into_content(data.len()).expect("complete"), data);
+    }
+
+    #[test]
+    fn reserving_the_substitution_side_changes_no_outcome() {
+        // Capacity only: a buffer that reserved, one that did not, and a
+        // bare `new()` one see the same recoveries in the same order.
+        let mut plain = RecodeBuffer::<()>::with_capacity(150);
+        let mut reserved = RecodeBuffer::<()>::with_capacity(150);
+        reserved.reserve_substitution(150);
+        assert_eq!(plain.substitution_bytes(), 0);
+        assert!(reserved.substitution_bytes() > 0);
+        let mut bare = RecodeBuffer::<()>::new();
+        let mut rng = Xoshiro256StarStar::new(9);
+        let mut buffers = [&mut plain, &mut reserved, &mut bare];
+        for id in 0..40 {
+            for buf in &mut buffers {
+                buf.add_known(id, (), |_, ()| {});
+            }
+        }
+        let mut components = Vec::new();
+        for _ in 0..2_000 {
+            let degree = 1 + rng.index(6);
+            components.clear();
+            components.extend(rng.sample_distinct(200, degree).into_iter().map(|i| i as SymbolId));
+            let outcomes: Vec<(usize, Vec<SymbolId>)> = buffers
+                .iter_mut()
+                .map(|buf| {
+                    let mut got = Vec::new();
+                    let n = buf.receive(&components, (), |id, ()| got.push(id));
+                    (n, got)
+                })
+                .collect();
+            assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "{components:?}: {outcomes:?}");
+        }
+        let arrivals: Vec<&[SymbolId]> = buffers.iter().map(|b| b.known_since(0)).collect();
+        assert!(arrivals.windows(2).all(|w| w[0] == w[1]));
+        assert!(arrivals[0].len() > 100, "the stream must exercise the cascade");
+        let counts: Vec<(usize, u64)> = buffers
+            .iter()
+            .map(|b| (b.pending_count(), b.redundant_count()))
+            .collect();
+        assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
     }
 
     #[test]

@@ -311,9 +311,9 @@ pub fn serve_session<S: Read + Write>(
 /// [`crate::retry::RetryPolicy`]) redials on a Live-epoch session.
 ///
 /// This is the daemon-side hook the deterministic chaos tests use; the
-/// loop books frames with [`WireStats::count`] exactly like the
-/// built-in drivers, so fault-free runs (`sever_after = None`) stay
-/// byte-identical to `drive_sender`.
+/// loop books frames with [`WireStats::count`] exactly like
+/// `fetch_session`, and fault-free runs (`sever_after = None`) are the
+/// plain serve.
 ///
 /// # Errors
 /// [`DriveError::Machine`] or a non-transient transport failure.

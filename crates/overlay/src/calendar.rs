@@ -16,6 +16,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use icd_util::mem::vec_bytes;
+
 use crate::net::Time;
 
 /// Ticks the wheel covers; one bit of the slot-occupancy word per tick.
@@ -50,6 +52,14 @@ impl SendCalendar {
             drain_word: 0,
             overflow: BinaryHeap::new(),
         }
+    }
+
+    /// Heap bytes of the slot bitsets and the overflow heap, by capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let slots: usize = self.slots.iter().map(vec_bytes).sum();
+        vec_bytes(&self.slots)
+            + slots
+            + self.overflow.capacity() * size_of::<Reverse<(Time, u32)>>()
     }
 
     /// Books `link` to send at tick `due` (never before the cursor).

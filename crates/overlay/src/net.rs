@@ -46,6 +46,7 @@ use icd_sketch::{
     DiffEstimate, MinwiseSketch, PermutationFamily, SummaryId, SummaryRegistry, SummarySizing,
 };
 use icd_util::hash::mix64;
+use icd_util::mem::vec_bytes;
 use icd_util::rng::{Rng64, SplitMix64, Xoshiro256StarStar};
 use icd_wire::budget::PACKET_BYTES;
 use icd_wire::framing::write_frame_buf;
@@ -233,10 +234,6 @@ struct NodeState {
     /// Cached §4 calling card of the *current* working set; invalidated
     /// whenever a delivery gains symbols.
     card: Option<MinwiseSketch>,
-    /// Cached sorted working set, invalidated with `card`. A stagnant
-    /// peer re-handshakes every inbound link in one maintenance pass,
-    /// and every one of those handshakes reads this same set.
-    keys: Option<Vec<SymbolId>>,
     /// Cached encoded digest bodies of the current working set, for the
     /// mechanisms whose build reads only the set and the sizing
     /// ([`estimate_free`]); invalidated with `card`.
@@ -266,7 +263,6 @@ impl NodeState {
             advertised: start_distinct,
             inventory,
             card: None,
-            keys: None,
             digests: Vec::new(),
             observer: false,
             seeder,
@@ -277,26 +273,27 @@ impl NodeState {
         }
     }
 
-    /// The node's current working set, sorted — seeders read their
-    /// static inventory, full peers their live receiver state. Built on
-    /// first use after a change.
-    fn working_keys(&mut self) -> &[SymbolId] {
-        self.keys.get_or_insert_with(|| {
-            if self.seeder {
-                let mut keys = self.inventory.clone();
-                keys.sort_unstable();
-                keys
-            } else {
-                self.receiver.working_set()
-            }
-        })
+    /// The node's current working set, unsorted — seeders read their
+    /// static inventory, full peers their receiver's arrival list.
+    fn working_ids(&self) -> &[SymbolId] {
+        if self.seeder {
+            &self.inventory
+        } else {
+            self.receiver.symbols_since(0)
+        }
     }
 
     /// Drops everything derived from the working set after it grew.
     fn working_set_changed(&mut self) {
         self.card = None;
-        self.keys = None;
         self.digests.clear();
+    }
+
+    /// Heap bytes of the cached calling card and digest bodies.
+    fn cache_bytes(&self) -> usize {
+        let card = self.card.as_ref().map_or(0, |c| size_of_val(c.minima()));
+        let bodies: usize = self.digests.iter().map(|(_, body)| vec_bytes(body)).sum();
+        card + vec_bytes(&self.digests) + bodies
     }
 
     fn working_len(&self) -> usize {
@@ -310,9 +307,7 @@ impl NodeState {
 
 /// A link's pump, statically dispatched: the send path is the engine's
 /// hottest instruction stream, and static dispatch lets the strategy
-/// senders inline into it. (The variant sizes are deliberately lopsided
-/// — a `StrategySender` is link state, one per link, not a message.)
-#[allow(clippy::large_enum_variant)]
+/// senders inline into it.
 #[derive(Debug)]
 enum LinkSource {
     Strategy(StrategySender),
@@ -360,6 +355,70 @@ struct LinkState {
     /// Wire-exact framed bytes of the connect-time handshake exchange.
     control_bytes: u64,
     summary: Option<SummaryId>,
+}
+
+/// Heap bytes an [`OverlayNet`] holds, by structure, computed from
+/// capacities ([`OverlayNet::bytes_held`]): what each structure's
+/// allocations reserve, without allocator headers or freed chunks the
+/// allocator keeps. A swarm adds its roster.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BytesHeld {
+    /// The link table: one record per link ever created, torn-down
+    /// links included.
+    pub links: usize,
+    /// The node table and each node's live link lists.
+    pub nodes: usize,
+    /// Receivers' known sets and arrival lists.
+    pub known_sets: usize,
+    /// Receivers' substitution side: pending recoded symbols and their
+    /// watcher index.
+    pub substitution: usize,
+    /// Nodes' advertised inventories.
+    pub inventories: usize,
+    /// Cached calling cards and digest bodies, and the sorted-key
+    /// scratch digests are built from.
+    pub caches: usize,
+    /// Live links' senders: their id pools and boxed recoders.
+    pub sender_pools: usize,
+    /// The send calendar and the in-flight arrival heap.
+    pub queues: usize,
+    /// The swarm's roster and schedules (zero for a bare net).
+    pub roster: usize,
+}
+
+impl BytesHeld {
+    /// Each structure's bytes under a short label, in a fixed order.
+    fn parts(&self) -> [(&'static str, usize); 9] {
+        [
+            ("links", self.links),
+            ("nodes", self.nodes),
+            ("known", self.known_sets),
+            ("substitution", self.substitution),
+            ("inventories", self.inventories),
+            ("caches", self.caches),
+            ("senders", self.sender_pools),
+            ("queues", self.queues),
+            ("roster", self.roster),
+        ]
+    }
+
+    /// The sum over every structure.
+    #[must_use]
+    pub fn total(&self) -> usize {
+        self.parts().iter().map(|&(_, bytes)| bytes).sum()
+    }
+}
+
+/// One line, MB (2^20 bytes) per structure and the total:
+/// `links 12.3 MB, nodes 4.1 MB, …, total 55.0 MB`.
+impl std::fmt::Display for BytesHeld {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        const MB: f64 = (1 << 20) as f64;
+        for (label, bytes) in self.parts() {
+            write!(f, "{label} {:.1} MB, ", bytes as f64 / MB)?;
+        }
+        write!(f, "total {:.1} MB", self.total() as f64 / MB)
+    }
 }
 
 /// Whether the `id` mechanism's digest build reads only the key set and
@@ -511,6 +570,9 @@ pub struct OverlayNet {
     /// reaching zero — O(1) per delivery instead of an O(nodes) scan.
     incomplete_observers: usize,
     scratch: PacketScratch,
+    /// Sorted working set of the node whose digest is being built: one
+    /// buffer for the net, refilled on each digest-cache miss.
+    sorted_keys: Vec<SymbolId>,
     family: PermutationFamily,
     registry: &'static SummaryRegistry,
     sizing: SummarySizing,
@@ -557,6 +619,7 @@ impl OverlayNet {
             observer_count: 0,
             incomplete_observers: 0,
             scratch: PacketScratch::default(),
+            sorted_keys: Vec::new(),
             family: standard_family(),
             registry: icd_sketch::standard_registry(),
             sizing: SummarySizing::default(),
@@ -705,6 +768,11 @@ impl OverlayNet {
             spec.seed,
             hint,
         );
+        if strategy.recodes() {
+            // Only a recoding link ever buffers a recoded symbol at its
+            // destination: size that side now, before the first packet.
+            self.nodes[to.0].receiver.reserve_substitution();
+        }
         let summary = handshake.summary.as_ref().map(|(id, _)| *id);
         let handshake_bytes = handshake.summary_bytes();
         let control_bytes = control_plane_bytes(&handshake, sender_card.is_some());
@@ -888,7 +956,8 @@ impl OverlayNet {
         let family = &self.family;
         let state = &mut self.nodes[node.0];
         if state.card.is_none() {
-            let card = MinwiseSketch::from_keys(family, state.working_keys().iter().copied());
+            // A min-wise sketch is order-free: no sorted copy needed.
+            let card = MinwiseSketch::from_keys(family, state.working_ids().iter().copied());
             state.card = Some(card);
         }
         state.card.as_ref().expect("just populated")
@@ -928,9 +997,12 @@ impl OverlayNet {
         if let Some((_, body)) = state.digests.iter().find(|(cached, _)| *cached == id) {
             return body.clone();
         }
+        self.sorted_keys.clear();
+        self.sorted_keys.extend_from_slice(state.working_ids());
+        self.sorted_keys.sort_unstable();
         let body = self
             .registry
-            .build(id, &self.sizing, estimate, state.working_keys())
+            .build(id, &self.sizing, estimate, &self.sorted_keys)
             .expect("strategy mechanism must be registered")
             .encode_body();
         if cacheable {
@@ -1301,6 +1373,38 @@ impl OverlayNet {
     #[must_use]
     pub fn node_in_links(&self, n: NodeId) -> &[LinkId] {
         &self.nodes[n.0].in_links
+    }
+
+    /// What this net holds on the heap, by structure, computed from
+    /// capacities: see [`BytesHeld`]. One pass over nodes and links.
+    #[must_use]
+    pub fn bytes_held(&self) -> BytesHeld {
+        let mut held = BytesHeld {
+            links: vec_bytes(&self.links),
+            nodes: vec_bytes(&self.nodes),
+            caches: vec_bytes(&self.sorted_keys),
+            queues: self.send_queue.heap_bytes()
+                + self.queue.capacity() * size_of::<Reverse<Event>>(),
+            ..BytesHeld::default()
+        };
+        for node in &self.nodes {
+            held.nodes += vec_bytes(&node.out_links) + vec_bytes(&node.in_links);
+            held.known_sets += node.receiver.known_bytes();
+            held.substitution += node.receiver.substitution_bytes();
+            held.inventories += vec_bytes(&node.inventory);
+            held.caches += node.cache_bytes();
+        }
+        for link in &self.links {
+            if let LinkSource::Strategy(sender) = &link.source {
+                held.sender_pools += sender.heap_bytes();
+            }
+        }
+        held.queues += self
+            .queue
+            .iter()
+            .map(|Reverse(event)| vec_bytes(&event.ids))
+            .sum::<usize>();
+        held
     }
 
     /// The legacy-shaped outcome for one node: net-wide packet totals,
@@ -1837,6 +1941,41 @@ mod tests {
         net.connect(s, r, strategy, Link::default(), ConnectSpec::seeded(3));
         assert_eq!(net.run(RunLimit::ticks(1_000)), StopReason::Completed);
         assert_eq!(net.node_distinct(r), 3);
+    }
+
+    #[test]
+    fn summary_only_links_hold_no_substitution_bytes() {
+        // Random and Random/summary links send plain encoded symbols, so
+        // no receiver behind them ever sizes a substitution side.
+        let scenario = TwoPeerScenario::build(&compact(300), 0.3);
+        let mut net = OverlayNet::new(41);
+        let a = net.add_node(&scenario.receiver_set, scenario.target);
+        let b = net.add_node(&scenario.sender_set, scenario.target);
+        let seeder = net.add_seeder(&scenario.sender_set);
+        net.set_observer(a, true);
+        let bloom = StrategyKind::RandomSummary(SummaryId::BLOOM);
+        let links = [(b, a, bloom), (a, b, bloom), (seeder, a, StrategyKind::Random)];
+        for (seed, (from, to, strategy)) in (0u64..).zip(links) {
+            net.connect(from, to, strategy, Link::default(), ConnectSpec::seeded(seed));
+        }
+        assert_eq!(net.run(RunLimit::ticks(100_000)), StopReason::Completed);
+        let held = net.bytes_held();
+        assert_eq!(held.substitution, 0, "{held}");
+        assert!(held.known_sets > 0 && held.links > 0 && held.inventories > 0, "{held}");
+    }
+
+    #[test]
+    fn a_recoding_link_reserves_substitution_before_its_first_packet() {
+        let scenario = TwoPeerScenario::build(&compact(300), 0.3);
+        for strategy in StrategyKind::ALL {
+            let mut net = OverlayNet::new(42);
+            let r = net.add_node(&scenario.receiver_set, scenario.target);
+            let s = net.add_node(&scenario.sender_set, scenario.target);
+            let link = net.connect(s, r, strategy, Link::default(), ConnectSpec::seeded(7));
+            assert_eq!(net.link_packets(link), (0, 0, 0), "nothing sent yet");
+            let reserved = net.bytes_held().substitution;
+            assert_eq!(reserved > 0, strategy.recodes(), "{}: {reserved} B", strategy.label());
+        }
     }
 
     #[test]

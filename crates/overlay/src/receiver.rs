@@ -24,15 +24,35 @@ impl Receiver {
     /// distinct symbols (already-held symbols count toward it).
     #[must_use]
     pub fn new(initial: &[SymbolId], target: usize) -> Self {
-        // Size for the full run: the known set ends at ~target ids, and
-        // pre-sizing keeps the hash tables from rehashing mid-transfer
-        // (the set's 7/8 load factor leaves room for a cascade's small
-        // overshoot).
+        // Size the known side for the full run: the set ends at ~target
+        // ids, and pre-sizing keeps its hash table from rehashing
+        // mid-transfer (the 7/8 load factor leaves room for a cascade's
+        // small overshoot). The substitution side stays empty until a
+        // recoding link connects (`reserve_substitution`): most
+        // receivers are only ever sent encoded symbols.
         let mut buffer = RecodeBuffer::with_capacity(target.max(initial.len()));
         for &id in initial {
             buffer.add_known(id, (), |_, ()| {});
         }
         Self { buffer, target }
+    }
+
+    /// Sizes the substitution side for this transfer. The engine calls
+    /// it when a recoding link connects here, before the link's first
+    /// packet; it changes capacity only, never an outcome.
+    pub(crate) fn reserve_substitution(&mut self) {
+        self.buffer
+            .reserve_substitution(self.target.max(self.distinct_symbols()));
+    }
+
+    /// Heap bytes of the known set and arrival list, by capacity.
+    pub(crate) fn known_bytes(&self) -> usize {
+        self.buffer.known_bytes()
+    }
+
+    /// Heap bytes of the substitution side, by capacity.
+    pub(crate) fn substitution_bytes(&self) -> usize {
+        self.buffer.substitution_bytes()
     }
 
     /// Number of distinct symbols currently held.
@@ -51,15 +71,6 @@ impl Receiver {
     #[must_use]
     pub(crate) fn remaining(&self) -> usize {
         self.target.saturating_sub(self.distinct_symbols())
-    }
-
-    /// Snapshot of the current working set (sorted, for determinism).
-    /// Used when re-handshaking on a migrated connection.
-    #[must_use]
-    pub(crate) fn working_set(&self) -> Vec<SymbolId> {
-        let mut ids: Vec<SymbolId> = self.buffer.known_ids().collect();
-        ids.sort_unstable();
-        ids
     }
 
     /// Symbols gained after the receiver held its first `distinct`, in

@@ -49,7 +49,16 @@ impl Reconciler for WholeSetDigest {
     }
 
     fn missing_at_peer(&self, local: &[u64]) -> Vec<u64> {
-        self.message.missing_at_sender(local)
+        // Probe the set this digest already holds rather than hashing
+        // the whole summarized set again per call.
+        let mut out: Vec<u64> = local
+            .iter()
+            .copied()
+            .filter(|k| !self.keys.contains(k))
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 }
 
@@ -307,6 +316,12 @@ mod tests {
         let mut want = extra.clone();
         want.sort_unstable();
         assert_eq!(back.missing_at_peer(&b), want);
+        // Unsorted, repeated local keys: still sorted and de-duplicated,
+        // the same answer as the message's own difference.
+        let mut local: Vec<u64> = b.iter().rev().chain(&extra).copied().collect();
+        local.push(extra[0]);
+        assert_eq!(back.missing_at_peer(&local), want);
+        assert_eq!(back.message.missing_at_sender(&local), want);
         assert!(digest.probably_contains(a[0]));
         assert!(!digest.probably_contains(extra[0]));
     }

@@ -54,4 +54,4 @@ pub use summary::{
 /// §4: "each element of the working sets of peers is identified by an
 /// integer key ... If element keys are 64 bits long, then a 1KB packet can
 /// hold roughly 128 keys."
-pub type Key = u64;
+pub(crate) type Key = u64;

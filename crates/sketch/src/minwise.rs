@@ -142,7 +142,7 @@ impl MinwiseSketch {
 
     /// Builds a sketch of an entire key collection.
     #[must_use]
-    pub fn from_keys<I: IntoIterator<Item = Key>>(family: &PermutationFamily, keys: I) -> Self {
+    pub fn from_keys<I: IntoIterator<Item = u64>>(family: &PermutationFamily, keys: I) -> Self {
         let mut s = Self::new(family);
         for k in keys {
             s.insert(family, k);
@@ -155,7 +155,7 @@ impl MinwiseSketch {
     /// Note: the sketch treats its input as a *set*; inserting the same
     /// key twice bumps `set_size` twice, so callers de-duplicate (working
     /// sets are sets by construction).
-    pub fn insert(&mut self, family: &PermutationFamily, key: Key) {
+    pub fn insert(&mut self, family: &PermutationFamily, key: u64) {
         assert_eq!(
             family.seed(),
             self.family_seed,

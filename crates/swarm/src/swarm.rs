@@ -28,12 +28,15 @@
 use std::time::Instant;
 
 use icd_obs::{ProfileHandle, TraceEvent, TraceHandle};
-use icd_overlay::net::{ConnectSpec, Link, NodeId, OverlayNet, RunLimit, StopReason, Time};
+use icd_overlay::net::{
+    BytesHeld, ConnectSpec, Link, NodeId, OverlayNet, RunLimit, StopReason, Time,
+};
 use icd_overlay::scenario::ScenarioParams;
 use icd_overlay::strategy::StrategyKind;
 use icd_overlay::SymbolId;
 use icd_sketch::SummaryId;
 use icd_util::idset::{IdSet, IdUniverse};
+use icd_util::mem::vec_bytes;
 use icd_util::rng::{Rng64, SplitMix64, Xoshiro256StarStar};
 
 use crate::faults::{FaultConfig, FaultEvent, FaultPlan};
@@ -969,6 +972,22 @@ impl Swarm {
         }
         self.reconnects += rebuilt;
         rebuilt
+    }
+
+    /// What the swarm holds on the heap, by structure: the engine's
+    /// [`OverlayNet::bytes_held`] plus the roster — peers, presence
+    /// index, symbol pool and the membership and fault schedules. Read
+    /// it after [`Swarm::run`] to see where a run's bytes went.
+    #[must_use]
+    pub fn bytes_held(&self) -> BytesHeld {
+        let mut held = self.net.bytes_held();
+        held.roster = vec_bytes(&self.peers)
+            + vec_bytes(&self.present.flags)
+            + vec_bytes(&self.present.tree)
+            + vec_bytes(&self.pool)
+            + vec_bytes(&self.schedule)
+            + vec_bytes(&self.fault_schedule);
+        held
     }
 
     /// Drives the swarm to completion (every peer at target), stall, or

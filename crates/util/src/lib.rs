@@ -19,6 +19,8 @@
 //! * [`idset`] — compressed working-set membership: a rank bitmap over a
 //!   shared sorted symbol universe, so per-peer inventory sets cost bits
 //!   instead of hash-table entries at swarm scale.
+//! * [`mem`] — heap bytes from capacities, for the engine's byte
+//!   breakdowns.
 //! * [`symbol`] — word-aligned payload buffers ([`symbol::SymbolBuf`]),
 //!   the free-list pool ([`symbol::SymbolPool`]) that makes the recode
 //!   hot path allocation-free at steady state, and the multi-stream XOR
@@ -35,6 +37,7 @@
 pub mod bitvec;
 pub mod hash;
 pub mod idset;
+pub mod mem;
 pub mod modp;
 pub mod rng;
 pub mod stats;

@@ -107,9 +107,12 @@ pub trait Rng64 {
 /// [`Rng64::sample_distinct_into`] answers it by scanning the output —
 /// `O(k²)` compares, painful exactly when the degree distribution's
 /// spike fires (k near the cap). This sampler answers it with a
-/// generation-stamped array: one indexed load per test, a few KB that
-/// stay in L1 for any working set the simulator runs. Draws the
-/// identical picks from the identical RNG stream as the trait method.
+/// generation-stamped array: one indexed load per test. The array is
+/// 4·n bytes for the largest `n` sampled — under 1 KB for a swarm
+/// peer's working set, but 96 KB (past L1, in L2) for a recoder over
+/// the paper's l = 23 968 — and only the k stamped slots are touched
+/// per draw. Draws the identical picks from the identical RNG stream
+/// as the trait method.
 #[derive(Debug, Clone, Default)]
 pub struct DistinctSampler {
     stamp: Vec<u32>,

@@ -6,7 +6,8 @@
 # are skipped), list every `pub fn/struct/enum/trait/const/type/static`
 # in its library sources (`src/` minus `src/bin/` and `src/main.rs`),
 # stopping at each file's first `#[cfg(test)]`. An item is a hit when no
-# `*.rs` file outside that library names it as a word. Outside means:
+# `*.rs` file outside that library names it as a word outside a `//`
+# comment. Outside means:
 # another workspace crate, the crate's own `tests/`, `benches/`,
 # `src/bin/` or `src/main.rs`, the root `tests/` and `examples/`, and
 # `benchmark/`.
@@ -36,8 +37,11 @@ for manifest in crates/*/Cargo.toml; do
     lib_files=$(printf '%s\n' "$all_rs" | grep "^$crate/src/" \
         | grep -v "^$crate/src/bin/" | grep -vx "$crate/src/main.rs")
     outside=$(printf '%s\n' "$all_rs" | grep -vxF "$lib_files")
-    # Every identifier named outside the library, one per line.
-    words=$(printf '%s\n' "$outside" | xargs grep -ohw '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
+    # Every identifier named outside the library, one per line. `//`
+    # line and doc comments are stripped first (`://` is left alone, so
+    # URLs in strings survive): a name in prose is not a caller.
+    words=$(printf '%s\n' "$outside" | xargs sed -E 's@(^|[^:])//.*$@\1@' \
+        | grep -ow '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
     for file in $lib_files; do
         items=$(sed '/#\[cfg(test)\]/,$d' "$file" \
             | grep -oE '^\s*pub\s+((const|async|unsafe)\s+)*(fn|struct|enum|trait|const|type|static)\s+[A-Za-z_][A-Za-z0-9_]*' \

@@ -16,16 +16,18 @@
 //! peak RSS (`icd_bench::peak_rss_mb`), then the engine's byte breakdown
 //! (`Swarm::bytes_held`) and the share of the run's `VmHWM` growth it
 //! accounts for, so a 100k-node invocation doubles as the
-//! memory-footprint report. Churn volume scales with the
-//! roster (10% leavers, 1% joins, 2% rewires) and the tick window grows
-//! with `peers` so the leave/rejoin schedule stays feasible; all
-//! derived assertions are written in terms of `peers`, not literals —
-//! the <=65k-only index assumptions that would break here live in no
-//! crate of this workspace (peer ids are `usize` end to end, link ids
-//! are `u32` slots good to 4 billion), and this test is where that
-//! claim is exercised above the 2^16 boundary.
+//! memory-footprint report. Up to 20k peers it also asserts that the
+//! receivers' known sets stay under 1 KB per node. Churn volume scales
+//! with the roster (10% leavers, 1% joins, 2% rewires) and the tick
+//! window grows with `peers` so the leave/rejoin schedule stays
+//! feasible; all derived assertions are written in terms of `peers`,
+//! not literals — the <=65k-only index assumptions that would break
+//! here live in no crate of this workspace (peer ids are `usize` end to
+//! end, link ids are `u32` slots good to 4 billion), and this test is
+//! where that claim is exercised above the 2^16 boundary.
 
 use icd_bench::engine::ExperimentGrid;
+use icd_overlay::net::BytesHeld;
 use icd_swarm::{run_swarm, ChurnConfig, Swarm, SwarmConfig, SwarmOutcome, TopologyKind};
 
 /// Node count under test: `ICD_SCALE`, default 1000.
@@ -68,8 +70,16 @@ fn power_law_swarm_completes_under_churn() {
     let before = icd_bench::peak_rss_mb();
     let mut swarm = Swarm::new(power_law_config(peers), 0xA11);
     let out = swarm.run();
-    report(peers, &out, before, &swarm);
+    let held = swarm.bytes_held();
+    report(peers, &out, before, held);
     assert_scaled(peers, &out);
+    if peers <= 20_000 {
+        // A peer aims for a few dozen ids: its known set is a scanned id
+        // list with headroom, not a hash table, and a peer that takes a
+        // last in-flight symbol past its target does not double it.
+        let per_node = held.known_sets / out.peers;
+        assert!(per_node < 1024, "known side holds {per_node} B per node");
+    }
     drop(swarm);
     if peers > 20_000 {
         // The huge geometries run one cell, once — the point is the
@@ -110,16 +120,15 @@ fn assert_scaled(peers: usize, out: &SwarmOutcome) {
     assert!(out.rejoins > 0 && out.rewires > 0);
 }
 
-/// Prints the completion line and the byte breakdown. `before` is the
-/// `VmHWM` read before the swarm was built.
-fn report(peers: usize, out: &SwarmOutcome, before: Option<f64>, swarm: &Swarm) {
+/// Prints the completion line and the byte breakdown `held`. `before`
+/// is the `VmHWM` read before the swarm was built.
+fn report(peers: usize, out: &SwarmOutcome, before: Option<f64>, held: BytesHeld) {
     let peak = icd_bench::peak_rss_mb();
     let rss = peak.map_or_else(|| "n/a".to_string(), |mb| format!("{mb:.1}"));
     println!(
         "ICD_SCALE={peers}: {}/{} complete in {} ticks, {} events, peak RSS {rss} MB",
         out.completed, out.peers, out.ticks, out.events
     );
-    let held = swarm.bytes_held();
     let coverage = match (before, peak) {
         (Some(before), Some(peak)) if peak > before => {
             let held_mb = held.total() as f64 / f64::from(1 << 20);

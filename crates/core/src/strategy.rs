@@ -39,7 +39,6 @@
 
 use icd_fountain::recode::PAPER_DEGREE_LIMIT;
 use icd_fountain::{EncodedSymbol, RecodePolicy, RecodeScratch, Recoder, SymbolId};
-use icd_util::mem::vec_bytes;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 use icd_util::symbol::SymbolBuf;
 
@@ -187,9 +186,9 @@ impl PacketScratch {
 #[derive(Debug)]
 enum Pick {
     /// Random: uniform with replacement over the inventory.
-    Draw(Vec<SymbolId>),
+    Draw(Box<[SymbolId]>),
     /// Random/summary: the shuffled candidates, each sent once.
-    Walk { ids: Vec<SymbolId>, next: usize },
+    Walk { ids: Box<[SymbolId]>, next: usize },
     /// The recoding strategies. Boxed: a recoder is several times the
     /// size of the other picks, and every live link holds a sender.
     Recode(Box<Recoder>),
@@ -236,7 +235,10 @@ impl StrategySender {
         }
         let recode = |ids: Vec<SymbolId>, policy| {
             if ids.is_empty() {
-                return Pick::Walk { ids, next: 0 };
+                return Pick::Walk {
+                    ids: Box::default(),
+                    next: 0,
+                };
             }
             Pick::Recode(Box::new(match payloads {
                 None => Recoder::from_ids(ids, PAPER_DEGREE_LIMIT, policy),
@@ -252,9 +254,15 @@ impl StrategySender {
                 }
             }))
         };
+        // The id picks hold their pool at its length: a digest's answer
+        // is collected without knowing its size, and every live link
+        // keeps its pool for the link's lifetime.
         let pick = match kind {
-            StrategyKind::Random => Pick::Draw(pool),
-            StrategyKind::RandomSummary(_) => Pick::Walk { ids: pool, next: 0 },
+            StrategyKind::Random => Pick::Draw(pool.into_boxed_slice()),
+            StrategyKind::RandomSummary(_) => Pick::Walk {
+                ids: pool.into_boxed_slice(),
+                next: 0,
+            },
             StrategyKind::Recode => recode(pool, RecodePolicy::Oblivious),
             StrategyKind::RecodeSummary(_) => {
                 // Restrict the recoding domain to what the receiver asked
@@ -274,7 +282,7 @@ impl StrategySender {
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         match &self.pick {
-            Pick::Draw(ids) | Pick::Walk { ids, .. } => vec_bytes(ids),
+            Pick::Draw(ids) | Pick::Walk { ids, .. } => std::mem::size_of_val(&**ids),
             Pick::Recode(recoder) => std::mem::size_of::<Recoder>() + recoder.heap_bytes(),
         }
     }

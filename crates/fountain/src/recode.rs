@@ -370,8 +370,8 @@ impl WatcherArena {
 ///
 /// The §6.1 simulation "keeps payload bytes out of the simulation while
 /// the substitution *structure* stays exact": it runs the buffer over
-/// `()`, so every payload operation compiles away and the known map has
-/// the layout of an id set. The data plane runs the same buffer over
+/// `()`, so every payload operation compiles away and the known side
+/// is an id list or an id set. The data plane runs the same buffer over
 /// [`Bytes`]: a known symbol's payload is shared by reference count with
 /// the working set or frame it came from, never copied, and only a
 /// recoded symbol that still has unknown components is copied — once —
@@ -441,6 +441,206 @@ impl RecodePayload for Bytes {
     }
 }
 
+/// Largest known set a [`RecodeBuffer`] indexes by scanning its arrival
+/// list. A set this small fits in a few cache lines as a plain id list,
+/// while a hash table over it costs a power-of-two bucket array plus
+/// control bytes — about twice the list at the swarm's 69-id targets.
+const SCAN_LIMIT: usize = 128;
+
+/// Position of `id` in `ids`, if present. Compares eight ids per step
+/// and branches once per step, not once per id: a lookup is a miss or a
+/// hit at a random place, so per-id exits mispredict (≈25% faster on
+/// 70-id lists than `position` alone, x86-64).
+fn scan(ids: &[SymbolId], id: SymbolId) -> Option<usize> {
+    const STEP: usize = 8;
+    let mut chunks = ids.chunks_exact(STEP);
+    let mut base = 0;
+    for chunk in &mut chunks {
+        if chunk.iter().fold(false, |hit, &known| hit | (known == id)) {
+            return chunk.iter().position(|&known| known == id).map(|i| base + i);
+        }
+        base += STEP;
+    }
+    let rest = chunks.remainder();
+    rest.iter().position(|&known| known == id).map(|i| base + i)
+}
+
+/// The known side of a [`RecodeBuffer`]: every known id in the order it
+/// became known, and the index that answers membership and holds the
+/// payloads.
+#[derive(Debug, Clone)]
+struct Known<P> {
+    /// The known ids in the order they became known.
+    arrivals: Vec<SymbolId>,
+    index: KnownIndex<P>,
+}
+
+#[derive(Debug, Clone)]
+enum KnownIndex<P> {
+    /// At most [`SCAN_LIMIT`] ids: membership scans `arrivals`, and
+    /// `payloads[i]` belongs to `arrivals[i]` (zero bytes for `()`).
+    Scan(Vec<P>),
+    /// Id → payload.
+    Table(FastHashMap<SymbolId, P>),
+}
+
+impl<P> Known<P> {
+    /// See [`RecodeBuffer::with_capacity`]; the table's ⅞ load factor
+    /// already leaves the lists' headroom.
+    fn with_capacity(expected: usize) -> Self {
+        let slots = expected + expected / 8 + 2;
+        let index = if expected <= SCAN_LIMIT {
+            KnownIndex::Scan(Vec::with_capacity(slots))
+        } else {
+            KnownIndex::Table(FastHashMap::with_capacity_and_hasher(
+                expected,
+                Default::default(),
+            ))
+        };
+        Self {
+            arrivals: Vec::with_capacity(slots),
+            index,
+        }
+    }
+
+    fn get(&self, id: SymbolId) -> Option<&P> {
+        match &self.index {
+            KnownIndex::Scan(payloads) => scan(&self.arrivals, id).map(|i| &payloads[i]),
+            KnownIndex::Table(table) => table.get(&id),
+        }
+    }
+
+    /// Adds `id` with `payload` and returns the stored payload, or
+    /// `None` (dropping `payload`) if `id` was already known.
+    fn insert(&mut self, id: SymbolId, payload: P) -> Option<&P> {
+        if matches!(self.index, KnownIndex::Scan(_)) {
+            if scan(&self.arrivals, id).is_some() {
+                return None;
+            }
+            if self.arrivals.len() == SCAN_LIMIT {
+                self.promote();
+            }
+        }
+        match &mut self.index {
+            KnownIndex::Scan(payloads) => {
+                self.arrivals.push(id);
+                payloads.push(payload);
+                payloads.last()
+            }
+            KnownIndex::Table(table) => match table.entry(id) {
+                Entry::Occupied(_) => None,
+                Entry::Vacant(slot) => {
+                    self.arrivals.push(id);
+                    Some(&*slot.insert(payload))
+                }
+            },
+        }
+    }
+
+    /// Moves a scanned set into a table, once, as it grows past
+    /// [`SCAN_LIMIT`]; a no-op for a table.
+    fn promote(&mut self) {
+        if let KnownIndex::Scan(payloads) = &mut self.index {
+            let table = self.arrivals.iter().copied().zip(payloads.drain(..)).collect();
+            self.index = KnownIndex::Table(table);
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        vec_bytes(&self.arrivals)
+            + match &self.index {
+                KnownIndex::Scan(payloads) => vec_bytes(payloads),
+                KnownIndex::Table(table) => table_bytes(table),
+            }
+    }
+}
+
+/// The substitution side of a [`RecodeBuffer`]: unresolved recoded
+/// symbols and the index of who waits on which id. Only a buffer that
+/// receives a symbol with two or more unknown components needs it, so
+/// the buffer holds it boxed and allocates it on first use.
+#[derive(Debug, Clone)]
+struct Substitution<A> {
+    /// Unresolved recoded symbols, slot-addressed by watchers. Slots are
+    /// append-only and never reused: a resolved slot still has watcher
+    /// nodes on its other components, and those must read `None` when
+    /// their id resolves later rather than land in an unrelated symbol.
+    pending: Vec<Option<PendingRecoded<A>>>,
+    /// Number of `Some` slots in `pending`.
+    pending_live: usize,
+    watchers: WatcherArena,
+    /// Unknown component ids of the symbol being received.
+    unknown_ids: Vec<SymbolId>,
+}
+
+impl<A> Default for Substitution<A> {
+    fn default() -> Self {
+        Self {
+            pending: Vec::new(),
+            pending_live: 0,
+            watchers: WatcherArena::default(),
+            unknown_ids: Vec::new(),
+        }
+    }
+}
+
+impl<A> Substitution<A> {
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + vec_bytes(&self.pending)
+            + self.watchers.bytes()
+            + vec_bytes(&self.unknown_ids)
+    }
+
+    /// Buffers a symbol whose unknown components are `unknown_ids`
+    /// (`unknown` of them, XOR `unknown_xor`), watching each of them.
+    fn park(&mut self, unknown: usize, unknown_xor: SymbolId, acc: A) {
+        let slot = u32::try_from(self.pending.len()).expect("pending overflow");
+        for &id in &self.unknown_ids {
+            self.watchers.watch(id, slot);
+        }
+        self.pending.push(Some(PendingRecoded {
+            unknown: u32::try_from(unknown).expect("degree overflow"),
+            unknown_xor,
+            acc,
+        }));
+        self.pending_live += 1;
+    }
+
+    /// Substitutes the newly known `id` (payload `data`) into every
+    /// symbol waiting on it, pushing each one left with a single
+    /// unknown component onto `queue` as that symbol.
+    fn substitute<P: RecodePayload<Acc = A>>(
+        &mut self,
+        id: SymbolId,
+        data: &P,
+        pool: &mut P::Pool,
+        queue: &mut Vec<(SymbolId, P)>,
+    ) {
+        let mut cur = self.watchers.start(id);
+        while cur != WATCH_NONE {
+            let (slot, next) = self.watchers.take_next(cur);
+            cur = next;
+            // A chain is detached when its id resolves, so each node
+            // fires once; a `None` slot was resolved through another of
+            // its components.
+            let entry = &mut self.pending[slot as usize];
+            let Some(p) = entry.as_mut() else {
+                continue;
+            };
+            p.unknown -= 1;
+            p.unknown_xor ^= id;
+            P::xor_in(&mut p.acc, data);
+            if p.unknown == 1 {
+                if let Some(p) = entry.take() {
+                    self.pending_live -= 1;
+                    queue.push((p.unknown_xor, P::freeze(pool, p.acc)));
+                }
+            }
+        }
+    }
+}
+
 /// Receiver-side substitution buffer for recoded symbols.
 ///
 /// Tracks which encoded symbols the receiver knows, buffers unresolved
@@ -459,31 +659,30 @@ impl RecodePayload for Bytes {
 /// duplicates included, so it recovers exactly what a list of remaining
 /// ids would, in the same order.
 ///
+/// The known set has two layouts, picked from the size it is built for.
+/// [`RecodeBuffer::with_capacity`] for at most 128 ids keeps no hash
+/// table: membership is a linear scan of the arrival list it keeps
+/// anyway, and payloads sit in a list parallel to it. A set that grows
+/// past 128 ids moves into a table once. Larger sizes, and
+/// [`RecodeBuffer::new`], start with the table. The layout is capacity
+/// only: recoveries, their order and every count are the same in both.
+/// The substitution side (pending symbols and their watchers) is
+/// allocated on first use, so a buffer that is only ever sent encoded
+/// symbols holds none of it.
+///
 /// Recoveries go to a caller-supplied sink, in recovery order, so a
 /// caller that only counts them allocates nothing per packet. The
-/// id-keyed maps hash through `icd_util`'s fast hasher: this buffer sits
-/// on the per-packet path of every simulated transfer.
+/// id-keyed tables hash through `icd_util`'s fast hasher: this buffer
+/// sits on the per-packet path of every simulated transfer.
 #[derive(Debug, Clone)]
 pub struct RecodeBuffer<P: RecodePayload> {
-    known: FastHashMap<SymbolId, P>,
-    /// The ids of `known` in the order they became known.
-    arrivals: Vec<SymbolId>,
-    /// Unresolved recoded symbols, slot-addressed by watchers. Slots are
-    /// append-only and never reused: a resolved slot still has watcher
-    /// nodes on its other components, and those must read `None` when
-    /// their id resolves later rather than land in an unrelated symbol.
-    pending: Vec<Option<PendingRecoded<P::Acc>>>,
-    /// Number of `Some` slots in `pending`.
-    pending_live: usize,
-    watchers: WatcherArena,
+    known: Known<P>,
     /// Recoded symbols that arrived fully known (pure redundancy).
     redundant: u64,
     pool: P::Pool,
-    /// Unknown component ids of the symbol being received (empty
-    /// between calls).
-    unknown_ids: Vec<SymbolId>,
     /// Reusable cascade stack (empty between calls).
     queue: Vec<(SymbolId, P)>,
+    substitution: Option<Box<Substitution<P::Acc>>>,
 }
 
 #[derive(Debug, Clone)]
@@ -500,38 +699,38 @@ struct PendingRecoded<A> {
 impl<P: RecodePayload> Default for RecodeBuffer<P> {
     fn default() -> Self {
         Self {
-            known: FastHashMap::default(),
-            arrivals: Vec::new(),
-            pending: Vec::new(),
-            pending_live: 0,
-            watchers: WatcherArena::default(),
+            known: Known {
+                arrivals: Vec::new(),
+                index: KnownIndex::Table(FastHashMap::default()),
+            },
             redundant: 0,
             pool: P::Pool::default(),
-            unknown_ids: Vec::new(),
             queue: Vec::new(),
+            substitution: None,
         }
     }
 }
 
 impl<P: RecodePayload> RecodeBuffer<P> {
-    /// Creates an empty buffer.
+    /// Creates an empty buffer whose known set is a hash table.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a buffer whose known side — the known map and the arrival
-    /// list — is pre-sized for roughly `expected_known` symbols, so it
-    /// never pays a mid-transfer rehash chain. The substitution side
-    /// (pending slots and the watcher index) starts empty: only recoded
-    /// symbols with two or more unknown components land there, so a
-    /// receiver behind recoding links sizes it with
-    /// [`RecodeBuffer::reserve_substitution`] before their first packet.
+    /// Creates a buffer whose known side is sized for roughly
+    /// `expected_known` symbols, so it never pays a mid-transfer rehash
+    /// or doubling: a scanned arrival list at 128 ids or fewer, a
+    /// pre-sized table above. The arrival list gets an eighth more room,
+    /// plus two, for a transfer that overshoots. The substitution side
+    /// starts empty: only recoded symbols with two or more unknown
+    /// components land there, so a receiver behind recoding links sizes
+    /// it with [`RecodeBuffer::reserve_substitution`] before their first
+    /// packet.
     #[must_use]
     pub fn with_capacity(expected_known: usize) -> Self {
         Self {
-            known: FastHashMap::with_capacity_and_hasher(expected_known, Default::default()),
-            arrivals: Vec::with_capacity(expected_known),
+            known: Known::with_capacity(expected_known),
             ..Self::default()
         }
     }
@@ -543,26 +742,27 @@ impl<P: RecodePayload> RecodeBuffer<P> {
     /// room is there.
     pub fn reserve_substitution(&mut self, expected_known: usize) {
         let want = expected_known / 2;
-        self.pending.reserve(want.saturating_sub(self.pending.len()));
-        self.watchers.reserve(want);
+        let side = self.substitution.get_or_insert_with(Box::default);
+        side.pending.reserve(want.saturating_sub(side.pending.len()));
+        side.watchers.reserve(want);
     }
 
-    /// Heap bytes of the known side (the known map, the arrival list
-    /// and the stack every insertion cascades through), by capacity.
-    /// Payloads a `RecodeBuffer<Bytes>` shares by reference count are
-    /// not counted.
+    /// Heap bytes of the known side (the arrival list, the table or
+    /// scanned payload list over it, and the stack every insertion
+    /// cascades through), by capacity. Payloads a `RecodeBuffer<Bytes>`
+    /// shares by reference count are not counted.
     #[must_use]
     pub fn known_bytes(&self) -> usize {
-        table_bytes(&self.known) + vec_bytes(&self.arrivals) + vec_bytes(&self.queue)
+        self.known.bytes() + vec_bytes(&self.queue)
     }
 
-    /// Heap bytes of the substitution side (pending slots, the watcher
-    /// index and the unknown-component scratch), by capacity: zero until
-    /// a symbol of degree two or more arrives or the side is reserved.
-    /// Accumulator payloads are not counted.
+    /// Heap bytes of the substitution side (its box, pending slots, the
+    /// watcher index and the unknown-component scratch), by capacity:
+    /// zero until a symbol with two or more unknown components arrives
+    /// or the side is reserved. Accumulator payloads are not counted.
     #[must_use]
     pub fn substitution_bytes(&self) -> usize {
-        vec_bytes(&self.pending) + self.watchers.bytes() + vec_bytes(&self.unknown_ids)
+        self.substitution.as_ref().map_or(0, |side| side.bytes())
     }
 
     /// Seeds the buffer with a symbol the receiver already holds,
@@ -581,13 +781,13 @@ impl<P: RecodePayload> RecodeBuffer<P> {
     /// Whether an encoded symbol id is known.
     #[must_use]
     pub fn knows(&self, id: SymbolId) -> bool {
-        self.known.contains_key(&id)
+        self.known.get(id).is_some()
     }
 
     /// The payload held for known symbol `id`.
     #[must_use]
     pub fn known_payload(&self, id: SymbolId) -> Option<&P> {
-        self.known.get(&id)
+        self.known.get(id)
     }
 
     /// The recycler pending symbols' accumulators are drawn from.
@@ -599,26 +799,33 @@ impl<P: RecodePayload> RecodeBuffer<P> {
     /// Number of known encoded symbols.
     #[must_use]
     pub fn known_count(&self) -> usize {
-        self.known.len()
+        self.known.arrivals.len()
     }
 
     /// The ids that became known after the first `count`, in the order
     /// they became known — what a holder gained since it last looked.
     #[must_use]
     pub fn known_since(&self, count: usize) -> &[SymbolId] {
-        &self.arrivals[count.min(self.arrivals.len())..]
+        let arrivals = &self.known.arrivals;
+        &arrivals[count.min(arrivals.len())..]
     }
 
     /// Unresolved recoded symbols currently buffered.
     #[must_use]
     pub fn pending_count(&self) -> usize {
-        self.pending_live
+        self.substitution.as_ref().map_or(0, |side| side.pending_live)
     }
 
     /// Recoded symbols that arrived with every component already known.
     #[must_use]
     pub fn redundant_count(&self) -> u64 {
         self.redundant
+    }
+
+    /// Whether the known set is held as a scanned list.
+    #[cfg(test)]
+    fn scans(&self) -> bool {
+        matches!(self.known.index, KnownIndex::Scan(_))
     }
 
     /// Receives a recoded symbol given by its component ids and payload
@@ -636,40 +843,48 @@ impl<P: RecodePayload> RecodeBuffer<P> {
     ) -> usize {
         assert!(!components.is_empty(), "recoded symbol with no components");
         let (id, payload) = if let [id] = components {
-            if self.known.contains_key(id) {
+            if self.knows(*id) {
                 self.redundant += 1;
                 return 0;
             }
             (*id, payload)
         } else {
             let mut acc = P::load(&mut self.pool, &payload);
-            self.unknown_ids.clear();
-            for id in components {
+            let mut unknown_ids = self.substitution.as_deref_mut().map(|side| {
+                side.unknown_ids.clear();
+                &mut side.unknown_ids
+            });
+            let (mut unknown, mut unknown_xor) = (0, 0);
+            for &id in components {
                 match self.known.get(id) {
                     Some(known) => P::xor_in(&mut acc, known),
-                    None => self.unknown_ids.push(*id),
+                    None => {
+                        unknown += 1;
+                        unknown_xor ^= id;
+                        if let Some(ids) = unknown_ids.as_deref_mut() {
+                            ids.push(id);
+                        }
+                    }
                 }
             }
-            match self.unknown_ids.len() {
+            match unknown {
                 0 => {
                     self.redundant += 1;
                     P::release(&mut self.pool, acc);
                     return 0;
                 }
-                1 => (self.unknown_ids[0], P::freeze(&mut self.pool, acc)),
-                unknown => {
-                    let slot = u32::try_from(self.pending.len()).expect("pending overflow");
-                    let mut unknown_xor = 0;
-                    for &id in &self.unknown_ids {
-                        self.watchers.watch(id, slot);
-                        unknown_xor ^= id;
+                1 => (unknown_xor, P::freeze(&mut self.pool, acc)),
+                _ => {
+                    let fresh = self.substitution.is_none();
+                    let side = self.substitution.get_or_insert_with(Box::default);
+                    if fresh {
+                        // The side did not exist to collect this first
+                        // buffered symbol's unknown ids.
+                        let known = &self.known;
+                        let ids = components.iter().copied();
+                        side.unknown_ids.extend(ids.filter(|&id| known.get(id).is_none()));
                     }
-                    self.pending.push(Some(PendingRecoded {
-                        unknown: u32::try_from(unknown).expect("degree overflow"),
-                        unknown_xor,
-                        acc,
-                    }));
-                    self.pending_live += 1;
+                    side.park(unknown, unknown_xor, acc);
                     return 0;
                 }
             }
@@ -695,35 +910,17 @@ impl<P: RecodePayload> RecodeBuffer<P> {
         let mut report = report_seed;
         while let Some((id, data)) = queue.pop() {
             let reported = std::mem::replace(&mut report, true);
-            let data = match self.known.entry(id) {
-                // Two pending symbols of one cascade resolved to the
-                // same id; the first to land is kept.
-                Entry::Occupied(_) => continue,
-                Entry::Vacant(slot) => &*slot.insert(data),
+            // `None`: two pending symbols of one cascade resolved to the
+            // same id; the first to land is kept.
+            let Some(data) = self.known.insert(id, data) else {
+                continue;
             };
-            self.arrivals.push(id);
             if reported {
                 gained += 1;
                 recovered(id, data);
             }
-            let mut cur = self.watchers.start(id);
-            while cur != WATCH_NONE {
-                let (slot, next) = self.watchers.take_next(cur);
-                cur = next;
-                // A chain is detached when its id resolves, so each node
-                // fires once; a `None` slot was resolved through another
-                // of its components.
-                let Some(p) = self.pending[slot as usize].as_mut() else {
-                    continue;
-                };
-                p.unknown -= 1;
-                p.unknown_xor ^= id;
-                P::xor_in(&mut p.acc, data);
-                if p.unknown == 1 {
-                    let p = self.pending[slot as usize].take().expect("checked above");
-                    self.pending_live -= 1;
-                    queue.push((p.unknown_xor, P::freeze(&mut self.pool, p.acc)));
-                }
+            if let Some(side) = self.substitution.as_deref_mut() {
+                side.substitute(id, data, &mut self.pool, &mut queue);
             }
         }
         self.queue = queue;
@@ -961,6 +1158,81 @@ mod tests {
             .map(|b| (b.pending_count(), b.redundant_count()))
             .collect();
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
+    }
+
+    /// Feeds one random stream to a buffer built for a scanned set (it
+    /// scans until the set passes `SCAN_LIMIT`, then promotes), one
+    /// pre-sized as a table and one bare `new()` table, and checks that
+    /// every outcome agrees: recoveries in order, arrival order, pending
+    /// and redundant counts, and each known payload. `payload` builds a
+    /// symbol's payload from its components.
+    fn layouts_agree<P>(payload: impl Fn(&[SymbolId]) -> P)
+    where
+        P: RecodePayload + Clone + PartialEq + std::fmt::Debug,
+    {
+        let mut scan = RecodeBuffer::<P>::with_capacity(SCAN_LIMIT);
+        let mut table = RecodeBuffer::<P>::with_capacity(SCAN_LIMIT + 1);
+        let mut bare = RecodeBuffer::<P>::new();
+        assert!(scan.scans() && !table.scans() && !bare.scans());
+        let mut buffers = [&mut scan, &mut table, &mut bare];
+        for id in 0..20 {
+            for buf in &mut buffers {
+                buf.add_known(id, payload(&[id]), |_, _| {});
+            }
+        }
+        let universe = 3 * SCAN_LIMIT;
+        let mut rng = Xoshiro256StarStar::new(12);
+        let mut components = Vec::new();
+        let mut scanned_packets = 0;
+        for _ in 0..4_000 {
+            let degree = 1 + rng.index(6);
+            components.clear();
+            let picks = rng.sample_distinct(universe, degree).into_iter();
+            components.extend(picks.map(|i| i as SymbolId));
+            scanned_packets += usize::from(buffers[0].scans());
+            let outcomes: Vec<(usize, Vec<(SymbolId, P)>)> = buffers
+                .iter_mut()
+                .map(|buf| {
+                    let mut got = Vec::new();
+                    let n = buf.receive(&components, payload(&components), |id, p| {
+                        got.push((id, p.clone()));
+                    });
+                    (n, got)
+                })
+                .collect();
+            assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "{components:?}: {outcomes:?}");
+            for (id, p) in &outcomes[0].1 {
+                assert_eq!(*p, payload(&[*id]), "recovered {id} with a wrong payload");
+            }
+        }
+        assert!(scanned_packets > 100, "the stream must run in the scanned layout");
+        assert!(!buffers[0].scans(), "the scanned set must promote mid-stream");
+        let arrivals: Vec<&[SymbolId]> = buffers.iter().map(|b| b.known_since(0)).collect();
+        assert!(arrivals.windows(2).all(|w| w[0] == w[1]));
+        assert!(arrivals[0].len() > 2 * SCAN_LIMIT, "the stream must exercise the cascade");
+        for &id in arrivals[0] {
+            let held: Vec<Option<&P>> = buffers.iter().map(|b| b.known_payload(id)).collect();
+            assert!(held.windows(2).all(|w| w[0] == w[1]), "payload of {id}");
+        }
+        let counts: Vec<(usize, u64)> = buffers
+            .iter()
+            .map(|b| (b.pending_count(), b.redundant_count()))
+            .collect();
+        assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
+    }
+
+    #[test]
+    fn scanned_and_table_known_sets_agree() {
+        layouts_agree(|_| ());
+        // A symbol's payload is its id's bytes; a recoded one carries
+        // the XOR of its components'.
+        layouts_agree(|components| {
+            let mut out = [0u8; 8];
+            for id in components {
+                xor_into(&mut out, &id.to_le_bytes());
+            }
+            Bytes::from(out.to_vec())
+        });
     }
 
     #[test]

@@ -25,11 +25,13 @@ impl Receiver {
     #[must_use]
     pub fn new(initial: &[SymbolId], target: usize) -> Self {
         // Size the known side for the full run: the set ends at ~target
-        // ids, and pre-sizing keeps its hash table from rehashing
-        // mid-transfer (the 7/8 load factor leaves room for a cascade's
-        // small overshoot). The substitution side stays empty until a
-        // recoding link connects (`reserve_substitution`): most
-        // receivers are only ever sent encoded symbols.
+        // ids. A swarm peer's target is small enough for the buffer to
+        // scan its arrival list instead of keeping a hash table, and the
+        // list has headroom past `target`, so a peer that also takes one
+        // last in-flight symbol or a cascade's overshoot does not double
+        // it. The substitution side stays empty until a recoding link
+        // connects (`reserve_substitution`): most receivers are only
+        // ever sent encoded symbols.
         let mut buffer = RecodeBuffer::with_capacity(target.max(initial.len()));
         for &id in initial {
             buffer.add_known(id, (), |_, ()| {});

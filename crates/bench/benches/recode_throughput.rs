@@ -23,8 +23,14 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(100));
     for (name, policy) in [
         ("oblivious", RecodePolicy::Oblivious),
-        ("minwise_c80", RecodePolicy::MinwiseScaled { containment: 0.8 }),
-        ("lower_bounded_c80", RecodePolicy::LowerBounded { containment: 0.8 }),
+        (
+            "minwise_c80",
+            RecodePolicy::MinwiseScaled { containment: 0.8 },
+        ),
+        (
+            "lower_bounded_c80",
+            RecodePolicy::LowerBounded { containment: 0.8 },
+        ),
     ] {
         let recoder = Recoder::new(symbols.clone(), 50, policy);
         group.bench_function(format!("generate_100_{name}"), |b| {

@@ -1,7 +1,9 @@
 //! Table 4(c)'s speed column: Bloom O(n) probing vs ART O(d log n)
 //! search.
 use criterion::{criterion_group, criterion_main, Criterion};
-use icd_sketch::art::{search_differences, ArtParams, ArtSummary, ReconciliationTree, SummaryParams};
+use icd_sketch::art::{
+    search_differences, ArtParams, ArtSummary, ReconciliationTree, SummaryParams,
+};
 use icd_sketch::bloom::BloomFilter;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 use std::hint::black_box;

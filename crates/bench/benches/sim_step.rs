@@ -16,9 +16,12 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim");
     group.sample_size(10);
     for strategy in StrategyKind::ALL {
-        group.bench_function(format!("transfer_n2000_{}", strategy.label().replace('/', "_")), |b| {
-            b.iter(|| black_box(run_transfer(&scenario, strategy, 5)));
-        });
+        group.bench_function(
+            format!("transfer_n2000_{}", strategy.label().replace('/', "_")),
+            |b| {
+                b.iter(|| black_box(run_transfer(&scenario, strategy, 5)));
+            },
+        );
     }
     group.finish();
 }

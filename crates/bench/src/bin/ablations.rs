@@ -41,7 +41,13 @@ fn filter_bits_sweep(cfg: &ExpConfig) -> Table {
             "Ablation: Random/BF vs filter budget (compact, n={}, c=0.30)",
             cfg.num_blocks
         ),
-        &["bits/elem", "filter_bytes", "overhead", "withheld", "completed"],
+        &[
+            "bits/elem",
+            "filter_bytes",
+            "overhead",
+            "withheld",
+            "completed",
+        ],
     );
     // The handshake (and therefore the filter size and the set of
     // useful symbols it wrongly withholds) depends only on the budget,
@@ -77,7 +83,10 @@ fn filter_bits_sweep(cfg: &ExpConfig) -> Table {
             let filter_bytes = handshake.summary_bytes();
             let withheld = handshake.summary.as_ref().map_or(0, |(_, body)| {
                 let digest = icd_sketch::bloom::BloomDigest::decode(body).expect("bloom body");
-                useful.iter().filter(|&&id| digest.filter().contains(id)).count()
+                useful
+                    .iter()
+                    .filter(|&&id| digest.filter().contains(id))
+                    .count()
             });
             (bpe, handshake, filter_bytes, withheld)
         })
@@ -202,8 +211,14 @@ fn degree_policy_compare(cfg: &ExpConfig) -> Table {
     );
     let policies = vec![
         ("oblivious", RecodePolicy::Oblivious),
-        ("minwise-scaled", RecodePolicy::MinwiseScaled { containment: c }),
-        ("lower-bounded", RecodePolicy::LowerBounded { containment: c }),
+        (
+            "minwise-scaled",
+            RecodePolicy::MinwiseScaled { containment: c },
+        ),
+        (
+            "lower-bounded",
+            RecodePolicy::LowerBounded { containment: c },
+        ),
     ];
     let sweep = ExperimentGrid::new(policies.clone(), vec![()], cfg.seeds());
     let results = sweep.run(|cell| {

@@ -18,9 +18,21 @@ fn main() {
     output::emit(&art_accuracy::table4b(&cfg), "table4b");
     output::emit(&art_accuracy::table4c(&cfg), "table4c");
     for shape in [SystemShape::Compact, SystemShape::Stretched] {
-        output::emit(&transfers::fig5(&cfg, shape), &transfers::csv_name("fig5", shape));
-        output::emit(&transfers::fig6(&cfg, shape), &transfers::csv_name("fig6", shape));
-        output::emit(&transfers::fig78(&cfg, shape, 2), &transfers::csv_name("fig7", shape));
-        output::emit(&transfers::fig78(&cfg, shape, 4), &transfers::csv_name("fig8", shape));
+        output::emit(
+            &transfers::fig5(&cfg, shape),
+            &transfers::csv_name("fig5", shape),
+        );
+        output::emit(
+            &transfers::fig6(&cfg, shape),
+            &transfers::csv_name("fig6", shape),
+        );
+        output::emit(
+            &transfers::fig78(&cfg, shape, 2),
+            &transfers::csv_name("fig7", shape),
+        );
+        output::emit(
+            &transfers::fig78(&cfg, shape, 4),
+            &transfers::csv_name("fig8", shape),
+        );
     }
 }

@@ -5,6 +5,9 @@ use icd_bench::{output, ExpConfig};
 fn main() {
     let cfg = ExpConfig::from_env();
     for shape in [SystemShape::Compact, SystemShape::Stretched] {
-        output::emit(&transfers::fig5(&cfg, shape), &transfers::csv_name("fig5", shape));
+        output::emit(
+            &transfers::fig5(&cfg, shape),
+            &transfers::csv_name("fig5", shape),
+        );
     }
 }

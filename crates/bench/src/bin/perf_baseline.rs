@@ -84,7 +84,9 @@ struct Probe {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick")
-        || std::env::var("ICD_QUICK").map(|v| v == "1").unwrap_or(false);
+        || std::env::var("ICD_QUICK")
+            .map(|v| v == "1")
+            .unwrap_or(false);
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -119,7 +121,10 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"symbols\",\n");
-    json.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
+    json.push_str(&format!(
+        "  \"mode\": \"{}\",\n",
+        if quick { "quick" } else { "full" }
+    ));
     json.push_str(&format!("  \"seed\": {SEED},\n"));
     json.push_str("  \"meta\": {\n");
     json.push_str(&format!("    \"quick\": {quick},\n"));
@@ -189,10 +194,15 @@ fn decode_probe(quick: bool) -> Probe {
     let block_size = 1400usize;
     let content_len = blocks * block_size;
     let mut rng = SplitMix64::new(SEED);
-    let content: Vec<u8> = (0..content_len).map(|_| (rng.next_u64() & 0xFF) as u8).collect();
+    let content: Vec<u8> = (0..content_len)
+        .map(|_| (rng.next_u64() & 0xFF) as u8)
+        .collect();
     let encoder = icd_fountain::Encoder::for_content(&content, block_size, SEED ^ 1);
     // Pre-generate an ample symbol stream so only decoding is timed.
-    let symbols: Vec<EncodedSymbol> = encoder.stream(SEED ^ 2).take(blocks * 13 / 10 + 50).collect();
+    let symbols: Vec<EncodedSymbol> = encoder
+        .stream(SEED ^ 2)
+        .take(blocks * 13 / 10 + 50)
+        .collect();
     // Each rep builds a fresh decoder and is timed through
     // `into_content`, the span the benchmark's `fountain.decode` covers.
     let decode = || {
@@ -351,7 +361,11 @@ fn sim_probe(quick: bool) -> Probe {
         total_ticks = 0;
         for strategy in StrategyKind::ALL {
             let out = run_transfer(&scenario, strategy, SEED ^ 9);
-            assert!(out.completed, "{} failed at fig5 geometry", strategy.label());
+            assert!(
+                out.completed,
+                "{} failed at fig5 geometry",
+                strategy.label()
+            );
             total_ticks += out.ticks;
         }
     });
@@ -402,15 +416,14 @@ fn faulty_swarm_events_probe(quick: bool) -> Probe {
     let peers = if quick { 250 } else { 1000 };
     let blocks = if quick { 48 } else { 64 };
     let window = (5u64, 160);
-    let profiles: Vec<icd_swarm::Link> =
-        [1u64, 2, 4, 8, 16].iter().map(|&i| icd_swarm::Link::slower(i)).collect();
-    let mut cfg = icd_swarm::SwarmConfig::new(
-        peers,
-        blocks,
-        icd_swarm::TopologyKind::PowerLaw { m: 2 },
-    )
-    .with_link_profiles(profiles)
-    .with_faults(icd_swarm::FaultConfig::link_cuts(peers / 20, window));
+    let profiles: Vec<icd_swarm::Link> = [1u64, 2, 4, 8, 16]
+        .iter()
+        .map(|&i| icd_swarm::Link::slower(i))
+        .collect();
+    let mut cfg =
+        icd_swarm::SwarmConfig::new(peers, blocks, icd_swarm::TopologyKind::PowerLaw { m: 2 })
+            .with_link_profiles(profiles)
+            .with_faults(icd_swarm::FaultConfig::link_cuts(peers / 20, window));
     cfg.refresh_interval = 40;
     let mut events = 0u64;
     let mut roster = 0usize;
@@ -438,21 +451,20 @@ fn faulty_swarm_events_probe(quick: bool) -> Probe {
 fn churned_swarm_config(quick: bool) -> (icd_swarm::SwarmConfig, usize, usize) {
     let peers = if quick { 250 } else { 1000 };
     let blocks = if quick { 48 } else { 64 };
-    let profiles: Vec<icd_swarm::Link> =
-        [1u64, 2, 4, 8, 16].iter().map(|&i| icd_swarm::Link::slower(i)).collect();
-    let mut cfg = icd_swarm::SwarmConfig::new(
-        peers,
-        blocks,
-        icd_swarm::TopologyKind::PowerLaw { m: 2 },
-    )
-    .with_link_profiles(profiles)
-    .with_churn(icd_swarm::ChurnConfig {
-        leave_fraction: 0.10,
-        downtime: 60,
-        window: (5, 160),
-        joins: peers / 100,
-        rewires: peers / 50,
-    });
+    let profiles: Vec<icd_swarm::Link> = [1u64, 2, 4, 8, 16]
+        .iter()
+        .map(|&i| icd_swarm::Link::slower(i))
+        .collect();
+    let mut cfg =
+        icd_swarm::SwarmConfig::new(peers, blocks, icd_swarm::TopologyKind::PowerLaw { m: 2 })
+            .with_link_profiles(profiles)
+            .with_churn(icd_swarm::ChurnConfig {
+                leave_fraction: 0.10,
+                downtime: 60,
+                window: (5, 160),
+                joins: peers / 100,
+                rewires: peers / 50,
+            });
     // Slow links deliver few packets per maintenance window; match the
     // cadence so stagnation detection reflects rate, not impatience.
     cfg.refresh_interval = 40;
@@ -523,7 +535,10 @@ fn swarm_split_probes(quick: bool) -> Vec<Probe> {
     let start = Instant::now();
     let out = swarm.run();
     let wall_ns = start.elapsed().as_nanos() as f64;
-    assert!(out.all_complete(), "profiled swarm probe failed to complete");
+    assert!(
+        out.all_complete(),
+        "profiled swarm probe failed to complete"
+    );
     let profile = profile.borrow();
     let pct = |scope: &str| profile.total_ns(scope) as f64 / wall_ns * 100.0;
     let mut probes: Vec<Probe> = icd_swarm::PROFILE_SCOPES
@@ -563,7 +578,10 @@ fn swarm_bytes_probes(quick: bool) -> [Probe; 2] {
     let before = icd_bench::peak_rss_mb().unwrap_or(0.0);
     let mut swarm = icd_swarm::Swarm::new(cfg, SEED ^ 13);
     let out = swarm.run();
-    assert!(out.all_complete(), "footprint swarm probe failed to complete");
+    assert!(
+        out.all_complete(),
+        "footprint swarm probe failed to complete"
+    );
     let growth = icd_bench::peak_rss_mb().unwrap_or(0.0) - before;
     let held = swarm.bytes_held();
     let held_mb = held.total() as f64 / f64::from(1 << 20);
@@ -572,11 +590,18 @@ fn swarm_bytes_probes(quick: bool) -> [Probe; 2] {
             name: "swarm_bytes_held_mb",
             value: held_mb,
             unit: "MB",
-            detail: format!("{}-peer churned swarm, n={blocks}, after run: {held}", out.peers),
+            detail: format!(
+                "{}-peer churned swarm, n={blocks}, after run: {held}",
+                out.peers
+            ),
         },
         Probe {
             name: "swarm_bytes_held_pct",
-            value: if growth > 0.0 { held_mb / growth * 100.0 } else { 0.0 },
+            value: if growth > 0.0 {
+                held_mb / growth * 100.0
+            } else {
+                0.0
+            },
             unit: "%",
             detail: format!(
                 "swarm_bytes_held_mb over the {growth:.1} MB VmHWM growth across \
@@ -610,21 +635,20 @@ fn swarm_events_probe(quick: bool) -> Probe {
     // were due or even alive.
     let peers = if quick { 250 } else { 1000 };
     let blocks = if quick { 48 } else { 64 };
-    let profiles: Vec<icd_swarm::Link> =
-        [1u64, 2, 4, 8, 16].iter().map(|&i| icd_swarm::Link::slower(i)).collect();
-    let mut cfg = icd_swarm::SwarmConfig::new(
-        peers,
-        blocks,
-        icd_swarm::TopologyKind::PowerLaw { m: 2 },
-    )
-    .with_link_profiles(profiles)
-    .with_churn(icd_swarm::ChurnConfig {
-        leave_fraction: 0.10,
-        downtime: 60,
-        window: (5, 160),
-        joins: peers / 100,
-        rewires: peers / 50,
-    });
+    let profiles: Vec<icd_swarm::Link> = [1u64, 2, 4, 8, 16]
+        .iter()
+        .map(|&i| icd_swarm::Link::slower(i))
+        .collect();
+    let mut cfg =
+        icd_swarm::SwarmConfig::new(peers, blocks, icd_swarm::TopologyKind::PowerLaw { m: 2 })
+            .with_link_profiles(profiles)
+            .with_churn(icd_swarm::ChurnConfig {
+                leave_fraction: 0.10,
+                downtime: 60,
+                window: (5, 160),
+                joins: peers / 100,
+                rewires: peers / 50,
+            });
     // Slow links deliver few packets per maintenance window; match the
     // cadence so stagnation detection reflects rate, not impatience.
     cfg.refresh_interval = 40;

@@ -8,7 +8,9 @@ use icd_bench::{output, ExpConfig};
 fn main() {
     let mut cfg = ExpConfig::from_env();
     let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("ICD_QUICK").map(|v| v == "1").unwrap_or(false);
+        || std::env::var("ICD_QUICK")
+            .map(|v| v == "1")
+            .unwrap_or(false);
     if quick {
         cfg.num_blocks = cfg.num_blocks.min(48);
         cfg.trials = cfg.trials.min(1);

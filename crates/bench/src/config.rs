@@ -44,7 +44,9 @@ impl ExpConfig {
     /// The seeds for this configuration.
     #[must_use]
     pub fn seeds(&self) -> Vec<u64> {
-        (0..self.trials as u64).map(|t| self.base_seed + t).collect()
+        (0..self.trials as u64)
+            .map(|t| self.base_seed + t)
+            .collect()
     }
 }
 

@@ -344,14 +344,15 @@ mod tests {
             8,
             |cell| {
                 // Stagger completion so late indices often finish first.
-                std::thread::sleep(std::time::Duration::from_micros(
-                    (20 - cell.scenario) * 100,
-                ));
+                std::thread::sleep(std::time::Duration::from_micros((20 - cell.scenario) * 100));
                 *cell.scenario
             },
             |i, r| seen.push((i, *r)),
         );
-        assert_eq!(seen, (0..20).map(|i| (i as usize, i as u64)).collect::<Vec<_>>());
+        assert_eq!(
+            seen,
+            (0..20).map(|i| (i as usize, i as u64)).collect::<Vec<_>>()
+        );
     }
 
     #[test]

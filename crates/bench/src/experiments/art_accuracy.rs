@@ -36,7 +36,13 @@ pub fn fig4a(cfg: &ExpConfig) -> Table {
             base.set_size, base.differences
         ),
         &[
-            "leaf_bits", "corr=0", "corr=1", "corr=2", "corr=3", "corr=4", "corr=5",
+            "leaf_bits",
+            "corr=0",
+            "corr=1",
+            "corr=2",
+            "corr=3",
+            "corr=4",
+            "corr=5",
         ],
     );
     // One row per leaf-bit setting, one column per correction level;

@@ -21,7 +21,12 @@ pub fn bloom_fp_table(cfg: &ExpConfig) -> Table {
         &["bits/elem", "hashes", "analytic", "measured", "paper"],
     );
     let paper_points = [(4.0, 3, Some(0.147)), (8.0, 5, Some(0.022))];
-    let extra_points = [(2.0, 1, None), (6.0, 4, None), (10.0, 7, None), (12.0, 8, None)];
+    let extra_points = [
+        (2.0, 1, None),
+        (6.0, 4, None),
+        (10.0, 7, None),
+        (12.0, 8, None),
+    ];
     let points: Vec<(f64, u32, Option<f64>)> =
         paper_points.into_iter().chain(extra_points).collect();
     // One engine cell per calibration point; keys and probes come from
@@ -37,7 +42,9 @@ pub fn bloom_fp_table(cfg: &ExpConfig) -> Table {
             filter.insert(rng.next_u64());
         }
         let trials = 100_000;
-        let fps = (0..trials).filter(|_| filter.contains(rng.next_u64())).count();
+        let fps = (0..trials)
+            .filter(|_| filter.contains(rng.next_u64()))
+            .count();
         fps as f64 / trials as f64
     });
     for (si, _, _, &measured) in results.iter() {
@@ -60,7 +67,13 @@ pub fn bloom_fp_table(cfg: &ExpConfig) -> Table {
 pub fn coding_table(cfg: &ExpConfig) -> Table {
     let mut table = Table::new(
         "Coding parameters (paper §6.1: avg degree 11, overhead 6.8% at l=23968)".to_string(),
-        &["blocks", "mean_degree", "overhead_mean", "overhead_ci95", "trials"],
+        &[
+            "blocks",
+            "mean_degree",
+            "overhead_mean",
+            "overhead_ci95",
+            "trials",
+        ],
     );
     let mut scales = vec![1_000usize, 4_000];
     if cfg.num_blocks > 4_000 {
@@ -70,7 +83,11 @@ pub fn coding_table(cfg: &ExpConfig) -> Table {
     let sweep = ExperimentGrid::new(scales, vec![()], vec![cfg.base_seed]);
     let results = sweep.run(|cell| {
         let l = *cell.scenario;
-        let trials = if l >= 20_000 { cfg.trials.min(2) } else { cfg.trials };
+        let trials = if l >= 20_000 {
+            cfg.trials.min(2)
+        } else {
+            cfg.trials
+        };
         measure_overhead(l, trials, cfg.base_seed)
     });
     for (si, _, _, report) in results.iter() {
@@ -95,10 +112,14 @@ pub fn recon_cost_table(cfg: &ExpConfig) -> Table {
     let scenario = Scenario::generate(shared, differences, cfg.base_seed);
     let report = measure_all(&scenario);
     let mut table = Table::new(
-        format!(
-            "Reconciliation cost comparison (|A|={shared}, |B−A|={differences})"
-        ),
-        &["method", "wire_bytes", "build_ms", "reconcile_ms", "accuracy"],
+        format!("Reconciliation cost comparison (|A|={shared}, |B−A|={differences})"),
+        &[
+            "method",
+            "wire_bytes",
+            "build_ms",
+            "reconcile_ms",
+            "accuracy",
+        ],
     );
     for row in &report.rows {
         table.push_row(vec![

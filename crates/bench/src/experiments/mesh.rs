@@ -136,8 +136,11 @@ pub fn mesh_matrix_with_threads(cfg: &ExpConfig, threads: usize) -> Table {
             let completed = trials.iter().filter(|o| o.transfer.completed).count();
             // Advisor choices from the first trial (they are a function
             // of geometry, not the trial seed, for uniform points).
-            let mut mechanisms: Vec<String> =
-                trials[0].summaries.iter().map(|id| id.label().to_string()).collect();
+            let mut mechanisms: Vec<String> = trials[0]
+                .summaries
+                .iter()
+                .map(|id| id.label().to_string())
+                .collect();
             mechanisms.dedup();
             table.push_row(vec![
                 point.label.to_string(),

@@ -105,7 +105,9 @@ pub fn session_cell(
 ) -> SessionCellOutcome {
     let mut rng = Xoshiro256StarStar::new(seed);
     let shared: Vec<u64> = (0..geometry.shared).map(|_| rng.next_u64()).collect();
-    let r_extra: Vec<u64> = (0..geometry.receiver_extra).map(|_| rng.next_u64()).collect();
+    let r_extra: Vec<u64> = (0..geometry.receiver_extra)
+        .map(|_| rng.next_u64())
+        .collect();
     let s_extra: Vec<u64> = (0..geometry.sender_extra).map(|_| rng.next_u64()).collect();
     let receiver_ws =
         WorkingSet::from_symbols(shared.iter().chain(r_extra.iter()).map(|&id| sym(id)));
@@ -243,7 +245,11 @@ pub fn overlay_matrix(cfg: &ExpConfig) -> Table {
             // its overhead mean would print as a flattering 0.000 —
             // render the stall explicitly instead.
             let any_completed = results.point(si, gi).iter().any(|&(done, _)| done);
-            cells.push(if any_completed { f3(s.mean()) } else { "-".to_string() });
+            cells.push(if any_completed {
+                f3(s.mean())
+            } else {
+                "-".to_string()
+            });
         }
         table.push_row(cells);
     }
@@ -284,18 +290,37 @@ pub fn selection_report() -> Table {
     };
     let mut table = Table::new(
         "Summary selection: mechanism select_summary picks per link geometry",
-        &["geometry", "receiver", "sender", "resemblance", "default", "precision"],
+        &[
+            "geometry",
+            "receiver",
+            "sender",
+            "resemblance",
+            "default",
+            "precision",
+        ],
     );
     for (label, a, b, shared) in SELECTION_LINKS {
         let r = shared as f64 / (a + b - shared) as f64;
         let estimate = OverlapEstimate::from_resemblance(r, a, b);
         let pick = |knobs: &PolicyKnobs| {
-            select_summary(&estimate, knobs, &SummarySizing::default(), standard_registry())
-                .map_or("none", SummaryId::label)
-                .to_string()
+            select_summary(
+                &estimate,
+                knobs,
+                &SummarySizing::default(),
+                standard_registry(),
+            )
+            .map_or("none", SummaryId::label)
+            .to_string()
         };
         let default = pick(&PolicyKnobs::default());
-        let row = vec![label.to_string(), a.to_string(), b.to_string(), f3(r), default, pick(&precision)];
+        let row = vec![
+            label.to_string(),
+            a.to_string(),
+            b.to_string(),
+            f3(r),
+            default,
+            pick(&precision),
+        ];
         table.push_row(row);
     }
     table
@@ -316,10 +341,7 @@ mod tests {
         };
         for mechanism in standard_registry().ids() {
             let out = session_cell(&geometry, mechanism, 0xC0FFEE);
-            assert!(
-                out.recovered > 0.0,
-                "{mechanism} moved nothing end-to-end"
-            );
+            assert!(out.recovered > 0.0, "{mechanism} moved nothing end-to-end");
             assert!(out.recovered <= 1.0 + 1e-9);
             assert!(out.summary_bytes > 0);
             assert!(out.control_bytes > out.summary_bytes);

@@ -11,7 +11,9 @@
 //! count like every other artifact.
 
 use icd_sketch::SummaryId;
-use icd_swarm::{try_run_swarm, ChurnConfig, SwarmConfig, SwarmOutcome, SwarmStrategy, TopologyKind};
+use icd_swarm::{
+    try_run_swarm, ChurnConfig, SwarmConfig, SwarmOutcome, SwarmStrategy, TopologyKind,
+};
 
 use icd_overlay::strategy::StrategyKind;
 
@@ -168,7 +170,10 @@ pub fn swarm_matrix_with_threads(cfg: &ExpConfig, threads: usize) -> Table {
                 // megabytes — the byte-accounting sweep's honest column.
                 f3(mean(&|o: &SwarmOutcome| o.wire_bytes as f64 / 1e6)),
                 format!("{:.0}", mean(&|o: &SwarmOutcome| o.events as f64)),
-                format!("{:.0}", mean(&|o: &SwarmOutcome| f64::from(o.membership_events()))),
+                format!(
+                    "{:.0}",
+                    mean(&|o: &SwarmOutcome| f64::from(o.membership_events()))
+                ),
                 format!("{:.0}", mean(&|o: &SwarmOutcome| o.reconnects as f64)),
             ]);
         }
@@ -201,7 +206,12 @@ mod tests {
         let point = &default_points()[2]; // power-law, 10% churn
         for (_, strategy) in FAMILIES {
             let out = swarm_cell(point, strategy, 64, 3);
-            assert!(out.all_complete(), "{strategy:?}: {}/{}", out.completed, out.peers);
+            assert!(
+                out.all_complete(),
+                "{strategy:?}: {}/{}",
+                out.completed,
+                out.peers
+            );
             assert!(out.membership_events() > 0, "churn never fired");
         }
     }

@@ -95,11 +95,7 @@ fn sweep_figure(
     results.summaries(|&(_, value)| value)
 }
 
-fn render(
-    title: String,
-    grid: &[f64],
-    data: &[Vec<Summary>],
-) -> Table {
+fn render(title: String, grid: &[f64], data: &[Vec<Summary>]) -> Table {
     let mut table = Table::new(
         title,
         &[
@@ -126,10 +122,16 @@ fn render(
 pub fn fig5(cfg: &ExpConfig, shape: SystemShape) -> Table {
     let max = shape.params(cfg, 0).max_two_peer_correlation();
     let grid = correlation_grid(max - 1e-9, 10);
-    let data = sweep_figure(cfg, shape, &grid, Metric::Overhead, |params, c, strategy, seed| {
-        let scenario = TwoPeerScenario::build(params, c);
-        run_transfer(&scenario, strategy, seed)
-    });
+    let data = sweep_figure(
+        cfg,
+        shape,
+        &grid,
+        Metric::Overhead,
+        |params, c, strategy, seed| {
+            let scenario = TwoPeerScenario::build(params, c);
+            run_transfer(&scenario, strategy, seed)
+        },
+    );
     render(
         format!("Figure 5 ({}): overhead vs correlation", shape.label()),
         &grid,
@@ -142,10 +144,16 @@ pub fn fig5(cfg: &ExpConfig, shape: SystemShape) -> Table {
 pub fn fig6(cfg: &ExpConfig, shape: SystemShape) -> Table {
     let max = shape.params(cfg, 0).max_two_peer_correlation();
     let grid = correlation_grid(max - 1e-9, 10);
-    let data = sweep_figure(cfg, shape, &grid, Metric::Speedup, |params, c, strategy, seed| {
-        let scenario = TwoPeerScenario::build(params, c);
-        run_with_full_sender(&scenario, strategy, seed)
-    });
+    let data = sweep_figure(
+        cfg,
+        shape,
+        &grid,
+        Metric::Speedup,
+        |params, c, strategy, seed| {
+            let scenario = TwoPeerScenario::build(params, c);
+            run_with_full_sender(&scenario, strategy, seed)
+        },
+    );
     render(
         format!(
             "Figure 6 ({}): speedup, full + partial sender",
@@ -160,10 +168,16 @@ pub fn fig6(cfg: &ExpConfig, shape: SystemShape) -> Table {
 #[must_use]
 pub fn fig78(cfg: &ExpConfig, shape: SystemShape, k: usize) -> Table {
     let grid = correlation_grid(0.5, 11);
-    let data = sweep_figure(cfg, shape, &grid, Metric::Speedup, |params, c, strategy, seed| {
-        let scenario = MultiSenderScenario::build(params, k, c);
-        run_multi_partial(&scenario, strategy, seed)
-    });
+    let data = sweep_figure(
+        cfg,
+        shape,
+        &grid,
+        Metric::Speedup,
+        |params, c, strategy, seed| {
+            let scenario = MultiSenderScenario::build(params, k, c);
+            run_multi_partial(&scenario, strategy, seed)
+        },
+    );
     let fig = if k <= 2 { 7 } else { 8 };
     render(
         format!(

@@ -23,8 +23,18 @@ fn mini_fig5_table(threads: usize) -> String {
     });
     summary_table(
         "mini fig5".to_string(),
-        &["c", "Random", "Random/BF", "Recode", "Recode/BF", "Recode/MW"],
-        &correlations.iter().map(|c| format!("{c:.2}")).collect::<Vec<_>>(),
+        &[
+            "c",
+            "Random",
+            "Random/BF",
+            "Recode",
+            "Recode/BF",
+            "Recode/MW",
+        ],
+        &correlations
+            .iter()
+            .map(|c| format!("{c:.2}"))
+            .collect::<Vec<_>>(),
         &results,
         |&v| v,
     )
@@ -154,5 +164,9 @@ fn per_cell_rng_is_a_pure_function_of_coordinates() {
     let many = draw(4);
     assert_eq!(one, many);
     let distinct: std::collections::HashSet<u64> = one.iter().copied().collect();
-    assert_eq!(distinct.len(), grid.len(), "cells must not share RNG streams");
+    assert_eq!(
+        distinct.len(),
+        grid.len(),
+        "cells must not share RNG streams"
+    );
 }

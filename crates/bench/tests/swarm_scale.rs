@@ -58,8 +58,10 @@ fn run_grid(peers: usize, threads: usize) -> Vec<SwarmOutcome> {
     // Two seeds → two cells, so the 8-thread run genuinely schedules
     // cells concurrently.
     let grid = ExperimentGrid::new(vec![()], vec![()], vec![0xA11, 0xA12]);
-    grid.run_with_threads(threads, |cell| run_swarm(power_law_config(peers), cell.seed))
-        .into_cells()
+    grid.run_with_threads(threads, |cell| {
+        run_swarm(power_law_config(peers), cell.seed)
+    })
+    .into_cells()
 }
 
 #[test]

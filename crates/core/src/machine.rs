@@ -199,7 +199,10 @@ impl std::fmt::Display for SessionError {
             Self::UnknownSummary { id } => write!(f, "summary id {id} not in registry"),
             Self::MalformedSummary(why) => write!(f, "summary body rejected: {why}"),
             Self::PayloadLength { expected, got } => {
-                write!(f, "data payload of {got} bytes, session symbols are {expected}")
+                write!(
+                    f,
+                    "data payload of {got} bytes, session symbols are {expected}"
+                )
             }
         }
     }
@@ -300,7 +303,9 @@ fn decode_frame(frame: &Bytes) -> Result<Message, MachineError> {
             .expect("four prefix bytes"),
     ) as usize;
     if declared != frame.len() - FRAME_PREFIX_BYTES {
-        return Err(MachineError::Frame("length prefix disagrees with frame size"));
+        return Err(MachineError::Frame(
+            "length prefix disagrees with frame size",
+        ));
     }
     Message::decode_from(&frame.slice(FRAME_PREFIX_BYTES..)).map_err(MachineError::Wire)
 }
@@ -338,7 +343,9 @@ impl Framer {
 
     /// Encodes `msg` as one whole frame and queues it for sending.
     fn send(&self, msg: &Message, actions: &mut Vec<SessionAction>) -> Result<(), MachineError> {
-        actions.push(SessionAction::SendFrame(encode_frame(msg).map_err(oversized)?));
+        actions.push(SessionAction::SendFrame(
+            encode_frame(msg).map_err(oversized)?,
+        ));
         Ok(())
     }
 
@@ -502,9 +509,13 @@ impl ReceiverMachine {
             (ReceiverState::Streaming, Message::EncodedSymbol { id, payload }) => {
                 self.ingest(std::slice::from_ref(id), payload, actions)
             }
-            (ReceiverState::Streaming, Message::RecodedSymbol { components, payload }) => {
-                self.ingest(components, payload, actions)
-            }
+            (
+                ReceiverState::Streaming,
+                Message::RecodedSymbol {
+                    components,
+                    payload,
+                },
+            ) => self.ingest(components, payload, actions),
             (ReceiverState::Streaming, Message::End { .. }) => {
                 self.state = ReceiverState::Done;
                 Ok(())
@@ -537,13 +548,14 @@ impl ReceiverMachine {
             .into());
         }
         let (working, gained) = (&mut self.working, &mut self.gained);
-        self.buffer.receive(components, payload.clone(), |id, payload| {
-            let payload = payload.clone();
-            if working.insert(EncodedSymbol { id, payload }) {
-                *gained += 1;
-                actions.push(SessionAction::SymbolDecoded(id));
-            }
-        });
+        self.buffer
+            .receive(components, payload.clone(), |id, payload| {
+                let payload = payload.clone();
+                if working.insert(EncodedSymbol { id, payload }) {
+                    *gained += 1;
+                    actions.push(SessionAction::SymbolDecoded(id));
+                }
+            });
         Ok(())
     }
 
@@ -669,7 +681,8 @@ impl SenderMachine {
                 let msg = self.framer.receive(&frame)?;
                 self.on_message(&msg, &mut actions)?;
                 if self.state == SenderState::Done {
-                    self.framer.finish(SessionAction::Completed { gained: 0 }, &mut actions);
+                    self.framer
+                        .finish(SessionAction::Completed { gained: 0 }, &mut actions);
                 }
             }
         }
@@ -725,8 +738,14 @@ impl SenderMachine {
             None => (StrategyKind::RecodeMinwise, self.working.sorted_ids()),
         };
         let hint = usize::try_from(count).unwrap_or(usize::MAX);
-        let sender =
-            StrategySender::new(kind, pool, self.containment, self.seed, hint, Some(&self.working));
+        let sender = StrategySender::new(
+            kind,
+            pool,
+            self.containment,
+            self.seed,
+            hint,
+            Some(&self.working),
+        );
         self.answer = Some(Answer {
             sender,
             packet: PacketScratch::default(),
@@ -772,7 +791,8 @@ impl SenderMachine {
         self.answer = None;
         self.state = SenderState::Done;
         self.framer.send(&Message::End { sent }, actions)?;
-        self.framer.finish(SessionAction::Completed { gained: sent }, actions);
+        self.framer
+            .finish(SessionAction::Completed { gained: sent }, actions);
         Ok(true)
     }
 
@@ -844,7 +864,12 @@ impl FramePump {
         Ok(())
     }
 
-    fn route(&mut self, from: Vec<SessionAction>, from_receiver: bool, sink: &mut Vec<SessionAction>) {
+    fn route(
+        &mut self,
+        from: Vec<SessionAction>,
+        from_receiver: bool,
+        sink: &mut Vec<SessionAction>,
+    ) {
         for action in from {
             match action {
                 SessionAction::SendFrame(frame) if from_receiver => self.to_sender.push_back(frame),
@@ -1225,8 +1250,7 @@ mod tests {
         let mut sender_ids = shared.clone();
         sender_ids.extend(fresh.iter().copied());
         let send_ws = working(&sender_ids);
-        let receiver =
-            ReceiverMachine::new(recv_ws, SessionConfig::new().with_request(request));
+        let receiver = ReceiverMachine::new(recv_ws, SessionConfig::new().with_request(request));
         let sender = SenderMachine::new(send_ws, 7);
         (receiver, sender, fresh.len())
     }
@@ -1243,7 +1267,9 @@ mod tests {
         sender_ids.extend(fresh.iter().copied());
         let mut receiver = ReceiverMachine::new(working(shared), config);
         let mut sender = SenderMachine::new(working(&sender_ids), seed);
-        FramePump::new().run(&mut receiver, &mut sender).expect("run");
+        FramePump::new()
+            .run(&mut receiver, &mut sender)
+            .expect("run");
         assert!(sender.is_finished());
         receiver
     }
@@ -1289,7 +1315,10 @@ mod tests {
             .collect();
         let receiver = ReceiverMachine::new(working, SessionConfig::default());
         for (id, ptr) in held {
-            let payload = receiver.buffer.known_payload(id).expect("held symbol is known");
+            let payload = receiver
+                .buffer
+                .known_payload(id)
+                .expect("held symbol is known");
             assert_eq!(payload.as_ptr(), ptr, "symbol {id} copied into the buffer");
         }
     }
@@ -1299,7 +1328,9 @@ mod tests {
         let shared = ids(300, 51);
         let peer = working(&ids(300, 52));
         let mut receiver = ReceiverMachine::new(working(&shared), SessionConfig::default());
-        receiver.handle(SessionEvent::PeerConnected).expect("connect");
+        receiver
+            .handle(SessionEvent::PeerConnected)
+            .expect("connect");
         receiver
             .handle(frame(&Message::Minwise(peer.sketch().clone())))
             .expect("peer sketch");
@@ -1315,7 +1346,10 @@ mod tests {
             .expect("ingest");
         assert_eq!(actions, vec![SessionAction::SymbolDecoded(id)]);
         let stored = receiver.working().payload(id).expect("decoded");
-        assert!(inside.contains(&stored.as_ptr()), "payload copied out of its frame");
+        assert!(
+            inside.contains(&stored.as_ptr()),
+            "payload copied out of its frame"
+        );
         let buffered = receiver.buffer.known_payload(id).expect("known");
         assert_eq!(buffered.as_ptr(), stored.as_ptr());
     }
@@ -1324,9 +1358,15 @@ mod tests {
     fn reconciled_sessions_draw_no_payload_buffer() {
         let (shared, fresh) = (ids(1000, 53), ids(300, 54));
         let receiver = transfer(&shared, &fresh, SessionConfig::new().with_request(1000), 55);
-        assert!(matches!(receiver.plan(), Some(TransferPlan::Reconciled { .. })));
+        assert!(matches!(
+            receiver.plan(),
+            Some(TransferPlan::Reconciled { .. })
+        ));
         assert!(receiver.gained() > 0);
-        assert_eq!(receiver.buffer.pool().stats(), icd_util::symbol::PoolStats::default());
+        assert_eq!(
+            receiver.buffer.pool().stats(),
+            icd_util::symbol::PoolStats::default()
+        );
     }
 
     #[test]
@@ -1350,7 +1390,10 @@ mod tests {
         assert_eq!(pump.wire_bytes(), expected);
         assert_eq!(
             actions,
-            vec![SessionAction::Rejected, SessionAction::Completed { gained: 0 }]
+            vec![
+                SessionAction::Rejected,
+                SessionAction::Completed { gained: 0 }
+            ]
         );
     }
 
@@ -1369,8 +1412,15 @@ mod tests {
         // withhold a few).
         let gained = receiver.gained() as usize;
         assert!(gained <= fresh.len());
-        assert!(gained > fresh.len() * 9 / 10, "gained {gained} of {}", fresh.len());
-        for id in fresh.iter().filter(|id| receiver.working().payload(**id).is_some()) {
+        assert!(
+            gained > fresh.len() * 9 / 10,
+            "gained {gained} of {}",
+            fresh.len()
+        );
+        for id in fresh
+            .iter()
+            .filter(|id| receiver.working().payload(**id).is_some())
+        {
             let payload = receiver.working().payload(*id).expect("present");
             assert_eq!(payload.as_ref(), &id.to_le_bytes());
         }
@@ -1388,8 +1438,14 @@ mod tests {
                 summary: SummaryId::ART
             })
         );
-        assert!(receiver.gained() > 0, "ART transfer should deliver something");
-        assert_eq!(receiver.working().len(), shared.len() + receiver.gained() as usize);
+        assert!(
+            receiver.gained() > 0,
+            "ART transfer should deliver something"
+        );
+        assert_eq!(
+            receiver.working().len(),
+            shared.len() + receiver.gained() as usize
+        );
     }
 
     #[test]
@@ -1403,14 +1459,20 @@ mod tests {
             });
         let receiver = transfer(&shared, &fresh, config, 10);
         assert!(receiver.is_done());
-        assert!(matches!(receiver.plan(), Some(TransferPlan::Speculative { .. })));
+        assert!(matches!(
+            receiver.plan(),
+            Some(TransferPlan::Speculative { .. })
+        ));
         assert!(
             receiver.gained() as usize > fresh.len() / 2,
             "recoded stream should deliver a good share: {}",
             receiver.gained()
         );
         // Payload integrity through recoded XOR paths.
-        for id in fresh.iter().filter(|id| receiver.working().payload(**id).is_some()) {
+        for id in fresh
+            .iter()
+            .filter(|id| receiver.working().payload(**id).is_some())
+        {
             let payload = receiver.working().payload(*id).expect("present");
             assert_eq!(payload.as_ref(), &id.to_le_bytes());
         }
@@ -1442,16 +1504,22 @@ mod tests {
     fn protocol_violations_are_errors() {
         let ws = working(&ids(10, 11));
         let mut receiver = ReceiverMachine::new(ws.clone(), SessionConfig::default());
-        receiver.handle(SessionEvent::PeerConnected).expect("connect");
+        receiver
+            .handle(SessionEvent::PeerConnected)
+            .expect("connect");
         assert!(matches!(
             receiver.handle(frame(&Message::SymbolRequest { count: 1 })),
-            Err(MachineError::Session(SessionError::UnexpectedMessage { .. }))
+            Err(MachineError::Session(
+                SessionError::UnexpectedMessage { .. }
+            ))
         ));
         let mut sender = SenderMachine::new(ws, 12);
         sender.handle(SessionEvent::PeerConnected).expect("connect");
         assert!(matches!(
             sender.handle(frame(&Message::End { sent: 0 })),
-            Err(MachineError::Session(SessionError::UnexpectedMessage { .. }))
+            Err(MachineError::Session(
+                SessionError::UnexpectedMessage { .. }
+            ))
         ));
     }
 
@@ -1463,13 +1531,17 @@ mod tests {
         let send_ws = working(&ids(200, 31));
         let config = SessionConfig::new().with_summary(SummaryId(0x8001));
         let mut receiver = ReceiverMachine::new(working(&ids(200, 30)), config);
-        receiver.handle(SessionEvent::PeerConnected).expect("connect");
+        receiver
+            .handle(SessionEvent::PeerConnected)
+            .expect("connect");
         let peer = Message::Minwise(send_ws.sketch().clone());
         for _ in 0..2 {
             // The second delivery is not "unexpected": still awaiting.
             assert!(matches!(
                 receiver.handle(frame(&peer)),
-                Err(MachineError::Session(SessionError::UnknownSummary { id: 0x8001 }))
+                Err(MachineError::Session(SessionError::UnknownSummary {
+                    id: 0x8001
+                }))
             ));
             assert!(receiver.plan().is_none(), "no plan may be committed");
         }
@@ -1489,7 +1561,9 @@ mod tests {
         };
         assert!(matches!(
             sender.handle(frame(&unknown)),
-            Err(MachineError::Session(SessionError::UnknownSummary { id: 0x7777 }))
+            Err(MachineError::Session(SessionError::UnknownSummary {
+                id: 0x7777
+            }))
         ));
         // A registered id with a garbage body.
         let garbage = Message::Summary {
@@ -1516,7 +1590,9 @@ mod tests {
             Err(MachineError::Frame(_))
         ));
         // A frame whose prefix lies about its length is rejected.
-        receiver.handle(SessionEvent::PeerConnected).expect("connect");
+        receiver
+            .handle(SessionEvent::PeerConnected)
+            .expect("connect");
         let lying = Bytes::from_static(&[9, 0, 0, 0, 0x7F]);
         assert!(matches!(
             receiver.handle(SessionEvent::FrameReceived(lying)),
@@ -1592,8 +1668,7 @@ mod tests {
                 .expect("sender drive");
             (sender, stats)
         });
-        let recv_stats = drive(&mut receiver, &mut receiver_half)
-            .expect("receiver drive");
+        let recv_stats = drive(&mut receiver, &mut receiver_half).expect("receiver drive");
         drop(receiver_half);
         let (sender, send_stats) = sender_thread.join().expect("join");
 
@@ -1696,7 +1771,10 @@ mod tests {
         let (mut receiver, _, _) = machines(10);
         assert!(matches!(
             drive(&mut receiver, &mut stream),
-            Err(DriveError::Transport(FrameError::Truncated { needed: 5, got: 7 }))
+            Err(DriveError::Transport(FrameError::Truncated {
+                needed: 5,
+                got: 7
+            }))
         ));
     }
 
@@ -1763,10 +1841,14 @@ mod tests {
         let (mut receiver, mut sender, fresh) = machines(1000);
         let mut pump = FramePump::new();
         let mut actions = Vec::new();
-        pump.start(&mut receiver, &mut sender, &mut actions).expect("start");
+        pump.start(&mut receiver, &mut sender, &mut actions)
+            .expect("start");
         // Pump only a handful of frames — the "connection" then dies.
         for _ in 0..12 {
-            if pump.step(&mut receiver, &mut sender, &mut actions).expect("step") == PumpStep::Idle
+            if pump
+                .step(&mut receiver, &mut sender, &mut actions)
+                .expect("step")
+                == PumpStep::Idle
             {
                 break;
             }
@@ -1810,7 +1892,10 @@ mod tests {
         // The resumed handshake summarized the pre-cut gains, so none of
         // them is ever re-decoded.
         for id in &second {
-            assert!(!first.contains(id), "symbol {id} double-counted across resume");
+            assert!(
+                !first.contains(id),
+                "symbol {id} double-counted across resume"
+            );
         }
         // Combined, the two half-sessions still deliver the transfer.
         assert!(

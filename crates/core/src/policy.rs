@@ -140,7 +140,13 @@ pub fn select_summary(
     registry: &SummaryRegistry,
 ) -> Option<SummaryId> {
     let est = diff_estimate(estimate);
-    icd_sketch::cheapest_mechanism(registry, sizing, &est, knobs.min_recall, knobs.compute_weight)
+    icd_sketch::cheapest_mechanism(
+        registry,
+        sizing,
+        &est,
+        knobs.min_recall,
+        knobs.compute_weight,
+    )
 }
 
 #[cfg(test)]
@@ -245,7 +251,9 @@ mod tests {
         // summary-matrix and file-pair geometries.
         let full = standard_registry();
         let without = SummaryRegistry::from_specs(
-            full.iter().filter(|spec| spec.id != SummaryId::RIBLT).copied(),
+            full.iter()
+                .filter(|spec| spec.id != SummaryId::RIBLT)
+                .copied(),
         );
         let knobs = PolicyKnobs::default();
         let sizing = SummarySizing::default();

@@ -269,10 +269,16 @@ impl StrategySender {
                 // for (plus recode-layer decoding headroom); recoding over
                 // every candidate would force the receiver to collect the
                 // whole candidate fountain.
-                pool.truncate(request_hint.saturating_add(request_hint / 10).saturating_add(8));
+                pool.truncate(
+                    request_hint
+                        .saturating_add(request_hint / 10)
+                        .saturating_add(8),
+                );
                 recode(pool, RecodePolicy::Oblivious)
             }
-            StrategyKind::RecodeMinwise => recode(pool, RecodePolicy::MinwiseScaled { containment }),
+            StrategyKind::RecodeMinwise => {
+                recode(pool, RecodePolicy::MinwiseScaled { containment })
+            }
         };
         Self { pick, rng }
     }
@@ -357,7 +363,11 @@ mod tests {
     fn packets(sender: &mut StrategySender, n: usize) -> Vec<(bool, Vec<SymbolId>)> {
         let mut out = PacketScratch::default();
         (0..n)
-            .map_while(|_| sender.emit(&mut out).then(|| (out.is_recoded(), out.ids().to_vec())))
+            .map_while(|_| {
+                sender
+                    .emit(&mut out)
+                    .then(|| (out.is_recoded(), out.ids().to_vec()))
+            })
             .collect()
     }
 
@@ -502,10 +512,16 @@ mod tests {
 
     #[test]
     fn an_empty_pool_is_exhausted_not_a_panic() {
-        let kinds = StrategyKind::ALL.into_iter().chain([StrategyKind::RandomSummary(SummaryId::ART)]);
+        let kinds = StrategyKind::ALL
+            .into_iter()
+            .chain([StrategyKind::RandomSummary(SummaryId::ART)]);
         for kind in kinds {
             let mut s = StrategySender::new(kind, Vec::new(), 0.5, 1, 10, Some(&WorkingSet::new()));
-            assert!(packets(&mut s, 3).is_empty(), "{} emitted from nothing", kind.label());
+            assert!(
+                packets(&mut s, 3).is_empty(),
+                "{} emitted from nothing",
+                kind.label()
+            );
         }
     }
 

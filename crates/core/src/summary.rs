@@ -64,7 +64,11 @@ mod tests {
         let d = diff_estimate(&est);
         assert_eq!(d.summarized, 1000);
         assert_eq!(d.searched, 1300);
-        assert!((d.expected_new as i64 - 300).abs() <= 2, "got {}", d.expected_new);
+        assert!(
+            (d.expected_new as i64 - 300).abs() <= 2,
+            "got {}",
+            d.expected_new
+        );
         assert!(d.expected_delta >= d.expected_new);
     }
 }

@@ -162,7 +162,10 @@ mod tests {
         assert!(!ws.insert(sym(7)), "duplicate rejected");
         assert_eq!(ws.len(), 1);
         assert!(ws.payload(7).is_some());
-        assert_eq!(ws.payload(7).expect("present").as_ref(), &7u64.to_le_bytes());
+        assert_eq!(
+            ws.payload(7).expect("present").as_ref(),
+            &7u64.to_le_bytes()
+        );
     }
 
     #[test]
@@ -194,7 +197,11 @@ mod tests {
         }
         let est = a.estimate_against(b.sketch());
         // True resemblance = 500/1500.
-        assert!((est.resemblance() - 1.0 / 3.0).abs() < 0.1, "r = {}", est.resemblance());
+        assert!(
+            (est.resemblance() - 1.0 / 3.0).abs() < 0.1,
+            "r = {}",
+            est.resemblance()
+        );
         assert!(!est.is_identical(0.01));
     }
 

@@ -7,8 +7,8 @@
 use bytes::Bytes;
 use icd_core::summary::{standard_registry, SummaryId};
 use icd_core::{
-    FramePump, MachineError, PolicyKnobs, PumpStep, ReceiverMachine, SenderMachine,
-    SessionAction, SessionConfig, SessionError, SessionEvent, TransferPlan, WorkingSet,
+    FramePump, MachineError, PolicyKnobs, PumpStep, ReceiverMachine, SenderMachine, SessionAction,
+    SessionConfig, SessionError, SessionEvent, TransferPlan, WorkingSet,
 };
 use icd_fountain::EncodedSymbol;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
@@ -29,16 +29,18 @@ fn ids(n: usize, seed: u64) -> Vec<u64> {
 
 /// Overlapping working sets: receiver holds the first `shared + own`
 /// ids, sender holds the `shared` ids plus `fresh` ids of its own.
-fn overlapping_sets(shared: usize, receiver_extra: usize, sender_extra: usize) -> (WorkingSet, WorkingSet) {
+fn overlapping_sets(
+    shared: usize,
+    receiver_extra: usize,
+    sender_extra: usize,
+) -> (WorkingSet, WorkingSet) {
     let shared_ids = ids(shared, 0xAB);
     let r_extra = ids(receiver_extra, 0xCD);
     let s_extra = ids(sender_extra, 0xEF);
-    let receiver = WorkingSet::from_symbols(
-        shared_ids.iter().chain(r_extra.iter()).map(|&id| sym(id)),
-    );
-    let sender = WorkingSet::from_symbols(
-        shared_ids.iter().chain(s_extra.iter()).map(|&id| sym(id)),
-    );
+    let receiver =
+        WorkingSet::from_symbols(shared_ids.iter().chain(r_extra.iter()).map(|&id| sym(id)));
+    let sender =
+        WorkingSet::from_symbols(shared_ids.iter().chain(s_extra.iter()).map(|&id| sym(id)));
     (receiver, sender)
 }
 
@@ -83,7 +85,10 @@ fn reconciled_plan_reaches_the_request_target() {
         "reconciled transfer fell short: gained {} of {request}",
         session.gained()
     );
-    assert_eq!(session.working().len() as u64, before as u64 + session.gained());
+    assert_eq!(
+        session.working().len() as u64,
+        before as u64 + session.gained()
+    );
 }
 
 #[test]
@@ -231,7 +236,10 @@ fn poll_style_stepping_matches_the_batch_run_exactly() {
     assert_eq!(stepped.wire_bytes(), batch.wire_bytes());
     assert_eq!(recv_step.plan(), recv_batch.plan());
     assert_eq!(recv_step.gained(), recv_batch.gained());
-    assert_eq!(recv_step.working().sorted_ids(), recv_batch.working().sorted_ids());
+    assert_eq!(
+        recv_step.working().sorted_ids(),
+        recv_batch.working().sorted_ids()
+    );
     // Once idle, further steps stay idle without blocking or erroring.
     for _ in 0..3 {
         assert_eq!(
@@ -258,7 +266,9 @@ fn independent_sessions_interleave_one_frame_at_a_time() {
     };
     let solo = |seed: u64| {
         let (mut receiver, mut sender) = start(seed);
-        FramePump::new().run(&mut receiver, &mut sender).expect("solo");
+        FramePump::new()
+            .run(&mut receiver, &mut sender)
+            .expect("solo");
         (receiver.gained(), receiver.working().len())
     };
     let expect_a = solo(0x01);
@@ -268,11 +278,19 @@ fn independent_sessions_interleave_one_frame_at_a_time() {
     let (mut recv_b, mut send_b) = start(0x02);
     let (mut pump_a, mut pump_b) = (FramePump::new(), FramePump::new());
     let mut actions: Vec<SessionAction> = Vec::new();
-    pump_a.start(&mut recv_a, &mut send_a, &mut actions).expect("a");
-    pump_b.start(&mut recv_b, &mut send_b, &mut actions).expect("b");
+    pump_a
+        .start(&mut recv_a, &mut send_a, &mut actions)
+        .expect("a");
+    pump_b
+        .start(&mut recv_b, &mut send_b, &mut actions)
+        .expect("b");
     loop {
-        let a = pump_a.step(&mut recv_a, &mut send_a, &mut actions).expect("a");
-        let b = pump_b.step(&mut recv_b, &mut send_b, &mut actions).expect("b");
+        let a = pump_a
+            .step(&mut recv_a, &mut send_a, &mut actions)
+            .expect("a");
+        let b = pump_b
+            .step(&mut recv_b, &mut send_b, &mut actions)
+            .expect("b");
         if a == PumpStep::Idle && b == PumpStep::Idle {
             break;
         }
@@ -310,16 +328,18 @@ fn short_payload_from_the_peer_is_an_error_not_a_panic() {
         id,
         payload: Bytes::from(id.to_le_bytes()[..4].to_vec()),
     };
-    let sender_ws = WorkingSet::from_symbols(
-        ids(400, 0xAB).into_iter().chain(ids(300, 0x51)).map(short),
-    );
+    let sender_ws =
+        WorkingSet::from_symbols(ids(400, 0xAB).into_iter().chain(ids(300, 0x51)).map(short));
     let mut receiver = ReceiverMachine::new(receiver_ws, speculative(100));
     let mut sender = SenderMachine::new(sender_ws, 3);
     let err = FramePump::new()
         .run(&mut receiver, &mut sender)
         .expect_err("mismatched payloads must fail the session");
     assert!(is_payload_length(&err, 8, 4), "got {err:?}");
-    assert!(matches!(receiver.plan(), Some(TransferPlan::Speculative { .. })));
+    assert!(matches!(
+        receiver.plan(),
+        Some(TransferPlan::Speculative { .. })
+    ));
     assert_eq!(receiver.gained(), 0);
 }
 
@@ -334,7 +354,9 @@ fn first_received_symbol_fixes_the_length_of_an_empty_receiver() {
     };
     let peer = WorkingSet::from_symbols(ids(200, 0x77).into_iter().map(sym));
     let mut receiver = ReceiverMachine::new(WorkingSet::new(), speculative(10));
-    receiver.handle(SessionEvent::PeerConnected).expect("connect");
+    receiver
+        .handle(SessionEvent::PeerConnected)
+        .expect("connect");
     receiver
         .handle(frame(&Message::Minwise(peer.sketch().clone())))
         .expect("peer sketch");
@@ -342,7 +364,9 @@ fn first_received_symbol_fixes_the_length_of_an_empty_receiver() {
         id: 5,
         payload: Bytes::from(vec![0xAA; 8]),
     };
-    let actions = receiver.handle(frame(&first)).expect("first symbol accepted");
+    let actions = receiver
+        .handle(frame(&first))
+        .expect("first symbol accepted");
     assert_eq!(actions, vec![SessionAction::SymbolDecoded(5)]);
     let second = Message::RecodedSymbol {
         components: vec![5, 6],
@@ -399,9 +423,14 @@ fn speculative_frames_are_a_function_of_the_seeds() {
         let mut sender = SenderMachine::new(sender_ws, 11);
         let mut frames = Vec::new();
         FramePump::new()
-            .run_observed(&mut receiver, &mut sender, |frame| frames.push(frame.clone()))
+            .run_observed(&mut receiver, &mut sender, |frame| {
+                frames.push(frame.clone())
+            })
             .expect("clean session");
-        assert!(matches!(receiver.plan(), Some(TransferPlan::Speculative { .. })));
+        assert!(matches!(
+            receiver.plan(),
+            Some(TransferPlan::Speculative { .. })
+        ));
         frames
     };
     let first = exchange();
@@ -489,14 +518,28 @@ fn frame_sequences_are_pinned() {
     let (receiver_ws, sender_ws) = overlapping_sets(600, 80, 240);
     let config = SessionConfig::new().with_request(200).with_seed(0x31);
     let (plan, hash, frames, bytes) = frame_digest(receiver_ws, sender_ws, config, 0x32);
-    assert_eq!(plan, TransferPlan::Reconciled { summary: SummaryId::BLOOM });
-    assert_eq!((hash, frames, bytes), (5_030_036_419_189_950_874, 205, (1_783, 6_062)));
+    assert_eq!(
+        plan,
+        TransferPlan::Reconciled {
+            summary: SummaryId::BLOOM
+        }
+    );
+    assert_eq!(
+        (hash, frames, bytes),
+        (5_030_036_419_189_950_874, 205, (1_783, 6_062))
+    );
 
     let (receiver_ws, sender_ws) = overlapping_sets(600, 80, 240);
     let config = speculative(200).with_seed(0x33);
     let (plan, hash, frames, bytes) = frame_digest(receiver_ws, sender_ws, config, 0x34);
-    assert!(matches!(plan, TransferPlan::Speculative { .. }), "got {plan:?}");
-    assert_eq!((hash, frames, bytes), (5_184_618_817_629_827_075, 204, (1_062, 32_462)));
+    assert!(
+        matches!(plan, TransferPlan::Speculative { .. }),
+        "got {plan:?}"
+    );
+    assert_eq!(
+        (hash, frames, bytes),
+        (5_184_618_817_629_827_075, 204, (1_062, 32_462))
+    );
 }
 
 #[test]
@@ -515,16 +558,39 @@ fn sender_yields_its_first_data_frame_before_generating_the_rest() {
     let (receiver_ws, sender_ws) = overlapping_sets(300, 20, 60);
     let mut receiver = ReceiverMachine::new(receiver_ws, speculative(u64::MAX));
     let mut sender = SenderMachine::new(sender_ws, 5);
-    let card = frames(receiver.handle(SessionEvent::PeerConnected).expect("connect"));
+    let card = frames(
+        receiver
+            .handle(SessionEvent::PeerConnected)
+            .expect("connect"),
+    );
     assert!(frames(sender.handle(SessionEvent::PeerConnected).expect("connect")).is_empty());
-    let [card] = &card[..] else { panic!("one calling card") };
-    let reply = frames(sender.handle(SessionEvent::FrameReceived(card.clone())).expect("card"));
-    let [reply] = &reply[..] else { panic!("one calling card back") };
-    let request = frames(receiver.handle(SessionEvent::FrameReceived(reply.clone())).expect("reply"));
-    let [request] = &request[..] else { panic!("a speculative plan sends only the request") };
+    let [card] = &card[..] else {
+        panic!("one calling card")
+    };
+    let reply = frames(
+        sender
+            .handle(SessionEvent::FrameReceived(card.clone()))
+            .expect("card"),
+    );
+    let [reply] = &reply[..] else {
+        panic!("one calling card back")
+    };
+    let request = frames(
+        receiver
+            .handle(SessionEvent::FrameReceived(reply.clone()))
+            .expect("reply"),
+    );
+    let [request] = &request[..] else {
+        panic!("a speculative plan sends only the request")
+    };
 
-    let answered = sender.handle(SessionEvent::FrameReceived(request.clone())).expect("request");
-    assert!(answered.is_empty(), "the request opens the answer but generates no frame");
+    let answered = sender
+        .handle(SessionEvent::FrameReceived(request.clone()))
+        .expect("request");
+    assert!(
+        answered.is_empty(),
+        "the request opens the answer but generates no frame"
+    );
     assert!(sender.is_streaming() && !sender.is_finished());
     for _ in 0..3 {
         let mut pulled = Vec::new();
@@ -533,7 +599,9 @@ fn sender_yields_its_first_data_frame_before_generating_the_rest() {
             panic!("one frame per pull, got {pulled:?}");
         };
         assert!(Message::is_data_tag(frame[4]), "a data frame");
-        receiver.handle(SessionEvent::FrameReceived(frame.clone())).expect("ingest");
+        receiver
+            .handle(SessionEvent::FrameReceived(frame.clone()))
+            .expect("ingest");
     }
     assert!(sender.is_streaming() && !sender.is_finished());
 }

@@ -71,8 +71,12 @@ struct Scenario {
 }
 
 fn machines_for(scenario: &Scenario) -> (ReceiverMachine, SenderMachine) {
-    let (ws, sender_ws) =
-        overlapping_sets(scenario.shared, scenario.recv_extra, scenario.send_extra, scenario.salt);
+    let (ws, sender_ws) = overlapping_sets(
+        scenario.shared,
+        scenario.recv_extra,
+        scenario.send_extra,
+        scenario.salt,
+    );
     let config = SessionConfig::new()
         .with_request(scenario.request)
         .with_seed(scenario.session_seed);

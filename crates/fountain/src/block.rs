@@ -66,9 +66,13 @@ mod tests {
         for len in [0usize, 1, 99, 100, 101, 1399, 1400, 1401, 10_000] {
             let content: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             let sb = SourceBlocks::split(&content, 100);
-            let mut joined: Vec<u8> =
-                (0..sb.num_blocks()).flat_map(|i| sb.block(i).iter().copied()).collect();
-            assert!(joined[len..].iter().all(|&b| b == 0), "zero padding at len {len}");
+            let mut joined: Vec<u8> = (0..sb.num_blocks())
+                .flat_map(|i| sb.block(i).iter().copied())
+                .collect();
+            assert!(
+                joined[len..].iter().all(|&b| b == 0),
+                "zero padding at len {len}"
+            );
             joined.truncate(len);
             assert_eq!(joined, content, "roundtrip at len {len}");
         }

@@ -379,7 +379,13 @@ mod tests {
 
     #[test]
     fn decodes_exactly_various_geometries() {
-        for (len, bs, seed) in [(1usize, 16usize, 2u64), (15, 16, 3), (16, 16, 4), (1000, 7, 5), (5000, 64, 6)] {
+        for (len, bs, seed) in [
+            (1usize, 16usize, 2u64),
+            (15, 16, 3),
+            (16, 16, 4),
+            (1000, 7, 5),
+            (5000, 64, 6),
+        ] {
             let (_, data, out) = roundtrip(len, bs, seed);
             assert_eq!(out, data, "len {len} bs {bs}");
         }

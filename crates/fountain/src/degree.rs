@@ -83,7 +83,10 @@ impl DegreeDistribution {
     #[must_use]
     pub(crate) fn robust_soliton(n: usize, c: f64, delta: f64) -> Self {
         assert!(n >= 1, "soliton needs at least one block");
-        assert!(c > 0.0 && delta > 0.0 && delta < 1.0, "bad soliton parameters");
+        assert!(
+            c > 0.0 && delta > 0.0 && delta < 1.0,
+            "bad soliton parameters"
+        );
         let nf = n as f64;
         let r = c * (nf / delta).ln() * nf.sqrt();
         let spike = (nf / r).floor().max(1.0) as usize;
@@ -192,7 +195,11 @@ mod tests {
         let n = 1000;
         let d = DegreeDistribution::ideal_soliton(n);
         let harmonic: f64 = (1..=n).map(|i| 1.0 / i as f64).sum();
-        assert!((d.mean() - harmonic).abs() < 1e-6, "mean {} vs H(n) {harmonic}", d.mean());
+        assert!(
+            (d.mean() - harmonic).abs() < 1e-6,
+            "mean {} vs H(n) {harmonic}",
+            d.mean()
+        );
     }
 
     #[test]
@@ -200,8 +207,14 @@ mod tests {
         let d = DegreeDistribution::robust_soliton(10_000, 0.03, 0.5);
         let total: f64 = (1..=d.max_degree()).map(|i| d.pmf(i)).sum();
         assert!((total - 1.0).abs() < 1e-9);
-        assert!(d.pmf(1) > 0.0, "degree-1 mass is required for peeling start");
-        assert!(d.pmf(2) > d.pmf(3), "soliton shape: mass decreasing after 2");
+        assert!(
+            d.pmf(1) > 0.0,
+            "degree-1 mass is required for peeling start"
+        );
+        assert!(
+            d.pmf(2) > d.pmf(3),
+            "soliton shape: mass decreasing after 2"
+        );
     }
 
     #[test]
@@ -261,7 +274,11 @@ mod tests {
         let emp = sum as f64 / trials as f64;
         // The soliton tail has variance Θ(n), so the sample mean over
         // 100k draws at n = 5000 has stderr ≈ 0.22; allow ≈ 3σ.
-        assert!((emp - d.mean()).abs() < 0.7, "empirical {emp} vs {}", d.mean());
+        assert!(
+            (emp - d.mean()).abs() < 0.7,
+            "empirical {emp} vs {}",
+            d.mean()
+        );
     }
 
     #[test]

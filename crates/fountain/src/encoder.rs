@@ -155,8 +155,16 @@ impl Encoder {
     /// Creates an encoder. The spec's geometry must match the content's.
     #[must_use]
     pub(crate) fn new(spec: CodeSpec, source: SourceBlocks) -> Self {
-        assert_eq!(spec.num_blocks(), source.num_blocks(), "block count mismatch");
-        assert_eq!(spec.block_size(), source.block_size(), "block size mismatch");
+        assert_eq!(
+            spec.num_blocks(),
+            source.num_blocks(),
+            "block count mismatch"
+        );
+        assert_eq!(
+            spec.block_size(),
+            source.block_size(),
+            "block size mismatch"
+        );
         Self { spec, source }
     }
 
@@ -263,7 +271,9 @@ mod tests {
     fn different_code_seeds_differ() {
         let s1 = CodeSpec::new(500, 10, 1);
         let s2 = CodeSpec::new(500, 10, 2);
-        let same = (0..100u64).filter(|&id| s1.neighbors(id) == s2.neighbors(id)).count();
+        let same = (0..100u64)
+            .filter(|&id| s1.neighbors(id) == s2.neighbors(id))
+            .count();
         assert!(same < 30, "{same} of 100 ids identical across seeds");
     }
 
@@ -316,7 +326,10 @@ mod tests {
         let total: usize = (0..samples).map(|id| spec.neighbors(id).len()).sum();
         let emp = total as f64 / samples as f64;
         let expect = spec.distribution().mean();
-        assert!((emp - expect).abs() < 0.3, "empirical {emp} vs analytic {expect}");
+        assert!(
+            (emp - expect).abs() < 0.3,
+            "empirical {emp} vs analytic {expect}"
+        );
     }
 
     #[test]

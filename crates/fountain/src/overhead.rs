@@ -89,8 +89,14 @@ pub fn compare_distributions(
         seed,
     );
     vec![
-        ("robust-soliton", measure_overhead_with_spec(&robust, trials, seed)),
-        ("ideal-soliton", measure_overhead_with_spec(&ideal, trials, seed)),
+        (
+            "robust-soliton",
+            measure_overhead_with_spec(&robust, trials, seed),
+        ),
+        (
+            "ideal-soliton",
+            measure_overhead_with_spec(&ideal, trials, seed),
+        ),
     ]
 }
 

@@ -49,8 +49,7 @@ pub struct RecodedSymbol {
     pub payload: Bytes,
 }
 
-impl RecodedSymbol {
-}
+impl RecodedSymbol {}
 
 /// Degree-selection policy for a recoding sender.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -457,7 +456,10 @@ fn scan(ids: &[SymbolId], id: SymbolId) -> Option<usize> {
     let mut base = 0;
     for chunk in &mut chunks {
         if chunk.iter().fold(false, |hit, &known| hit | (known == id)) {
-            return chunk.iter().position(|&known| known == id).map(|i| base + i);
+            return chunk
+                .iter()
+                .position(|&known| known == id)
+                .map(|i| base + i);
         }
         base += STEP;
     }
@@ -541,7 +543,12 @@ impl<P> Known<P> {
     /// [`SCAN_LIMIT`]; a no-op for a table.
     fn promote(&mut self) {
         if let KnownIndex::Scan(payloads) = &mut self.index {
-            let table = self.arrivals.iter().copied().zip(payloads.drain(..)).collect();
+            let table = self
+                .arrivals
+                .iter()
+                .copied()
+                .zip(payloads.drain(..))
+                .collect();
             self.index = KnownIndex::Table(table);
         }
     }
@@ -743,7 +750,8 @@ impl<P: RecodePayload> RecodeBuffer<P> {
     pub fn reserve_substitution(&mut self, expected_known: usize) {
         let want = expected_known / 2;
         let side = self.substitution.get_or_insert_with(Box::default);
-        side.pending.reserve(want.saturating_sub(side.pending.len()));
+        side.pending
+            .reserve(want.saturating_sub(side.pending.len()));
         side.watchers.reserve(want);
     }
 
@@ -813,7 +821,9 @@ impl<P: RecodePayload> RecodeBuffer<P> {
     /// Unresolved recoded symbols currently buffered.
     #[must_use]
     pub fn pending_count(&self) -> usize {
-        self.substitution.as_ref().map_or(0, |side| side.pending_live)
+        self.substitution
+            .as_ref()
+            .map_or(0, |side| side.pending_live)
     }
 
     /// Recoded symbols that arrived with every component already known.
@@ -882,7 +892,8 @@ impl<P: RecodePayload> RecodeBuffer<P> {
                         // buffered symbol's unknown ids.
                         let known = &self.known;
                         let ids = components.iter().copied();
-                        side.unknown_ids.extend(ids.filter(|&id| known.get(id).is_none()));
+                        side.unknown_ids
+                            .extend(ids.filter(|&id| known.get(id).is_none()));
                     }
                     side.park(unknown, unknown_xor, acc);
                     return 0;
@@ -1016,11 +1027,23 @@ mod tests {
         let frame = Bytes::from(vec![2u8; 80]);
         let arriving = frame.slice(16..);
         assert_eq!(buf.receive(&[2], arriving.clone(), |_, _| {}), 1);
-        assert_eq!(buf.known_payload(1).map(|p| p.as_ptr()), Some(held.as_ptr()));
-        assert_eq!(buf.known_payload(2).map(|p| p.as_ptr()), Some(arriving.as_ptr()));
+        assert_eq!(
+            buf.known_payload(1).map(|p| p.as_ptr()),
+            Some(held.as_ptr())
+        );
+        assert_eq!(
+            buf.known_payload(2).map(|p| p.as_ptr()),
+            Some(arriving.as_ptr())
+        );
         assert_eq!(buf.pool().stats().allocated, 0);
-        assert_eq!(buf.receive(&[1, 3], Bytes::from(vec![3u8; 64]), |_, _| {}), 1);
-        assert_eq!(buf.known_payload(3).map(|p| p.to_vec()), Some(vec![2u8; 64]));
+        assert_eq!(
+            buf.receive(&[1, 3], Bytes::from(vec![3u8; 64]), |_, _| {}),
+            1
+        );
+        assert_eq!(
+            buf.known_payload(3).map(|p| p.to_vec()),
+            Some(vec![2u8; 64])
+        );
         assert_eq!(buf.pool().stats().allocated, 1);
         assert_eq!(buf.pool().stats().released, 1);
     }
@@ -1050,8 +1073,10 @@ mod tests {
         let data: Vec<u8> = (0..5000).map(|i| (i % 256) as u8).collect();
         let enc = Encoder::for_content(&data, 100, 2);
         let sender_set: Vec<EncodedSymbol> = enc.stream(10).take(60).collect();
-        let originals: HashMap<SymbolId, Bytes> =
-            sender_set.iter().map(|s| (s.id, s.payload.clone())).collect();
+        let originals: HashMap<SymbolId, Bytes> = sender_set
+            .iter()
+            .map(|s| (s.id, s.payload.clone()))
+            .collect();
         let recoder = Recoder::new(sender_set.clone(), 10, RecodePolicy::Oblivious);
         let mut buf = RecodeBuffer::new();
         // Receiver knows half the sender's set already.
@@ -1062,7 +1087,11 @@ mod tests {
         for _ in 0..2000 {
             let rec = recoder.generate(&mut rng);
             for got in receive(&mut buf, &rec) {
-                assert_eq!(got.payload, originals[&got.id], "payload corrupted for {}", got.id);
+                assert_eq!(
+                    got.payload, originals[&got.id],
+                    "payload corrupted for {}",
+                    got.id
+                );
                 recovered += 1;
             }
             if buf.known_count() == sender_set.len() {
@@ -1139,7 +1168,11 @@ mod tests {
         for _ in 0..2_000 {
             let degree = 1 + rng.index(6);
             components.clear();
-            components.extend(rng.sample_distinct(200, degree).into_iter().map(|i| i as SymbolId));
+            components.extend(
+                rng.sample_distinct(200, degree)
+                    .into_iter()
+                    .map(|i| i as SymbolId),
+            );
             let outcomes: Vec<(usize, Vec<SymbolId>)> = buffers
                 .iter_mut()
                 .map(|buf| {
@@ -1148,11 +1181,17 @@ mod tests {
                     (n, got)
                 })
                 .collect();
-            assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "{components:?}: {outcomes:?}");
+            assert!(
+                outcomes.windows(2).all(|w| w[0] == w[1]),
+                "{components:?}: {outcomes:?}"
+            );
         }
         let arrivals: Vec<&[SymbolId]> = buffers.iter().map(|b| b.known_since(0)).collect();
         assert!(arrivals.windows(2).all(|w| w[0] == w[1]));
-        assert!(arrivals[0].len() > 100, "the stream must exercise the cascade");
+        assert!(
+            arrivals[0].len() > 100,
+            "the stream must exercise the cascade"
+        );
         let counts: Vec<(usize, u64)> = buffers
             .iter()
             .map(|b| (b.pending_count(), b.redundant_count()))
@@ -1200,16 +1239,28 @@ mod tests {
                     (n, got)
                 })
                 .collect();
-            assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "{components:?}: {outcomes:?}");
+            assert!(
+                outcomes.windows(2).all(|w| w[0] == w[1]),
+                "{components:?}: {outcomes:?}"
+            );
             for (id, p) in &outcomes[0].1 {
                 assert_eq!(*p, payload(&[*id]), "recovered {id} with a wrong payload");
             }
         }
-        assert!(scanned_packets > 100, "the stream must run in the scanned layout");
-        assert!(!buffers[0].scans(), "the scanned set must promote mid-stream");
+        assert!(
+            scanned_packets > 100,
+            "the stream must run in the scanned layout"
+        );
+        assert!(
+            !buffers[0].scans(),
+            "the scanned set must promote mid-stream"
+        );
         let arrivals: Vec<&[SymbolId]> = buffers.iter().map(|b| b.known_since(0)).collect();
         assert!(arrivals.windows(2).all(|w| w[0] == w[1]));
-        assert!(arrivals[0].len() > 2 * SCAN_LIMIT, "the stream must exercise the cascade");
+        assert!(
+            arrivals[0].len() > 2 * SCAN_LIMIT,
+            "the stream must exercise the cascade"
+        );
         for &id in arrivals[0] {
             let held: Vec<Option<&P>> = buffers.iter().map(|b| b.known_payload(id)).collect();
             assert!(held.windows(2).all(|w| w[0] == w[1]), "payload of {id}");
@@ -1263,7 +1314,11 @@ mod tests {
             .collect();
         assert!(seq.windows(2).all(|w| w[0] <= w[1]), "{seq:?}");
         assert!(optimal_degree(n, 0.9) >= 9);
-        assert_eq!(optimal_degree(10, 1.0), 10, "full containment blends everything");
+        assert_eq!(
+            optimal_degree(10, 1.0),
+            10,
+            "full containment blends everything"
+        );
     }
 
     #[test]
@@ -1292,7 +1347,10 @@ mod tests {
             RecodePolicy::MinwiseScaled { containment: 0.5 },
         );
         let avg = |r: &Recoder, rng: &mut Xoshiro256StarStar| {
-            (0..500).map(|_| r.generate(rng).components.len()).sum::<usize>() as f64 / 500.0
+            (0..500)
+                .map(|_| r.generate(rng).components.len())
+                .sum::<usize>() as f64
+                / 500.0
         };
         let a = avg(&oblivious, &mut rng);
         let b = avg(&scaled, &mut rng);

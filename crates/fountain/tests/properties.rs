@@ -4,8 +4,7 @@
 use bytes::Bytes;
 use icd_fountain::decoder::DecodeStats;
 use icd_fountain::{
-    CodeSpec, DecodeStatus, Decoder, EncodedSymbol, Encoder, RecodeBuffer, RecodePolicy,
-    Recoder,
+    CodeSpec, DecodeStatus, Decoder, EncodedSymbol, Encoder, RecodeBuffer, RecodePolicy, Recoder,
 };
 use icd_util::rng::Xoshiro256StarStar;
 use icd_util::symbol::SymbolBuf;
@@ -25,7 +24,13 @@ struct ReferencePeeler {
 impl ReferencePeeler {
     fn new(spec: CodeSpec) -> Self {
         let known = vec![false; spec.num_blocks()];
-        Self { spec, known, pending: Vec::new(), seen: Default::default(), stats: DecodeStats::default() }
+        Self {
+            spec,
+            known,
+            pending: Vec::new(),
+            seen: Default::default(),
+            stats: DecodeStats::default(),
+        }
     }
 
     fn recovered(&self) -> usize {
@@ -86,8 +91,11 @@ impl ReferenceCascade {
     }
 
     fn receive(&mut self, components: &[u64]) -> Vec<u64> {
-        let remaining: Vec<u64> =
-            components.iter().copied().filter(|id| !self.known.contains(id)).collect();
+        let remaining: Vec<u64> = components
+            .iter()
+            .copied()
+            .filter(|id| !self.known.contains(id))
+            .collect();
         match remaining.len() {
             0 => {
                 self.redundant += 1;
@@ -178,7 +186,11 @@ fn stale_watchers_do_not_disturb_later_pending_symbols() {
             assert_eq!(p.to_vec(), truth(id), "payload of {id}");
             ids.push(id);
         });
-        assert_eq!(ids, reference.receive(components), "recoveries of {components:?}");
+        assert_eq!(
+            ids,
+            reference.receive(components),
+            "recoveries of {components:?}"
+        );
         ids
     };
     assert!(step(&mut buf, &[a, b, c]).is_empty());
@@ -204,15 +216,31 @@ struct Lockstep {
 
 impl Lockstep {
     fn new(spec: &CodeSpec) -> Self {
-        Self { decoder: Decoder::new(spec.clone()), reference: ReferencePeeler::new(spec.clone()), step: 0 }
+        Self {
+            decoder: Decoder::new(spec.clone()),
+            reference: ReferencePeeler::new(spec.clone()),
+            step: 0,
+        }
     }
 
     fn receive(&mut self, symbol: &EncodedSymbol) {
         let (decoder, reference, step) = (&mut self.decoder, &mut self.reference, self.step);
-        assert_eq!(decoder.receive(symbol), reference.receive(symbol.id), "status at arrival {step}");
+        assert_eq!(
+            decoder.receive(symbol),
+            reference.receive(symbol.id),
+            "status at arrival {step}"
+        );
         assert_eq!(decoder.stats(), reference.stats, "stats at arrival {step}");
-        assert_eq!(decoder.recovered_blocks(), reference.recovered(), "recovered at arrival {step}");
-        assert_eq!(decoder.buffered_symbols(), reference.pending.len(), "buffered at arrival {step}");
+        assert_eq!(
+            decoder.recovered_blocks(),
+            reference.recovered(),
+            "recovered at arrival {step}"
+        );
+        assert_eq!(
+            decoder.buffered_symbols(),
+            reference.pending.len(),
+            "buffered at arrival {step}"
+        );
         self.step += 1;
     }
 }
@@ -262,10 +290,17 @@ fn two_ripple_entries_racing_for_one_block() {
     let encoder = Encoder::for_content(&content, 16, 3);
     let spec = encoder.spec();
     assert_eq!(spec.num_blocks(), 4);
-    let pairs: Vec<u64> = (0..10_000).filter(|&id| spec.neighbors(id) == [0, 1]).take(2).collect();
-    let single = (0..10_000).find(|&id| spec.neighbors(id) == [0]).expect("a degree-1 id");
-    let arrivals: Vec<EncodedSymbol> =
-        [pairs[0], pairs[1], single].iter().map(|&id| encoder.symbol(id)).collect();
+    let pairs: Vec<u64> = (0..10_000)
+        .filter(|&id| spec.neighbors(id) == [0, 1])
+        .take(2)
+        .collect();
+    let single = (0..10_000)
+        .find(|&id| spec.neighbors(id) == [0])
+        .expect("a degree-1 id");
+    let arrivals: Vec<EncodedSymbol> = [pairs[0], pairs[1], single]
+        .iter()
+        .map(|&id| encoder.symbol(id))
+        .collect();
     let decoder = assert_decoder_matches_reference(&encoder, &arrivals);
     assert_eq!(decoder.recovered_blocks(), 2);
     assert_eq!(decoder.buffered_symbols(), 0);
@@ -276,7 +311,10 @@ fn two_ripple_entries_racing_for_one_block() {
             break;
         }
     }
-    assert_eq!(decoder.into_content(content.len()).expect("complete"), content);
+    assert_eq!(
+        decoder.into_content(content.len()).expect("complete"),
+        content
+    );
 }
 
 #[test]

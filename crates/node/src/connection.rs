@@ -219,23 +219,18 @@ pub fn fetch_session<S: Read + Write>(
 ) -> Result<FetchOutcome, FetchError> {
     let mut machine = ReceiverMachine::new(snapshot, config);
     let mut gained = 0u64;
-    let driven = drive_receiver_with(
-        &mut machine,
-        stream,
-        FrameLimit::default(),
-        |action, m| {
-            if let SessionAction::SymbolDecoded(id) = action {
-                let payload = m
-                    .working()
-                    .payload(*id)
-                    .expect("decoded symbol is in the machine's working set")
-                    .clone();
-                if shared.ingest(EncodedSymbol { id: *id, payload }) {
-                    gained += 1;
-                }
+    let driven = drive_receiver_with(&mut machine, stream, FrameLimit::default(), |action, m| {
+        if let SessionAction::SymbolDecoded(id) = action {
+            let payload = m
+                .working()
+                .payload(*id)
+                .expect("decoded symbol is in the machine's working set")
+                .clone();
+            if shared.ingest(EncodedSymbol { id: *id, payload }) {
+                gained += 1;
             }
-        },
-    );
+        }
+    });
     match driven {
         Ok(stats) => Ok(FetchOutcome {
             stats,
@@ -333,13 +328,9 @@ pub(crate) fn serve_session_budgeted<S: Read + Write>(
         let actions = machine
             .handle(SessionEvent::PeerConnected)
             .map_err(DriveError::Machine)?;
-        if let Some(outcome) = write_actions(
-            stream,
-            &actions,
-            &mut stats,
-            &mut data_written,
-            budget,
-        )? {
+        if let Some(outcome) =
+            write_actions(stream, &actions, &mut stats, &mut data_written, budget)?
+        {
             return Ok(outcome);
         }
         flush(stream)?;
@@ -355,14 +346,13 @@ pub(crate) fn serve_session_budgeted<S: Read + Write>(
             // The answer goes out as it is pulled, one frame per call,
             // through the write buffer (drained when full and when the
             // session ends, never per frame).
-            if machine.next_frame(&mut pulled).map_err(DriveError::Machine)? {
-                if let Some(outcome) = write_actions(
-                    stream,
-                    &pulled,
-                    &mut stats,
-                    &mut data_written,
-                    budget,
-                )? {
+            if machine
+                .next_frame(&mut pulled)
+                .map_err(DriveError::Machine)?
+            {
+                if let Some(outcome) =
+                    write_actions(stream, &pulled, &mut stats, &mut data_written, budget)?
+                {
                     return Ok(outcome);
                 }
                 pulled.clear();
@@ -394,13 +384,9 @@ pub(crate) fn serve_session_budgeted<S: Read + Write>(
             let actions = machine
                 .handle(SessionEvent::FrameReceived(frame))
                 .map_err(DriveError::Machine)?;
-            if let Some(outcome) = write_actions(
-                stream,
-                &actions,
-                &mut stats,
-                &mut data_written,
-                budget,
-            )? {
+            if let Some(outcome) =
+                write_actions(stream, &actions, &mut stats, &mut data_written, budget)?
+            {
                 return Ok(outcome);
             }
             flush(stream)?;
@@ -485,7 +471,10 @@ mod tests {
             Err(FetchError {
                 error: DriveError::Transport(FrameError::Truncated { needed: 2, got: 2 }),
                 gained,
-            }) => assert!((1..=3).contains(&gained), "gained {gained} of 3 data frames"),
+            }) => assert!(
+                (1..=3).contains(&gained),
+                "gained {gained} of 3 data frames"
+            ),
             other => panic!("expected a mid-prefix truncation, got {other:?}"),
         }
     }

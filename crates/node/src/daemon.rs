@@ -252,7 +252,11 @@ impl Drop for InFlight<'_> {
     fn drop(&mut self) {
         // A counter update cannot leave the count torn, so a poisoned
         // lock is recovered rather than panicking inside `drop`.
-        let mut n = self.0.in_flight.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut n = self
+            .0
+            .in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         *n -= 1;
         self.0.booked.notify_all();
     }
@@ -551,13 +555,10 @@ fn serve_one(mut stream: TcpStream, ctx: &NodeCtx) {
     };
     let sever = {
         let mut pending = ctx.chaos_pending.lock().expect("chaos lock");
-        pending
-            .iter()
-            .position(|&d| d == hello.dialer)
-            .map(|i| {
-                pending.swap_remove(i);
-                ctx.frame_budget
-            })
+        pending.iter().position(|&d| d == hello.dialer).map(|i| {
+            pending.swap_remove(i);
+            ctx.frame_budget
+        })
     };
     match serve_session_budgeted(&mut stream, snapshot, sender_seed, sever) {
         Ok(outcome) => {
@@ -740,7 +741,10 @@ mod tests {
 
         // Rejoin on a new address wins over the stored one.
         roster.apply(SwarmEvent::Leave(1), None);
-        assert_eq!(roster.apply(SwarmEvent::Rejoin(1), Some(addr(5001))), Some(1));
+        assert_eq!(
+            roster.apply(SwarmEvent::Rejoin(1), Some(addr(5001))),
+            Some(1)
+        );
         assert_eq!(roster.addr(1), Some(addr(5001)));
 
         // Join appends at next_join.

@@ -146,7 +146,9 @@ fn parse_args() -> Args {
         }
     }
 
-    let Some(id) = id else { fatal("--id is required") };
+    let Some(id) = id else {
+        fatal("--id is required")
+    };
     let Some(spec) = spec else {
         fatal("--spec (or ICD_NODE_SPEC) is required")
     };

@@ -238,9 +238,8 @@ impl SwarmPlan {
             // Partial Fisher–Yates: the first `share` entries of a
             // seeded shuffle of the universe indices. Selection order
             // *is* the node's inventory order.
-            let mut rng = Xoshiro256StarStar::new(mix64(
-                (spec.seed ^ SHARE_SALT).wrapping_add(n as u64),
-            ));
+            let mut rng =
+                Xoshiro256StarStar::new(mix64((spec.seed ^ SHARE_SALT).wrapping_add(n as u64)));
             let mut indices: Vec<usize> = (0..spec.universe).collect();
             for k in 0..spec.share {
                 let j = k + rng.below((spec.universe - k) as u64) as usize;

@@ -71,9 +71,9 @@ impl RetryPolicy {
         if nanos == 0 {
             return Duration::ZERO;
         }
-        let jitter = icd_util::hash::mix64(
-            self.jitter_seed ^ salt.rotate_left(17) ^ u64::from(attempt),
-        ) % (nanos / 2 + 1);
+        let jitter =
+            icd_util::hash::mix64(self.jitter_seed ^ salt.rotate_left(17) ^ u64::from(attempt))
+                % (nanos / 2 + 1);
         Duration::from_nanos(nanos - jitter)
     }
 }

@@ -120,9 +120,7 @@ fn cut_and_resume(
     let shared = SharedWorkingSet::new(ws_of(0..share, PAYLOAD), universe as usize);
     let sender_inventory = ws_of(0..universe, PAYLOAD);
 
-    let ingest = |actions: &mut Vec<SessionAction>,
-                      machine: &ReceiverMachine,
-                      gained: &mut u64| {
+    let ingest = |actions: &mut Vec<SessionAction>, machine: &ReceiverMachine, gained: &mut u64| {
         for action in actions.drain(..) {
             if let SessionAction::SymbolDecoded(id) = action {
                 let payload = machine
@@ -150,7 +148,8 @@ fn cut_and_resume(
         let mut send = SenderMachine::new(sender_inventory.clone(), seed ^ 1);
         let mut pump = FramePump::new();
         let mut actions = Vec::new();
-        pump.start(&mut recv, &mut send, &mut actions).expect("start");
+        pump.start(&mut recv, &mut send, &mut actions)
+            .expect("start");
         ingest(&mut actions, &recv, &mut gained_first);
         for _ in 0..cut_steps {
             if pump.is_idle() {
@@ -171,12 +170,15 @@ fn cut_and_resume(
         if missing > 0 {
             let mut recv = ReceiverMachine::new(
                 ws_of(held.iter().copied(), PAYLOAD),
-                SessionConfig::new().with_request(missing).with_seed(seed ^ 2),
+                SessionConfig::new()
+                    .with_request(missing)
+                    .with_seed(seed ^ 2),
             );
             let mut send = SenderMachine::new(sender_inventory, seed ^ 3);
             let mut pump = FramePump::new();
             let mut actions = Vec::new();
-            pump.start(&mut recv, &mut send, &mut actions).expect("start");
+            pump.start(&mut recv, &mut send, &mut actions)
+                .expect("start");
             ingest(&mut actions, &recv, &mut gained_resumed);
             while !pump.is_idle() {
                 pump.step(&mut recv, &mut send, &mut actions).expect("step");
@@ -317,7 +319,10 @@ impl NodeProc {
 
     fn expect_prefix(&mut self, prefix: &str) -> String {
         let line = self.read_line();
-        assert!(line.starts_with(prefix), "expected {prefix:?}, got {line:?}");
+        assert!(
+            line.starts_with(prefix),
+            "expected {prefix:?}, got {line:?}"
+        );
         line
     }
 }
@@ -365,12 +370,7 @@ fn go(p: &mut NodeProc, me: usize) -> (Vec<FetchLine>, HashMap<usize, u32>, usiz
                 });
             }
             ["DONE", d, c] => {
-                return (
-                    fetches,
-                    retries,
-                    d.parse().expect("distinct"),
-                    *c == "1",
-                );
+                return (fetches, retries, d.parse().expect("distinct"), *c == "1");
             }
             _ => panic!("unexpected harness line: {line}"),
         }
@@ -505,8 +505,7 @@ fn severed_then_killed_swarm_recovers_with_bounded_overhead() {
     // all progress and rejoins at the swarm's current round via the
     // harness barrier (its hello carries the aligned epoch).
     procs[kill_victim] = NodeProc::spawn(kill_victim, &spec, &[]);
-    addrs[kill_victim] =
-        procs[kill_victim].expect_prefix("LISTEN ")["LISTEN ".len()..].to_string();
+    addrs[kill_victim] = procs[kill_victim].expect_prefix("LISTEN ")["LISTEN ".len()..].to_string();
     // Catch the newcomer up to the current round barrier.
     procs[kill_victim].send("ROUND");
     procs[kill_victim].expect_prefix("ROUND-OK 1");

@@ -31,10 +31,6 @@ pub mod metrics;
 pub mod profile;
 pub mod trace;
 
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use profile::{PhaseProfile, PhaseStat, ProfileHandle};
-pub use trace::{
-    SyncTraceHandle, TraceBuf, TraceEvent, TraceHandle, TraceParseError, TraceRecord,
-};
+pub use trace::{SyncTraceHandle, TraceBuf, TraceEvent, TraceHandle, TraceParseError, TraceRecord};

@@ -229,7 +229,11 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{k}\":{{\"count\":{},\"sum\":{},\"buckets\":[", h.count, h.sum);
+            let _ = write!(
+                out,
+                "\"{k}\":{{\"count\":{},\"sum\":{},\"buckets\":[",
+                h.count, h.sum
+            );
             for (j, (idx, n)) in h.buckets.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
@@ -396,10 +400,7 @@ mod tests {
             "{\"counters\":{},\"gauges\":{},\"histograms\":{\"h\":5}}",
             "{\"counters\":{},\"gauges\":{},\"histograms\":{}}trailing",
         ] {
-            assert!(
-                validate_json(bad).is_err(),
-                "accepted: {bad:?}"
-            );
+            assert!(validate_json(bad).is_err(), "accepted: {bad:?}");
         }
     }
 }

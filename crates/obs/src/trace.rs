@@ -497,12 +497,7 @@ impl TraceBuf {
             .lines()
             .enumerate()
             .filter(|(_, l)| !l.trim().is_empty())
-            .map(|(i, l)| {
-                parse_record(l).map_err(|what| TraceParseError {
-                    line: i + 1,
-                    what,
-                })
-            })
+            .map(|(i, l)| parse_record(l).map_err(|what| TraceParseError { line: i + 1, what }))
             .collect()
     }
 }
@@ -529,7 +524,13 @@ impl std::error::Error for TraceParseError {}
 // ---------------------------------------------------------------------
 
 fn write_record(out: &mut impl fmt::Write, rec: &TraceRecord) -> fmt::Result {
-    write!(out, "{{\"t\":{},\"seq\":{},\"ev\":\"{}\"", rec.t, rec.seq, rec.event.tag())?;
+    write!(
+        out,
+        "{{\"t\":{},\"seq\":{},\"ev\":\"{}\"",
+        rec.t,
+        rec.seq,
+        rec.event.tag()
+    )?;
     match &rec.event {
         TraceEvent::LinkSend {
             link,
@@ -740,7 +741,9 @@ fn parse_flat_object(s: &str) -> Result<Vec<(String, JsonVal)>, String> {
             match chars.next() {
                 Some((_, ',')) => {}
                 Some((_, '}')) => break,
-                Some((i, c)) => return Err(format!("expected ',' or '}}' at byte {i}, found {c:?}")),
+                Some((i, c)) => {
+                    return Err(format!("expected ',' or '}}' at byte {i}, found {c:?}"))
+                }
                 None => return Err("unexpected end of line in object".into()),
             }
         }
@@ -772,15 +775,15 @@ fn parse_string(
                 Some((_, 'b')) => out.push('\u{8}'),
                 Some((_, 'f')) => out.push('\u{c}'),
                 Some((_, 'u')) => {
-                    let hex: String = (0..4).filter_map(|_| chars.next().map(|(_, c)| c)).collect();
+                    let hex: String = (0..4)
+                        .filter_map(|_| chars.next().map(|(_, c)| c))
+                        .collect();
                     if hex.len() != 4 {
                         return Err("truncated \\u escape".into());
                     }
-                    let code =
-                        u32::from_str_radix(&hex, 16).map_err(|e| format!("bad \\u escape: {e}"))?;
-                    out.push(
-                        char::from_u32(code).ok_or_else(|| format!("bad scalar \\u{hex}"))?,
-                    );
+                    let code = u32::from_str_radix(&hex, 16)
+                        .map_err(|e| format!("bad \\u escape: {e}"))?;
+                    out.push(char::from_u32(code).ok_or_else(|| format!("bad scalar \\u{hex}"))?);
                 }
                 Some((_, c)) => return Err(format!("bad escape \\{c}")),
                 None => return Err("unterminated escape".into()),
@@ -882,8 +885,10 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage_with_line_numbers() {
-        let err = TraceBuf::parse_jsonl("{\"t\":0,\"seq\":0,\"ev\":\"round_start\",\"round\":1}\nnot json\n")
-            .unwrap_err();
+        let err = TraceBuf::parse_jsonl(
+            "{\"t\":0,\"seq\":0,\"ev\":\"round_start\",\"round\":1}\nnot json\n",
+        )
+        .unwrap_err();
         assert_eq!(err.line, 2);
         let err = TraceBuf::parse_jsonl("{\"t\":0,\"seq\":0,\"ev\":\"no_such_tag\"}").unwrap_err();
         assert!(err.what.contains("unknown event tag"));
@@ -968,9 +973,7 @@ mod tests {
                 from: 2,
                 to: 1 << 24,
             },
-            TraceEvent::LinkDown {
-                link: 1 << 32,
-            },
+            TraceEvent::LinkDown { link: 1 << 32 },
             TraceEvent::StallEscalation {
                 peer: 3,
                 starved: u64::MAX,
@@ -1000,7 +1003,11 @@ mod tests {
             );
         }
         assert_eq!(buf.labels.len(), LABEL_CAP);
-        assert_eq!(buf.spill.len(), 8, "the held records are all past the bound");
+        assert_eq!(
+            buf.spill.len(),
+            8,
+            "the held records are all past the bound"
+        );
         let last = buf.records().last().cloned().expect("held");
         assert_eq!(
             last.event,
@@ -1010,7 +1017,13 @@ mod tests {
             }
         );
         // A label already in the table still packs.
-        buf.push(0, TraceEvent::FaultApplied { fault: "fault-0".into(), peer: 0 });
+        buf.push(
+            0,
+            TraceEvent::FaultApplied {
+                fault: "fault-0".into(),
+                peer: 0,
+            },
+        );
         assert_eq!(buf.spill.len(), 7);
     }
 
@@ -1022,10 +1035,14 @@ mod tests {
         for (i, ev) in sample_events().into_iter().enumerate() {
             buf.push(i as u64, ev);
             if i % 2 == 1 {
-                next = buf.write_jsonl_since(next, &mut streamed).expect("to a Vec");
+                next = buf
+                    .write_jsonl_since(next, &mut streamed)
+                    .expect("to a Vec");
             }
         }
-        next = buf.write_jsonl_since(next, &mut streamed).expect("to a Vec");
+        next = buf
+            .write_jsonl_since(next, &mut streamed)
+            .expect("to a Vec");
         assert_eq!(next, 9);
         assert_eq!(buf.dropped(), 3);
         // Nothing was evicted between two writes, so the stream holds

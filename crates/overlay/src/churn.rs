@@ -101,10 +101,7 @@ pub fn run_with_migration(
     let mut net = OverlayNet::new(seed);
     let receiver = net.add_node(&receiver_set, params.target());
     net.set_observer(receiver, true);
-    let pool_nodes: Vec<NodeId> = pool_sets
-        .iter()
-        .map(|set| net.add_seeder(set))
-        .collect();
+    let pool_nodes: Vec<NodeId> = pool_sets.iter().map(|set| net.add_seeder(set)).collect();
     let needed = net.node_remaining(receiver);
     let max_ticks = default_max_ticks(params.target());
 
@@ -242,7 +239,12 @@ mod tests {
             sender_pool: 4,
         };
         let random = run_with_migration(&params, StrategyKind::Random, config, 7);
-        let informed = run_with_migration(&params, StrategyKind::RandomSummary(SummaryId::BLOOM), config, 7);
+        let informed = run_with_migration(
+            &params,
+            StrategyKind::RandomSummary(SummaryId::BLOOM),
+            config,
+            7,
+        );
         assert!(random.transfer.completed && informed.transfer.completed);
         assert!(
             informed.transfer.overhead() < random.transfer.overhead(),

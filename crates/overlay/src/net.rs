@@ -675,8 +675,11 @@ impl OverlayNet {
     /// short-lived nets.
     pub fn add_seeder(&mut self, inventory: &[SymbolId]) -> NodeId {
         let id = NodeId(self.nodes.len());
-        self.nodes
-            .push(NodeState::new(Receiver::new(&[], 0), inventory.to_vec(), true));
+        self.nodes.push(NodeState::new(
+            Receiver::new(&[], 0),
+            inventory.to_vec(),
+            true,
+        ));
         id
     }
 
@@ -857,9 +860,12 @@ impl OverlayNet {
         self.nodes[from.0].out_links.retain(|&l| l != link);
         self.nodes[to.0].in_links.retain(|&l| l != link);
         if let Some(tracer) = &self.tracer {
-            tracer
-                .borrow_mut()
-                .push(self.now, TraceEvent::LinkDown { link: link.0 as u64 });
+            tracer.borrow_mut().push(
+                self.now,
+                TraceEvent::LinkDown {
+                    link: link.0 as u64,
+                },
+            );
         }
     }
 
@@ -890,7 +896,10 @@ impl OverlayNet {
             (0.0..1.0).contains(&params.loss),
             "link loss must be in [0, 1)"
         );
-        assert!(from.0 < self.nodes.len() && to.0 < self.nodes.len(), "unknown node");
+        assert!(
+            from.0 < self.nodes.len() && to.0 < self.nodes.len(),
+            "unknown node"
+        );
         assert!(from != to, "a link needs two distinct nodes");
         assert!(
             !self.nodes[to.0].seeder,
@@ -1021,7 +1030,12 @@ impl OverlayNet {
         let to_card = self.calling_card(to).clone();
         // A = the downloading node, B = the candidate sender (§4 roles).
         let overlap = to_card.estimate(self.calling_card(from));
-        match select_summary(&overlap, &PolicyKnobs::default(), &self.sizing, self.registry) {
+        match select_summary(
+            &overlap,
+            &PolicyKnobs::default(),
+            &self.sizing,
+            self.registry,
+        ) {
             Some(id) if recode => StrategyKind::RecodeSummary(id),
             Some(id) => StrategyKind::RandomSummary(id),
             None if recode => StrategyKind::RecodeMinwise,
@@ -1184,7 +1198,11 @@ impl OverlayNet {
         };
         write_frame_buf(&mut std::io::sink(), &msg, &mut self.tap_frame)
             .expect("sink write cannot fail");
-        debug_assert_eq!(self.tap_frame.len() as u64, frame_len, "budget must be wire-exact");
+        debug_assert_eq!(
+            self.tap_frame.len() as u64,
+            frame_len,
+            "budget must be wire-exact"
+        );
         if let Some(tap) = self.frame_tap.as_mut() {
             (tap.0)(l, &self.tap_frame);
         }
@@ -1206,7 +1224,12 @@ impl OverlayNet {
         self.completion_after_delivery(to, was_complete)
     }
 
-    fn process_arrival(&mut self, l: LinkId, recoded: bool, ids: Vec<SymbolId>) -> Option<StopReason> {
+    fn process_arrival(
+        &mut self,
+        l: LinkId,
+        recoded: bool,
+        ids: Vec<SymbolId>,
+    ) -> Option<StopReason> {
         let frame_len = if recoded {
             recoded_symbol_frame_len(ids.len(), PACKET_BYTES)
         } else {
@@ -1289,13 +1312,21 @@ impl OverlayNet {
     /// Packets emitted by partial (non-full) links, dead links included.
     #[must_use]
     pub fn packets_from_partial(&self) -> u64 {
-        self.links.iter().filter(|l| !l.full).map(|l| l.packets_sent).sum()
+        self.links
+            .iter()
+            .filter(|l| !l.full)
+            .map(|l| l.packets_sent)
+            .sum()
     }
 
     /// Packets emitted by full-sender links.
     #[must_use]
     pub fn packets_from_full(&self) -> u64 {
-        self.links.iter().filter(|l| l.full).map(|l| l.packets_sent).sum()
+        self.links
+            .iter()
+            .filter(|l| l.full)
+            .map(|l| l.packets_sent)
+            .sum()
     }
 
     /// The summary mechanism link `l`'s handshake shipped (None for
@@ -1745,7 +1776,11 @@ mod tests {
         // the seeders while the download ran.
         assert!(out.seeder_gained > 0, "ring links moved nothing");
         // k equal-rate informed senders ≈ k× a lone full sender.
-        assert!(out.transfer.speedup() > 2.5, "speedup {}", out.transfer.speedup());
+        assert!(
+            out.transfer.speedup() > 2.5,
+            "speedup {}",
+            out.transfer.speedup()
+        );
     }
 
     #[test]
@@ -1766,9 +1801,17 @@ mod tests {
         // Fast links oversend while the receiver waits on slow/lossy
         // ones, so the recoded mesh pays real overhead — but it stays
         // far below the oblivious coupon-collector regime (≈ 4–8×).
-        assert!(out.transfer.overhead() < 3.0, "overhead {}", out.transfer.overhead());
+        assert!(
+            out.transfer.overhead() < 3.0,
+            "overhead {}",
+            out.transfer.overhead()
+        );
         // Parallel informed download still beats a lone full sender.
-        assert!(out.transfer.speedup() > 1.0, "speedup {}", out.transfer.speedup());
+        assert!(
+            out.transfer.speedup() > 1.0,
+            "speedup {}",
+            out.transfer.speedup()
+        );
     }
 
     #[test]
@@ -1837,8 +1880,20 @@ mod tests {
         net.set_observer(r, true);
         let inventory: Vec<SymbolId> = (1..=40).collect();
         let (s1, s2) = (net.add_seeder(&inventory), net.add_seeder(&inventory));
-        let slow = net.connect(s1, r, StrategyKind::Random, Link::slower(200), ConnectSpec::seeded(1));
-        let fast = net.connect(s2, r, StrategyKind::Recode, Link::default(), ConnectSpec::seeded(2));
+        let slow = net.connect(
+            s1,
+            r,
+            StrategyKind::Random,
+            Link::slower(200),
+            ConnectSpec::seeded(1),
+        );
+        let fast = net.connect(
+            s2,
+            r,
+            StrategyKind::Recode,
+            Link::default(),
+            ConnectSpec::seeded(2),
+        );
         assert_eq!(net.run(RunLimit::ticks(5)), StopReason::MaxTicks);
         // The slow link's next send sits in the calendar's overflow.
         net.disconnect(slow);
@@ -1867,7 +1922,13 @@ mod tests {
         let mut net = OverlayNet::new(30);
         let a = net.add_node(&[1, 2], 4);
         let err = net
-            .try_connect(a, a, StrategyKind::Random, Link::default(), ConnectSpec::seeded(1))
+            .try_connect(
+                a,
+                a,
+                StrategyKind::Random,
+                Link::default(),
+                ConnectSpec::seeded(1),
+            )
             .expect_err("self-loop must be rejected");
         assert_eq!(err, ConnectError::SelfLoop { node: a });
         assert!(err.to_string().contains("self-loop"));
@@ -1878,20 +1939,44 @@ mod tests {
         let mut net = OverlayNet::new(31);
         let r = net.add_node(&[9], 4);
         let s = net.add_node(&[1, 2, 3, 4], 4);
-        let l = net.connect(s, r, StrategyKind::Random, Link::default(), ConnectSpec::seeded(1));
+        let l = net.connect(
+            s,
+            r,
+            StrategyKind::Random,
+            Link::default(),
+            ConnectSpec::seeded(1),
+        );
         let err = net
-            .try_connect(s, r, StrategyKind::Random, Link::default(), ConnectSpec::seeded(2))
+            .try_connect(
+                s,
+                r,
+                StrategyKind::Random,
+                Link::default(),
+                ConnectSpec::seeded(2),
+            )
             .expect_err("second live link over the same pair");
         assert_eq!(err, ConnectError::DuplicateLink { from: s, to: r });
         assert!(err.to_string().contains("duplicate directed link"));
         // The reverse direction is a different directed pair.
         assert!(net
-            .try_connect(r, s, StrategyKind::Random, Link::default(), ConnectSpec::seeded(3))
+            .try_connect(
+                r,
+                s,
+                StrategyKind::Random,
+                Link::default(),
+                ConnectSpec::seeded(3)
+            )
             .is_ok());
         // Reconnecting after a teardown is the refresh path, not a dup.
         net.disconnect(l);
         assert!(net
-            .try_connect(s, r, StrategyKind::Random, Link::default(), ConnectSpec::seeded(4))
+            .try_connect(
+                s,
+                r,
+                StrategyKind::Random,
+                Link::default(),
+                ConnectSpec::seeded(4)
+            )
             .is_ok());
     }
 
@@ -1901,9 +1986,27 @@ mod tests {
         let a = net.add_node(&[1], 2);
         let b = net.add_node(&[2], 2);
         let c = net.add_node(&[3], 2);
-        let ab = net.connect(a, b, StrategyKind::Random, Link::default(), ConnectSpec::seeded(1));
-        let cb = net.connect(c, b, StrategyKind::Random, Link::default(), ConnectSpec::seeded(2));
-        let bc = net.connect(b, c, StrategyKind::Random, Link::default(), ConnectSpec::seeded(3));
+        let ab = net.connect(
+            a,
+            b,
+            StrategyKind::Random,
+            Link::default(),
+            ConnectSpec::seeded(1),
+        );
+        let cb = net.connect(
+            c,
+            b,
+            StrategyKind::Random,
+            Link::default(),
+            ConnectSpec::seeded(2),
+        );
+        let bc = net.connect(
+            b,
+            c,
+            StrategyKind::Random,
+            Link::default(),
+            ConnectSpec::seeded(3),
+        );
         assert_eq!(net.node_in_links(b), &[ab, cb]);
         assert_eq!(net.nodes[b.0].out_links, [bc]);
         assert_eq!(net.link_ends(cb), (c, b));
@@ -1954,14 +2057,27 @@ mod tests {
         let seeder = net.add_seeder(&scenario.sender_set);
         net.set_observer(a, true);
         let bloom = StrategyKind::RandomSummary(SummaryId::BLOOM);
-        let links = [(b, a, bloom), (a, b, bloom), (seeder, a, StrategyKind::Random)];
+        let links = [
+            (b, a, bloom),
+            (a, b, bloom),
+            (seeder, a, StrategyKind::Random),
+        ];
         for (seed, (from, to, strategy)) in (0u64..).zip(links) {
-            net.connect(from, to, strategy, Link::default(), ConnectSpec::seeded(seed));
+            net.connect(
+                from,
+                to,
+                strategy,
+                Link::default(),
+                ConnectSpec::seeded(seed),
+            );
         }
         assert_eq!(net.run(RunLimit::ticks(100_000)), StopReason::Completed);
         let held = net.bytes_held();
         assert_eq!(held.substitution, 0, "{held}");
-        assert!(held.known_sets > 0 && held.links > 0 && held.inventories > 0, "{held}");
+        assert!(
+            held.known_sets > 0 && held.links > 0 && held.inventories > 0,
+            "{held}"
+        );
     }
 
     #[test]
@@ -1974,7 +2090,12 @@ mod tests {
             let link = net.connect(s, r, strategy, Link::default(), ConnectSpec::seeded(7));
             assert_eq!(net.link_packets(link), (0, 0, 0), "nothing sent yet");
             let reserved = net.bytes_held().substitution;
-            assert_eq!(reserved > 0, strategy.recodes(), "{}: {reserved} B", strategy.label());
+            assert_eq!(
+                reserved > 0,
+                strategy.recodes(),
+                "{}: {reserved} B",
+                strategy.label()
+            );
         }
     }
 
@@ -2000,9 +2121,15 @@ mod tests {
         let sizing = SummarySizing::default();
         let keys: Vec<SymbolId> = (0..500u64).map(|i| i * 7 + 3).collect();
         let body = |id, estimate: &DiffEstimate| {
-            registry.build(id, &sizing, estimate, &keys).expect("registered").encode_body()
+            registry
+                .build(id, &sizing, estimate, &keys)
+                .expect("registered")
+                .encode_body()
         };
-        let (near, far) = (handshake_estimate(500, 500, 10), handshake_estimate(500, 4000, 3900));
+        let (near, far) = (
+            handshake_estimate(500, 500, 10),
+            handshake_estimate(500, 4000, 3900),
+        );
         for spec in registry.iter().filter(|spec| estimate_free(spec.id)) {
             assert_eq!(body(spec.id, &near), body(spec.id, &far), "{}", spec.label);
         }
@@ -2017,17 +2144,35 @@ mod tests {
         let s = net.add_node(&[1, 2, 3], 3);
         let stale = NodeId(17);
         let err = net
-            .try_connect(s, stale, StrategyKind::Random, Link::default(), ConnectSpec::seeded(1))
+            .try_connect(
+                s,
+                stale,
+                StrategyKind::Random,
+                Link::default(),
+                ConnectSpec::seeded(1),
+            )
             .expect_err("stale destination");
         assert_eq!(err, ConnectError::UnknownNode { node: stale });
         assert!(err.to_string().contains("unknown node 17"));
         let err = net
-            .try_connect(stale, r, StrategyKind::Random, Link::default(), ConnectSpec::seeded(2))
+            .try_connect(
+                stale,
+                r,
+                StrategyKind::Random,
+                Link::default(),
+                ConnectSpec::seeded(2),
+            )
             .expect_err("stale source");
         assert_eq!(err, ConnectError::UnknownNode { node: stale });
         // The net survives the refusal: a valid rewire still works.
         net.set_observer(r, true);
-        net.connect(s, r, StrategyKind::Random, Link::default(), ConnectSpec::seeded(4));
+        net.connect(
+            s,
+            r,
+            StrategyKind::Random,
+            Link::default(),
+            ConnectSpec::seeded(4),
+        );
         assert_eq!(net.run(RunLimit::ticks(1_000)), StopReason::Completed);
     }
 

@@ -177,9 +177,10 @@ impl TwoPeerScenario {
         let mut sender_set: Vec<SymbolId> = ids[half..].to_vec();
         // Overlap x with c = x / (|other half| + x)  ⇒  x = c·h/(1−c).
         let base = sender_set.len();
-        let overlap =
-            ((correlation * base as f64) / (1.0 - correlation)).round() as usize;
-        let overlap = overlap.min(receiver_set.len()).min(params.num_blocks - base.min(params.num_blocks));
+        let overlap = ((correlation * base as f64) / (1.0 - correlation)).round() as usize;
+        let overlap = overlap
+            .min(receiver_set.len())
+            .min(params.num_blocks - base.min(params.num_blocks));
         let mut rng = Xoshiro256StarStar::new(params.seed ^ 0x0E81_A9F0_57E1_AF01);
         for idx in rng.sample_distinct(receiver_set.len(), overlap) {
             sender_set.push(receiver_set[idx]);
@@ -239,7 +240,9 @@ impl Clone for MultiSenderScenario {
             target: self.target,
             correlation: self.correlation,
             receiver_card: OnceLock::new(),
-            sender_cards: (0..self.sender_sets.len()).map(|_| OnceLock::new()).collect(),
+            sender_cards: (0..self.sender_sets.len())
+                .map(|_| OnceLock::new())
+                .collect(),
         }
     }
 }
@@ -360,7 +363,12 @@ mod tests {
     fn two_peer_zero_correlation_is_disjoint() {
         let p = ScenarioParams::compact(2000, 9);
         let s = TwoPeerScenario::build(&p, 0.0);
-        assert_eq!(set(&s.receiver_set).intersection(&set(&s.sender_set)).count(), 0);
+        assert_eq!(
+            set(&s.receiver_set)
+                .intersection(&set(&s.sender_set))
+                .count(),
+            0
+        );
     }
 
     #[test]
@@ -375,9 +383,7 @@ mod tests {
             let step = p.max_two_peer_correlation() / 5.0;
             for i in 0..=5 {
                 let s = TwoPeerScenario::build(&p, step * i as f64);
-                let useful = set(&s.sender_set)
-                    .difference(&set(&s.receiver_set))
-                    .count();
+                let useful = set(&s.sender_set).difference(&set(&s.receiver_set)).count();
                 assert!(
                     useful >= s.needed(),
                     "factor {factor}, c {}: useful {useful} < needed {}",
@@ -409,7 +415,11 @@ mod tests {
         let shared_size = (s.correlation * s.receiver_set.len() as f64).round() as usize;
         for (i, a) in s.sender_sets.iter().enumerate() {
             let a = set(a);
-            assert_eq!(a.intersection(&r).count(), shared_size, "sender {i} vs receiver");
+            assert_eq!(
+                a.intersection(&r).count(),
+                shared_size,
+                "sender {i} vs receiver"
+            );
             for b in &s.sender_sets[i + 1..] {
                 assert_eq!(a.intersection(&set(b)).count(), shared_size);
             }

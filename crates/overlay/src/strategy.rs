@@ -103,7 +103,8 @@ impl ReceiverHandshake {
                     .as_ref()
                     .expect("summary strategy needs a digest in the handshake");
                 assert_eq!(*shipped, id, "handshake digest mismatch");
-                missing_at_peer(registry, id, body, inventory).expect("handshake digest must decode")
+                missing_at_peer(registry, id, body, inventory)
+                    .expect("handshake digest must decode")
             }
             None => inventory.to_vec(),
         };

@@ -271,7 +271,11 @@ mod tests {
             // A final recoded packet can cascade past the target, so
             // `gained` may overshoot `needed` slightly.
             assert!(out.gained >= out.needed);
-            assert!(out.gained <= out.needed + 64, "overshoot {}", out.gained - out.needed);
+            assert!(
+                out.gained <= out.needed + 64,
+                "overshoot {}",
+                out.gained - out.needed
+            );
             assert!(out.overhead() >= 0.99, "{} overhead < 1", strategy.label());
         }
     }
@@ -307,8 +311,16 @@ mod tests {
         let bf = run_transfer(&scenario, StrategyKind::RandomSummary(SummaryId::BLOOM), 7);
         let rbf = run_transfer(&scenario, StrategyKind::RecodeSummary(SummaryId::BLOOM), 7);
         assert!(bf.completed && rbf.completed);
-        assert!(bf.overhead() < random / 2.0, "Random/BF {} vs Random {random}", bf.overhead());
-        assert!(rbf.overhead() < random / 2.0, "Recode/BF {} vs Random {random}", rbf.overhead());
+        assert!(
+            bf.overhead() < random / 2.0,
+            "Random/BF {} vs Random {random}",
+            bf.overhead()
+        );
+        assert!(
+            rbf.overhead() < random / 2.0,
+            "Recode/BF {} vs Random {random}",
+            rbf.overhead()
+        );
     }
 
     #[test]
@@ -382,7 +394,9 @@ mod tests {
         let scenario = TwoPeerScenario::build(&params, 0.0);
         // Make it unfinishable: strip 10 % of the sender's set.
         let mut crippled = scenario.clone();
-        crippled.sender_set.truncate(scenario.sender_set.len() * 9 / 10);
+        crippled
+            .sender_set
+            .truncate(scenario.sender_set.len() * 9 / 10);
         let out = run_transfer(&crippled, StrategyKind::RandomSummary(SummaryId::BLOOM), 4);
         assert!(!out.completed);
         assert!(out.gained < out.needed);

@@ -48,15 +48,41 @@ fn per_link_byte_totals_equal_summed_frame_lengths() {
     let r = net.add_node(&scenario.receiver_set, scenario.target);
     net.set_observer(r, true);
     let s1 = net.add_seeder(&scenario.sender_set);
-    let extra: Vec<SymbolId> = scenario.sender_set.iter().map(|id| id ^ 0x8000_0000).collect();
+    let extra: Vec<SymbolId> = scenario
+        .sender_set
+        .iter()
+        .map(|id| id ^ 0x8000_0000)
+        .collect();
     let s2 = net.add_seeder(&extra);
-    let more: Vec<SymbolId> = scenario.sender_set.iter().map(|id| id ^ 0x4000_0000).collect();
+    let more: Vec<SymbolId> = scenario
+        .sender_set
+        .iter()
+        .map(|id| id ^ 0x4000_0000)
+        .collect();
     let s3 = net.add_seeder(&more);
     let log = install_tap(&mut net);
     let links = [
-        net.connect(s1, r, StrategyKind::Random, Link::default(), ConnectSpec::seeded(1)),
-        net.connect(s2, r, StrategyKind::Recode, Link::slower(2), ConnectSpec::seeded(2)),
-        net.connect(s3, r, StrategyKind::Recode, Link::lossy(0.15), ConnectSpec::seeded(3)),
+        net.connect(
+            s1,
+            r,
+            StrategyKind::Random,
+            Link::default(),
+            ConnectSpec::seeded(1),
+        ),
+        net.connect(
+            s2,
+            r,
+            StrategyKind::Recode,
+            Link::slower(2),
+            ConnectSpec::seeded(2),
+        ),
+        net.connect(
+            s3,
+            r,
+            StrategyKind::Recode,
+            Link::lossy(0.15),
+            ConnectSpec::seeded(3),
+        ),
     ];
     let stop = net.run(RunLimit::ticks(200_000));
     assert_eq!(stop, StopReason::Completed, "fixed-seed mesh must finish");
@@ -66,9 +92,21 @@ fn per_link_byte_totals_equal_summed_frame_lengths() {
         let (sent, _, _) = net.link_packets(l);
         let (bytes_sent, bytes_delivered) = net.link_wire_bytes(l);
         assert!(frames > 0, "link {} moved no frames", l.0);
-        assert_eq!(frames, sent, "link {}: every frame takes one send slot", l.0);
-        assert_eq!(bytes, bytes_sent, "link {}: booked bytes != framed bytes", l.0);
-        assert!(bytes_delivered <= bytes_sent, "link {}: delivered > sent", l.0);
+        assert_eq!(
+            frames, sent,
+            "link {}: every frame takes one send slot",
+            l.0
+        );
+        assert_eq!(
+            bytes, bytes_sent,
+            "link {}: booked bytes != framed bytes",
+            l.0
+        );
+        assert!(
+            bytes_delivered <= bytes_sent,
+            "link {}: delivered > sent",
+            l.0
+        );
     }
     // The net-wide counters are exactly the per-link sums.
     let tap_total: u64 = map.values().map(|&(_, b)| b).sum();
@@ -86,7 +124,10 @@ fn mesh_preset_wire_bytes_are_a_deterministic_golden() {
     let a = run();
     let b = run();
     assert!(a.transfer.completed);
-    assert_eq!(a.wire_bytes, b.wire_bytes, "mesh wire bytes must be deterministic");
+    assert_eq!(
+        a.wire_bytes, b.wire_bytes,
+        "mesh wire bytes must be deterministic"
+    );
     assert_eq!(a.transfer, b.transfer);
     // Every delivered packet occupies at least a full payload on the
     // wire, plus framing: the honest counter clears the payload floor.

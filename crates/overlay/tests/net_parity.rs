@@ -128,8 +128,18 @@ fn migration_event_stream_matches_legacy_loop() {
             "{} packets",
             strategy.label()
         );
-        assert_eq!(got.migrations, migrations, "{} migrations", strategy.label());
-        assert_eq!(got.handshakes, handshakes, "{} handshakes", strategy.label());
+        assert_eq!(
+            got.migrations,
+            migrations,
+            "{} migrations",
+            strategy.label()
+        );
+        assert_eq!(
+            got.handshakes,
+            handshakes,
+            "{} handshakes",
+            strategy.label()
+        );
         assert_eq!(got.transfer.gained, 1040, "{} gained", strategy.label());
         assert_eq!(got.transfer.needed, 1040, "{} needed", strategy.label());
     }

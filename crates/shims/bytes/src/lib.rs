@@ -126,7 +126,11 @@ impl Bytes {
             Bound::Unbounded => self.len,
         };
         assert!(start <= end, "slice start {start} > end {end}");
-        assert!(end <= self.len, "slice end {end} out of bounds ({})", self.len);
+        assert!(
+            end <= self.len,
+            "slice end {end} out of bounds ({})",
+            self.len
+        );
         Self {
             data: Arc::clone(&self.data),
             off: self.off + start,

@@ -214,7 +214,10 @@ fn run_one(
     b.samples_ns.sort_by(|a, z| a.total_cmp(z));
     let median = b.samples_ns[b.samples_ns.len() / 2];
     let rate = throughput.map_or(String::new(), |t| match t {
-        Throughput::Bytes(n) => format!("  ({:.1} MiB/s)", n as f64 / median * 1e9 / (1 << 20) as f64),
+        Throughput::Bytes(n) => format!(
+            "  ({:.1} MiB/s)",
+            n as f64 / median * 1e9 / (1 << 20) as f64
+        ),
         Throughput::Elements(n) => format!("  ({:.3} Melem/s)", n as f64 / median * 1e9 / 1e6),
     });
     println!("  {label}: median {median:.0} ns/iter{rate}");

@@ -86,10 +86,7 @@ fn run_trial(cfg: &AccuracyConfig, seed: u64) -> f64 {
 /// Sweeps the leaf/internal split for a fixed total budget and correction
 /// and returns `(leaf_bits, mean accuracy)` pairs — Figure 4(a)'s series.
 #[must_use]
-pub(crate) fn sweep_split(
-    base: &AccuracyConfig,
-    leaf_bits_grid: &[f64],
-) -> Vec<(f64, f64)> {
+pub(crate) fn sweep_split(base: &AccuracyConfig, leaf_bits_grid: &[f64]) -> Vec<(f64, f64)> {
     leaf_bits_grid
         .iter()
         .map(|&leaf_bits| {
@@ -160,8 +157,16 @@ mod tests {
     #[test]
     fn correction_recovers_accuracy() {
         let base = quick(3000, 100);
-        let c0 = measure_accuracy(&AccuracyConfig { correction: 0, ..base }).mean();
-        let c5 = measure_accuracy(&AccuracyConfig { correction: 5, ..base }).mean();
+        let c0 = measure_accuracy(&AccuracyConfig {
+            correction: 0,
+            ..base
+        })
+        .mean();
+        let c5 = measure_accuracy(&AccuracyConfig {
+            correction: 5,
+            ..base
+        })
+        .mean();
         assert!(c5 >= c0, "correction 5 ({c5}) must not lose to 0 ({c0})");
     }
 

@@ -104,9 +104,7 @@ pub(crate) fn spec() -> SummarySpec {
     SummarySpec {
         id: SummaryId::ART,
         label: "art",
-        build: |sizing, _est, keys| {
-            Box::new(ArtDigest::build(keys, summary_params(sizing)))
-        },
+        build: |sizing, _est, keys| Box::new(ArtDigest::build(keys, summary_params(sizing))),
         decode: |body| Ok(Box::new(ArtDigest::decode(body)?)),
         wire_cost: |sizing, est| {
             let bpe = sizing.art_leaf_bits_per_element + sizing.art_internal_bits_per_element;

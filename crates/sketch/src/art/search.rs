@@ -85,7 +85,9 @@ pub(crate) fn search_differences_with_correction(
                     outcome.missing_at_peer.extend_from_slice(keys);
                 }
             }
-            Node::Internal { value, left, right, .. } => {
+            Node::Internal {
+                value, left, right, ..
+            } => {
                 outcome.internal_probes += 1;
                 let run = if peer_summary.matches_internal(*value) {
                     // A run longer than the correction level prunes.
@@ -156,7 +158,10 @@ mod tests {
         for k in &out.missing_at_peer {
             assert!(!a_set.contains(k), "reported {k} is actually present at A");
         }
-        assert!(!out.missing_at_peer.is_empty(), "should find some differences");
+        assert!(
+            !out.missing_at_peer.is_empty(),
+            "should find some differences"
+        );
     }
 
     #[test]

@@ -48,7 +48,11 @@ impl SummaryParams {
     /// A split of a fixed total budget: `leaf` bits/element to leaves and
     /// `total − leaf` to internal nodes (Figure 4(a)'s x-axis).
     #[must_use]
-    pub fn with_split(total_bits_per_element: f64, leaf_bits_per_element: f64, correction: u32) -> Self {
+    pub fn with_split(
+        total_bits_per_element: f64,
+        leaf_bits_per_element: f64,
+        correction: u32,
+    ) -> Self {
         assert!(
             leaf_bits_per_element <= total_bits_per_element,
             "leaf bits exceed total budget"

@@ -97,10 +97,8 @@ impl ReconciliationTree {
     /// Builds a tree over `keys` (duplicates are ignored).
     #[must_use]
     pub fn from_keys<I: IntoIterator<Item = u64>>(params: ArtParams, keys: I) -> Self {
-        let mut items: Vec<(u64, u64)> = keys
-            .into_iter()
-            .map(|k| (params.position(k), k))
-            .collect();
+        let mut items: Vec<(u64, u64)> =
+            keys.into_iter().map(|k| (params.position(k), k)).collect();
         items.sort_unstable();
         items.dedup_by_key(|(p, k)| (*p, *k));
         // Drop duplicate keys (same position AND key).
@@ -127,9 +125,7 @@ impl ReconciliationTree {
         // All same position → leaf (holds all colliding keys).
         if items.first().map(|(p, _)| p) == items.last().map(|(p, _)| p) {
             let keys: Vec<u64> = items.iter().map(|&(_, k)| k).collect();
-            let value = keys
-                .iter()
-                .fold(0u64, |acc, &k| acc ^ self.params.value(k));
+            let value = keys.iter().fold(0u64, |acc, &k| acc ^ self.params.value(k));
             return self.push(Node::Leaf { value, keys });
         }
         // Find the first bit where the slice splits (collapse equal
@@ -194,7 +190,9 @@ impl ReconciliationTree {
         while let Some(id) = stack.pop() {
             match &self.nodes[id as usize] {
                 Node::Leaf { value, .. } => f(*value, true),
-                Node::Internal { value, left, right, .. } => {
+                Node::Internal {
+                    value, left, right, ..
+                } => {
                     f(*value, false);
                     stack.push(*left);
                     stack.push(*right);

@@ -24,11 +24,8 @@ impl BloomDigest {
     /// Builds the digest of `keys` at `bits_per_element`.
     #[must_use]
     pub(crate) fn build(keys: &[u64], bits_per_element: f64) -> Self {
-        let mut filter = BloomFilter::with_bits_per_element(
-            keys.len().max(1),
-            bits_per_element,
-            DIGEST_SEED,
-        );
+        let mut filter =
+            BloomFilter::with_bits_per_element(keys.len().max(1), bits_per_element, DIGEST_SEED);
         for &k in keys {
             filter.insert(k);
         }
@@ -69,11 +66,15 @@ pub(crate) fn encode_filter(w: &mut FrameWriter, f: &BloomFilter) {
 pub(crate) fn decode_filter(r: &mut FrameReader<'_>) -> Result<BloomFilter, SummaryError> {
     let m = r.u64()?;
     if m == 0 || m > MAX_VEC * 8 {
-        return Err(SummaryError::Malformed("bloom filter bit count out of range"));
+        return Err(SummaryError::Malformed(
+            "bloom filter bit count out of range",
+        ));
     }
     let k = u32::from(r.u8()?);
     if k == 0 {
-        return Err(SummaryError::Malformed("bloom filter needs at least one hash"));
+        return Err(SummaryError::Malformed(
+            "bloom filter needs at least one hash",
+        ));
     }
     let seed = r.u64()?;
     let items = r.u64()?;
@@ -168,7 +169,11 @@ mod tests {
         for id in &missing {
             assert!(!a.contains(id));
         }
-        assert!(missing.len() > 450, "most foreign keys pass: {}", missing.len());
+        assert!(
+            missing.len() > 450,
+            "most foreign keys pass: {}",
+            missing.len()
+        );
         assert!(missing.windows(2).all(|w| w[0] < w[1]), "sorted output");
     }
 

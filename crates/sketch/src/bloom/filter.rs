@@ -77,11 +77,7 @@ impl BloomFilter {
 
     /// Builds a filter from a key iterator with the given geometry.
     #[must_use]
-    pub fn from_keys<I: IntoIterator<Item = u64>>(
-        keys: I,
-        bits_per_element: f64,
-        seed: u64,
-    ) -> Self
+    pub fn from_keys<I: IntoIterator<Item = u64>>(keys: I, bits_per_element: f64, seed: u64) -> Self
     where
         I::IntoIter: ExactSizeIterator,
     {
@@ -206,7 +202,10 @@ mod tests {
         let trials = 50_000;
         let fps = (0..trials).filter(|_| f.contains(rng.next_u64())).count();
         let rate = fps as f64 / trials as f64;
-        assert!((rate - 0.147).abs() < 0.015, "fp rate {rate}, expected ≈ 0.147");
+        assert!(
+            (rate - 0.147).abs() < 0.015,
+            "fp rate {rate}, expected ≈ 0.147"
+        );
     }
 
     #[test]
@@ -222,7 +221,10 @@ mod tests {
         let trials = 100_000;
         let fps = (0..trials).filter(|_| f.contains(rng.next_u64())).count();
         let rate = fps as f64 / trials as f64;
-        assert!((rate - 0.022).abs() < 0.006, "fp rate {rate}, expected ≈ 0.022");
+        assert!(
+            (rate - 0.022).abs() < 0.006,
+            "fp rate {rate}, expected ≈ 0.022"
+        );
     }
 
     #[test]
@@ -238,8 +240,14 @@ mod tests {
 
     #[test]
     fn with_bits_per_element_picks_sane_k() {
-        assert_eq!(BloomFilter::with_bits_per_element(100, 4.0, 0).num_hashes(), 3);
-        assert_eq!(BloomFilter::with_bits_per_element(100, 8.0, 0).num_hashes(), 6);
+        assert_eq!(
+            BloomFilter::with_bits_per_element(100, 4.0, 0).num_hashes(),
+            3
+        );
+        assert_eq!(
+            BloomFilter::with_bits_per_element(100, 8.0, 0).num_hashes(),
+            6
+        );
     }
 
     #[test]
@@ -340,8 +348,7 @@ mod tests {
         // absent from the inserted set (no false negatives), so a sender
         // filtering on `!contains` never ships a redundant symbol.
         let mut rng = Xoshiro256StarStar::new(8);
-        let inserted: std::collections::HashSet<u64> =
-            (0..2000).map(|_| rng.next_u64()).collect();
+        let inserted: std::collections::HashSet<u64> = (0..2000).map(|_| rng.next_u64()).collect();
         let mut f = BloomFilter::with_bits_per_element(inserted.len(), 4.0, 5);
         for &k in &inserted {
             f.insert(k);

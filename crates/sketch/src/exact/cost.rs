@@ -223,7 +223,10 @@ mod tests {
     use super::*;
 
     fn row<'a>(rep: &'a CostReport, method: &str) -> &'a CostRow {
-        rep.rows.iter().find(|r| r.method == method).expect("method row")
+        rep.rows
+            .iter()
+            .find(|r| r.method == method)
+            .expect("method row")
     }
 
     fn report() -> (Scenario, CostReport) {
@@ -236,7 +239,11 @@ mod tests {
     fn no_method_reports_false_differences() {
         let (_, rep) = report();
         for row in &rep.rows {
-            assert!(!row.false_reports, "{} reported false differences", row.method);
+            assert!(
+                !row.false_reports,
+                "{} reported false differences",
+                row.method
+            );
         }
     }
 

@@ -349,7 +349,10 @@ mod tests {
     #[test]
     fn hash_set_decode_rejects_garbage() {
         assert!(HashSetDigest::decode(&[0]).is_err(), "width 0");
-        assert!(HashSetDigest::decode(&[65, 0, 0, 0, 0]).is_err(), "width 65");
+        assert!(
+            HashSetDigest::decode(&[65, 0, 0, 0, 0]).is_err(),
+            "width 65"
+        );
         let digest = HashSetDigest::build(&keys(10, 3), 16);
         let body = digest.encode_body();
         for cut in 0..body.len() {

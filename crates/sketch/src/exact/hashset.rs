@@ -171,7 +171,10 @@ mod tests {
         // Truncated hashes may collide among A's own keys, so size is
         // per *distinct hash* (that is all that crosses the wire).
         assert_eq!(m16.wire_size(), m16.hashes.len() * 2);
-        assert!(m16.hashes.len() > 980, "16-bit collisions should be rare at n=1000");
+        assert!(
+            m16.hashes.len() > 980,
+            "16-bit collisions should be rare at n=1000"
+        );
         assert_eq!(m64.hashes.len(), 1000);
         assert_eq!(m64.wire_size(), 8000);
     }

@@ -80,7 +80,9 @@ impl PermutationFamily {
     pub fn new(seed: u64, count: usize) -> Self {
         assert!(count > 0, "a sketch needs at least one permutation");
         let mut rng = SplitMix64::new(seed ^ 0x6D69_6E77_6973_6521); // "minwise!"
-        let perms = (0..count).map(|_| LinearPermutation::random(&mut rng)).collect();
+        let perms = (0..count)
+            .map(|_| LinearPermutation::random(&mut rng))
+            .collect();
         Self { seed, perms }
     }
 
@@ -262,7 +264,9 @@ mod tests {
 
     fn keys(range: std::ops::Range<u64>) -> Vec<Key> {
         // Spread keys out so they are not accidentally field-adjacent.
-        range.map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xABCD).collect()
+        range
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xABCD)
+            .collect()
     }
 
     #[test]
@@ -331,7 +335,11 @@ mod tests {
     fn standard_family_fits_1kb() {
         let f = PermutationFamily::standard(0);
         let s = MinwiseSketch::new(&f);
-        assert_eq!(s.minima().len() * 8, 1024, "the paper's single-1KB-packet claim");
+        assert_eq!(
+            s.minima().len() * 8,
+            1024,
+            "the paper's single-1KB-packet claim"
+        );
     }
 
     #[test]

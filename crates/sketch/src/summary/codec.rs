@@ -102,17 +102,23 @@ impl<'a> FrameReader<'a> {
 
     /// Reads a little-endian u16.
     pub(crate) fn u16(&mut self) -> Result<u16, SummaryError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
     }
 
     /// Reads a little-endian u32.
     pub(crate) fn u32(&mut self) -> Result<u32, SummaryError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     /// Reads a little-endian u64.
     pub(crate) fn u64(&mut self) -> Result<u64, SummaryError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     /// Reads a length prefix, enforcing [`MAX_VEC`].

@@ -155,8 +155,8 @@ pub fn cheapest_mechanism(
         if recall + 1e-12 < min_recall {
             continue;
         }
-        let score =
-            (spec.wire_cost)(sizing, estimate) + compute_weight * (spec.compute_cost)(sizing, estimate);
+        let score = (spec.wire_cost)(sizing, estimate)
+            + compute_weight * (spec.compute_cost)(sizing, estimate);
         if best.is_none_or(|(best_score, _)| score < best_score) {
             best = Some((score, spec.id));
         }
@@ -278,7 +278,9 @@ mod tests {
     #[test]
     fn every_mechanism_ignores_the_order_of_the_searched_set() {
         let reg = standard_registry();
-        let ours: Vec<u64> = (0..60u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        let ours: Vec<u64> = (0..60u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
         // Half shared, half new, in a scrambled order with a repeat.
         let mut theirs: Vec<u64> = ours[30..].to_vec();
         theirs.extend((1000..1030u64).map(|i| i.wrapping_mul(0xD6E8_FEB8_6659_FD93)));
@@ -293,8 +295,17 @@ mod tests {
             let body = (spec.build)(&sizing, &estimate, &ours).encode_body();
             let reconciler = reg.decode(spec.id, &body).expect("decodes");
             let answer = reconciler.missing_at_peer(&theirs);
-            assert_eq!(answer, reconciler.missing_at_peer(&sorted), "{}", spec.label);
-            assert!(answer.windows(2).all(|w| w[0] < w[1]), "{} sorted, no repeats", spec.label);
+            assert_eq!(
+                answer,
+                reconciler.missing_at_peer(&sorted),
+                "{}",
+                spec.label
+            );
+            assert!(
+                answer.windows(2).all(|w| w[0] < w[1]),
+                "{} sorted, no repeats",
+                spec.label
+            );
         }
     }
 

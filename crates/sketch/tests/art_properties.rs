@@ -1,7 +1,9 @@
 //! Property-based tests for approximate reconciliation trees: structural
 //! canonicity, the root XOR law, and search soundness.
 
-use icd_sketch::art::{search_differences, ArtParams, ArtSummary, ReconciliationTree, SummaryParams};
+use icd_sketch::art::{
+    search_differences, ArtParams, ArtSummary, ReconciliationTree, SummaryParams,
+};
 use proptest::prelude::*;
 use std::collections::HashSet;
 

@@ -239,8 +239,7 @@ mod tests {
             })
             .collect();
         assert_eq!(crashes.len(), 3);
-        let victims: std::collections::HashSet<PeerId> =
-            crashes.iter().map(|&(_, p)| p).collect();
+        let victims: std::collections::HashSet<PeerId> = crashes.iter().map(|&(_, p)| p).collect();
         assert_eq!(victims.len(), 3, "crash victims are distinct");
         for (t, p) in crashes {
             assert!(
@@ -261,7 +260,9 @@ mod tests {
 
     #[test]
     fn quiet_config_is_empty_and_roster_of_only_seeds_faults_nobody() {
-        assert!(FaultPlan::generate(&FaultConfig::none(), 50, 2, 1).events.is_empty());
+        assert!(FaultPlan::generate(&FaultConfig::none(), 50, 2, 1)
+            .events
+            .is_empty());
         assert!(FaultConfig::none().is_quiet());
         assert!(FaultPlan::generate(&cfg(), 2, 2, 1).events.is_empty());
     }
@@ -269,9 +270,8 @@ mod tests {
     #[test]
     fn count_filters_by_kind() {
         let plan = FaultPlan::generate(&cfg(), 24, 2, 7);
-        let count = |pred: fn(&FaultEvent) -> bool| {
-            plan.events.iter().filter(|(_, e)| pred(e)).count()
-        };
+        let count =
+            |pred: fn(&FaultEvent) -> bool| plan.events.iter().filter(|(_, e)| pred(e)).count();
         assert_eq!(count(|e| matches!(e, FaultEvent::TruncateFrame(_))), 3);
         assert_eq!(count(|e| matches!(e, FaultEvent::CutLink(_))), 4);
         assert_eq!(FaultConfig::link_cuts(5, (1, 9)).link_cuts, 5);

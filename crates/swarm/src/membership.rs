@@ -156,7 +156,10 @@ mod tests {
     #[test]
     fn joins_and_rewires_are_counted() {
         let plan = churn_plan(&cfg(), 20, 2, 7);
-        let joins = plan.iter().filter(|(_, e)| matches!(e, SwarmEvent::Join)).count();
+        let joins = plan
+            .iter()
+            .filter(|(_, e)| matches!(e, SwarmEvent::Join))
+            .count();
         let rewires = plan
             .iter()
             .filter(|(_, e)| matches!(e, SwarmEvent::Rewire(_)))

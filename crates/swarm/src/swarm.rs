@@ -197,10 +197,9 @@ impl std::fmt::Display for SwarmConfigError {
                 write!(f, "a swarm needs at least 3 peers, got {peers}")
             }
             Self::NoSeedPeers => write!(f, "need at least one full seed peer"),
-            Self::SeedPeersExceedRoster { seed_peers, peers } => write!(
-                f,
-                "roster ({peers}) must exceed seed peers ({seed_peers})"
-            ),
+            Self::SeedPeersExceedRoster { seed_peers, peers } => {
+                write!(f, "roster ({peers}) must exceed seed peers ({seed_peers})")
+            }
             Self::InitFractionOutOfRange { fraction } => {
                 write!(f, "init fraction must be in [0, 1], got {fraction}")
             }
@@ -660,9 +659,7 @@ impl Swarm {
                     StrategyKind::RandomSummary(SummaryId::BLOOM)
                 }
             }
-            SwarmStrategy::Advised { recode } => {
-                self.net.advised_strategy(from, to, recode)
-            }
+            SwarmStrategy::Advised { recode } => self.net.advised_strategy(from, to, recode),
         }
     }
 
@@ -842,8 +839,7 @@ impl Swarm {
                 for link in ins {
                     let (from, _) = self.net.link_ends(link);
                     self.net.disconnect(link);
-                    self.retries +=
-                        u64::from(self.connect_nodes_with(from, node, 0, Some(slow)));
+                    self.retries += u64::from(self.connect_nodes_with(from, node, 0, Some(slow)));
                 }
             }
         }
@@ -936,7 +932,11 @@ impl Swarm {
             let distinct = self.net.node_distinct(node);
             let stagnant = distinct == self.peers[p].last_distinct;
             self.peers[p].last_distinct = distinct;
-            let starved = if stagnant { self.peers[p].starved + 1 } else { 0 };
+            let starved = if stagnant {
+                self.peers[p].starved + 1
+            } else {
+                0
+            };
             self.peers[p].starved = starved;
             let ins = self.net.node_in_links(node).to_vec();
             for link in ins {
@@ -1030,7 +1030,11 @@ impl Swarm {
                     // repeat without a single new packet mean the
                     // present senders have nothing left to contribute.
                     let sent = self.net.packets_from_partial() + self.net.packets_from_full();
-                    dry_stalls = if sent == packets_at_stall { dry_stalls + 1 } else { 0 };
+                    dry_stalls = if sent == packets_at_stall {
+                        dry_stalls + 1
+                    } else {
+                        0
+                    };
                     packets_at_stall = sent;
                     let rebuilt = self.scoped("swarm.refresh", Self::refresh_pass);
                     // The tolerance covers the starvation escalation:
@@ -1045,9 +1049,7 @@ impl Swarm {
                         if let Some(&(_, event)) = self.schedule.get(self.next_event) {
                             self.scoped("swarm.membership", |s| s.apply_event(event));
                             self.next_event += 1;
-                        } else if let Some(&(_, fault)) =
-                            self.fault_schedule.get(self.next_fault)
-                        {
+                        } else if let Some(&(_, fault)) = self.fault_schedule.get(self.next_fault) {
                             self.scoped("swarm.membership", |s| s.apply_fault(fault));
                             self.next_fault += 1;
                         } else {
@@ -1209,7 +1211,10 @@ mod tests {
         for scope in PROFILE_SCOPES {
             assert!(profile.get(scope).is_some(), "{scope} never ran");
         }
-        let tiled: u64 = PROFILE_SCOPES[..3].iter().map(|s| profile.total_ns(s)).sum();
+        let tiled: u64 = PROFILE_SCOPES[..3]
+            .iter()
+            .map(|s| profile.total_ns(s))
+            .sum();
         assert!(
             tiled as f64 >= 0.9 * wall,
             "scopes cover {tiled} of {wall} ns:\n{}",
@@ -1223,14 +1228,23 @@ mod tests {
     }
 
     fn quiet(peers: usize, blocks: usize) -> SwarmConfig {
-        SwarmConfig::new(peers, blocks, TopologyKind::RingChords { chords: peers / 2 })
+        SwarmConfig::new(
+            peers,
+            blocks,
+            TopologyKind::RingChords { chords: peers / 2 },
+        )
     }
 
     #[test]
     fn quiescent_ring_swarm_completes() {
         let out = run_swarm(quiet(24, 80), 1);
         assert_eq!(out.stop, StopReason::Completed);
-        assert!(out.all_complete(), "completed {}/{}", out.completed, out.peers);
+        assert!(
+            out.all_complete(),
+            "completed {}/{}",
+            out.completed,
+            out.peers
+        );
         assert_eq!(out.membership_events(), 0);
         assert!(out.overhead >= 1.0, "overhead {}", out.overhead);
         // Every packet occupies at least an encoded-symbol frame.
@@ -1297,18 +1311,22 @@ mod tests {
 
     #[test]
     fn churned_swarm_completes_with_all_event_kinds_applied() {
-        let cfg = SwarmConfig::new(30, 70, TopologyKind::PowerLaw { m: 2 }).with_churn(
-            ChurnConfig {
+        let cfg =
+            SwarmConfig::new(30, 70, TopologyKind::PowerLaw { m: 2 }).with_churn(ChurnConfig {
                 leave_fraction: 0.25,
                 downtime: 20,
                 window: (3, 50),
                 joins: 3,
                 rewires: 3,
-            },
-        );
+            });
         let out = run_swarm(cfg, 4);
         assert_eq!(out.stop, StopReason::Completed);
-        assert!(out.all_complete(), "completed {}/{}", out.completed, out.peers);
+        assert!(
+            out.all_complete(),
+            "completed {}/{}",
+            out.completed,
+            out.peers
+        );
         assert_eq!(out.peers, 33, "joins extend the roster");
         assert_eq!(out.joins, 3);
         assert_eq!(out.leaves, 7, "25% of 28 eligible");
@@ -1340,9 +1358,11 @@ mod tests {
         // The paper's qualitative claim at swarm scale: informed
         // reconciliation keeps packets-per-needed-symbol near 1 even
         // while the roster churns.
-        let cfg = SwarmConfig::new(32, 80, TopologyKind::PowerLaw { m: 2 }).with_churn(
-            leaving(0.2, (5, 60), 25),
-        );
+        let cfg = SwarmConfig::new(32, 80, TopologyKind::PowerLaw { m: 2 }).with_churn(leaving(
+            0.2,
+            (5, 60),
+            25,
+        ));
         let out = run_swarm(cfg, 12);
         assert_eq!(out.stop, StopReason::Completed);
         // Concurrent uncoordinated senders duplicate some candidates
@@ -1378,14 +1398,22 @@ mod tests {
         let cfg = quiet(24, 70).with_link_profiles(vec![latency, Link::slower(2)]);
         let out = run_swarm(cfg.with_faults(chaos()), 3);
         assert_eq!(out.stop, StopReason::Completed);
-        assert!(out.all_complete(), "completed {}/{}", out.completed, out.peers);
+        assert!(
+            out.all_complete(),
+            "completed {}/{}",
+            out.completed,
+            out.peers
+        );
         assert!(out.faults_applied > 0, "no fault ever landed");
         assert!(out.retries > 0, "faults must have forced redials");
         assert!(
             out.wasted_wire_bytes > 0,
             "cut links must strand in-flight bytes"
         );
-        assert!(out.wasted_wire_bytes < out.wire_bytes, "waste is a fraction");
+        assert!(
+            out.wasted_wire_bytes < out.wire_bytes,
+            "waste is a fraction"
+        );
         // Membership counters stay clean: faults are not churn.
         assert_eq!(out.membership_events(), 0);
     }

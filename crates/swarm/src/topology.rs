@@ -41,8 +41,7 @@ pub enum TopologyKind {
     },
 }
 
-impl TopologyKind {
-}
+impl TopologyKind {}
 
 /// A generated overlay graph: `nodes` peers and a normalized undirected
 /// edge list (see the module docs for the invariants).
@@ -111,9 +110,7 @@ const TOPOLOGY_SEED_SALT: u64 = 0x5A71_D010;
 /// `[0, 1]`, `m == 0`, or a power-law/ring geometry with too few nodes).
 #[must_use]
 pub fn build_topology(kind: TopologyKind, nodes: usize, seed: u64) -> Topology {
-    let mut rng = Xoshiro256StarStar::new(
-        icd_util::hash::mix64(seed ^ TOPOLOGY_SEED_SALT),
-    );
+    let mut rng = Xoshiro256StarStar::new(icd_util::hash::mix64(seed ^ TOPOLOGY_SEED_SALT));
     match kind {
         TopologyKind::ErdosRenyi { p } => erdos_renyi(nodes, p, &mut rng),
         TopologyKind::PowerLaw { m } => power_law(nodes, m, &mut rng),
@@ -122,7 +119,10 @@ pub fn build_topology(kind: TopologyKind, nodes: usize, seed: u64) -> Topology {
 }
 
 fn erdos_renyi(nodes: usize, p: f64, rng: &mut Xoshiro256StarStar) -> Topology {
-    assert!((0.0..=1.0).contains(&p), "edge probability must be in [0, 1]");
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "edge probability must be in [0, 1]"
+    );
     let mut edges = Vec::new();
     for a in 0..nodes {
         for b in (a + 1)..nodes {
@@ -137,12 +137,16 @@ fn erdos_renyi(nodes: usize, p: f64, rng: &mut Xoshiro256StarStar) -> Topology {
 fn power_law(nodes: usize, m: usize, rng: &mut Xoshiro256StarStar) -> Topology {
     assert!(m >= 1, "preferential attachment needs m >= 1");
     let core = m + 1;
-    assert!(nodes >= core, "need at least m + 1 nodes for the seed clique");
+    assert!(
+        nodes >= core,
+        "need at least m + 1 nodes for the seed clique"
+    );
     let mut edges = Vec::new();
     // Degree-proportional sampling via the repeated-endpoints list:
     // every edge contributes both endpoints, so a uniform draw from the
     // list is a draw proportional to degree.
-    let mut endpoints: Vec<usize> = Vec::with_capacity(2 * (core * (core - 1) / 2 + (nodes - core) * m));
+    let mut endpoints: Vec<usize> =
+        Vec::with_capacity(2 * (core * (core - 1) / 2 + (nodes - core) * m));
     for a in 0..core {
         for b in (a + 1)..core {
             edges.push((a, b));

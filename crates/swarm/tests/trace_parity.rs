@@ -18,7 +18,10 @@ const CAP: usize = 1 << 22;
 /// The parity swarm geometry: power-law topology, heterogeneous link
 /// rates, ≥10% churn.
 fn churny_config(peers: usize) -> SwarmConfig {
-    let profiles: Vec<Link> = [1u64, 2, 4, 8, 16].iter().map(|&f| Link::slower(f)).collect();
+    let profiles: Vec<Link> = [1u64, 2, 4, 8, 16]
+        .iter()
+        .map(|&f| Link::slower(f))
+        .collect();
     let mut cfg = SwarmConfig::new(peers, 48, TopologyKind::PowerLaw { m: 2 })
         .with_link_profiles(profiles)
         .with_churn(ChurnConfig {

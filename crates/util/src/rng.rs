@@ -293,7 +293,11 @@ mod tests {
         let mut sorted = items.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(items, (0..100).collect::<Vec<_>>(), "shuffle left input unchanged");
+        assert_ne!(
+            items,
+            (0..100).collect::<Vec<_>>(),
+            "shuffle left input unchanged"
+        );
     }
 
     #[test]

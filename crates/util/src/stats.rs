@@ -122,7 +122,9 @@ mod tests {
 
     #[test]
     fn summary_known_values() {
-        let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].into_iter().collect();
+        let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
+            .into_iter()
+            .collect();
         assert!((s.mean() - 5.0).abs() < 1e-12);
         // Sample variance of this classic data set is 32/7.
         assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);

@@ -144,13 +144,25 @@ impl SymbolBuf {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn xor_word_slices8(
         &mut self,
-        s0: &[u64], s1: &[u64], s2: &[u64], s3: &[u64],
-        s4: &[u64], s5: &[u64], s6: &[u64], s7: &[u64],
+        s0: &[u64],
+        s1: &[u64],
+        s2: &[u64],
+        s3: &[u64],
+        s4: &[u64],
+        s5: &[u64],
+        s6: &[u64],
+        s7: &[u64],
     ) {
         let n = self.word_len();
         assert!(
-            s0.len() == n && s1.len() == n && s2.len() == n && s3.len() == n
-                && s4.len() == n && s5.len() == n && s6.len() == n && s7.len() == n,
+            s0.len() == n
+                && s1.len() == n
+                && s2.len() == n
+                && s3.len() == n
+                && s4.len() == n
+                && s5.len() == n
+                && s6.len() == n
+                && s7.len() == n,
             "XOR of unequal-length word slices"
         );
         for (i, d) in self.words[..n].iter_mut().enumerate() {
@@ -418,9 +430,12 @@ mod tests {
         // Every batch shape of xor_word_slices (8s, a 4, singles) and
         // xor_bytes4, at lengths with and without a partial tail word.
         for len in [0usize, 5, 8, 13, 64, 1400] {
-            let source = |k: usize| -> Vec<u8> { (0..len).map(|i| (i * 31 + k * 7) as u8).collect() };
+            let source =
+                |k: usize| -> Vec<u8> { (0..len).map(|i| (i * 31 + k * 7) as u8).collect() };
             for count in 0..=21 {
-                let bufs: Vec<SymbolBuf> = (0..count).map(|k| SymbolBuf::from_bytes(&source(k))).collect();
+                let bufs: Vec<SymbolBuf> = (0..count)
+                    .map(|k| SymbolBuf::from_bytes(&source(k)))
+                    .collect();
                 let mut expect = SymbolBuf::from_bytes(&source(99));
                 bufs.iter().for_each(|b| expect.xor_bytes(&b.to_vec()));
                 let mut got = SymbolBuf::from_bytes(&source(99));

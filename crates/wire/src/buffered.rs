@@ -151,7 +151,9 @@ mod tests {
         // is far smaller than the buffer: without the flush-before-read
         // rule both sides wait forever (here: until the pipe's timeout).
         let (mut near, mut far) = pipe();
-        let request: Vec<Message> = (0..5).map(|count| Message::SymbolRequest { count }).collect();
+        let request: Vec<Message> = (0..5)
+            .map(|count| Message::SymbolRequest { count })
+            .collect();
         let expected = request.clone();
         let peer = std::thread::spawn(move || {
             for want in &expected {

@@ -74,7 +74,11 @@ impl std::fmt::Display for FrameError {
             Self::Wire(e) => write!(f, "frame decode failed: {e}"),
             Self::Closed => write!(f, "stream closed"),
             Self::Truncated { needed, got } => {
-                write!(f, "stream ended inside a frame: got {got} of {} bytes", needed + got)
+                write!(
+                    f,
+                    "stream ended inside a frame: got {got} of {} bytes",
+                    needed + got
+                )
             }
             Self::TimedOut => write!(f, "read timeout elapsed mid-frame"),
         }
@@ -227,10 +231,7 @@ fn read_body<R: Read>(reader: &mut R, buf: &mut [u8], got_before: usize) -> Resu
 /// stream dies inside a frame, and [`FrameError::TimedOut`] when a
 /// configured read timeout fires (the stream may then hold a partial
 /// frame and must be torn down, not retried).
-pub fn read_frame_bytes<R: Read>(
-    reader: &mut R,
-    limit: FrameLimit,
-) -> Result<Bytes, FrameError> {
+pub fn read_frame_bytes<R: Read>(reader: &mut R, limit: FrameLimit) -> Result<Bytes, FrameError> {
     let len_bytes = read_prefix(reader)?;
     let len = u32::from_le_bytes(len_bytes);
     if len > limit.max_bytes {
@@ -388,7 +389,11 @@ mod tests {
         assert!(FrameError::TimedOut.is_transient());
         assert!(FrameError::Truncated { needed: 3, got: 1 }.is_transient());
         assert!(FrameError::Io(std::io::Error::other("reset")).is_transient());
-        assert!(!FrameError::TooLarge { claimed: 9, limit: 1 }.is_transient());
+        assert!(!FrameError::TooLarge {
+            claimed: 9,
+            limit: 1
+        }
+        .is_transient());
         assert!(!FrameError::Wire(WireError::BadTag(0xEE)).is_transient());
     }
 

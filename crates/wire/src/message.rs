@@ -179,7 +179,11 @@ impl<'a> Writer<'a> {
     /// Checks that the layout filled the buffer: its size came from
     /// `Message::encoded_size`, and the two must never disagree.
     fn finish(self) {
-        assert_eq!(self.pos, self.buf.len(), "encoding disagrees with its size budget");
+        assert_eq!(
+            self.pos,
+            self.buf.len(),
+            "encoding disagrees with its size budget"
+        );
     }
 }
 
@@ -206,13 +210,19 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
     fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
     }
     fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
     fn checked_len(&mut self) -> Result<usize, WireError> {
         let n = u64::from(self.u32()?);
@@ -255,7 +265,10 @@ impl SymbolHeader {
     fn into_message(self, payload: Bytes) -> Message {
         match self {
             SymbolHeader::Encoded { id } => Message::EncodedSymbol { id, payload },
-            SymbolHeader::Recoded { components } => Message::RecodedSymbol { components, payload },
+            SymbolHeader::Recoded { components } => Message::RecodedSymbol {
+                components,
+                payload,
+            },
         }
     }
 }
@@ -317,7 +330,11 @@ impl Message {
     /// [`Message::encoded_size`] bytes — the framing layer's form: the
     /// frame buffer is sized once and written once.
     pub(crate) fn encode_into(&self, out: &mut [u8]) {
-        if let Message::RecodedSymbol { components, payload } = self {
+        if let Message::RecodedSymbol {
+            components,
+            payload,
+        } = self
+        {
             return encode_recoded_into(out, components, payload.len(), |dst| {
                 dst.copy_from_slice(payload);
             });
@@ -419,9 +436,10 @@ impl Message {
             Message::Summary { body, .. } => summary_size(body.len()),
             Message::SymbolRequest { .. } | Message::End { .. } => COUNT_SIZE,
             Message::EncodedSymbol { payload, .. } => encoded_symbol_size(payload.len()),
-            Message::RecodedSymbol { components, payload } => {
-                recoded_symbol_size(components.len(), payload.len())
-            }
+            Message::RecodedSymbol {
+                components,
+                payload,
+            } => recoded_symbol_size(components.len(), payload.len()),
         }
     }
 
@@ -660,9 +678,10 @@ mod tests {
                 Message::Summary { body, .. } => summary_frame_len(body.len()),
                 Message::SymbolRequest { .. } => symbol_request_frame_len(),
                 Message::EncodedSymbol { payload, .. } => encoded_symbol_frame_len(payload.len()),
-                Message::RecodedSymbol { components, payload } => {
-                    recoded_symbol_frame_len(components.len(), payload.len())
-                }
+                Message::RecodedSymbol {
+                    components,
+                    payload,
+                } => recoded_symbol_frame_len(components.len(), payload.len()),
                 Message::End { .. } => continue,
             };
             assert_eq!(closed_form, msg.frame_len(), "closed form for {msg:?}");
@@ -690,8 +709,9 @@ mod tests {
             let back = Message::decode_from(&frame).expect("decode");
             assert_eq!(back, msg);
             let view = match &back {
-                Message::EncodedSymbol { payload, .. }
-                | Message::RecodedSymbol { payload, .. } => payload,
+                Message::EncodedSymbol { payload, .. } | Message::RecodedSymbol { payload, .. } => {
+                    payload
+                }
                 other => panic!("unexpected {other:?}"),
             };
             // The payload is a view into the frame, not a copy.
@@ -705,11 +725,13 @@ mod tests {
             other
         );
         assert!(Message::decode_from(&Bytes::new()).is_err());
-        let truncated = Bytes::from(Message::EncodedSymbol {
-            id: 1,
-            payload: Bytes::from(vec![9; 8]),
-        }
-        .encode())
+        let truncated = Bytes::from(
+            Message::EncodedSymbol {
+                id: 1,
+                payload: Bytes::from(vec![9; 8]),
+            }
+            .encode(),
+        )
         .slice(..10);
         assert!(Message::decode_from(&truncated).is_err());
     }

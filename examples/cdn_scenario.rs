@@ -67,8 +67,9 @@ fn main() {
         None,
     );
     let per_peer = needed / 2;
-    let mut peers = [(d_set, 1), (e_set, 2)]
-        .map(|(set, seed)| handshake.sender(strategy, &set, None, standard_registry(), seed, per_peer));
+    let mut peers = [(d_set, 1), (e_set, 2)].map(|(set, seed)| {
+        handshake.sender(strategy, &set, None, standard_registry(), seed, per_peer)
+    });
     // The parent still trickles fresh symbols: model its 1/4 rate by
     // letting it send on every 4th tick via a full sender we gate below.
     let mut parent = FullSender::new(0);
@@ -95,15 +96,22 @@ fn main() {
 
     println!("Figure 1 scenario — node C completing its download (n = {n}):");
     println!("  (a) tree only            : {tree_ticks:>8} ticks");
-    println!("  (b) + parallel download  : {parallel_ticks:>8} ticks  ({:.2}x)",
-        tree_ticks as f64 / parallel_ticks as f64);
-    println!("  (c) + collaboration (D,E): {collaborative_ticks:>8} ticks  ({:.2}x)",
-        tree_ticks as f64 / collaborative_ticks as f64);
+    println!(
+        "  (b) + parallel download  : {parallel_ticks:>8} ticks  ({:.2}x)",
+        tree_ticks as f64 / parallel_ticks as f64
+    );
+    println!(
+        "  (c) + collaboration (D,E): {collaborative_ticks:>8} ticks  ({:.2}x)",
+        tree_ticks as f64 / collaborative_ticks as f64
+    );
     println!();
     println!(
         "collaborative transfer complete: {} — perpendicular bandwidth between \
          peers with complementary working sets dominates the bottlenecked tree path",
         receiver.is_complete()
     );
-    assert!(collaborative_ticks < parallel_ticks, "collaboration must win");
+    assert!(
+        collaborative_ticks < parallel_ticks,
+        "collaboration must win"
+    );
 }

@@ -37,7 +37,13 @@ fn main() {
          link profiles cycled over [1×/0ms/0%, ½×/0ms/0%, 1×/8-tick/0%, 1×/0ms/10%]\n"
     );
     let columns = [
-        "family", "done", "speedup", "overhead", "lost", "ring gained", "events",
+        "family",
+        "done",
+        "speedup",
+        "overhead",
+        "lost",
+        "ring gained",
+        "events",
     ];
     println!(
         "{:<18} {:>5} {:>10} {:>10} {:>8} {:>12} {:>10}  per-link summaries",

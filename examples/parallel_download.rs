@@ -30,7 +30,10 @@ fn main() {
         scenario.sender_set.len()
     );
 
-    println!("{:<12} {:>18} {:>14} {:>12}", "strategy", "p2p overhead", "p2p packets", "speedup*");
+    println!(
+        "{:<12} {:>18} {:>14} {:>12}",
+        "strategy", "p2p overhead", "p2p packets", "speedup*"
+    );
     println!("{}", "-".repeat(60));
     for strategy in StrategyKind::ALL {
         let p2p = run_transfer(&scenario, strategy, 1);

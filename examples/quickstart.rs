@@ -13,7 +13,11 @@ fn main() {
     let content: Vec<u8> = (0..256 * 1024).map(|i| (i * 31 % 251) as u8).collect();
     let encoder = Encoder::for_content(&content, 1400, 42);
     let l = encoder.spec().num_blocks();
-    println!("content: {} bytes → {} source blocks of 1400 B", content.len(), l);
+    println!(
+        "content: {} bytes → {} source blocks of 1400 B",
+        content.len(),
+        l
+    );
 
     // The universe of encoded symbols floating around the overlay:
     // 1.4·l distinct symbols, produced by one fountain stream.

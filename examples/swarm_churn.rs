@@ -12,9 +12,7 @@
 //!
 //! Run with: `cargo run --release --example swarm_churn [peers]`
 
-use icd_swarm::{
-    run_swarm, ChurnConfig, Link, SwarmConfig, SwarmStrategy, TopologyKind,
-};
+use icd_swarm::{run_swarm, ChurnConfig, Link, SwarmConfig, SwarmStrategy, TopologyKind};
 
 fn main() {
     let peers: usize = std::env::args()
@@ -24,9 +22,12 @@ fn main() {
     let blocks = 80;
     println!("== {peers}-peer power-law swarm, n={blocks} blocks, 10% churn ==\n");
     for (label, strategy) in [
-        ("Random/BF", SwarmStrategy::Fixed(icd_overlay::strategy::StrategyKind::RandomSummary(
-            icd_sketch::SummaryId::BLOOM,
-        ))),
+        (
+            "Random/BF",
+            SwarmStrategy::Fixed(icd_overlay::strategy::StrategyKind::RandomSummary(
+                icd_sketch::SummaryId::BLOOM,
+            )),
+        ),
         ("advised (recode)", SwarmStrategy::Advised { recode: true }),
     ] {
         let cfg = SwarmConfig::new(peers, blocks, TopologyKind::PowerLaw { m: 2 })

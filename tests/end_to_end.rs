@@ -64,7 +64,11 @@ fn reconcile_then_decode_byte_exact() {
     assert!(session.gained() > 0);
 
     let decoded = decode(&encoder, session.working(), data.len());
-    assert_eq!(decoded, Some(data), "post-reconciliation working set must decode");
+    assert_eq!(
+        decoded,
+        Some(data),
+        "post-reconciliation working set must decode"
+    );
 }
 
 #[test]
@@ -127,5 +131,9 @@ fn speculative_path_decodes_too() {
         Some(icd_core::TransferPlan::Speculative { .. })
     ));
     let decoded = decode(&encoder, session.working(), data.len());
-    assert_eq!(decoded, Some(data), "speculative transfer must still enable decode");
+    assert_eq!(
+        decoded,
+        Some(data),
+        "speculative transfer must still enable decode"
+    );
 }

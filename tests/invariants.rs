@@ -2,7 +2,9 @@
 //! informed-delivery protocol relies on, exercised across crates.
 
 use icd_fountain::{DecodeStatus, Decoder, Encoder};
-use icd_sketch::art::{search_differences, ArtParams, ArtSummary, ReconciliationTree, SummaryParams};
+use icd_sketch::art::{
+    search_differences, ArtParams, ArtSummary, ReconciliationTree, SummaryParams,
+};
 use icd_sketch::bloom::BloomFilter;
 use icd_sketch::{MinwiseSketch, PermutationFamily};
 use proptest::prelude::*;

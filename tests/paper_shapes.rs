@@ -8,10 +8,10 @@ use icd_bench::experiments::art_accuracy::accuracy_cell;
 use icd_bench::ExpConfig;
 use icd_overlay::scenario::{MultiSenderScenario, ScenarioParams, TwoPeerScenario};
 use icd_overlay::strategy::StrategyKind;
-use icd_sketch::SummaryId;
 use icd_overlay::transfer::{
     random_strategy_analytic_overhead, run_multi_partial, run_transfer, run_with_full_sender,
 };
+use icd_sketch::SummaryId;
 
 fn cfg() -> ExpConfig {
     ExpConfig {
@@ -38,20 +38,32 @@ fn fig5a_compact_shape() {
     let random_low = mean_overhead(&low, StrategyKind::Random, 2);
     let random_high = mean_overhead(&high, StrategyKind::Random, 2);
     assert!(random_low > 2.0, "Random at c=0: {random_low}");
-    assert!(random_high > random_low * 1.4, "Random must degrade: {random_low} → {random_high}");
+    assert!(
+        random_high > random_low * 1.4,
+        "Random must degrade: {random_low} → {random_high}"
+    );
 
     // Random/BF is flat at ≈ 1.
     let bf_low = mean_overhead(&low, StrategyKind::RandomSummary(SummaryId::BLOOM), 2);
     let bf_high = mean_overhead(&high, StrategyKind::RandomSummary(SummaryId::BLOOM), 2);
-    assert!(bf_low < 1.1 && bf_high < 1.1, "Random/BF must stay ≈1: {bf_low}, {bf_high}");
+    assert!(
+        bf_low < 1.1 && bf_high < 1.1,
+        "Random/BF must stay ≈1: {bf_low}, {bf_high}"
+    );
 
     // Recode/BF stays low; oblivious Recode degrades with correlation.
     let rbf_high = mean_overhead(&high, StrategyKind::RecodeSummary(SummaryId::BLOOM), 2);
     let recode_low = mean_overhead(&low, StrategyKind::Recode, 2);
     let recode_high = mean_overhead(&high, StrategyKind::Recode, 2);
     assert!(rbf_high < 1.4, "Recode/BF at c=0.45: {rbf_high}");
-    assert!(recode_high > recode_low, "Recode must degrade with correlation");
-    assert!(recode_high < random_high, "Recoding beats Random in compact");
+    assert!(
+        recode_high > recode_low,
+        "Recode must degrade with correlation"
+    );
+    assert!(
+        recode_high < random_high,
+        "Recoding beats Random in compact"
+    );
 }
 
 #[test]
@@ -64,9 +76,18 @@ fn fig5b_stretched_regime_flip() {
     let random = mean_overhead(&s, StrategyKind::Random, 2);
     let recode = mean_overhead(&s, StrategyKind::Recode, 2);
     let recode_bf = mean_overhead(&s, StrategyKind::RecodeSummary(SummaryId::BLOOM), 2);
-    assert!(random < 2.0, "Random is cheap when symbols are plentiful: {random}");
-    assert!(recode > random, "oblivious recoding must be worse than Random here");
-    assert!(recode_bf < recode, "restricted-domain Recode/BF must beat oblivious Recode");
+    assert!(
+        random < 2.0,
+        "Random is cheap when symbols are plentiful: {random}"
+    );
+    assert!(
+        recode > random,
+        "oblivious recoding must be worse than Random here"
+    );
+    assert!(
+        recode_bf < recode,
+        "restricted-domain Recode/BF must beat oblivious Recode"
+    );
 }
 
 #[test]
@@ -77,8 +98,14 @@ fn fig6_speedup_shape() {
     let random = run_with_full_sender(&s, StrategyKind::Random, 1).speedup();
     let recode = run_with_full_sender(&s, StrategyKind::Recode, 1).speedup();
     assert!(bf > 1.9, "Random/BF approaches 2: {bf}");
-    assert!(random > 1.4, "Random performs well with a full sender: {random}");
-    assert!(recode < bf, "oblivious recoding is the poorest: {recode} vs {bf}");
+    assert!(
+        random > 1.4,
+        "Random performs well with a full sender: {random}"
+    );
+    assert!(
+        recode < bf,
+        "oblivious recoding is the poorest: {recode} vs {bf}"
+    );
     for v in [bf, random, recode] {
         assert!(v <= 2.0 + 1e-9, "speedup cannot exceed the 2 senders: {v}");
     }
@@ -89,7 +116,8 @@ fn fig78_rate_scales_with_senders() {
     let params = ScenarioParams::compact(cfg().num_blocks, 0xD);
     for (k, floor) in [(2usize, 1.8), (4usize, 3.2)] {
         let s = MultiSenderScenario::build(&params, k, 0.1);
-        let rate = run_multi_partial(&s, StrategyKind::RandomSummary(SummaryId::BLOOM), 1).speedup();
+        let rate =
+            run_multi_partial(&s, StrategyKind::RandomSummary(SummaryId::BLOOM), 1).speedup();
         assert!(
             rate > floor && rate <= k as f64 + 1e-9,
             "k={k}: rate {rate} outside ({floor}, {k}]"
@@ -145,6 +173,9 @@ fn fig4_accuracy_shape() {
     // Degenerate splits collapse (Figure 4(a) endpoints).
     let no_leaf = accuracy_cell(&cfg, 8.0, 0.0, 3);
     let balanced = accuracy_cell(&cfg, 8.0, 4.0, 3);
-    assert!(no_leaf < 0.05, "zero leaf bits ⇒ no confirmations: {no_leaf}");
+    assert!(
+        no_leaf < 0.05,
+        "zero leaf bits ⇒ no confirmations: {no_leaf}"
+    );
     assert!(balanced > no_leaf);
 }

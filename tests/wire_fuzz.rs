@@ -50,7 +50,11 @@ fn drain<R: std::io::Read>(reader: &mut R) -> (Vec<Message>, FrameError) {
 /// [`drain`] through the buffering the blocking session drivers put
 /// under the framing layer, over a stream that reads `step` bytes a call.
 fn drain_buffered(data: &[u8], step: usize) -> (Vec<Message>, FrameError) {
-    let mut stream = Chunked { data: data.to_vec(), pos: 0, step };
+    let mut stream = Chunked {
+        data: data.to_vec(),
+        pos: 0,
+        step,
+    };
     buffered_session(&mut stream, |io| Ok::<_, FrameError>(drain(io))).expect("flush to a sink")
 }
 
@@ -265,6 +269,9 @@ fn framing_roundtrip_over_in_memory_stream() {
     }
     let mut cursor = std::io::Cursor::new(buf);
     for m in &msgs {
-        assert_eq!(&read_frame(&mut cursor, FrameLimit::default()).expect("read"), m);
+        assert_eq!(
+            &read_frame(&mut cursor, FrameLimit::default()).expect("read"),
+            m
+        );
     }
 }

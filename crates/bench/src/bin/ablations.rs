@@ -19,9 +19,9 @@ use icd_bench::ExpConfig;
 use icd_overlay::net::{ConnectSpec, Link, OverlayNet, RunLimit};
 use icd_overlay::receiver::Receiver;
 use icd_overlay::scenario::{ScenarioParams, TwoPeerScenario};
-use icd_overlay::strategy::{ReceiverHandshake, StrategyKind};
-use icd_overlay::transfer::{default_max_ticks, handshake_estimate};
-use icd_sketch::{standard_registry, PermutationFamily, SummaryId, SummarySizing};
+use icd_overlay::strategy::StrategyKind;
+use icd_overlay::transfer::default_max_ticks;
+use icd_sketch::{standard_registry, DiffEstimate, SummaryId, SummarySizing};
 use icd_util::rng::Xoshiro256StarStar;
 
 fn main() {
@@ -35,7 +35,6 @@ fn main() {
 fn filter_bits_sweep(cfg: &ExpConfig) -> Table {
     let params = ScenarioParams::compact(cfg.num_blocks, cfg.base_seed);
     let scenario = TwoPeerScenario::build(&params, 0.3);
-    let family = PermutationFamily::standard(0x1CD);
     let mut table = Table::new(
         format!(
             "Ablation: Random/BF vs filter budget (compact, n={}, c=0.30)",
@@ -49,54 +48,47 @@ fn filter_bits_sweep(cfg: &ExpConfig) -> Table {
             "completed",
         ],
     );
-    // The handshake (and therefore the filter size and the set of
-    // useful symbols it wrongly withholds) depends only on the budget,
-    // not the trial seed — build it once per budget outside the grid.
+    // The filter (and therefore its size and the set of useful symbols
+    // it wrongly withholds) depends only on the budget, not the trial
+    // seed — measure it once per budget outside the grid, built from
+    // the same keys, sizing and estimate the engine's handshake uses.
     let useful: Vec<u64> = scenario
         .sender_set
         .iter()
         .filter(|id| !scenario.receiver_set.contains(id))
         .copied()
         .collect();
-    let strategy = StrategyKind::RandomSummary(SummaryId::BLOOM);
-    let estimate = handshake_estimate(
+    let mut keys = scenario.receiver_set.clone();
+    keys.sort_unstable();
+    let estimate = DiffEstimate::new(
         scenario.receiver_set.len(),
         scenario.sender_set.len(),
         scenario.needed(),
     );
-    let points: Vec<(f64, ReceiverHandshake, usize, usize)> = [1.0, 2.0, 4.0, 8.0, 12.0, 16.0]
+    let points: Vec<(f64, SummarySizing, usize, usize)> = [1.0, 2.0, 4.0, 8.0, 12.0, 16.0]
         .into_iter()
         .map(|bpe| {
             let sizing = SummarySizing {
                 bloom_bits_per_element: bpe,
                 ..SummarySizing::default()
             };
-            let handshake = ReceiverHandshake::for_strategy(
-                strategy,
-                &scenario.receiver_set,
-                &sizing,
-                &family,
-                standard_registry(),
-                &estimate,
-                None,
-            );
-            let filter_bytes = handshake.summary_bytes();
-            let withheld = handshake.summary.as_ref().map_or(0, |(_, body)| {
-                let digest = icd_sketch::bloom::BloomDigest::decode(body).expect("bloom body");
-                useful
-                    .iter()
-                    .filter(|&&id| digest.filter().contains(id))
-                    .count()
-            });
-            (bpe, handshake, filter_bytes, withheld)
+            let filter = standard_registry()
+                .build(SummaryId::BLOOM, &sizing, &estimate, &keys)
+                .expect("Bloom is registered");
+            let withheld = useful
+                .iter()
+                .filter(|&&id| filter.probably_contains(id))
+                .count();
+            (bpe, sizing, filter.wire_bytes(), withheld)
         })
         .collect();
-    // Each cell is a 2-node line on the engine with the pre-built,
-    // budget-specific handshake pinned via the ConnectSpec.
+    // Each cell is a 2-node line on an engine sized at the cell's budget:
+    // the engine builds the receiver's handshake filter at that budget.
+    let strategy = StrategyKind::RandomSummary(SummaryId::BLOOM);
     let sweep = ExperimentGrid::new(points, vec![()], cfg.seeds());
     let results = sweep.run(|cell| {
-        let (_, handshake, _, _) = cell.scenario;
-        let mut net = OverlayNet::new(cell.cell_seed());
+        let (_, sizing, _, _) = cell.scenario;
+        let mut net = OverlayNet::with_sizing(cell.cell_seed(), *sizing);
         let receiver = net.add_node(&scenario.receiver_set, scenario.target);
         net.set_observer(receiver, true);
         let sender = net.add_seeder(&scenario.sender_set);
@@ -108,8 +100,6 @@ fn filter_bits_sweep(cfg: &ExpConfig) -> Table {
             ConnectSpec {
                 seed: cell.cell_seed(),
                 request_hint: Some(scenario.needed()),
-                handshake: Some(handshake.clone()),
-                calling_card: None,
             },
         );
         let _ = net.run(RunLimit::ticks(default_max_ticks(scenario.target)));

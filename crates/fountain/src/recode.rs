@@ -49,8 +49,6 @@ pub struct RecodedSymbol {
     pub payload: Bytes,
 }
 
-impl RecodedSymbol {}
-
 /// Degree-selection policy for a recoding sender.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RecodePolicy {

@@ -14,24 +14,24 @@
 //!   cached calling card, every directed link owns a rate/latency/loss
 //!   profile and an independent sender pump, and a `(time, seq)`
 //!   in-flight queue plus a timing-wheel send calendar make every run
-//!   byte-identical to replay. All transfer shapes — the classic figures, churn, meshes,
-//!   lossy heterogeneous topologies — run on this one engine.
+//!   byte-identical to replay. All transfer shapes — the classic
+//!   figures, churn, meshes, lossy heterogeneous topologies — run on
+//!   this one engine, and `OverlayNet::try_connect` builds every packet
+//!   link's handshake (digest, calling cards, difference estimate).
 //! * `calendar` — the timing-wheel send calendar behind the engine's
 //!   per-tick link scan.
 //! * [`receiver`] — receiver state: known-symbol set, pending recoded
 //!   symbols (substitution cascade), completion target.
 //! * [`strategy`] — the simulator's side of the five §6.2 sender
 //!   strategies (Random, Random/BF, Recode, Recode/BF, Recode/MW), which
-//!   run in `icd-core`'s one `StrategySender`: the receiver handshake a
-//!   packet link builds its sender from, and the full sender.
-//! * [`scenario`] — §6.3's experiment geometries: compact/stretched
-//!   two-peer transfers (Figure 5), full + partial sender (Figure 6),
-//!   and k partial senders (Figures 7 and 8).
-//! * `handshake` — the single copy of the protocol-wide handshake
-//!   parameterization (digest sizing, permutation family, difference
-//!   estimate).
+//!   run in `icd-core`'s one `StrategySender`: the full sender's
+//!   digital fountain and its fresh-id bit.
+//! * [`scenario`] — §6.3's experiment geometries as plain inventories:
+//!   compact/stretched two-peer transfers (Figure 5), full + partial
+//!   sender (Figure 6), and k partial senders (Figures 7 and 8).
 //! * [`transfer`] — the classic presets (2-node line, line + fountain,
-//!   k-sender fan-in) and the outcome metrics.
+//!   k-sender fan-in), each one fan-in over the engine, and the outcome
+//!   metrics.
 //! * [`churn`] — connection migration as an event stream over the
 //!   engine (the §2.3 statelessness claims, exercised end to end).
 
@@ -41,7 +41,6 @@
 
 mod calendar;
 pub mod churn;
-mod handshake;
 pub mod net;
 pub mod receiver;
 pub mod scenario;

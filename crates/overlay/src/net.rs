@@ -13,9 +13,8 @@
 //!   target;
 //! * a set of directed **links**, each owning an independent per-link
 //!   sender pump (an `icd-core` [`StrategySender`] — the same §6.2
-//!   sender the session machines frame — or a
-//!   [`crate::strategy::FullSender`]) plus the link's rate, latency, and
-//!   loss parameters;
+//!   sender the session machines frame — or a full sender's digital
+//!   fountain) plus the link's rate, latency, and loss parameters;
 //! * a **binary-heap queue of in-flight packets keyed by `(time, seq)`**
 //!   — `seq` is a global monotone counter assigned at scheduling time, so
 //!   two arrivals at the same tick replay in exactly the order they were
@@ -39,7 +38,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use bytes::Bytes;
-use icd_core::strategy::{PacketScratch, StrategySender};
+use icd_core::strategy::{missing_at_peer, PacketScratch, StrategySender};
 use icd_core::{select_summary, PolicyKnobs};
 use icd_obs::{TraceEvent, TraceHandle};
 use icd_sketch::{
@@ -56,10 +55,9 @@ use icd_wire::{
 };
 
 use crate::calendar::SendCalendar;
-use crate::handshake::{handshake_estimate, standard_family};
 use crate::receiver::Receiver;
 use crate::scenario::{MultiSenderScenario, ScenarioParams};
-use crate::strategy::{FullSender, ReceiverHandshake, StrategyKind};
+use crate::strategy::{FullSender, StrategyKind};
 use crate::transfer::{default_max_ticks, TransferOutcome};
 use crate::SymbolId;
 
@@ -118,6 +116,13 @@ impl Link {
             ..Self::default()
         }
     }
+
+    /// Whether the profile can carry packets: `interval ≥ 1` and `loss`
+    /// in `[0, 1)`.
+    #[must_use]
+    pub fn is_valid(&self) -> bool {
+        self.interval >= 1 && (0.0..1.0).contains(&self.loss)
+    }
 }
 
 /// Why [`OverlayNet::run`] returned.
@@ -165,14 +170,6 @@ pub struct ConnectSpec {
     /// Symbols the receiver asks this link for (§6.1's request split);
     /// defaults to the destination node's current remaining count.
     pub request_hint: Option<usize>,
-    /// Pre-built handshake to ship instead of deriving one from the
-    /// destination node's current state (harnesses ablating the
-    /// handshake itself use this).
-    pub handshake: Option<ReceiverHandshake>,
-    /// The *sender's* standing min-wise calling card (§4), overriding
-    /// the engine's node-derived card — scenarios that cache cards
-    /// across many transfers pass them through here.
-    pub calling_card: Option<MinwiseSketch>,
 }
 
 impl ConnectSpec {
@@ -478,28 +475,24 @@ pub fn session_payload(id: SymbolId, len: usize) -> Bytes {
 }
 
 /// Wire-exact framed byte cost of a packet link's connect-time control
-/// exchange, frame by frame as the §3 session ships it: the receiver's
-/// min-wise calling card (sketch strategies), the sender's card in
-/// reply, the receiver's tagged summary frame, and the symbol request.
-fn control_plane_bytes(handshake: &ReceiverHandshake, sender_card: bool) -> u64 {
-    // The reply card mirrors the receiver's sketch shape.
-    let cards = handshake.sketch.as_ref().map_or(0, |sketch| {
-        (1 + usize::from(sender_card)) * minwise_frame_len(sketch.minima().len())
-    });
-    let summary = handshake
-        .summary
-        .as_ref()
-        .map_or(0, |(_, body)| summary_frame_len(body.len()));
+/// exchange, frame by frame as the §3 session ships it: for sketch
+/// strategies the receiver's min-wise calling card of `card_minima`
+/// minima and the sender's card in reply, the receiver's tagged summary
+/// frame of `summary_body` bytes, and the symbol request.
+fn control_plane_bytes(summary_body: Option<usize>, card_minima: Option<usize>) -> u64 {
+    let cards = card_minima.map_or(0, |minima| 2 * minwise_frame_len(minima));
+    let summary = summary_body.map_or(0, summary_frame_len);
     (cards + summary + symbol_request_frame_len()) as u64
 }
 
 /// Why [`OverlayNet::try_connect`] refused to create a link. All cases
 /// are wiring mistakes a topology builder wants surfaced, not silently
 /// absorbed: a self-loop moves nothing, a second live strategy link
-/// over the same directed pair double-spends the handshake, and an
+/// over the same directed pair double-spends the handshake, an
 /// out-of-range node id is a stale handle (e.g. a membership layer
-/// rewiring toward a peer that departed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// rewiring toward a peer that departed), a seeder cannot download, and
+/// a link profile outside [`Link::is_valid`] cannot carry packets.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConnectError {
     /// An endpoint id does not name a node in this net — typically a
     /// stale handle held across a membership change.
@@ -511,6 +504,18 @@ pub enum ConnectError {
     SelfLoop {
         /// The node that was asked to connect to itself.
         node: NodeId,
+    },
+    /// The destination is an upload-only seeder
+    /// ([`OverlayNet::add_seeder`]); downloading peers are added with
+    /// [`OverlayNet::add_node`].
+    SeederDestination {
+        /// The seeder named as the destination.
+        node: NodeId,
+    },
+    /// The link profile has `interval == 0` or `loss` outside `[0, 1)`.
+    InvalidLink {
+        /// The offending profile.
+        link: Link,
     },
     /// A live strategy link `from → to` already exists. Disconnect it
     /// first (a reconnect *is* disconnect + connect — that is how
@@ -534,6 +539,16 @@ impl std::fmt::Display for ConnectError {
             ConnectError::SelfLoop { node } => {
                 write!(f, "self-loop: node {} cannot connect to itself", node.0)
             }
+            ConnectError::SeederDestination { node } => write!(
+                f,
+                "seeder destination: node {} is upload-only (add it with add_node)",
+                node.0
+            ),
+            ConnectError::InvalidLink { link } => write!(
+                f,
+                "invalid link: interval {} must be >= 1 and loss {} in [0, 1)",
+                link.interval, link.loss
+            ),
             ConnectError::DuplicateLink { from, to } => write!(
                 f,
                 "duplicate directed link {} -> {}: a live strategy link already \
@@ -601,13 +616,27 @@ impl std::fmt::Debug for FrameTap {
     }
 }
 
+/// Panics with a wiring error's message: the one failure path of the
+/// panicking forms [`OverlayNet::connect`] and [`OverlayNet::connect_full`].
+fn wiring_panic<T>(e: ConnectError) -> T {
+    panic!("{e}")
+}
+
 impl OverlayNet {
-    /// Creates an empty network with the standard protocol constants
-    /// (the `crate::handshake` sizing/family and the shared registry).
-    /// `seed` keys the engine's own streams (per-link loss RNGs); link
-    /// sender seeds come from each [`ConnectSpec`].
+    /// Creates an empty network with the standard protocol constants:
+    /// the §5 reference digest sizing ([`SummarySizing::default`]), the
+    /// §4 permutation family and the shared registry. `seed` keys the
+    /// engine's own streams (per-link loss RNGs); link sender seeds come
+    /// from each [`ConnectSpec`].
     #[must_use]
     pub fn new(seed: u64) -> Self {
+        Self::with_sizing(seed, SummarySizing::default())
+    }
+
+    /// [`OverlayNet::new`] with every handshake digest sized by
+    /// `sizing` — how an ablation varies the Bloom budget.
+    #[must_use]
+    pub fn with_sizing(seed: u64, sizing: SummarySizing) -> Self {
         Self {
             nodes: Vec::new(),
             links: Vec::new(),
@@ -620,9 +649,11 @@ impl OverlayNet {
             incomplete_observers: 0,
             scratch: PacketScratch::default(),
             sorted_keys: Vec::new(),
-            family: standard_family(),
+            // §4: the min-wise permutations are "fixed universally
+            // off-line", one family for every simulated transfer.
+            family: PermutationFamily::standard(0x1CD),
             registry: icd_sketch::standard_registry(),
-            sizing: SummarySizing::default(),
+            sizing,
             seed,
             frame_tap: None,
             tracer: None,
@@ -702,14 +733,8 @@ impl OverlayNet {
         }
     }
 
-    /// Connects `from → to` running `strategy`. The handshake (digest +
-    /// sketch, per the strategy's needs) is derived from `to`'s
-    /// *current* working set unless `spec` carries one; the sender pumps
-    /// over `from`'s advertised inventory, refreshed at connect time
-    /// (see `OverlayNet::refresh_inventory`).
-    ///
-    /// Panics on a wiring error ([`ConnectError`]); topology builders
-    /// that want the error instead use [`OverlayNet::try_connect`].
+    /// [`OverlayNet::try_connect`], panicking on a wiring error
+    /// ([`ConnectError`]) instead of returning it.
     pub fn connect(
         &mut self,
         from: NodeId,
@@ -719,12 +744,18 @@ impl OverlayNet {
         spec: ConnectSpec,
     ) -> LinkId {
         self.try_connect(from, to, strategy, params, spec)
-            .unwrap_or_else(|e| panic!("{e}"))
+            .unwrap_or_else(wiring_panic)
     }
 
-    /// [`OverlayNet::connect`] returning a descriptive [`ConnectError`]
-    /// instead of panicking on self-loops and duplicate directed links —
-    /// the form randomized topology builders drive.
+    /// Connects `from → to` running `strategy`, or returns why the
+    /// wiring is wrong — the form randomized topology builders drive.
+    ///
+    /// This is where every packet link's §4 handshake is built, from the
+    /// two nodes' *current* state: `to`'s digest (sized by the engine's
+    /// sizing and the inclusion–exclusion estimate over current set
+    /// sizes) and, for sketch strategies, both calling cards. The sender
+    /// pumps over `from`'s advertised inventory, refreshed first (see
+    /// `OverlayNet::refresh_inventory`).
     pub fn try_connect(
         &mut self,
         from: NodeId,
@@ -733,16 +764,7 @@ impl OverlayNet {
         params: Link,
         spec: ConnectSpec,
     ) -> Result<LinkId, ConnectError> {
-        // Stale-handle check first: everything below indexes the node
-        // table, so an unknown id must be refused before any lookup.
-        for node in [from, to] {
-            if node.0 >= self.nodes.len() {
-                return Err(ConnectError::UnknownNode { node });
-            }
-        }
-        if from == to {
-            return Err(ConnectError::SelfLoop { node: from });
-        }
+        self.check_link(from, to, params)?;
         if self.nodes[from.0].out_links.iter().any(|&l| {
             let link = &self.links[l.0];
             link.alive && link.to == to && matches!(link.source, LinkSource::Strategy(_))
@@ -750,35 +772,42 @@ impl OverlayNet {
             return Err(ConnectError::DuplicateLink { from, to });
         }
         self.refresh_inventory(from);
-        let hint = spec
-            .request_hint
-            .unwrap_or_else(|| self.nodes[to.0].receiver.remaining());
-        let handshake = match spec.handshake {
-            Some(h) => h,
-            None => self.build_handshake(to, from, strategy),
-        };
-        let sender_card = match spec.calling_card {
-            Some(card) => Some(card),
-            None => strategy
-                .needs_sketch()
-                .then(|| self.calling_card(from).clone()),
-        };
-        let sender = handshake.sender(
-            strategy,
-            &self.nodes[from.0].inventory,
-            sender_card.as_ref(),
-            self.registry,
-            spec.seed,
-            hint,
+        let remaining = self.nodes[to.0].receiver.remaining();
+        let estimate = DiffEstimate::new(
+            self.nodes[to.0].working_len(),
+            self.nodes[from.0].inventory.len(),
+            remaining,
         );
+        // The digest travels encoded, as on the wire: the sender decodes
+        // it through the registry, the session machines' frame path.
+        let summary = strategy
+            .summary_id()
+            .map(|id| (id, self.digest_body(to, id, &estimate)));
+        // Recode/MW: the receiver's card, the sender's in reply, and
+        // c = |A∩B| / |B| with A = the receiver, B = this sender.
+        let (containment, card_minima) = if strategy.needs_sketch() {
+            let card = self.calling_card(to).clone();
+            let c = card.estimate(self.calling_card(from)).containment_of_b();
+            (c, Some(card.minima().len()))
+        } else {
+            (0.0, None)
+        };
+        let inventory = &self.nodes[from.0].inventory;
+        let pool = match &summary {
+            Some((id, body)) => missing_at_peer(self.registry, *id, body, inventory)
+                .expect("the engine's own digest decodes"),
+            None => inventory.clone(),
+        };
+        let hint = spec.request_hint.unwrap_or(remaining);
+        let sender = StrategySender::new(strategy, pool, containment, spec.seed, hint, None);
         if strategy.recodes() {
             // Only a recoding link ever buffers a recoded symbol at its
             // destination: size that side now, before the first packet.
             self.nodes[to.0].receiver.reserve_substitution();
         }
-        let summary = handshake.summary.as_ref().map(|(id, _)| *id);
-        let handshake_bytes = handshake.summary_bytes();
-        let control_bytes = control_plane_bytes(&handshake, sender_card.is_some());
+        let digest_len = summary.as_ref().map(|(_, body)| body.len());
+        let control_bytes = control_plane_bytes(digest_len, card_minima);
+        let summary = summary.map(|(id, _)| id);
         if let Some(tracer) = &self.tracer {
             tracer.borrow_mut().push(
                 self.now,
@@ -786,7 +815,7 @@ impl OverlayNet {
                     from: from.0 as u64,
                     to: to.0 as u64,
                     summary: summary.map_or(0, |s| u64::from(s.0)),
-                    handshake_bytes: handshake_bytes as u64,
+                    handshake_bytes: digest_len.unwrap_or(0) as u64,
                     control_bytes,
                 },
             );
@@ -800,6 +829,26 @@ impl OverlayNet {
             summary,
             control_bytes,
         ))
+    }
+
+    /// The wiring checks every link passes before it is built. The
+    /// stale-handle check comes first: the others index the node table.
+    fn check_link(&self, from: NodeId, to: NodeId, params: Link) -> Result<(), ConnectError> {
+        for node in [from, to] {
+            if node.0 >= self.nodes.len() {
+                return Err(ConnectError::UnknownNode { node });
+            }
+        }
+        if from == to {
+            return Err(ConnectError::SelfLoop { node: from });
+        }
+        if self.nodes[to.0].seeder {
+            return Err(ConnectError::SeederDestination { node: to });
+        }
+        if !params.is_valid() {
+            return Err(ConnectError::InvalidLink { link: params });
+        }
+        Ok(())
     }
 
     /// Refreshes `node`'s advertised inventory from its live working
@@ -831,13 +880,12 @@ impl OverlayNet {
     /// Connects a digital-fountain full sender `from → to` (counts in
     /// the `packets_from_full` column). `stream` keeps multiple full
     /// senders' fresh-id namespaces disjoint.
-    pub(crate) fn connect_full(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        stream: u32,
-        params: Link,
-    ) -> LinkId {
+    ///
+    /// Panics on a wiring error ([`ConnectError`]; a full link never
+    /// duplicates, so any number may join one pair).
+    pub fn connect_full(&mut self, from: NodeId, to: NodeId, stream: u32, params: Link) -> LinkId {
+        self.check_link(from, to, params)
+            .unwrap_or_else(wiring_panic);
         let source = LinkSource::Fountain(FullSender::new(stream));
         self.install_link(from, to, source, params, true, None, 0)
     }
@@ -891,20 +939,6 @@ impl OverlayNet {
         summary: Option<SummaryId>,
         control_bytes: u64,
     ) -> LinkId {
-        assert!(params.interval >= 1, "link interval must be >= 1");
-        assert!(
-            (0.0..1.0).contains(&params.loss),
-            "link loss must be in [0, 1)"
-        );
-        assert!(
-            from.0 < self.nodes.len() && to.0 < self.nodes.len(),
-            "unknown node"
-        );
-        assert!(from != to, "a link needs two distinct nodes");
-        assert!(
-            !self.nodes[to.0].seeder,
-            "seeder nodes are upload-only; add the destination with add_node"
-        );
         let id = LinkId(self.links.len());
         let next_send = self.now + 1;
         self.links.push(LinkState {
@@ -961,7 +995,7 @@ impl OverlayNet {
 
     /// The node's standing min-wise calling card (§4): computed from the
     /// current working set on first use, cached until the set changes.
-    pub(crate) fn calling_card(&mut self, node: NodeId) -> &MinwiseSketch {
+    fn calling_card(&mut self, node: NodeId) -> &MinwiseSketch {
         let family = &self.family;
         let state = &mut self.nodes[node.0];
         if state.card.is_none() {
@@ -970,30 +1004,6 @@ impl OverlayNet {
             state.card = Some(card);
         }
         state.card.as_ref().expect("just populated")
-    }
-
-    /// Builds the handshake node `to` would send a candidate sender
-    /// `from` for `strategy`: its digest (sized by the engine's sizing
-    /// and the inclusion–exclusion estimate over current set sizes) and,
-    /// for sketch strategies, its cached calling card.
-    fn build_handshake(
-        &mut self,
-        to: NodeId,
-        from: NodeId,
-        strategy: StrategyKind,
-    ) -> ReceiverHandshake {
-        let estimate = handshake_estimate(
-            self.nodes[to.0].working_len(),
-            self.nodes[from.0].inventory.len(),
-            self.nodes[to.0].receiver.remaining(),
-        );
-        let summary = strategy
-            .summary_id()
-            .map(|id| (id, self.digest_body(to, id, &estimate)));
-        let sketch = strategy
-            .needs_sketch()
-            .then(|| self.calling_card(to).clone());
-        ReceiverHandshake { summary, sketch }
     }
 
     /// The encoded `id` digest of `node`'s current working set, sized by
@@ -1552,8 +1562,6 @@ pub fn run_mesh_download_with(
             ConnectSpec {
                 seed: seeds.next_u64(),
                 request_hint: Some(per_sender),
-                handshake: None,
-                calling_card: None,
             },
         );
         summaries.push(net.link_summary(link).unwrap_or(SummaryId::NONE));
@@ -1574,8 +1582,6 @@ pub fn run_mesh_download_with(
                 ConnectSpec {
                     seed: seeds.next_u64(),
                     request_hint: Some(per_sender),
-                    handshake: None,
-                    calling_card: None,
                 },
             );
         }
@@ -2127,8 +2133,8 @@ mod tests {
                 .encode_body()
         };
         let (near, far) = (
-            handshake_estimate(500, 500, 10),
-            handshake_estimate(500, 4000, 3900),
+            DiffEstimate::new(500, 500, 10),
+            DiffEstimate::new(500, 4000, 3900),
         );
         for spec in registry.iter().filter(|spec| estimate_free(spec.id)) {
             assert_eq!(body(spec.id, &near), body(spec.id, &far), "{}", spec.label);
@@ -2174,6 +2180,141 @@ mod tests {
             ConnectSpec::seeded(4),
         );
         assert_eq!(net.run(RunLimit::ticks(1_000)), StopReason::Completed);
+    }
+
+    #[test]
+    fn seeder_destination_is_a_connect_error_not_a_panic() {
+        let mut net = OverlayNet::new(36);
+        let seeder = net.add_seeder(&[1, 2, 3]);
+        let peer = net.add_node(&[4], 3);
+        let err = net
+            .try_connect(
+                peer,
+                seeder,
+                StrategyKind::Random,
+                Link::default(),
+                ConnectSpec::seeded(1),
+            )
+            .expect_err("a seeder is upload-only");
+        assert_eq!(err, ConnectError::SeederDestination { node: seeder });
+        assert!(err.to_string().contains("upload-only"), "{err}");
+        assert!(net.links.is_empty(), "a refused link leaves no record");
+        // Uploading from the seeder is what it is for.
+        assert!(net
+            .try_connect(
+                seeder,
+                peer,
+                StrategyKind::Random,
+                Link::default(),
+                ConnectSpec::seeded(2)
+            )
+            .is_ok());
+    }
+
+    #[test]
+    fn invalid_link_profile_is_a_connect_error_not_a_panic() {
+        let mut net = OverlayNet::new(37);
+        let r = net.add_node(&[9], 3);
+        let s = net.add_node(&[1, 2, 3], 3);
+        let zero_interval = Link {
+            interval: 0,
+            ..Link::default()
+        };
+        for link in [
+            zero_interval,
+            Link::lossy(1.0),
+            Link::lossy(-0.1),
+            Link::lossy(f64::NAN),
+        ] {
+            assert!(!link.is_valid());
+            let err = net
+                .try_connect(s, r, StrategyKind::Random, link, ConnectSpec::seeded(1))
+                .expect_err("invalid profile");
+            assert!(
+                matches!(err, ConnectError::InvalidLink { link: l } if l.interval == link.interval),
+                "{err}"
+            );
+            assert!(err.to_string().contains("invalid link"), "{err}");
+        }
+        assert!(net.links.is_empty(), "a refused link leaves no record");
+        net.set_observer(r, true);
+        net.connect(
+            s,
+            r,
+            StrategyKind::Random,
+            Link::default(),
+            ConnectSpec::seeded(2),
+        );
+        assert_eq!(net.run(RunLimit::ticks(1_000)), StopReason::Completed);
+    }
+
+    #[test]
+    fn with_sizing_sets_the_handshake_digest_budget() {
+        // A Random/BF link's filter is built at the engine's sizing: its
+        // booked control bytes and traced digest bytes follow the body.
+        let scenario = TwoPeerScenario::build(&compact(600), 0.3);
+        let strategy = StrategyKind::RandomSummary(SummaryId::BLOOM);
+        let mut keys = scenario.receiver_set.clone();
+        keys.sort_unstable();
+        let estimate = DiffEstimate::new(
+            scenario.receiver_set.len(),
+            scenario.sender_set.len(),
+            scenario.needed(),
+        );
+        let mut booked = Vec::new();
+        for bits in [4.0, 16.0] {
+            let sizing = SummarySizing {
+                bloom_bits_per_element: bits,
+                ..SummarySizing::default()
+            };
+            let body = icd_sketch::standard_registry()
+                .build(SummaryId::BLOOM, &sizing, &estimate, &keys)
+                .expect("registered")
+                .encode_body()
+                .len();
+            let mut net = OverlayNet::with_sizing(50, sizing);
+            let tracer = icd_obs::TraceBuf::shared(16);
+            net.set_tracer(std::rc::Rc::clone(&tracer));
+            let r = net.add_node(&scenario.receiver_set, scenario.target);
+            let s = net.add_seeder(&scenario.sender_set);
+            let l = net.connect(s, r, strategy, Link::default(), ConnectSpec::seeded(1));
+            let control = net.link_control_bytes(l);
+            assert_eq!(
+                control,
+                (summary_frame_len(body) + symbol_request_frame_len()) as u64
+            );
+            let traced = tracer
+                .borrow()
+                .records()
+                .find_map(|record| match record.event {
+                    TraceEvent::SummaryExchanged {
+                        handshake_bytes,
+                        control_bytes,
+                        ..
+                    } => Some((handshake_bytes, control_bytes)),
+                    _ => None,
+                });
+            assert_eq!(traced, Some((body as u64, control)));
+            booked.push((body, control));
+        }
+        assert!(
+            booked[0].0 < booked[1].0 && booked[0].1 < booked[1].1,
+            "{booked:?}"
+        );
+        // `new(seed)` is `with_sizing(seed, default)`: the same run.
+        let run = |mut net: OverlayNet| {
+            let r = net.add_node(&scenario.receiver_set, scenario.target);
+            net.set_observer(r, true);
+            let s = net.add_seeder(&scenario.sender_set);
+            let l = net.connect(s, r, strategy, Link::lossy(0.1), ConnectSpec::seeded(3));
+            let stop = net.run(RunLimit::ticks(100_000));
+            let wire = (net.link_control_bytes(l), net.link_wire_bytes(l));
+            (stop, net.outcome_for(r), wire)
+        };
+        assert_eq!(
+            run(OverlayNet::new(51)),
+            run(OverlayNet::with_sizing(51, SummarySizing::default()))
+        );
     }
 
     #[test]

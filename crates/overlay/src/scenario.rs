@@ -20,40 +20,14 @@
 //!   correlation `c = s / (s + p)`.
 //!
 //! A receiver completes on reaching `(1 + decode_overhead)·n` distinct
-//! symbols (§6.1's constant-7 % assumption).
+//! symbols (§6.1's constant-7 % assumption). Scenarios hold inventories
+//! only: each net derives the cards and digests it exchanges from them.
 
-use std::sync::OnceLock;
-
-use icd_sketch::{MinwiseSketch, PermutationFamily};
 use icd_util::hash::mix64;
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
 
 use crate::strategy::FRESH_ID_BIT;
 use crate::SymbolId;
-
-/// Computes (once) and returns a peer's standing min-wise sketch.
-///
-/// §4 frames sketches as "calling cards": a function of a peer's working
-/// set, computed when the set changes and handed to every connection —
-/// not recomputed per handshake. Scenario inventories are fixed, so each
-/// peer's card is derived lazily on first use and shared by every
-/// simulated transfer over that scenario. Callers that mutate an
-/// inventory after building the scenario (tests do) must do so *before*
-/// the first transfer runs, or the cached card would go stale.
-fn calling_card<'a>(
-    slot: &'a OnceLock<MinwiseSketch>,
-    family: &PermutationFamily,
-    keys: &[SymbolId],
-) -> &'a MinwiseSketch {
-    let sketch = slot.get_or_init(|| MinwiseSketch::from_keys(family, keys.iter().copied()));
-    assert_eq!(
-        sketch.family_seed(),
-        family.seed(),
-        "scenario sketches are bound to one protocol-wide family; \
-         a second family would silently read the first family's card"
-    );
-    sketch
-}
 
 /// Parameters shared by all scenario builders.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,7 +97,7 @@ impl ScenarioParams {
 }
 
 /// A two-peer transfer instance (Figure 5 / Figure 6 geometry).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TwoPeerScenario {
     /// The receiver's initial working set.
     pub receiver_set: Vec<SymbolId>,
@@ -133,25 +107,6 @@ pub struct TwoPeerScenario {
     pub target: usize,
     /// The correlation actually achieved (|A∩B| / |B|).
     pub correlation: f64,
-    receiver_card: OnceLock<MinwiseSketch>,
-    sender_card: OnceLock<MinwiseSketch>,
-}
-
-impl Clone for TwoPeerScenario {
-    /// Clones the inventories but *not* the cached calling cards: a
-    /// clone is the mutation point (tests truncate inventories on
-    /// clones), and a stale card on a mutated set would silently skew
-    /// containment estimates. Cards recompute lazily on first use.
-    fn clone(&self) -> Self {
-        Self {
-            receiver_set: self.receiver_set.clone(),
-            sender_set: self.sender_set.clone(),
-            target: self.target,
-            correlation: self.correlation,
-            receiver_card: OnceLock::new(),
-            sender_card: OnceLock::new(),
-        }
-    }
 }
 
 impl TwoPeerScenario {
@@ -191,8 +146,6 @@ impl TwoPeerScenario {
             sender_set,
             target: params.target(),
             correlation,
-            receiver_card: OnceLock::new(),
-            sender_card: OnceLock::new(),
         }
     }
 
@@ -201,22 +154,10 @@ impl TwoPeerScenario {
     pub fn needed(&self) -> usize {
         self.target - self.receiver_set.len()
     }
-
-    /// The receiver's standing min-wise calling card (computed once).
-    #[must_use]
-    pub(crate) fn receiver_sketch(&self, family: &PermutationFamily) -> &MinwiseSketch {
-        calling_card(&self.receiver_card, family, &self.receiver_set)
-    }
-
-    /// The sender's standing min-wise calling card (computed once).
-    #[must_use]
-    pub(crate) fn sender_sketch(&self, family: &PermutationFamily) -> &MinwiseSketch {
-        calling_card(&self.sender_card, family, &self.sender_set)
-    }
 }
 
 /// A k-partial-sender instance (Figures 7 and 8 geometry).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MultiSenderScenario {
     /// The receiver's initial working set (shared + its private pool).
     pub receiver_set: Vec<SymbolId>,
@@ -226,25 +167,6 @@ pub struct MultiSenderScenario {
     pub target: usize,
     /// Achieved correlation s/(s+p).
     pub correlation: f64,
-    receiver_card: OnceLock<MinwiseSketch>,
-    sender_cards: Vec<OnceLock<MinwiseSketch>>,
-}
-
-impl Clone for MultiSenderScenario {
-    /// Clones the inventories but *not* the cached calling cards (see
-    /// [`TwoPeerScenario::clone`]).
-    fn clone(&self) -> Self {
-        Self {
-            receiver_set: self.receiver_set.clone(),
-            sender_sets: self.sender_sets.clone(),
-            target: self.target,
-            correlation: self.correlation,
-            receiver_card: OnceLock::new(),
-            sender_cards: (0..self.sender_sets.len())
-                .map(|_| OnceLock::new())
-                .collect(),
-        }
-    }
 }
 
 impl MultiSenderScenario {
@@ -287,14 +209,11 @@ impl MultiSenderScenario {
         } else {
             shared as f64 / (shared + private) as f64
         };
-        let sender_cards = (0..sender_sets.len()).map(|_| OnceLock::new()).collect();
         Self {
             receiver_set,
             sender_sets,
             target: params.target(),
             correlation,
-            receiver_card: OnceLock::new(),
-            sender_cards,
         }
     }
 
@@ -302,18 +221,6 @@ impl MultiSenderScenario {
     #[must_use]
     pub(crate) fn needed(&self) -> usize {
         self.target - self.receiver_set.len()
-    }
-
-    /// The receiver's standing min-wise calling card (computed once).
-    #[must_use]
-    pub(crate) fn receiver_sketch(&self, family: &PermutationFamily) -> &MinwiseSketch {
-        calling_card(&self.receiver_card, family, &self.receiver_set)
-    }
-
-    /// Sender `i`'s standing min-wise calling card (computed once).
-    #[must_use]
-    pub(crate) fn sender_sketch(&self, i: usize, family: &PermutationFamily) -> &MinwiseSketch {
-        calling_card(&self.sender_cards[i], family, &self.sender_sets[i])
     }
 }
 

@@ -6,12 +6,12 @@
 //! symbols". A transfer ends when the receiver reaches its target, when
 //! every sender is provably exhausted, or at a safety cap.
 //!
-//! Since the [`crate::net`] engine landed, the functions here are thin
-//! *topology presets* over [`OverlayNet`] — a 2-node line, a line plus a
-//! fountain, and a k-sender fan-in — kept with their historical
-//! signatures. All tick bookkeeping, packet accounting, and stall
-//! detection live in the engine; the presets only wire nodes, links,
-//! and seeds the way the §6.3 figures demand.
+//! The functions here are thin *topology presets* over [`OverlayNet`] —
+//! a 2-node line, a line plus a fountain, and a k-sender fan-in, all
+//! one fan-in helper — kept with their historical signatures. Tick
+//! bookkeeping, packet accounting, stall detection and every link's
+//! handshake live in the engine; the presets only wire nodes, links,
+//! seeds and request splits the way the §6.3 figures demand.
 //!
 //! Metric definitions (used by the Figure 5–8 harnesses):
 //!
@@ -24,18 +24,12 @@
 //!   transfer takes `needed` ticks; any configuration's rate relative to
 //!   that baseline is `needed / ticks` without running the baseline.
 
-use icd_sketch::SummarySizing;
 use icd_util::rng::{Rng64, SplitMix64};
 
 use crate::net::{ConnectSpec, Link, OverlayNet, RunLimit};
 use crate::scenario::{MultiSenderScenario, TwoPeerScenario};
-use crate::strategy::{ReceiverHandshake, StrategyKind};
-
-// The handshake parameterization constants moved to `crate::handshake`
-// (one copy for presets, churn, the engine, and the bench harnesses);
-// re-exported here because this module was their historical home.
-pub use crate::handshake::handshake_estimate;
-use crate::handshake::standard_family;
+use crate::strategy::StrategyKind;
+use crate::SymbolId;
 
 /// Result of one simulated transfer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,26 +91,40 @@ pub fn default_max_ticks(target: usize) -> u64 {
     (target as u64) * 50 + 10_000
 }
 
-/// The handshake a two-peer preset ships: built from the scenario's
-/// cached calling cards (computed once per scenario, §4's amortization),
-/// exactly what the engine would derive from the receiver node's state.
-fn two_peer_handshake(scenario: &TwoPeerScenario, strategy: StrategyKind) -> ReceiverHandshake {
-    let family = standard_family();
-    ReceiverHandshake::for_strategy(
-        strategy,
-        &scenario.receiver_set,
-        &SummarySizing::default(),
-        &family,
-        icd_sketch::standard_registry(),
-        &handshake_estimate(
-            scenario.receiver_set.len(),
-            scenario.sender_set.len(),
-            scenario.needed(),
-        ),
-        strategy
-            .needs_sketch()
-            .then(|| scenario.receiver_sketch(&family)),
-    )
+/// The fan-in every preset is: one observed receiver holding
+/// `receiver_set`, and one seeder per `sender_sets` entry on a `strategy`
+/// link. With `with_full`, a digital fountain joins from the first
+/// seeder ahead of its partial link — within a tick the fountain emits
+/// before the partial peer, the order the figures assume. The receiver
+/// splits its need evenly over every sender (§6.1); the engine builds
+/// each link's handshake from the two nodes' state.
+fn fan_in(
+    receiver_set: &[SymbolId],
+    target: usize,
+    sender_sets: &[Vec<SymbolId>],
+    with_full: bool,
+    strategy: StrategyKind,
+    seed: u64,
+) -> TransferOutcome {
+    let mut seeds = SplitMix64::new(seed);
+    let mut net = OverlayNet::new(seed);
+    let receiver = net.add_node(receiver_set, target);
+    net.set_observer(receiver, true);
+    let senders = sender_sets.len() + usize::from(with_full);
+    let request = (target - receiver_set.len()).div_ceil(senders);
+    for (i, set) in sender_sets.iter().enumerate() {
+        let sender = net.add_seeder(set);
+        if with_full && i == 0 {
+            net.connect_full(sender, receiver, 0, Link::default());
+        }
+        let spec = ConnectSpec {
+            seed: seeds.next_u64(),
+            request_hint: Some(request),
+        };
+        net.connect(sender, receiver, strategy, Link::default(), spec);
+    }
+    let _ = net.run(RunLimit::ticks(default_max_ticks(target)));
+    net.outcome_for(receiver)
 }
 
 /// Figure 5: one partial sender, one receiver, one strategy — the
@@ -127,27 +135,15 @@ pub fn run_transfer(
     strategy: StrategyKind,
     seed: u64,
 ) -> TransferOutcome {
-    let mut seeds = SplitMix64::new(seed);
-    let mut net = OverlayNet::new(seed);
-    let receiver = net.add_node(&scenario.receiver_set, scenario.target);
-    net.set_observer(receiver, true);
-    let sender = net.add_seeder(&scenario.sender_set);
-    net.connect(
-        sender,
-        receiver,
+    let senders = std::slice::from_ref(&scenario.sender_set);
+    fan_in(
+        &scenario.receiver_set,
+        scenario.target,
+        senders,
+        false,
         strategy,
-        Link::default(),
-        ConnectSpec {
-            seed: seeds.next_u64(),
-            request_hint: Some(scenario.needed()),
-            handshake: Some(two_peer_handshake(scenario, strategy)),
-            calling_card: strategy
-                .needs_sketch()
-                .then(|| scenario.sender_sketch(&standard_family()).clone()),
-        },
-    );
-    let _ = net.run(RunLimit::ticks(default_max_ticks(scenario.target)));
-    net.outcome_for(receiver)
+        seed,
+    )
 }
 
 /// Figure 6: a full sender alongside the partial sender — the line-plus-
@@ -159,30 +155,15 @@ pub fn run_with_full_sender(
     strategy: StrategyKind,
     seed: u64,
 ) -> TransferOutcome {
-    let mut seeds = SplitMix64::new(seed);
-    let mut net = OverlayNet::new(seed);
-    let receiver = net.add_node(&scenario.receiver_set, scenario.target);
-    net.set_observer(receiver, true);
-    let sender = net.add_seeder(&scenario.sender_set);
-    // Full sender first: within a tick the fountain emits before the
-    // partial peer, the order the figures assume.
-    net.connect_full(sender, receiver, 0, Link::default());
-    net.connect(
-        sender,
-        receiver,
+    let senders = std::slice::from_ref(&scenario.sender_set);
+    fan_in(
+        &scenario.receiver_set,
+        scenario.target,
+        senders,
+        true,
         strategy,
-        Link::default(),
-        ConnectSpec {
-            seed: seeds.next_u64(),
-            request_hint: Some(scenario.needed().div_ceil(2)),
-            handshake: Some(two_peer_handshake(scenario, strategy)),
-            calling_card: strategy
-                .needs_sketch()
-                .then(|| scenario.sender_sketch(&standard_family()).clone()),
-        },
-    );
-    let _ = net.run(RunLimit::ticks(default_max_ticks(scenario.target)));
-    net.outcome_for(receiver)
+        seed,
+    )
 }
 
 /// Figures 7/8: k partial senders, no full sender — the fan-in preset.
@@ -193,48 +174,14 @@ pub fn run_multi_partial(
     strategy: StrategyKind,
     seed: u64,
 ) -> TransferOutcome {
-    let mut seeds = SplitMix64::new(seed);
-    let family = standard_family();
-    // One handshake shared by all k links (every sender set is the same
-    // size, so the estimate — and therefore the digest — is identical).
-    let handshake = ReceiverHandshake::for_strategy(
-        strategy,
+    fan_in(
         &scenario.receiver_set,
-        &SummarySizing::default(),
-        &family,
-        icd_sketch::standard_registry(),
-        &handshake_estimate(
-            scenario.receiver_set.len(),
-            scenario.sender_sets[0].len(),
-            scenario.needed(),
-        ),
-        strategy
-            .needs_sketch()
-            .then(|| scenario.receiver_sketch(&family)),
-    );
-    let mut net = OverlayNet::new(seed);
-    let receiver = net.add_node(&scenario.receiver_set, scenario.target);
-    net.set_observer(receiver, true);
-    let per_sender = scenario.needed().div_ceil(scenario.sender_sets.len());
-    for (i, set) in scenario.sender_sets.iter().enumerate() {
-        let sender = net.add_seeder(set);
-        net.connect(
-            sender,
-            receiver,
-            strategy,
-            Link::default(),
-            ConnectSpec {
-                seed: seeds.next_u64(),
-                request_hint: Some(per_sender),
-                handshake: Some(handshake.clone()),
-                calling_card: strategy
-                    .needs_sketch()
-                    .then(|| scenario.sender_sketch(i, &family).clone()),
-            },
-        );
-    }
-    let _ = net.run(RunLimit::ticks(default_max_ticks(scenario.target)));
-    net.outcome_for(receiver)
+        scenario.target,
+        &scenario.sender_sets,
+        false,
+        strategy,
+        seed,
+    )
 }
 
 /// Convenience used by harnesses and tests: the analytic coupon-collector

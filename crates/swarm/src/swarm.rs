@@ -188,6 +188,14 @@ pub enum SwarmConfigError {
     },
     /// `link_profiles` is empty: connections have no parameters to take.
     NoLinkProfiles,
+    /// A link profile fails [`Link::is_valid`]: every connection cycled
+    /// onto it would be refused, so those peers would never link.
+    InvalidLinkProfile {
+        /// Position of the profile in `link_profiles`.
+        index: usize,
+        /// The offending profile.
+        link: Link,
+    },
 }
 
 impl std::fmt::Display for SwarmConfigError {
@@ -209,6 +217,11 @@ impl std::fmt::Display for SwarmConfigError {
                  raise distinct_factor or lower decode_overhead"
             ),
             Self::NoLinkProfiles => write!(f, "need at least one link profile"),
+            Self::InvalidLinkProfile { index, link } => write!(
+                f,
+                "link profile {index}: interval {} must be >= 1 and loss {} in [0, 1)",
+                link.interval, link.loss
+            ),
         }
     }
 }
@@ -486,6 +499,10 @@ impl Swarm {
         }
         if cfg.link_profiles.is_empty() {
             return Err(SwarmConfigError::NoLinkProfiles);
+        }
+        if let Some(index) = cfg.link_profiles.iter().position(|l| !l.is_valid()) {
+            let link = cfg.link_profiles[index];
+            return Err(SwarmConfigError::InvalidLinkProfile { index, link });
         }
         let params = ScenarioParams {
             num_blocks: cfg.blocks,
@@ -1291,6 +1308,34 @@ mod tests {
         );
         // A well-sized cell still runs through the checked path.
         assert!(try_run_swarm(quiet(12, 60), 1).is_ok());
+    }
+
+    #[test]
+    fn invalid_link_profile_is_a_config_error_not_a_panic() {
+        // Connections cycle through the profiles and drop connect errors,
+        // so a bad profile must be refused up front: otherwise the engine
+        // aborts on it (or, refused per link, its peers never link).
+        for (bad, field) in [
+            (
+                Link {
+                    interval: 0,
+                    ..Link::default()
+                },
+                "interval 0",
+            ),
+            (Link::lossy(1.0), "loss 1"),
+        ] {
+            let cfg = quiet(12, 60).with_link_profiles(vec![Link::default(), bad]);
+            let err = try_run_swarm(cfg, 1).expect_err(field);
+            assert_eq!(
+                err,
+                SwarmConfigError::InvalidLinkProfile {
+                    index: 1,
+                    link: bad
+                }
+            );
+            assert!(err.to_string().contains("link profile 1"), "{err}");
+        }
     }
 
     #[test]

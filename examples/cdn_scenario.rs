@@ -10,12 +10,10 @@
 //!
 //! Run with: `cargo run --release --example cdn_scenario`
 
-use icd_core::strategy::PacketScratch;
-use icd_overlay::receiver::Receiver;
+use icd_overlay::net::{ConnectSpec, Link, OverlayNet, RunLimit};
 use icd_overlay::scenario::ScenarioParams;
-use icd_overlay::strategy::{FullSender, ReceiverHandshake, StrategyKind};
-use icd_overlay::transfer::handshake_estimate;
-use icd_sketch::{standard_registry, PermutationFamily, SummaryId, SummarySizing};
+use icd_overlay::strategy::{StrategyKind, FRESH_ID_BIT};
+use icd_sketch::SummaryId;
 use icd_util::hash::mix64;
 
 fn main() {
@@ -28,7 +26,7 @@ fn main() {
     let quarter = target / 4;
     let ids = |lo: usize, hi: usize| -> Vec<u64> {
         (lo..hi)
-            .map(|i| mix64(0xF161 ^ i as u64) & !icd_overlay::strategy::FRESH_ID_BIT)
+            .map(|i| mix64(0xF161 ^ i as u64) & !FRESH_ID_BIT)
             .collect()
     };
     let c_set = ids(0, quarter);
@@ -39,7 +37,6 @@ fn main() {
     let d_set = ids(quarter, quarter + rich); // disjoint from C
     let e_set = ids(quarter + rich / 2, quarter + rich / 2 + rich); // overlaps D by half
 
-    let family = PermutationFamily::standard(0x1CD);
     let tree_rate_limit = 4; // C's path from S is bottlenecked 4:1 vs peer links
 
     // (a) Tree only: C pulls fresh fountain symbols from S, but its
@@ -54,45 +51,28 @@ fn main() {
     let parallel_ticks = needed as u64 * tree_rate_limit / 2;
 
     // (c) Collaborative: the bottlenecked parent PLUS perpendicular
-    // full-rate connections to D and E with Bloom-reconciled transfers.
-    let mut receiver = Receiver::new(&c_set, target);
+    // full-rate connections to D and E with Bloom-reconciled transfers,
+    // on the overlay engine. The parent's path admits one fresh symbol
+    // every `tree_rate_limit` ticks; each peer link's handshake is C's
+    // Bloom filter, and C asks each peer for half its need.
+    let mut net = OverlayNet::new(0);
+    let c = net.add_node(&c_set, target);
+    net.set_observer(c, true);
+    let source = net.add_seeder(&[]);
+    net.connect_full(source, c, 0, Link::slower(tree_rate_limit));
     let strategy = StrategyKind::RandomSummary(SummaryId::BLOOM);
-    let handshake = ReceiverHandshake::for_strategy(
-        strategy,
-        &c_set,
-        &SummarySizing::default(),
-        &family,
-        standard_registry(),
-        &handshake_estimate(c_set.len(), d_set.len(), needed),
-        None,
-    );
-    let per_peer = needed / 2;
-    let mut peers = [(d_set, 1), (e_set, 2)].map(|(set, seed)| {
-        handshake.sender(strategy, &set, None, standard_registry(), seed, per_peer)
-    });
-    // The parent still trickles fresh symbols: model its 1/4 rate by
-    // letting it send on every 4th tick via a full sender we gate below.
-    let mut parent = FullSender::new(0);
-    let mut packet = PacketScratch::default();
-    let mut ticks = 0u64;
-    while !receiver.is_complete() && ticks < tree_ticks * 2 {
-        ticks += 1;
-        if ticks.is_multiple_of(tree_rate_limit) {
-            parent.emit(&mut packet);
-            receiver.receive(packet.ids());
-        }
-        // Once the peers exhaust their useful symbols, only the parent
-        // trickle remains.
-        for peer in &mut peers {
-            if peer.emit(&mut packet) {
-                receiver.receive(packet.ids());
-                if receiver.is_complete() {
-                    break;
-                }
-            }
-        }
+    for (set, seed) in [(&d_set, 1), (&e_set, 2)] {
+        let peer = net.add_seeder(set);
+        let spec = ConnectSpec {
+            seed,
+            request_hint: Some(needed / 2),
+        };
+        net.connect(peer, c, strategy, Link::default(), spec);
     }
-    let collaborative_ticks = ticks;
+    // Once the peers exhaust their useful symbols, only the parent
+    // trickle remains.
+    let _ = net.run(RunLimit::ticks(tree_ticks * 2));
+    let collaborative_ticks = net.now();
 
     println!("Figure 1 scenario — node C completing its download (n = {n}):");
     println!("  (a) tree only            : {tree_ticks:>8} ticks");
@@ -108,7 +88,7 @@ fn main() {
     println!(
         "collaborative transfer complete: {} — perpendicular bandwidth between \
          peers with complementary working sets dominates the bottlenecked tree path",
-        receiver.is_complete()
+        net.node_complete(c)
     );
     assert!(
         collaborative_ticks < parallel_ticks,

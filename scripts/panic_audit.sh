@@ -13,7 +13,7 @@
 set -euo pipefail
 
 declare -A CEILING=(
-    [bench]=6 [core]=2 [fountain]=4 [node]=27 [obs]=6 [overlay]=12
+    [bench]=6 [core]=2 [fountain]=4 [node]=27 [obs]=6 [overlay]=8
     [sketch]=13 [swarm]=2 [util]=5 [wire]=6
 )
 

@@ -22,26 +22,17 @@
 //! * **net** — discrete-event engine events per second on a mesh
 //!   parallel download (4 neighbors + background ring, heterogeneous
 //!   links).
-//! * **swarm** — engine events per second through a full
-//!   `Swarm::run` at the thousand-node power-law geometry with 10%
-//!   membership churn — the workload the indexed send calendar (per-node
-//!   link lists + next-send heap) exists for: thousands of links, most
-//!   idle or torn down at any instant, which the replaced per-tick
-//!   linear link scan paid for on every tick.
-//! * **faulty swarm** — the same geometry with the fault plane on (one
-//!   scheduled link cut per twenty peers), so regressions in fault
-//!   execution are visible separately from the fault-free number.
-//!
-//! * **traced swarm** — the churned-swarm probe with a structured trace
-//!   recorder installed, the derived `trace_overhead_pct` — the
-//!   enabled-mode cost of the observability plane in time — and
-//!   `trace_bytes_per_record`, its cost in memory. Disabled-mode cost
-//!   is covered by the delta table below (no recorder is installed in
-//!   any other probe).
-//! * **swarm split** — the churned-swarm probe with a `PhaseProfile`
-//!   installed: the share of `Swarm::run` wall time spent in each of
-//!   `icd_swarm::PROFILE_SCOPES` (`split_*_pct`), plus how much of the
-//!   run the three tiling scopes cover (`split_covered_pct`).
+//! * **faulty swarm** — engine events per second through a full
+//!   `Swarm::run` at a thousand-node power-law geometry with the fault
+//!   plane on (one scheduled link cut per twenty peers). No benchmark
+//!   workload injects faults, so this is the fault plane's only
+//!   throughput number; the fault-free and traced swarm numbers are the
+//!   benchmark's `swarm10k` and `swarm10k-traced` workloads.
+//! * **swarm split** — one churned 1 000-peer swarm run with a
+//!   `PhaseProfile` installed: the share of `Swarm::run` wall time
+//!   spent in each of `icd_swarm::PROFILE_SCOPES` (`split_*_pct`), plus
+//!   how much of the run the three tiling scopes cover
+//!   (`split_covered_pct`).
 //! * **swarm bytes** — one churned-swarm run, first in the process:
 //!   `Swarm::bytes_held` after the run (`swarm_bytes_held_mb`, the
 //!   per-structure breakdown in its detail) and the share of that run's
@@ -52,17 +43,16 @@
 //! overwriting and a per-probe `DELTA <name> <old> -> <new> (±x.x%)`
 //! table is printed — the before/after diff every PR is accountable to,
 //! without needing a stashed copy of the old JSON. The written JSON
-//! gains a `meta` block recording worker threads and the scale knobs
-//! the run used.
+//! gains a `meta` block recording the scale knobs the run used.
 //!
-//! `--quick` (or `ICD_QUICK=1`) shrinks the geometry for CI smoke runs;
+//! `--quick` shrinks the geometry for CI smoke runs;
 //! `--out PATH` overrides the output path (default
 //! `./BENCH_symbols.json`). All probes are pure functions of fixed
 //! seeds; only the measured times vary between machines.
 
 use std::time::Instant;
 
-use icd_obs::{PhaseProfile, TraceBuf};
+use icd_obs::PhaseProfile;
 
 use icd_fountain::{
     DecodeStatus, Decoder, EncodedSymbol, RecodeBuffer, RecodePolicy, RecodeScratch, Recoder,
@@ -83,10 +73,7 @@ struct Probe {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick")
-        || std::env::var("ICD_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    let quick = args.iter().any(|a| a == "--quick");
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -109,15 +96,10 @@ fn main() {
     probes.push(minwise_probe(quick));
     probes.push(sim_probe(quick));
     probes.push(net_events_probe(quick));
-    let swarm = swarm_events_probe(quick);
-    let untraced = swarm.value;
-    probes.push(swarm);
     probes.push(faulty_swarm_events_probe(quick));
-    probes.extend(swarm_traced_events_probe(quick, untraced));
     probes.extend(swarm_split_probes(quick));
-    probes.push(swarm_peak_rss_probe());
 
-    let (_cfg, peers, blocks) = churned_swarm_config(quick);
+    let swarm = swarm_base(quick);
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"symbols\",\n");
@@ -128,12 +110,8 @@ fn main() {
     json.push_str(&format!("  \"seed\": {SEED},\n"));
     json.push_str("  \"meta\": {\n");
     json.push_str(&format!("    \"quick\": {quick},\n"));
-    json.push_str(&format!(
-        "    \"worker_threads\": {},\n",
-        icd_bench::engine::thread_count()
-    ));
-    json.push_str(&format!("    \"swarm_peers\": {peers},\n"));
-    json.push_str(&format!("    \"swarm_blocks\": {blocks}\n"));
+    json.push_str(&format!("    \"swarm_peers\": {},\n", swarm.peers));
+    json.push_str(&format!("    \"swarm_blocks\": {}\n", swarm.blocks));
     json.push_str("  },\n");
     json.push_str("  \"metrics\": {\n");
     for (i, p) in probes.iter().enumerate() {
@@ -407,24 +385,15 @@ fn net_events_probe(quick: bool) -> Probe {
 }
 
 fn faulty_swarm_events_probe(quick: bool) -> Probe {
-    // The swarm probe's geometry with the fault plane switched on: one
-    // scheduled link cut per twenty peers inside the churn window. The
-    // fault execution path — victim selection, in-flight frame wastage,
-    // immediate redials — rides the same engine hot loop, so a
-    // regression in it shows up here without disturbing the fault-free
-    // `swarm_events_per_s` number it is diffed against.
-    let peers = if quick { 250 } else { 1000 };
-    let blocks = if quick { 48 } else { 64 };
-    let window = (5u64, 160);
-    let profiles: Vec<icd_swarm::Link> = [1u64, 2, 4, 8, 16]
-        .iter()
-        .map(|&i| icd_swarm::Link::slower(i))
-        .collect();
-    let mut cfg =
-        icd_swarm::SwarmConfig::new(peers, blocks, icd_swarm::TopologyKind::PowerLaw { m: 2 })
-            .with_link_profiles(profiles)
-            .with_faults(icd_swarm::FaultConfig::link_cuts(peers / 20, window));
-    cfg.refresh_interval = 40;
+    // A power-law swarm with the fault plane switched on: one scheduled
+    // link cut per twenty peers inside the churn window. The fault
+    // execution path — victim selection, in-flight frame wastage,
+    // immediate redials — rides the engine hot loop, so a regression in
+    // it shows up here.
+    let cfg = swarm_base(quick);
+    let blocks = cfg.blocks;
+    let cuts = icd_swarm::FaultConfig::link_cuts(cfg.peers / 20, (5, 160));
+    let cfg = cfg.with_faults(cuts);
     let mut events = 0u64;
     let mut roster = 0usize;
     let mut applied = 0u32;
@@ -446,9 +415,9 @@ fn faulty_swarm_events_probe(quick: bool) -> Probe {
     }
 }
 
-/// The churned-swarm geometry of `swarm_events_per_s`, for its traced
-/// twin, so the two numbers differ only in the recorder.
-fn churned_swarm_config(quick: bool) -> (icd_swarm::SwarmConfig, usize, usize) {
+/// The power-law (m = 2) swarm every swarm probe runs: 1 000 peers and
+/// n = 64 (250 and 48 under `--quick`), link intervals 1–16.
+fn swarm_base(quick: bool) -> icd_swarm::SwarmConfig {
     let peers = if quick { 250 } else { 1000 };
     let blocks = if quick { 48 } else { 64 };
     let profiles: Vec<icd_swarm::Link> = [1u64, 2, 4, 8, 16]
@@ -457,78 +426,35 @@ fn churned_swarm_config(quick: bool) -> (icd_swarm::SwarmConfig, usize, usize) {
         .collect();
     let mut cfg =
         icd_swarm::SwarmConfig::new(peers, blocks, icd_swarm::TopologyKind::PowerLaw { m: 2 })
-            .with_link_profiles(profiles)
-            .with_churn(icd_swarm::ChurnConfig {
-                leave_fraction: 0.10,
-                downtime: 60,
-                window: (5, 160),
-                joins: peers / 100,
-                rewires: peers / 50,
-            });
+            .with_link_profiles(profiles);
     // Slow links deliver few packets per maintenance window; match the
     // cadence so stagnation detection reflects rate, not impatience.
     cfg.refresh_interval = 40;
-    (cfg, peers, blocks)
+    cfg
 }
 
-/// The churned-swarm probe with a trace recorder installed — the
-/// enabled-mode cost of the observability plane, paired with the
-/// derived `trace_overhead_pct` against the recorder-free number (the
-/// nightly lane greps the pair) and the recorder's heap per record,
-/// `trace_bytes_per_record`. Negative overhead is timing noise.
-fn swarm_traced_events_probe(quick: bool, untraced: f64) -> [Probe; 3] {
-    let (cfg, _, blocks) = churned_swarm_config(quick);
-    let mut events = 0u64;
-    let mut roster = 0usize;
-    let mut records = 0usize;
-    let mut bytes = 0usize;
-    let secs = best_of(if quick { 2 } else { 3 }, || {
-        let mut swarm = icd_swarm::Swarm::new(cfg.clone(), SEED ^ 13);
-        let tracer = TraceBuf::shared(1 << 22);
-        swarm.set_tracer(tracer.clone());
-        let out = swarm.run();
-        assert!(out.all_complete(), "traced swarm probe failed to complete");
-        events = out.events;
-        roster = out.peers;
-        records = tracer.borrow().len();
-        bytes = tracer.borrow().bytes_held();
-    });
-    let traced = events as f64 / secs;
-    let probe = Probe {
-        name: "swarm_events_per_s_traced",
-        value: traced,
-        unit: "events/s",
-        detail: format!(
-            "{roster}-peer power-law(m=2) swarm, n={blocks}, 10% churn, \
-             {records} trace records captured; costs in trace_overhead_pct \
-             and trace_bytes_per_record"
-        ),
-    };
-    let overhead = Probe {
-        name: "trace_overhead_pct",
-        value: (untraced - traced) / untraced * 100.0,
-        unit: "%",
-        detail: "enabled-mode slowdown vs the recorder-free swarm probe".to_string(),
-    };
-    let per_record = Probe {
-        name: "trace_bytes_per_record",
-        value: bytes as f64 / records.max(1) as f64,
-        unit: "B",
-        detail: format!(
-            "TraceBuf::bytes_held over held records ({bytes} B / {records}): \
-             slot and spill rings by capacity plus the label table"
-        ),
-    };
-    [probe, overhead, per_record]
+/// [`swarm_base`] with 10% membership churn: the split and footprint
+/// probes' geometry.
+fn churned_swarm_config(quick: bool) -> icd_swarm::SwarmConfig {
+    let cfg = swarm_base(quick);
+    let peers = cfg.peers;
+    cfg.with_churn(icd_swarm::ChurnConfig {
+        leave_fraction: 0.10,
+        downtime: 60,
+        window: (5, 160),
+        joins: peers / 100,
+        rewires: peers / 50,
+    })
 }
 
 /// Where a churned-swarm run spends its wall time: one profiled run of
-/// the `swarm_events_per_s` geometry, each `PROFILE_SCOPES` entry as a
+/// the churned-swarm geometry, each `PROFILE_SCOPES` entry as a
 /// percentage of `Swarm::run`. `swarm.connect` is nested inside
 /// `swarm.refresh` and `swarm.membership`; the other three tile the run,
 /// and `split_covered_pct` says how completely.
 fn swarm_split_probes(quick: bool) -> Vec<Probe> {
-    let (cfg, _, blocks) = churned_swarm_config(quick);
+    let cfg = churned_swarm_config(quick);
+    let blocks = cfg.blocks;
     let mut swarm = icd_swarm::Swarm::new(cfg, SEED ^ 13);
     let profile = PhaseProfile::shared();
     swarm.set_profiler(profile.clone());
@@ -574,7 +500,8 @@ fn swarm_split_probes(quick: bool) -> Vec<Probe> {
 /// `run`, and its share of the `VmHWM` growth across `Swarm::new` plus
 /// `run`. Called first in the process, so that growth is this run's.
 fn swarm_bytes_probes(quick: bool) -> [Probe; 2] {
-    let (cfg, _, blocks) = churned_swarm_config(quick);
+    let cfg = churned_swarm_config(quick);
+    let blocks = cfg.blocks;
     let before = icd_bench::peak_rss_mb().unwrap_or(0.0);
     let mut swarm = icd_swarm::Swarm::new(cfg, SEED ^ 13);
     let out = swarm.run();
@@ -609,64 +536,4 @@ fn swarm_bytes_probes(quick: bool) -> [Probe; 2] {
             ),
         },
     ]
-}
-
-/// Peak resident set after every swarm probe has run — the "does the
-/// workload fit in RAM" number the scale runs report. Probe order
-/// matters: this is pushed last so the high-water mark covers the
-/// largest geometry exercised above.
-fn swarm_peak_rss_probe() -> Probe {
-    let mb = icd_bench::peak_rss_mb().unwrap_or(0.0);
-    Probe {
-        name: "swarm_peak_rss_mb",
-        value: mb,
-        unit: "MB",
-        detail: "process VmHWM after all probes (procfs; 0 where unavailable)".to_string(),
-    }
-}
-
-fn swarm_events_probe(quick: bool) -> Probe {
-    // A thousand-node power-law swarm under 10% membership churn with
-    // heterogeneous link rates (intervals 1–16, as adaptive overlays
-    // have): most links are idle on most ticks, and churn plus
-    // connection maintenance keeps retiring links — the regime where
-    // the indexed send calendar replaces the per-tick linear link scan,
-    // which paid O(all links ever) on every tick regardless of how few
-    // were due or even alive.
-    let peers = if quick { 250 } else { 1000 };
-    let blocks = if quick { 48 } else { 64 };
-    let profiles: Vec<icd_swarm::Link> = [1u64, 2, 4, 8, 16]
-        .iter()
-        .map(|&i| icd_swarm::Link::slower(i))
-        .collect();
-    let mut cfg =
-        icd_swarm::SwarmConfig::new(peers, blocks, icd_swarm::TopologyKind::PowerLaw { m: 2 })
-            .with_link_profiles(profiles)
-            .with_churn(icd_swarm::ChurnConfig {
-                leave_fraction: 0.10,
-                downtime: 60,
-                window: (5, 160),
-                joins: peers / 100,
-                rewires: peers / 50,
-            });
-    // Slow links deliver few packets per maintenance window; match the
-    // cadence so stagnation detection reflects rate, not impatience.
-    cfg.refresh_interval = 40;
-    let mut events = 0u64;
-    let mut roster = 0usize;
-    let secs = best_of(if quick { 2 } else { 3 }, || {
-        let out = icd_swarm::run_swarm(cfg.clone(), SEED ^ 13);
-        assert!(out.all_complete(), "swarm probe failed to complete");
-        events = out.events;
-        roster = out.peers;
-    });
-    Probe {
-        name: "swarm_events_per_s",
-        value: events as f64 / secs,
-        unit: "events/s",
-        detail: format!(
-            "{roster}-peer power-law(m=2) swarm, n={blocks}, 10% churn, \
-             link intervals 1-16, all complete"
-        ),
-    }
 }

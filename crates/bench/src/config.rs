@@ -9,6 +9,8 @@ pub struct ExpConfig {
     pub trials: usize,
     /// Base seed; trial t uses `base_seed + t`.
     pub base_seed: u64,
+    /// Worker threads for every sweep. Output does not depend on it.
+    pub threads: usize,
 }
 
 impl Default for ExpConfig {
@@ -17,13 +19,15 @@ impl Default for ExpConfig {
             num_blocks: 8_000,
             trials: 3,
             base_seed: 0x1CD_2002,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
 
 impl ExpConfig {
-    /// Reads `ICD_BLOCKS`, `ICD_TRIALS`, and `ICD_SEED` from the
-    /// environment, falling back to the scaled defaults.
+    /// Reads `ICD_BLOCKS`, `ICD_TRIALS`, `ICD_SEED` and
+    /// `RAYON_NUM_THREADS` from the environment, falling back to the
+    /// scaled defaults and the available parallelism.
     #[must_use]
     pub fn from_env() -> Self {
         let mut cfg = Self::default();
@@ -37,6 +41,9 @@ impl ExpConfig {
             if let Ok(parsed) = v.trim().parse::<u64>() {
                 cfg.base_seed = parsed;
             }
+        }
+        if let Some(v) = env_usize("RAYON_NUM_THREADS").filter(|&n| n > 0) {
+            cfg.threads = v;
         }
         cfg
     }

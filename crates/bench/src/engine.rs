@@ -20,8 +20,8 @@
 //! The worker pool is a plain work-stealing-free chunk queue over
 //! `std::thread::scope` — the cells are coarse (whole transfer
 //! simulations), so an atomic ticket counter is all the scheduling the
-//! workload needs. The pool width comes from [`thread_count`], which
-//! honors `RAYON_NUM_THREADS` (the conventional knob) and `ICD_THREADS`.
+//! workload needs. The pool width is an argument: experiments pass
+//! [`crate::ExpConfig::threads`], read once from `RAYON_NUM_THREADS`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,24 +36,6 @@ use crate::output::Table;
 /// Salt folded into every per-cell seed so grid RNG streams never
 /// collide with the simulation seeds the cells consume.
 const CELL_SEED_SALT: u64 = 0x1CD6_121D_CE11;
-
-/// Worker-pool width: `RAYON_NUM_THREADS`, then `ICD_THREADS`, then
-/// available parallelism.
-#[must_use]
-pub fn thread_count() -> usize {
-    for key in ["RAYON_NUM_THREADS", "ICD_THREADS"] {
-        if let Ok(v) = std::env::var(key) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 /// One point of a sweep: a scenario, a strategy, and a trial seed, plus
 /// the grid coordinates that address its result slot.
@@ -153,18 +135,9 @@ impl<S: Sync, G: Sync> ExperimentGrid<S, G> {
         }
     }
 
-    /// Runs every cell on [`thread_count`] workers.
-    pub fn run<R, F>(&self, f: F) -> GridResults<R>
-    where
-        R: Send,
-        F: Fn(&Cell<'_, S, G>) -> R + Sync,
-    {
-        self.run_with_threads(thread_count(), f)
-    }
-
     /// Runs every cell on exactly `threads` workers. Output is
     /// independent of `threads`; the determinism test pins this down.
-    pub fn run_with_threads<R, F>(&self, threads: usize, f: F) -> GridResults<R>
+    pub fn run<R, F>(&self, threads: usize, f: F) -> GridResults<R>
     where
         R: Send,
         F: Fn(&Cell<'_, S, G>) -> R + Sync,
@@ -318,7 +291,7 @@ mod tests {
     fn grid_enumerates_full_cartesian_product() {
         let grid = ExperimentGrid::new(vec!['a', 'b', 'c'], vec![1u32, 2], vec![7, 8]);
         assert_eq!(grid.len(), 12);
-        let results = grid.run_with_threads(3, |cell| {
+        let results = grid.run(3, |cell| {
             (*cell.scenario, *cell.strategy, cell.seed, cell.trial_idx)
         });
         assert_eq!(results.point(0, 0), &[('a', 1, 7, 0), ('a', 1, 8, 1)]);
@@ -329,8 +302,8 @@ mod tests {
     #[test]
     fn cell_seeds_are_unique_and_stable() {
         let grid = ExperimentGrid::new(vec![0u8; 5], vec![0u8; 4], vec![1, 2, 3]);
-        let a = grid.run_with_threads(1, |c| c.cell_seed());
-        let b = grid.run_with_threads(4, |c| c.cell_seed());
+        let a = grid.run(1, |c| c.cell_seed());
+        let b = grid.run(4, |c| c.cell_seed());
         assert_eq!(a.cells(), b.cells());
         let set: std::collections::HashSet<u64> = a.cells().iter().copied().collect();
         assert_eq!(set.len(), grid.len(), "cell seeds must not collide");
@@ -359,14 +332,14 @@ mod tests {
     fn empty_grid_is_fine() {
         let grid: ExperimentGrid<u8, u8> = ExperimentGrid::new(vec![], vec![1], vec![2]);
         assert!(grid.is_empty());
-        let results = grid.run_with_threads(4, |_| 0u8);
+        let results = grid.run(4, |_| 0u8);
         assert!(results.cells().is_empty());
     }
 
     #[test]
     fn summaries_collapse_trials() {
         let grid = ExperimentGrid::new(vec![1.0f64, 2.0], vec![10.0f64], vec![0, 1, 2, 3]);
-        let results = grid.run_with_threads(2, |c| c.scenario * c.strategy);
+        let results = grid.run(2, |c| c.scenario * c.strategy);
         let summaries = results.summaries(|&v| v);
         assert_eq!(summaries.len(), 2);
         assert!((summaries[0][0].mean() - 10.0).abs() < 1e-12);

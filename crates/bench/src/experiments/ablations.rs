@@ -13,9 +13,6 @@
 //! average over the configured trial seeds; output is identical at any
 //! thread count.
 
-use icd_bench::engine::ExperimentGrid;
-use icd_bench::output::{emit, f3, Table};
-use icd_bench::ExpConfig;
 use icd_overlay::net::{ConnectSpec, Link, OverlayNet, RunLimit};
 use icd_overlay::receiver::Receiver;
 use icd_overlay::scenario::{ScenarioParams, TwoPeerScenario};
@@ -24,15 +21,12 @@ use icd_overlay::transfer::default_max_ticks;
 use icd_sketch::{standard_registry, DiffEstimate, SummaryId, SummarySizing};
 use icd_util::rng::Xoshiro256StarStar;
 
-fn main() {
-    let cfg = ExpConfig::from_env();
-    emit(&filter_bits_sweep(&cfg), "ablation_filter_bits");
-    emit(&degree_cap_sweep(&cfg), "ablation_degree_cap");
-    emit(&degree_policy_compare(&cfg), "ablation_degree_policy");
-}
+use crate::config::ExpConfig;
+use crate::engine::ExperimentGrid;
+use crate::output::{f3, Table};
 
 /// Ablation 1: Random/BF at varying filter budgets.
-fn filter_bits_sweep(cfg: &ExpConfig) -> Table {
+pub(crate) fn filter_bits_sweep(cfg: &ExpConfig) -> Table {
     let params = ScenarioParams::compact(cfg.num_blocks, cfg.base_seed);
     let scenario = TwoPeerScenario::build(&params, 0.3);
     let mut table = Table::new(
@@ -86,7 +80,7 @@ fn filter_bits_sweep(cfg: &ExpConfig) -> Table {
     // the engine builds the receiver's handshake filter at that budget.
     let strategy = StrategyKind::RandomSummary(SummaryId::BLOOM);
     let sweep = ExperimentGrid::new(points, vec![()], cfg.seeds());
-    let results = sweep.run(|cell| {
+    let results = sweep.run(cfg.threads, |cell| {
         let (_, sizing, _, _) = cell.scenario;
         let mut net = OverlayNet::with_sizing(cell.cell_seed(), *sizing);
         let receiver = net.add_node(&scenario.receiver_set, scenario.target);
@@ -120,7 +114,7 @@ fn filter_bits_sweep(cfg: &ExpConfig) -> Table {
 }
 
 /// Ablation 2: Recode/BF at varying degree caps.
-fn degree_cap_sweep(cfg: &ExpConfig) -> Table {
+pub(crate) fn degree_cap_sweep(cfg: &ExpConfig) -> Table {
     let params = ScenarioParams::compact(cfg.num_blocks, cfg.base_seed);
     let scenario = TwoPeerScenario::build(&params, 0.2);
     let mut table = Table::new(
@@ -132,8 +126,9 @@ fn degree_cap_sweep(cfg: &ExpConfig) -> Table {
     );
     let caps = vec![2usize, 5, 10, 25, 50, 100, 200];
     let sweep = ExperimentGrid::new(caps.clone(), vec![()], cfg.seeds());
-    let results =
-        sweep.run(|cell| run_recode_with_cap(&scenario, *cell.scenario, cell.cell_seed()));
+    let results = sweep.run(cfg.threads, |cell| {
+        run_recode_with_cap(&scenario, *cell.scenario, cell.cell_seed())
+    });
     let overheads = results.summaries(|t| t.0);
     for (si, cap) in caps.iter().enumerate() {
         table.push_row(vec![
@@ -178,7 +173,7 @@ fn run_recode_with_cap(scenario: &TwoPeerScenario, cap: usize, seed: u64) -> (f6
 }
 
 /// Ablation 3: the three degree policies head to head at c = 0.4.
-fn degree_policy_compare(cfg: &ExpConfig) -> Table {
+pub(crate) fn degree_policy_compare(cfg: &ExpConfig) -> Table {
     use bytes::Bytes;
     use icd_fountain::{EncodedSymbol, RecodePolicy, Recoder};
     let params = ScenarioParams::compact(cfg.num_blocks, cfg.base_seed);
@@ -211,7 +206,7 @@ fn degree_policy_compare(cfg: &ExpConfig) -> Table {
         ),
     ];
     let sweep = ExperimentGrid::new(policies.clone(), vec![()], cfg.seeds());
-    let results = sweep.run(|cell| {
+    let results = sweep.run(cfg.threads, |cell| {
         let (_, policy) = *cell.scenario;
         let recoder = Recoder::new(symbols.clone(), 50, policy);
         let mut receiver = Receiver::new(&scenario.receiver_set, scenario.target);

@@ -27,7 +27,7 @@ fn base_accuracy_config(cfg: &ExpConfig) -> AccuracyConfig {
 /// Figure 4(a): fraction of differences found vs bits per element in the
 /// leaf filter (total fixed at 8), one series per correction level 0–5.
 #[must_use]
-pub fn fig4a(cfg: &ExpConfig) -> Table {
+pub(crate) fn fig4a(cfg: &ExpConfig) -> Table {
     let base = base_accuracy_config(cfg);
     let grid: Vec<f64> = (0..=8).map(|i| i as f64).collect();
     let mut table = Table::new(
@@ -48,7 +48,7 @@ pub fn fig4a(cfg: &ExpConfig) -> Table {
     // One row per leaf-bit setting, one column per correction level;
     // every (leaf_bits, correction) point is one engine cell.
     let sweep = ExperimentGrid::new(grid.clone(), (0..=5u32).collect(), vec![base.seed]);
-    let results = sweep.run(|cell| {
+    let results = sweep.run(cfg.threads, |cell| {
         measure_accuracy(&AccuracyConfig {
             leaf_bits_per_element: *cell.scenario,
             correction: *cell.strategy,
@@ -68,7 +68,7 @@ pub fn fig4a(cfg: &ExpConfig) -> Table {
 /// Table 4(b): accuracy at bits/element ∈ {2, 4, 6, 8} × correction 0–5,
 /// using the optimal leaf/internal split per cell (as the paper does).
 #[must_use]
-pub fn table4b(cfg: &ExpConfig) -> Table {
+pub(crate) fn table4b(cfg: &ExpConfig) -> Table {
     let base = base_accuracy_config(cfg);
     let mut table = Table::new(
         format!(
@@ -82,7 +82,7 @@ pub fn table4b(cfg: &ExpConfig) -> Table {
     let corrections: Vec<u32> = (0..=5).collect();
     let budgets = vec![2.0, 4.0, 6.0, 8.0];
     let sweep = ExperimentGrid::new(corrections.clone(), budgets, vec![base.seed]);
-    let results = sweep.run(|cell| {
+    let results = sweep.run(cfg.threads, |cell| {
         let (_, acc) = optimal_split(&AccuracyConfig {
             correction: *cell.scenario,
             total_bits_per_element: *cell.strategy,
@@ -105,7 +105,7 @@ pub fn table4b(cfg: &ExpConfig) -> Table {
 /// O(d log n) column; wall-clock is measured by the `recon_speed`
 /// criterion bench).
 #[must_use]
-pub fn table4c(cfg: &ExpConfig) -> Table {
+pub(crate) fn table4c(cfg: &ExpConfig) -> Table {
     let n = cfg.num_blocks;
     let d = (n / 50).max(20);
     let mut rng = Xoshiro256StarStar::new(cfg.base_seed);

@@ -91,18 +91,16 @@ pub(crate) fn mesh_cell(point: &MeshPoint, recode: bool, blocks: usize, seed: u6
     )
 }
 
-/// The mesh matrix on `threads` workers: rows = topology points,
-/// columns = per-family speedup / overhead / loss / advisor choices.
-/// Exposed with an explicit thread count so the determinism suite can
-/// pin 1-thread vs N-thread equality.
+/// The mesh matrix: rows = topology points, columns = per-family
+/// speedup / overhead / loss / advisor choices.
 #[must_use]
-pub fn mesh_matrix_with_threads(cfg: &ExpConfig, threads: usize) -> Table {
+pub(crate) fn mesh_matrix(cfg: &ExpConfig) -> Table {
     // Mesh cells are heavier than two-peer cells (k+1 nodes, 2k links);
     // cap the geometry so the default sweep stays interactive.
     let blocks = cfg.num_blocks.min(4_000);
     let points = default_points();
     let sweep = ExperimentGrid::new(points.clone(), FAMILIES.to_vec(), cfg.seeds());
-    let results = sweep.run_with_threads(threads, |cell| {
+    let results = sweep.run(cfg.threads, |cell| {
         mesh_cell(cell.scenario, cell.strategy.1, blocks, cell.seed)
     });
 
@@ -158,12 +156,6 @@ pub fn mesh_matrix_with_threads(cfg: &ExpConfig, threads: usize) -> Table {
         }
     }
     table
-}
-
-/// [`mesh_matrix_with_threads`] on the configured worker pool.
-#[must_use]
-pub fn mesh_matrix(cfg: &ExpConfig) -> Table {
-    mesh_matrix_with_threads(cfg, crate::engine::thread_count())
 }
 
 #[cfg(test)]

@@ -5,15 +5,15 @@
 //! [`ExperimentGrid`] is the list of [`SummaryId`]s from the standard
 //! registry, and every cell drives the real machinery:
 //!
-//! * [`session_matrix`] — one full `ReceiverMachine`/`SenderMachine`
+//! * `session_matrix` — one full `ReceiverMachine`/`SenderMachine`
 //!   session per cell, the mechanism pinned via the session config's
 //!   summary override, the digest crossing the (in-memory) wire in the
 //!   generic tagged frame. Columns report recovered fraction of the true
 //!   difference and summary bytes shipped.
-//! * [`overlay_matrix`] — the §6.2 Random/summary strategy under each
+//! * `overlay_matrix` — the §6.2 Random/summary strategy under each
 //!   mechanism in the tick-loop simulator: the paper's Figure-5 shape,
 //!   but with the digest pluggable.
-//! * [`selection_report`] — no transfer at all: the mechanism the
+//! * `selection_report` — no transfer at all: the mechanism the
 //!   policy's scorer picks, at default and at precision knobs, on the
 //!   benchmark workloads' links that select one.
 //!
@@ -151,11 +151,13 @@ pub fn session_cell(
 /// mechanisms, cell = mean recovered fraction (and the summary bytes the
 /// mechanism shipped, in a second table block).
 #[must_use]
-pub fn session_matrix(cfg: &ExpConfig) -> Table {
+pub(crate) fn session_matrix(cfg: &ExpConfig) -> Table {
     let geometries = default_geometries();
     let mechanisms = standard_registry().ids();
     let sweep = ExperimentGrid::new(geometries.clone(), mechanisms.clone(), cfg.seeds());
-    let results = sweep.run(|cell| session_cell(cell.scenario, *cell.strategy, cell.seed));
+    let results = sweep.run(cfg.threads, |cell| {
+        session_cell(cell.scenario, *cell.strategy, cell.seed)
+    });
 
     let mut header: Vec<&str> = vec!["geometry"];
     let labels: Vec<String> = mechanisms.iter().map(|m| m.label().to_string()).collect();
@@ -211,12 +213,12 @@ fn push_completion_row(
 /// registered mechanism, on one compact two-peer scenario — overhead
 /// (packets per needed symbol) per mechanism, Figure-5 style.
 #[must_use]
-pub fn overlay_matrix(cfg: &ExpConfig) -> Table {
+pub(crate) fn overlay_matrix(cfg: &ExpConfig) -> Table {
     let blocks = cfg.num_blocks;
     let mechanisms = standard_registry().ids();
     let correlations = vec![0.0, 0.2, 0.4];
     let sweep = ExperimentGrid::new(correlations.clone(), mechanisms.clone(), cfg.seeds());
-    let results = sweep.run(|cell| {
+    let results = sweep.run(cfg.threads, |cell| {
         let params = ScenarioParams::compact(blocks, cell.seed);
         let scenario = TwoPeerScenario::build(&params, *cell.scenario);
         let outcome = run_transfer(
@@ -282,7 +284,7 @@ const SELECTION_LINKS: [(&str, u64, u64, u64); 5] = [
 /// `none` means no mechanism qualifies and the plan falls back to the
 /// speculative transfer.
 #[must_use]
-pub fn selection_report() -> Table {
+pub(crate) fn selection_report() -> Table {
     let precision = PolicyKnobs {
         min_recall: 0.98,
         compute_weight: 0.0,

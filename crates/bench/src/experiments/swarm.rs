@@ -85,8 +85,7 @@ const FAMILIES: [(&str, StrategyKind); 2] = [
     ("Recode/BF", StrategyKind::RecodeSummary(SummaryId::BLOOM)),
 ];
 
-/// Builds the [`SwarmConfig`] for one cell. Public so scale tests and
-/// the perf baseline pin the exact sweep geometry.
+/// Builds the [`SwarmConfig`] for one cell.
 #[must_use]
 pub(crate) fn swarm_config(
     point: &SwarmPoint,
@@ -119,12 +118,10 @@ pub(crate) fn swarm_cell(
         .unwrap_or_else(|e| panic!("swarm cell '{}' rejected: {e}", point.label))
 }
 
-/// The swarm matrix on `threads` workers: rows = topology × churn
-/// points, columns = per-family completion / ticks / overhead / churn
-/// accounting. Exposed with an explicit thread count so the determinism
-/// suite can pin 1-thread vs N-thread equality.
+/// The swarm matrix: rows = topology × churn points, columns =
+/// per-family completion / ticks / overhead / churn accounting.
 #[must_use]
-pub fn swarm_matrix_with_threads(cfg: &ExpConfig, threads: usize) -> Table {
+pub(crate) fn swarm_matrix(cfg: &ExpConfig) -> Table {
     // Swarm cells carry whole rosters; cap the per-peer geometry so the
     // default sweep stays interactive.
     let blocks = cfg.num_blocks.min(96);
@@ -135,7 +132,7 @@ pub fn swarm_matrix_with_threads(cfg: &ExpConfig, threads: usize) -> Table {
         }
     }
     let sweep = ExperimentGrid::new(points.clone(), FAMILIES.to_vec(), cfg.seeds());
-    let results = sweep.run_with_threads(threads, |cell| {
+    let results = sweep.run(cfg.threads, |cell| {
         swarm_cell(cell.scenario, cell.strategy.1, blocks, cell.seed)
     });
 
@@ -179,12 +176,6 @@ pub fn swarm_matrix_with_threads(cfg: &ExpConfig, threads: usize) -> Table {
         }
     }
     table
-}
-
-/// [`swarm_matrix_with_threads`] on the configured worker pool.
-#[must_use]
-pub fn swarm_matrix(cfg: &ExpConfig) -> Table {
-    swarm_matrix_with_threads(cfg, crate::engine::thread_count())
 }
 
 /// Roster override from `ICD_PEERS`: every sweep point runs at the

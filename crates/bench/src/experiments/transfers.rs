@@ -10,6 +10,7 @@
 use icd_overlay::scenario::{MultiSenderScenario, ScenarioParams, TwoPeerScenario};
 use icd_overlay::strategy::StrategyKind;
 use icd_overlay::transfer::{run_multi_partial, run_transfer, run_with_full_sender};
+use icd_overlay::TransferOutcome;
 use icd_util::stats::Summary;
 
 use crate::config::ExpConfig;
@@ -18,7 +19,7 @@ use crate::output::{f3, Table};
 
 /// Which §6.3 variant a sweep runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SystemShape {
+pub(crate) enum SystemShape {
     /// Compact: 1.1n distinct symbols in the system.
     Compact,
     /// Stretched: 1.5n distinct symbols in the system.
@@ -39,13 +40,6 @@ impl SystemShape {
             SystemShape::Stretched => "stretched (1.5n)",
         }
     }
-
-    fn tag(self) -> &'static str {
-        match self {
-            SystemShape::Compact => "compact",
-            SystemShape::Stretched => "stretched",
-        }
-    }
 }
 
 /// A correlation grid over `[0, max]` with `points` points, inclusive.
@@ -55,30 +49,19 @@ fn correlation_grid(max: f64, points: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Metric to extract from an outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Metric {
-    Overhead,
-    Speedup,
-}
-
 /// One figure sweep: rows = correlation grid, columns = strategies.
 fn sweep_figure(
     cfg: &ExpConfig,
     shape: SystemShape,
     grid: &[f64],
-    metric: Metric,
-    run: impl Fn(&ScenarioParams, f64, StrategyKind, u64) -> icd_overlay::TransferOutcome + Sync,
+    metric: fn(&TransferOutcome) -> f64,
+    run: impl Fn(&ScenarioParams, f64, StrategyKind, u64) -> TransferOutcome + Sync,
 ) -> Vec<Vec<Summary>> {
     let sweep = ExperimentGrid::new(grid.to_vec(), StrategyKind::ALL.to_vec(), cfg.seeds());
-    let results = sweep.run(|cell| {
+    let results = sweep.run(cfg.threads, |cell| {
         let params = shape.params(cfg, cell.seed);
         let outcome = run(&params, *cell.scenario, *cell.strategy, cell.seed ^ 0x5A5A);
-        let value = match metric {
-            Metric::Overhead => outcome.overhead(),
-            Metric::Speedup => outcome.speedup(),
-        };
-        (outcome.completed, value)
+        (outcome.completed, metric(&outcome))
     });
     for (si, gi, _, &(completed, _)) in results.iter() {
         if !completed {
@@ -119,14 +102,14 @@ fn render(title: String, grid: &[f64], data: &[Vec<Summary>]) -> Table {
 
 /// Figure 5: overhead of a peer-to-peer transfer vs correlation.
 #[must_use]
-pub fn fig5(cfg: &ExpConfig, shape: SystemShape) -> Table {
+pub(crate) fn fig5(cfg: &ExpConfig, shape: SystemShape) -> Table {
     let max = shape.params(cfg, 0).max_two_peer_correlation();
     let grid = correlation_grid(max - 1e-9, 10);
     let data = sweep_figure(
         cfg,
         shape,
         &grid,
-        Metric::Overhead,
+        TransferOutcome::overhead,
         |params, c, strategy, seed| {
             let scenario = TwoPeerScenario::build(params, c);
             run_transfer(&scenario, strategy, seed)
@@ -141,14 +124,14 @@ pub fn fig5(cfg: &ExpConfig, shape: SystemShape) -> Table {
 
 /// Figure 6: speedup with a full sender plus a partial sender.
 #[must_use]
-pub fn fig6(cfg: &ExpConfig, shape: SystemShape) -> Table {
+pub(crate) fn fig6(cfg: &ExpConfig, shape: SystemShape) -> Table {
     let max = shape.params(cfg, 0).max_two_peer_correlation();
     let grid = correlation_grid(max - 1e-9, 10);
     let data = sweep_figure(
         cfg,
         shape,
         &grid,
-        Metric::Speedup,
+        TransferOutcome::speedup,
         |params, c, strategy, seed| {
             let scenario = TwoPeerScenario::build(params, c);
             run_with_full_sender(&scenario, strategy, seed)
@@ -166,13 +149,13 @@ pub fn fig6(cfg: &ExpConfig, shape: SystemShape) -> Table {
 
 /// Figures 7/8: relative rate with `k` partial senders.
 #[must_use]
-pub fn fig78(cfg: &ExpConfig, shape: SystemShape, k: usize) -> Table {
+pub(crate) fn fig78(cfg: &ExpConfig, shape: SystemShape, k: usize) -> Table {
     let grid = correlation_grid(0.5, 11);
     let data = sweep_figure(
         cfg,
         shape,
         &grid,
-        Metric::Speedup,
+        TransferOutcome::speedup,
         |params, c, strategy, seed| {
             let scenario = MultiSenderScenario::build(params, k, c);
             run_multi_partial(&scenario, strategy, seed)
@@ -187,10 +170,4 @@ pub fn fig78(cfg: &ExpConfig, shape: SystemShape, k: usize) -> Table {
         &grid,
         &data,
     )
-}
-
-/// CSV-name helper shared by the binaries.
-#[must_use]
-pub fn csv_name(figure: &str, shape: SystemShape) -> String {
-    format!("{figure}_{}", shape.tag())
 }

@@ -1,4 +1,4 @@
-//! Table formatting and CSV output for the experiment binaries.
+//! Table formatting and CSV output for the experiments.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -27,7 +27,7 @@ impl Table {
 
     /// Appends a row; panics if the width disagrees with the header
     /// (a malformed experiment is a bug, not a data condition).
-    pub fn push_row(&mut self, row: Vec<String>) {
+    pub(crate) fn push_row(&mut self, row: Vec<String>) {
         assert_eq!(row.len(), self.header.len(), "row width mismatch");
         self.rows.push(row);
     }

@@ -6,6 +6,8 @@
 
 use icd_bench::engine::{summary_table, ExperimentGrid};
 use icd_bench::experiments::summaries::{session_cell, SessionGeometry};
+use icd_bench::experiments::EXPERIMENTS;
+use icd_bench::ExpConfig;
 use icd_overlay::scenario::{ScenarioParams, TwoPeerScenario};
 use icd_overlay::strategy::StrategyKind;
 use icd_overlay::transfer::run_transfer;
@@ -16,7 +18,7 @@ fn mini_fig5_table(threads: usize) -> String {
     let correlations = vec![0.0, 0.2, 0.4];
     let seeds = vec![0x5EED, 0x5EEE];
     let grid = ExperimentGrid::new(correlations.clone(), StrategyKind::ALL.to_vec(), seeds);
-    let results = grid.run_with_threads(threads, |cell| {
+    let results = grid.run(threads, |cell| {
         let params = ScenarioParams::compact(blocks, cell.seed);
         let scenario = TwoPeerScenario::build(&params, *cell.scenario);
         run_transfer(&scenario, *cell.strategy, cell.seed ^ 0x5A5A).overhead()
@@ -64,7 +66,7 @@ fn mini_summary_table(threads: usize) -> String {
     }];
     let mechanisms = standard_registry().ids();
     let grid = ExperimentGrid::new(geometries, mechanisms.clone(), vec![0xD5, 0xD6]);
-    let results = grid.run_with_threads(threads, |cell| {
+    let results = grid.run(threads, |cell| {
         session_cell(cell.scenario, *cell.strategy, cell.seed)
     });
     let labels: Vec<String> = mechanisms.iter().map(|m| m.label().to_string()).collect();
@@ -95,47 +97,42 @@ fn multi_summary_sweep_is_identical_across_thread_counts() {
     }
 }
 
-#[test]
-fn mesh_sweep_is_identical_across_thread_counts() {
-    // The discrete-event engine inside each mesh cell (multi-neighbor
-    // download, heterogeneous lossy links, background ring) must be a
-    // pure function of its cell coordinates: the rendered matrix is
-    // byte-identical whether cells ran serially or on 8 workers.
-    let cfg = icd_bench::ExpConfig {
-        num_blocks: 900,
-        trials: 2,
+/// Every row of the experiment table, rendered at `threads` workers.
+/// `recon_cost_table`'s `build_ms`/`reconcile_ms` columns are wall-clock,
+/// so only its `method`, `wire_bytes` and `accuracy` columns are kept.
+fn every_table(threads: usize) -> Vec<String> {
+    let cfg = ExpConfig {
+        num_blocks: 1_000,
+        trials: 1,
         base_seed: 0x1CD_2002,
+        threads,
     };
-    let serial = icd_bench::experiments::mesh::mesh_matrix_with_threads(&cfg, 1).render();
-    for threads in [2, 8] {
-        let parallel =
-            icd_bench::experiments::mesh::mesh_matrix_with_threads(&cfg, threads).render();
-        assert_eq!(
-            serial, parallel,
-            "mesh sweep must be bit-identical at {threads} threads"
-        );
+    let mut renders = Vec::new();
+    for experiment in EXPERIMENTS {
+        for (csv, mut table) in (experiment.run)(&cfg) {
+            if csv == "recon_cost_table" {
+                for row in &mut table.rows {
+                    row[2].clear();
+                    row[3].clear();
+                }
+            }
+            renders.push(format!("{} / {csv}\n{}", experiment.name, table.render()));
+        }
     }
+    renders
 }
 
 #[test]
-fn swarm_sweep_is_identical_across_thread_counts() {
-    // Each swarm cell interleaves a membership event stream (joins,
-    // leaves, rejoins, rewires) with engine execution and maintenance
-    // passes; the rendered matrix must still be a pure function of the
-    // cell coordinates at any worker count.
-    let cfg = icd_bench::ExpConfig {
-        num_blocks: 48,
-        trials: 2,
-        base_seed: 0x1CD_2002,
-    };
-    let serial = icd_bench::experiments::swarm::swarm_matrix_with_threads(&cfg, 1).render();
-    for threads in [2, 8] {
-        let parallel =
-            icd_bench::experiments::swarm::swarm_matrix_with_threads(&cfg, threads).render();
-        assert_eq!(
-            serial, parallel,
-            "swarm sweep must be bit-identical at {threads} threads"
-        );
+fn every_experiment_is_identical_across_thread_counts() {
+    // Each cell of every artifact — two-peer presets, mesh downloads,
+    // churned swarms, live session pumps, ablations — must be a pure
+    // function of its coordinates: the rendered tables are
+    // byte-identical whether cells ran serially or on 4 workers.
+    let serial = every_table(1);
+    let parallel = every_table(4);
+    assert_eq!(serial.len(), parallel.len());
+    for (a, b) in serial.iter().zip(&parallel) {
+        assert_eq!(a, b, "tables must be bit-identical at 4 threads");
     }
 }
 
@@ -155,10 +152,7 @@ fn streamed_rows_match_collected_results_under_parallelism() {
 #[test]
 fn per_cell_rng_is_a_pure_function_of_coordinates() {
     let grid = ExperimentGrid::new(vec!["a", "b"], vec![0u8, 1, 2], vec![9, 10]);
-    let draw = |threads| {
-        grid.run_with_threads(threads, |cell| cell.rng().next_u64())
-            .into_cells()
-    };
+    let draw = |threads| grid.run(threads, |cell| cell.rng().next_u64()).into_cells();
     use icd_util::rng::Rng64;
     let one = draw(1);
     let many = draw(4);

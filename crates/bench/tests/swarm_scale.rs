@@ -58,7 +58,7 @@ fn run_grid(peers: usize, threads: usize) -> Vec<SwarmOutcome> {
     // Two seeds → two cells, so the 8-thread run genuinely schedules
     // cells concurrently.
     let grid = ExperimentGrid::new(vec![()], vec![()], vec![0xA11, 0xA12]);
-    grid.run_with_threads(threads, |cell| {
+    grid.run(threads, |cell| {
         run_swarm(power_law_config(peers), cell.seed)
     })
     .into_cells()

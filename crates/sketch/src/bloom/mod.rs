@@ -18,7 +18,7 @@
 //!   `f = (1 − e^{−kn/m})^k`, the optimal `k`, and sizing helpers. The
 //!   paper's §5.2 calibration points (4 bits/elem + 3 hashes → 14.7 %,
 //!   8 bits/elem + 5 hashes → 2.2 %) are regenerated by the
-//!   `bloom_fp_table` experiment binary.
+//!   `bloom_fp_table` experiment.
 //! * `digest` — the mechanism's plug into the summary trait API
 //!   ([`BloomDigest`] and its registry entry).
 

@@ -5,7 +5,7 @@
 //! method implemented in the workspace on one controlled scenario and
 //! records, per method: bytes on the wire, build time at the sender,
 //! reconcile time at the receiver, and the fraction of the true
-//! difference recovered. The `recon_cost_table` binary renders the table;
+//! difference recovered. The `recon_cost_table` experiment renders the table;
 //! integration tests assert the orderings the paper claims.
 
 use std::collections::HashSet;

@@ -3,7 +3,7 @@
 //! Every figure in the paper's evaluation plots a mean over repeated
 //! randomized trials. [`Summary`] accumulates samples in one pass (Welford)
 //! and reports mean, sample standard deviation, and a normal-approximation
-//! 95 % confidence half-width, which the `coding_table` binary prints
+//! 95 % confidence half-width, which the `coding_table` experiment prints
 //! next to each measured decoding overhead.
 
 /// One-pass accumulator for mean and variance (Welford's algorithm).

@@ -20,7 +20,7 @@
 set -euo pipefail
 
 # Lower this whenever the allowlist shrinks; never raise it.
-ALLOW_CEILING=44
+ALLOW_CEILING=33
 
 cd "$(dirname "$0")/.."
 ALLOW=scripts/pub_audit.allow

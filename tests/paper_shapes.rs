@@ -1,7 +1,7 @@
 //! Qualitative reproduction tests: the *shapes* of the paper's evaluation
 //! must hold at test scale — who wins, in which direction curves move,
-//! and where regimes flip. These are the claims the `icd-bench`
-//! experiment binaries (`fig4a`, `fig5`, `fig6`, `fig7`, `fig8`) print
+//! and where regimes flip. These are the claims the `figures`
+//! binary's `fig4a`, `fig5`, `fig6`, `fig7` and `fig8` experiments print
 //! quantitatively; here they gate CI.
 
 use icd_bench::experiments::art_accuracy::accuracy_cell;
@@ -18,6 +18,7 @@ fn cfg() -> ExpConfig {
         num_blocks: 2_500,
         trials: 2,
         base_seed: 0x5EED,
+        threads: 1,
     }
 }
 
@@ -161,6 +162,7 @@ fn fig4_accuracy_shape() {
         num_blocks: 4000,
         trials: 2,
         base_seed: 0xF,
+        threads: 1,
     };
     // Correction monotonicity at a tight budget (Table 4(b) rows).
     let c0 = accuracy_cell(&cfg, 4.0, 2.0, 0);

@@ -4,6 +4,9 @@
 //! Every future PR is accountable to these numbers — run before and
 //! after a change and diff the JSON. Probes:
 //!
+//! * **encode** — fountain symbol generation over 1 400-byte blocks, in
+//!   MB of payload emitted per second: the stream the decode probe
+//!   consumes.
 //! * **decode** — full fountain decode (encode → shuffle-free stream →
 //!   peeling decoder, through `into_content`) in MB of content per
 //!   second; each decode writes into one l×block_size buffer.
@@ -12,8 +15,12 @@
 //!   emitted per second.
 //! * **recode substitute** — receiver-side substitution of recoded
 //!   symbols into a half-warm buffer, in MB absorbed per second.
-//! * **bloom** — Bloom-filter membership probes per second at the §5.2
-//!   reference geometry (8 bits/element).
+//! * **bloom** — Bloom-filter inserts and membership probes per second
+//!   at the §5.2 reference geometry (8 bits/element).
+//! * **recon** — Table 4(c)'s search-cost column in wall-clock: peer
+//!   B's n = 50 000 + d = 100 keys scanned against A's Bloom filter
+//!   (§5.2, O(n)), against one ART `search_differences` of B's tree
+//!   against A's summary (§5.3, O(d log n)).
 //! * **minwise** — min-wise sketch build throughput in keys per second
 //!   (128 permutations per key; the `reduce122` fast reduction's home).
 //! * **sim** — simulator ticks per second across all five §6.2
@@ -60,6 +67,10 @@ use icd_fountain::{
 use icd_overlay::scenario::{ScenarioParams, TwoPeerScenario};
 use icd_overlay::strategy::StrategyKind;
 use icd_overlay::transfer::run_transfer;
+use icd_sketch::art::{
+    search_differences, ArtParams, ArtSummary, ReconciliationTree, SummaryParams,
+};
+use icd_sketch::bloom::BloomFilter;
 use icd_util::rng::{Rng64, SplitMix64, Xoshiro256StarStar};
 
 const SEED: u64 = 0x1CD_BA5E;
@@ -88,11 +99,12 @@ fn main() {
     // First, while the process is fresh: the footprint probe reads the
     // VmHWM growth of its own run.
     let mut probes = Vec::from(swarm_bytes_probes(quick));
-    probes.push(decode_probe(quick));
+    probes.extend(codec_probes(quick));
     let (generate, substitute) = recode_probes(quick);
     probes.push(generate);
     probes.push(substitute);
-    probes.push(bloom_probe(quick));
+    probes.extend(bloom_probes(quick));
+    probes.extend(recon_probes(quick));
     probes.push(minwise_probe(quick));
     probes.push(sim_probe(quick));
     probes.push(net_events_probe(quick));
@@ -167,7 +179,9 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
-fn decode_probe(quick: bool) -> Probe {
+/// Encode and decode over one object: encoding generates the symbol
+/// stream that decoding then consumes.
+fn codec_probes(quick: bool) -> [Probe; 2] {
     let blocks = if quick { 500 } else { 2000 };
     let block_size = 1400usize;
     let content_len = blocks * block_size;
@@ -176,11 +190,17 @@ fn decode_probe(quick: bool) -> Probe {
         .map(|_| (rng.next_u64() & 0xFF) as u8)
         .collect();
     let encoder = icd_fountain::Encoder::for_content(&content, block_size, SEED ^ 1);
+    let sent = blocks * 13 / 10 + 50;
+    let reps = if quick { 2 } else { 4 };
+    let encode_secs = best_of(reps, || {
+        encoder
+            .stream(SEED ^ 2)
+            .take(sent)
+            .map(|sym| sym.payload.len())
+            .sum::<usize>()
+    });
     // Pre-generate an ample symbol stream so only decoding is timed.
-    let symbols: Vec<EncodedSymbol> = encoder
-        .stream(SEED ^ 2)
-        .take(blocks * 13 / 10 + 50)
-        .collect();
+    let symbols: Vec<EncodedSymbol> = encoder.stream(SEED ^ 2).take(sent).collect();
     // Each rep builds a fresh decoder and is timed through
     // `into_content`, the span the benchmark's `fountain.decode` covers.
     let decode = || {
@@ -202,14 +222,23 @@ fn decode_probe(quick: bool) -> Probe {
         blocks * block_size,
         "decode copied its buffer"
     );
-    let reps = if quick { 2 } else { 4 };
     let best = best_of(reps, decode);
-    Probe {
-        name: "decode_mb_s",
-        value: content_len as f64 / best / 1e6,
-        unit: "MB/s",
-        detail: format!("l={blocks}, best of {reps} decodes, one l×block_size buffer per decode"),
-    }
+    [
+        Probe {
+            name: "encode_mb_s",
+            value: (sent * block_size) as f64 / encode_secs / 1e6,
+            unit: "MB/s",
+            detail: format!("l={blocks}, {sent} symbols of {block_size} B, best of {reps}"),
+        },
+        Probe {
+            name: "decode_mb_s",
+            value: content_len as f64 / best / 1e6,
+            unit: "MB/s",
+            detail: format!(
+                "l={blocks}, best of {reps} decodes, one l×block_size buffer per decode"
+            ),
+        },
+    ]
 }
 
 fn recode_probes(quick: bool) -> (Probe, Probe) {
@@ -281,16 +310,22 @@ fn recode_probes(quick: bool) -> (Probe, Probe) {
     (generate, substitute)
 }
 
-fn bloom_probe(quick: bool) -> Probe {
+fn bloom_probes(quick: bool) -> [Probe; 2] {
     let n = if quick { 20_000 } else { 100_000 };
     let trials = if quick { 200_000u64 } else { 1_000_000 };
+    let reps = if quick { 2 } else { 4 };
     let mut rng = Xoshiro256StarStar::new(SEED ^ 5);
     let keys: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-    let mut filter = icd_sketch::bloom::BloomFilter::with_bits_per_element(n, 8.0, SEED ^ 6);
-    for &k in &keys {
-        filter.insert(k);
-    }
-    let secs = best_of(if quick { 2 } else { 4 }, || {
+    let build = || {
+        let mut filter = BloomFilter::with_bits_per_element(n, 8.0, SEED ^ 6);
+        for &k in &keys {
+            filter.insert(k);
+        }
+        filter
+    };
+    let insert_secs = best_of(reps, build);
+    let filter = build();
+    let probe_secs = best_of(reps, || {
         let mut probe_rng = Xoshiro256StarStar::new(SEED ^ 7);
         let mut hits = 0u64;
         for i in 0..trials {
@@ -304,12 +339,76 @@ fn bloom_probe(quick: bool) -> Probe {
         }
         hits
     });
-    Probe {
-        name: "bloom_probes_per_s",
-        value: trials as f64 / secs,
-        unit: "probes/s",
-        detail: format!("n={n}, 8 bits/element, k={}", filter.num_hashes()),
+    let geometry = format!("n={n}, 8 bits/element, k={}", filter.num_hashes());
+    [
+        Probe {
+            name: "bloom_insert_keys_per_s",
+            value: n as f64 / insert_secs,
+            unit: "keys/s",
+            detail: format!("{geometry}, a fresh filter per rep, its allocation included"),
+        },
+        Probe {
+            name: "bloom_probes_per_s",
+            value: trials as f64 / probe_secs,
+            unit: "probes/s",
+            detail: geometry,
+        },
+    ]
+}
+
+/// Table 4(c) in wall-clock at a fixed n = 50 000, d = 100 in both
+/// modes: B holds A's n keys plus d of its own. The Bloom side scans
+/// all of B's keys against A's filter; the ART side is one
+/// `search_differences` of B's tree against A's summary.
+fn recon_probes(quick: bool) -> [Probe; 2] {
+    let n = 50_000usize;
+    let d = 100usize;
+    let reps = if quick { 3 } else { 10 };
+    let mut rng = Xoshiro256StarStar::new(SEED ^ 15);
+    let shared: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+    let mut b_keys = shared.clone();
+    b_keys.extend((0..d).map(|_| rng.next_u64()));
+
+    let mut filter = BloomFilter::with_bits_per_element(n, 8.0, SEED ^ 16);
+    for &k in &shared {
+        filter.insert(k);
     }
+    let params = ArtParams::default();
+    let tree_a = ReconciliationTree::from_keys(params, shared.iter().copied());
+    let tree_b = ReconciliationTree::from_keys(params, b_keys.iter().copied());
+    let summary = ArtSummary::build(&tree_a, SummaryParams::standard());
+
+    let scan = || b_keys.iter().filter(|&&k| !filter.contains(k)).count();
+    let search = || search_differences(&tree_b, &summary).missing_at_peer.len();
+    let (bloom_found, art_found) = (scan(), search());
+    assert!(
+        bloom_found <= d && art_found <= d,
+        "recon probe reported a shared key as missing"
+    );
+    let scan_secs = best_of(reps, scan);
+    let search_secs = best_of(reps, search);
+    [
+        Probe {
+            name: "recon_bloom_scan_keys_per_s",
+            value: b_keys.len() as f64 / scan_secs,
+            unit: "keys/s",
+            detail: format!(
+                "Table 4(c) Bloom O(n): n={n}, d={d}, 8 bits/element, {:.1} us per scan, \
+                 {bloom_found}/{d} found",
+                scan_secs * 1e6
+            ),
+        },
+        Probe {
+            name: "recon_art_search_per_s",
+            value: 1.0 / search_secs,
+            unit: "searches/s",
+            detail: format!(
+                "Table 4(c) ART O(d log n): n={n}, d={d}, standard summary, {:.1} us per \
+                 search, {art_found}/{d} found",
+                search_secs * 1e6
+            ),
+        },
+    ]
 }
 
 fn minwise_probe(quick: bool) -> Probe {

@@ -102,8 +102,8 @@ pub(crate) fn table4b(cfg: &ExpConfig) -> Table {
 
 /// Table 4(c): high-level comparison at 8 bits/element — size in bits,
 /// accuracy, and search cost (probe counts stand in for the O(n) vs
-/// O(d log n) column; wall-clock is measured by the `recon_speed`
-/// criterion bench).
+/// O(d log n) column; wall-clock is `perf_baseline`'s
+/// `recon_bloom_scan_keys_per_s` and `recon_art_search_per_s`).
 #[must_use]
 pub(crate) fn table4c(cfg: &ExpConfig) -> Table {
     let n = cfg.num_blocks;

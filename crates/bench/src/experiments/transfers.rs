@@ -14,7 +14,7 @@ use icd_overlay::TransferOutcome;
 use icd_util::stats::Summary;
 
 use crate::config::ExpConfig;
-use crate::engine::ExperimentGrid;
+use crate::engine::{ExperimentGrid, GridResults};
 use crate::output::{f3, Table};
 
 /// Which §6.3 variant a sweep runs.
@@ -49,36 +49,41 @@ fn correlation_grid(max: f64, points: usize) -> Vec<f64> {
         .collect()
 }
 
-/// One figure sweep: rows = correlation grid, columns = strategies.
+/// One figure sweep: rows = correlation grid, columns = strategies,
+/// each trial's `(completed, metric)`.
 fn sweep_figure(
     cfg: &ExpConfig,
     shape: SystemShape,
     grid: &[f64],
     metric: fn(&TransferOutcome) -> f64,
     run: impl Fn(&ScenarioParams, f64, StrategyKind, u64) -> TransferOutcome + Sync,
-) -> Vec<Vec<Summary>> {
+) -> GridResults<(bool, f64)> {
     let sweep = ExperimentGrid::new(grid.to_vec(), StrategyKind::ALL.to_vec(), cfg.seeds());
-    let results = sweep.run(cfg.threads, |cell| {
+    sweep.run(cfg.threads, |cell| {
         let params = shape.params(cfg, cell.seed);
         let outcome = run(&params, *cell.scenario, *cell.strategy, cell.seed ^ 0x5A5A);
         (outcome.completed, metric(&outcome))
-    });
-    for (si, gi, _, &(completed, _)) in results.iter() {
-        if !completed {
-            // Incomplete transfers (possible for BF strategies at the
-            // compact margin) would understate cost; record them as the
-            // safety-cap value instead of silently dropping them.
-            eprintln!(
-                "[warn] incomplete transfer at c={:.2} strategy={}",
-                grid[si],
-                StrategyKind::ALL[gi].label()
-            );
-        }
-    }
-    results.summaries(|&(_, value)| value)
+    })
 }
 
-fn render(title: String, grid: &[f64], data: &[Vec<Summary>]) -> Table {
+/// One figure cell: the mean over the trials that completed. A
+/// transfer stopped by the safety cap has no cost to report, so it is
+/// left out, and a cell where k of its n trials completed prints
+/// `mean (k/n)`, or `n/a (0/n)` when none did. A cell where every
+/// trial completed prints its mean alone.
+fn cell(trials: &[(bool, f64)]) -> String {
+    let done: Summary = trials.iter().filter(|t| t.0).map(|t| t.1).collect();
+    let (k, n) = (done.count() as usize, trials.len());
+    if k == n {
+        f3(done.mean())
+    } else if k == 0 {
+        format!("n/a (0/{n})")
+    } else {
+        format!("{} ({k}/{n})", f3(done.mean()))
+    }
+}
+
+fn render(title: String, grid: &[f64], data: &GridResults<(bool, f64)>) -> Table {
     let mut table = Table::new(
         title,
         &[
@@ -90,11 +95,9 @@ fn render(title: String, grid: &[f64], data: &[Vec<Summary>]) -> Table {
             "Recode/MW",
         ],
     );
-    for (c, row) in grid.iter().zip(data.iter()) {
+    for (si, c) in grid.iter().enumerate() {
         let mut cells = vec![f3(*c)];
-        for s in row {
-            cells.push(f3(s.mean()));
-        }
+        cells.extend((0..StrategyKind::ALL.len()).map(|gi| cell(data.point(si, gi))));
         table.push_row(cells);
     }
     table
@@ -170,4 +173,41 @@ pub(crate) fn fig78(cfg: &ExpConfig, shape: SystemShape, k: usize) -> Table {
         &grid,
         &data,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cells_average_only_completed_trials() {
+        assert_eq!(cell(&[(true, 1.0), (true, 2.0)]), "1.500");
+        assert_eq!(cell(&[(true, 1.0), (false, 9.0)]), "1.000 (1/2)");
+        assert_eq!(cell(&[(false, 1.0), (false, 9.0)]), "n/a (0/2)");
+    }
+
+    /// Figure 8's c = 0.10 row at l = 1 000 and two trials: one
+    /// Recode/BF transfer hits the safety cap.
+    #[test]
+    fn an_incomplete_cell_prints_its_completion_count() {
+        let cfg = ExpConfig {
+            num_blocks: 1_000,
+            trials: 2,
+            threads: 1,
+            ..ExpConfig::default()
+        };
+        let grid = [0.1];
+        let data = sweep_figure(
+            &cfg,
+            SystemShape::Compact,
+            &grid,
+            TransferOutcome::speedup,
+            |params, c, strategy, seed| {
+                run_multi_partial(&MultiSenderScenario::build(params, 4, c), strategy, seed)
+            },
+        );
+        let row = &render(String::new(), &grid, &data).rows[0];
+        assert!(row[4].ends_with(" (1/2)"), "Recode/BF cell {:?}", row[4]);
+        assert!(!row[3].contains('('), "Recode cell {:?}", row[3]);
+    }
 }

@@ -293,7 +293,7 @@ impl Decoder {
     /// Reception overhead so far: received / l. The decoding overhead of
     /// §5.4.1 is this value at the moment of completion, minus 1.
     #[must_use]
-    pub fn reception_overhead(&self) -> f64 {
+    pub(crate) fn reception_overhead(&self) -> f64 {
         self.stats.received as f64 / self.spec.num_blocks() as f64
     }
 

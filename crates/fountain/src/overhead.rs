@@ -34,8 +34,8 @@ pub struct OverheadReport {
 ///
 /// Payloads are irrelevant to *when* peeling completes (only the neighbor
 /// structure matters), so trials run with 1-byte blocks to keep the
-/// harness fast; `codec_throughput` benches measure byte-moving speed
-/// separately on full-size blocks.
+/// harness fast; `perf_baseline`'s `encode_mb_s` and `decode_mb_s`
+/// measure byte-moving speed separately on full-size blocks.
 #[must_use]
 pub fn measure_overhead(num_blocks: usize, trials: usize, seed: u64) -> OverheadReport {
     let spec = CodeSpec::new(num_blocks, 1, seed);

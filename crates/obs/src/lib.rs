@@ -11,8 +11,8 @@
 //!   **byte-identical** JSONL at any thread count
 //!   (`crates/swarm/tests/trace_parity.rs` pins exactly that).
 //! * [`metrics`] — a dependency-free **metrics registry**: atomic
-//!   counters, gauges, and log2-bucket histograms behind shared
-//!   handles, snapshotted into a typed, JSON-exportable struct.
+//!   counters and gauges behind shared handles, snapshotted into a
+//!   typed, JSON-exportable struct.
 //!   Registries are `Sync` so the same type serves the single-threaded
 //!   engine and the multi-threaded `icd-node` daemon.
 //! * [`profile`] — **wall-clock phase accumulators**, kept strictly
@@ -31,6 +31,6 @@ pub mod metrics;
 pub mod profile;
 pub mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use profile::{PhaseProfile, PhaseStat, ProfileHandle};
 pub use trace::{SyncTraceHandle, TraceBuf, TraceEvent, TraceHandle, TraceParseError, TraceRecord};

@@ -1,5 +1,5 @@
-//! Dependency-free metrics: atomic counters, gauges, and log2-bucket
-//! histograms behind a shared registry.
+//! Dependency-free metrics: atomic counters and gauges behind a shared
+//! registry.
 //!
 //! Instruments are handed out as `Arc`s, so hot paths hold their
 //! counter directly (one relaxed atomic op per update) while the
@@ -55,76 +55,6 @@ impl Gauge {
     }
 }
 
-/// Histogram over power-of-two buckets: bucket `i` counts observations
-/// `v` with `v == 0 ? i == 0 : v.ilog2() + 1 == i` — i.e. bucket 0 is
-/// exactly zero, bucket `i ≥ 1` covers `[2^(i-1), 2^i)`.
-#[derive(Debug)]
-pub struct Histogram {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; 65],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one observation.
-    pub fn observe(&self, v: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        let idx = if v == 0 { 0 } else { v.ilog2() as usize + 1 };
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Observation count.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations.
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count(),
-            sum: self.sum(),
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| {
-                    let n = b.load(Ordering::Relaxed);
-                    (n > 0).then_some((i as u32, n))
-                })
-                .collect(),
-        }
-    }
-}
-
-/// A frozen histogram: non-empty `(log2 bucket, count)` pairs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Observation count.
-    pub count: u64,
-    /// Sum of all observations.
-    pub sum: u64,
-    /// Sparse buckets: `(index, count)`, index 0 = exactly zero,
-    /// index `i ≥ 1` = values in `[2^(i-1), 2^i)`.
-    pub buckets: Vec<(u32, u64)>,
-}
-
 /// Name → instrument registry. Cloneable via `Arc`; lookups lock a
 /// mutex, so callers cache the returned `Arc` instrument rather than
 /// re-resolving names on hot paths.
@@ -132,7 +62,6 @@ pub struct HistogramSnapshot {
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
 impl MetricsRegistry {
@@ -157,13 +86,6 @@ impl MetricsRegistry {
         map.entry(name.to_string()).or_default().clone()
     }
 
-    /// The histogram named `name`, created on first use.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("metrics lock");
-        map.entry(name.to_string()).or_default().clone()
-    }
-
     /// Freezes every instrument into a typed snapshot (names sorted).
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -182,13 +104,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .expect("metrics lock")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
         }
     }
 }
@@ -200,14 +115,11 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// Gauge values.
     pub gauges: Vec<(String, u64)>,
-    /// Histogram snapshots.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
 impl MetricsSnapshot {
     /// Renders the snapshot as one JSON object with a stable shape:
-    /// `{"counters":{...},"gauges":{...},"histograms":{name:
-    /// {"count":N,"sum":N,"buckets":[[i,n],...]}}}`.
+    /// `{"counters":{name:N,...},"gauges":{name:N,...}}`.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
@@ -224,24 +136,6 @@ impl MetricsSnapshot {
             }
             let _ = write!(out, "\"{k}\":{v}");
         }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{k}\":{{\"count\":{},\"sum\":{},\"buckets\":[",
-                h.count, h.sum
-            );
-            for (j, (idx, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{idx},{n}]");
-            }
-            out.push_str("]}");
-        }
         out.push_str("}}");
         out
     }
@@ -252,18 +146,18 @@ mod tests {
     use super::*;
 
     /// Checks that `json` has the [`MetricsSnapshot::to_json`] shape:
-    /// the three sections in order, every instrument name a
+    /// the two flat sections in order, every instrument name a
     /// `snake_case` identifier, every value a decimal integer — a
     /// structural check, deliberately not a full JSON parser. Returns
     /// the first violation.
     fn validate_json(json: &str) -> Result<(), String> {
-        let s = json.trim();
-        let body = s
+        let body = json
+            .trim()
             .strip_prefix('{')
             .and_then(|s| s.strip_suffix('}'))
             .ok_or("not a JSON object")?;
         let mut rest = body;
-        for (i, section) in ["counters", "gauges", "histograms"].iter().enumerate() {
+        for (i, section) in ["counters", "gauges"].iter().enumerate() {
             let prefix = if i == 0 {
                 format!("\"{section}\":{{")
             } else {
@@ -272,14 +166,14 @@ mod tests {
             rest = rest
                 .strip_prefix(prefix.as_str())
                 .ok_or_else(|| format!("missing section {section:?}"))?;
-            let end = find_brace_close(rest)
+            let (entries, tail) = rest
+                .split_once('}')
                 .ok_or_else(|| format!("unterminated section {section:?}"))?;
-            let entries = &rest[..end];
-            rest = &rest[end + 1..];
+            rest = tail;
             if entries.is_empty() {
                 continue;
             }
-            for entry in split_top_level(entries) {
+            for entry in entries.split(',') {
                 let (name, value) = entry
                     .split_once(':')
                     .ok_or_else(|| format!("bad entry {entry:?} in {section}"))?;
@@ -294,12 +188,7 @@ mod tests {
                 {
                     return Err(format!("bad instrument name {name:?} in {section}"));
                 }
-                let ok = if *section == "histograms" {
-                    value.starts_with("{\"count\":") && value.ends_with("]}")
-                } else {
-                    !value.is_empty() && value.chars().all(|c| c.is_ascii_digit())
-                };
-                if !ok {
+                if value.is_empty() || !value.chars().all(|c| c.is_ascii_digit()) {
                     return Err(format!("bad value {value:?} for {name:?} in {section}"));
                 }
             }
@@ -310,60 +199,16 @@ mod tests {
         Ok(())
     }
 
-    /// Index of the `}` closing the object body that starts at `s[0]`
-    /// (depth 0 = the section's own close).
-    fn find_brace_close(s: &str) -> Option<usize> {
-        let mut depth = 0usize;
-        for (i, c) in s.char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' if depth == 0 => return Some(i),
-                '}' => depth -= 1,
-                _ => {}
-            }
-        }
-        None
-    }
-
-    /// Splits `"a":1,"b":{..},"c":2` at top-level commas.
-    fn split_top_level(s: &str) -> Vec<&str> {
-        let mut out = Vec::new();
-        let mut depth = 0usize;
-        let mut start = 0;
-        for (i, c) in s.char_indices() {
-            match c {
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                ',' if depth == 0 => {
-                    out.push(&s[start..i]);
-                    start = i + 1;
-                }
-                _ => {}
-            }
-        }
-        out.push(&s[start..]);
-        out
-    }
-
     #[test]
-    fn counters_gauges_histograms_snapshot() {
+    fn counters_and_gauges_snapshot() {
         let reg = MetricsRegistry::shared();
         let c = reg.counter("sends");
         c.add(3);
         reg.counter("sends").inc(); // same instrument by name
         reg.gauge("scratch_bytes").set(4096);
-        let h = reg.histogram("frame_len");
-        for v in [0, 1, 2, 3, 1024] {
-            h.observe(v);
-        }
         let snap = reg.snapshot();
         assert_eq!(snap.counters, [("sends".to_string(), 4)]);
         assert_eq!(snap.gauges, [("scratch_bytes".to_string(), 4096)]);
-        let (_, hist) = &snap.histograms[0];
-        assert_eq!(hist.count, 5);
-        assert_eq!(hist.sum, 1030);
-        // 0 → bucket 0; 1 → bucket 1; 2,3 → bucket 2; 1024 → bucket 11.
-        assert_eq!(hist.buckets, vec![(0, 1), (1, 1), (2, 2), (11, 1)]);
     }
 
     #[test]
@@ -372,12 +217,10 @@ mod tests {
         reg.counter("b_count").add(2);
         reg.counter("a_count").add(1);
         reg.gauge("g").set(7);
-        reg.histogram("h").observe(5);
         let json = reg.snapshot().to_json();
         assert_eq!(
             json,
-            "{\"counters\":{\"a_count\":1,\"b_count\":2},\"gauges\":{\"g\":7},\
-             \"histograms\":{\"h\":{\"count\":1,\"sum\":5,\"buckets\":[[3,1]]}}}"
+            "{\"counters\":{\"a_count\":1,\"b_count\":2},\"gauges\":{\"g\":7}}"
         );
         validate_json(&json).expect("own output validates");
     }
@@ -385,7 +228,7 @@ mod tests {
     #[test]
     fn empty_registry_validates() {
         let json = MetricsRegistry::shared().snapshot().to_json();
-        assert_eq!(json, "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
+        assert_eq!(json, "{\"counters\":{},\"gauges\":{}}");
         validate_json(&json).expect("empty validates");
     }
 
@@ -395,10 +238,11 @@ mod tests {
             "",
             "{}",
             "{\"counters\":{}}",
-            "{\"counters\":{\"Bad Name\":1},\"gauges\":{},\"histograms\":{}}",
-            "{\"counters\":{\"x\":\"y\"},\"gauges\":{},\"histograms\":{}}",
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{\"h\":5}}",
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}trailing",
+            "{\"counters\":{\"Bad Name\":1},\"gauges\":{}}",
+            "{\"counters\":{\"x\":\"y\"},\"gauges\":{}}",
+            "{\"counters\":{},\"gauges\":{\"g\":{}}}",
+            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}",
+            "{\"counters\":{},\"gauges\":{}}trailing",
         ] {
             assert!(validate_json(bad).is_err(), "accepted: {bad:?}");
         }

@@ -11,6 +11,7 @@ use icd_overlay::strategy::StrategyKind;
 use icd_overlay::transfer::{
     random_strategy_analytic_overhead, run_multi_partial, run_transfer, run_with_full_sender,
 };
+use icd_overlay::TransferOutcome;
 use icd_sketch::SummaryId;
 
 fn cfg() -> ExpConfig {
@@ -22,9 +23,16 @@ fn cfg() -> ExpConfig {
     }
 }
 
+/// `outcome`, which must have completed: a run stopped by the safety
+/// cap has no cost to read, so no shape check averages one in.
+fn completed(outcome: TransferOutcome) -> TransferOutcome {
+    assert!(outcome.completed, "transfer stopped at the safety cap");
+    outcome
+}
+
 fn mean_overhead(scenario: &TwoPeerScenario, strategy: StrategyKind, trials: u64) -> f64 {
     (0..trials)
-        .map(|s| run_transfer(scenario, strategy, s).overhead())
+        .map(|s| completed(run_transfer(scenario, strategy, s)).overhead())
         .sum::<f64>()
         / trials as f64
 }
@@ -95,9 +103,14 @@ fn fig5b_stretched_regime_flip() {
 fn fig6_speedup_shape() {
     let params = ScenarioParams::compact(cfg().num_blocks, 0xC);
     let s = TwoPeerScenario::build(&params, 0.2);
-    let bf = run_with_full_sender(&s, StrategyKind::RandomSummary(SummaryId::BLOOM), 1).speedup();
-    let random = run_with_full_sender(&s, StrategyKind::Random, 1).speedup();
-    let recode = run_with_full_sender(&s, StrategyKind::Recode, 1).speedup();
+    let bf = completed(run_with_full_sender(
+        &s,
+        StrategyKind::RandomSummary(SummaryId::BLOOM),
+        1,
+    ))
+    .speedup();
+    let random = completed(run_with_full_sender(&s, StrategyKind::Random, 1)).speedup();
+    let recode = completed(run_with_full_sender(&s, StrategyKind::Recode, 1)).speedup();
     assert!(bf > 1.9, "Random/BF approaches 2: {bf}");
     assert!(
         random > 1.4,
@@ -117,25 +130,29 @@ fn fig78_rate_scales_with_senders() {
     let params = ScenarioParams::compact(cfg().num_blocks, 0xD);
     for (k, floor) in [(2usize, 1.8), (4usize, 3.2)] {
         let s = MultiSenderScenario::build(&params, k, 0.1);
-        let rate =
-            run_multi_partial(&s, StrategyKind::RandomSummary(SummaryId::BLOOM), 1).speedup();
+        let rate = completed(run_multi_partial(
+            &s,
+            StrategyKind::RandomSummary(SummaryId::BLOOM),
+            1,
+        ))
+        .speedup();
         assert!(
             rate > floor && rate <= k as f64 + 1e-9,
             "k={k}: rate {rate} outside ({floor}, {k}]"
         );
     }
     // Degradation toward c = 0.5 for the oblivious strategy.
-    let lo = run_multi_partial(
+    let lo = completed(run_multi_partial(
         &MultiSenderScenario::build(&params, 2, 0.0),
         StrategyKind::Random,
         1,
-    )
+    ))
     .speedup();
-    let hi = run_multi_partial(
+    let hi = completed(run_multi_partial(
         &MultiSenderScenario::build(&params, 2, 0.5),
         StrategyKind::Random,
         1,
-    )
+    ))
     .speedup();
     assert!(hi < lo, "Random must degrade toward c=0.5: {lo} → {hi}");
 }

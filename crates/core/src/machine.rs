@@ -628,6 +628,8 @@ impl SenderState {
 struct Answer {
     sender: StrategySender,
     packet: PacketScratch,
+    /// The held payloads' one length, a recoded frame's payload length.
+    payload_len: usize,
     count: u64,
     sent: u64,
 }
@@ -749,6 +751,7 @@ impl SenderMachine {
         self.answer = Some(Answer {
             sender,
             packet: PacketScratch::default(),
+            payload_len: self.working.symbols().next().map_or(0, |s| s.payload.len()),
             count,
             sent: 0,
         });
@@ -768,8 +771,12 @@ impl SenderMachine {
         while answer.sent < answer.count && answer.sender.emit(&mut answer.packet) {
             let packet = &answer.packet;
             let frame = if packet.is_recoded() {
-                let payload = packet.payload();
-                encode_recoded_frame(packet.ids(), payload.len(), |out| payload.write_to(out))
+                // The recoder XORs the components straight into the
+                // frame's zeroed payload region.
+                let sender = &answer.sender;
+                encode_recoded_frame(packet.ids(), answer.payload_len, |out| {
+                    sender.recoded_payload_into(packet, out);
+                })
             } else {
                 let id = packet.ids()[0];
                 // A reconciler answers from the ids it was given, so
@@ -1356,17 +1363,71 @@ mod tests {
 
     #[test]
     fn reconciled_sessions_draw_no_payload_buffer() {
+        // Every payload a reconciled session gains is a view of a frame
+        // the receiver was handed: nothing is copied out of a frame.
         let (shared, fresh) = (ids(1000, 53), ids(300, 54));
-        let receiver = transfer(&shared, &fresh, SessionConfig::new().with_request(1000), 55);
+        let mut sender_ids = shared.clone();
+        sender_ids.extend(fresh.iter().copied());
+        let config = SessionConfig::new().with_request(1000);
+        let mut receiver = ReceiverMachine::new(working(&shared), config);
+        let mut sender = SenderMachine::new(working(&sender_ids), 55);
+        let sends = |actions: Vec<SessionAction>| {
+            actions.into_iter().filter_map(|action| match action {
+                SessionAction::SendFrame(frame) => Some(frame),
+                _ => None,
+            })
+        };
+        let mut to_sender: VecDeque<Bytes> = VecDeque::new();
+        let mut to_receiver: VecDeque<Bytes> = VecDeque::new();
+        to_sender.extend(sends(
+            receiver
+                .handle(SessionEvent::PeerConnected)
+                .expect("connect"),
+        ));
+        sender.handle(SessionEvent::PeerConnected).expect("connect");
+        let (mut received, mut gained) = (Vec::new(), Vec::new());
+        loop {
+            if let Some(frame) = to_sender.pop_front() {
+                let replies = sender.handle(SessionEvent::FrameReceived(frame));
+                to_receiver.extend(sends(replies.expect("sender")));
+                continue;
+            }
+            if to_receiver.is_empty() {
+                let mut actions = Vec::new();
+                sender.next_frame(&mut actions).expect("next frame");
+                to_receiver.extend(sends(actions));
+            }
+            let Some(frame) = to_receiver.pop_front() else {
+                break;
+            };
+            received.push(frame.clone());
+            for action in receiver
+                .handle(SessionEvent::FrameReceived(frame))
+                .expect("receiver")
+            {
+                match action {
+                    SessionAction::SendFrame(frame) => to_sender.push_back(frame),
+                    SessionAction::SymbolDecoded(id) => gained.push(id),
+                    _ => {}
+                }
+            }
+        }
+        assert!(sender.is_finished() && receiver.is_finished());
         assert!(matches!(
             receiver.plan(),
             Some(TransferPlan::Reconciled { .. })
         ));
-        assert!(receiver.gained() > 0);
-        assert_eq!(
-            receiver.buffer.pool().stats(),
-            icd_util::symbol::PoolStats::default()
-        );
+        assert!(!gained.is_empty());
+        assert_eq!(gained.len() as u64, receiver.gained());
+        for id in gained {
+            let payload = receiver.working().payload(id).expect("gained").as_ptr();
+            assert!(
+                received
+                    .iter()
+                    .any(|frame| frame.as_ptr_range().contains(&payload)),
+                "symbol {id} copied out of its frame"
+            );
+        }
     }
 
     #[test]

@@ -34,13 +34,12 @@
 //! [`StrategySender::emit`] writes the next packet's ids into a reusable
 //! [`PacketScratch`] or reports exhaustion. The overlay engine books
 //! those ids as they stand; [`crate::SenderMachine`] frames them, taking
-//! an encoded symbol's payload from its [`WorkingSet`] and a recoded
-//! one's from the recoder's packed arena.
+//! an encoded symbol's payload from its [`WorkingSet`] and XORing a
+//! recoded one's from the recoder's arena straight into the frame.
 
 use icd_fountain::recode::PAPER_DEGREE_LIMIT;
 use icd_fountain::{EncodedSymbol, RecodePolicy, RecodeScratch, Recoder, SymbolId};
 use icd_util::rng::{Rng64, Xoshiro256StarStar};
-use icd_util::symbol::SymbolBuf;
 
 use crate::summary::{SummaryError, SummaryId, SummaryRegistry};
 use crate::working_set::WorkingSet;
@@ -166,12 +165,6 @@ impl PacketScratch {
     #[must_use]
     pub fn ids(&self) -> &[SymbolId] {
         &self.recode.components
-    }
-
-    /// The held recoded packet's payload: the XOR of its components',
-    /// empty when the recoder carries no payloads.
-    pub(crate) fn payload(&self) -> &SymbolBuf {
-        &self.recode.payload
     }
 
     /// Holds the plain encoded symbol `id`.
@@ -313,6 +306,15 @@ impl StrategySender {
             _ => return false,
         }
         true
+    }
+
+    /// XORs the payload of the recoded packet [`StrategySender::emit`]
+    /// last wrote into `packet` into `out`: a zeroed region of the
+    /// recoder's payload length, such as the frame that carries it.
+    pub(crate) fn recoded_payload_into(&self, packet: &PacketScratch, out: &mut [u8]) {
+        if let Pick::Recode(recoder) = &self.pick {
+            recoder.payload_into(&packet.recode, out);
+        }
     }
 }
 

@@ -19,17 +19,15 @@
 use bytes::Bytes;
 use icd_util::hash::hash64;
 use icd_util::rng::{DistinctSampler, Rng64, SplitMix64, Xoshiro256StarStar};
-use icd_util::symbol::SymbolBuf;
+use icd_util::symbol::xor_bytes_into;
 
 use crate::block::{SourceBlocks, SymbolId};
 use crate::degree::DegreeDistribution;
 
-/// Reusable buffers for allocation-free symbol generation
-/// ([`Encoder::symbol_into`]).
+/// Reusable buffers for a symbol's neighbor set, so a stream derives
+/// each one without allocating.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct EncodeScratch {
-    /// The generated payload (valid after `symbol_into` returns).
-    pub payload: SymbolBuf,
+struct EncodeScratch {
     neighbors: Vec<usize>,
     sampler: DistinctSampler,
 }
@@ -188,37 +186,18 @@ impl Encoder {
         self.symbol_with(id, &mut EncodeScratch::default())
     }
 
-    /// [`Encoder::symbol`] through caller-owned scratch.
+    /// [`Encoder::symbol`] through caller-owned scratch. The payload is
+    /// the neighbor blocks XORed straight into the zeroed buffer that
+    /// carries it.
     fn symbol_with(&self, id: SymbolId, scratch: &mut EncodeScratch) -> EncodedSymbol {
-        self.symbol_into(id, scratch);
-        let payload = &scratch.payload;
-        EncodedSymbol {
-            id,
-            payload: Bytes::from_fill(payload.len(), |out| payload.write_to(out)),
-        }
-    }
-
-    /// Generates symbol `id` into reusable scratch — the allocation-free
-    /// form of [`Encoder::symbol`]. After the call `scratch.payload`
-    /// holds the XOR of the neighbor blocks.
-    pub(crate) fn symbol_into(&self, id: SymbolId, scratch: &mut EncodeScratch) {
         self.spec
             .neighbors_sampled(id, &mut scratch.sampler, &mut scratch.neighbors);
-        let block_size = self.spec.block_size();
-        if scratch.payload.len() == block_size {
-            scratch.payload.clear();
-        } else {
-            scratch.payload = SymbolBuf::zeroed(block_size);
-        }
-        let block = |b: usize| self.source.block(b);
-        let mut quads = scratch.neighbors.chunks_exact(4);
-        for q in quads.by_ref() {
-            scratch
-                .payload
-                .xor_bytes4([block(q[0]), block(q[1]), block(q[2]), block(q[3])]);
-        }
-        for &b in quads.remainder() {
-            scratch.payload.xor_bytes(block(b));
+        let block = |&b: &usize| self.source.block(b);
+        EncodedSymbol {
+            id,
+            payload: Bytes::from_fill(self.spec.block_size(), |out| {
+                xor_bytes_into(out, scratch.neighbors.iter().map(block));
+            }),
         }
     }
 
@@ -330,20 +309,6 @@ mod tests {
             (emp - expect).abs() < 0.3,
             "empirical {emp} vs analytic {expect}"
         );
-    }
-
-    #[test]
-    fn symbol_into_matches_symbol_across_reuse() {
-        let enc = Encoder::for_content(&content(3000), 100, 5);
-        let mut scratch = EncodeScratch::default();
-        for id in [0u64, 1, 42, 999_999, u64::MAX] {
-            enc.symbol_into(id, &mut scratch);
-            assert_eq!(
-                scratch.payload.to_vec(),
-                enc.symbol(id).payload.to_vec(),
-                "scratch path diverged at id {id}"
-            );
-        }
     }
 
     #[test]

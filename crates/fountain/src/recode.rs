@@ -31,7 +31,7 @@ use bytes::Bytes;
 use icd_util::hash::FastHashMap;
 use icd_util::mem::{table_bytes, vec_bytes};
 use icd_util::rng::{DistinctSampler, Rng64};
-use icd_util::symbol::{SymbolBuf, SymbolPool};
+use icd_util::symbol::xor_bytes_into;
 
 use crate::block::SymbolId;
 use crate::degree::DegreeDistribution;
@@ -126,12 +126,11 @@ fn ln_choose(m: usize, k: usize) -> f64 {
 #[derive(Debug, Clone)]
 pub struct Recoder {
     ids: Vec<SymbolId>,
-    /// All payloads packed word-aligned into one contiguous arena
-    /// (`word_stride` words per symbol, tails zero-padded): recoding
-    /// XORs whole words against whole words with no byte repacking, no
-    /// per-symbol pointer chase, and hardware-prefetch-friendly layout.
-    payload_words: Vec<u64>,
-    word_stride: usize,
+    /// All payloads back to back in one contiguous arena, `payload_len`
+    /// bytes per symbol in `ids` order: recoding XORs arena slices with
+    /// no per-symbol pointer chase and a hardware-prefetch-friendly
+    /// layout.
+    payloads: Vec<u8>,
     payload_len: usize,
     distribution: DegreeDistribution,
     policy: RecodePolicy,
@@ -148,16 +147,14 @@ impl Recoder {
     pub fn new(symbols: Vec<EncodedSymbol>, cap: usize, policy: RecodePolicy) -> Self {
         assert!(!symbols.is_empty(), "recoder needs a non-empty working set");
         let payload_len = symbols[0].payload.len();
-        let word_stride = payload_len.div_ceil(8);
         let mut ids = Vec::with_capacity(symbols.len());
-        let mut payload_words = vec![0u64; symbols.len() * word_stride];
-        let mut packer = SymbolBuf::zeroed(payload_len);
-        for (i, sym) in symbols.into_iter().enumerate() {
+        let mut payloads = Vec::with_capacity(symbols.len() * payload_len);
+        for sym in symbols {
+            assert_eq!(sym.payload.len(), payload_len, "unequal-length payloads");
             ids.push(sym.id);
-            packer.copy_from_bytes(&sym.payload);
-            payload_words[i * word_stride..(i + 1) * word_stride].copy_from_slice(packer.words());
+            payloads.extend_from_slice(&sym.payload);
         }
-        Self::build(ids, payload_words, payload_len, cap, policy)
+        Self::build(ids, payloads, payload_len, cap, policy)
     }
 
     /// Creates a payload-less recoder straight from symbol ids — the
@@ -173,7 +170,7 @@ impl Recoder {
 
     fn build(
         ids: Vec<SymbolId>,
-        payload_words: Vec<u64>,
+        payloads: Vec<u8>,
         payload_len: usize,
         cap: usize,
         policy: RecodePolicy,
@@ -184,8 +181,7 @@ impl Recoder {
         let distribution = DegreeDistribution::paper_default(n).capped(cap);
         Self {
             ids,
-            payload_words,
-            word_stride: payload_len.div_ceil(8),
+            payloads,
             payload_len,
             distribution,
             policy,
@@ -194,10 +190,10 @@ impl Recoder {
     }
 
     /// Heap bytes behind this recoder, by capacity: the id array, the
-    /// packed payload arena and the degree table.
+    /// payload arena and the degree table.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.ids) + vec_bytes(&self.payload_words) + self.distribution.heap_bytes()
+        vec_bytes(&self.ids) + vec_bytes(&self.payloads) + self.distribution.heap_bytes()
     }
 
     /// Draws the degree for the next symbol according to the policy.
@@ -225,15 +221,16 @@ impl Recoder {
         let mut scratch = RecodeScratch::default();
         self.generate_into(rng, &mut scratch);
         RecodedSymbol {
-            components: std::mem::take(&mut scratch.components),
-            payload: Bytes::from_fill(scratch.payload.len(), |out| scratch.payload.write_to(out)),
+            payload: Bytes::from_fill(self.payload_len, |out| self.payload_into(&scratch, out)),
+            components: scratch.components,
         }
     }
 
-    /// Generates one recoded symbol into reusable scratch — the
-    /// allocation-free form of [`Recoder::generate`]. After the call
-    /// `scratch.components` holds the sorted component ids and
-    /// `scratch.payload` their XOR.
+    /// Draws the next recoded symbol's components into reusable scratch
+    /// — the allocation-free form of [`Recoder::generate`]. After the
+    /// call `scratch.components` holds the sorted component ids, and
+    /// [`Recoder::payload_into`] XORs their payloads wherever the
+    /// symbol's payload is to live.
     pub fn generate_into<R: Rng64>(&self, rng: &mut R, scratch: &mut RecodeScratch) {
         let d = self.draw_degree(rng).min(self.ids.len()).max(1);
         scratch
@@ -241,24 +238,23 @@ impl Recoder {
             .sample_into(rng, self.ids.len(), d, &mut scratch.picks);
         // No need to order the picks: XOR commutes and the component ids
         // are sorted below — the output is identical either way.
-        if scratch.payload.len() == self.payload_len {
-            scratch.payload.clear();
-        } else {
-            scratch.payload = SymbolBuf::zeroed(self.payload_len);
-        }
         scratch.components.clear();
         for &i in &scratch.picks {
             scratch.components.push(self.ids[i]);
         }
-        if self.payload_len > 0 {
-            let stride = self.word_stride;
-            let arena = |i: usize| &self.payload_words[i * stride..(i + 1) * stride];
-            // Several source streams per pass: overlapping cache misses,
-            // not sequential ones, decide throughput at high degree.
-            let picks = scratch.picks.iter();
-            scratch.payload.xor_word_slices(picks.map(|&i| arena(i)));
-        }
         scratch.components.sort_unstable();
+    }
+
+    /// XORs the payloads of the symbol [`Recoder::generate_into`] last
+    /// drew into `scratch` into `out`, which must be as long as the
+    /// recoder's payloads (and zeroed, for `out` to become that symbol's
+    /// payload). Several
+    /// source streams per pass: overlapping cache misses, not sequential
+    /// ones, decide throughput at high degree.
+    pub fn payload_into(&self, scratch: &RecodeScratch, out: &mut [u8]) {
+        let len = self.payload_len;
+        let arena = |&i: &usize| &self.payloads[i * len..(i + 1) * len];
+        xor_bytes_into(out, scratch.picks.iter().map(arena));
     }
 }
 
@@ -268,8 +264,6 @@ impl Recoder {
 pub struct RecodeScratch {
     /// Sorted component ids (valid after `generate_into` returns).
     pub components: Vec<SymbolId>,
-    /// XOR of the component payloads (valid after `generate_into`).
-    pub payload: SymbolBuf,
     picks: Vec<usize>,
     sampler: DistinctSampler,
 }
@@ -372,69 +366,50 @@ impl WatcherArena {
 /// [`Bytes`]: a known symbol's payload is shared by reference count with
 /// the working set or frame it came from, never copied, and only a
 /// recoded symbol that still has unknown components is copied — once —
-/// into a word-aligned [`SymbolBuf`] accumulator drawn from a
-/// [`SymbolPool`]. The cascade is written once, in [`RecodeBuffer`], and
-/// never branches on the payload type.
+/// into a byte accumulator that known payloads are XORed into with
+/// [`xor_bytes_into`]. The cascade is written once, in [`RecodeBuffer`],
+/// and never branches on the payload type.
 pub trait RecodePayload: Sized {
     /// A pending recoded symbol's running XOR.
     type Acc;
 
-    /// Recycler for accumulators the buffer releases.
-    type Pool: Clone + Default + std::fmt::Debug;
-
     /// Starts an accumulator from a recoded symbol's payload.
-    fn load(pool: &mut Self::Pool, payload: &Self) -> Self::Acc;
+    fn load(payload: &Self) -> Self::Acc;
 
     /// XORs a known payload into an accumulator.
     fn xor_in(acc: &mut Self::Acc, known: &Self);
 
     /// Turns an accumulator left with one unknown component into that
-    /// symbol's payload, recycling the accumulator.
-    fn freeze(pool: &mut Self::Pool, acc: Self::Acc) -> Self;
-
-    /// Hands an accumulator the buffer no longer needs back to the pool.
-    fn release(pool: &mut Self::Pool, acc: Self::Acc);
+    /// symbol's payload.
+    fn freeze(acc: Self::Acc) -> Self;
 }
 
 impl RecodePayload for () {
     type Acc = ();
-    type Pool = ();
 
     #[inline]
-    fn load((): &mut (), (): &()) {}
+    fn load((): &()) {}
 
     #[inline]
     fn xor_in((): &mut (), (): &()) {}
 
     #[inline]
-    fn freeze((): &mut (), (): ()) {}
-
-    #[inline]
-    fn release((): &mut (), (): ()) {}
+    fn freeze((): ()) {}
 }
 
 impl RecodePayload for Bytes {
-    type Acc = SymbolBuf;
-    type Pool = SymbolPool;
+    type Acc = Vec<u8>;
 
-    fn load(pool: &mut SymbolPool, payload: &Bytes) -> SymbolBuf {
-        let mut acc = pool.acquire_for_overwrite(payload.len());
-        acc.copy_from_bytes(payload);
-        acc
+    fn load(payload: &Bytes) -> Vec<u8> {
+        payload.to_vec()
     }
 
-    fn xor_in(acc: &mut SymbolBuf, known: &Bytes) {
-        acc.xor_bytes(known);
+    fn xor_in(acc: &mut Vec<u8>, known: &Bytes) {
+        xor_bytes_into(acc, std::iter::once(&known[..]));
     }
 
-    fn freeze(pool: &mut SymbolPool, acc: SymbolBuf) -> Bytes {
-        let payload = Bytes::from_fill(acc.len(), |out| acc.write_to(out));
-        pool.release(acc);
-        payload
-    }
-
-    fn release(pool: &mut SymbolPool, acc: SymbolBuf) {
-        pool.release(acc);
+    fn freeze(acc: Vec<u8>) -> Bytes {
+        Bytes::copy_from_slice(&acc)
     }
 }
 
@@ -619,7 +594,6 @@ impl<A> Substitution<A> {
         &mut self,
         id: SymbolId,
         data: &P,
-        pool: &mut P::Pool,
         queue: &mut Vec<(SymbolId, P)>,
     ) {
         let mut cur = self.watchers.start(id);
@@ -639,7 +613,7 @@ impl<A> Substitution<A> {
             if p.unknown == 1 {
                 if let Some(p) = entry.take() {
                     self.pending_live -= 1;
-                    queue.push((p.unknown_xor, P::freeze(pool, p.acc)));
+                    queue.push((p.unknown_xor, P::freeze(p.acc)));
                 }
             }
         }
@@ -684,7 +658,6 @@ pub struct RecodeBuffer<P: RecodePayload> {
     known: Known<P>,
     /// Recoded symbols that arrived fully known (pure redundancy).
     redundant: u64,
-    pool: P::Pool,
     /// Reusable cascade stack (empty between calls).
     queue: Vec<(SymbolId, P)>,
     substitution: Option<Box<Substitution<P::Acc>>>,
@@ -709,7 +682,6 @@ impl<P: RecodePayload> Default for RecodeBuffer<P> {
                 index: KnownIndex::Table(FastHashMap::default()),
             },
             redundant: 0,
-            pool: P::Pool::default(),
             queue: Vec::new(),
             substitution: None,
         }
@@ -796,12 +768,6 @@ impl<P: RecodePayload> RecodeBuffer<P> {
         self.known.get(id)
     }
 
-    /// The recycler pending symbols' accumulators are drawn from.
-    #[must_use]
-    pub fn pool(&self) -> &P::Pool {
-        &self.pool
-    }
-
     /// Number of known encoded symbols.
     #[must_use]
     pub fn known_count(&self) -> usize {
@@ -857,7 +823,7 @@ impl<P: RecodePayload> RecodeBuffer<P> {
             }
             (*id, payload)
         } else {
-            let mut acc = P::load(&mut self.pool, &payload);
+            let mut acc = P::load(&payload);
             let mut unknown_ids = self.substitution.as_deref_mut().map(|side| {
                 side.unknown_ids.clear();
                 &mut side.unknown_ids
@@ -878,10 +844,9 @@ impl<P: RecodePayload> RecodeBuffer<P> {
             match unknown {
                 0 => {
                     self.redundant += 1;
-                    P::release(&mut self.pool, acc);
                     return 0;
                 }
-                1 => (unknown_xor, P::freeze(&mut self.pool, acc)),
+                1 => (unknown_xor, P::freeze(acc)),
                 _ => {
                     let fresh = self.substitution.is_none();
                     let side = self.substitution.get_or_insert_with(Box::default);
@@ -929,7 +894,7 @@ impl<P: RecodePayload> RecodeBuffer<P> {
                 recovered(id, data);
             }
             if let Some(side) = self.substitution.as_deref_mut() {
-                side.substitute(id, data, &mut self.pool, &mut queue);
+                side.substitute(id, data, &mut queue);
             }
         }
         self.queue = queue;
@@ -1017,8 +982,9 @@ mod tests {
     #[test]
     fn known_payloads_are_shared_not_copied() {
         // A held payload and a degree-1 arrival (a view into a larger
-        // frame) are stored as given; only a recoded symbol that still
-        // has unknown components draws an accumulator from the pool.
+        // frame) are stored as given — the same pointers, before and
+        // after a recoded symbol is substituted against them; only a
+        // recoded symbol that still has unknown components is copied.
         let mut buf = RecodeBuffer::<Bytes>::new();
         let held = Bytes::from(vec![1u8; 64]);
         buf.add_known(1, held.clone(), |_, _| {});
@@ -1033,7 +999,6 @@ mod tests {
             buf.known_payload(2).map(|p| p.as_ptr()),
             Some(arriving.as_ptr())
         );
-        assert_eq!(buf.pool().stats().allocated, 0);
         assert_eq!(
             buf.receive(&[1, 3], Bytes::from(vec![3u8; 64]), |_, _| {}),
             1
@@ -1042,8 +1007,14 @@ mod tests {
             buf.known_payload(3).map(|p| p.to_vec()),
             Some(vec![2u8; 64])
         );
-        assert_eq!(buf.pool().stats().allocated, 1);
-        assert_eq!(buf.pool().stats().released, 1);
+        assert_eq!(
+            buf.known_payload(1).map(|p| p.as_ptr()),
+            Some(held.as_ptr())
+        );
+        assert_eq!(
+            buf.known_payload(2).map(|p| p.as_ptr()),
+            Some(arriving.as_ptr())
+        );
     }
 
     #[test]

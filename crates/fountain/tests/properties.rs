@@ -2,12 +2,12 @@
 //! arbitrary geometry, encoder determinism, and recode-buffer soundness.
 
 use bytes::Bytes;
-use icd_fountain::decoder::DecodeStats;
+use icd_fountain::decoder::{DecodeStats, PoolStats};
 use icd_fountain::{
     CodeSpec, DecodeStatus, Decoder, EncodedSymbol, Encoder, RecodeBuffer, RecodePolicy, Recoder,
 };
 use icd_util::rng::Xoshiro256StarStar;
-use icd_util::symbol::SymbolBuf;
+use icd_util::symbol::xor_bytes_into;
 use proptest::prelude::*;
 
 /// Id-only reference peeler for the differential tests below: sets of
@@ -383,6 +383,9 @@ proptest! {
             .flatten()
             .any(|sym| matches!(dec.receive(&sym), DecodeStatus::Complete));
         prop_assert!(done, "20l + 200 symbols did not decode");
+        // Every block was written into the one object buffer: no
+        // per-symbol buffer was allocated.
+        prop_assert_eq!(dec.pool_stats(), PoolStats::default());
         prop_assert_eq!(dec.into_content(content.len()).unwrap(), content);
     }
 
@@ -449,20 +452,25 @@ proptest! {
     #[test]
     fn vectorized_xor_matches_scalar_reference(
         len in 0usize..1024,
-        seed_a in any::<u64>(),
-        seed_b in any::<u64>(),
+        count in 0usize..=21,
+        seed in any::<u64>(),
     ) {
-        // SymbolBuf's word-packed XOR is byte-identical to the scalar
-        // loop at every length, including non-multiple-of-8 tails.
-        let mut rng = Xoshiro256StarStar::new(seed_a);
-        let a: Vec<u8> = (0..len).map(|_| (icd_util::rng::Rng64::next_u64(&mut rng) & 0xFF) as u8).collect();
-        let mut rng = Xoshiro256StarStar::new(seed_b);
-        let b: Vec<u8> = (0..len).map(|_| (icd_util::rng::Rng64::next_u64(&mut rng) & 0xFF) as u8).collect();
-        let mut slow = a.clone();
-        xor_into(&mut slow, &b);
-        let mut buf = SymbolBuf::from_bytes(&a);
-        buf.xor_bytes(&b);
-        prop_assert_eq!(buf.to_vec(), slow);
+        // The multi-stream payload XOR is byte-identical to the scalar
+        // loop for every batch shape (runs of 8, a 4, singles) and at
+        // every length, including non-multiple-of-8 tails.
+        let mut rng = Xoshiro256StarStar::new(seed);
+        let mut bytes = || -> Vec<u8> {
+            (0..len).map(|_| (icd_util::rng::Rng64::next_u64(&mut rng) & 0xFF) as u8).collect()
+        };
+        let dst = bytes();
+        let sources: Vec<Vec<u8>> = (0..count).map(|_| bytes()).collect();
+        let mut slow = dst.clone();
+        for s in &sources {
+            xor_into(&mut slow, s);
+        }
+        let mut fast = dst;
+        xor_bytes_into(&mut fast, sources.iter().map(Vec::as_slice));
+        prop_assert_eq!(fast, slow);
     }
 
     #[test]

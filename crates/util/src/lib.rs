@@ -12,8 +12,7 @@
 //!   experiments exactly reproducible.
 //! * [`bitvec`] — a compact bit vector backing the Bloom-filter crates.
 //! * [`modp`] — arithmetic in GF(p) for the Mersenne prime p = 2^61 - 1,
-//!   used by min-wise linear permutations and by the characteristic
-//!   polynomial set-reconciliation baseline.
+//!   used by min-wise linear permutations.
 //! * [`stats`] — mean / variance / confidence-interval helpers used by the
 //!   experiment harness.
 //! * [`idset`] — compressed working-set membership: a rank bitmap over a
@@ -21,10 +20,9 @@
 //!   instead of hash-table entries at swarm scale.
 //! * [`mem`] — heap bytes from capacities, for the engine's byte
 //!   breakdowns.
-//! * [`symbol`] — word-aligned payload buffers ([`symbol::SymbolBuf`]),
-//!   the free-list pool ([`symbol::SymbolPool`]) that makes the recode
-//!   hot path allocation-free at steady state, and the multi-stream XOR
-//!   kernels the encoder, decoder and recoder share.
+//! * [`symbol`] — the one payload XOR kernel
+//!   ([`symbol::xor_bytes_into`]), multi-stream and in place, that the
+//!   encoder, decoder, recoder and substitution buffer share.
 //!
 //! Nothing in this crate is specific to the paper's algorithms; it exists
 //! so that the algorithmic crates stay focused and so the workspace does
@@ -47,4 +45,3 @@ pub use bitvec::BitVec;
 pub use hash::{FastBuildHasher, FastHashMap, FastHashSet};
 pub use idset::{IdSet, IdUniverse};
 pub use rng::{Rng64, SplitMix64, Xoshiro256StarStar};
-pub use symbol::{PoolStats, SymbolBuf, SymbolPool};

@@ -157,9 +157,9 @@ pub fn encode_frame(msg: &Message) -> Result<Bytes, FrameError> {
 
 /// The frame [`encode_frame`] gives for a `RecodedSymbol` over
 /// `components` with a `payload_len`-byte payload, the payload written
-/// in place by `fill`: a sender whose recoded payload is a word-packed
-/// accumulator writes it into the frame once instead of first copying
-/// it into a `Message`.
+/// in place by `fill` into a zeroed region: a recoding sender XORs the
+/// components' payloads straight into the frame instead of first
+/// building a payload buffer and copying it into a `Message`.
 pub fn encode_recoded_frame(
     components: &[u64],
     payload_len: usize,

@@ -276,9 +276,10 @@ impl SymbolHeader {
 /// Writes a `RecodedSymbol` body over `components` whose `payload_len`
 /// payload bytes `fill` writes in place into `out`, which must be
 /// exactly [`recoded_symbol_size`] bytes — the one encoder of that
-/// layout, so a payload held in some other form (a word-packed
-/// accumulator) is written into the frame once, without first becoming
-/// a buffer of its own.
+/// layout, so a payload that is computed rather than held (the XOR of a
+/// recoder's picks) is written into the frame once, without first
+/// becoming a buffer of its own. `fill` sees the payload bytes as they
+/// are in `out`: zero in a fresh frame.
 pub(crate) fn encode_recoded_into(
     out: &mut [u8],
     components: &[u64],

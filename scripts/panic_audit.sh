@@ -14,7 +14,7 @@ set -euo pipefail
 
 declare -A CEILING=(
     [bench]=6 [core]=2 [fountain]=4 [node]=27 [obs]=4 [overlay]=8
-    [sketch]=13 [swarm]=2 [util]=5 [wire]=6
+    [sketch]=13 [swarm]=2 [util]=2 [wire]=6
 )
 
 cd "$(dirname "$0")/.."
